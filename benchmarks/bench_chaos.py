@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on parity or coverage failure")
     parser.add_argument("--mode", default="process",
-                        choices=("process", "thread", "serial"),
+                        choices=("process", "serial"),
                         help="transport under chaos (default: process)")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="result path (default: %s)" % DEFAULT_OUTPUT.name)

@@ -419,53 +419,44 @@ def run_shard_benchmark(quick: bool) -> dict:
     n_events = FULL_EVENTS
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     trace = partitionable_trace(n_events)
-    #: events/sec per transport; "1" (the unsharded engine) is shared.
-    rates = {"process": {}, "ring": {}}
+    #: Process-transport events/sec; "1" is the unsharded engine.
+    rates = {}
     work_bounds = {}
     reference_races = None
     for shards in SHARD_COUNTS:
-        for mode in ("process", "ring"):
-            if shards == 1 and mode == "ring":
-                rates["ring"]["1"] = rates["process"]["1"]
-                continue
-            best = 0.0
-            for _ in range(repeats):
-                if shards == 1:
-                    result = RaceEngine().run(trace, detectors=[WCPDetector()])
-                else:
-                    result = ShardedEngine(
-                        shards=shards, mode=mode, batch_size=2048
-                    ).run(trace, detectors=[WCPDetector()])
-                    work_bounds[shards] = round(result.work_speedup_bound(), 3)
-                best = max(best, result.events / result.elapsed_s)
-                races = frozenset(result["WCP"].location_pairs())
-                if reference_races is None:
-                    reference_races = races
-                elif races != reference_races:
-                    raise SystemExit(
-                        "DIFFERENTIAL FAILURE: %d-shard %s run reports %r, "
-                        "single-shard reports %r"
-                        % (shards, mode, sorted(map(sorted, races)),
-                           sorted(map(sorted, reference_races)))
-                    )
-            rates[mode][str(shards)] = round(best, 1)
-            print("partitionable    %8d events | shards=%d [%s]  %.0f events/s"
-                  % (len(trace), shards,
-                     "unsharded" if shards == 1 else mode, best))
+        best = 0.0
+        for _ in range(repeats):
+            if shards == 1:
+                result = RaceEngine().run(trace, detectors=[WCPDetector()])
+            else:
+                result = ShardedEngine(
+                    shards=shards, mode="process", batch_size=2048
+                ).run(trace, detectors=[WCPDetector()])
+                work_bounds[shards] = round(result.work_speedup_bound(), 3)
+            best = max(best, result.events / result.elapsed_s)
+            races = frozenset(result["WCP"].location_pairs())
+            if reference_races is None:
+                reference_races = races
+            elif races != reference_races:
+                raise SystemExit(
+                    "DIFFERENTIAL FAILURE: %d-shard run reports %r, "
+                    "single-shard reports %r"
+                    % (shards, sorted(map(sorted, races)),
+                       sorted(map(sorted, reference_races)))
+                )
+        rates[str(shards)] = round(best, 1)
+        print("partitionable    %8d events | shards=%d [%s]  %.0f events/s"
+              % (len(trace), shards,
+                 "unsharded" if shards == 1 else "process", best))
     if not reference_races:
         raise SystemExit(
             "sharded differential is vacuous: the partitionable workload "
             "produced no races (it must keep its racer threads)"
         )
-    single = rates["process"]["1"]
-    best_four = max(rates["process"]["4"], rates["ring"]["4"])
-    best_mode = (
-        "ring" if rates["ring"]["4"] >= rates["process"]["4"] else "process"
-    )
-    wall_speedup = round(best_four / single, 3) if single else 0.0
-    print("%16s 4-shard vs 1-shard: x%.2f wall (best transport: %s), "
-          "x%.2f work-bound"
-          % ("", wall_speedup, best_mode, work_bounds.get(4, 0.0)))
+    single = rates["1"]
+    wall_speedup = round(rates["4"] / single, 3) if single else 0.0
+    print("%16s 4-shard vs 1-shard: x%.2f wall, x%.2f work-bound"
+          % ("", wall_speedup, work_bounds.get(4, 0.0)))
     cores = usable_cores()
     if cores >= 4:
         wall_gate = (
@@ -486,7 +477,7 @@ def run_shard_benchmark(quick: bool) -> dict:
     for _ in range(repeats):
         result = ShardedEngine(bare).run(trace, detectors=[WCPDetector()])
         bare_best = max(bare_best, result.events / result.elapsed_s)
-    four = rates["process"]["4"]
+    four = rates["4"]
     overhead = round(bare_best / four, 3) if four else 0.0
     print("%16s supervision overhead at 4 shards: x%.3f "
           "(unsupervised %.0f events/s)" % ("", overhead, bare_best))
@@ -498,11 +489,9 @@ def run_shard_benchmark(quick: bool) -> dict:
         "workload": "partitionable",
         "events": len(trace),
         "races": len(reference_races),
-        "events_per_s": rates["process"],
-        "events_per_s_ring": rates["ring"],
+        "events_per_s": rates,
         "kernel_backend": kernels.BACKEND,
         "wall_speedup_4x": wall_speedup,
-        "wall_speedup_transport": best_mode,
         "wall_gate": wall_gate,
         "work_speedup_bound": work_bounds,
         "floor": SHARD_SPEEDUP_FLOOR,
@@ -528,9 +517,8 @@ def check_shard_gate(result: dict) -> int:
     wall_gate = result.get("wall_gate")
     if cores >= 4:
         print("wall-clock speedup at 4 shards: x%.2f (floor x%.2f, %d "
-              "cores, transport %s) -- recorded wall_gate: %r"
-              % (wall, SHARD_SPEEDUP_FLOOR, cores,
-                 result.get("wall_speedup_transport", "process"), wall_gate))
+              "cores) -- recorded wall_gate: %r"
+              % (wall, SHARD_SPEEDUP_FLOOR, cores, wall_gate))
         if wall < SHARD_SPEEDUP_FLOOR:
             failures.append(
                 "4-shard throughput x%.2f below x%.2f of single-shard"

@@ -1,4 +1,4 @@
-"""The raw-speed layer, end to end: kernels, batch decode, ring transport.
+"""The raw-speed layer, end to end: kernels, batch decode, shard transport.
 
 Three independent layers sit between the WCP algorithm and the
 hardware, and each one is *governed* — you can see which variant is
@@ -14,10 +14,10 @@ report:
 2. **Batch decoding** — the STD/CSV parsers decode many lines per call
    instead of one, so parse throughput tracks memory bandwidth rather
    than per-line interpreter overhead.
-3. **Zero-copy shard transport** — ``ShardedEngine(mode="ring")``
-   ships event batches to worker processes as binary-codec blobs
-   through a shared-memory ring buffer instead of pickled tuples
-   through a pipe.
+3. **Shard transport** — ``ShardedEngine(mode="process")`` ships
+   event batches to one worker process per shard over a pipe;
+   ``mode="serial"`` runs the same workers inline and is the
+   deterministic reference both must agree with.
 
 Run from the repository root:
 
@@ -111,12 +111,12 @@ finally:
     os.unlink(path)
 
 # ------------------------------------------------------------------ #
-# 3. The ring transport, and parity across every mode
+# 3. Shard transports: process against the serial reference
 # ------------------------------------------------------------------ #
 
 print()
 print(BAR)
-print("3. Shared-memory ring transport")
+print("3. Shard transport parity")
 print(BAR)
 
 trace = mixed_vocabulary_trace(seed=3, threads=4, steps=1200)
@@ -128,12 +128,9 @@ def fingerprint(report):
     return (pairs, report.count())
 
 
-for mode in ("serial", "process", "ring"):
+for mode in ("serial", "process"):
     config = EngineConfig().with_detectors("wcp", "hb")
     config.with_shards(3, mode=mode, batch_size=256)
-    # Ring size is tunable; undersized rings stream batches in
-    # CRC-framed segments rather than failing.
-    config.shard_ring_bytes = 1 << 16
     result = ShardedEngine(config).run(trace)
     match = all(
         fingerprint(reference[name]) == fingerprint(result[name])

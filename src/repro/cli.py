@@ -438,10 +438,10 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--shard-mode", default="process",
-        choices=("process", "ring", "thread", "serial"),
-        help="shard transport: separate processes (multi-core, default), "
-             "processes fed through zero-copy shared-memory rings (ring), "
-             "threads, or inline serial workers (deterministic debugging)",
+        choices=("process", "serial"),
+        help="shard transport: separate worker processes (multi-core, "
+             "default) or inline serial workers (the deterministic "
+             "reference, for debugging)",
     )
     subparser.add_argument(
         "--shard-policy", default="hash", choices=("hash", "rr"),

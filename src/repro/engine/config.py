@@ -47,30 +47,21 @@ class EngineConfig:
         #: Shard the pass across this many worker engines (1 = unsharded;
         #: see :class:`~repro.engine.sharding.ShardedEngine`).
         self.shards: int = 1
-        #: Shard transport: "process" (multi-core), "ring" (multi-core
-        #: over a zero-copy shared-memory data path), "thread" or
-        #: "serial".
+        #: Shard transport: "process" (multi-core) or "serial" (inline,
+        #: the deterministic reference).
         self.shard_mode: str = "process"
         #: Variable partition policy name/instance
         #: (:mod:`repro.engine.partition`).
         self.shard_policy = "hash"
         #: Events per transport batch.
         self.shard_batch_size: int = 1024
-        #: Data-region bytes of each shard's shared-memory ring (the
-        #: "ring" transport; other modes ignore it).
-        self.shard_ring_bytes: int = 1 << 20
-        #: Exchange mid-run clock/registry deltas every N batches.  0
-        #: (default) disables the exchange -- final-state merging uses the
-        #: finish payload, so mid-run deltas are monitoring/diagnostic
-        #: surface (collected on ``ShardedResult.clock_deltas``) and not
-        #: worth their serialization cost unless asked for.
-        self.shard_clock_sync_every: int = 0
         #: Worker restarts allowed per shard before the run fails with a
         #: :class:`~repro.engine.supervision.WorkerFailure` (0 disables
         #: failover entirely).
         self.shard_retries: int = 2
         #: Liveness timeout: a shard with batches outstanding and no ack
-        #: progress for this long is declared dead and failed over.
+        #: progress for this long, or silent this long on a snapshot or
+        #: finish request, is declared dead and failed over.
         self.shard_heartbeat_s: float = 30.0
         #: Batches between periodic per-shard supervision snapshots (the
         #: failover restore points; 0 buffers the whole substream).
@@ -176,15 +167,12 @@ class EngineConfig:
         mode: Optional[str] = None,
         policy=None,
         batch_size: Optional[int] = None,
-        clock_sync_every: Optional[int] = None,
     ) -> "EngineConfig":
         """Shard the pass across ``shards`` worker engines.
 
-        ``mode`` selects the transport ("process", "ring", "thread",
-        "serial"),
-        ``policy`` the variable partition policy, ``batch_size`` the
-        events per transport batch and ``clock_sync_every`` the cadence
-        (in batches) of the shard-boundary clock/registry delta exchange.
+        ``mode`` selects the transport ("process" or "serial"),
+        ``policy`` the variable partition policy and ``batch_size`` the
+        events per transport batch.
         ``shards=1`` keeps the unsharded engine (byte-identical output).
         """
         if shards < 1:
@@ -198,10 +186,6 @@ class EngineConfig:
             if batch_size < 1:
                 raise ValueError("shard batch size must be positive")
             self.shard_batch_size = batch_size
-        if clock_sync_every is not None:
-            if clock_sync_every < 0:
-                raise ValueError("clock sync cadence must be >= 0")
-            self.shard_clock_sync_every = clock_sync_every
         return self
 
     def with_shard_supervision(

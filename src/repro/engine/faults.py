@@ -53,7 +53,7 @@ class WorkerDied(RuntimeError):
 
 
 class InjectedDeath(BaseException):
-    """Simulated abrupt worker death (thread/serial transports).
+    """Simulated abrupt worker death (the serial transport).
 
     A ``BaseException`` so the worker loops' ordinary ``except
     Exception`` error reporting -- which is reserved for deterministic
@@ -113,7 +113,7 @@ class Fault:
 
         ``at_event`` counts the worker's *own* processed events (its
         substream position).  Process workers hard-exit (the coordinator
-        sees pipe EOF); thread/serial workers die with
+        sees pipe EOF); serial workers die with
         :class:`InjectedDeath`.
         """
         return cls(KILL_WORKER, shard, at_event)

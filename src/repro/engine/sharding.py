@@ -16,40 +16,23 @@ Transport modes
     One persistent ``multiprocessing`` worker process per shard, fed
     batches of compactly encoded events over a pipe.  This is the
     multi-core mode: Python's GIL never serializes the detectors.
-``ring``
-    Process workers whose *data path* bypasses pickle entirely: batches
-    are encoded with the binary codec (:mod:`repro.vectorclock.codec`)
-    and copied straight into a shared-memory SPSC ring buffer
-    (:class:`~repro.engine.ringbuffer.ShmRing`, one per worker), while
-    the pipe carries only tiny control messages -- a per-batch
-    notification plus snapshot/finish/ack traffic.  Ordering is total:
-    notifications and ring records are both FIFO and paired one to one,
-    so a snapshot request on the pipe is always handled after every
-    batch sent before it.  Semantically identical to ``process`` (the
-    parity suite runs both); preferable when transport cost dominates.
-``thread``
-    One worker thread per shard (shared-nothing workers, so results are
-    deterministic); useful where processes are unavailable.  Throughput
-    is GIL-bound.
 ``serial``
     Workers run inline in the calling thread, one batch at a time --
     deterministic and debuggable; the reference mode for the parity suite.
 
 Shard-boundary protocol
 -----------------------
-Workers and the coordinator exchange three kinds of messages at batch
-boundaries:
+Workers and the coordinator exchange two kinds of messages at batch
+boundaries, plus the final results:
 
 * **progress** -- events processed and per-detector ``(distinct, raw)``
   race counts, used for merged incremental snapshots and batch-granular
   early stop;
-* **clock/registry deltas** -- each worker's interning table
+* **clock/registry state** -- each worker's interning table
   (:meth:`~repro.vectorclock.registry.ThreadRegistry.names`) plus its
   detectors' serialized per-thread clocks
-  (:meth:`~repro.core.detector.Detector.sync_clock_state`), shipped at
-  the end of the run and, when ``shard_clock_sync_every`` opts in,
-  periodically mid-run (monitoring surface, collected on
-  ``ShardedResult.clock_deltas``).  The
+  (:meth:`~repro.core.detector.Detector.sync_clock_state`), shipped in
+  the finish payload.  The
   coordinator folds them into one view by interning the worker's names
   into the merged registry
   (:meth:`~repro.vectorclock.registry.ThreadRegistry.merge_names`),
@@ -87,8 +70,6 @@ uninterrupted run's exactly.
 from __future__ import annotations
 
 import os
-import queue as queue_module
-import threading
 import time
 import traceback
 from typing import Dict, List, Optional, Sequence
@@ -117,7 +98,6 @@ from repro.engine.engine import (
     RaceEngine,
 )
 from repro.engine.faults import InjectedDeath, WorkerDied
-from repro.engine.ringbuffer import DEFAULT_RING_BYTES, RingTimeout, ShmRing
 from repro.engine.supervision import (
     SupervisedTransport,
     SupervisionSettings,
@@ -133,7 +113,6 @@ from repro.engine.partition import (
 from repro.engine.sources import as_source
 from repro.trace.event import Event, EventType
 from repro.vectorclock.clock import VectorClock
-from repro.vectorclock.codec import decode as codec_decode, encode as codec_encode
 from repro.vectorclock.dense import DenseClock, deserialize_clock
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -189,7 +168,6 @@ class ShardedResult(EngineResult):
         clock_state: Dict[str, Dict[object, VectorClock]],
         shard_clock_states: List[List[Optional[Dict[object, bytes]]]],
         shard_names: List[List[object]],
-        clock_deltas: Optional[List[Optional[dict]]] = None,
         supervision: Optional[dict] = None,
         **kwargs,
     ) -> None:
@@ -198,10 +176,6 @@ class ShardedResult(EngineResult):
         #: heartbeat_timeouts, snapshot_fallbacks, shutdown_escalations,
         #: restarts_by_shard) -- all zero on a fault-free run.
         self.supervision = supervision or new_supervision_stats()
-        #: Last mid-run clock/registry delta seen per shard (None entries
-        #: when the exchange is disabled -- `shard_clock_sync_every` 0 --
-        #: or a shard never reached the cadence).
-        self.clock_deltas = clock_deltas or []
         self.shards = shards
         self.mode = mode
         self.shard_events = shard_events
@@ -301,7 +275,7 @@ class _ShardWorker:
         self.source_name = source_name
         #: Fault injection: die once the worker has processed this many
         #: events (process workers hard-exit so the coordinator sees a
-        #: genuine pipe EOF; thread/serial workers raise InjectedDeath).
+        #: genuine pipe EOF; serial workers raise InjectedDeath).
         self.kill_at = kill_at
         self.hard_exit = hard_exit
         self.registry = ThreadRegistry()
@@ -389,17 +363,6 @@ class _ShardWorker:
             for detector in self.detectors
         ]
 
-    def clock_delta(self) -> dict:
-        """The boundary-protocol clock/registry delta."""
-        return {
-            "shard": self.shard_id,
-            "events": self.events,
-            "names": self.registry.names(),
-            "clocks": [
-                detector.sync_clock_state() for detector in self.detectors
-            ],
-        }
-
     def finish(self) -> dict:
         started = time.perf_counter()
         self.pass_.finish_detectors()
@@ -480,10 +443,6 @@ class _SerialTransport:
         self._check_dead()
         return self.worker.progress()
 
-    def poll_delta(self):
-        self._check_dead()
-        return self.worker.clock_delta()
-
     def snapshot_begin(self):
         return self.snapshot()
 
@@ -514,210 +473,9 @@ class _SerialTransport:
         return 0
 
 
-class _ThreadTransport:
-    """One daemon thread per shard, fed through a bounded queue.
-
-    Workers share nothing, so results are deterministic regardless of
-    scheduling; progress is read at batch granularity (coarse counts, safe
-    under the GIL), mid-run clock deltas are skipped (the worker may be
-    mid-batch), and the final payload is produced by the worker thread
-    before joining.
-    """
-
-    def __init__(
-        self,
-        worker: _ShardWorker,
-        restore: Optional[dict] = None,
-        plan=None,
-        stall_timeout_s: Optional[float] = None,
-    ) -> None:
-        self.worker = worker
-        self._restore = restore
-        #: Longest the coordinator will block on a full queue (or an
-        #: unanswered snapshot) before declaring a hung-but-alive worker
-        #: thread dead.  None keeps the pre-supervision spin-forever
-        #: behaviour (serial paths and direct construction in tests).
-        self.stall_timeout_s = stall_timeout_s
-        self.queue: "queue_module.Queue" = queue_module.Queue(maxsize=8)
-        self.error: Optional[str] = None
-        self.result: Optional[dict] = None
-        self.dead: Optional[str] = None
-        self.acks = _AckCounter(worker.shard_id, plan)
-        self.thread = threading.Thread(
-            target=self._loop, name="shard-%d" % worker.shard_id, daemon=True
-        )
-        self.thread.start()
-
-    def _loop(self) -> None:
-        try:
-            self.worker.start()
-            if self._restore is not None:
-                self.worker.restore(self._restore)
-            while True:
-                batch = self.queue.get()
-                if batch is None:
-                    self.result = self.worker.finish()
-                    return
-                if isinstance(batch, tuple) and batch[0] == "snapshot":
-                    batch[1].append(self.worker.snapshot_state())
-                    batch[2].set()
-                    continue
-                self.worker.process_batch(batch)
-                self.acks.record()
-        except InjectedDeath as death:
-            # Simulated abrupt death: no ack, no error report, no further
-            # draining -- exactly what a vanished worker looks like.  The
-            # coordinator notices through the bounded put()/wait() paths.
-            self.dead = str(death) or "injected worker death"
-            return
-        except Exception:
-            self.error = traceback.format_exc()
-            # Keep draining so the coordinator's put() never deadlocks
-            # (snapshot requests are acknowledged empty so their waiters
-            # wake up and observe the error).
-            while True:
-                item = self.queue.get()
-                if item is None:
-                    return
-                if isinstance(item, tuple) and item[0] == "snapshot":
-                    item[2].set()
-
-    def _death_cause(self) -> Optional[str]:
-        """The reason this transport is unusable, or None while healthy."""
-        if self.dead is not None:
-            return self.dead
-        if (
-            not self.thread.is_alive()
-            and self.result is None
-            and self.error is None
-        ):
-            return "worker thread exited without a result"
-        return None
-
-    def _declare_stalled(self, what: str) -> None:
-        """A live-but-hung worker thread is dead for supervision purposes.
-
-        Python cannot kill a thread, so the transport is condemned
-        instead: the zombie keeps idling on its (abandoned) queue and
-        exits with the daemon, while the supervisor restarts the shard
-        on a fresh transport.  The raised death is tagged ``stalled`` so
-        it is counted as a heartbeat timeout, not a crash.
-        """
-        cause = (
-            "%s for %.1fs; worker thread is alive but stalled, "
-            "declaring it dead" % (what, self.stall_timeout_s)
-        )
-        self.dead = cause
-        death = WorkerDied(self.worker.shard_id, cause)
-        death.stalled = True
-        raise death
-
-    def _put(self, item) -> None:
-        """Bounded put that notices worker death instead of deadlocking."""
-        deadline = None
-        while True:
-            cause = self._death_cause()
-            if cause is not None:
-                raise WorkerDied(self.worker.shard_id, cause)
-            try:
-                self.queue.put(item, timeout=0.05)
-                return
-            except queue_module.Full:
-                if self.stall_timeout_s is None:
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self.stall_timeout_s
-                elif now >= deadline:
-                    self._declare_stalled("no batch consumed")
-
-    def send(self, batch: List[tuple]) -> None:
-        self._put(batch)
-
-    def poll_progress(self):
-        cause = self._death_cause()
-        if cause is not None:
-            raise WorkerDied(self.worker.shard_id, cause)
-        return self.worker.progress()
-
-    def poll_delta(self):
-        return None
-
-    def snapshot_begin(self):
-        holder: List[dict] = []
-        done = threading.Event()
-        self._put(("snapshot", holder, done))
-        return holder, done
-
-    def snapshot_end(self, token) -> dict:
-        holder, done = token
-        deadline = (
-            None if self.stall_timeout_s is None
-            else time.monotonic() + self.stall_timeout_s
-        )
-        while not done.wait(0.05):
-            cause = self._death_cause()
-            if cause is not None:
-                raise WorkerDied(self.worker.shard_id, cause)
-            if deadline is not None and time.monotonic() >= deadline:
-                self._declare_stalled("snapshot request unanswered")
-        if self.error is not None:
-            raise RuntimeError(
-                "shard %d worker failed:\n%s" % (self.worker.shard_id, self.error)
-            )
-        if not holder:  # pragma: no cover - defensive
-            raise WorkerDied(
-                self.worker.shard_id, "worker died answering a snapshot"
-            )
-        return holder[0]
-
-    def snapshot(self) -> dict:
-        return self.snapshot_end(self.snapshot_begin())
-
-    def finish(self) -> dict:
-        self._put(None)
-        self.thread.join(self.stall_timeout_s)
-        if self.stall_timeout_s is not None and self.thread.is_alive():
-            self._declare_stalled("finish unacknowledged")
-        cause = self._death_cause()
-        if cause is not None:
-            raise WorkerDied(self.worker.shard_id, cause)
-        if self.error is not None:
-            raise RuntimeError(
-                "shard %d worker failed:\n%s" % (self.worker.shard_id, self.error)
-            )
-        assert self.result is not None
-        return self.result
-
-    def acked(self) -> int:
-        return self.acks.observed
-
-    def alive(self) -> bool:
-        return self._death_cause() is None
-
-    def break_pipe(self) -> None:
-        # Sever the channel: the worker thread may keep running but the
-        # coordinator treats it as unreachable (it idles on the queue and
-        # dies with the daemon).
-        self.dead = "injected pipe EOF"
-
-    def abort(self) -> None:
-        if self.dead is None:
-            self.dead = "aborted by coordinator"
-        try:
-            # Wake a healthy worker so the daemon thread can exit.
-            self.queue.put_nowait(None)
-        except queue_module.Full:  # pragma: no cover - worker is stuck
-            pass
-
-    def take_escalations(self) -> int:
-        return 0
-
-
 def _process_worker_main(
     conn, shard_id: int, specs: List[dict], source_name: str,
-    clock_sync_every: int, restore: Optional[dict] = None,
-    kill_at: Optional[int] = None,
+    restore: Optional[dict] = None, kill_at: Optional[int] = None,
 ) -> None:
     """Entry point of a shard worker process (pipe protocol).
 
@@ -727,8 +485,7 @@ def _process_worker_main(
 
     Messages from the coordinator: ``("batch", [encoded events])``,
     ``("snapshot",)`` and ``("finish",)``.  The worker acknowledges every
-    batch with a progress message, sends a clock/registry delta every
-    ``clock_sync_every`` batches, answers ``snapshot`` with a
+    batch with a progress message, answers ``snapshot`` with a
     ``("state", ...)`` payload of snapshot blobs, and answers ``finish``
     with its result payload.
     """
@@ -741,16 +498,12 @@ def _process_worker_main(
         worker.start()
         if restore is not None:
             worker.restore(restore)
-        batches = 0
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "batch":
                 worker.process_batch(message[1])
-                batches += 1
                 conn.send(("progress", shard_id, worker.events, worker.progress()))
-                if clock_sync_every and batches % clock_sync_every == 0:
-                    conn.send(("delta", shard_id, worker.clock_delta()))
             elif kind == "snapshot":
                 conn.send(("state", shard_id, worker.snapshot_state()))
             elif kind == "finish":
@@ -766,64 +519,6 @@ def _process_worker_main(
         except (BrokenPipeError, OSError):
             pass
     finally:
-        conn.close()
-
-
-def _ring_worker_main(
-    conn, shard_id: int, specs: List[dict], source_name: str,
-    clock_sync_every: int, restore: Optional[dict] = None,
-    kill_at: Optional[int] = None,
-    ring_name: str = "", ring_capacity: int = 0,
-) -> None:
-    """Entry point of a ring-transport shard worker process.
-
-    The pipe protocol of :func:`_process_worker_main` with one change:
-    a ``("batch_ring",)`` message carries no payload -- the batch itself
-    travels codec-encoded through the shared-memory ring, and the worker
-    pops exactly one ring record per notification.  Notifications and
-    records are both FIFO, so the pairing (and the ordering against
-    snapshot/finish control messages) is total.
-    """
-    ring = ShmRing.attach(ring_name, ring_capacity)
-    try:
-        detectors: List[Detector] = [build_detector(spec) for spec in specs]
-        worker = _ShardWorker(
-            shard_id, detectors, source_name,
-            kill_at=kill_at, hard_exit=True,
-        )
-        worker.start()
-        if restore is not None:
-            worker.restore(restore)
-        batches = 0
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "batch_ring":
-                # A generous timeout bounds the orphaned-worker case (the
-                # coordinator died between notification and ring write);
-                # a healthy coordinator is already mid-push.
-                payload = ring.pop(timeout=300.0)
-                worker.process_batch(codec_decode(payload))
-                batches += 1
-                conn.send(("progress", shard_id, worker.events, worker.progress()))
-                if clock_sync_every and batches % clock_sync_every == 0:
-                    conn.send(("delta", shard_id, worker.clock_delta()))
-            elif kind == "snapshot":
-                conn.send(("state", shard_id, worker.snapshot_state()))
-            elif kind == "finish":
-                conn.send(("result", shard_id, worker.finish()))
-                return
-            else:
-                raise ValueError("unknown coordinator message %r" % (kind,))
-    except EOFError:
-        pass
-    except Exception:
-        try:
-            conn.send(("error", shard_id, traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        ring.close()
         conn.close()
 
 
@@ -836,20 +531,23 @@ _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 class _ProcessTransport:
     """One persistent worker process per shard over a duplex pipe."""
 
-    #: The worker process entry point; subclasses swap in their own.
-    _worker_main = staticmethod(_process_worker_main)
-
     def __init__(
         self, worker_args: tuple, shard_id: int, mp_context,
         plan=None, shutdown_timeout_s: float = 30.0,
+        stall_timeout_s: Optional[float] = None,
     ) -> None:
         self.shard_id = shard_id
         self.shutdown_timeout_s = shutdown_timeout_s
+        #: Longest the coordinator waits on a silent worker for a
+        #: snapshot or finish reply before declaring a hung-but-alive
+        #: process dead; every message from the worker restarts the
+        #: clock.  None waits forever.
+        self.stall_timeout_s = stall_timeout_s
         self.escalations = 0
         self.acks = _AckCounter(shard_id, plan)
         self.conn, child_conn = mp_context.Pipe(duplex=True)
         self.process = mp_context.Process(
-            target=type(self)._worker_main,
+            target=_process_worker_main,
             args=(child_conn,) + worker_args,
             name="shard-%d" % shard_id,
             daemon=True,
@@ -857,7 +555,6 @@ class _ProcessTransport:
         self.process.start()
         child_conn.close()
         self._progress = None
-        self._delta = None
         self._result = None
         self._state = None
 
@@ -870,17 +567,41 @@ class _ProcessTransport:
             cause += " [worker exit code %s]" % code
         return WorkerDied(self.shard_id, cause)
 
-    def _drain(self, block: bool = False) -> None:
-        """Absorb pending worker messages (progress / deltas / errors)."""
+    def _stalled(self, awaiting: str) -> WorkerDied:
+        """Condemn a worker that stayed silent past the stall timeout.
+
+        The death is tagged ``stalled`` so supervision counts it as a
+        heartbeat timeout, not a crash; the supervisor's :meth:`abort`
+        then terminates the process.
+        """
+        death = WorkerDied(
+            self.shard_id,
+            "no %s for %.1fs; worker process is alive but stalled, "
+            "declaring it dead" % (awaiting, self.stall_timeout_s),
+        )
+        death.stalled = True
+        return death
+
+    def _drain(self, awaiting: Optional[str] = None) -> None:
+        """Absorb pending worker messages (progress / state / errors).
+
+        With ``awaiting`` (a description of the reply), keep reading
+        until a ``state`` or ``result`` message arrives, allowing the
+        worker at most ``stall_timeout_s`` of silence between messages.
+        """
+        conn = self.conn
+        timeout = self.stall_timeout_s if awaiting else 0
         try:
-            while self._result is None and (block or self.conn.poll()):
-                message = self.conn.recv()
+            while self._result is None:
+                if not conn.poll(timeout):
+                    if awaiting is None:
+                        return
+                    raise self._stalled(awaiting)
+                message = conn.recv()
                 kind = message[0]
                 if kind == "progress":
                     if self.acks.record():
                         self._progress = message[3]
-                elif kind == "delta":
-                    self._delta = message[2]
                 elif kind == "state":
                     self._state = message[2]
                     return
@@ -892,36 +613,29 @@ class _ProcessTransport:
                         "shard %d worker failed:\n%s"
                         % (self.shard_id, message[2])
                     )
-                block = False
+        except _PIPE_FAILURES as error:
+            raise self._died(error) from error
+
+    def _post(self, message: tuple) -> None:
+        try:
+            self.conn.send(message)
         except _PIPE_FAILURES as error:
             raise self._died(error) from error
 
     def send(self, batch: List[tuple]) -> None:
-        try:
-            self.conn.send(("batch", batch))
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
+        self._post(("batch", batch))
         self._drain()
 
     def poll_progress(self):
         self._drain()
         return self._progress
 
-    def poll_delta(self):
-        self._drain()
-        delta, self._delta = self._delta, None
-        return delta
-
     def snapshot_begin(self):
-        try:
-            self.conn.send(("snapshot",))
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
-        return None
+        self._post(("snapshot",))
 
     def snapshot_end(self, token) -> dict:
         while self._state is None:
-            self._drain(block=True)
+            self._drain(awaiting="snapshot reply")
         state, self._state = self._state, None
         return state
 
@@ -929,15 +643,16 @@ class _ProcessTransport:
         return self.snapshot_end(self.snapshot_begin())
 
     def finish(self) -> dict:
-        try:
-            self.conn.send(("finish",))
-            while self._result is None:
-                self._drain(block=True)
-            return self._result
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
-        finally:
-            self._shutdown()
+        """Collect the result payload, then shut the worker down.
+
+        A dead or stalled worker raises :class:`WorkerDied` without the
+        graceful shutdown; whoever handles the death calls :meth:`abort`.
+        """
+        self._post(("finish",))
+        while self._result is None:
+            self._drain(awaiting="finish reply")
+        self._shutdown()
+        return self._result
 
     def _shutdown(self) -> None:
         """Escalating worker shutdown: close -> join -> terminate -> kill.
@@ -999,66 +714,7 @@ class _ProcessTransport:
         return taken
 
 
-class _RingTransport(_ProcessTransport):
-    """A process worker fed through a shared-memory ring (zero-copy data path).
-
-    Identical control plane to :class:`_ProcessTransport` -- the pipe
-    still carries snapshot/finish requests and progress/delta/error/ack
-    replies -- but batch payloads never touch pickle or the pipe buffer:
-    the coordinator encodes each batch with the binary codec and copies
-    the bytes straight into a :class:`~repro.engine.ringbuffer.ShmRing`
-    segment both processes have mapped.  A per-batch ``("batch_ring",)``
-    pipe notification keeps the worker's single blocking wait point and
-    makes ring records totally ordered against control messages.
-
-    The notification is deliberately sent *before* the ring push: a
-    payload larger than the ring's free space streams through in
-    segments, which requires the consumer to be draining concurrently
-    -- notification-first guarantees that without a size precheck.
-    """
-
-    _worker_main = staticmethod(_ring_worker_main)
-
-    def __init__(
-        self, worker_args: tuple, shard_id: int, mp_context,
-        plan=None, shutdown_timeout_s: float = 30.0,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-    ) -> None:
-        self.ring = ShmRing.create(ring_bytes)
-        super().__init__(
-            worker_args + (self.ring.name, ring_bytes),
-            shard_id, mp_context, plan=plan,
-            shutdown_timeout_s=shutdown_timeout_s,
-        )
-
-    def send(self, batch: List[tuple]) -> None:
-        payload = codec_encode(batch)
-        try:
-            self.conn.send(("batch_ring",))
-        except _PIPE_FAILURES as error:
-            raise self._died(error) from error
-        try:
-            # Backpressure: blocks while the ring is full, turning worker
-            # death mid-ring into a normalized WorkerDied for failover.
-            self.ring.push(payload, liveness=self.process.is_alive)
-        except (BrokenPipeError, RingTimeout) as error:
-            raise self._died(error) from error
-        self._drain()
-
-    def _shutdown(self) -> None:
-        try:
-            super()._shutdown()
-        finally:
-            self.ring.unlink()
-
-    def abort(self) -> None:
-        try:
-            super().abort()
-        finally:
-            self.ring.unlink()
-
-
-_TRANSPORT_MODES = ("process", "ring", "thread", "serial")
+_TRANSPORT_MODES = ("process", "serial")
 
 
 class ShardedEngine:
@@ -1068,14 +724,14 @@ class ShardedEngine:
     ----------
     config:
         An :class:`EngineConfig`; its ``shards`` / ``shard_mode`` /
-        ``shard_policy`` / ``shard_batch_size`` / ``shard_clock_sync_every``
-        fields provide the defaults for the keyword arguments below.
+        ``shard_policy`` / ``shard_batch_size`` fields provide the
+        defaults for the keyword arguments below.
     shards:
         Worker count.  ``1`` delegates to :class:`RaceEngine` -- output is
         byte-identical to the unsharded engine.
     mode:
-        ``"process"`` (multi-core), ``"ring"`` (multi-core with the
-        zero-copy shared-memory data path), ``"thread"`` or ``"serial"``.
+        ``"process"`` (multi-core) or ``"serial"`` (inline, the
+        deterministic reference).
     policy:
         Partition policy name or instance (:mod:`repro.engine.partition`).
     batch_size:
@@ -1265,21 +921,17 @@ class ShardedEngine:
         )
 
         batch_size = self.batch_size
-        clock_sync_every = config.shard_clock_sync_every
         race_budget = config.race_budget
         event_budget = config.event_budget
         interval = config.snapshot_interval
 
         batches: List[List[tuple]] = [[] for _ in range(shards)]
         latest_counts: List[Optional[List[tuple]]] = [None] * shards
-        latest_deltas: List[Optional[dict]] = [None] * shards
         snapshots: List[ReportSnapshot] = []
         detector_names = [detector.name for detector in resolved]
 
         stop_reason = STOP_EXHAUSTED
         events = start_events
-        flushes = 0
-        last_delta_sync = 0
         started = time.perf_counter()
 
         def flush(shard: int) -> None:
@@ -1326,13 +978,11 @@ class ShardedEngine:
                         batch.append(encoded)
                         if len(batch) >= batch_size:
                             flush(shard)
-                            flushes += 1
                 elif kind is ROUTE or not send_foreign:
                     batch = batches[owner]
                     batch.append(encoded)
                     if len(batch) >= batch_size:
                         flush(owner)
-                        flushes += 1
                 else:  # ROUTE_CLOCK with a foreign-hungry detector (WCP)
                     foreign = encoded[:5] + (False,)
                     for shard in range(shards):
@@ -1340,7 +990,6 @@ class ShardedEngine:
                         batch.append(encoded if shard == owner else foreign)
                         if len(batch) >= batch_size:
                             flush(shard)
-                            flushes += 1
                 events += 1
 
                 if interval is not None and events % interval == 0:
@@ -1358,7 +1007,6 @@ class ShardedEngine:
                     for shard in range(shards):
                         if batches[shard]:
                             flush(shard)
-                            flushes += 1
                     checkpointer.save(Checkpoint(
                         events=events,
                         source_name=source_name,
@@ -1398,26 +1046,11 @@ class ShardedEngine:
                             break
                     if stop_reason == STOP_RACE_BUDGET:
                         break
-                if clock_sync_every and (
-                    flushes - last_delta_sync >= clock_sync_every
-                ):
-                    last_delta_sync = flushes
-                    for shard, transport in enumerate(transports):
-                        delta = transport.poll_delta()
-                        if delta is not None:
-                            latest_deltas[shard] = delta
 
             for shard in range(shards):
                 if batches[shard]:
                     flush(shard)
             payloads = [transport.finish() for transport in transports]
-            if clock_sync_every:
-                # Deltas in flight during the final batches were absorbed
-                # by the finish drain; harvest the last one per shard.
-                for shard, transport in enumerate(transports):
-                    delta = transport.poll_delta()
-                    if delta is not None:
-                        latest_deltas[shard] = delta
         except Exception:
             self._abort_transports(transports)
             raise
@@ -1425,7 +1058,7 @@ class ShardedEngine:
         elapsed = time.perf_counter() - started
         result = self._merge(
             resolved, payloads, source_name, events, elapsed, stop_reason,
-            snapshots, partitioner, latest_deltas, supervision_stats,
+            snapshots, partitioner, supervision_stats,
         )
         if interval is not None and (events == 0 or events % interval != 0):
             # Final snapshot from the exact merged reports.
@@ -1468,7 +1101,7 @@ class ShardedEngine:
         stats = stats if stats is not None else new_supervision_stats()
         mode = self.mode
         mp_context = None
-        if mode in ("process", "ring"):
+        if mode == "process":
             import multiprocessing
 
             mp_context = multiprocessing.get_context()
@@ -1484,35 +1117,18 @@ class ShardedEngine:
                 )
                 if mode == "process":
                     return _ProcessTransport(
-                        (
-                            shard, specs, source_name,
-                            config.shard_clock_sync_every, state, kill_at,
-                        ),
+                        (shard, specs, source_name, state, kill_at),
                         shard, mp_context, plan=plan,
                         shutdown_timeout_s=settings.shutdown_timeout_s,
-                    )
-                if mode == "ring":
-                    return _RingTransport(
-                        (
-                            shard, specs, source_name,
-                            config.shard_clock_sync_every, state, kill_at,
-                        ),
-                        shard, mp_context, plan=plan,
-                        shutdown_timeout_s=settings.shutdown_timeout_s,
-                        ring_bytes=config.shard_ring_bytes,
+                        # Proactive restart: a hung-but-alive worker is
+                        # declared dead on heartbeat expiry even while
+                        # the coordinator waits on a snapshot or finish.
+                        stall_timeout_s=settings.heartbeat_s,
                     )
                 worker = _ShardWorker(
                     shard, [build_detector(spec) for spec in specs],
                     source_name, kill_at=kill_at,
                 )
-                if mode == "thread":
-                    return _ThreadTransport(
-                        worker, state, plan=plan,
-                        # Proactive restart: a hung-but-alive thread
-                        # worker is declared dead on heartbeat expiry
-                        # even when nothing is in flight to ack.
-                        stall_timeout_s=settings.heartbeat_s,
-                    )
                 return _SerialTransport(worker, state, plan=plan)
 
             return factory
@@ -1532,18 +1148,13 @@ class ShardedEngine:
         Every transport gets its snapshot request first, so the workers
         serialize their state concurrently; the coordinator then drains
         the replies in shard order -- the per-checkpoint pause is the
-        slowest single worker, not the sum (serial transports have no
-        begin/end split and run inline).
+        slowest single worker, not the sum (serial workers answer inline
+        at ``snapshot_begin``).
         """
-        tokens = [
-            (transport, transport.snapshot_begin())
-            if hasattr(transport, "snapshot_begin") else (transport, None)
-            for transport in transports
-        ]
+        tokens = [transport.snapshot_begin() for transport in transports]
         return [
             transport.snapshot_end(token)
-            if hasattr(transport, "snapshot_end") else transport.snapshot()
-            for transport, token in tokens
+            for transport, token in zip(transports, tokens)
         ]
 
     @staticmethod
@@ -1568,7 +1179,6 @@ class ShardedEngine:
         stop_reason: str,
         snapshots: List[ReportSnapshot],
         partitioner: StreamPartitioner,
-        clock_deltas: Optional[List[Optional[dict]]] = None,
         supervision: Optional[dict] = None,
     ) -> ShardedResult:
         payloads = sorted(payloads, key=lambda payload: payload["shard"])
@@ -1633,7 +1243,6 @@ class ShardedEngine:
             clock_state=clock_state,
             shard_clock_states=[payload["clocks"] for payload in payloads],
             shard_names=[payload["names"] for payload in payloads],
-            clock_deltas=clock_deltas,
             supervision=supervision,
         )
 

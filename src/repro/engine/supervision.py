@@ -9,8 +9,9 @@ recovery:
 * **Health tracking** -- every batch a worker processes is acknowledged
   on the existing batch-ack protocol; the supervisor counts outstanding
   batches per shard and treats a configurable silence
-  (``heartbeat_s``) with work outstanding -- or a worker whose
-  process/thread is simply gone -- as death.
+  (``heartbeat_s``) with work outstanding, a worker that leaves a
+  snapshot or finish request unanswered for as long, or a worker whose
+  process is simply gone, as death.
 * **Periodic shard snapshots** -- the PR 5 ``("snapshot",)`` message is
   driven on a cadence (``snapshot_every`` batches): the supervisor keeps
   each shard's two newest snapshots in memory, CRC-framed
@@ -71,8 +72,9 @@ class SupervisionSettings:
         failover: any death raises :class:`WorkerFailure` immediately).
     ``heartbeat_s``
         Declare a worker dead after this long with batches outstanding
-        and no acknowledgement progress (liveness piggybacks on the
-        batch-ack protocol; no extra messages).
+        and no acknowledgement progress, or this long silent while a
+        snapshot or finish reply is awaited (liveness piggybacks on the
+        existing protocol; no extra messages).
     ``snapshot_every``
         Batches between periodic per-shard snapshots.  0 disables the
         cadence -- the supervisor then buffers the shard's whole
@@ -149,11 +151,11 @@ class SupervisedTransport:
     """One shard's transport, wrapped with health tracking and failover.
 
     Speaks the exact transport protocol the coordinator already uses
-    (``send`` / ``poll_progress`` / ``poll_delta`` / ``snapshot_begin``
-    / ``snapshot_end`` / ``snapshot`` / ``finish`` / ``abort``), so the
-    coordinator loop is oblivious to recovery.  ``factory(restore)``
-    rebuilds the underlying transport -- process, thread or serial --
-    from a worker-state dict (or fresh, on ``None``).
+    (``send`` / ``poll_progress`` / ``snapshot_begin`` / ``snapshot_end``
+    / ``snapshot`` / ``finish`` / ``abort``), so the coordinator loop is
+    oblivious to recovery.  ``factory(restore)`` rebuilds the underlying
+    transport -- process or serial -- from a worker-state dict (or
+    fresh, on ``None``).
 
     ``recoverable=False`` (a detector without snapshot support) keeps
     the health tracking and error normalization but disables buffering
@@ -222,13 +224,6 @@ class SupervisedTransport:
         except WorkerDied as death:
             self._handle_death(death)
             return self.transport.poll_progress()
-
-    def poll_delta(self):
-        try:
-            return self.transport.poll_delta()
-        except WorkerDied as death:
-            self._handle_death(death)
-            return None
 
     def snapshot_begin(self):
         try:
@@ -312,7 +307,7 @@ class SupervisedTransport:
     def _handle_death(self, death: WorkerDied) -> None:
         """Classify a transport-raised death, then fail over.
 
-        A death tagged ``stalled`` (hung-but-alive thread worker
+        A death tagged ``stalled`` (a hung-but-alive worker process
         condemned on heartbeat expiry by the transport itself) is a
         heartbeat timeout, not a crash -- counted as such so operators
         can tell wedged workers from dying ones.

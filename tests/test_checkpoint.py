@@ -644,7 +644,7 @@ class TestShardedResume:
         assert Checkpointer(directory).offsets()
         return directory
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_sharded_resume_matches_single_engine(self, tmp_path, mode, seed):
         trace = random_trace(seed, n_events=220, n_threads=4, n_vars=6)
@@ -658,12 +658,12 @@ class TestShardedResume:
 
     def test_sharded_resume_across_transports(self, tmp_path):
         # Worker state is transport-agnostic: a serial-mode checkpoint
-        # restores into thread-mode workers.
+        # restores into process-mode workers.
         trace = fork_join_trace(3)
         reference = run_engine(trace, detectors=["wcp", "hb"])
         directory = self._checkpointed_sharded_run(tmp_path, trace, "serial")
         resumed = ShardedEngine(
-            EngineConfig().with_shards(3, mode="thread", batch_size=16)
+            EngineConfig().with_shards(3, mode="process", batch_size=16)
         ).resume(TraceSource(trace), directory)
         for key in reference.keys():
             assert _fingerprint(resumed[key]) == _fingerprint(reference[key])

@@ -242,7 +242,7 @@ class TestCodecRoundTrips:
         assert (back.thread, back.time) == ("t1", 12)
 
     def test_wire_batch_round_trip(self):
-        # The exact shape the ring transport ships: a list of 6-tuples.
+        # The shard wire-batch shape: a list of 6-tuples.
         batch = [
             (0, "t1", EventType.ACQUIRE.value, "l", None, True),
             (1, "t1", EventType.WRITE.value, "x", "a.c:3", True),

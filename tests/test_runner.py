@@ -79,11 +79,11 @@ class TestKillAndResumeParity:
         _assert_parity(result, reference)
         assert plan.unfired() == []
 
-    def test_sharded_thread_mode_parity_through_kill(self, tmp_path):
+    def test_sharded_process_mode_parity_through_kill(self, tmp_path):
         trace = fork_join_trace(23, workers=3, steps=120)
         config = (
             EngineConfig()
-            .with_shards(2, mode="thread", batch_size=16)
+            .with_shards(2, mode="process", batch_size=16)
             .with_shard_supervision(backoff_s=0.0, snapshot_every=4)
         )
         reference = run_engine(trace, ["wcp", "hb"], config=config)

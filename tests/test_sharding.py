@@ -226,15 +226,6 @@ class TestShardParity:
         )
         assert _fingerprint(single["WCP"]) == _fingerprint(sharded["WCP"])
 
-    def test_thread_mode_parity(self):
-        trace = random_trace(5, n_events=200, n_threads=5, n_vars=8)
-        single = RaceEngine().run(trace, detectors=["wcp", "hb"])
-        sharded = ShardedEngine(shards=3, mode="thread", batch_size=32).run(
-            trace, detectors=["wcp", "hb"]
-        )
-        for name in single.keys():
-            assert _fingerprint(single[name]) == _fingerprint(sharded[name])
-
     def test_process_mode_parity(self):
         trace = random_trace(9, n_events=250, n_threads=4, n_vars=8)
         single = RaceEngine().run(trace, detectors=["wcp", "hb"])
@@ -333,29 +324,6 @@ class TestShardBoundaryProtocol:
         assert set(result.clock_state["WCP"]) == set(trace.threads)
         # The merged registry interns every thread any worker saw.
         assert set(result.registry.names()) == set(trace.threads)
-
-    def test_process_mode_exchanges_midrun_deltas(self):
-        trace = random_trace(2, n_events=300, n_threads=4, n_vars=6)
-        config = EngineConfig().with_shards(
-            2, mode="process", batch_size=32, clock_sync_every=1
-        )
-        result = ShardedEngine(config).run(trace, detectors=["wcp"])
-        assert _fingerprint(result["WCP"]) == _fingerprint(
-            RaceEngine().run(trace, detectors=["wcp"])["WCP"]
-        )
-        # The opted-in exchange actually delivered deltas to the
-        # coordinator: worker registries plus serialized clock states.
-        delivered = [delta for delta in result.clock_deltas if delta]
-        assert delivered, "no mid-run clock deltas were collected"
-        for delta in delivered:
-            assert delta["names"] and delta["clocks"][0]
-
-    def test_delta_exchange_disabled_by_default(self):
-        trace = random_trace(2, n_events=150, n_threads=3)
-        result = ShardedEngine(shards=2, mode="serial", batch_size=16).run(
-            trace, detectors=["wcp"]
-        )
-        assert not [delta for delta in result.clock_deltas if delta]
 
     def test_shard_metadata(self):
         trace = random_trace(3, n_events=100, n_threads=3, n_vars=6)
@@ -458,6 +426,18 @@ class TestShardedEngineBehavior:
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert "2 shard(s)" in out
+
+    def test_removed_transport_modes_are_rejected(self, tmp_path, capsys):
+        for mode in ("ring", "thread"):
+            with pytest.raises(ValueError, match="available: process, serial"):
+                ShardedEngine(shards=2, mode=mode)
+        trace = random_trace(8, n_events=40, n_threads=3)
+        path = str(dump_trace(trace, tmp_path / "t.std"))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--shards", "2", "--shard-mode", "thread"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'thread'" in err
 
     def test_cli_window_plus_shards_is_rejected(self, tmp_path, capsys):
         trace = random_trace(8, n_events=40, n_threads=3)

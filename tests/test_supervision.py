@@ -10,6 +10,8 @@ one actionable :class:`WorkerFailure`, never a raw ``EOFError``.
 """
 
 import asyncio
+import multiprocessing
+import os
 import threading
 import time
 
@@ -19,6 +21,7 @@ from repro import (
     EngineConfig,
     Fault,
     FaultPlan,
+    HBDetector,
     QueueSource,
     RaceEngine,
     ShardedEngine,
@@ -26,9 +29,10 @@ from repro import (
     WorkerFailure,
 )
 from repro.cli import main
+from repro.engine.checkpoint import detector_stamp
 from repro.engine.faults import corrupt_blob
 from repro.engine.faults import WorkerDied
-from repro.engine.sharding import _ProcessTransport, _ShardWorker, _ThreadTransport
+from repro.engine.sharding import _ProcessTransport, _ShardWorker
 from repro.engine.supervision import SupervisedTransport, new_supervision_stats
 from repro.trace.event import EventType
 from repro.trace.writers import dump_trace
@@ -37,7 +41,7 @@ from conftest import random_trace
 from test_sharding import _fingerprint, fork_join_trace
 
 DETECTORS = ["wcp", "hb", "fasttrack"]
-MODES = ["serial", "thread", "process"]
+MODES = ["serial", "process"]
 
 
 def _sharded(trace, plan=None, mode="serial", shards=3, batch_size=16,
@@ -139,7 +143,7 @@ class TestFaultParity:
         # the worker is never declared dead.
         assert result.supervision["worker_restarts"] == 0
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_duplicate_ack_parity(self, mode):
         trace = random_trace(23, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan([Fault.duplicate_ack(1, 0)])
@@ -180,7 +184,7 @@ class TestFaultParity:
             Fault.kill_worker(0, 20),
             Fault.kill_worker(2, 35),
         ])
-        result = _sharded(trace, plan, mode="thread")
+        result = _sharded(trace, plan, mode="process")
         _assert_parity(trace, result)
         assert plan.unfired() == []
         assert result.supervision["worker_restarts"] == 2
@@ -275,9 +279,6 @@ class _StubTransport:
             self._acked += 1
 
     def poll_progress(self):
-        return None
-
-    def poll_delta(self):
         return None
 
     def snapshot_begin(self):
@@ -640,108 +641,85 @@ class TestQueueSourceGovernance:
 
 
 # --------------------------------------------------------------------- #
-# Hung-but-alive thread workers (heartbeat-expiry stall detection)
+# Hung-but-alive process workers (heartbeat-expiry stall detection)
 # --------------------------------------------------------------------- #
 
 
-class _HungThreadWorker:
-    """A worker whose thread stays alive but never makes progress."""
-
-    def __init__(self, shard_id=0, hang_on_batch=0):
-        self.shard_id = shard_id
-        self.hang_on_batch = hang_on_batch
-        self.batches = 0
-        self.block = threading.Event()  # never set: alive but stalled
-
-    def start(self):
-        pass
-
-    def process_batch(self, batch):
-        if self.batches == self.hang_on_batch:
-            self.block.wait()
-        self.batches += 1
-
-    def progress(self):
-        return self.batches
-
-    def snapshot_state(self):
-        return {"events": 0, "blobs": []}
-
-    def finish(self):
-        return {"events": 0, "busy_s": 0.0, "blobs": []}
+def _hang_forever(self, batch):
+    time.sleep(3600)  # alive, never progresses again
 
 
-class TestThreadStallDetection:
-    """Python cannot kill a thread, so a hung-but-alive thread worker
-    must be *declared* dead once the heartbeat expires -- tagged as a
-    stall so supervision counts it as a heartbeat timeout, not a crash."""
+def _require_fork():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("hangs are injected by patching forked workers")
 
-    def test_full_queue_stall_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
-        try:
-            with pytest.raises(WorkerDied) as excinfo:
-                for _ in range(32):  # 1 consumed + 8 queued, then blocked
-                    transport.send([("event",)])
-            assert getattr(excinfo.value, "stalled", False)
-            assert "alive but stalled" in str(excinfo.value)
-            assert not transport.alive()
-        finally:
-            worker.block.set()
 
-    def test_unanswered_snapshot_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
+def _hung_process_transport(monkeypatch):
+    """A process transport whose worker hangs on its first batch."""
+    _require_fork()
+    monkeypatch.setattr(_ShardWorker, "process_batch", _hang_forever)
+    return _ProcessTransport(
+        (0, [detector_stamp(HBDetector())], "hung", None, None),
+        0, multiprocessing.get_context(), stall_timeout_s=0.2,
+    )
+
+
+class TestStallDetection:
+    """A hung-but-alive worker process must be *declared* dead once the
+    heartbeat expires -- tagged as a stall so supervision counts it as a
+    heartbeat timeout, not a crash."""
+
+    def test_unanswered_snapshot_is_declared_dead(self, monkeypatch):
+        transport = _hung_process_transport(monkeypatch)
         try:
             transport.send([("event",)])
             token = transport.snapshot_begin()
             with pytest.raises(WorkerDied) as excinfo:
                 transport.snapshot_end(token)
             assert getattr(excinfo.value, "stalled", False)
+            assert "alive but stalled" in str(excinfo.value)
+            assert transport.alive()
         finally:
-            worker.block.set()
+            transport.abort()
+        assert not transport.alive()
 
-    def test_hung_finish_is_declared_dead(self):
-        worker = _HungThreadWorker()
-        transport = _ThreadTransport(worker, stall_timeout_s=0.2)
+    def test_hung_finish_is_declared_dead(self, monkeypatch):
+        transport = _hung_process_transport(monkeypatch)
         try:
             transport.send([("event",)])
             with pytest.raises(WorkerDied) as excinfo:
                 transport.finish()
             assert getattr(excinfo.value, "stalled", False)
         finally:
-            worker.block.set()
+            transport.abort()
 
-    def test_no_timeout_preserves_direct_construction(self):
-        # Serial paths and direct construction keep the pre-supervision
-        # behaviour: no deadline, a healthy worker finishes normally.
-        worker = _HungThreadWorker(hang_on_batch=10 ** 9)
-        transport = _ThreadTransport(worker)
-        assert transport.stall_timeout_s is None
-        transport.send([("event",)])
-        assert transport.finish()["events"] == 0
-
-    def test_hung_thread_worker_is_proactively_restarted(self, monkeypatch):
-        """End to end: one shard's worker thread hangs mid-run; the
+    def test_hung_process_worker_is_proactively_restarted(
+        self, monkeypatch, tmp_path
+    ):
+        """End to end: one shard's worker process hangs mid-run; the
         heartbeat declares it dead, the supervisor restarts the shard
         from snapshot+replay, and the merged report keeps parity."""
-        block = threading.Event()
-        state = {"hung": False}
+        _require_fork()
+        marker = tmp_path / "hung"
         original = _ShardWorker.process_batch
 
         def hang_once(self, batch):
-            if not state["hung"]:
-                state["hung"] = True
-                block.wait()  # this thread never progresses again
-            return original(self, batch)
+            # Forked workers share only the filesystem: the first one to
+            # create the marker hangs; every other worker runs normally.
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return original(self, batch)
+            _hang_forever(self, batch)
 
         monkeypatch.setattr(_ShardWorker, "process_batch", hang_once)
         trace = fork_join_trace(5, workers=3, steps=120)
-        try:
-            result = _sharded(trace, None, "thread", heartbeat_s=0.3)
-        finally:
-            block.set()  # release the zombie daemon thread
-        assert state["hung"]
+        started = time.monotonic()
+        # Generous enough that a healthy worker on a loaded machine is
+        # never mistaken for a hung one.
+        result = _sharded(trace, None, "process", heartbeat_s=1.0)
+        assert time.monotonic() - started < 30
+        assert marker.exists()
         _assert_parity(trace, result)
         assert result.supervision["heartbeat_timeouts"] >= 1
         assert result.supervision["worker_restarts"] >= 1
@@ -755,7 +733,7 @@ class TestMixedVocabularyFaults:
     generation must restore and replay to a byte-identical report.
     """
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_worker_kill_parity(self, mode):
         from repro.bench.generators import mixed_vocabulary_trace
 
