@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.detector import Detector
 from repro.core.races import RaceReport
 from repro.trace.event import Event, EventType
+from repro.trace.semantics import REGISTRY
 from repro.trace.trace import Trace
 
 
@@ -119,13 +120,15 @@ def _critical_section_indices(trace: Trace) -> Dict[int, List[int]]:
     """Map each acquire/release index to the indices of its critical section.
 
     Releases whose matching acquire falls outside the trace (possible in
-    windowed fragments) have no critical section and are skipped.
+    windowed fragments) have no critical section and are skipped, and so
+    are lock events that neither open nor close one (``notify``).
     """
     sections: Dict[int, List[int]] = {}
     for event in trace:
-        if not event.is_lock_event():
-            continue
-        if event.is_release() and trace.match(event) is None:
+        semantics = REGISTRY[event.etype]
+        if semantics.opens is None and (
+            semantics.closes is None or trace.match(event) is None
+        ):
             continue
         members = [member.index for member in trace.critical_section(event)]
         sections[event.index] = members

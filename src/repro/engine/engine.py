@@ -34,6 +34,7 @@ from repro.core.detector import Detector
 from repro.core.races import RaceReport, ReportSnapshot
 from repro.engine.config import DetectorSpec, EngineConfig
 from repro.engine.sources import EventSource, as_source
+from repro.gcpause import gc_paused
 from repro.trace.event import Event
 
 
@@ -173,6 +174,10 @@ class EngineResult:
         )
 
 
+def _dispatch_unbound(event: Event) -> None:
+    raise RuntimeError("EnginePass.start() must be called before step()")
+
+
 class EnginePass:
     """One in-flight engine pass: the shared per-event stepper.
 
@@ -259,8 +264,11 @@ class EnginePass:
         self._started: Optional[float] = None
         self._finished = False
         #: Per-event detector dispatch, bound by :meth:`start` to the
-        #: cheapest shape for this pass (see ``_bind_dispatch``).
-        self.dispatch = self._dispatch_unbound
+        #: cheapest shape for this pass (see ``_bind_dispatch``).  It never
+        #: holds a bound method of the pass itself: that would make every
+        #: pass a reference cycle keeping all detector state alive until
+        #: a full collection.
+        self.dispatch = _dispatch_unbound
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -290,28 +298,27 @@ class EnginePass:
         ``account_cost`` touched on the per-event path (the bulk
         attribution happens once, in :meth:`finish_detectors`).
         """
+        detectors = list(self.detectors)
         if self.accounting:
-            self.dispatch = self._dispatch_accounted
-        elif len(self.detectors) == 1:
-            self.dispatch = self.detectors[0].process
+            clock = time.perf_counter
+
+            def dispatch(event: Event) -> None:
+                for detector in detectors:
+                    before = clock()
+                    detector.process(event)
+                    detector.account_cost(clock() - before)
+
+            self.dispatch = dispatch
+        elif len(detectors) == 1:
+            self.dispatch = detectors[0].process
         else:
-            processors = [detector.process for detector in self.detectors]
+            processors = [detector.process for detector in detectors]
 
             def dispatch(event: Event) -> None:
                 for process in processors:
                     process(event)
 
             self.dispatch = dispatch
-
-    def _dispatch_unbound(self, event: Event) -> None:
-        raise RuntimeError("EnginePass.start() must be called before step()")
-
-    def _dispatch_accounted(self, event: Event) -> None:
-        clock = time.perf_counter
-        for detector in self.detectors:
-            before = clock()
-            detector.process(event)
-            detector.account_cost(clock() - before)
 
     def step(self, event: Event) -> Optional[str]:
         """Feed one event through the pass.
@@ -518,23 +525,34 @@ class RaceEngine:
         ``config.checkpoint_dir`` set, the pass persists a detector-state
         checkpoint every ``config.checkpoint_every`` events (see
         :mod:`repro.engine.checkpoint`).
+
+        The cyclic garbage collector is paused for the pass and then
+        restored to the caller's state (:func:`repro.gcpause.gc_paused`):
+        a pass creates no cyclic garbage, so collections during it would
+        only walk the detectors' growing heap.  The pause is process-wide:
+        cyclic garbage that other threads make meanwhile (e.g. producers
+        feeding a :class:`~repro.engine.sources.QueueSource`) is collected
+        only after the pass.  Long-lived live streams belong on
+        :class:`~repro.engine.async_engine.AsyncRaceEngine`, which does
+        not pause the collector.
         """
         config = self.config
         resolved = config.resolve_detectors(detectors)
         event_source = as_source(source)
 
-        pass_ = EnginePass(
-            config, resolved, event_source.name,
-            trace=event_source.trace,
-            registry=getattr(event_source, "registry", None),
-            checkpointer=self._make_checkpointer(resolved, event_source),
-        )
-        pass_.start()
-        step = pass_.step
-        for event in event_source:
-            if step(event) is not None:
-                break
-        return pass_.result()
+        with gc_paused():
+            pass_ = EnginePass(
+                config, resolved, event_source.name,
+                trace=event_source.trace,
+                registry=getattr(event_source, "registry", None),
+                checkpointer=self._make_checkpointer(resolved, event_source),
+            )
+            pass_.start()
+            step = pass_.step
+            for event in event_source:
+                if step(event) is not None:
+                    break
+            return pass_.result()
 
     def resume(
         self,
@@ -552,17 +570,19 @@ class RaceEngine:
         rebuilt from the checkpoint's stamps unless explicitly selected,
         in which case the selection must match the stamps exactly -- are
         restored, and the pass continues checkpointing into the same
-        directory at the original cadence when one was given.
+        directory at the original cadence when one was given.  As in
+        :meth:`run`, the cyclic collector is paused for the pass.
         """
         event_source = as_source(source)
-        pass_ = prepare_resume_pass(
-            self.config, checkpoint, detectors, event_source
-        )
-        step = pass_.step
-        for event in event_source:
-            if step(event) is not None:
-                break
-        return pass_.result()
+        with gc_paused():
+            pass_ = prepare_resume_pass(
+                self.config, checkpoint, detectors, event_source
+            )
+            step = pass_.step
+            for event in event_source:
+                if step(event) is not None:
+                    break
+            return pass_.result()
 
     def _make_checkpointer(self, resolved, event_source):
         """Build the run's checkpointer from the configuration (or None)."""

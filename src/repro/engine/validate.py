@@ -9,11 +9,11 @@ state instead of being rejected.
 
 :class:`OnlineValidator` performs exactly the same checks incrementally,
 with **O(1) work and state per event**: a held-lock map (lock ->
-holding thread + acquire position, mirroring ``Trace._index``'s
-``holder``) and a per-thread stack of open critical sections.  State is
-proportional to the number of *currently open* critical sections --
-never to the length of the stream -- and shrinks back as sections
-close.  On a violation it raises the **identical exception class and
+holding thread + acquire position, the ``LockDiscipline`` ``holder``
+that ``Trace`` validation uses too) and a per-thread stack of open
+critical sections.  State is proportional to the number of *currently
+open* critical sections -- never to the length of the stream -- and
+shrinks back as sections close.  On a violation it raises the **identical exception class and
 message** that ``Trace(validate=True)`` raises on the materialised
 prefix, so callers cannot tell (and tests assert) which path rejected
 the stream.
@@ -48,7 +48,7 @@ class OnlineValidator:
 
     The checks themselves live in one place -- the
     :class:`~repro.trace.semantics.LockDiscipline` state machine that
-    ``Trace._index`` drives too, so both paths raise the identical
+    ``Trace`` construction drives too, so both paths raise the identical
     exception class and message by construction.  State is proportional
     to the number of *currently open* critical sections (exclusive and
     read-mode) -- never to the length of the stream -- and shrinks back

@@ -55,6 +55,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.gcpause import gc_paused
 from repro.trace.event import Event, EventType
 from repro.trace.semantics import REGISTRY, TOKEN_TO_ETYPE, TraceError
 from repro.trace.trace import Trace
@@ -447,11 +448,13 @@ def load_trace(
     the event objects (never the raw text) are held in memory.  Pass
     ``format`` (one of :data:`FORMAT_NAMES`) to override the extension
     dispatch -- e.g. to ingest an mtrace-style log from a ``.txt`` file.
+    The cyclic collector is paused while the trace is built (see
+    :mod:`repro.gcpause`).
     """
     path = Path(path)
     parse_events = event_iterator(format or detect_format(path))
     registry = ThreadRegistry()
-    with path.open("r", newline="") as handle:
+    with path.open("r", newline="") as handle, gc_paused():
         return Trace(
             parse_events(handle, registry=registry),
             validate=validate, name=path.stem, registry=registry,

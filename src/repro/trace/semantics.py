@@ -2,7 +2,7 @@
 
 Historically, per-event-type behaviour was scattered as ``etype``
 if-chains and frozensets across six layers: the parsers (wire tokens),
-``Event`` construction (operand arity), ``Trace._index`` and the online
+``Event`` construction (operand arity), ``Trace`` validation and the online
 validator (lock-semantics checks), the three detectors (clock rules),
 the stream partitioner (replicate/route taxonomy) and the CLI.  Adding
 an event kind meant touching all of them and hoping nothing was missed.
@@ -55,7 +55,7 @@ The extended vocabulary (beyond the paper's acq/rel/r/w/fork/join):
   receives a hard edge from every prior ``notify(m)``.
 
 :class:`LockDiscipline` is the shared lock-semantics / well-nestedness
-state machine consumed by both ``Trace._index`` and the streaming
+state machine consumed by both ``Trace`` validation and the streaming
 ``OnlineValidator`` -- the two paths raise identical exception classes
 and messages by construction.
 """
@@ -273,6 +273,10 @@ OPERAND_ERRORS = {
     "barrier": "barrier events require a barrier target",
 }
 
+#: ``id(etype)`` -> lock-discipline role.  Identity keys keep the
+#: per-event lookup free of the Python-level ``Enum.__hash__``.
+_ROLES = {id(etype): sem.role for etype, sem in REGISTRY.items()}
+
 #: validator role -> the verb quoted in release-side error messages.
 _CLOSE_VERBS = {"release": "release", "rw-release": "rwlock release"}
 
@@ -286,7 +290,7 @@ _MODE_LABELS = {"excl": "mutex", "read": "read-lock", "write": "write-lock"}
 class LockDiscipline:
     """The shared lock-semantics / well-nestedness state machine.
 
-    Both ``Trace._index`` (batch validation) and the streaming
+    Both ``Trace`` construction (batch validation) and the streaming
     ``OnlineValidator`` drive one of these, so the two paths raise the
     identical exception class and message for the same violation --
     deduplicating what used to be two hand-synchronised copies of the
@@ -331,7 +335,7 @@ class LockDiscipline:
         validate: bool = True,
     ) -> Optional[Tuple]:
         """Apply one event; raises on the first violation when validating."""
-        role = REGISTRY[etype].role
+        role = _ROLES[id(etype)]
         if role is None:
             return None
         if role == "acquire":

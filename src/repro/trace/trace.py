@@ -10,24 +10,34 @@ A trace (Section 2.1) is a sequence of events satisfying two properties:
 
 :class:`Trace` validates both properties on construction (validation can be
 disabled for performance when the producer is trusted, e.g. the benchmark
-generators) and precomputes the per-event metadata the detectors need:
+generators).  Construction does only what every caller needs: it renumbers
+and interns the events, records the first-appearance order of threads,
+locks, variables and barriers (detectors iterate ``trace.threads``, so
+their reports depend on it) and takes the per-kind census.
+
+The detectors read nothing else.  The per-event lock structure the
+definitional oracles (:mod:`repro.core.closure`,
+:mod:`repro.reordering.witness`) need --
 
 * ``match`` of each acquire/release,
-* the set of locks held at each event (``e in l``),
-* the set of variables read/written inside each critical section,
-* per-thread and per-variable event indices.
+* the set of locks held at each event (``e in l``) and their acquires,
+* per-thread event indices --
+
+is built in one pass the first time one of :meth:`Trace.match`,
+:meth:`Trace.held_locks`, :meth:`Trace.enclosing_acquire`,
+:meth:`Trace.critical_section`, :meth:`Trace.thread_events` or
+:meth:`Trace.thread_indices` is called.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.trace.event import Event
 from repro.trace.semantics import (
-    BARRIER_EVENTS,
     REGISTRY,
-    THREAD_EVENTS,
     LockDiscipline,
     LockSemanticsError,
     TraceError,
@@ -85,100 +95,62 @@ class Trace:
         self.registry = registry if registry is not None else ThreadRegistry()
         intern = self.registry.intern
         self._events: List[Event] = []
+        append = self._events.append
+        threads: Dict[str, None] = {}
+        locks: Dict[str, None] = {}
+        variables: Dict[str, None] = {}
+        barriers: Dict[str, None] = {}
+        census: Dict[str, int] = {}
+        # Bind each kind's first-appearance record to this trace's dicts.
+        seen_by_operand = {
+            "thread": threads, "lock": locks,
+            "variable": variables, "barrier": barriers,
+        }
+        kinds = {
+            key: (token, seen_by_operand.get(operand), has_role)
+            for key, (token, operand, has_role) in _KINDS.items()
+        }
+        # Events with a lock-discipline role, validated after the input is
+        # exhausted so a parse error later in the input still wins.
+        sync: List[Event] = []
         for position, event in enumerate(events):
-            tid = intern(event.thread)
+            thread = event.thread
+            tid = intern(thread)
             if event.index != position or (
                 event.tid is not None and event.tid != tid
             ):
                 event = Event(
-                    position, event.thread, event.etype, event.target,
+                    position, thread, event.etype, event.target,
                     event.loc, tid=tid,
                 )
             else:
                 event.tid = tid
-            self._events.append(event)
+            append(event)
+            threads[thread] = None
+            token, seen, has_role = kinds[id(event.etype)]
+            census[token] = census.get(token, 0) + 1
+            if seen is not None:
+                seen[event.target] = None
+            if has_role and validate:
+                sync.append(event)
 
-        self._threads: List[str] = []
-        self._locks: List[str] = []
-        self._variables: List[str] = []
-        self._barriers: List[str] = []
-        self._by_thread: Dict[str, List[int]] = defaultdict(list)
-        self._match: Dict[int, Optional[int]] = {}
-        self._held_locks: List[Tuple[str, ...]] = []
-        self._acquire_of_lock_at: List[Dict[str, int]] = []
-        self._census: Dict[str, int] = {}
+        if validate:
+            # The shared lock-semantics / well-nestedness state machine;
+            # the streaming OnlineValidator drives the identical machine,
+            # so both paths raise the same exception class and message.
+            step = LockDiscipline().step
+            for event in sync:
+                step(event.etype, event.thread, event.target, event.index)
 
-        self._index(validate)
-
-    # ------------------------------------------------------------------ #
-    # Indexing / validation
-    # ------------------------------------------------------------------ #
-
-    def _index(self, validate: bool) -> None:
-        seen_threads: Dict[str, None] = {}
-        seen_locks: Dict[str, None] = {}
-        seen_vars: Dict[str, None] = {}
-        seen_barriers: Dict[str, None] = {}
-        census: Dict[str, int] = {}
-
-        # The shared lock-semantics / well-nestedness state machine; the
-        # streaming OnlineValidator drives the identical machine, so both
-        # paths raise the same exception class and message by construction.
-        discipline = LockDiscipline()
-
-        for event in self._events:
-            thread = event.thread
-            etype = event.etype
-            seen_threads.setdefault(thread, None)
-            self._by_thread[thread].append(event.index)
-            census[etype.value] = census.get(etype.value, 0) + 1
-
-            if event.is_access():
-                seen_vars.setdefault(event.variable, None)
-            elif event.is_lock_event():
-                seen_locks.setdefault(event.lock, None)
-            elif etype in THREAD_EVENTS:
-                seen_threads.setdefault(event.other_thread, None)
-            elif etype in BARRIER_EVENTS:
-                seen_barriers.setdefault(event.barrier, None)
-
-            # Locks currently held by this thread (innermost last).
-            # Read-mode rwlock sections participate in nestedness checking
-            # but do not confer mutual exclusion, so they are excluded from
-            # ``held_locks`` (the detectors' rule (a)/(b) machinery).
-            sections = discipline.open_sections(thread)
-            held = tuple(lock for lock, _, mode in sections if mode != "read")
-            self._held_locks.append(held)
-            self._acquire_of_lock_at.append(
-                {lock: i for lock, i, mode in sections if mode != "read"}
-            )
-
-            result = discipline.step(
-                etype, thread, event.target, event.index, validate
-            )
-            if result is None:
-                continue
-            action = result[0]
-            if action == "open":
-                self._match[event.index] = None
-                if result[1] != "read":
-                    # The acquire itself is inside its own critical section.
-                    self._held_locks[-1] = held + (event.target,)
-                    self._acquire_of_lock_at[-1][event.target] = event.index
-            elif action == "close":
-                self._match[result[1]] = event.index
-                self._match[event.index] = result[1]
-                # The release is still inside its own critical section: the
-                # pre-step ``held``/``_acquire_of_lock_at`` snapshots above
-                # already include the section being closed.
-            else:  # "unmatched" (best-effort, validate=False only)
-                self._match[event.index] = None
-
-        self._threads = list(seen_threads)
-        self._locks = list(seen_locks)
-        self._variables = list(seen_vars)
-        self._barriers = list(seen_barriers)
+        self._threads: List[str] = list(threads)
+        self._locks: List[str] = list(locks)
+        self._variables: List[str] = list(variables)
+        self._barriers: List[str] = list(barriers)
         self._census = census
+
+    @cached_property
+    def _oracle(self) -> "_OracleIndex":
+        return _OracleIndex(self._events)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -220,11 +192,12 @@ class Trace:
 
     def thread_events(self, thread: str) -> List[Event]:
         """Return the projection of the trace onto ``thread`` (sigma|t)."""
-        return [self._events[i] for i in self._by_thread.get(thread, [])]
+        indices = self._oracle.by_thread.get(thread, [])
+        return [self._events[i] for i in indices]
 
     def thread_indices(self, thread: str) -> List[int]:
         """Return the indices of events performed by ``thread``."""
-        return list(self._by_thread.get(thread, []))
+        return list(self._oracle.by_thread.get(thread, []))
 
     # ------------------------------------------------------------------ #
     # Lock structure
@@ -236,7 +209,7 @@ class Trace:
         Returns None when the matching event does not exist in the trace
         (e.g. a lock held until the end of the recorded execution).
         """
-        partner = self._match.get(event.index)
+        partner = self._oracle.match.get(event.index)
         if partner is None:
             return None
         return self._events[partner]
@@ -247,11 +220,11 @@ class Trace:
         The acquire and release of a critical section are both considered
         contained in it (``e in l`` in the paper's notation).
         """
-        return self._held_locks[event.index]
+        return self._oracle.held_locks[event.index]
 
     def enclosing_acquire(self, event: Event, lock: str) -> Optional[Event]:
         """Return the acquire of ``lock`` whose critical section contains ``event``."""
-        acquire_index = self._acquire_of_lock_at[event.index].get(lock)
+        acquire_index = self._oracle.acquire_at[event.index].get(lock)
         if acquire_index is None:
             return None
         return self._events[acquire_index]
@@ -277,7 +250,7 @@ class Trace:
                 raise TraceError(
                     "release at %d has no matching acquire" % event.index
                 )
-        thread_idx = self._by_thread[acquire.thread]
+        thread_idx = self._oracle.by_thread[acquire.thread]
         start = acquire.index
         end = release.index if release is not None else self._events[-1].index
         return [
@@ -381,3 +354,65 @@ class Trace:
         return "Trace(%r, events=%d, threads=%d, locks=%d)" % (
             self.name, len(self._events), len(self._threads), len(self._locks)
         )
+
+
+#: ``id(etype)`` -> (census token, operand kind, has a lock-discipline
+#: role), built once from the registry.  Keying by identity keeps the
+#: construction loop free of ``Enum.__hash__`` and ``EventType.value``.
+_KINDS: Dict[int, Tuple[str, Optional[str], bool]] = {
+    id(etype): (sem.token, sem.operand, sem.role is not None)
+    for etype, sem in REGISTRY.items()
+}
+
+
+class _OracleIndex:
+    """The per-event lock structure only the definitional oracles read.
+
+    Built in one pass by replaying a non-validating
+    :class:`~repro.trace.semantics.LockDiscipline`.  On a validated trace
+    no step could have raised, so the result is what validation saw; on a
+    ``validate=False`` trace unmatched acquires and releases get the
+    discipline's best-effort pairing (``match`` is None for them).
+    """
+
+    __slots__ = ("by_thread", "match", "held_locks", "acquire_at")
+
+    def __init__(self, events: Sequence[Event]) -> None:
+        #: thread -> indices of its events.
+        self.by_thread: Dict[str, List[int]] = defaultdict(list)
+        #: acquire/release index -> partner index (None when absent).
+        self.match: Dict[int, Optional[int]] = {}
+        #: per event: exclusively held locks containing it, innermost last.
+        self.held_locks: List[Tuple[str, ...]] = []
+        #: per event: held lock -> index of the acquire containing it.
+        self.acquire_at: List[Dict[str, int]] = []
+        discipline = LockDiscipline()
+        for event in events:
+            thread = event.thread
+            index = event.index
+            self.by_thread[thread].append(index)
+            # Read-mode rwlock sections participate in nestedness but do
+            # not confer mutual exclusion, so they are not "held".
+            sections = discipline.open_sections(thread)
+            held = tuple(lock for lock, _, mode in sections if mode != "read")
+            acquires = {lock: i for lock, i, mode in sections if mode != "read"}
+            result = discipline.step(
+                event.etype, thread, event.target, index, validate=False
+            )
+            if result is not None:
+                action = result[0]
+                if action == "open":
+                    self.match[index] = None
+                    if result[1] != "read":
+                        # The acquire is inside its own critical section.
+                        held += (event.target,)
+                        acquires[event.target] = index
+                elif action == "close":
+                    # The release is inside its own critical section too:
+                    # the pre-step ``held``/``acquires`` already include it.
+                    self.match[result[1]] = index
+                    self.match[index] = result[1]
+                else:  # "unmatched"
+                    self.match[index] = None
+            self.held_locks.append(held)
+            self.acquire_at.append(acquires)

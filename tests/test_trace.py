@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.bench.generators import mixed_vocabulary_trace
 from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
-from repro.trace.trace import LockSemanticsError, Trace, WellNestednessError
+from repro.trace.semantics import REGISTRY
+from repro.trace.trace import (
+    LockSemanticsError,
+    Trace,
+    TraceError,
+    WellNestednessError,
+)
 
 from conftest import random_trace
 
@@ -220,3 +227,111 @@ class TestRandomTraceHelper:
             trace = random_trace(seed=seed, n_events=60)
             # Re-validating must not raise.
             Trace(list(trace), validate=True)
+
+
+def _definitional_sections(trace):
+    """(opener index, closer index or None, mode) per critical section.
+
+    Straight from the definitions: a section opened by an acquire-like
+    event closes at the first later event of the same thread that closes
+    the same lock with a compatible kind (well nestedness and no
+    re-entrance make that the match); with no such event it is open to
+    the end of the trace.
+    """
+    sections = []
+    for opener in trace:
+        mode = REGISTRY[opener.etype].opens
+        if mode is None:
+            continue
+        closes = "rw" if mode in ("read", "write") else "excl"
+        closer = next(
+            (
+                later.index for later in trace.events[opener.index + 1:]
+                if later.thread == opener.thread
+                and later.target == opener.target
+                and REGISTRY[later.etype].closes == closes
+            ),
+            None,
+        )
+        sections.append((opener.index, closer, mode))
+    return sections
+
+
+def _lazy_index_parity_traces():
+    for seed in range(12):
+        yield mixed_vocabulary_trace(seed, threads=3, steps=40)
+    # validate=False windows: sections cut at either edge leave unmatched
+    # releases at the start and unmatched acquires at the end.
+    for seed in range(6):
+        whole = mixed_vocabulary_trace(100 + seed, threads=4, steps=60)
+        for start in (0, 7, len(whole) // 3):
+            yield whole.window(start, len(whole) // 2)
+    for seed in range(4):
+        yield random_trace(seed=seed, n_events=80).window(13, 40)
+
+
+class TestLazyOracleIndex:
+    def test_windows_cut_sections_at_both_edges(self):
+        unmatched = {"opens": 0, "closes": 0}
+        for trace in _lazy_index_parity_traces():
+            if "[" not in trace.name:  # whole validated traces
+                continue
+            for event in trace:
+                semantics = REGISTRY[event.etype]
+                for side in unmatched:
+                    if getattr(semantics, side) and trace.match(event) is None:
+                        unmatched[side] += 1
+        assert unmatched["opens"] > 0 and unmatched["closes"] > 0
+
+    def test_construction_builds_no_oracle_index(self):
+        trace = mixed_vocabulary_trace(1, threads=3, steps=40)
+        assert "_oracle" not in vars(trace)
+        trace.held_locks(trace[0])
+        assert "_oracle" in vars(trace)
+
+    @pytest.mark.parametrize(
+        "trace", list(_lazy_index_parity_traces()), ids=lambda trace: trace.name
+    )
+    def test_matches_definitions(self, trace):
+        sections = _definitional_sections(trace)
+        end = len(trace) - 1
+        partner = {}
+        for opener, closer, _ in sections:
+            partner[opener] = closer
+            if closer is not None:
+                partner[closer] = opener
+
+        for event in trace:
+            containing = [
+                (opener, mode) for opener, closer, mode in sections
+                if trace[opener].thread == event.thread
+                and opener <= event.index <= (end if closer is None else closer)
+            ]
+            held = [(opener, trace[opener].target)
+                    for opener, mode in containing if mode != "read"]
+            assert trace.held_locks(event) == tuple(lock for _, lock in held)
+            for opener, lock in held:
+                assert trace.enclosing_acquire(event, lock) is trace[opener]
+            assert trace.enclosing_acquire(event, "no-such-lock") is None
+
+            semantics = REGISTRY[event.etype]
+            if semantics.opens is None and semantics.closes is None:
+                continue
+            expected = partner.get(event.index)
+            matched = trace.match(event)
+            assert (None if matched is None else matched.index) == expected
+            if semantics.closes is not None and expected is None:
+                with pytest.raises(TraceError):
+                    trace.critical_section(event)
+                continue
+            opener = event.index if semantics.opens is not None else expected
+            last = partner[opener] if partner[opener] is not None else end
+            assert [e.index for e in trace.critical_section(event)] == [
+                i for i in range(opener, last + 1)
+                if trace[i].thread == event.thread
+            ]
+
+        for thread in trace.threads:
+            indices = [e.index for e in trace if e.thread == thread]
+            assert trace.thread_indices(thread) == indices
+            assert [e.index for e in trace.thread_events(thread)] == indices
