@@ -298,7 +298,7 @@ class EnginePass:
         ``account_cost`` touched on the per-event path (the bulk
         attribution happens once, in :meth:`finish_detectors`).
         """
-        detectors = list(self.detectors)
+        detectors = self.detectors
         if self.accounting:
             clock = time.perf_counter
 
