@@ -20,11 +20,11 @@ that bracket the cost spectrum of Algorithm 1:
 Both workloads use small, fixed program-location sets (like real logger
 traces) so the access history stays bounded.
 
-Detectors measured: the optimised WCP on both clock backends
-(``wcp_dense`` / ``wcp_dict``), the frozen pre-overhaul implementation
-(``wcp_legacy``, see :mod:`repro.core.wcp_legacy`), plus ``hb_dense`` and
-``fasttrack_dense`` for context.  Every WCP variant is also differentially
-checked for identical race reports while we're at it.
+Detectors measured: the optimised WCP (``wcp_dense``), the frozen
+pre-overhaul implementation (``wcp_legacy``, see
+:mod:`repro.core.wcp_legacy`), plus ``hb_dense`` and ``fasttrack_dense``
+for context.  The two WCP implementations are also differentially checked
+for identical race reports while we're at it.
 
 Usage::
 
@@ -162,8 +162,8 @@ def high_contention_trace(n_events: int, n_threads: int = 12, n_vars: int = 6) -
 def racy_mix_trace(n_events: int, n_threads: int = 8, n_vars: int = 4) -> Trace:
     """Protected sections interleaved with unprotected racy accesses.
 
-    Exists mainly so the differential check (dense / dict / legacy must
-    report identical races) exercises non-empty reports and the racy
+    Exists mainly so the differential check (dense / legacy must report
+    identical races) exercises non-empty reports and the racy
     attribution path, not just the no-race fast path.
     """
     rng = random.Random(99)
@@ -260,11 +260,10 @@ WORKLOADS = {
 }
 
 DETECTORS = {
-    "wcp_dense": lambda: WCPDetector(clock_backend="dense"),
-    "wcp_dict": lambda: WCPDetector(clock_backend="dict"),
+    "wcp_dense": WCPDetector,
     "wcp_legacy": LegacyWCPDetector,
-    "hb_dense": lambda: HBDetector(clock_backend="dense"),
-    "fasttrack_dense": lambda: FastTrackDetector(clock_backend="dense"),
+    "hb_dense": HBDetector,
+    "fasttrack_dense": FastTrackDetector,
 }
 
 
@@ -291,15 +290,14 @@ def measure(trace: Trace, repeats: int) -> dict:
             best[name] = max(best[name], report.stats["events_per_s"])
             races[name] = (report.count(), frozenset(report.location_pairs()))
     rates = {name: round(rate, 1) for name, rate in best.items()}
-    # Differential smoke: every WCP variant must agree exactly.
+    # Differential smoke: both WCP implementations must agree exactly.
     reference = races["wcp_legacy"][1]
-    for name in ("wcp_dense", "wcp_dict"):
-        if races[name][1] != reference:
-            raise SystemExit(
-                "DIFFERENTIAL FAILURE: %s reports %r, wcp_legacy reports %r"
-                % (name, sorted(map(sorted, races[name][1])),
-                   sorted(map(sorted, reference)))
-            )
+    if races["wcp_dense"][1] != reference:
+        raise SystemExit(
+            "DIFFERENTIAL FAILURE: wcp_dense reports %r, wcp_legacy reports %r"
+            % (sorted(map(sorted, races["wcp_dense"][1])),
+               sorted(map(sorted, reference)))
+        )
     return {
         "events": len(trace),
         "races": races["wcp_dense"][0],

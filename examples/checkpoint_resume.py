@@ -105,11 +105,12 @@ def main():
             assert fingerprint(result[key]) == fingerprint(reference[key])
         print("report parity: witnesses and distances identical")
 
-        # 3. A mismatched resume fails fast instead of lying.
+        # 3. A mismatched resume fails fast instead of lying: here WCP is
+        # configured differently from the checkpointed one.
         try:
             resume_engine(
                 trace, checkpoint_dir,
-                detectors=[WCPDetector(clock_backend="dict")],
+                detectors=[WCPDetector(strict_pseudocode=True), "hb"],
             )
         except CheckpointMismatchError as error:
             print("\nmismatched resume refused:\n  %s" % error)

@@ -155,7 +155,8 @@ def resume_engine(
     :class:`~repro.engine.Checkpoint`.  Detectors are rebuilt from the
     checkpoint's configuration stamps unless explicitly selected (in
     which case the selection must match the stamps -- a different
-    detector list, clock backend or snapshot format version fails fast).
+    detector list, detector configuration or snapshot format version
+    fails fast).
     Sharded checkpoints are resumed by a sharded engine with the
     checkpoint's shard count and partition policy automatically; the
     transport mode may differ (worker state is transport-agnostic).

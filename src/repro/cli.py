@@ -714,10 +714,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        # Force per-event attribution even for a single detector so the
-        # table's time column is the detector's own cost, not the pass's.
-        config = EngineConfig().with_cost_accounting(True)
-        result = run_engine(trace, detectors=detectors, config=config)
+        result = run_engine(trace, detectors=detectors)
     if args.detectors:
         headers = ["detector", "races", "raw", "time(s)", "events/s",
                    "state(B)"]

@@ -125,7 +125,7 @@ class Detector(abc.ABC):
 
         Part of the shard-boundary protocol: shardable detectors return a
         mapping from *thread name* to the serialized
-        (:func:`repro.vectorclock.dense.serialize_clock`) clock describing
+        (:func:`repro.vectorclock.codec.encode_clock`) clock describing
         that thread's position in the synchronization order, normalized so
         that deferred local-clock bumps do not leak scheduling noise.
         Because the sharded engine replicates the synchronization skeleton

@@ -49,12 +49,12 @@ arms the epoch, so results are bit-identical to the always-slow check.
 
 Ownership contract
 ------------------
-``observe(..., frozen=True)`` hands the history a clock object the caller
-guarantees never to mutate afterwards (WCP's cached ``C_t`` is replaced,
-never mutated; HB passes a fresh snapshot).  The history then stores
+``observe`` takes a tid-keyed :class:`~repro.vectorclock.dense.DenseClock`
+the caller guarantees never to mutate afterwards (WCP's cached ``C_t`` is
+replaced, never mutated; HB passes a fresh snapshot).  The history stores
 references instead of copies -- in the per-location cells and as the join
 itself when the access dominates -- and copies lazily (copy-on-write) only
-when a join must actually grow past a frozen clock.  On the steady-state
+when a join must actually grow past a caller's clock.  On the steady-state
 no-race path this eliminates every per-access clock allocation.
 """
 
@@ -67,7 +67,7 @@ from repro.trace.event import Event
 from repro.vectorclock.dense import DenseClock
 
 # (event, clock) of the latest access at one (thread, location).
-_Cell = Tuple[Event, object]
+_Cell = Tuple[Event, DenseClock]
 
 
 class VariableHistory:
@@ -90,7 +90,7 @@ class VariableHistory:
         self.read_join = None
         self.write_join = None
         # Whether the history may mutate the join in place (False while the
-        # join aliases a frozen caller clock; copy-on-write flips it).
+        # join aliases a caller's clock; copy-on-write flips it).
         self._rj_owned = False
         self._wj_owned = False
         # thread -> location -> (event, clock)
@@ -102,24 +102,6 @@ class VariableHistory:
         self.r_tid = None
         self.r_time = 0
         self.r_fast = False
-
-    # ------------------------------------------------------------------ #
-    # Ordering checks (fast epoch path, falling back to the full join)
-    # ------------------------------------------------------------------ #
-
-    def _writes_ordered(self, clock) -> bool:
-        """Return True when every earlier write is ordered before ``clock``."""
-        if self.w_fast:
-            return self.w_time <= clock.get(self.w_tid)
-        join = self.write_join
-        return join is None or join <= clock
-
-    def _reads_ordered(self, clock) -> bool:
-        """Return True when every earlier read is ordered before ``clock``."""
-        if self.r_fast:
-            return self.r_time <= clock.get(self.r_tid)
-        join = self.read_join
-        return join is None or join <= clock
 
     def _unordered_cells(
         self, cells: Dict[str, Dict[str, _Cell]], event: Event, clock
@@ -137,28 +119,24 @@ class VariableHistory:
     # Fused observe paths (check + record without repeating comparisons)
     # ------------------------------------------------------------------ #
 
-    def observe_read(self, event: Event, clock, key, exact: bool) -> List[Event]:
+    def observe_read(
+        self, event: Event, clock: DenseClock, key: int, exact: bool
+    ) -> List[Event]:
         """Check a read against earlier writes, then record it.
 
-        ``clock`` must already follow the ownership contract (frozen or a
-        private copy); ``key`` is the component key of the accessing thread
-        inside ``clock`` (its tid, or its name for name-keyed clocks).
+        ``clock`` must follow the ownership contract; ``key`` is the
+        accessing thread's tid.
         """
-        # Ordering checks inlined from _writes_ordered/_reads_ordered:
-        # this is the per-access hot path and the epoch comparison must
-        # stay a handful of bytecodes.  On the dense backend the epoch
-        # lookups index the raw component buffer instead of bouncing
-        # through ``clock.get`` (one method call per lookup otherwise).
-        times = clock._times if type(clock) is DenseClock else None
+        # This is the per-access hot path: the epoch comparison must stay a
+        # handful of bytecodes, so it indexes the raw component buffer
+        # instead of bouncing through ``clock.get``.
+        times = clock._times
         if self.w_fast:
             tid = self.w_tid
-            if times is not None:
-                writes_ordered = (
-                    self.w_time <= times[tid] if tid < len(times)
-                    else self.w_time <= 0
-                )
-            else:
-                writes_ordered = self.w_time <= clock.get(tid)
+            writes_ordered = (
+                self.w_time <= times[tid] if tid < len(times)
+                else self.w_time <= 0
+            )
         else:
             join = self.write_join
             writes_ordered = join is None or join <= clock
@@ -169,13 +147,10 @@ class VariableHistory:
 
         if self.r_fast:
             tid = self.r_tid
-            if times is not None:
-                reads_ordered = (
-                    self.r_time <= times[tid] if tid < len(times)
-                    else self.r_time <= 0
-                )
-            else:
-                reads_ordered = self.r_time <= clock.get(tid)
+            reads_ordered = (
+                self.r_time <= times[tid] if tid < len(times)
+                else self.r_time <= 0
+            )
         else:
             join = self.read_join
             reads_ordered = join is None or join <= clock
@@ -183,10 +158,7 @@ class VariableHistory:
             # The join collapses to this clock: alias it and (re)arm the epoch.
             self.read_join = clock
             self._rj_owned = False
-            if times is not None:
-                time = times[key] if key < len(times) else 0
-            else:
-                time = clock.get(key)
+            time = times[key] if key < len(times) else 0
             self.r_tid = key
             self.r_time = time
             self.r_fast = exact and time > 0
@@ -204,31 +176,27 @@ class VariableHistory:
         cells[event.location()] = (event, clock)
         return racy
 
-    def observe_write(self, event: Event, clock, key, exact: bool) -> List[Event]:
+    def observe_write(
+        self, event: Event, clock: DenseClock, key: int, exact: bool
+    ) -> List[Event]:
         """Check a write against earlier reads and writes, then record it."""
-        # Dense-backend epoch lookups index the raw buffer (see observe_read).
-        times = clock._times if type(clock) is DenseClock else None
+        # Epoch lookups index the raw buffer (see observe_read).
+        times = clock._times
         if self.w_fast:
             tid = self.w_tid
-            if times is not None:
-                writes_ordered = (
-                    self.w_time <= times[tid] if tid < len(times)
-                    else self.w_time <= 0
-                )
-            else:
-                writes_ordered = self.w_time <= clock.get(tid)
+            writes_ordered = (
+                self.w_time <= times[tid] if tid < len(times)
+                else self.w_time <= 0
+            )
         else:
             join = self.write_join
             writes_ordered = join is None or join <= clock
         if self.r_fast:
             tid = self.r_tid
-            if times is not None:
-                reads_ordered = (
-                    self.r_time <= times[tid] if tid < len(times)
-                    else self.r_time <= 0
-                )
-            else:
-                reads_ordered = self.r_time <= clock.get(tid)
+            reads_ordered = (
+                self.r_time <= times[tid] if tid < len(times)
+                else self.r_time <= 0
+            )
         else:
             join = self.read_join
             reads_ordered = join is None or join <= clock
@@ -241,10 +209,7 @@ class VariableHistory:
         if writes_ordered:
             self.write_join = clock
             self._wj_owned = False
-            if times is not None:
-                time = times[key] if key < len(times) else 0
-            else:
-                time = clock.get(key)
+            time = times[key] if key < len(times) else 0
             self.w_tid = key
             self.w_time = time
             self.w_fast = exact and time > 0
@@ -270,7 +235,7 @@ class VariableHistory:
         """Return this variable's history as codec-encodable structures.
 
         The join clocks are serialized by value; restore re-marks them as
-        owned (the frozen-clock aliasing they may have had is a memory
+        owned (the aliasing of caller clocks they may have had is a memory
         optimisation, never observable in verdicts), which keeps
         copy-on-write behaviour correct without tracking identities.
         """
@@ -305,33 +270,6 @@ class VariableHistory:
         history.r_tid, history.r_time, history.r_fast = state["r"]
         return history
 
-    # ------------------------------------------------------------------ #
-    # Compatibility layer (separate check / record, copying semantics)
-    # ------------------------------------------------------------------ #
-
-    def check_read(self, event: Event, clock) -> List[Event]:
-        """Return earlier writes racing with the read ``event`` (may be empty)."""
-        if self._writes_ordered(clock):
-            return []
-        return self._unordered_cells(self.writes, event, clock)
-
-    def check_write(self, event: Event, clock) -> List[Event]:
-        """Return earlier reads/writes racing with the write ``event``."""
-        racy: List[Event] = []
-        if not self._writes_ordered(clock):
-            racy.extend(self._unordered_cells(self.writes, event, clock))
-        if not self._reads_ordered(clock):
-            racy.extend(self._unordered_cells(self.reads, event, clock))
-        return racy
-
-    def record_read(self, event: Event, clock, exact: bool = False) -> None:
-        """Record a read access and its timestamp (copies ``clock``)."""
-        self.observe_read(event, clock.copy(), event.thread, exact)
-
-    def record_write(self, event: Event, clock, exact: bool = False) -> None:
-        """Record a write access and its timestamp (copies ``clock``)."""
-        self.observe_write(event, clock.copy(), event.thread, exact)
-
 
 class AccessHistory:
     """All variable histories plus the report-recording glue."""
@@ -339,41 +277,28 @@ class AccessHistory:
     def __init__(self) -> None:
         self._variables: Dict[str, VariableHistory] = {}
 
-    def _history(self, variable: str) -> VariableHistory:
-        history = self._variables.get(variable)
-        if history is None:
-            history = VariableHistory()
-            self._variables[variable] = history
-        return history
-
     def observe(
         self,
         event: Event,
-        clock,
+        clock: DenseClock,
         report: RaceReport,
         on_race: Optional[Callable[[Event, Event], None]] = None,
-        exact: bool = False,
-        key=None,
-        frozen: bool = False,
+        *,
+        key: int,
+        exact: bool,
     ) -> int:
         """Check ``event`` against the history, record it, report races.
 
-        ``exact`` arms the O(1) epoch fast path (see the module docstring
-        for the contract the caller must satisfy); ``key`` is the clock
-        component key of the accessing thread (defaults to
-        ``event.thread``, which matches name-keyed clocks); ``frozen``
-        transfers ownership of ``clock`` to the history so no defensive
-        copy is taken.
+        ``clock`` is the access's timestamp, handed over under the
+        ownership contract (module docstring); ``key`` is the accessing
+        thread's tid; ``exact`` arms the O(1) epoch fast path (see the
+        module docstring for the contract the caller must satisfy).
 
         Returns the number of racy earlier events found for this access.
         """
         history = self._variables.get(event.variable)
         if history is None:
             history = self._variables[event.variable] = VariableHistory()
-        if not frozen:
-            clock = clock.copy()
-        if key is None:
-            key = event.thread
         if event.is_read():
             racy = history.observe_read(event, clock, key, exact)
         else:

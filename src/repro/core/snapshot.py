@@ -22,9 +22,9 @@ never executes code)::
     bumped whenever its state layout changes; mismatches fail fast.
 ``config``
     The detector's :meth:`~repro.core.detector.Detector.snapshot_config`
-    stamp (constructor kwargs).  A snapshot of a dense-clock WCP cannot
-    silently restore into a dict-clock one: verdicts would match but
-    internals would not, so the protocol refuses.
+    stamp (constructor kwargs).  A snapshot of a WCP detector configured
+    one way (say ``strict_pseudocode=True``) cannot silently restore into
+    one configured another way, so the protocol refuses.
 ``state``
     The detector-specific state structure.
 

@@ -66,9 +66,7 @@ Hot-path engineering (the constant factor behind Theorem 3's
   trace / engine source when available, so pre-stamped ``event.tid``
   values are trusted and no per-event hashing happens at all).
 * **Dense clocks** -- all internal clocks are array-backed
-  :class:`~repro.vectorclock.dense.DenseClock`\\ s by default
-  (``clock_backend="dense"``); pass ``clock_backend="dict"`` for the
-  sparse representation (used by the parity tests).
+  :class:`~repro.vectorclock.dense.DenseClock`\\ s.
 * **Incremental ``C_t``** -- instead of materialising
   ``P_t.copy().assign(t, N_t)`` per event, each thread's ``C_t`` is
   cached and invalidated only when ``P_t`` actually grows (all ``P_t``
@@ -116,8 +114,8 @@ from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
-from repro.vectorclock import clock_class
 from repro.vectorclock.clock import VectorClock
+from repro.vectorclock.codec import encode_clock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -285,12 +283,6 @@ class WCPDetector(Detector):
         evicted region, whose missing merges can surface extra (never
         fewer) race reports on adversarial streams -- why the heuristic
         is opt-in (the CLI enables it under ``--stream``).  Default False.
-    clock_backend:
-        Internal clock representation: "dense" (default, array-backed
-        :class:`~repro.vectorclock.dense.DenseClock`) or "dict" (sparse
-        :class:`~repro.vectorclock.clock.VectorClock`).  Both are keyed by
-        interned tids and produce identical reports; the parity tests run
-        both.
     """
 
     name = "WCP"
@@ -305,7 +297,7 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 2
+    snapshot_version = 3
 
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
@@ -316,15 +308,12 @@ class WCPDetector(Detector):
         strict_pseudocode: bool = False,
         prune_queues: bool = True,
         stream_reclaim: bool = False,
-        clock_backend: str = "dense",
     ) -> None:
         super().__init__()
         self._track_queue_stats = track_queue_stats
         self._strict_pseudocode = strict_pseudocode
         self._prune_queues = prune_queues
         self._stream_reclaim = stream_reclaim
-        self.clock_backend = clock_backend
-        self._clock_cls = clock_class(clock_backend)
         self._trace: Optional[Trace] = None
 
     # ------------------------------------------------------------------ #
@@ -439,8 +428,8 @@ class WCPDetector(Detector):
             self._read_held.extend([None] * grow)
         if nt[tid] == 0:
             nt[tid] = 1
-            self._pt[tid] = self._clock_cls.bottom()
-            self._ht[tid] = self._clock_cls.single(tid, 1)
+            self._pt[tid] = DenseClock()
+            self._ht[tid] = DenseClock.single(tid, 1)
             self._ct[tid] = None
             self._prev_release[tid] = False
             self._leak[tid] = -1
@@ -693,11 +682,10 @@ class WCPDetector(Detector):
             ct = ct_cache[tid]
             if ct is None:
                 ct = ct_cache[tid] = pt.copy().assign(tid, nt)
-            # Epoch gates compare one component; on the dense backend the
-            # raw buffer is indexed directly instead of bouncing through
-            # clock.get per entry.
-            ct_times = ct._times if type(ct) is DenseClock else None
-            nct = len(ct_times) if ct_times is not None else 0
+            # Epoch gates compare one component: the raw buffer is indexed
+            # directly instead of bouncing through clock.get per entry.
+            ct_times = ct._times
+            nct = len(ct_times)
             consumed = 0
             if not state.tainted:
                 pending = None
@@ -709,25 +697,20 @@ class WCPDetector(Detector):
                     gate = entry[3]
                     if gate is None:
                         ordered = entry[0] <= ct
-                    elif ct_times is not None:
-                        ordered = owner < nct and gate <= ct_times[owner]
                     else:
-                        ordered = gate <= ct.get(owner)
+                        ordered = owner < nct and gate <= ct_times[owner]
                     if not ordered:
                         if pending is None:
                             break
                         if pt.merge(pending):
                             ct = ct_cache[tid] = pt.copy().assign(tid, nt)
-                            if ct_times is not None:
-                                ct_times = ct._times
-                                nct = len(ct_times)
+                            ct_times = ct._times
+                            nct = len(ct_times)
                         pending = None
                         if gate is None:
                             ordered = entry[0] <= ct
-                        elif ct_times is not None:
-                            ordered = owner < nct and gate <= ct_times[owner]
                         else:
-                            ordered = gate <= ct.get(owner)
+                            ordered = owner < nct and gate <= ct_times[owner]
                         if not ordered:
                             break
                     release_time = entry[1]
@@ -749,10 +732,8 @@ class WCPDetector(Detector):
                     gate = entry[3]
                     if gate is None:
                         ordered = entry[0] <= ct
-                    elif ct_times is not None:
-                        ordered = owner < nct and gate <= ct_times[owner]
                     else:
-                        ordered = gate <= ct.get(owner)
+                        ordered = owner < nct and gate <= ct_times[owner]
                     if not ordered:
                         break
                     release_time = entry[1]
@@ -760,9 +741,8 @@ class WCPDetector(Detector):
                         break
                     if pt.merge(release_time):
                         ct = ct_cache[tid] = pt.copy().assign(tid, nt)
-                        if ct_times is not None:
-                            ct_times = ct._times
-                            nct = len(ct_times)
+                        ct_times = ct._times
+                        nct = len(ct_times)
                     consumed += 1
                     cursor += 1
             if consumed and self._track_queue_stats:
@@ -1436,9 +1416,8 @@ class WCPDetector(Detector):
             event,
             self._clock_c(tid),
             self.report,
-            exact=self._leak[tid] != self._nt[tid],
             key=tid,
-            frozen=True,
+            exact=self._leak[tid] != self._nt[tid],
         )
 
     def finish(self) -> None:
@@ -1460,8 +1439,6 @@ class WCPDetector(Detector):
         shards which saw a thread's release but not (yet) its next routed
         access still report the same state.
         """
-        from repro.vectorclock.dense import serialize_clock
-
         state: Dict[object, bytes] = {}
         name_of = self._registry.name_of
         for tid, nt in enumerate(self._nt):
@@ -1469,7 +1446,7 @@ class WCPDetector(Detector):
                 continue
             if self._prev_release[tid]:
                 nt += 1
-            state[name_of(tid)] = serialize_clock(
+            state[name_of(tid)] = encode_clock(
                 self._pt[tid].copy().assign(tid, nt)
             )
         return state
@@ -1484,7 +1461,6 @@ class WCPDetector(Detector):
             "strict_pseudocode": self._strict_pseudocode,
             "prune_queues": self._prune_queues,
             "stream_reclaim": self._stream_reclaim,
-            "clock_backend": self.clock_backend,
         }
 
     @staticmethod
@@ -1699,11 +1675,10 @@ class WCPDetector(Detector):
     def timestamps(self, trace: Trace) -> List[VectorClock]:
         """Run over ``trace`` and return the WCP timestamp ``C_e`` per event.
 
-        Timestamps are converted to the public name-keyed
-        :class:`VectorClock` representation regardless of the internal
-        clock backend.  Used by tests to cross-validate against the
-        explicit closure (Theorem 2: ``a <=_WCP b  iff  C_a <= C_b`` for
-        ``a`` earlier than ``b``).
+        Timestamps are converted from the internal tid-keyed clocks to the
+        public name-keyed :class:`VectorClock`.  Used by tests to
+        cross-validate against the explicit closure (Theorem 2:
+        ``a <=_WCP b  iff  C_a <= C_b`` for ``a`` earlier than ``b``).
         """
         self.reset(trace)
         clocks: List[VectorClock] = []

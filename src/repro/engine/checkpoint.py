@@ -174,6 +174,17 @@ def build_detector(stamp: Dict[str, Any]) -> Detector:
             "%r is not a Detector subclass; refusing to instantiate it"
             % (class_path,)
         )
+    # An older format's configuration stamp may name constructor
+    # arguments this build no longer has; report the version, not the
+    # constructor error.
+    if stamp.get("snapshot_version") != obj.snapshot_version:
+        raise CheckpointMismatchError(
+            "detector %s: snapshot format version mismatch -- checkpoint "
+            "has %r, this build has %r" % (
+                stamp.get("name", qualname), stamp.get("snapshot_version"),
+                obj.snapshot_version,
+            )
+        )
     try:
         return obj(**stamp.get("config", {}))
     except TypeError as error:
@@ -359,7 +370,7 @@ class Checkpoint:
 
         Raises :class:`CheckpointMismatchError` naming the first
         disagreement (count, class, snapshot format version, or
-        configuration -- e.g. a different clock backend).
+        configuration -- e.g. a different ``strict_pseudocode`` setting).
         """
         if len(detectors) != len(self.stamps):
             raise CheckpointMismatchError(

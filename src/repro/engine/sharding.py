@@ -113,7 +113,8 @@ from repro.engine.partition import (
 from repro.engine.sources import as_source
 from repro.trace.event import Event, EventType
 from repro.vectorclock.clock import VectorClock
-from repro.vectorclock.dense import DenseClock, deserialize_clock
+from repro.vectorclock.codec import decode_clock
+from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
 
 def _policy_key(name):
@@ -202,7 +203,7 @@ class ShardedResult(EngineResult):
                 continue
             view = {}
             for thread, blob in worker_clocks.items():
-                clock = deserialize_clock(blob)
+                clock = decode_clock(blob)
                 view[thread] = VectorClock(
                     {names[tid]: value for tid, value in clock.items()}
                 )
@@ -1216,7 +1217,7 @@ class ShardedEngine:
                 if not worker_clocks:
                     continue
                 for name, blob in worker_clocks.items():
-                    clock = deserialize_clock(blob).remapped(remap)
+                    clock = decode_clock(blob).remapped(remap)
                     existing = joined.get(name)
                     if existing is None:
                         joined[name] = clock

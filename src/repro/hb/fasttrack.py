@@ -23,8 +23,7 @@ the per-variable state is:
 
 Epochs, clock components and the read map are keyed by interned integer
 tids (:class:`~repro.vectorclock.registry.ThreadRegistry`); clocks are
-array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s by default
-(``clock_backend="dict"`` selects the sparse representation).
+array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
-from repro.vectorclock import clock_class
+from repro.vectorclock.codec import encode_clock
+from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.epoch import Epoch
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -59,13 +59,7 @@ class _VariableState:
 
 
 class FastTrackDetector(Detector):
-    """Epoch-optimised HB detector (FastTrack).
-
-    Parameters
-    ----------
-    clock_backend:
-        Internal clock representation: "dense" (default) or "dict".
-    """
+    """Epoch-optimised HB detector (FastTrack)."""
 
     name = "FastTrack"
 
@@ -76,12 +70,7 @@ class FastTrackDetector(Detector):
     #: Epoch-compressed per-variable state is the smallest in the library;
     #: snapshots are supported in full.
     supports_snapshot = True
-    snapshot_version = 2
-
-    def __init__(self, clock_backend: str = "dense") -> None:
-        super().__init__()
-        self.clock_backend = clock_backend
-        self._clock_cls = clock_class(clock_backend)
+    snapshot_version = 3
 
     def reset(self, trace: Trace) -> None:
         self._trace = trace
@@ -116,7 +105,7 @@ class FastTrackDetector(Detector):
             self._read_held.extend([None] * grow)
         clock = clocks[tid]
         if clock is None:
-            clock = clocks[tid] = self._clock_cls.single(tid, 1)
+            clock = clocks[tid] = DenseClock.single(tid, 1)
             self._read_held[tid] = set()
         return clock
 
@@ -318,9 +307,6 @@ class FastTrackDetector(Detector):
     # Snapshot protocol (checkpoint/resume, sharded worker restore)
     # ------------------------------------------------------------------ #
 
-    def snapshot_config(self) -> dict:
-        return {"clock_backend": self.clock_backend}
-
     def state_snapshot(self) -> bytes:
         report = self.report  # raises before reset()
         variables = {}
@@ -411,13 +397,11 @@ class FastTrackDetector(Detector):
         FastTrack increments eagerly at release/fork, so the live clocks
         are already a pure function of the synchronization skeleton.
         """
-        from repro.vectorclock.dense import serialize_clock
-
         state = {}
         name_of = self._registry.name_of
         for tid, clock in enumerate(self._clocks):
             if clock is not None:
-                state[name_of(tid)] = serialize_clock(clock)
+                state[name_of(tid)] = encode_clock(clock)
         return state
 
     def finish(self) -> None:

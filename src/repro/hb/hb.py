@@ -19,8 +19,7 @@ timestamp observed right after processing an event is that event's HB time.
 
 Hot-path engineering: per-thread state is a flat list indexed by interned
 tids (see :class:`~repro.vectorclock.registry.ThreadRegistry`), clocks are
-array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s by default
-(``clock_backend="dict"`` selects the sparse representation), and each
+array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s, and each
 thread keeps a *frozen snapshot* of its clock that is shared with the
 access history across consecutive accesses and invalidated only by
 synchronization events -- so a run of accesses between two sync operations
@@ -39,19 +38,13 @@ from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
-from repro.vectorclock import clock_class
-from repro.vectorclock.clock import VectorClock
+from repro.vectorclock.codec import encode_clock
+from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
 
 
 class HBDetector(Detector):
-    """Linear-time, un-windowed happens-before race detector.
-
-    Parameters
-    ----------
-    clock_backend:
-        Internal clock representation: "dense" (default) or "dict".
-    """
+    """Linear-time, un-windowed happens-before race detector."""
 
     name = "HB"
 
@@ -63,12 +56,7 @@ class HBDetector(Detector):
     #: Per-thread/per-lock clocks plus the access history: all bounded,
     #: all incrementally maintained, so snapshots are supported in full.
     supports_snapshot = True
-    snapshot_version = 2
-
-    def __init__(self, clock_backend: str = "dense") -> None:
-        super().__init__()
-        self.clock_backend = clock_backend
-        self._clock_cls = clock_class(clock_backend)
+    snapshot_version = 3
 
     def reset(self, trace: Trace) -> None:
         self._trace = trace
@@ -117,7 +105,7 @@ class HBDetector(Detector):
             self._read_held.extend([None] * grow)
         clock = clocks[tid]
         if clock is None:
-            clock = clocks[tid] = self._clock_cls.single(tid, 1)
+            clock = clocks[tid] = DenseClock.single(tid, 1)
             self._read_held[tid] = set()
         return clock
 
@@ -149,9 +137,7 @@ class HBDetector(Detector):
             # HB timestamps satisfy the exactness contract unconditionally:
             # a thread's component only escapes via end-of-interval
             # snapshots (release / fork / join all defer an increment).
-            self._history.observe(
-                event, snap, self.report, exact=True, key=tid, frozen=True
-            )
+            self._history.observe(event, snap, self.report, key=tid, exact=True)
         elif etype is EventType.ACQUIRE:
             lock_clock = self._lock_clocks.get(event.lock)
             if lock_clock is not None and clock.merge(lock_clock):
@@ -309,9 +295,6 @@ class HBDetector(Detector):
     # Snapshot protocol (checkpoint/resume, sharded worker restore)
     # ------------------------------------------------------------------ #
 
-    def snapshot_config(self) -> dict:
-        return {"clock_backend": self.clock_backend}
-
     def state_snapshot(self) -> bytes:
         report = self.report  # raises before reset()
         state = {
@@ -382,8 +365,6 @@ class HBDetector(Detector):
         to the exported copies so the state is a pure function of the
         synchronization skeleton, which every shard sees in full.
         """
-        from repro.vectorclock.dense import serialize_clock
-
         state = {}
         name_of = self._registry.name_of
         for tid, clock in enumerate(self._clocks):
@@ -392,15 +373,15 @@ class HBDetector(Detector):
             snap = clock.copy()
             if self._pending[tid]:
                 snap.increment(tid)
-            state[name_of(tid)] = serialize_clock(snap)
+            state[name_of(tid)] = encode_clock(snap)
         return state
 
     def timestamps(self, trace: Trace) -> list:
         """Run over ``trace`` and return the HB timestamp of every event.
 
-        Timestamps are converted to the public name-keyed
-        :class:`VectorClock` regardless of the internal backend.  Used by
-        tests to cross-validate against
+        Timestamps are converted from the internal tid-keyed clocks to the
+        public name-keyed :class:`~repro.vectorclock.clock.VectorClock`.
+        Used by tests to cross-validate against
         :class:`repro.core.closure.HBClosure`.
         """
         self.reset(trace)

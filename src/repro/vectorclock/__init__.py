@@ -10,8 +10,8 @@ order based detector in the library:
   reporting-facing representation (keyed by the original thread names).
 * :class:`~repro.vectorclock.dense.DenseClock` -- the array-backed hot-path
   representation keyed by interned integer tids; same operation set,
-  strictly cheaper constants.  Detectors use it internally by default
-  (``clock_backend="dense"``).
+  strictly cheaper constants.  It is the only clock the detectors use
+  internally.
 * :class:`~repro.vectorclock.registry.ThreadRegistry` -- the interning
   table that maps thread names to dense tids at the trace/engine boundary
   and converts clocks losslessly between both representations.
@@ -27,27 +27,10 @@ from repro.vectorclock.epoch import Epoch
 from repro.vectorclock.registry import ThreadRegistry
 from repro.vectorclock import codec
 
-#: The classes usable as detector-internal clocks, by backend name.
-CLOCK_BACKENDS = {"dense": DenseClock, "dict": VectorClock}
-
-
-def clock_class(backend: str):
-    """Return the clock class for ``backend`` ("dense" or "dict")."""
-    try:
-        return CLOCK_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            "unknown clock backend %r; available: %s"
-            % (backend, ", ".join(sorted(CLOCK_BACKENDS)))
-        ) from None
-
-
 __all__ = [
     "VectorClock",
     "DenseClock",
     "Epoch",
     "ThreadRegistry",
-    "CLOCK_BACKENDS",
-    "clock_class",
     "codec",
 ]

@@ -1,13 +1,12 @@
 """The shared binary codec for detector-state serialization.
 
 Before the checkpoint/resume subsystem, detector state left a process
-through three bespoke channels: :func:`~repro.vectorclock.dense.DenseClock.to_bytes`
-packed flat int64 arrays, ``serialize_clock`` wrapped them in a
-backend tag, and everything else (registries, reports, whole detectors)
-rode raw :mod:`pickle`.  Pickle is unacceptable for a snapshot that a
-production service may accept back over a socket -- ``pickle.loads`` on
-attacker-supplied bytes is arbitrary code execution -- and three
-bespoke formats cannot share a version header.
+through bespoke channels: :func:`~repro.vectorclock.dense.DenseClock.to_bytes`
+packed flat int64 arrays, and everything else (registries, reports,
+whole detectors) rode raw :mod:`pickle`.  Pickle is unacceptable for a
+snapshot that a production service may accept back over a socket --
+``pickle.loads`` on attacker-supplied bytes is arbitrary code execution
+-- and bespoke formats cannot share a version header.
 
 This module is the single codec all of them now route through.  It is a
 small, self-describing, *safe* structural format:
@@ -17,15 +16,13 @@ small, self-describing, *safe* structural format:
 * containers -- lists, tuples, dicts, sets (sets are serialized in a
   canonical sorted order so equal states produce equal bytes);
 * domain values -- :class:`~repro.vectorclock.dense.DenseClock`,
-  :class:`~repro.vectorclock.clock.VectorClock`,
   :class:`~repro.vectorclock.epoch.Epoch` and
   :class:`~repro.trace.event.Event` -- the vocabulary every detector's
   state is built from.
 
-Decoding reconstructs exactly the encoded types (a ``DenseClock`` comes
-back as a ``DenseClock``, a dict-backend ``VectorClock`` as a
-``VectorClock``), so a detector restored from a snapshot keeps the clock
-backend it was configured with.  Decoding never executes code and fails
+Decoding reconstructs exactly the encoded types.  The name-keyed
+:class:`~repro.vectorclock.clock.VectorClock` is a reporting type, not
+detector state, and is refused.  Decoding never executes code and fails
 with :class:`CodecError` on malformed or truncated input.
 
 Integers use LEB128 varints (zigzag for signed values), so the common
@@ -40,7 +37,6 @@ import struct
 from typing import Any, List, Tuple
 
 from repro.trace.event import Event, EventType
-from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.epoch import Epoch
 
@@ -58,7 +54,8 @@ class CodecError(ValueError):
 
 
 # One-byte value tags.  Kept stable across versions: new types get new
-# tags, existing tags never change meaning.
+# tags, existing tags never change meaning (0x0C, the retired name-keyed
+# clock tag, is never reused).
 _T_NONE = 0x00
 _T_FALSE = 0x01
 _T_TRUE = 0x02
@@ -71,7 +68,6 @@ _T_TUPLE = 0x08
 _T_DICT = 0x09
 _T_SET = 0x0A
 _T_DENSE_CLOCK = 0x0B
-_T_VECTOR_CLOCK = 0x0C
 _T_EPOCH = 0x0D
 _T_EVENT = 0x0E
 
@@ -195,13 +191,6 @@ def _encode_into(out: bytearray, value: Any) -> None:
     elif isinstance(value, DenseClock):
         out.append(_T_DENSE_CLOCK)
         _encode_dense(out, value)
-    elif isinstance(value, VectorClock):
-        out.append(_T_VECTOR_CLOCK)
-        pairs = sorted(value.items(), key=_canonical_sort_key)
-        _write_uvarint(out, len(pairs))
-        for key, component in pairs:
-            _encode_into(out, key)
-            _write_uvarint(out, component)
     elif isinstance(value, Epoch):
         out.append(_T_EPOCH)
         _encode_into(out, value.thread)
@@ -276,13 +265,6 @@ def _decode_from(reader: _Reader) -> Any:
         return {_decode_from(reader) for _ in range(reader.read_uvarint())}
     if tag == _T_DENSE_CLOCK:
         return _decode_dense(reader)
-    if tag == _T_VECTOR_CLOCK:
-        count = reader.read_uvarint()
-        clock = VectorClock()
-        for _ in range(count):
-            key = _decode_from(reader)
-            clock.assign(key, reader.read_uvarint())
-        return clock
     if tag == _T_EPOCH:
         thread = _decode_from(reader)
         return Epoch(thread, reader.read_uvarint())
@@ -325,27 +307,15 @@ def decode(data: bytes) -> Any:
 # Clock wire helpers (the shard-boundary protocol's unit)
 # --------------------------------------------------------------------- #
 
-def encode_clock(clock) -> bytes:
-    """Serialize a tid-keyed clock of either backend for transport."""
-    out = bytearray()
-    _encode_into(out, clock)
-    return bytes(out)
+def encode_clock(clock: DenseClock) -> bytes:
+    """Serialize a tid-keyed :class:`DenseClock` for transport."""
+    return encode(clock)
 
 
 def decode_clock(data: bytes) -> DenseClock:
-    """Decode a clock blob, coercing to the canonical :class:`DenseClock`.
-
-    The shard-boundary merge side only ever joins and remaps, for which
-    the dense form is canonical; snapshot restore paths that must keep
-    the original backend use :func:`decode` instead.
-    """
+    """Inverse of :func:`encode_clock`."""
     value = decode(data)
     if isinstance(value, DenseClock):
         return value
-    if isinstance(value, VectorClock):
-        dense = DenseClock()
-        for tid, component in value.items():
-            dense.assign(tid, component)
-        return dense
     raise CodecError("blob does not contain a clock (got %s)"
                      % type(value).__name__)

@@ -31,14 +31,13 @@ suite in ``tests/test_dense_kernels.py``): the buffer grows lazily -- a
 tid beyond the current length reads as 0 -- and trailing zeros are
 insignificant (``[1, 0]`` and ``[1]`` are equal clocks).
 
-The detectors choose between the dense and sparse representations via
-their ``clock_backend`` parameter ("dense" by default, "dict" for the
-legacy sparse representation); both are keyed by tids internally, and
-``ThreadRegistry.to_public`` converts either back to the name-keyed
-``VectorClock`` used in reports and tests.  :meth:`merge` -- a join that
-reports whether it changed anything -- exists on both classes and is what
-lets the WCP detector cache each thread's ``C_t`` and rebuild it only when
-``P_t`` actually grew.
+Every detector keeps its internal clocks as DenseClocks keyed by tids;
+``ThreadRegistry.to_public`` converts them to the name-keyed
+``VectorClock`` used in reports and tests, and
+:func:`repro.vectorclock.codec.encode_clock` / ``decode_clock`` carry them
+across process boundaries.  :meth:`merge` -- a join that reports whether
+it changed anything -- is what lets the WCP detector cache each thread's
+``C_t`` and rebuild it only when ``P_t`` actually grew.
 """
 
 from __future__ import annotations
@@ -391,28 +390,3 @@ if _CFFI:
     DenseClock.merge = _merge_kernel  # type: ignore[method-assign]
     DenseClock.__le__ = _leq_kernel  # type: ignore[method-assign]
     DenseClock.__eq__ = _eq_kernel  # type: ignore[method-assign]
-
-
-# --------------------------------------------------------------------- #
-# Backend-agnostic clock wire format
-# --------------------------------------------------------------------- #
-#
-# The sharded engine ships per-thread clocks across process boundaries at
-# batch boundaries, and the checkpoint subsystem persists them inside
-# detector snapshots.  Both speak the *same* wire format: the shared
-# codec of :mod:`repro.vectorclock.codec` (self-describing tags, varint
-# components).  These two functions are kept as the historical entry
-# points of the shard-boundary protocol; they are now thin aliases.
-
-def serialize_clock(clock) -> bytes:
-    """Serialize a tid-keyed clock (either backend) for transport."""
-    from repro.vectorclock.codec import encode_clock
-
-    return encode_clock(clock)
-
-
-def deserialize_clock(data: bytes) -> DenseClock:
-    """Inverse of :func:`serialize_clock`; always returns a DenseClock."""
-    from repro.vectorclock.codec import decode_clock
-
-    return decode_clock(data)

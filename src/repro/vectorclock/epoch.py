@@ -11,11 +11,11 @@ O(1) operation, whereas comparing two vector clocks is O(T); the FastTrack
 insight is that the vast majority of accesses can be handled with epochs
 alone.
 
-Epochs are agnostic to the clock representation: ``thread`` may be a
-string thread identifier (sparse :class:`VectorClock`) or an interned
-integer tid (:class:`~repro.vectorclock.dense.DenseClock`); the only
-requirement on the clock passed to :meth:`Epoch.happens_before` is a
-``get`` method.  The WCP access history
+Inside the detectors ``thread`` is an interned integer tid and the clock
+is a :class:`~repro.vectorclock.dense.DenseClock`; an epoch keyed by a
+thread name works against the public :class:`VectorClock` the same way,
+since the only requirement on the clock passed to
+:meth:`Epoch.happens_before` is a ``get`` method.  The WCP access history
 (:mod:`repro.core.history`) applies the same epoch idea inline, with an
 extra exactness condition that the WCP timestamping requires.
 """

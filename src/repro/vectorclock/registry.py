@@ -135,9 +135,10 @@ class ThreadRegistry:
     def to_public(self, clock) -> VectorClock:
         """Convert an internal tid-keyed clock to a name-keyed VectorClock.
 
-        ``clock`` may be a :class:`~repro.vectorclock.dense.DenseClock` or a
-        tid-keyed :class:`VectorClock`; only non-zero components survive, so
-        the conversion is lossless in both directions.
+        ``clock`` is a detector's :class:`~repro.vectorclock.dense.DenseClock`
+        (anything with tid-keyed ``items()`` works); only non-zero
+        components survive, so the conversion is lossless in both
+        directions.
         """
         names = self._names
         return VectorClock({names[tid]: value for tid, value in clock.items()})

@@ -1,11 +1,16 @@
-"""Clock-backend parity and legacy differential tests.
+"""Oracle parity for the optimised WCP, HB and FastTrack detectors.
 
 The hot-path overhaul (interned tids, dense clocks, cached ``C_t``,
 epoch-accelerated history, chain-collapsed Rule (a)/(b) joins) must be
-*observably invisible*: random traces run through WCP / HB / FastTrack
-with the dense and dict clock backends -- and through the frozen
-pre-overhaul :class:`~repro.core.wcp_legacy.LegacyWCPDetector` -- must
-produce identical race pairs, timestamps and statistics.
+*observably invisible*:
+
+* WCP must produce the race pairs, statistics and timestamps of the
+  frozen pre-overhaul :class:`~repro.core.wcp_legacy.LegacyWCPDetector`;
+* HB must agree with :class:`~repro.core.closure.HBClosure`
+  (Definition 1): same race pairs, and timestamps that characterise the
+  order exactly;
+* FastTrack, which keeps only the last accesses' epochs, must report a
+  race exactly when the closure finds one, on a subset of its variables.
 
 Two generators are used: the hypothesis strategy from
 ``tests/test_properties.py`` (locks + accesses) and a seeded fork/join
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 from test_properties import traces
 
+from repro.core.closure import HBClosure
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import IterableSource, RaceEngine
@@ -88,29 +94,50 @@ def _race_key(report):
 
 
 def _assert_wcp_equivalent(trace):
-    detectors = {
-        "dense": WCPDetector(clock_backend="dense"),
-        "dict": WCPDetector(clock_backend="dict"),
-        "legacy": LegacyWCPDetector(),
-    }
-    reports = {name: det.run(trace) for name, det in detectors.items()}
-    reference = reports["legacy"]
-    for name in ("dense", "dict"):
-        report = reports[name]
-        assert _race_key(report) == _race_key(reference), name
-        assert report.raw_race_count == reference.raw_race_count, name
-        assert report.stats["max_queue_total"] == (
-            reference.stats["max_queue_total"]
-        ), name
-        assert report.stats["max_queue_fraction"] == (
-            reference.stats["max_queue_fraction"]
-        ), name
+    report = WCPDetector().run(trace)
+    reference = LegacyWCPDetector().run(trace)
+    assert _race_key(report) == _race_key(reference)
+    assert report.raw_race_count == reference.raw_race_count
+    assert report.stats["max_queue_total"] == (
+        reference.stats["max_queue_total"]
+    )
+    assert report.stats["max_queue_fraction"] == (
+        reference.stats["max_queue_fraction"]
+    )
     # Timestamps characterise the partial order (Theorem 2); they must be
-    # bit-identical across backends and against the legacy detector.
-    legacy_clocks = LegacyWCPDetector().timestamps(trace)
-    for name in ("dense", "dict"):
-        clocks = WCPDetector(clock_backend=name).timestamps(trace)
-        assert clocks == legacy_clocks, name
+    # bit-identical to the legacy detector's.
+    assert WCPDetector().timestamps(trace) == (
+        LegacyWCPDetector().timestamps(trace)
+    )
+
+
+def _closure_pairs(closure):
+    return {
+        frozenset({a.location(), b.location()}) for a, b in closure.races()
+    }
+
+
+def _assert_hb_matches_closure(trace):
+    closure = HBClosure(trace)
+    assert set(HBDetector().run(trace).location_pairs()) == (
+        _closure_pairs(closure)
+    )
+    clocks = HBDetector().timestamps(trace)
+    for second in range(len(trace)):
+        for first in range(second):
+            assert (clocks[first] <= clocks[second]) == (
+                closure.ordered(first, second)
+            ), (first, second)
+
+
+def _assert_fasttrack_matches_closure(trace):
+    # FastTrack keeps only the last accesses' epochs: every pair it
+    # reports is an HB race (so its variables are a subset of the
+    # closure's), and it finds a race whenever one exists.
+    expected = _closure_pairs(HBClosure(trace))
+    report = FastTrackDetector().run(trace)
+    assert set(report.location_pairs()) <= expected
+    assert (report.count() > 0) == bool(expected)
 
 
 class TestWCPBackendParity:
@@ -157,31 +184,22 @@ class TestWCPBackendParity:
             )
 
 
-class TestHBAndFastTrackBackendParity:
+class TestHBAndFastTrackClosureParity:
     @given(traces())
     @settings(**PARITY_SETTINGS)
-    def test_hb_backends_agree(self, trace):
-        dense = HBDetector(clock_backend="dense")
-        sparse = HBDetector(clock_backend="dict")
-        assert _race_key(dense.run(trace)) == _race_key(sparse.run(trace))
-        assert dense.timestamps(trace) == sparse.timestamps(trace)
+    def test_hb_matches_closure(self, trace):
+        _assert_hb_matches_closure(trace)
 
     @given(traces())
     @settings(**PARITY_SETTINGS)
-    def test_fasttrack_backends_agree(self, trace):
-        dense = FastTrackDetector(clock_backend="dense").run(trace)
-        sparse = FastTrackDetector(clock_backend="dict").run(trace)
-        assert _race_key(dense) == _race_key(sparse)
-        assert dense.stats["fast_path_hits"] == sparse.stats["fast_path_hits"]
-        assert dense.stats["slow_path_hits"] == sparse.stats["slow_path_hits"]
+    def test_fasttrack_matches_closure(self, trace):
+        _assert_fasttrack_matches_closure(trace)
 
-    def test_hb_fork_join_traces(self):
+    def test_fork_join_traces(self):
         for seed in range(40):
             trace = random_trace_with_forks(seed + 200)
-            dense = HBDetector(clock_backend="dense")
-            sparse = HBDetector(clock_backend="dict")
-            assert _race_key(dense.run(trace)) == _race_key(sparse.run(trace))
-            assert dense.timestamps(trace) == sparse.timestamps(trace)
+            _assert_hb_matches_closure(trace)
+            _assert_fasttrack_matches_closure(trace)
 
 
 class TestTidStampTrust:

@@ -1,15 +1,14 @@
 """Unit and property tests for ThreadRegistry and DenseClock.
 
 DenseClock must be observably equivalent to the dict-based VectorClock
-under every operation (the detectors treat the two interchangeably via
-``clock_backend``), and the registry conversions must be lossless.
+under every operation (the detectors' DenseClock timestamps are reported
+as VectorClocks), and the registry conversions must be lossless.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vectorclock import CLOCK_BACKENDS, clock_class
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
@@ -109,13 +108,6 @@ class TestDenseClockBasics:
         assert clock.is_bottom()
         clock.update_from(DenseClock([0, 7]))
         assert clock.get(1) == 7
-
-    def test_backend_selector(self):
-        assert clock_class("dense") is DenseClock
-        assert clock_class("dict") is VectorClock
-        assert set(CLOCK_BACKENDS) == {"dense", "dict"}
-        with pytest.raises(ValueError):
-            clock_class("sparse")
 
 
 # Mirror every operation on both representations and require identical

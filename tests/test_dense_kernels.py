@@ -23,6 +23,7 @@ from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import CodecError, decode, decode_clock, encode
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.epoch import Epoch
+from repro.vectorclock.registry import ThreadRegistry
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -221,15 +222,27 @@ class TestCodecRoundTrips:
             assert decode(encode(value)) == value
 
     def test_vector_clock_round_trip(self):
+        # A name-keyed clock crosses the wire in its tid-keyed dense form.
+        registry = ThreadRegistry()
         clock = VectorClock({"a": 5, "b": (1 << 50)})
-        back = decode(encode(clock))
+        back = registry.to_public(decode(encode(registry.to_dense(clock))))
         assert isinstance(back, VectorClock)
         assert dict(back.items()) == dict(clock.items())
 
     def test_decode_clock_coerces_to_dense(self):
-        dense = decode_clock(encode(VectorClock({0: 4, 3: 9})))
+        registry = ThreadRegistry(["t0", "t1", "t2", "t3"])
+        blob = encode(registry.to_dense(VectorClock({"t0": 4, "t3": 9})))
+        dense = decode_clock(blob)
         assert isinstance(dense, DenseClock)
+        assert dense.get(0) == 4
         assert dense.get(3) == 9
+
+    def test_name_keyed_clocks_are_refused(self):
+        # VectorClock is the reporting type, never detector state.
+        with pytest.raises(CodecError):
+            encode(VectorClock({"a": 5}))
+        with pytest.raises(CodecError):
+            decode_clock(encode({0: 4, 3: 9}))
 
     def test_event_and_epoch_round_trip(self):
         event = Event(7, "t1", EventType.WRITE, "x", "file.c:9", tid=2)

@@ -3,7 +3,7 @@
 from repro.core.history import AccessHistory
 from repro.core.races import RacePair, RaceReport
 from repro.trace.event import Event, EventType
-from repro.vectorclock import VectorClock
+from repro.vectorclock import DenseClock
 
 
 def _write(index, thread, var="x", loc=None):
@@ -12,6 +12,14 @@ def _write(index, thread, var="x", loc=None):
 
 def _read(index, thread, var="x", loc=None):
     return Event(index, thread, EventType.READ, var, loc)
+
+
+def _observe(history, event, times, report, **kwargs):
+    """Observe ``event`` at the tid-keyed clock ``times`` (t1 is tid 0)."""
+    tid = int(event.thread[1:]) - 1
+    return history.observe(
+        event, DenseClock(times), report, key=tid, exact=True, **kwargs
+    )
 
 
 class TestRacePair:
@@ -91,54 +99,54 @@ class TestAccessHistory:
     def test_ordered_accesses_do_not_race(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1"), VectorClock({"t1": 1}), report)
+        _observe(history, _write(0, "t1"), [1], report)
         # The reader's clock dominates the writer's: no race.
-        history.observe(_read(1, "t2"), VectorClock({"t1": 1, "t2": 1}), report)
+        _observe(history, _read(1, "t2"), [1, 1], report)
         assert report.count() == 0
 
     def test_unordered_write_write_races(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1"), VectorClock({"t1": 1}), report)
-        racy = history.observe(_write(1, "t2"), VectorClock({"t2": 1}), report)
+        _observe(history, _write(0, "t1"), [1], report)
+        racy = _observe(history, _write(1, "t2"), [0, 1], report)
         assert racy == 1
         assert report.count() == 1
 
     def test_unordered_read_then_write_races(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_read(0, "t1"), VectorClock({"t1": 1}), report)
-        history.observe(_write(1, "t2"), VectorClock({"t2": 1}), report)
+        _observe(history, _read(0, "t1"), [1], report)
+        _observe(history, _write(1, "t2"), [0, 1], report)
         assert report.count() == 1
 
     def test_read_read_never_races(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_read(0, "t1"), VectorClock({"t1": 1}), report)
-        history.observe(_read(1, "t2"), VectorClock({"t2": 1}), report)
+        _observe(history, _read(0, "t1"), [1], report)
+        _observe(history, _read(1, "t2"), [0, 1], report)
         assert report.count() == 0
 
     def test_same_thread_never_races(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1"), VectorClock({"t1": 1}), report)
-        history.observe(_write(1, "t1"), VectorClock({"t1": 2}), report)
+        _observe(history, _write(0, "t1"), [1], report)
+        _observe(history, _write(1, "t1"), [2], report)
         assert report.count() == 0
 
     def test_different_variables_do_not_interact(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1", "x"), VectorClock({"t1": 1}), report)
-        history.observe(_write(1, "t2", "y"), VectorClock({"t2": 1}), report)
+        _observe(history, _write(0, "t1", "x"), [1], report)
+        _observe(history, _write(1, "t2", "y"), [0, 1], report)
         assert report.count() == 0
 
     def test_on_race_callback(self):
         seen = []
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1"), VectorClock({"t1": 1}), report)
-        history.observe(
-            _write(1, "t2"), VectorClock({"t2": 1}), report,
+        _observe(history, _write(0, "t1"), [1], report)
+        _observe(
+            history, _write(1, "t2"), [0, 1], report,
             on_race=lambda earlier, later: seen.append((earlier.index, later.index)),
         )
         assert seen == [(0, 1)]
@@ -146,7 +154,7 @@ class TestAccessHistory:
     def test_clear(self):
         history = AccessHistory()
         report = RaceReport("demo")
-        history.observe(_write(0, "t1"), VectorClock({"t1": 1}), report)
+        _observe(history, _write(0, "t1"), [1], report)
         history.clear()
-        history.observe(_write(1, "t2"), VectorClock({"t2": 1}), report)
+        _observe(history, _write(1, "t2"), [0, 1], report)
         assert report.count() == 0

@@ -462,7 +462,7 @@ class TestDetectorPickleSafety:
 
     FACTORIES = [
         WCPDetector,
-        lambda: WCPDetector(clock_backend="dict"),
+        lambda: WCPDetector(strict_pseudocode=True),
         HBDetector,
         FastTrackDetector,
     ]
