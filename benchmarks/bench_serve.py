@@ -18,6 +18,11 @@ about:
   machine, the Python build and the run, so the ratio only moves when
   the serve tier's concurrency bookkeeping (sessions, quotas, metrics,
   queue hops) changes.
+* ``engine`` -- the single connection's trace run in process through
+  ``run_engine(IterableSource(...))``, in the same run.  The ratio
+  ``single / engine`` (*serve_vs_engine*) is the share of the engine's
+  own rate that survives the socket, the line protocol and the pump/drive
+  hand-off; like fan-out efficiency it is machine-independent.
 * ``governed`` -- the fan-out plus one deliberately over-quota tenant:
   the noisy client must be shed with an explicit ``error Overloaded``
   reply while every in-quota client's report stays byte-exact.
@@ -32,10 +37,12 @@ Usage::
 The ``--check`` gate is shed-free-throughput based and machine
 independent: it fails when (a) any in-quota stream was shed, rejected
 or answered incorrectly, (b) the governed scenario failed to shed the
-over-quota tenant or perturbed an in-quota result, or (c) fan-out
+over-quota tenant or perturbed an in-quota result, (c) fan-out
 efficiency drops below ``EFFICIENCY_FLOOR`` -- concurrency bookkeeping
 eating more than half the single-stream throughput is a regression no
-matter how fast the machine is.
+matter how fast the machine is -- or (d) serve_vs_engine drops below
+``ENGINE_RATIO_FLOOR``, which a per-event pump-to-drive hand-off (one
+queue item and loop iterations per event, ~0.2) cannot reach.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ DEFAULT_BASELINE = REPO_ROOT / "BENCH_serve.json"
 
 #: Minimum acceptable aggregate-vs-single-connection throughput ratio.
 EFFICIENCY_FLOOR = 0.5
+
+#: Minimum acceptable single-connection serve vs in-process engine ratio.
+ENGINE_RATIO_FLOOR = 0.4
 
 DETECTORS = ("wcp", "hb")
 
@@ -227,6 +237,21 @@ def run_single(n_events: int, repeats: int) -> dict:
     return {"events": len(trace), "events_per_s": round(best, 1)}
 
 
+def run_engine_direct(n_events: int, repeats: int) -> dict:
+    """The single connection's trace through the engine, in process."""
+    trace = serve_trace(0, n_events)
+    best = 0.0
+    for _ in range(repeats):
+        began = time.perf_counter()
+        run_engine(
+            IterableSource(iter(trace), name="x"), detectors=list(DETECTORS)
+        )
+        best = max(best, len(trace) / (time.perf_counter() - began))
+    print("engine     in process     %7d events  %8.0f events/s"
+          % (len(trace), best))
+    return {"events": len(trace), "events_per_s": round(best, 1)}
+
+
 def run_governed(n_clients: int, n_events: int) -> dict:
     """The shed-isolation scenario: one noisy tenant among N in-quota."""
     traces = [serve_trace(seed, n_events) for seed in range(n_clients)]
@@ -269,12 +294,18 @@ def run_benchmark(quick: bool) -> dict:
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     fanout = run_fanout(n_clients, n_events, repeats)
     single = run_single(n_events, repeats)
+    engine = run_engine_direct(n_events, repeats)
     efficiency = round(
         fanout["aggregate_events_per_s"] / single["events_per_s"], 3
     ) if single["events_per_s"] else 0.0
+    serve_vs_engine = round(
+        single["events_per_s"] / engine["events_per_s"], 3
+    )
     governed = run_governed(n_clients, max(200, n_events // 8))
     print("%10s fanout efficiency (aggregate / single): x%.2f"
           % ("", efficiency))
+    print("%10s serve_vs_engine (single / engine): x%.2f"
+          % ("", serve_vs_engine))
     return {
         "benchmark": "serve",
         "python": platform.python_version(),
@@ -284,6 +315,9 @@ def run_benchmark(quick: bool) -> dict:
         "single": single,
         "fanout_efficiency": efficiency,
         "efficiency_floor": EFFICIENCY_FLOOR,
+        "engine": engine,
+        "serve_vs_engine": serve_vs_engine,
+        "engine_ratio_floor": ENGINE_RATIO_FLOOR,
         "governed": governed,
     }
 
@@ -315,6 +349,14 @@ def check_gate(result: dict) -> int:
             "x%.2f of single-connection throughput (floor x%.2f)"
             % (efficiency, EFFICIENCY_FLOOR)
         )
+    ratio = result["serve_vs_engine"]
+    print("serve_vs_engine x%.2f (floor x%.2f)" % (ratio, ENGINE_RATIO_FLOOR))
+    if ratio < ENGINE_RATIO_FLOOR:
+        failures.append(
+            "serve hand-off overhead: one connection reaches only x%.2f of "
+            "the in-process engine's rate (floor x%.2f)"
+            % (ratio, ENGINE_RATIO_FLOOR)
+        )
     if failures:
         print("\nSERVE PERF REGRESSION:")
         for failure in failures:
@@ -330,9 +372,10 @@ def main(argv=None) -> int:
                         help="fewer clients/events/repeats (CI smoke)")
     parser.add_argument("--check", action="store_true",
                         help="gate on shed-free throughput: fail on any "
-                             "in-quota shed, a missed over-quota shed, or "
-                             "fan-out efficiency below x%.1f"
-                             % EFFICIENCY_FLOOR)
+                             "in-quota shed, a missed over-quota shed, "
+                             "fan-out efficiency below x%.1f or "
+                             "serve_vs_engine below x%.1f"
+                             % (EFFICIENCY_FLOOR, ENGINE_RATIO_FLOOR))
     parser.add_argument("--output", type=Path, default=DEFAULT_BASELINE,
                         help="result path (default: %s)"
                              % DEFAULT_BASELINE.name)

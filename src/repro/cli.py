@@ -875,8 +875,10 @@ async def _serve_async(args: argparse.Namespace, ready=None) -> int:
                   file=sys.stderr)
         else:
             print(result.summary(), flush=True)
-        outcomes.append(result)
         if args.once:
+            # Only --once reads the outcome; a long-running server must
+            # not keep every finished session's result alive.
+            outcomes.append(result)
             done.set()
 
     server = await _make_serve_server(args, on_session_end).start()

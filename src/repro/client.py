@@ -48,6 +48,10 @@ __all__ = [
 
 _RETRY_AFTER = re.compile(r"retry after (\d+)\s*s")
 
+#: Largest write the client hands to one ``sendall`` (the server's read
+#: size), unless a single line is longer.
+SEND_BYTES = 1 << 16
+
 
 class PushError(RuntimeError):
     """The server answered with a non-retryable ``error`` reply.
@@ -345,26 +349,43 @@ class RaceClient:
         raise PushError("unexpected handshake reply: %r" % text)
 
     def _send_events(self, sock: socket.socket, lines, skip_events: int) -> None:
+        """Send the event lines past ``skip_events``, coalesced into one
+        ``sendall`` per at most :data:`SEND_BYTES` bytes."""
         sock.settimeout(self.write_timeout_s)
         plan = self.fault_plan
         index = 0  # absolute event ordinal (comments/blanks are free)
+        parts: List[bytes] = []
+        size = 0
+        unsent = 0  # event lines in ``parts``
         for line in lines:
             data = line.encode("utf-8") if isinstance(line, str) else bytes(line)
             if not data.endswith(b"\n"):
                 data += b"\n"
-            if not _is_event_line(data.decode("utf-8", "replace")):
-                if index >= skip_events:
-                    sock.sendall(data)
-                continue
+            event = _is_event_line(data.decode("utf-8", "replace"))
             if index < skip_events:
-                index += 1
-                self.stats["events_skipped"] += 1
+                if event:
+                    index += 1
+                    self.stats["events_skipped"] += 1
                 continue
-            if plan is not None and plan.reset_connection_at(index):
+            if event and plan is not None and plan.reset_connection_at(index):
+                self._flush(sock, parts, unsent)
                 self._inject_reset(sock, data, index)
-            sock.sendall(data)
-            index += 1
-            self.stats["events_sent"] += 1
+            if size + len(data) > SEND_BYTES:
+                self._flush(sock, parts, unsent)
+                size = unsent = 0
+            parts.append(data)
+            size += len(data)
+            if event:
+                index += 1
+                unsent += 1
+        self._flush(sock, parts, unsent)
+
+    def _flush(self, sock: socket.socket, parts: List[bytes], events: int) -> None:
+        """Send the buffered lines in one call; count their events sent."""
+        if parts:
+            sock.sendall(b"".join(parts))
+            parts.clear()
+        self.stats["events_sent"] += events
 
     def _inject_reset(self, sock: socket.socket, data: bytes, index: int) -> None:
         """Tear the connection mid-line: half the bytes, then a hard RST."""

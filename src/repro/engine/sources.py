@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import queue as queue_module
 from pathlib import Path
-from typing import AsyncIterator, Iterable, Iterator, Optional, Union
+from typing import AsyncIterator, Iterable, Iterator, List, Optional, Union
 
 from repro.trace.event import Event
 from repro.trace.parsers import iter_trace_file, parse_std_batch
@@ -514,11 +514,14 @@ class LineProtocolSource(AsyncEventSource):
     unboundedly.
 
     Decoding is batched: whatever span of complete lines one socket read
-    delivers is split and fed to
+    (at most 64 KiB) delivers is decoded by
     :func:`repro.trace.parsers.parse_std_batch` as a single block, so a
     fast producer pays the per-line Python overhead once per *batch*
     while a trickling producer still sees per-line latency (a read
-    returns as soon as any bytes arrive).
+    returns as soon as any bytes arrive).  :meth:`batches` yields those
+    blocks as lists -- the serve tier hands one list per read from its
+    pump to its drive loop; ``async for event in source`` is the same
+    decoder flattened to single events.
     """
 
     #: Longest accepted line (bytes, newline excluded).  Replaces the
@@ -527,10 +530,13 @@ class LineProtocolSource(AsyncEventSource):
     #: growing the pending buffer without bound.
     MAX_LINE_BYTES = 1 << 20
 
+    #: Bytes requested per socket read (the largest batch's span).
+    READ_BYTES = 1 << 16
+
     def __init__(self, reader, name: str = "socket",
                  registry: Optional[ThreadRegistry] = None,
                  initial_lines: Optional[list] = None,
-                 on_line=None) -> None:
+                 on_bytes=None) -> None:
         self.reader = reader
         self.name = name
         self.registry = registry if registry is not None else ThreadRegistry()
@@ -538,10 +544,10 @@ class LineProtocolSource(AsyncEventSource):
         #: peeked at the stream head (the resume handshake) pushes the
         #: peeked line back through here.
         self.initial_lines = list(initial_lines or [])
-        #: Optional callback invoked with every raw line (bytes) as it is
-        #: consumed -- comments and blanks included -- so a server can
-        #: account wire bytes without re-reading the stream.
-        self.on_line = on_line
+        #: Optional callback invoked with the byte count of every decoded
+        #: block of complete lines -- comments and blanks included -- so
+        #: a server can account wire bytes without re-reading the stream.
+        self.on_bytes = on_bytes
         #: The resume handshake: the last durable event offset, advertised
         #: to the peer as a ``resume <offset>`` response line by the serve
         #: protocol; the peer replays its events from that offset on.
@@ -552,14 +558,26 @@ class LineProtocolSource(AsyncEventSource):
         self.resume_offset = events
 
     def __aiter__(self) -> AsyncIterator[Event]:
-        return self._decode()
+        return self._events()
 
-    async def _decode(self) -> AsyncIterator[Event]:
+    async def _events(self) -> AsyncIterator[Event]:
+        async for batch in self.batches():
+            for event in batch:
+                yield event
+
+    async def batches(self) -> AsyncIterator[List[Event]]:
+        """Yield the decoded events of each socket read as one list.
+
+        Blocks holding no event (only comments or blanks) are skipped.
+        Numbering, thread interning and error line numbers continue
+        across blocks exactly as in a one-shot decode; a grammar error
+        raises before any event of its block is yielded.
+        """
         import asyncio
 
         read = self.reader.read
         registry = self.registry
-        on_line = self.on_line
+        on_bytes = self.on_bytes
         index = 0
         line_number = 1
         op_cache: dict = {}
@@ -567,22 +585,20 @@ class LineProtocolSource(AsyncEventSource):
             block = []
             for raw in self.initial_lines:
                 data = raw if isinstance(raw, bytes) else raw.encode("utf-8")
-                if on_line is not None:
-                    on_line(data)
-                block.append(
-                    raw.decode("utf-8", "replace")
-                    if isinstance(raw, bytes) else raw
-                )
+                if on_bytes is not None:
+                    on_bytes(len(data))
+                block.append(data.decode("utf-8", "replace"))
             events, index, line_number = parse_std_batch(
                 block, index, line_number,
                 registry=registry, op_cache=op_cache,
             )
-            for event in events:
-                yield event
+            if events:
+                yield events
         pending = b""
         max_line = self.MAX_LINE_BYTES
+        read_bytes = self.READ_BYTES
         while True:
-            chunk = await read(65536)
+            chunk = await read(read_bytes)
             if not chunk:
                 if pending:
                     # The peer vanished mid-line.  Surface it as the
@@ -593,29 +609,28 @@ class LineProtocolSource(AsyncEventSource):
                     raise asyncio.IncompleteReadError(pending, None)
                 return
             pending += chunk
-            if b"\n" not in chunk:
-                if len(pending) > max_line:
-                    raise ValueError(
-                        "line protocol: %d bytes without a newline "
-                        "(limit %d)" % (len(pending), max_line)
-                    )
-                continue
-            raw_lines = pending.split(b"\n")
-            pending = raw_lines.pop()
-            if len(pending) > max_line:
+            cut = chunk.rfind(b"\n")
+            if cut >= 0:
+                cut += len(pending) - len(chunk)
+            if len(pending) - cut - 1 > max_line:
                 raise ValueError(
                     "line protocol: %d bytes without a newline (limit %d)"
-                    % (len(pending), max_line)
+                    % (len(pending) - cut - 1, max_line)
                 )
-            if on_line is not None:
-                for raw in raw_lines:
-                    on_line(raw + b"\n")
+            if cut < 0:
+                continue
+            block, pending = pending[:cut], pending[cut + 1:]
+            if on_bytes is not None:
+                on_bytes(cut + 1)
+            # 0x0A never occurs inside a multi-byte UTF-8 sequence, so
+            # decoding the block once and splitting on "\n" equals
+            # decoding every line separately.
             events, index, line_number = parse_std_batch(
-                [raw.decode("utf-8", "replace") for raw in raw_lines],
+                block.decode("utf-8", "replace").split("\n"),
                 index, line_number, registry=registry, op_cache=op_cache,
             )
-            for event in events:
-                yield event
+            if events:
+                yield events
 
 
 def _skip_prefix(events: Iterator[Event], skip: int) -> Iterator[Event]:

@@ -7,11 +7,17 @@ connection" into a governed multi-stream service.  Two layers:
     Owns one connection end to end: the handshake peek (``/stats``
     query, ``# stream-id:`` directive, tenant derivation), admission,
     and the pump/drive pair that replaces the engine's plain ``async
-    for``.  The *pump* task decodes STD lines off the socket into a
-    bounded :class:`asyncio.Queue`; the *drive* loop takes events off
-    the queue and steps them through a shared
-    :class:`~repro.engine.engine.EnginePass`.  Decoupling the two is
-    what buys every serve-tier feature in one structure:
+    for``.  The *pump* task decodes STD lines off the socket and puts
+    one list of events per socket read (:meth:`LineProtocolSource.batches
+    <repro.engine.sources.LineProtocolSource.batches>`) on a bounded
+    :class:`asyncio.Queue`; the *drive* loop takes a batch off the queue
+    and steps its events through a shared
+    :class:`~repro.engine.engine.EnginePass`.  The hand-off costs one
+    queue item and one ``wait_for`` per read, not per event: inside a
+    batch only the checks that decide where a stream ends run per event
+    (throttle, validation, the step, fault and memory offsets, latency
+    sampling), and accounting runs once.  Decoupling the two is what
+    buys every serve-tier feature in one structure:
 
     * **backpressure** -- a full queue blocks the pump, which stops
       reading, which makes the transport pause the peer (TCP flow
@@ -75,7 +81,7 @@ __all__ = ["ServeSettings", "SessionDriver", "RaceServer"]
 logger = logging.getLogger("repro.serve")
 
 #: Queue item kinds produced by the pump.
-_EVENT, _ERROR, _EOF = "event", "error", "eof"
+_BATCH, _ERROR, _EOF = "batch", "error", "eof"
 
 #: Exceptions meaning "the peer went away", not "the stream is bad".
 _DISCONNECTS = (
@@ -126,7 +132,7 @@ class ServeSettings:
         checkpoint_dir=None,
         idle_evict_after_s: Optional[float] = None,
         idle_poll_s: float = 0.5,
-        queue_maxsize: int = 256,
+        queue_maxsize: int = 4,
         sample_every: int = 64,
         mem_check_every: int = 4096,
         metrics_port: Optional[int] = None,
@@ -143,8 +149,13 @@ class ServeSettings:
         self.idle_evict_after_s = idle_evict_after_s
         #: Cadence of the drive loop's idle tick (drain/eviction checks).
         self.idle_poll_s = idle_poll_s
+        #: Bound of each connection's pump-to-drive queue, in batches
+        #: (one socket read, <= 64 KiB, each): with the drive loop
+        #: blocked, a connection buffers at most this many reads, plus
+        #: the one the pump holds, before TCP pauses the peer.
         self.queue_maxsize = queue_maxsize
-        #: Every Nth event is latency-timed (keeps sampling off the hot path).
+        #: Every Nth event (by stream position, inside or across
+        #: batches) is latency-timed: its validate + step is clocked.
         self.sample_every = sample_every
         #: Events between detector-memory estimates when a memory quota is set.
         self.mem_check_every = mem_check_every
@@ -497,7 +508,7 @@ class SessionDriver:
             self.reader, name=self.name,
             registry=self.registry,
             initial_lines=self.initial_lines,
-            on_line=self._count_bytes,
+            on_bytes=self._count_bytes,
         )
         if self.registry is None:
             self.registry = source.registry
@@ -506,20 +517,23 @@ class SessionDriver:
             source.seek_events(self._resume_checkpoint.events)
         return source
 
-    def _count_bytes(self, raw: bytes) -> None:
-        self._bytes_read += len(raw)
+    def _count_bytes(self, count: int) -> None:
+        self._bytes_read += count
 
     async def _pump(self, source, queue: asyncio.Queue) -> None:
-        """Decode events off the wire into the bounded queue.
+        """Decode the wire into the bounded queue, one batch per read.
 
         A full queue blocks the ``put``, which stops the reads, which
         makes the transport pause the peer: the backpressure chain.
         Stream errors are forwarded as queue items so the drive loop
         owns every reply.
         """
+        session = self.session
         try:
-            async for event in source:
-                await queue.put((_EVENT, event))
+            async for batch in source.batches():
+                await queue.put((_BATCH, batch))
+                if session is not None:
+                    session.queue_depth += len(batch)
         except asyncio.CancelledError:
             raise
         except Exception as error:  # forwarded: the drive loop replies
@@ -530,19 +544,16 @@ class SessionDriver:
     async def _drive(self) -> Optional[EngineResult]:
         source = self._make_source()
         queue: asyncio.Queue = asyncio.Queue(self.settings.queue_maxsize)
-        if self.session is not None:
-            self.session.queue_depth = queue.qsize
         pump = asyncio.ensure_future(self._pump(source, queue))
-        settings = self.settings
-        sample_every = settings.sample_every
-        clock = time.perf_counter
+        session = self.session
+        idle_poll_s = self.settings.idle_poll_s
         try:
             while True:
-                if self.drain_event is not None and self.drain_event.is_set():
+                if self._draining():
                     return await self._drain_session()
                 try:
                     kind, payload = await asyncio.wait_for(
-                        queue.get(), timeout=settings.idle_poll_s
+                        queue.get(), timeout=idle_poll_s
                     )
                 except asyncio.TimeoutError:
                     self._maybe_evict(queue)
@@ -551,43 +562,11 @@ class SessionDriver:
                     break
                 if kind is _ERROR:
                     raise payload
+                if session is not None:
+                    session.queue_depth -= len(payload)
                 if self._pass is None:
                     self._restore_evicted()
-                if self.manager is not None:
-                    wait = self.manager.quotas.throttle(self.tenant)
-                    if wait > 0:
-                        await asyncio.sleep(wait)
-                pass_ = self._pass
-                sampled = (
-                    self.metrics is not None
-                    and pass_.events % sample_every == 0
-                )
-                began = clock() if sampled else 0.0
-                if self.validator is not None:
-                    self.validator.check(payload)
-                stop = pass_.step(payload)
-                if (
-                    settings.fault_plan is not None
-                    and settings.fault_plan.disconnect_at(pass_.events)
-                ):
-                    # Injected mid-stream client disconnect: surfaces
-                    # through the same governed path as a real peer reset.
-                    raise ConnectionResetError(
-                        "injected disconnect at event %d" % pass_.events
-                    )
-                if sampled:
-                    self.metrics.observe_latency(clock() - began)
-                self._note_event()
-                if (
-                    self._check_memory
-                    and pass_.events % settings.mem_check_every == 0
-                ):
-                    estimate = sum(
-                        len(d.state_snapshot()) for d in pass_.detectors
-                    )
-                    self.session.detector_memory_bytes = estimate
-                    self.manager.quotas.check_memory(self.tenant, estimate)
-                if stop is not None:
+                if await self._step_batch(payload):
                     break
             return await self._finish()
         finally:
@@ -597,13 +576,76 @@ class SessionDriver:
             except (asyncio.CancelledError, *_DISCONNECTS):
                 pass
 
-    def _note_event(self) -> None:
+    async def _step_batch(self, batch) -> bool:
+        """Validate and step one decoded batch; True when the pass stops.
+
+        Everything that decides *where* a stream ends stays per event --
+        the tenant's token bucket, validation, the step itself, the
+        injected-disconnect offset, the memory check and the latency
+        sample -- so stops, faults, sheds and errors land on the same
+        event as with a per-event hand-off.  Accounting runs once, for
+        the events actually stepped.  A throttle sleep is the only await
+        in here; drain set during one ends the batch before its event.
+        """
+        pass_ = self._pass
+        step = pass_.step
+        check = self.validator.check if self.validator is not None else None
+        settings = self.settings
+        fault_plan = settings.fault_plan
+        metrics = self.metrics
+        sample_every = settings.sample_every if metrics is not None else 0
+        mem_every = settings.mem_check_every if self._check_memory else 0
+        quotas = self.manager.quotas if self.manager is not None else None
+        clock = time.perf_counter
+        stepped = 0
+        try:
+            for event in batch:
+                if quotas is not None:
+                    wait = quotas.throttle(self.tenant)
+                    if wait > 0:
+                        await asyncio.sleep(wait)
+                        if self._draining():
+                            return False
+                sampled = sample_every and pass_.events % sample_every == 0
+                began = clock() if sampled else 0.0
+                if check is not None:
+                    check(event)
+                stop = step(event)
+                if (
+                    fault_plan is not None
+                    and fault_plan.disconnect_at(pass_.events)
+                ):
+                    # Injected mid-stream client disconnect: surfaces
+                    # through the same governed path as a real peer reset.
+                    raise ConnectionResetError(
+                        "injected disconnect at event %d" % pass_.events
+                    )
+                if sampled:
+                    metrics.observe_latency(clock() - began)
+                stepped += 1
+                if mem_every and pass_.events % mem_every == 0:
+                    estimate = sum(
+                        len(d.state_snapshot()) for d in pass_.detectors
+                    )
+                    self.session.detector_memory_bytes = estimate
+                    quotas.check_memory(self.tenant, estimate)
+                if stop is not None:
+                    return True
+            return False
+        finally:
+            if stepped:
+                self._note_events(stepped)
+
+    def _note_events(self, count: int) -> None:
         delta = self._bytes_read - self._bytes_seen
         self._bytes_seen = self._bytes_read
         if self.session is not None:
-            self.session.note_events(1, bytes_=delta)
+            self.session.note_events(count, bytes_=delta)
         if self.metrics is not None:
-            self.metrics.add_events(self.tenant, 1, delta)
+            self.metrics.add_events(self.tenant, count, delta)
+
+    def _draining(self) -> bool:
+        return self.drain_event is not None and self.drain_event.is_set()
 
     # ------------------------------------------------------------------ #
     # Completion / drain / eviction

@@ -75,8 +75,8 @@ class StreamSession:
         #: that ended the session.
         self.result = None
         self.error: Optional[str] = None
-        #: Driver hook reporting this session's buffered-event depth.
-        self.queue_depth = lambda: 0
+        #: Decoded events waiting in the driver's hand-off queue.
+        self.queue_depth = 0
 
     def note_events(self, events: int = 1, bytes_: int = 0) -> None:
         """Advance the activity clock and the event/byte counters."""
@@ -97,7 +97,7 @@ class StreamSession:
             "state": self.state,
             "events": self.events,
             "bytes": self.bytes,
-            "queue_depth": self.queue_depth(),
+            "queue_depth": self.queue_depth,
             "evictions": self.evictions,
             "restores": self.restores,
             "detector_memory_bytes": self.detector_memory_bytes,
@@ -181,7 +181,7 @@ class SessionManager:
     def queue_depth(self) -> int:
         """Buffered-but-unprocessed events across every live session."""
         return sum(
-            session.queue_depth() for session in self._sessions.values()
+            session.queue_depth for session in self._sessions.values()
         )
 
     def live(self) -> List[StreamSession]:

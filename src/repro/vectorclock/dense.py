@@ -66,6 +66,11 @@ def _new_times(values=()) -> Union[list, array]:
 class DenseClock:
     """A dense (array-backed) vector clock keyed by interned thread ids.
 
+    The constructor takes nothing (bottom), a ``{tid: time}`` mapping, a
+    sequence of components, or another DenseClock (copied).  A clock is
+    not itself iterable -- iterating it raises :class:`TypeError`; use
+    :meth:`items`, :meth:`threads` or :meth:`as_dict`.
+
     Examples
     --------
     >>> a = DenseClock.single(0, 3)
@@ -90,6 +95,8 @@ class DenseClock:
         self._cd = None
         if times is None:
             self._times = _new_times()
+        elif isinstance(times, DenseClock):
+            self._times = times._times[:]
         elif isinstance(times, Mapping):
             self._times = _new_times()
             for tid, value in times.items():
@@ -144,6 +151,15 @@ class DenseClock:
 
     def __getitem__(self, tid: int) -> int:
         return self.get(tid)
+
+    def __iter__(self):
+        # Without this, iteration would fall back to ``__getitem__``,
+        # which reads 0 past the end instead of raising IndexError: an
+        # endless loop.  A clock is not a sequence (``len`` counts the
+        # non-zero components); iterate ``items()`` or ``threads()``.
+        raise TypeError(
+            "DenseClock is not iterable; use items(), threads() or as_dict()"
+        )
 
     def threads(self) -> Iterator[int]:
         """Iterate over tids with non-zero components."""

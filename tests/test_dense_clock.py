@@ -5,6 +5,9 @@ under every operation (the detectors' DenseClock timestamps are reported
 as VectorClocks), and the registry conversions must be lossless.
 """
 
+import contextlib
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,21 @@ class TestThreadRegistry:
         registry = ThreadRegistry(["t1", "t2"])
         internal = VectorClock({0: 2, 1: 5})
         assert registry.to_public(internal) == VectorClock({"t1": 2, "t2": 5})
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Fail (instead of hanging the suite) when the body never returns."""
+    def expire(signum, frame):
+        raise AssertionError("did not finish within %ds" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDenseClockBasics:
@@ -101,6 +119,23 @@ class TestDenseClockBasics:
         joined = a | b
         assert joined.as_dict() == {0: 3, 1: 4}
         assert a.as_dict() == {0: 1, 1: 4}
+
+    def test_construct_from_dense_clock_copies(self):
+        with _alarm(2):
+            original = DenseClock([4, 0, 7])
+            clone = DenseClock(original)
+        assert clone == original
+        clone.assign(0, 9)
+        assert original.get(0) == 4
+
+    def test_iteration_raises_instead_of_hanging(self):
+        clock = DenseClock([1, 2])
+        with _alarm(2):
+            with pytest.raises(TypeError):
+                list(clock)
+            with pytest.raises(TypeError):
+                iter(clock)
+        assert sorted(clock.items()) == [(0, 1), (1, 2)]
 
     def test_clear_and_update_from(self):
         clock = DenseClock([1, 2])

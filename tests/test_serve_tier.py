@@ -1032,3 +1032,236 @@ class TestHandshakeTimeout:
             await server.close()
 
         asyncio.run(run())
+
+
+# --------------------------------------------------------------------- #
+# Batch granularity: the drive loop steps decoded batches, one per
+# socket read.  A push whose lines arrive in one read puts every offset
+# below mid-batch; each stop, fault, shed and error must still land on
+# exactly the event it landed on when the hand-off was per event.
+# --------------------------------------------------------------------- #
+
+
+def _one_read_payload(std_text):
+    """Directive plus the whole stream in one write: the directive is
+    consumed by the handshake, so every event arrives in one read."""
+    payload = "# stream-id: batch.s\n" + std_text
+    assert len(payload) < 65536
+    return payload
+
+
+async def _push_once(settings, payload, config=None):
+    """Serve one push; return (response, metrics counters, session)."""
+    ended = []
+    server = await _start_server(
+        settings=settings, config=config,
+        on_session_end=lambda session, result: ended.append(session),
+    )
+    try:
+        response = await _roundtrip(server, payload)
+        await _until(lambda: ended)
+    finally:
+        await server.close()
+    return response, server.metrics.counters, ended[0]
+
+
+class TestBatchGranularity:
+    def test_max_events_stops_mid_batch(self):
+        trace = random_trace(seed=81, n_events=120, n_threads=3)
+        config = EngineConfig().stop_after_events(37)
+        response, counters, session = asyncio.run(_push_once(
+            ServeSettings(port=0), _one_read_payload(write_std(trace)),
+            config=config,
+        ))
+        assert response.strip().splitlines()[-1] == "done 37"
+        assert session.events == 37
+        assert counters["completed"] == 1
+
+    def test_injected_disconnect_mid_batch(self):
+        from repro import Fault, FaultPlan
+
+        trace = random_trace(seed=82, n_events=120, n_threads=3)
+        plan = FaultPlan([Fault.disconnect(45)])
+        _, counters, session = asyncio.run(_push_once(
+            ServeSettings(port=0, fault_plan=plan),
+            _one_read_payload(write_std(trace)),
+        ))
+        assert counters["disconnected"] == 1
+        assert counters["completed"] == 0
+        # The faulting event was stepped but is not accounted: the
+        # session saw the 44 events before it.
+        assert session.events == 44
+        assert not plan.unfired()
+
+    def test_memory_quota_sheds_at_the_same_offset(self):
+        trace = random_trace(seed=83, n_events=120, n_threads=4, n_vars=6)
+        settings = ServeSettings(
+            port=0,
+            quotas=QuotaManager(TenantQuota(max_detector_bytes=1)),
+            mem_check_every=7,
+        )
+        response, counters, session = asyncio.run(
+            _push_once(settings, _one_read_payload(write_std(trace)))
+        )
+        assert response.startswith("error Overloaded: detector state grew")
+        assert counters["shed"] == 1
+        assert session.events == 7
+
+    def test_validation_error_mid_batch(self):
+        from repro import OnlineValidator
+        from repro.trace.parsers import parse_std_batch
+
+        lines = _trace_lines(random_trace(seed=84, n_events=60, n_threads=3))
+        # A release of a lock nobody holds, at event 50.
+        lines.insert(50, "t9|rel(l0)|bad:1")
+        events, _, _ = parse_std_batch(lines)
+        validator = OnlineValidator()
+        with pytest.raises(ValueError) as info:
+            for event in events:
+                validator.check(event)
+        expected = "error %s: %s" % (type(info.value).__name__, info.value)
+
+        payload = _one_read_payload("\n".join(lines) + "\n")
+        response, counters, session = asyncio.run(
+            _push_once(ServeSettings(port=0), payload)
+        )
+        assert response.strip() == expected
+        assert counters["errored"] == 1
+        assert session.events == 50
+
+
+def _throttled_settings(**kwargs):
+    """Settings whose drive loop sleeps 1.5 s on every event.
+
+    A burst below one token means no event is ever granted outright:
+    each waits (1 - 0.5) / (1 / 3) s, well inside the throttle budget.
+    The pump keeps reading meanwhile, which is the blocked-drive state.
+    """
+    quotas = QuotaManager(
+        TenantQuota(events_per_sec=1 / 3, burst_events=0.5),
+        throttle_budget_s=10.0,
+    )
+    return ServeSettings(port=0, quotas=quotas, **kwargs)
+
+
+class TestHandOffBounds:
+    def test_blocked_drive_bounds_what_the_server_reads(self, monkeypatch):
+        from repro.serve.server import SessionDriver
+
+        read = [0]
+        original = SessionDriver._count_bytes
+
+        def counting(self, raw):
+            original(self, raw)
+            read[0] = self._bytes_read  # bytes the decoder consumed
+
+        monkeypatch.setattr(SessionDriver, "_count_bytes", counting)
+        settings = _throttled_settings()
+        payload = b"t1|w(x)|a:1\n" * 200_000  # 2.4 MB
+
+        async def run():
+            server = await _start_server(settings=settings)
+            try:
+                reader, writer = await _connect(server)
+                writer.write(payload)
+                # The drive loop sleeps on event 1; give the pump time to
+                # fill the queue and the transport time to pause.
+                await asyncio.sleep(0.4)
+                seen = read[0]
+                writer.transport.abort()
+            finally:
+                await server.close()
+            return seen
+
+        seen = asyncio.run(run())
+        assert 0 < seen <= (settings.queue_maxsize + 2) * 65536
+
+    def test_queue_depth_counts_events(self):
+        async def run():
+            server = await _start_server(settings=_throttled_settings())
+            try:
+                reader, writer = await _connect(server)
+                # The handshake line is the first event: the drive loop
+                # takes it and sleeps.
+                writer.write(b"t1|w(x)|a:1\n")
+                await writer.drain()
+                await _until(lambda: server.manager.live()
+                             and server.manager.live()[0].state == "active")
+                await asyncio.sleep(0.05)
+                for count in (70, 90):
+                    writer.write(b"t1|w(x)|a:2\n" * count)
+                    await writer.drain()
+                    await asyncio.sleep(0.05)
+                await _until(lambda: server.manager.queue_depth() == 160,
+                             timeout=1.0)
+                session = server.manager.live()[0].to_dict()
+                lines = server.metrics.render_lines(server.manager)
+                writer.transport.abort()
+            finally:
+                await server.close()
+            return session, lines
+
+        session, lines = asyncio.run(run())
+        assert session["queue_depth"] == 160
+        assert "queue_depth 160" in lines
+
+
+class TestServeRetention:
+    def test_long_running_serve_keeps_no_finished_results(self, monkeypatch):
+        """Without --once, a finished session's EngineResult must be
+        garbage once its reply is sent: a long-running server would
+        otherwise grow by one result per push."""
+        import gc
+        import weakref
+
+        from repro.cli import _build_parser, _serve_async
+        from repro.serve.server import SessionDriver
+
+        refs = []
+        original = SessionDriver._finish
+
+        async def finish(self):
+            result = await original(self)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(SessionDriver, "_finish", finish)
+        args = _build_parser().parse_args(
+            ["serve", "--port", "0", "--detector", "wcp,hb"]
+        )
+        trace = random_trace(seed=85, n_events=50, n_threads=3)
+
+        async def run():
+            holder = {}
+            task = asyncio.ensure_future(
+                _serve_async(args, ready=lambda listener: holder.update(s=listener))
+            )
+            await _until(lambda: "s" in holder)
+            port = holder["s"].sockets[0].getsockname()[1]
+            try:
+                for _ in range(3):
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port
+                    )
+                    writer.write(write_std(trace).encode("utf-8"))
+                    writer.write_eof()
+                    reply = await reader.read()
+                    assert reply.endswith(b"done %d\n" % len(trace))
+                    writer.close()
+                # The session ends (and on_session_end runs) just after
+                # the reply; poll until every result could be freed.
+                deadline = time.monotonic() + 2.0
+                while time.monotonic() < deadline:
+                    gc.collect()
+                    if len(refs) == 3 and all(ref() is None for ref in refs):
+                        break
+                    await asyncio.sleep(0.02)
+                return [ref() is None for ref in refs]
+            finally:
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+
+        assert asyncio.run(run()) == [True, True, True]
