@@ -23,9 +23,9 @@ Each has an asyncio-native twin (:func:`detect_races_async`,
 :class:`~repro.engine.QueueSource` or a socket/pipe speaking the STD
 line protocol (:class:`~repro.engine.LineProtocolSource`), and the
 engine awaits events instead of pulling them -- same single-pass
-semantics, identical reports (both drive the shared per-event stepper).
+semantics, identical reports (both drive the shared block stepper).
 
-Engine behaviour (early stop, snapshot cadence, cost accounting) is
+Engine behaviour (early stop, snapshot cadence, checkpoints) is
 configured with the fluent :class:`~repro.engine.EngineConfig` builder::
 
     from repro import EngineConfig, run_engine
@@ -224,7 +224,7 @@ async def run_engine_async(
     :class:`~repro.engine.LineProtocolSource`, any ``__aiter__`` object)
     or anything :func:`run_engine` accepts (adapted cooperatively).  The
     pass is driven by :class:`~repro.engine.AsyncRaceEngine`, which
-    shares the per-event stepper with the synchronous engine -- reports
+    shares the block stepper with the synchronous engine -- reports
     are identical for identical streams.
     """
     return await AsyncRaceEngine(config).run(source, detectors=detectors)

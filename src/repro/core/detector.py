@@ -6,7 +6,10 @@ streaming style (:meth:`Detector.reset`, :meth:`Detector.process`,
 :meth:`Detector.finish`) so that it can be driven online -- by
 :meth:`Detector.run` over a materialised :class:`~repro.trace.trace.Trace`,
 or by the :class:`~repro.engine.RaceEngine`, which multiplexes one event
-stream into several detectors in a single pass.
+stream into several detectors in a single pass.  The engine hands each
+detector whole blocks of events through :meth:`Detector.process_batch`,
+whose default loops over :meth:`Detector.process`; a compiled kernel
+overrides it to consume a block in one call.
 
 ``reset`` accepts either a full :class:`~repro.trace.trace.Trace` or any
 *trace-like* object exposing ``name``, ``threads``, ``__len__`` and
@@ -15,19 +18,22 @@ to signal that the event sequence cannot be pre-scanned).
 
 Timing contract
 ---------------
-``report.stats["time_s"]`` always means the *whole* analysis -- the time
-spent in ``reset`` (which may do per-trace precomputation, e.g. WCP's
-queue-pruning prescan), the event loop, and ``finish`` (which may flush
-buffered windows, e.g. the CP/MCM detectors).  ``stats["events_per_s"]``
-is ``events / time_s``.  The engine reports the same quantities per
-detector when per-event cost accounting is enabled.
+``report.stats["time_s"]`` always means the detector's *own* analysis
+time -- the time spent in ``reset`` (which may do per-trace
+precomputation, e.g. WCP's queue-pruning prescan), in processing events,
+and in ``finish`` (which may flush buffered windows, e.g. the CP/MCM
+detectors).  ``stats["events_per_s"]`` is ``events / time_s``.  Under the
+engine that time is attributed per detector, once per stepped block
+(:meth:`Detector.account_cost`): it excludes decoding, validation and
+the other detectors of the pass, whose wall time is
+``EngineResult.elapsed_s``.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.core.races import RaceReport, ReportSnapshot
 from repro.core.snapshot import SnapshotUnsupportedError
@@ -104,6 +110,18 @@ class Detector(abc.ABC):
     @abc.abstractmethod
     def process(self, event: Event) -> None:
         """Process a single event, recording races into :attr:`report`."""
+
+    def process_batch(self, events: Sequence[Event]) -> None:
+        """Process a block of consecutive events, in order.
+
+        The engine's only entry point into a detector during a pass, and
+        the override point for compiled batch kernels: an override must
+        leave exactly the state (and report) that calling
+        :meth:`process` on each event would.  The default does just that.
+        """
+        process = self.process
+        for event in events:
+            process(event)
 
     def finish(self) -> None:
         """Hook called after the last event; default is a no-op."""
@@ -204,8 +222,9 @@ class Detector(abc.ABC):
     def account_cost(self, seconds: float, events: int = 1) -> None:
         """Attribute ``seconds`` of analysis time (over ``events`` events).
 
-        Called by the streaming engine around each :meth:`process` (and the
-        final :meth:`finish`) so that a multi-detector single-pass run can
+        Called by the streaming engine once per stepped chunk around
+        :meth:`process_batch` (and around :meth:`reset` and
+        :meth:`finish`), so that a multi-detector single-pass run can
         still report a per-detector ``time_s``.
         """
         self._cost_time_s += seconds
@@ -225,8 +244,8 @@ class Detector(abc.ABC):
         """Return a point-in-time view of the current report.
 
         ``events`` defaults to the number of events attributed through
-        :meth:`account_cost` (which the engine keeps up to date even when
-        per-event timing is disabled).
+        :meth:`account_cost` (which the engine keeps up to date chunk by
+        chunk).
         """
         report = self.report
         return ReportSnapshot(
@@ -239,7 +258,12 @@ class Detector(abc.ABC):
         )
 
     def finalize_stats(self, events: int, elapsed_s: float) -> RaceReport:
-        """Record the normalized timing statistics on the current report."""
+        """Record the normalized timing statistics on the current report.
+
+        ``elapsed_s`` becomes ``stats["time_s"]``: this detector's reset,
+        processing and finish time (see the module docstring) -- under
+        the engine its attributed cost, not the pass's wall time.
+        """
         report = self.report
         report.stats["time_s"] = elapsed_s
         report.stats["events"] = events

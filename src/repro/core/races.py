@@ -93,8 +93,7 @@ class ReportSnapshot:
         self.races = races
         #: Raw (non-deduplicated) racy event pairs observed so far.
         self.raw_races = raw_races
-        #: Analysis seconds attributed to this detector so far (0.0 when
-        #: per-detector cost accounting is disabled).
+        #: Analysis seconds attributed to this detector so far.
         self.time_s = time_s
 
     def as_dict(self) -> Dict[str, object]:

@@ -8,13 +8,15 @@ pipe speaking the STD line protocol, a push queue, or any object with
 ``__aiter__``) and steps them through the detectors as they arrive, so
 producers and analysis interleave on one event loop.
 
-The per-event semantics are **shared**, not reimplemented: both engines
-drive the same :class:`~repro.engine.engine.EnginePass` stepper, so
-reset/process/snapshot/early-stop/finish behaviour, cost accounting and
-the resulting :class:`~repro.engine.engine.EngineResult` are identical
-by construction -- the async-vs-sync parity suite asserts report
-equality event for event.  Per-event work stays O(1); the only
-difference is who waits when the stream runs dry.
+The stepping semantics are **shared**, not reimplemented: both engines
+drive the same :class:`~repro.engine.engine.EnginePass` block stepper,
+so reset/process/snapshot/early-stop/finish behaviour, cost attribution
+and the resulting :class:`~repro.engine.engine.EngineResult` are
+identical by construction -- the async-vs-sync parity suite asserts
+report equality event for event.  Per-event work stays O(1); the only
+difference is who waits when the stream runs dry.  Blocks come from
+:func:`~repro.engine.sources.async_batches`: a socket source's reads, a
+push queue's ready events, a synchronous source's blocks in slices.
 
 Synchronous inputs (traces, files, iterables) are accepted too: they are
 adapted through :func:`~repro.engine.sources.as_async_source`, which
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 from repro.engine.config import DetectorSpec, EngineConfig
 from repro.engine.engine import EnginePass, EngineResult, prepare_resume_pass
-from repro.engine.sources import as_async_source
+from repro.engine.sources import as_async_source, async_batches
 
 __all__ = ["AsyncRaceEngine", "serve_connection"]
 
@@ -131,9 +133,9 @@ class AsyncRaceEngine:
 
     @staticmethod
     async def _drive(pass_: EnginePass, async_source) -> EngineResult:
-        step = pass_.step
-        async for event in async_source:
-            if step(event) is not None:
+        step_batch = pass_.step_batch
+        async for block in async_batches(async_source):
+            if step_batch(block) is not None:
                 break
         return pass_.result()
 

@@ -529,14 +529,15 @@ class Checkpointer:
             stamps=[detector_stamp(d) for d in pass_.detectors],
             states=[d.state_snapshot() for d in pass_.detectors],
             every=self.every,
-            source_state=self.source_state(),
+            source_state=self.source_state(pass_.events),
         )
         return self.save(checkpoint)
 
-    def source_state(self) -> Optional[Dict[str, Any]]:
-        """The attached source's checkpoint-state bundle (or None)."""
+    def source_state(self, events: int) -> Optional[Dict[str, Any]]:
+        """The attached source's checkpoint-state bundle at stream offset
+        ``events`` (or None)."""
         state = getattr(self.source, "checkpoint_state", None)
-        return state() if callable(state) else None
+        return state(events) if callable(state) else None
 
     def _prune(self) -> None:
         offsets = self.offsets()

@@ -3,8 +3,8 @@
 An :class:`EngineConfig` collects everything a
 :class:`~repro.engine.engine.RaceEngine` run needs besides the event
 source: which detectors to drive, when to stop early, how often to emit
-:class:`~repro.core.races.ReportSnapshot` objects, and whether to pay for
-per-event cost accounting.  All ``with_*`` / ``stop_*`` methods mutate and
+:class:`~repro.core.races.ReportSnapshot` objects, and how to shard or
+checkpoint the pass.  All ``with_*`` / ``stop_*`` methods mutate and
 return ``self`` so configurations read as one chain::
 
     config = (EngineConfig()
@@ -28,7 +28,7 @@ class EngineConfig:
     """Builder for :class:`~repro.engine.engine.RaceEngine` runs.
 
     Defaults: WCP + HB (the paper's primary comparison), no early stop,
-    no snapshots, per-detector cost accounting enabled.
+    no snapshots.
     """
 
     def __init__(self) -> None:
@@ -41,9 +41,6 @@ class EngineConfig:
         self.snapshot_interval: Optional[int] = None
         #: Optional callback invoked with each ReportSnapshot as emitted.
         self.snapshot_callback: Optional[Callable[[ReportSnapshot], None]] = None
-        #: Time every process() call per detector (2 clock reads per event
-        #: per detector); disable for maximum single-detector throughput.
-        self.cost_accounting: bool = True
         #: Shard the pass across this many worker engines (1 = unsharded;
         #: see :class:`~repro.engine.sharding.ShardedEngine`).
         self.shards: int = 1
@@ -154,11 +151,6 @@ class EngineConfig:
         self.checkpoint_dir = directory
         self.checkpoint_every = every
         self.checkpoint_keep = keep
-        return self
-
-    def with_cost_accounting(self, enabled: bool = True) -> "EngineConfig":
-        """Enable/disable per-event, per-detector wall-clock attribution."""
-        self.cost_accounting = enabled
         return self
 
     def with_shards(
@@ -281,8 +273,6 @@ class EngineConfig:
             parts.append("event_budget=%d" % self.event_budget)
         if self.snapshot_interval is not None:
             parts.append("snapshot_every=%d" % self.snapshot_interval)
-        if not self.cost_accounting:
-            parts.append("cost_accounting=False")
         if self.shards != 1:
             parts.append("shards=%d[%s]" % (self.shards, self.shard_mode))
             if self.shard_retries != 2:

@@ -13,15 +13,22 @@ trace-wide optimisations like WCP's queue pruning stay enabled) or a
 :class:`StreamContext` -- a lightweight trace stand-in whose
 ``is_complete`` flag tells detectors not to pre-scan.
 
-Early-stop policies, snapshot cadence and per-detector cost accounting
-come from :class:`~repro.engine.config.EngineConfig`.
+Early-stop policies and snapshot cadence come from
+:class:`~repro.engine.config.EngineConfig`.
 
-The per-event core lives in :class:`EnginePass`: one in-flight pass
-owning reset/process/snapshot/early-stop/finish semantics and cost
-accounting.  :class:`RaceEngine` drives it from a synchronous ``for``
-loop, :class:`~repro.engine.async_engine.AsyncRaceEngine` from an
-``async for`` loop, and the sharded workers
-(:mod:`repro.engine.sharding`) reuse its dispatch/finish core -- the
+The core lives in :class:`EnginePass`, one in-flight pass stepped a
+block of events at a time (:meth:`EnginePass.step_batch`).  Sources hand
+out blocks (``EventSource.batches()``: a file's decoded parser blocks,
+slices of a trace, whatever a push queue holds); the pass cuts each
+block only where something must happen -- a snapshot, a checkpoint, the
+event budget -- and runs every chunk *detector-major*: each detector
+consumes the whole chunk through :meth:`Detector.process_batch
+<repro.core.detector.Detector.process_batch>` before the next one starts
+(detectors share no state while processing; the source interned every
+tid at decode time).  Per-detector time is attributed once per chunk,
+never per event.  :class:`RaceEngine` drives the pass from a synchronous
+``for`` loop, :class:`~repro.engine.async_engine.AsyncRaceEngine` from an
+``async for`` loop and the serve tier from its socket reads -- the
 stepping semantics are implemented exactly once.
 """
 
@@ -174,38 +181,36 @@ class EngineResult:
         )
 
 
-def _dispatch_unbound(event: Event) -> None:
-    raise RuntimeError("EnginePass.start() must be called before step()")
-
-
 class EnginePass:
-    """One in-flight engine pass: the shared per-event stepper.
+    """One in-flight engine pass: the shared batch-granular stepper.
 
     Owns everything between detector reset and the final
     :class:`EngineResult`: context construction (real trace vs
-    :class:`StreamContext`), reset with cost attribution, per-event
-    stepping (renumbering, detector dispatch, snapshot cadence,
-    early-stop policies) and finishing.  The drivers differ only in how
-    they obtain events:
+    :class:`StreamContext`), reset, block stepping (renumbering,
+    detector dispatch, snapshot cadence, checkpoints, early-stop
+    policies), per-detector cost attribution and finishing.  The drivers
+    differ only in how they obtain blocks of events:
 
-    * :meth:`RaceEngine.run` pulls them from a synchronous iterator;
+    * :meth:`RaceEngine.run` pulls them from a source's ``batches()``;
     * :meth:`~repro.engine.async_engine.AsyncRaceEngine.run` awaits them
       from an asynchronous one;
-    * the sharded workers decode them off the transport wire and call
-      :attr:`dispatch` / :meth:`finish_detectors` directly (their
-      snapshot/early-stop logic is batch-granular and coordinator-side).
+    * the serve tier's session driver steps runs of each socket read.
+
+    The sharded workers use only :meth:`start` and
+    :meth:`finish_detectors`: they feed their detectors straight off the
+    transport wire (snapshots and early stop are coordinator-side).
 
     Protocol::
 
         pass_ = EnginePass(config, resolved, source_name, trace=..., registry=...)
         pass_.start()
-        for event in stream:              # or: async for event in stream
-            if pass_.step(event) is not None:
+        for block in source.batches():    # or: async for block in ...
+            if pass_.step_batch(block) is not None:
                 break
         result = pass_.result()
 
-    ``step`` returns the stop reason (one of the ``STOP_*`` constants)
-    when an early-stop policy fires, else None.
+    ``step_batch`` returns the stop reason (one of the ``STOP_*``
+    constants) when an early-stop policy fires, else None.
     """
 
     def __init__(
@@ -215,7 +220,6 @@ class EnginePass:
         source_name: str,
         trace=None,
         registry=None,
-        accounting: Optional[bool] = None,
         start_events: int = 0,
         checkpointer=None,
     ) -> None:
@@ -238,14 +242,6 @@ class EnginePass:
             if trace is not None
             else StreamContext(source_name, registry=registry)
         )
-        # Per-event attribution only pays off with several detectors; for a
-        # single one it necessarily equals the pass total, so skip the two
-        # clock reads per event and use the (cleaner) overall elapsed time.
-        self.accounting = (
-            self.config.cost_accounting and len(self.detectors) > 1
-            if accounting is None
-            else accounting
-        )
         # A resumed pass continues the checkpointed numbering: ``events``
         # stays the *absolute* stream offset, so renumbering, race
         # distances, snapshot cadence and checkpoint offsets all line up
@@ -256,26 +252,20 @@ class EnginePass:
             self.context.events_seen = start_events
         #: Optional :class:`~repro.engine.checkpoint.Checkpointer`; when
         #: set, the pass persists a checkpoint every ``checkpointer.every``
-        #: events through :meth:`step`.
+        #: events through :meth:`step_batch`.
         self.checkpointer = checkpointer
         self.snapshots: List[ReportSnapshot] = []
         self.stop_reason = STOP_EXHAUSTED
         self.elapsed_s = 0.0
         self._started: Optional[float] = None
         self._finished = False
-        #: Per-event detector dispatch, bound by :meth:`start` to the
-        #: cheapest shape for this pass (see ``_bind_dispatch``).  It never
-        #: holds a bound method of the pass itself: that would make every
-        #: pass a reference cycle keeping all detector state alive until
-        #: a full collection.
-        self.dispatch = _dispatch_unbound
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def start(self) -> None:
-        """Reset every detector against the pass context and arm dispatch."""
+        """Reset every detector against the pass context."""
         clock = time.perf_counter
         self._started = clock()
         # reset() may do real per-trace work (e.g. WCP's queue-pruning
@@ -284,110 +274,83 @@ class EnginePass:
         for detector in self.detectors:
             before = clock()
             detector.reset(self.context)
-            if self.accounting:
-                detector.account_cost(clock() - before, events=0)
-        self._bind_dispatch()
+            detector.account_cost(clock() - before, events=0)
 
-    def _bind_dispatch(self) -> None:
-        """Pick the per-event dispatch shape.
+    def step_batch(self, events: Sequence[Event]) -> Optional[str]:
+        """Feed a block of events through the pass.
 
-        With accounting on, every ``process`` is timed.  With it off the
-        pass must pay *nothing* beyond the ``process`` calls themselves:
-        a single detector dispatches straight to its bound ``process``
-        method, several loop over pre-bound methods -- in neither case is
-        ``account_cost`` touched on the per-event path (the bulk
-        attribution happens once, in :meth:`finish_detectors`).
+        The block is cut into chunks at the next offsets where anything
+        can happen -- a snapshot, a checkpoint, the event budget; with a
+        race budget every event is a chunk of its own, so a stop lands on
+        the same event as one-at-a-time stepping.  Each chunk is
+        renumbered to its stream positions, then run detector by
+        detector through :meth:`Detector.process_batch
+        <repro.core.detector.Detector.process_batch>`, with one
+        ``account_cost`` per detector per chunk.  Returns the stop reason
+        when the pass should end (the rest of the block is dropped),
+        else None.
         """
-        detectors = self.detectors
-        if self.accounting:
-            clock = time.perf_counter
-
-            def dispatch(event: Event) -> None:
-                for detector in detectors:
-                    before = clock()
-                    detector.process(event)
-                    detector.account_cost(clock() - before)
-
-            self.dispatch = dispatch
-        elif len(detectors) == 1:
-            self.dispatch = detectors[0].process
-        else:
-            processors = [detector.process for detector in detectors]
-
-            def dispatch(event: Event) -> None:
-                for process in processors:
-                    process(event)
-
-            self.dispatch = dispatch
-
-    def step(self, event: Event) -> Optional[str]:
-        """Feed one event through the pass.
-
-        Renumbers the event to its stream position, dispatches it to
-        every detector, maintains the stream context and snapshot
-        cadence, and evaluates the early-stop policies.  Returns the
-        stop reason when the pass should end, else None.
-        """
-        events = self.events
-        # Streams may carry unnumbered events (builder convention -1);
-        # renumber so race distances stay well-defined (preserving the
-        # source's interned-tid stamp).
-        if event.index != events:
-            event = Event(
-                events, event.thread, event.etype, event.target,
-                event.loc, tid=event.tid,
-            )
-
-        self.dispatch(event)
-
-        self.events = events = events + 1
-        context = self.context
-        if context is not self.trace:
-            context.events_seen = events
-
         config = self.config
         interval = config.snapshot_interval
-        if interval is not None and events % interval == 0:
-            self.take_snapshots()
-
         checkpointer = self.checkpointer
-        if checkpointer is not None and events % checkpointer.every == 0:
-            checkpointer.save_pass(self)
-
+        every = checkpointer.every if checkpointer is not None else None
+        event_budget = config.event_budget
         race_budget = config.race_budget
-        if race_budget is not None and any(
-            detector.report.count() >= race_budget
-            for detector in self.detectors
-        ):
-            self.stop_reason = STOP_RACE_BUDGET
-            return self.stop_reason
-        if config.event_budget is not None and events >= config.event_budget:
-            self.stop_reason = STOP_EVENT_BUDGET
-            return self.stop_reason
+        detectors = self.detectors
+        context = self.context if self.context is not self.trace else None
+        clock = time.perf_counter
+        total = len(events)
+        position = 0
+        while position < total:
+            done = self.events
+            size = 1 if race_budget is not None else total - position
+            if interval is not None:
+                size = min(size, interval - done % interval)
+            if every is not None:
+                size = min(size, every - done % every)
+            if event_budget is not None:
+                size = min(size, max(1, event_budget - done))
+            chunk = _renumbered(
+                events if size == total else events[position:position + size],
+                done,
+            )
+            for detector in detectors:
+                before = clock()
+                detector.process_batch(chunk)
+                detector.account_cost(clock() - before, size)
+            position += size
+            self.events = done = done + size
+            if context is not None:
+                context.events_seen = done
+
+            if interval is not None and done % interval == 0:
+                self.take_snapshots()
+            if every is not None and done % every == 0:
+                checkpointer.save_pass(self)
+            if race_budget is not None:
+                for detector in detectors:
+                    if detector.report.count() >= race_budget:
+                        self.stop_reason = STOP_RACE_BUDGET
+                        return self.stop_reason
+            if event_budget is not None and done >= event_budget:
+                self.stop_reason = STOP_EVENT_BUDGET
+                return self.stop_reason
         return None
 
     def finish_detectors(self) -> None:
         """Run every detector's ``finish`` hook (idempotent).
 
         finish() may still do real work (flush buffered windows), so it
-        is both always called and included in the per-detector cost.  In
-        no-accounting mode the processed-event census is attributed here
-        in one bulk call, keeping ``Detector.cost_events`` (and therefore
-        ``Detector.snapshot()``'s default) correct without any per-event
-        ``account_cost`` traffic.
+        is both always called and included in the per-detector cost.
         """
         if self._finished:
             return
         self._finished = True
         clock = time.perf_counter
         for detector in self.detectors:
-            if self.accounting:
-                before = clock()
-                detector.finish()
-                detector.account_cost(clock() - before, events=0)
-            else:
-                detector.finish()
-                detector.account_cost(0.0, events=self.events)
+            before = clock()
+            detector.finish()
+            detector.account_cost(clock() - before, events=0)
         if self._started is not None:
             self.elapsed_s = clock() - self._started
 
@@ -409,10 +372,7 @@ class EnginePass:
         events = self.events
         reports: Dict[str, RaceReport] = {}
         for detector in self.detectors:
-            per_detector = (
-                detector.cost_time_s if self.accounting else self.elapsed_s
-            )
-            report = detector.finalize_stats(events, per_detector)
+            report = detector.finalize_stats(events, detector.cost_time_s)
             reports[RaceEngine._unique_name(reports, detector.name)] = report
 
         interval = self.config.snapshot_interval
@@ -492,6 +452,39 @@ def prepare_resume_pass(
     return pass_
 
 
+def _renumbered(events: Sequence[Event], start: int) -> Sequence[Event]:
+    """``events`` numbered ``start, start + 1, ...``.
+
+    Streams may carry unnumbered events (builder convention -1) or a
+    numbering that restarts after a resume; such events are replaced by
+    renumbered copies (preserving the source's interned-tid stamp), so
+    race distances stay well-defined.  The input is never mutated.
+    """
+    index = start
+    for event in events:
+        if event.index != index:
+            break
+        index += 1
+    else:
+        return events
+    return [
+        event if event.index == index else Event(
+            index, event.thread, event.etype, event.target, event.loc,
+            tid=event.tid,
+        )
+        for index, event in enumerate(events, start)
+    ]
+
+
+def _drive(pass_: EnginePass, source: EventSource) -> EngineResult:
+    """Step ``source``'s blocks through a started pass; finish it."""
+    step_batch = pass_.step_batch
+    for block in source.batches():
+        if step_batch(block) is not None:
+            break
+    return pass_.result()
+
+
 class RaceEngine:
     """Drive N detectors over one event source in a single pass.
 
@@ -548,11 +541,7 @@ class RaceEngine:
                 checkpointer=self._make_checkpointer(resolved, event_source),
             )
             pass_.start()
-            step = pass_.step
-            for event in event_source:
-                if step(event) is not None:
-                    break
-            return pass_.result()
+            return _drive(pass_, event_source)
 
     def resume(
         self,
@@ -578,11 +567,7 @@ class RaceEngine:
             pass_ = prepare_resume_pass(
                 self.config, checkpoint, detectors, event_source
             )
-            step = pass_.step
-            for event in event_source:
-                if step(event) is not None:
-                    break
-            return pass_.result()
+            return _drive(pass_, event_source)
 
     def _make_checkpointer(self, resolved, event_source):
         """Build the run's checkpointer from the configuration (or None)."""

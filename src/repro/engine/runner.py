@@ -105,14 +105,18 @@ class _KillAt(EventSource):
             raise AttributeError(name)
         return getattr(self._inner, name)
 
-    def __iter__(self):
+    def batches(self):
+        # The events before the offset are handed out (and stepped)
+        # first; the process dies when the consumer asks for more.
         position = self._offset
         at = self._at
-        for event in self._inner:
-            if position >= at:
+        for block in self._inner.batches():
+            if position + len(block) > at:
+                if at > position:
+                    yield block[:at - position]
                 os._exit(_KILL_EXIT)
-            yield event
-            position += 1
+            yield block
+            position += len(block)
 
 
 def _child_main(

@@ -256,11 +256,11 @@ class _ShardWorker:
 
     Owns the shard's detector instances, a private
     :class:`ThreadRegistry`, and -- through a shared
-    :class:`~repro.engine.engine.EnginePass` -- the
-    reset/dispatch/finish semantics of the unsharded engine (shard
-    substreams are genuine streams: no pre-scan, threads discovered
-    lazily; snapshotting and early stop are coordinator-side, so the
-    worker never calls ``step``).
+    :class:`~repro.engine.engine.EnginePass` -- the reset/finish
+    semantics of the unsharded engine (shard substreams are genuine
+    streams: no pre-scan, threads discovered lazily; snapshotting and
+    early stop are coordinator-side, so the worker never steps the pass:
+    it calls its detectors' ``process``/``process_foreign`` directly).
     """
 
     def __init__(
@@ -280,11 +280,11 @@ class _ShardWorker:
         self.kill_at = kill_at
         self.hard_exit = hard_exit
         self.registry = ThreadRegistry()
-        # Workers never attribute per-event cost: busy time is measured
-        # per batch and shipped in the finish payload.
+        # Workers never step the pass (their detectors' cost covers only
+        # reset and finish): busy time is measured per batch and shipped
+        # in the finish payload.
         self.pass_ = EnginePass(
-            None, detectors, source_name,
-            registry=self.registry, accounting=False,
+            None, detectors, source_name, registry=self.registry,
         )
         self.context = self.pass_.context
         self.events = 0
@@ -333,7 +333,7 @@ class _ShardWorker:
             )
         started = time.perf_counter()
         detectors = self.detectors
-        dispatch = self.pass_.dispatch
+        processors = [detector.process for detector in detectors]
         etype_of = _ETYPE_OF_VALUE
         intern = self.registry.intern
         new_event = Event.__new__
@@ -349,7 +349,8 @@ class _ShardWorker:
             event.loc = loc
             event.tid = intern(thread)
             if owned:
-                dispatch(event)
+                for process in processors:
+                    process(event)
             else:
                 for detector in detectors:
                     detector.process_foreign(event)
@@ -1014,7 +1015,7 @@ class ShardedEngine:
                         stamps=specs,
                         states=None,
                         every=checkpointer.every,
-                        source_state=checkpointer.source_state(),
+                        source_state=checkpointer.source_state(events),
                         sharded={
                             "shards": shards,
                             "mode": self.mode,

@@ -35,6 +35,12 @@ public API accepts all of them interchangeably;
 adapts synchronous ones for cooperative ``async for`` consumption (see
 :class:`~repro.engine.async_engine.AsyncRaceEngine`).
 
+Every source hands the engine blocks of events through ``batches()``
+(asynchronous sources: an ``async`` generator; :func:`async_batches`
+picks the right one for ``async for``): a file's decoded parser blocks,
+slices of a trace, whatever a push queue or socket read holds right now.
+Iterating a source directly yields the same events one at a time.
+
 Every source exposes a ``registry``
 (:class:`~repro.vectorclock.registry.ThreadRegistry`): the interning
 table used to stamp the ``tid`` of every yielded event.  The engine hands
@@ -51,7 +57,12 @@ from pathlib import Path
 from typing import AsyncIterator, Iterable, Iterator, List, Optional, Union
 
 from repro.trace.event import Event
-from repro.trace.parsers import iter_trace_file, parse_std_batch
+from repro.trace.parsers import (
+    BATCH_LINES,
+    group_events,
+    iter_trace_blocks,
+    parse_std_batch,
+)
 from repro.trace.trace import Trace
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -75,8 +86,22 @@ class EventSource:
     #: source does not stamp; detectors then intern per event themselves).
     registry: Optional[ThreadRegistry] = None
 
+    # A subclass implements ``__iter__`` or ``batches`` (or both); each
+    # default is defined in terms of the other.
+
     def __iter__(self) -> Iterator[Event]:
-        raise NotImplementedError
+        return itertools.chain.from_iterable(self.batches())
+
+    def batches(self) -> Iterator[List[Event]]:
+        """Yield the stream as lists of events: the unit the engine steps.
+
+        Block boundaries carry no meaning (the engine splits blocks
+        wherever a snapshot, checkpoint or budget is due), so a source
+        yields whatever blocks it has cheaply.  The default groups
+        ``iter(self)``; a failing iterator's already-produced events are
+        yielded before its exception propagates.
+        """
+        return group_events(iter(self))
 
     def length_hint(self) -> Optional[int]:
         """Return the number of events when known up front, else None."""
@@ -124,6 +149,11 @@ class TraceSource(EventSource):
     def __iter__(self) -> Iterator[Event]:
         return _skip_prefix(iter(self._trace), self._skip)
 
+    def batches(self) -> Iterator[List[Event]]:
+        events = self._trace.events
+        for start in range(self._skip, len(events), BATCH_LINES):
+            yield events[start:start + BATCH_LINES]
+
     def seek_events(self, events: int) -> None:
         self._skip = events
 
@@ -157,16 +187,22 @@ class FileSource(EventSource):
         self.format = format
         self._skip = 0
 
-    def __iter__(self) -> Iterator[Event]:
+    def batches(self) -> Iterator[List[Event]]:
+        """Yield the file's decoded blocks (``parse_*_batch`` output)."""
         # A skipped prefix is parsed (cheap relative to analysis) but not
         # yielded; skipped events still intern their threads, in the
         # same first-appearance order a restored snapshot expects.
-        return _skip_prefix(
-            iter_trace_file(
-                self.path, registry=self.registry, format=self.format
-            ),
-            self._skip,
-        )
+        skip = self._skip
+        for block in iter_trace_blocks(
+            self.path, registry=self.registry, format=self.format
+        ):
+            if skip:
+                if len(block) <= skip:
+                    skip -= len(block)
+                    continue
+                block = block[skip:]
+                skip = 0
+            yield block
 
     def seek_events(self, events: int) -> None:
         """Resume iteration at event offset ``events`` (checkpoint/resume)."""
@@ -268,6 +304,12 @@ class CountingSource(EventSource):
         for event in self._inner:
             self.events_emitted += 1
             yield event
+
+    def batches(self) -> Iterator[List[Event]]:
+        self.passes += 1
+        for block in self._inner.batches():
+            self.events_emitted += len(block)
+            yield block
 
     def length_hint(self) -> Optional[int]:
         return self._inner.length_hint()
@@ -419,9 +461,16 @@ class QueueSource(EventSource):
         """Events currently buffered (approximate, like ``Queue.qsize``)."""
         return self._queue.qsize()
 
-    def __iter__(self) -> Iterator[Event]:
+    def __aiter__(self) -> AsyncIterator[Event]:
+        return _aflatten(self.abatches())
+
+    def batches(self) -> Iterator[List[Event]]:
+        """Yield what is queued: one blocking ``get``, then only the events
+        already waiting behind it -- a live producer is never held back
+        waiting for a full block."""
         intern = self.registry.intern
         get = self._queue.get
+        get_nowait = self._queue.get_nowait
         while True:
             try:
                 # Bounded waits: an abandoned queue (producer crashed
@@ -431,20 +480,16 @@ class QueueSource(EventSource):
                 if self._producer_died():
                     self._raise_broken()
                 continue
-            if item is _CLOSED:
-                # Re-arm the marker so a second (empty) iteration
-                # terminates instead of blocking forever.
-                self._queue.put(_CLOSED)
+            block, marker = self._take(item, get_nowait, intern)
+            if block:
+                yield block
+            if marker is _CLOSED:
                 return
-            if item is _ABORTED:
-                self._queue.put(_ABORTED)
+            if marker is _ABORTED:
                 self._raise_broken()
-            yield _stamp(item, intern)
 
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return self._drain_async()
-
-    async def _drain_async(self) -> AsyncIterator[Event]:
+    async def abatches(self) -> AsyncIterator[List[Event]]:
+        """The ``async`` counterpart of :meth:`batches`."""
         import asyncio
 
         loop = asyncio.get_running_loop()
@@ -467,13 +512,33 @@ class QueueSource(EventSource):
                     if self._producer_died():
                         self._raise_broken()
                     continue
-            if item is _CLOSED:
-                self._queue.put(_CLOSED)
+            block, marker = self._take(item, get_nowait, intern)
+            if block:
+                yield block
+            if marker is _CLOSED:
                 return
-            if item is _ABORTED:
-                self._queue.put(_ABORTED)
+            if marker is _ABORTED:
                 self._raise_broken()
-            yield _stamp(item, intern)
+
+    def _take(self, item, get_nowait, intern):
+        """Collect ``item`` plus the events already queued behind it.
+
+        Returns ``(events, marker)``; ``marker`` is the end-of-stream
+        marker that ended the block (re-armed on the queue, so a second
+        iteration ends too), else None.
+        """
+        block: List[Event] = []
+        while True:
+            if item is _CLOSED or item is _ABORTED:
+                self._queue.put(item)
+                return block, item
+            block.append(_stamp(item, intern))
+            if len(block) == BATCH_LINES:
+                return block, None
+            try:
+                item = get_nowait()
+            except queue_module.Empty:
+                return block, None
 
 
 class AsyncEventSource:
@@ -491,8 +556,20 @@ class AsyncEventSource:
     #: Asynchronous sources never have a materialised backing trace.
     trace: Optional[Trace] = None
 
+    # A subclass implements ``__aiter__`` or ``batches`` (or both); each
+    # default is defined in terms of the other.
+
     def __aiter__(self) -> AsyncIterator[Event]:
-        raise NotImplementedError
+        return _aflatten(self.batches())
+
+    def batches(self) -> AsyncIterator[List[Event]]:
+        """Yield the stream as lists of events (asynchronously).
+
+        The default puts each event of ``async for`` in a list of its
+        own: waiting to fill a larger block could hold a live producer's
+        events back.
+        """
+        return _singletons(self)
 
     def length_hint(self) -> Optional[int]:
         return None
@@ -556,14 +633,6 @@ class LineProtocolSource(AsyncEventSource):
     def seek_events(self, events: int) -> None:
         """Record the resume offset; the peer replays from it (handshake)."""
         self.resume_offset = events
-
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return self._events()
-
-    async def _events(self) -> AsyncIterator[Event]:
-        async for batch in self.batches():
-            for event in batch:
-                yield event
 
     async def batches(self) -> AsyncIterator[List[Event]]:
         """Yield the decoded events of each socket read as one list.
@@ -633,6 +702,33 @@ class LineProtocolSource(AsyncEventSource):
                 yield events
 
 
+async def _aflatten(blocks) -> AsyncIterator[Event]:
+    """Flatten an asynchronous block stream into single events."""
+    async for block in blocks:
+        for event in block:
+            yield event
+
+
+async def _singletons(events) -> AsyncIterator[List[Event]]:
+    """Wrap each event of an asynchronous stream in a list of its own."""
+    async for event in events:
+        yield [event]
+
+
+def async_batches(source) -> AsyncIterator[List[Event]]:
+    """The asynchronous block stream of anything :func:`as_async_source`
+    returns: ``abatches()`` of the sources that iterate both ways
+    (:class:`QueueSource`, :class:`~repro.engine.validate.ValidatingSource`),
+    ``batches()`` of :class:`AsyncEventSource` subclasses, else one-event
+    blocks of a foreign ``async for`` iterable."""
+    abatches = getattr(source, "abatches", None)
+    if abatches is not None:
+        return abatches()
+    if isinstance(source, AsyncEventSource):
+        return source.batches()
+    return _singletons(source)
+
+
 def _skip_prefix(events: Iterator[Event], skip: int) -> Iterator[Event]:
     """Drop the first ``skip`` events (checkpoint/resume positioning)."""
     if skip:
@@ -688,9 +784,10 @@ def as_source(obj: Union[EventSource, Trace, str, Path, Iterable[Event]],
 class _CooperativeSource(AsyncEventSource):
     """Adapt a synchronous source for an ``async for`` loop.
 
-    Yields the inner source's events unchanged, surrendering the event
-    loop every ``yield_every`` events so a long pull-based pass (a big
-    trace file) cannot starve the loop's other tasks.  Completeness,
+    Yields the inner source's blocks in slices of at most
+    ``yield_every`` events, surrendering the event loop after each, so a
+    long pull-based pass (a big trace file) cannot starve the loop's
+    other tasks.  Completeness,
     trace, registry and length hints are forwarded, so the async engine
     treats an adapted complete trace exactly like the sync engine does.
     """
@@ -715,27 +812,22 @@ class _CooperativeSource(AsyncEventSource):
     def seek_events(self, events: int) -> None:
         self._inner.seek_events(events)
 
-    def checkpoint_state(self):
+    def checkpoint_state(self, events: Optional[int] = None):
         state = getattr(self._inner, "checkpoint_state", None)
-        return state() if callable(state) else None
+        return state(events) if callable(state) else None
 
     def restore_checkpoint_state(self, state) -> None:
         restore = getattr(self._inner, "restore_checkpoint_state", None)
         if callable(restore):
             restore(state)
 
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return self._cooperate()
-
-    async def _cooperate(self) -> AsyncIterator[Event]:
+    async def batches(self) -> AsyncIterator[List[Event]]:
         import asyncio
 
-        yield_every = self._yield_every
-        count = 0
-        for event in self._inner:
-            yield event
-            count += 1
-            if count % yield_every == 0:
+        size = self._yield_every
+        for block in self._inner.batches():
+            for start in range(0, len(block), size):
+                yield block[start:start + size]
                 await asyncio.sleep(0)
 
 

@@ -28,14 +28,25 @@ subcommand applies it to every client connection.
 
 from __future__ import annotations
 
-from typing import AsyncIterator, Iterator, Optional
+from typing import AsyncIterator, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.sources import EventSource, as_async_source, as_source
+from repro.engine.sources import (
+    EventSource,
+    _aflatten,
+    as_async_source,
+    as_source,
+    async_batches,
+)
 from repro.trace.event import Event
-from repro.trace.semantics import LockDiscipline
+from repro.trace.semantics import REGISTRY, LockDiscipline
 from repro.trace.trace import LockSemanticsError, WellNestednessError  # noqa: F401  (re-exported API)
 
-__all__ = ["OnlineValidator", "ValidatingSource", "validate_events"]
+__all__ = ["OnlineValidator", "ValidatingSource"]
+
+#: Identities of the event kinds with a lock-discipline role.
+_DISCIPLINED = frozenset(
+    id(etype) for etype, sem in REGISTRY.items() if sem.role is not None
+)
 
 
 class OnlineValidator:
@@ -59,6 +70,9 @@ class OnlineValidator:
         self._discipline = LockDiscipline()
         #: Events checked so far == the position assigned to the next event.
         self.events_checked = 0
+        #: ``(offset, state, events)`` of the last :meth:`check_batch`
+        #: block, so :meth:`state_dict` can report any offset inside it.
+        self._block = None
 
     def check(self, event: Event) -> None:
         """Validate one event; raises on the first violation.
@@ -76,18 +90,61 @@ class OnlineValidator:
             event.etype, event.thread, event.target, index, validate=True
         )
 
+    def check_batch(
+        self, events: Sequence[Event]
+    ) -> Tuple[Sequence[Event], Optional[Exception]]:
+        """Validate a block in stream order, stopping at the first violation.
+
+        Returns ``(events, None)`` for a valid block, else the block's
+        valid prefix and the violation -- unraised, so the caller can
+        step the prefix before raising it, exactly as a per-event
+        consumer would.  The validator runs ahead of the pass stepping
+        the block, so the state at the block's start is kept for
+        :meth:`state_dict`.
+        """
+        start = self.events_checked
+        self._block = (start, self._discipline.state_dict(), events)
+        step = self._discipline.step
+        index = start
+        try:
+            for event in events:
+                etype = event.etype
+                # Only lock-discipline kinds can change state or fail.
+                if id(etype) in _DISCIPLINED:
+                    step(etype, event.thread, event.target, index)
+                index += 1
+        except Exception as error:
+            self.events_checked = index + 1
+            return events[:index - start], error
+        self.events_checked = index
+        return events, None
+
     # ------------------------------------------------------------------ #
     # Snapshot support (checkpoint/resume protocol)
     # ------------------------------------------------------------------ #
 
-    def state_dict(self) -> dict:
+    def state_dict(self, events: Optional[int] = None) -> dict:
         """Return the validator state as codec-encodable structures.
 
         A resumed stream pass restores this so prefix-opened critical
         sections are still known -- otherwise every release in the suffix
         of a section opened before the checkpoint would be (wrongly)
-        rejected as unmatched.
+        rejected as unmatched.  ``events`` asks for the state at an
+        earlier stream offset inside the last :meth:`check_batch` block
+        (a checkpoint of a pass still stepping that block); the state
+        there is rebuilt from the block's start.
         """
+        if events is not None and events != self.events_checked:
+            start, state, block = self._block or (None, None, ())
+            if start is None or not start <= events < start + len(block):
+                raise ValueError(
+                    "validator state at event %d is not available "
+                    "(checked %d)" % (events, self.events_checked)
+                )
+            replay = OnlineValidator.from_state(dict(state, events=start))
+            for event in block[:events - start]:
+                replay.check(event)
+            return replay.state_dict()
         state = self._discipline.state_dict()
         state["events"] = self.events_checked
         return state
@@ -118,15 +175,6 @@ class OnlineValidator:
         return "OnlineValidator(events_checked=%d, state=%d)" % (
             self.events_checked, self.state_size(),
         )
-
-
-def validate_events(events, validator: Optional[OnlineValidator] = None):
-    """Yield ``events`` unchanged, checking each one on the way through."""
-    validator = validator if validator is not None else OnlineValidator()
-    check = validator.check
-    for event in events:
-        check(event)
-        yield event
 
 
 class ValidatingSource(EventSource):
@@ -191,9 +239,10 @@ class ValidatingSource(EventSource):
         seek(events)
         self._needs_resume_validator = events > 0
 
-    def checkpoint_state(self) -> dict:
-        """Bundle the online validator's state into engine checkpoints."""
-        return {"validator": self.validator.state_dict()}
+    def checkpoint_state(self, events: Optional[int] = None) -> dict:
+        """Bundle the online validator's state at stream offset ``events``
+        (default: everything checked) into engine checkpoints."""
+        return {"validator": self.validator.state_dict(events)}
 
     def restore_checkpoint_state(self, state: dict) -> None:
         """Adopt a checkpointed validator for the next iteration pass."""
@@ -214,29 +263,39 @@ class ValidatingSource(EventSource):
         )
         return validator
 
-    def __iter__(self) -> Iterator[Event]:
+    def __aiter__(self) -> AsyncIterator[Event]:
+        return _aflatten(self.abatches())
+
+    def batches(self) -> Iterator[List[Event]]:
+        """The wrapped source's blocks, each checked before it is yielded.
+
+        On a violation the block's valid prefix is yielded first and the
+        error raised on the next pull, so a pass reaches exactly the
+        events (and checkpoints and snapshots) it would reach consuming
+        the stream one event at a time.
+        """
         if not hasattr(self._inner, "__iter__"):
             raise TypeError(
                 "wrapped source %r is asynchronous; iterate with 'async for'"
                 % (self._inner,)
             )
-        self.validator = self._next_validator()
-        return validate_events(self._inner, self.validator)
-
-    def __aiter__(self) -> AsyncIterator[Event]:
-        inner = (
-            self._inner
-            if hasattr(self._inner, "__aiter__")
-            else as_async_source(self._inner)
-        )
-        return self._avalidate(inner)
-
-    async def _avalidate(self, inner) -> AsyncIterator[Event]:
         self.validator = validator = self._next_validator()
-        check = validator.check
-        async for event in inner:
-            check(event)
-            yield event
+        for block in self._inner.batches():
+            block, error = validator.check_batch(block)
+            if block:
+                yield block
+            if error is not None:
+                raise error
+
+    async def abatches(self) -> AsyncIterator[List[Event]]:
+        """The ``async`` counterpart of :meth:`batches`."""
+        self.validator = validator = self._next_validator()
+        async for block in async_batches(as_async_source(self._inner)):
+            block, error = validator.check_batch(block)
+            if block:
+                yield block
+            if error is not None:
+                raise error
 
     def __repr__(self) -> str:
         return "ValidatingSource(%r)" % (self._inner,)

@@ -113,8 +113,7 @@ class ServeMetrics:
 
         ``result`` is an :class:`~repro.engine.engine.EngineResult`; the
         per-detector ``time_s`` comes from the engine's cost accounting
-        (per-event attribution when several detectors ran, the pass total
-        otherwise).
+        (the detector's own time, attributed once per stepped chunk).
         """
         for name, report in result.items():
             bucket = self.detectors.get(name)

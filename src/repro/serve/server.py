@@ -10,14 +10,15 @@ connection" into a governed multi-stream service.  Two layers:
     for``.  The *pump* task decodes STD lines off the socket and puts
     one list of events per socket read (:meth:`LineProtocolSource.batches
     <repro.engine.sources.LineProtocolSource.batches>`) on a bounded
-    :class:`asyncio.Queue`; the *drive* loop takes a batch off the queue
-    and steps its events through a shared
-    :class:`~repro.engine.engine.EnginePass`.  The hand-off costs one
-    queue item and one ``wait_for`` per read, not per event: inside a
-    batch only the checks that decide where a stream ends run per event
-    (throttle, validation, the step, fault and memory offsets, latency
-    sampling), and accounting runs once.  Decoupling the two is what
-    buys every serve-tier feature in one structure:
+    :class:`asyncio.Queue`; the *drive* loop takes a batch off the queue,
+    validates it and steps it through a shared
+    :class:`~repro.engine.engine.EnginePass` in runs
+    (:meth:`~repro.engine.engine.EnginePass.step_batch`).  The hand-off
+    costs one queue item and one ``wait_for`` per read, not per event: a
+    run ends only where the driver must act (a latency sample, a memory
+    check, a per-event quota charge, an injected fault), and accounting
+    runs once.  Decoupling the two is what buys every serve-tier feature
+    in one structure:
 
     * **backpressure** -- a full queue blocks the pump, which stops
       reading, which makes the transport pause the peer (TCP flow
@@ -29,8 +30,9 @@ connection" into a governed multi-stream service.  Two layers:
       for ``idle_evict_after_s``) is checkpointed through the PR 5
       snapshot protocol and its detectors are *dropped*; the next event
       transparently restores them.  The driver-owned online validator
-      stays live, so validator position always equals pass position --
-      the invariant that makes every checkpoint resumable;
+      stays live and reports its state at the pass position even while
+      it is ahead within a batch -- the invariant that makes every
+      checkpoint resumable;
     * **graceful drain** -- when the server's drain event is set
       (SIGTERM), the loop checkpoints the pass and replies
       ``resume <offset>``: the client re-attaches to a fresh instance
@@ -155,7 +157,7 @@ class ServeSettings:
         #: the one the pump holds, before TCP pauses the peer.
         self.queue_maxsize = queue_maxsize
         #: Every Nth event (by stream position, inside or across
-        #: batches) is latency-timed: its validate + step is clocked.
+        #: batches) is latency-timed: its step is clocked.
         self.sample_every = sample_every
         #: Events between detector-memory estimates when a memory quota is set.
         self.mem_check_every = mem_check_every
@@ -211,11 +213,11 @@ class _ValidatorState:
     def __init__(self, driver: "SessionDriver") -> None:
         self._driver = driver
 
-    def checkpoint_state(self):
+    def checkpoint_state(self, events: Optional[int] = None):
         validator = self._driver.validator
         if validator is None:
             return None
-        return {"validator": validator.state_dict()}
+        return {"validator": validator.state_dict(events)}
 
 
 class SessionDriver:
@@ -579,50 +581,73 @@ class SessionDriver:
     async def _step_batch(self, batch) -> bool:
         """Validate and step one decoded batch; True when the pass stops.
 
-        Everything that decides *where* a stream ends stays per event --
-        the tenant's token bucket, validation, the step itself, the
-        injected-disconnect offset, the memory check and the latency
-        sample -- so stops, faults, sheds and errors land on the same
-        event as with a per-event hand-off.  Accounting runs once, for
-        the events actually stepped.  A throttle sleep is the only await
-        in here; drain set during one ends the batch before its event.
+        The batch is validated first; a violation steps the valid prefix
+        and then raises.  The events go through
+        :meth:`EnginePass.step_batch` in runs that end at the next offset
+        where the driver acts -- a latency sample, a memory check -- and
+        a run is a single event under an events/s quota (the token
+        bucket is charged per event) or a fault plan.  Stops, faults,
+        sheds and errors therefore land on the same event as with a
+        per-event hand-off.  Accounting runs once, for the events
+        actually stepped.  A throttle sleep is the only await in here;
+        drain set during one ends the batch before its event.
         """
         pass_ = self._pass
-        step = pass_.step
-        check = self.validator.check if self.validator is not None else None
+        error = None
+        if self.validator is not None:
+            batch, error = self.validator.check_batch(batch)
         settings = self.settings
         fault_plan = settings.fault_plan
         metrics = self.metrics
         sample_every = settings.sample_every if metrics is not None else 0
         mem_every = settings.mem_check_every if self._check_memory else 0
         quotas = self.manager.quotas if self.manager is not None else None
+        throttled = (
+            quotas is not None
+            and quotas.quota_for(self.tenant).events_per_sec is not None
+        )
+        single = throttled or fault_plan is not None
         clock = time.perf_counter
+        total = len(batch)
+        position = 0
         stepped = 0
         try:
-            for event in batch:
-                if quotas is not None:
+            while position < total or error is not None:
+                if throttled:
                     wait = quotas.throttle(self.tenant)
                     if wait > 0:
                         await asyncio.sleep(wait)
                         if self._draining():
                             return False
-                sampled = sample_every and pass_.events % sample_every == 0
+                if position == total:
+                    raise error
+                events = pass_.events
+                sampled = sample_every and events % sample_every == 0
+                end = total
+                if sampled or single:
+                    end = position + 1
+                else:
+                    if sample_every:
+                        end = min(end, position + sample_every
+                                  - events % sample_every)
+                    if mem_every:
+                        end = min(end, position + mem_every
+                                  - events % mem_every)
                 began = clock() if sampled else 0.0
-                if check is not None:
-                    check(event)
-                stop = step(event)
+                stop = pass_.step_batch(batch[position:end])
                 if (
                     fault_plan is not None
                     and fault_plan.disconnect_at(pass_.events)
                 ):
                     # Injected mid-stream client disconnect: surfaces
-                    # through the same governed path as a real peer reset.
+                    # through the same governed path as a real peer reset
+                    # (the faulting event is stepped but not accounted).
                     raise ConnectionResetError(
                         "injected disconnect at event %d" % pass_.events
                     )
                 if sampled:
                     metrics.observe_latency(clock() - began)
-                stepped += 1
+                stepped += pass_.events - events
                 if mem_every and pass_.events % mem_every == 0:
                     estimate = sum(
                         len(d.state_snapshot()) for d in pass_.detectors
@@ -631,6 +656,7 @@ class SessionDriver:
                     quotas.check_memory(self.tenant, estimate)
                 if stop is not None:
                     return True
+                position = end
             return False
         finally:
             if stepped:
@@ -684,7 +710,7 @@ class SessionDriver:
     def _snapshot_pass(self) -> Checkpoint:
         """Freeze the live pass into a checkpoint (evict/drain)."""
         pass_ = self._pass
-        source_state = self._checkpointer.source_state()
+        source_state = self._checkpointer.source_state(pass_.events)
         return Checkpoint(
             events=pass_.events,
             source_name=pass_.source_name,

@@ -36,6 +36,7 @@ from repro.trace.parsers import (
     TraceParseError,
     detect_format,
     event_iterator,
+    iter_trace_blocks,
     iter_trace_file,
     load_trace,
     parse_csv,
@@ -60,6 +61,7 @@ __all__ = [
     "TraceParseError",
     "detect_format",
     "event_iterator",
+    "iter_trace_blocks",
     "iter_trace_file",
     "parse_std",
     "parse_csv",

@@ -31,12 +31,15 @@ Three layers of entry points:
   loop and the wire tokens that repeat across a trace -- ``op(arg)``
   fields and thread names -- are memoized, so the regex / interning cost
   is paid once per distinct token instead of once per line;
-* the *streaming* layer (:func:`iter_std_events`, :func:`iter_csv_events`,
-  :func:`iter_trace_file`) yields :class:`~repro.trace.event.Event`
-  objects without materialising the input -- it reads fixed-size blocks
-  of lines through the block decoders (constant memory either way), and
-  is what the :class:`~repro.engine.FileSource` feeds to the streaming
-  engine so that arbitrarily large logs can be analysed;
+* the *streaming* layer (:func:`iter_std_blocks`, :func:`iter_csv_blocks`,
+  :func:`iter_trace_blocks`) yields lists of
+  :class:`~repro.trace.event.Event` objects without materialising the
+  input -- it reads fixed-size blocks of lines through the block
+  decoders (constant memory either way), and is what the
+  :class:`~repro.engine.FileSource` feeds to the streaming engine so
+  that arbitrarily large logs can be analysed; :func:`iter_std_events`,
+  :func:`iter_csv_events` and :func:`iter_trace_file` are the same
+  streams flattened to single events;
 * the *whole-trace* layer (:func:`parse_std`, :func:`parse_csv`,
   :func:`load_trace`) builds a validated
   :class:`~repro.trace.trace.Trace` on top of the streaming layer.
@@ -51,7 +54,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -112,39 +115,6 @@ def _parse_operation(text: str, line_number: int) -> "tuple[EventType, Optional[
 # Streaming layer
 # --------------------------------------------------------------------- #
 
-def parse_std_line(
-    raw: str,
-    index: int,
-    line_number: int = 1,
-    registry: Optional[ThreadRegistry] = None,
-) -> Optional[Event]:
-    """Parse a single STD-format line into an :class:`Event`.
-
-    Returns None for blank lines and ``#`` comments.  ``index`` becomes
-    the event's stream position, ``line_number`` is quoted in parse
-    errors, and ``registry`` stamps the interned thread ``tid`` exactly
-    like the batch entry points.  This is the unit the incremental
-    consumers build on: :func:`iter_std_events` for files, the engine's
-    :class:`~repro.engine.sources.LineProtocolSource` for live
-    socket/pipe streams.
-    """
-    line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
-    parts = [part.strip() for part in line.split("|")]
-    if len(parts) < 2:
-        raise TraceParseError(
-            "line %d: expected 'thread|op(arg)[|loc]', got %r" % (line_number, raw)
-        )
-    thread = parts[0]
-    etype, target = _parse_operation(parts[1], line_number)
-    loc = parts[2] if len(parts) > 2 and parts[2] else None
-    return Event(
-        index, thread, etype, target, loc,
-        tid=registry.intern(thread) if registry is not None else None,
-    )
-
-
 #: Lines/rows decoded per block by the streaming iterators.  Large enough
 #: to amortise per-batch overhead, small enough that a block of pending
 #: events stays trivially bounded (constant memory is preserved).
@@ -160,12 +130,11 @@ def parse_std_batch(
 ) -> Tuple[List[Event], int, int]:
     """Decode a block of STD lines into events in one call.
 
-    The vectorized counterpart of :func:`parse_std_line`, and the grammar
-    is byte-identical: blank lines and ``#`` comments are skipped (but
-    counted for error messages), parse errors quote the 1-based line
-    number.  What the block shape buys is amortisation -- constructor and
-    method lookups are hoisted out of the loop, and two memos exploit the
-    redundancy of real traces:
+    Blank lines and ``#`` comments are skipped (but counted for error
+    messages), parse errors quote the 1-based line number.  What the
+    block shape buys is amortisation -- constructor and method lookups
+    are hoisted out of the loop, and two memos exploit the redundancy of
+    real traces:
 
     * ``op_cache`` maps raw ``op(arg)`` fields to their resolved
       ``(etype, target)``; a trace touching L locks and V variables pays
@@ -222,20 +191,20 @@ def parse_std_batch(
     return events, index, line_number
 
 
-def iter_std_events(
+def iter_std_blocks(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
-) -> Iterator[Event]:
-    """Lazily parse STD-format lines into a stream of events.
+) -> Iterator[List[Event]]:
+    """Lazily parse STD-format lines into blocks (lists) of events.
 
     Events are numbered in order of appearance.  Lines are pulled in
     blocks of :data:`BATCH_LINES` and decoded through
     :func:`parse_std_batch` (sharing one operation memo across blocks),
     so memory stays constant while the per-line overhead of one-at-a-time
-    parsing is amortised away; this feeds the streaming engine from
-    arbitrarily large log files.  When a ``registry`` is given, every
-    event is stamped with its interned thread ``tid`` at parse time so
-    downstream detectors sharing the registry never hash a thread
-    identifier again.
+    parsing is amortised away; each non-empty decoded block is yielded
+    as it stands, which is the unit the streaming engine steps.  When a
+    ``registry`` is given, every event is stamped with its interned
+    thread ``tid`` at parse time so downstream detectors sharing the
+    registry never hash a thread identifier again.
     """
     iterator = iter(lines)
     index = 0
@@ -248,7 +217,19 @@ def iter_std_events(
         events, index, line_number = parse_std_batch(
             block, index, line_number, registry=registry, op_cache=op_cache
         )
-        yield from events
+        if events:
+            yield events
+
+
+def iter_std_events(
+    lines: Iterable[str], registry: Optional[ThreadRegistry] = None
+) -> Iterator[Event]:
+    """Lazily parse STD-format lines into a stream of events.
+
+    :func:`iter_std_blocks` flattened: this feeds per-event consumers
+    (``Trace`` construction) from arbitrarily large log files.
+    """
+    return chain.from_iterable(iter_std_blocks(lines, registry=registry))
 
 
 def parse_csv_batch(
@@ -331,16 +312,16 @@ def parse_csv_batch(
     return events, index, row_number
 
 
-def iter_csv_events(
+def iter_csv_blocks(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
-) -> Iterator[Event]:
-    """Lazily parse CSV-format lines (header row required) into events.
+) -> Iterator[List[Event]]:
+    """Lazily parse CSV-format lines (header row required) into blocks.
 
     The header's column positions are resolved once, then the rows are
     decoded in blocks of :data:`BATCH_LINES` through
     :func:`parse_csv_batch` (one shared event-type memo), replacing the
     per-row dict building of ``csv.DictReader``.  ``registry`` stamps
-    interned thread tids exactly like :func:`iter_std_events`.
+    interned thread tids exactly like :func:`iter_std_blocks`.
     """
     reader = csv.reader(lines)
     header = next(reader, None)
@@ -358,7 +339,42 @@ def iter_csv_events(
             block, columns, index, row_number,
             registry=registry, etype_cache=etype_cache,
         )
-        yield from events
+        if events:
+            yield events
+
+
+def iter_csv_events(
+    lines: Iterable[str], registry: Optional[ThreadRegistry] = None
+) -> Iterator[Event]:
+    """Lazily parse CSV-format lines into events (:func:`iter_csv_blocks`
+    flattened)."""
+    return chain.from_iterable(iter_csv_blocks(lines, registry=registry))
+
+
+def group_events(
+    events: Iterable[Event], size: int = BATCH_LINES
+) -> Iterator[List[Event]]:
+    """Group an event stream into lists of at most ``size`` events.
+
+    When the underlying iterator raises, the events it produced before
+    the failure are yielded first, so a consumer stepping the blocks
+    reaches exactly the events a per-event consumer would.
+    """
+    block: List[Event] = []
+    append = block.append
+    try:
+        for event in events:
+            append(event)
+            if len(block) == size:
+                yield block
+                block = []
+                append = block.append
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
 
 def event_iterator(
@@ -384,9 +400,52 @@ def event_iterator(
         )
 
 
+def block_iterator(
+    format: Optional[str],
+) -> Callable[..., Iterator[List[Event]]]:
+    """Resolve a format name to its ``(lines, registry=...)`` block iterator.
+
+    STD and CSV decode natively in blocks; the adapters' event streams
+    are grouped by :func:`group_events`.
+    """
+    if format in (None, "std"):
+        return iter_std_blocks
+    if format == "csv":
+        return iter_csv_blocks
+    parse_events = event_iterator(format)
+
+    def parse_blocks(lines, registry=None):
+        return group_events(parse_events(lines, registry=registry))
+
+    return parse_blocks
+
+
 def detect_format(path: Union[str, Path]) -> str:
     """Return the format implied by ``path``'s extension (STD otherwise)."""
     return _EXTENSION_FORMATS.get(Path(path).suffix.lower(), "std")
+
+
+def iter_trace_blocks(
+    path: Union[str, Path],
+    registry: Optional[ThreadRegistry] = None,
+    format: Optional[str] = None,
+) -> Iterator[List[Event]]:
+    """Lazily stream the events of a trace file, one decoded block at a time.
+
+    The file is opened when iteration starts and closed when the iterator
+    is exhausted; at no point is the whole file (or a ``Trace``) held in
+    memory.  Dispatches on the file extension like :func:`load_trace`
+    unless ``format`` names one of :data:`FORMAT_NAMES`; ``registry``
+    stamps interned thread tids at parse time.  Bytes that are not UTF-8
+    raise a :class:`TraceParseError` naming their line.
+    """
+    path = Path(path)
+    parse_blocks = block_iterator(format or detect_format(path))
+    with path.open("r", newline="") as handle:
+        try:
+            yield from parse_blocks(handle, registry=registry)
+        except UnicodeDecodeError as error:
+            raise _invalid_utf8(path, error) from None
 
 
 def iter_trace_file(
@@ -394,19 +453,34 @@ def iter_trace_file(
     registry: Optional[ThreadRegistry] = None,
     format: Optional[str] = None,
 ) -> Iterator[Event]:
-    """Lazily stream the events of a trace file, one line at a time.
+    """Lazily stream the events of a trace file (:func:`iter_trace_blocks`
+    flattened)."""
+    return chain.from_iterable(
+        iter_trace_blocks(path, registry=registry, format=format)
+    )
 
-    The file is opened when iteration starts and closed when the iterator
-    is exhausted; at no point is the whole file (or a ``Trace``) held in
-    memory.  Dispatches on the file extension like :func:`load_trace`
-    unless ``format`` names one of :data:`FORMAT_NAMES`; ``registry``
-    stamps interned thread tids at parse time.
+
+def _invalid_utf8(path: Path, error: UnicodeDecodeError) -> TraceParseError:
+    """Name the line and bytes behind a text-decoding failure.
+
+    Runs only on the error path: the file is rescanned in binary, line by
+    line (a newline byte never occurs inside a multi-byte UTF-8
+    sequence, so the first line that fails to decode is the culprit).
     """
-    path = Path(path)
-    parse_events = event_iterator(format or detect_format(path))
-    with path.open("r", newline="") as handle:
-        for event in parse_events(handle, registry=registry):
-            yield event
+    with path.open("rb") as handle:
+        for line_number, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return TraceParseError(
+                    "line %d: invalid UTF-8 byte(s) %s in %r" % (
+                        line_number,
+                        " ".join("0x%02x" % byte
+                                 for byte in raw[bad.start:bad.end]),
+                        raw.rstrip(b"\r\n").decode("utf-8", "replace"),
+                    )
+                )
+    return TraceParseError("%s: %s" % (path.name, error))
 
 
 # --------------------------------------------------------------------- #
@@ -455,7 +529,10 @@ def load_trace(
     parse_events = event_iterator(format or detect_format(path))
     registry = ThreadRegistry()
     with path.open("r", newline="") as handle, gc_paused():
-        return Trace(
-            parse_events(handle, registry=registry),
-            validate=validate, name=path.stem, registry=registry,
-        )
+        try:
+            return Trace(
+                parse_events(handle, registry=registry),
+                validate=validate, name=path.stem, registry=registry,
+            )
+        except UnicodeDecodeError as error:
+            raise _invalid_utf8(path, error) from None

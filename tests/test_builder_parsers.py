@@ -126,3 +126,35 @@ class TestFileRoundTrip:
         path = dump_trace(trace, tmp_path / "trace.csv")
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 names its line, on both ingest paths."""
+
+    @pytest.mark.parametrize("suffix, content, line", [
+        (".std", b"t0|w(x)|a\nt1|w(\xffy)|b\n", 2),
+        (".csv", b"thread,etype,target,loc\nt0,w,x,a\nt1,w,\xffy,b\n", 3),
+    ])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_analyze_names_the_line_and_bytes(
+        self, tmp_path, capsys, suffix, content, line, stream
+    ):
+        from repro.cli import main
+
+        path = tmp_path / ("bad" + suffix)
+        path.write_bytes(content)
+        argv = ["analyze", str(path)] + (["--stream"] if stream else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("line %d: invalid UTF-8 byte(s) 0xff in " % line)
+        assert len(err.splitlines()) == 1
+
+    def test_library_raises_trace_parse_error(self, tmp_path):
+        from repro.engine import FileSource
+
+        path = tmp_path / "bad.std"
+        path.write_bytes(b"t0|w(x)|a\n" * 3000 + b"t1|w(\xe2\x28y)|b\n")
+        with pytest.raises(TraceParseError, match=r"^line 3001: .* 0xe2 "):
+            load_trace(path)
+        with pytest.raises(TraceParseError, match=r"^line 3001: .* 0xe2 "):
+            list(FileSource(path))

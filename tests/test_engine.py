@@ -1,6 +1,8 @@
 """Tests for the single-pass streaming engine (repro.engine)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CountingSource,
@@ -360,44 +362,33 @@ class TestTimingNormalization:
             assert report.stats["events"] == len(simple_race_trace)
             assert report.stats["events_per_s"] >= 0.0
 
-    def test_cost_accounting_can_be_disabled(self, simple_race_trace):
-        config = EngineConfig().with_detectors("wcp", "hb").with_cost_accounting(False)
-        result = RaceEngine(config).run(simple_race_trace)
-        # Without per-event attribution every detector reports the shared
-        # pass time.
-        times = {
-            round(report.stats["time_s"], 9) for report in result.values()
-        }
-        assert len(times) == 1
+    def test_cost_is_attributed_per_chunk_not_per_event(self):
+        """Per-detector time is attributed once per stepped chunk (plus
+        reset and finish), never once per event, and the event census
+        stays exact -- for one detector and for several."""
+        from repro.trace.parsers import BATCH_LINES
 
-    def test_no_accounting_path_never_calls_account_cost_per_event(self):
-        """Regression: with accounting off the hot loop used to pay a dead
-        attribute-lookup+call per event per detector
-        (``account_cost(0.0)``); now the whole attribution is one bulk
-        call at finish time, and the event census stays correct."""
-        trace = random_trace(seed=6, n_events=50)
-        calls = []
-
-        detector = HBDetector()
-        original = detector.account_cost
-        detector.account_cost = lambda *a, **kw: (
-            calls.append((a, kw)), original(*a, **kw),
-        )
-        result = RaceEngine().run(trace, detectors=[detector])
-        assert result.events == len(trace)
-        # One bulk attribution, not one call per event.
-        assert len(calls) == 1
-        assert detector.cost_events == len(trace)
-        # The snapshot default (cost_events) contract survives.
-        assert detector.snapshot().events == len(trace)
-
-    def test_accounted_path_still_attributes_per_event(self):
-        trace = random_trace(seed=6, n_events=30)
-        detectors = [WCPDetector(), HBDetector()]
-        RaceEngine().run(trace, detectors=detectors)
-        for detector in detectors:
-            assert detector.cost_events == len(trace)
-            assert detector.cost_time_s >= 0.0
+        trace = random_trace(seed=6, n_events=2500)
+        chunks = -(-len(trace) // BATCH_LINES)
+        for detectors in ([HBDetector()], [WCPDetector(), HBDetector()]):
+            calls = []
+            for detector in detectors:
+                original = detector.account_cost
+                detector.account_cost = (
+                    lambda *a, _original=original, **kw: (
+                        calls.append(a), _original(*a, **kw),
+                    )
+                )
+            result = RaceEngine().run(trace, detectors=detectors)
+            assert result.events == len(trace)
+            assert len(calls) <= len(detectors) * (chunks + 2)
+            assert len(calls) < len(trace)
+            for detector in detectors:
+                assert detector.cost_events == len(trace)
+                assert detector.snapshot().events == len(trace)
+                report = detector.report
+                assert report.stats["time_s"] == detector.cost_time_s
+                assert report.stats["time_s"] >= 0.0
 
 
 class TestCliStreaming:
@@ -461,3 +452,137 @@ class TestCliStreaming:
         code = main(["compare", str(path), "--detectors", "wcp,hb", "--stream"])
         assert "one pass" in capsys.readouterr().out
         assert code in (0, 1)
+
+
+# --------------------------------------------------------------------- #
+# Chunk-boundary parity: EnginePass.step_batch cuts blocks only where a
+# snapshot, checkpoint or budget is due, so how a stream is split into
+# blocks must never change what the pass reaches.
+# --------------------------------------------------------------------- #
+
+_TIMING_STATS = ("time_s", "events_per_s")
+
+
+def _step_pass(trace, blocks, config, directory, every):
+    """Step ``blocks`` through a fresh stream pass; return its outcome."""
+    import os
+
+    from repro.engine import Checkpointer, EnginePass
+
+    checkpointer = (
+        Checkpointer(directory, every=every, keep=1 << 20)
+        if every is not None else None
+    )
+    pass_ = EnginePass(
+        config, [WCPDetector(), HBDetector(), FastTrackDetector()],
+        trace.name, registry=trace.registry, checkpointer=checkpointer,
+    )
+    pass_.start()
+    for block in blocks:
+        if pass_.step_batch(block) is not None:
+            break
+    result = pass_.result()
+    checkpoints = []
+    if checkpointer is not None and os.path.isdir(directory):
+        checkpoints = [
+            (offset, checkpointer.load(offset).states)
+            for offset in checkpointer.offsets()
+        ]
+    return {
+        "reports": {
+            name: (
+                _report_fingerprint(report),
+                {key: value for key, value in report.stats.items()
+                 if key not in _TIMING_STATS},
+            )
+            for name, report in result.items()
+        },
+        "snapshots": [
+            (snap.detector_name, snap.events, snap.races, snap.raw_races)
+            for snap in result.snapshots
+        ],
+        "stop": (result.stop_reason, result.events),
+        "checkpoints": checkpoints,
+    }
+
+
+def _cut(events, sizes):
+    """Split ``events`` into consecutive blocks, cycling through ``sizes``."""
+    blocks, start, turn = [], 0, 0
+    while start < len(events):
+        size = sizes[turn % len(sizes)]
+        blocks.append(list(events[start:start + size]))
+        start += size
+        turn += 1
+    return blocks
+
+
+class TestStepBatchChunkParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mixed=st.booleans(),
+        seed=st.integers(0, 10_000),
+        snapshot_interval=st.one_of(st.none(), st.integers(1, 50)),
+        checkpoint_every=st.one_of(st.none(), st.integers(1, 50)),
+        event_budget=st.one_of(st.none(), st.integers(1, 160)),
+        race_budget=st.one_of(st.none(), st.integers(1, 5)),
+        sizes=st.lists(st.integers(1, 70), min_size=1, max_size=6),
+    )
+    def test_blocks_reach_what_single_events_reach(
+        self, mixed, seed, snapshot_interval, checkpoint_every,
+        event_budget, race_budget, sizes,
+    ):
+        import tempfile
+
+        from repro.bench.generators import mixed_vocabulary_trace
+
+        if mixed:
+            trace = mixed_vocabulary_trace(seed, threads=3, steps=40)
+        else:
+            trace = random_trace(seed=seed, n_events=120, n_threads=4)
+
+        def config():
+            config = EngineConfig()
+            config.snapshot_interval = snapshot_interval
+            config.event_budget = event_budget
+            config.race_budget = race_budget
+            return config
+
+        with tempfile.TemporaryDirectory() as whole, \
+                tempfile.TemporaryDirectory() as single:
+            blocked = _step_pass(
+                trace, _cut(trace.events, sizes), config(), whole,
+                checkpoint_every,
+            )
+            stepped = _step_pass(
+                trace, [[event] for event in trace.events], config(),
+                single, checkpoint_every,
+            )
+        assert blocked == stepped
+
+    def test_validation_error_mid_block_leaves_the_same_checkpoint(
+        self, tmp_path
+    ):
+        """A bad event inside a decoded block: the valid prefix is stepped
+        (checkpoints included) before the error, and the newest
+        checkpoint's validator state is at its own offset."""
+        from repro.engine import Checkpointer, OnlineValidator, ValidatingSource
+        from repro.trace.writers import write_std
+
+        trace = random_trace(seed=21, n_events=90, n_threads=3)
+        lines = write_std(trace).splitlines()
+        lines.insert(70, "t9|rel(l0)")  # a release of a lock nobody holds
+        path = tmp_path / "bad.std"
+        path.write_text("\n".join(lines) + "\n")
+
+        config = EngineConfig().with_checkpoints(tmp_path / "ckpt", every=16)
+        with pytest.raises(ValueError, match="event 70"):
+            RaceEngine(config).run(
+                ValidatingSource(FileSource(path)), detectors=["wcp", "hb"]
+            )
+        latest = Checkpointer(tmp_path / "ckpt").load()
+        assert latest.events == 64
+        expected = OnlineValidator()
+        for event in list(FileSource(path))[:64]:
+            expected.check(event)
+        assert latest.source_state["validator"] == expected.state_dict()

@@ -222,10 +222,7 @@ class TestServeMetrics:
     def test_detector_fold_and_json(self):
         metrics = ServeMetrics()
         trace = random_trace(seed=2, n_events=40)
-        result = run_engine(
-            trace, detectors=["wcp"],
-            config=EngineConfig().with_cost_accounting(True),
-        )
+        result = run_engine(trace, detectors=["wcp"])
         metrics.record_result(result)
         metrics.record_result(result)
         data = metrics.to_dict()
