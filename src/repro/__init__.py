@@ -20,163 +20,72 @@ Quickstart
 >>> report = detect_races(trace)            # WCP by default
 >>> report.count()
 1
+
+Lazy loading
+------------
+Importing ``repro`` (or ``repro.engine``, ``repro.core``, ``repro.trace``,
+``repro.hb``, ``repro.vectorclock``, ``repro.analysis``) loads no
+submodule: every name in ``__all__`` is resolved from its defining module
+on first use (PEP 562), so a program pays only for the layers it runs.
+``repro-race analyze FILE`` loads the parsers, the trace model, the engine
+pass and the selected detectors; serving, sharding, the run supervisor,
+the benchmark suite, the simulator, the windowed baselines (CP, MCM) and
+the witness search load only when a subcommand or call needs them (see
+:mod:`repro.cli`).  Clock-kernel governance (``REPRO_CLOCK_KERNEL``, see
+:mod:`repro.vectorclock.kernels`) runs when the first detector module
+loads the dense clock, so a bad setting fails the first command that
+runs a detector, not ``--help``.
 """
 
-from repro.trace import (
-    Event,
-    EventType,
-    Trace,
-    TraceBuilder,
-    load_trace,
-    parse_std,
-    parse_csv,
-    write_std,
-    write_csv,
-    dump_trace,
-)
-from repro.core import Detector, RacePair, RaceReport, WCPDetector, WCPClosure
-from repro.core.races import ReportSnapshot
-from repro.hb import HBDetector, FastTrackDetector
-from repro.cp import CPDetector, CPClosure
-from repro.lockset import EraserDetector
-from repro.mcm import MCMPredictor
-from repro.engine import (
-    AsyncEventSource,
-    AsyncRaceEngine,
-    Checkpoint,
-    Checkpointer,
-    CheckpointError,
-    CheckpointMismatchError,
-    CoordinatorFailure,
-    CountingSource,
-    EngineConfig,
-    EngineResult,
-    EventSource,
-    Fault,
-    FaultPlan,
-    FileSource,
-    IterableSource,
-    LineProtocolSource,
-    OnlineValidator,
-    QueueSource,
-    RaceEngine,
-    RunSupervisor,
-    ShardedEngine,
-    ShardedResult,
-    SimulatorSource,
-    SupervisionSettings,
-    TraceSource,
-    ValidatingSource,
-    WorkerDied,
-    WorkerFailure,
-    as_async_source,
-    as_source,
-)
-from repro.api import (
-    available_detectors,
-    compare_detectors,
-    detect_races,
-    detect_races_async,
-    make_detector,
-    resume_engine,
-    run_engine,
-    run_engine_async,
-    start_race_server,
-)
-from repro.client import (
-    PushError,
-    PushOutcome,
-    RaceClient,
-    RetriesExhausted,
-    push_trace,
-)
-from repro.serve import (
-    Overloaded,
-    QuotaManager,
-    RaceServer,
-    ServeMetrics,
-    ServeSettings,
-    SessionManager,
-    StreamSession,
-    TenantQuota,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Event",
-    "EventType",
-    "Trace",
-    "TraceBuilder",
-    "load_trace",
-    "parse_std",
-    "parse_csv",
-    "write_std",
-    "write_csv",
-    "dump_trace",
-    "Detector",
-    "RacePair",
-    "RaceReport",
-    "WCPDetector",
-    "WCPClosure",
-    "HBDetector",
-    "FastTrackDetector",
-    "CPDetector",
-    "CPClosure",
-    "EraserDetector",
-    "MCMPredictor",
-    "ReportSnapshot",
-    "RaceEngine",
-    "AsyncRaceEngine",
-    "ShardedEngine",
-    "ShardedResult",
-    "Checkpoint",
-    "Checkpointer",
-    "CheckpointError",
-    "CheckpointMismatchError",
-    "CoordinatorFailure",
-    "RunSupervisor",
-    "EngineConfig",
-    "EngineResult",
-    "Fault",
-    "FaultPlan",
-    "SupervisionSettings",
-    "WorkerDied",
-    "WorkerFailure",
-    "EventSource",
-    "AsyncEventSource",
-    "TraceSource",
-    "FileSource",
-    "IterableSource",
-    "SimulatorSource",
-    "CountingSource",
-    "QueueSource",
-    "LineProtocolSource",
-    "OnlineValidator",
-    "ValidatingSource",
-    "as_source",
-    "as_async_source",
-    "detect_races",
-    "detect_races_async",
-    "compare_detectors",
-    "available_detectors",
-    "make_detector",
-    "resume_engine",
-    "run_engine",
-    "run_engine_async",
-    "start_race_server",
-    "Overloaded",
-    "PushError",
-    "PushOutcome",
-    "RaceClient",
-    "RetriesExhausted",
-    "push_trace",
-    "QuotaManager",
-    "RaceServer",
-    "ServeMetrics",
-    "ServeSettings",
-    "SessionManager",
-    "StreamSession",
-    "TenantQuota",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.event": ["Event", "EventType"],
+    "repro.trace.trace": ["Trace"],
+    "repro.trace.builder": ["TraceBuilder"],
+    "repro.trace.parsers": ["load_trace", "parse_std", "parse_csv"],
+    "repro.trace.writers": ["write_std", "write_csv", "dump_trace"],
+    "repro.core.detector": ["Detector"],
+    "repro.core.races": ["RacePair", "RaceReport", "ReportSnapshot"],
+    "repro.core.wcp": ["WCPDetector"],
+    "repro.core.closure": ["WCPClosure"],
+    "repro.hb.hb": ["HBDetector"],
+    "repro.hb.fasttrack": ["FastTrackDetector"],
+    "repro.cp.detector": ["CPDetector"],
+    "repro.cp.closure": ["CPClosure"],
+    "repro.lockset.eraser": ["EraserDetector"],
+    "repro.mcm.predictor": ["MCMPredictor"],
+    "repro.engine.engine": ["RaceEngine", "EngineResult"],
+    "repro.engine.async_engine": ["AsyncRaceEngine"],
+    "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
+    "repro.engine.checkpoint": [
+        "Checkpoint", "Checkpointer", "CheckpointError",
+        "CheckpointMismatchError",
+    ],
+    "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
+    "repro.engine.config": ["EngineConfig"],
+    "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
+    "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
+    "repro.engine.sources": [
+        "EventSource", "AsyncEventSource", "TraceSource", "FileSource",
+        "IterableSource", "SimulatorSource", "CountingSource", "QueueSource",
+        "LineProtocolSource", "as_source", "as_async_source",
+    ],
+    "repro.engine.validate": ["OnlineValidator", "ValidatingSource"],
+    "repro.api": [
+        "detect_races", "detect_races_async", "compare_detectors",
+        "available_detectors", "make_detector", "resume_engine",
+        "run_engine", "run_engine_async", "start_race_server",
+    ],
+    "repro.client": [
+        "PushError", "PushOutcome", "RaceClient", "RetriesExhausted",
+        "push_trace",
+    ],
+    "repro.serve.quotas": ["Overloaded", "QuotaManager", "TenantQuota"],
+    "repro.serve.server": ["RaceServer", "ServeSettings"],
+    "repro.serve.metrics": ["ServeMetrics"],
+    "repro.serve.sessions": ["SessionManager", "StreamSession"],
+})
+__all__.append("__version__")

@@ -12,50 +12,22 @@
   CLI, the examples and the benchmark harness.
 """
 
-from repro.analysis.windowing import WindowedDetector, HeldLockTracker, make_window_trace
-from repro.analysis.metrics import (
-    race_distances,
-    max_race_distance,
-    min_race_distance,
-    long_distance_races,
-    queue_statistics,
-    trace_summary,
-    event_census,
-)
-from repro.analysis.compare import BenchmarkRow, compare_on_trace, run_table
-from repro.analysis.tables import format_table
-from repro.analysis.export import (
-    report_to_dict,
-    report_to_json,
-    report_to_csv,
-    rows_to_json,
-    rows_to_csv,
-    save_report,
-)
-from repro.analysis.audit import AuditResult, Verdict, audit_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WindowedDetector",
-    "HeldLockTracker",
-    "make_window_trace",
-    "race_distances",
-    "max_race_distance",
-    "min_race_distance",
-    "long_distance_races",
-    "queue_statistics",
-    "trace_summary",
-    "event_census",
-    "BenchmarkRow",
-    "compare_on_trace",
-    "run_table",
-    "format_table",
-    "report_to_dict",
-    "report_to_json",
-    "report_to_csv",
-    "rows_to_json",
-    "rows_to_csv",
-    "save_report",
-    "AuditResult",
-    "Verdict",
-    "audit_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.windowing": [
+        "WindowedDetector", "HeldLockTracker", "make_window_trace",
+    ],
+    "repro.analysis.metrics": [
+        "race_distances", "max_race_distance", "min_race_distance",
+        "long_distance_races", "queue_statistics", "trace_summary",
+        "event_census",
+    ],
+    "repro.analysis.compare": ["BenchmarkRow", "compare_on_trace", "run_table"],
+    "repro.analysis.tables": ["format_table"],
+    "repro.analysis.export": [
+        "report_to_dict", "report_to_json", "report_to_csv", "rows_to_json",
+        "rows_to_csv", "save_report",
+    ],
+    "repro.analysis.audit": ["AuditResult", "Verdict", "audit_report"],
+})

@@ -40,30 +40,22 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from repro._lazy import import_module
 from repro.core.detector import Detector
 from repro.core.races import RaceReport
-from repro.core.wcp import WCPDetector
-from repro.cp.detector import CPDetector
-from repro.engine import (
-    AsyncRaceEngine,
-    EngineConfig,
-    EngineResult,
-    RaceEngine,
-    ShardedEngine,
-)
-from repro.hb.fasttrack import FastTrackDetector
-from repro.hb.hb import HBDetector
-from repro.lockset.eraser import EraserDetector
-from repro.mcm.predictor import MCMPredictor
+from repro.engine.config import EngineConfig
+from repro.engine.engine import EngineResult, RaceEngine
 
-#: Registry of detector names accepted by :func:`make_detector` and the CLI.
+#: Registry of detector names accepted by :func:`make_detector` and the
+#: CLI: name -> ``module:class``, imported on first use so that listing
+#: the names (``--help``) loads no detector.
 _DETECTOR_FACTORIES = {
-    "wcp": WCPDetector,
-    "hb": HBDetector,
-    "fasttrack": FastTrackDetector,
-    "cp": CPDetector,
-    "eraser": EraserDetector,
-    "mcm": MCMPredictor,
+    "wcp": "repro.core.wcp:WCPDetector",
+    "hb": "repro.hb.hb:HBDetector",
+    "fasttrack": "repro.hb.fasttrack:FastTrackDetector",
+    "cp": "repro.cp.detector:CPDetector",
+    "eraser": "repro.lockset.eraser:EraserDetector",
+    "mcm": "repro.mcm.predictor:MCMPredictor",
 }
 
 
@@ -76,13 +68,13 @@ def make_detector(name: str, **kwargs) -> Detector:
     """Instantiate a detector by name (``wcp``, ``hb``, ``fasttrack``, ``cp``,
     ``eraser``, ``mcm``), forwarding keyword arguments to its constructor."""
     try:
-        factory = _DETECTOR_FACTORIES[name.lower()]
+        module, factory = _DETECTOR_FACTORIES[name.lower()].split(":")
     except KeyError:
         raise ValueError(
             "unknown detector %r; available: %s"
             % (name, ", ".join(available_detectors()))
         ) from None
-    return factory(**kwargs)
+    return getattr(import_module(module), factory)(**kwargs)
 
 
 def _make_engine(config: Optional[EngineConfig], shards: Optional[int]):
@@ -91,6 +83,8 @@ def _make_engine(config: Optional[EngineConfig], shards: Optional[int]):
         config.shards if config is not None else 1
     )
     if effective > 1:
+        from repro.engine.sharding import ShardedEngine
+
         return ShardedEngine(config, shards=effective)
     return RaceEngine(config)
 
@@ -183,6 +177,8 @@ def resume_engine(
                 mode=effective.shard_mode,
                 policy=sharded.get("policy"),
             )
+        from repro.engine.sharding import ShardedEngine
+
         engine = ShardedEngine(effective)
     else:
         engine = RaceEngine(effective)
@@ -205,8 +201,8 @@ def detect_races(
     that many worker engines.
     """
     if detector is None:
-        detector = WCPDetector(**kwargs)
-    elif isinstance(detector, str):
+        detector = "wcp"
+    if isinstance(detector, str):
         detector = make_detector(detector, **kwargs)
     result = _make_engine(None, shards).run(source, detectors=[detector])
     return next(iter(result.values()))
@@ -227,6 +223,8 @@ async def run_engine_async(
     shares the block stepper with the synchronous engine -- reports
     are identical for identical streams.
     """
+    from repro.engine.async_engine import AsyncRaceEngine
+
     return await AsyncRaceEngine(config).run(source, detectors=detectors)
 
 
@@ -246,9 +244,11 @@ async def detect_races_async(
         report = await detect_races_async(queue_source)
     """
     if detector is None:
-        detector = WCPDetector(**kwargs)
-    elif isinstance(detector, str):
+        detector = "wcp"
+    if isinstance(detector, str):
         detector = make_detector(detector, **kwargs)
+    from repro.engine.async_engine import AsyncRaceEngine
+
     result = await AsyncRaceEngine().run(source, detectors=[detector])
     return next(iter(result.values()))
 

@@ -36,6 +36,19 @@ regenerates Table-1-style rows on the synthetic benchmark suite,
 ``stats`` prints the trace's descriptive columns, and ``witness``
 searches for a correct-reordering witness of the first detected race
 (turning a warning into a concrete alternative schedule).
+
+Each subcommand loads only the layers it runs.  Importing this module
+(and ``--help``) loads the argument parser, :mod:`repro.api`, the engine
+pass and the trace parsers, but no detector.  ``analyze``/``compare``
+add the selected detectors and, per flag, the windowing wrapper
+(``--window``), the report writers (``--json``), the sharded engine
+(``--shards``), the checkpoint layer (``--checkpoint``/``--resume``) and
+the run supervisor (``--auto-resume``); ``serve`` adds asyncio and
+:mod:`repro.serve`, ``push`` :mod:`repro.client`, ``bench``/``generate``
+the benchmark suite and ``witness`` the reordering search.  Clock-kernel
+governance (``REPRO_CLOCK_KERNEL``) runs when the first detector loads the
+dense clock: a bad setting fails the first command that runs a detector
+with :class:`~repro.vectorclock.kernels.KernelBuildError`.
 """
 
 from __future__ import annotations
@@ -46,29 +59,44 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.compare import run_table
-from repro.analysis.export import save_report
-from repro.analysis.metrics import event_census, trace_summary
-from repro.analysis.tables import format_table
-from repro.analysis.windowing import WindowedDetector
 from repro.api import (
     available_detectors,
     make_detector,
     resume_engine,
     run_engine,
 )
-from repro.bench.suite import BENCHMARKS, get_benchmark
-from repro.engine import (
-    CoordinatorFailure,
-    EngineConfig,
-    FileSource,
-    RunSupervisor,
-    ValidatingSource,
-    WorkerFailure,
-)
-from repro.reordering.witness import find_race_witness
+from repro.engine.config import EngineConfig
 from repro.trace.parsers import FORMAT_NAMES, load_trace
-from repro.trace.writers import dump_trace
+
+
+class _BenchmarkNames:
+    """``generate``'s choices, read from the benchmark suite only when
+    argparse lists or checks them, so no other subcommand loads it."""
+
+    def __iter__(self):
+        from repro.bench.suite import BENCHMARKS
+
+        return iter(sorted(BENCHMARKS))
+
+    def __contains__(self, name) -> bool:
+        from repro.bench.suite import BENCHMARKS
+
+        return name in BENCHMARKS
+
+
+def _run_errors():
+    """The run failures reported as a one-line error (exit 2).
+
+    Evaluated by an ``except`` clause only once something was raised: the
+    sharding and supervision layers' failure types are included exactly
+    when those layers were loaded, so a plain pass never imports them.
+    """
+    errors = [ValueError]
+    for module, name in (("repro.engine.supervision", "WorkerFailure"),
+                         ("repro.engine.runner", "CoordinatorFailure")):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,7 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     generate = subparsers.add_parser("generate", help="write a benchmark trace to disk")
-    generate.add_argument("benchmark", choices=sorted(BENCHMARKS))
+    # Set after add_argument, which would iterate the choices (and so
+    # load the benchmark suite) to check the metavar.
+    generate.add_argument("benchmark").choices = _BenchmarkNames()
     generate.add_argument("-o", "--output", required=True, help="output path (.std or .csv)")
     generate.add_argument("--scale", type=float, default=1.0)
     generate.add_argument("--seed", type=int, default=0)
@@ -516,6 +546,9 @@ def _make_source(args: argparse.Namespace):
     validate = not getattr(args, "no_validate", False)
     format = getattr(args, "format", None)
     if args.stream:
+        from repro.engine.sources import FileSource
+        from repro.engine.validate import ValidatingSource
+
         source = FileSource(args.trace, format=format)
         return ValidatingSource(source) if validate else source
     return load_trace(args.trace, validate=validate, format=format)
@@ -552,6 +585,8 @@ def _print_resume_provenance(directory: str) -> None:
 
 def _run_supervised(args: argparse.Namespace, config: EngineConfig):
     """Run analyze under the crash-surviving coordinator supervisor."""
+    from repro.engine.runner import RunSupervisor
+
     supervisor = RunSupervisor(
         lambda: _make_source(args),
         config=config,
@@ -590,6 +625,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   "snapshots)",
                   file=sys.stderr)
             return 2
+        from repro.analysis.windowing import WindowedDetector
+
         detectors = [WindowedDetector(inner, args.window) for inner in detectors]
 
     config = _make_engine_config(args)
@@ -612,7 +649,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
         else:
             result = run_engine(_make_source(args), config=config)
-    except (ValueError, WorkerFailure, CoordinatorFailure) as error:
+    except _run_errors() as error:
         print(str(error), file=sys.stderr)
         return 2
     for position, report in enumerate(result.values()):
@@ -623,6 +660,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("(pass stopped early after %d event(s): %s)"
               % (result.events, result.stop_reason))
     if args.json_out:
+        from repro.analysis.export import save_report
+
         for key, report in result.items():
             target = args.json_out
             if len(result) > 1:
@@ -640,6 +679,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
+
     try:
         names = _split_detector_names(args.detectors)
         detectors = _make_detectors(names, args)
@@ -652,7 +693,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             detectors=detectors,
             config=_make_engine_config(args),
         )
-    except (ValueError, WorkerFailure) as error:
+    except _run_errors() as error:
         print(str(error), file=sys.stderr)
         return 2
     headers = ["detector", "races", "raw races", "time(s)", "events/s"]
@@ -681,6 +722,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.analysis.metrics import event_census, trace_summary
+    from repro.analysis.tables import format_table
+
     # The shared load path: stats validates by default exactly like
     # analyze/compare, so a malformed trace errors consistently across
     # subcommands instead of being silently summarised.
@@ -766,6 +810,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from repro.reordering.witness import find_race_witness
+
     trace = load_trace(args.trace)
     report = make_detector(args.detector).run(trace)
     if not report.has_race():
@@ -960,6 +1006,9 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.analysis.compare import run_table
+    from repro.bench.suite import BENCHMARKS, get_benchmark
+
     names = args.benchmark or sorted(BENCHMARKS)
     unknown = [name for name in names if name not in BENCHMARKS]
     if unknown:
@@ -980,6 +1029,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.bench.suite import get_benchmark
+    from repro.trace.writers import dump_trace
+
     trace = get_benchmark(args.benchmark, scale=args.scale, seed=args.seed)
     path = dump_trace(trace, args.output)
     print("wrote %d events to %s" % (len(trace), path))

@@ -16,13 +16,12 @@
   correctness oracle on small traces.
 """
 
-from repro.core.races import RacePair, RaceReport
-from repro.core.detector import Detector
-from repro.core.wcp import WCPDetector
-from repro.core.wcp_legacy import LegacyWCPDetector
-from repro.core.closure import WCPClosure
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RacePair", "RaceReport", "Detector", "WCPDetector",
-    "LegacyWCPDetector", "WCPClosure",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.races": ["RacePair", "RaceReport"],
+    "repro.core.detector": ["Detector"],
+    "repro.core.wcp": ["WCPDetector"],
+    "repro.core.wcp_legacy": ["LegacyWCPDetector"],
+    "repro.core.closure": ["WCPClosure"],
+})

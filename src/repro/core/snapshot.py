@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.vectorclock.codec import CodecError, decode, encode
 from repro.vectorclock.registry import ThreadRegistry
 
 __all__ = [
@@ -69,11 +68,18 @@ class SnapshotMismatchError(SnapshotError):
 
 def pack_state(kind: str, version: int, config: Dict[str, Any], state: Any) -> bytes:
     """Wrap detector ``state`` in the versioned snapshot envelope."""
+    # The codec loads the dense clock, and with it the clock kernels;
+    # importing it here keeps the Detector base class (which imports this
+    # module) free of both until a detector runs.
+    from repro.vectorclock.codec import encode
+
     return MAGIC + encode((CONTAINER_VERSION, kind, version, config, state))
 
 
 def unpack_state(blob: bytes) -> Tuple[str, int, Dict[str, Any], Any]:
     """Parse an envelope into ``(kind, version, config, state)``."""
+    from repro.vectorclock.codec import CodecError, decode
+
     if not isinstance(blob, (bytes, bytearray)) or blob[:4] != MAGIC:
         raise SnapshotError(
             "not a detector snapshot (missing %r header)" % (MAGIC,)

@@ -105,7 +105,6 @@ comparable with the paper.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.core.detector import Detector
@@ -676,9 +675,13 @@ class WCPDetector(Detector):
             else:
                 walk_allowed = False
         if walk_allowed and cursor - base < len(log):
-            # The walk never appends to the log, so a one-pass iterator
-            # (O(1) steps on the deque) replaces repeated O(k) indexing;
-            # the cached C_t is rebuilt in place only when P_t grew.
+            # Walk by index from the cursor: deque indexing hops 64-entry
+            # blocks from the nearer end, where iterating from the front
+            # would step over every entry before the cursor -- O(log
+            # length) per release on a log nothing reclaims.  The walk
+            # never appends to the log, so its length is fixed.
+            # The cached C_t is rebuilt in place only when P_t grew.
+            walk = range(cursor - base, len(log))
             ct = ct_cache[tid]
             if ct is None:
                 ct = ct_cache[tid] = pt.copy().assign(tid, nt)
@@ -689,7 +692,8 @@ class WCPDetector(Detector):
             consumed = 0
             if not state.tainted:
                 pending = None
-                for entry in islice(log, cursor - base, None):
+                for index in walk:
+                    entry = log[index]
                     owner = entry[2]
                     if owner == tid:
                         cursor += 1
@@ -724,7 +728,8 @@ class WCPDetector(Detector):
                 if pending is not None and pt.merge(pending):
                     ct_cache[tid] = None
             else:
-                for entry in islice(log, cursor - base, None):
+                for index in walk:
+                    entry = log[index]
                     owner = entry[2]
                     if owner == tid:
                         cursor += 1

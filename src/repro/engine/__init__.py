@@ -13,95 +13,38 @@ fluent :class:`~repro.engine.config.EngineConfig` builder.
 
 The top-level helpers :func:`repro.api.detect_races` and
 :func:`repro.api.compare_detectors` are thin wrappers over this engine.
+
+Names are resolved lazily (see :mod:`repro._lazy`): importing the package
+loads none of its modules, so a batch or ``--stream`` pass never loads the
+sharded engine, the run supervisor or the asynchronous engine.
 """
 
-from repro.core.races import ReportSnapshot
-from repro.engine.async_engine import AsyncRaceEngine, serve_connection
-from repro.engine.checkpoint import (
-    Checkpoint,
-    Checkpointer,
-    CheckpointError,
-    CheckpointMismatchError,
-)
-from repro.engine.config import EngineConfig
-from repro.engine.faults import Fault, FaultPlan, WorkerDied
-from repro.engine.engine import (
-    EnginePass,
-    EngineResult,
-    RaceEngine,
-    StreamContext,
-    STOP_EVENT_BUDGET,
-    STOP_EXHAUSTED,
-    STOP_RACE_BUDGET,
-)
-from repro.engine.partition import (
-    ExplicitPartition,
-    HashPartition,
-    PartitionPolicy,
-    RoundRobinPartition,
-    StreamPartitioner,
-    make_policy,
-)
-from repro.engine.runner import CoordinatorFailure, RunSupervisor
-from repro.engine.sharding import ShardedEngine, ShardedResult
-from repro.engine.supervision import SupervisionSettings, WorkerFailure
-from repro.engine.sources import (
-    AsyncEventSource,
-    CountingSource,
-    EventSource,
-    FileSource,
-    IterableSource,
-    LineProtocolSource,
-    QueueSource,
-    SimulatorSource,
-    TraceSource,
-    as_async_source,
-    as_source,
-)
-from repro.engine.validate import OnlineValidator, ValidatingSource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RaceEngine",
-    "AsyncRaceEngine",
-    "ShardedEngine",
-    "ShardedResult",
-    "Checkpoint",
-    "Checkpointer",
-    "CheckpointError",
-    "CheckpointMismatchError",
-    "CoordinatorFailure",
-    "EngineConfig",
-    "Fault",
-    "FaultPlan",
-    "RunSupervisor",
-    "SupervisionSettings",
-    "WorkerDied",
-    "WorkerFailure",
-    "EnginePass",
-    "EngineResult",
-    "ReportSnapshot",
-    "StreamContext",
-    "EventSource",
-    "AsyncEventSource",
-    "TraceSource",
-    "FileSource",
-    "IterableSource",
-    "SimulatorSource",
-    "CountingSource",
-    "QueueSource",
-    "LineProtocolSource",
-    "OnlineValidator",
-    "ValidatingSource",
-    "serve_connection",
-    "as_source",
-    "as_async_source",
-    "PartitionPolicy",
-    "HashPartition",
-    "RoundRobinPartition",
-    "ExplicitPartition",
-    "StreamPartitioner",
-    "make_policy",
-    "STOP_EXHAUSTED",
-    "STOP_RACE_BUDGET",
-    "STOP_EVENT_BUDGET",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.engine": [
+        "RaceEngine", "EnginePass", "EngineResult", "StreamContext",
+        "STOP_EXHAUSTED", "STOP_RACE_BUDGET", "STOP_EVENT_BUDGET",
+    ],
+    "repro.engine.async_engine": ["AsyncRaceEngine"],
+    "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
+    "repro.engine.checkpoint": [
+        "Checkpoint", "Checkpointer", "CheckpointError",
+        "CheckpointMismatchError",
+    ],
+    "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
+    "repro.engine.config": ["EngineConfig"],
+    "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
+    "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
+    "repro.core.races": ["ReportSnapshot"],
+    "repro.engine.sources": [
+        "EventSource", "AsyncEventSource", "TraceSource", "FileSource",
+        "IterableSource", "SimulatorSource", "CountingSource", "QueueSource",
+        "LineProtocolSource", "as_source", "as_async_source",
+    ],
+    "repro.engine.validate": ["OnlineValidator", "ValidatingSource"],
+    "repro.engine.partition": [
+        "PartitionPolicy", "HashPartition", "RoundRobinPartition",
+        "ExplicitPartition", "StreamPartitioner", "make_policy",
+    ],
+})

@@ -23,10 +23,8 @@ adapted through :func:`~repro.engine.sources.as_async_source`, which
 periodically surrenders the event loop so a long file pass cannot starve
 other tasks.
 
-Serving is layered on top: :func:`serve_connection` runs one engine pass
-over an accepted ``(reader, writer)`` stream pair, validating the stream
-online by default and answering with a compact per-detector summary --
-the core of the ``repro-race serve`` CLI subcommand.
+Serving is layered on top: :class:`~repro.serve.server.SessionDriver`
+drives one pass per accepted connection of ``repro-race serve``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.engine.config import DetectorSpec, EngineConfig
 from repro.engine.engine import EnginePass, EngineResult, prepare_resume_pass
 from repro.engine.sources import as_async_source, async_batches
 
-__all__ = ["AsyncRaceEngine", "serve_connection"]
+__all__ = ["AsyncRaceEngine"]
 
 
 class AsyncRaceEngine:
@@ -162,62 +160,3 @@ def _safe_stream_id(line: bytes):
     if stream_id in (".", ".."):
         return None
     return stream_id
-
-
-async def serve_connection(
-    reader,
-    writer,
-    detectors: Sequence[DetectorSpec],
-    config: Optional[EngineConfig] = None,
-    validate: bool = True,
-    name: str = "client",
-    checkpoint_dir=None,
-    session=None,
-) -> Optional[EngineResult]:
-    """Analyse one pushed STD event stream and answer on the same stream.
-
-    The wire contract (one line each, ``utf-8``):
-
-    * request -- STD trace lines (``thread|op(arg)[|loc]``), terminated
-      by EOF (half-close the socket after the last event);
-    * response -- one ``<detector> <distinct> <raw>`` line per detector,
-      then ``done <events>``; or a single ``error <Type>: <message>``
-      line when the stream is rejected: malformed (online validation,
-      on by default), unparseable, or a line over the reader's buffer
-      limit (``asyncio`` raises ValueError for those -- trace and parse
-      errors are ValueErrors too, so one handler answers them all).
-
-    Crash recovery (``checkpoint_dir``): a client that may need to
-    survive a server restart sends ``# stream-id: <id>`` as its *first*
-    line (a legal STD comment, so old servers ignore it).  The server
-    answers immediately with ``resume <offset>`` -- the last durable
-    event offset for that id (0 for a fresh stream) -- and the client
-    replays its events from that offset on.  Detector state is
-    checkpointed under ``checkpoint_dir/<id>`` at the configured cadence
-    and deleted once the stream completes cleanly.
-
-    The implementation is the serve tier's
-    :class:`~repro.serve.server.SessionDriver` with governance off: no
-    quotas, no eviction, no drain -- one protocol implementation serves
-    both this compatibility surface and the multi-tenant
-    :class:`~repro.serve.server.RaceServer`.  An optional
-    :class:`~repro.serve.sessions.StreamSession` hooks per-stream
-    bookkeeping (counters, lifecycle state) into the pass.
-
-    Returns the :class:`~repro.engine.engine.EngineResult`, or None when
-    the stream was rejected.  The writer is drained but left open;
-    closing is the caller's (the server's) responsibility.
-    """
-    # Imported lazily: repro.serve.server imports this module at load.
-    from repro.serve.server import SessionDriver
-
-    driver = SessionDriver(
-        reader, writer,
-        detectors=detectors,
-        config=config,
-        validate=validate,
-        name=name,
-        checkpoint_dir=checkpoint_dir,
-        session=session,
-    )
-    return await driver.run()

@@ -65,6 +65,13 @@ REPLICATE = "replicate"
 ROUTE = "route"
 ROUTE_CLOCK = "route-clock"
 
+#: Per-kind tables keyed by ``id(etype)``: identity keys keep
+#: :meth:`StreamPartitioner.classify` off Enum's Python-level
+#: ``__hash__``, which a set or dict lookup would call once per event.
+_ACCESS = frozenset(map(id, ACCESS_EVENTS))
+_BARRIER = frozenset(map(id, BARRIER_EVENTS))
+_SEMANTICS = {id(etype): semantics for etype, semantics in REGISTRY.items()}
+
 
 class PartitionPolicy:
     """Maps variable names to owning shard ids (``0 .. shards-1``)."""
@@ -266,10 +273,10 @@ class StreamPartitioner:
         :mod:`repro.trace.semantics` is classified correctly with no
         change here.
         """
-        etype = event.etype
+        etype_id = id(event.etype)
         thread = event.thread
         pending = self._pending_bump
-        if etype in ACCESS_EVENTS:
+        if etype_id in _ACCESS:
             memo = self._owner_memo
             owner = memo.get(event.target)
             if owner is None:
@@ -295,7 +302,7 @@ class StreamPartitioner:
         # Sync events are replicated, so every shard applies a pending
         # bump at the same point when one is outstanding.
         pending.discard(thread)
-        semantics = REGISTRY[etype]
+        semantics = _SEMANTICS[etype_id]
         opens = semantics.opens
         if opens is not None:
             if opens == "read":
@@ -321,7 +328,7 @@ class StreamPartitioner:
             pending.add(thread)
         elif bumps == "target":
             pending.add(event.target)
-        if etype in BARRIER_EVENTS:
+        if etype_id in _BARRIER:
             arrived = self._barrier_open.setdefault(event.target, set())
             if thread in arrived:
                 # Repeat arrival closes the generation: its members stop

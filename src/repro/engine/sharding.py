@@ -124,9 +124,10 @@ def _policy_key(name):
 
 #: Wire value -> EventType (EventType(...) does a linear scan; this is a dict).
 _ETYPE_OF_VALUE = {etype.value: etype for etype in EventType}
-#: EventType -> wire value (``.value`` is a DynamicClassAttribute descriptor
-#: call; the coordinator reads it once per event, so use a dict instead).
-_VALUE_OF_ETYPE = {etype: etype.value for etype in EventType}
+#: ``id(etype)`` -> wire value (``.value`` is a DynamicClassAttribute
+#: descriptor call and an EventType key hashes through Enum's Python-level
+#: ``__hash__``; the coordinator reads it once per event).
+_VALUE_OF_ETYPE = {id(etype): etype.value for etype in EventType}
 
 
 class ShardedResult(EngineResult):
@@ -971,8 +972,8 @@ class ShardedEngine:
                 # renumbering the unsharded engine applies, so distances
                 # and witness indices come out identical.
                 encoded = (
-                    events, event.thread, value_of[event.etype], event.target,
-                    event.loc, True,
+                    events, event.thread, value_of[id(event.etype)],
+                    event.target, event.loc, True,
                 )
                 if kind is REPLICATE:
                     for shard in range(shards):

@@ -10,7 +10,9 @@
   trade-off.
 """
 
-from repro.hb.hb import HBDetector
-from repro.hb.fasttrack import FastTrackDetector
+from repro._lazy import lazy_exports
 
-__all__ = ["HBDetector", "FastTrackDetector"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hb.hb": ["HBDetector"],
+    "repro.hb.fasttrack": ["FastTrackDetector"],
+})

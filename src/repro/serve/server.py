@@ -48,9 +48,7 @@ connection" into a governed multi-stream service.  Two layers:
     :class:`~repro.serve.metrics.ServeMetrics`, the optional
     ``--metrics-port`` JSON endpoint, and the SIGTERM drain sequence.
 
-:func:`repro.engine.async_engine.serve_connection` now delegates here
-(with no server attached: no quotas, no eviction, no drain), so the
-wire protocol has exactly one implementation.
+The wire protocol has exactly one implementation: :class:`SessionDriver`.
 """
 
 from __future__ import annotations
@@ -223,10 +221,29 @@ class _ValidatorState:
 class SessionDriver:
     """Drive one accepted connection through a governed engine pass.
 
+    The wire contract (one line each, ``utf-8``):
+
+    * request -- STD trace lines (``thread|op(arg)[|loc]``), terminated
+      by EOF (half-close the socket after the last event);
+    * response -- one ``<detector> <distinct> <raw>`` line per detector,
+      then ``done <events>``; or a single ``error <Type>: <message>``
+      line when the stream is rejected: malformed (online validation,
+      on by default), unparseable, or a line over the reader's buffer
+      limit (``asyncio`` raises ValueError for those -- trace and parse
+      errors are ValueErrors too, so one handler answers them all).
+
+    Crash recovery (``checkpoint_dir``): a client that may need to
+    survive a server restart sends ``# stream-id: <id>`` as its *first*
+    line (a legal STD comment).  The server answers immediately with
+    ``resume <offset>`` -- the last durable event offset for that id (0
+    for a fresh stream) -- and the client replays its events from that
+    offset on.  Detector state is checkpointed under
+    ``checkpoint_dir/<id>`` at the configured cadence and deleted once
+    the stream completes cleanly.
+
     With ``server`` attached (the :class:`RaceServer` path) the driver
-    enforces admission, quotas, eviction and drain; without it (the
-    :func:`~repro.engine.async_engine.serve_connection` compatibility
-    path) it speaks the identical wire protocol with governance off.
+    enforces admission, quotas, eviction and drain; without it the same
+    protocol runs with governance off.
     """
 
     def __init__(
@@ -335,13 +352,6 @@ class SessionDriver:
     # Handshake
     # ------------------------------------------------------------------ #
 
-    @property
-    def _peeks(self) -> bool:
-        # The legacy serve_connection path only ever peeked when crash
-        # recovery was on; the server path always needs the first line
-        # (tenant derivation, /stats).  Preserved exactly.
-        return self.server is not None or self.checkpoint_dir is not None
-
     async def _readline_first(self) -> bytes:
         """Read the handshake line, racing it against drain and the clock."""
         timeout = self.settings.handshake_timeout_s
@@ -372,8 +382,6 @@ class SessionDriver:
         raise _HandshakeTimeout()
 
     async def _handshake(self) -> bool:
-        if not self._peeks:
-            return True
         try:
             first = await self._readline_first()
         except ValueError as error:

@@ -22,54 +22,24 @@ consumes:
   formats (mtrace-style kernel lock logs, a TSan-like format).
 """
 
-from repro.trace.event import Event, EventType
-from repro.trace.semantics import (
-    EventSemantics,
-    LockDiscipline,
-    REGISTRY,
-    TOKEN_TO_ETYPE,
-)
-from repro.trace.trace import Trace, TraceError, LockSemanticsError, WellNestednessError
-from repro.trace.builder import TraceBuilder
-from repro.trace.parsers import (
-    FORMAT_NAMES,
-    TraceParseError,
-    detect_format,
-    event_iterator,
-    iter_trace_blocks,
-    iter_trace_file,
-    load_trace,
-    parse_csv,
-    parse_std,
-)
-from repro.trace.adapters import ADAPTERS, iter_mtrace_events, iter_tsan_events
-from repro.trace.writers import write_std, write_csv, dump_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventType",
-    "EventSemantics",
-    "LockDiscipline",
-    "REGISTRY",
-    "TOKEN_TO_ETYPE",
-    "Trace",
-    "TraceError",
-    "LockSemanticsError",
-    "WellNestednessError",
-    "TraceBuilder",
-    "FORMAT_NAMES",
-    "TraceParseError",
-    "detect_format",
-    "event_iterator",
-    "iter_trace_blocks",
-    "iter_trace_file",
-    "parse_std",
-    "parse_csv",
-    "load_trace",
-    "ADAPTERS",
-    "iter_mtrace_events",
-    "iter_tsan_events",
-    "write_std",
-    "write_csv",
-    "dump_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.event": ["Event", "EventType"],
+    "repro.trace.semantics": [
+        "EventSemantics", "LockDiscipline", "REGISTRY", "TOKEN_TO_ETYPE",
+    ],
+    "repro.trace.trace": [
+        "Trace", "TraceError", "LockSemanticsError", "WellNestednessError",
+    ],
+    "repro.trace.builder": ["TraceBuilder"],
+    "repro.trace.parsers": [
+        "FORMAT_NAMES", "TraceParseError", "detect_format", "event_iterator",
+        "iter_trace_blocks", "iter_trace_file", "parse_std", "parse_csv",
+        "load_trace",
+    ],
+    "repro.trace.adapters": [
+        "ADAPTERS", "iter_mtrace_events", "iter_tsan_events",
+    ],
+    "repro.trace.writers": ["write_std", "write_csv", "dump_trace"],
+})

@@ -35,6 +35,11 @@ __all__ = [
     "LOCK_EVENTS", "ACCESS_EVENTS", "THREAD_EVENTS", "BARRIER_EVENTS",
 ]
 
+#: Kind sets keyed by ``id(etype)``: the per-event predicates below stay
+#: off Enum's Python-level ``__hash__``.
+_ACCESS_IDS = frozenset(map(id, ACCESS_EVENTS))
+_LOCK_IDS = frozenset(map(id, LOCK_EVENTS))
+
 
 class Event:
     """A single trace event.
@@ -109,12 +114,12 @@ class Event:
 
     def is_access(self) -> bool:
         """Return True for read or write events."""
-        return self.etype in ACCESS_EVENTS
+        return id(self.etype) in _ACCESS_IDS
 
     def is_lock_event(self) -> bool:
         """Return True for events operating on a lock (acquire/release,
         rwlock and wait/notify events)."""
-        return self.etype in LOCK_EVENTS
+        return id(self.etype) in _LOCK_IDS
 
     def is_fork(self) -> bool:
         """Return True for fork events."""

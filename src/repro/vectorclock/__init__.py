@@ -21,16 +21,11 @@ order based detector in the library:
   the access history's epoch fast path) by WCP.
 """
 
-from repro.vectorclock.clock import VectorClock
-from repro.vectorclock.dense import DenseClock
-from repro.vectorclock.epoch import Epoch
-from repro.vectorclock.registry import ThreadRegistry
-from repro.vectorclock import codec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VectorClock",
-    "DenseClock",
-    "Epoch",
-    "ThreadRegistry",
-    "codec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.vectorclock.clock": ["VectorClock"],
+    "repro.vectorclock.dense": ["DenseClock"],
+    "repro.vectorclock.epoch": ["Epoch"],
+    "repro.vectorclock.registry": ["ThreadRegistry"],
+}, submodules=["codec"])

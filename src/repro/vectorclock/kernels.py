@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-import tempfile
 from typing import Optional
 
 
@@ -139,6 +138,8 @@ def _find_cached(cache: str, name: str) -> Optional[str]:
 
 def _compile(cache: str, name: str) -> str:
     """Build the extension into ``cache`` atomically; return the .so path."""
+    import tempfile
+
     import cffi
 
     os.makedirs(cache, exist_ok=True)
@@ -172,7 +173,9 @@ def _activate() -> Optional[str]:
     """Try to bring the compiled kernels up; return a failure reason."""
     global BACKEND, ffi, lib
     try:
-        import cffi  # noqa: F401
+        # The compiled module needs only cffi's C backend; the cffi
+        # package itself is imported by _compile when a build is due.
+        import _cffi_backend  # noqa: F401
     except ImportError:
         return "cffi is not installed"
     cache = _cache_dir()

@@ -299,7 +299,7 @@ class TestServe:
 
     def test_serve_rejects_oversized_line_with_error_response(self):
         """Regression: a line over the stream reader's buffer limit used
-        to escape serve_connection (no response, --once never exited);
+        to escape the connection handler (no response, --once never exited);
         it must answer an error line and exit like a rejected stream."""
         args = self._serve_args("--port", "0")
         payload = "t1|w(" + "x" * 100_000 + ")\n"

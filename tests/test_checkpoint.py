@@ -904,7 +904,7 @@ class TestBackgroundCheckpointer:
 
 class TestServeHandshakeErrors:
     def test_over_limit_first_line_is_answered_on_the_wire(self, tmp_path):
-        from repro.engine.async_engine import serve_connection
+        from repro.serve.server import SessionDriver
 
         class FakeWriter:
             def __init__(self):
@@ -920,9 +920,9 @@ class TestServeHandshakeErrors:
             reader = asyncio.StreamReader(limit=16)
             reader.feed_data(b"x" * 100)  # no newline within the limit
             writer = FakeWriter()
-            result = await serve_connection(
+            result = await SessionDriver(
                 reader, writer, ["wcp"], checkpoint_dir=str(tmp_path)
-            )
+            ).run()
             return result, writer.data
 
         result, answered = asyncio.run(scenario())

@@ -352,3 +352,66 @@ class TestStreamReclamation:
         assert sorted(map(sorted, baseline.report.location_pairs())) == \
             sorted(map(sorted, pruned.report.location_pairs()))
         assert baseline.report.raw_race_count == pruned.report.raw_race_count
+
+
+class TestRuleBWalkCost:
+    """A release's Rule (b) walk starts at its cursor: entries before the
+    cursor cost nothing, even when no reclamation ever drops them."""
+
+    def test_walk_touches_no_entry_before_the_cursor(self, monkeypatch):
+        from collections import deque
+
+        import repro.core.wcp as wcp_module
+        from repro.trace.event import Event, EventType
+        from repro.trace.trace import Trace
+
+        touched = []
+
+        class CountingDeque(deque):
+            def __iter__(self):
+                for entry in deque.__iter__(self):
+                    touched.append(entry)
+                    yield entry
+
+            def __getitem__(self, index):
+                entry = deque.__getitem__(self, index)
+                touched.append(entry)
+                return entry
+
+        monkeypatch.setattr(wcp_module, "deque", CountingDeque)
+        sections, tail = 200, 50
+
+        def section(thread, access=None):
+            events = [Event(-1, thread, EventType.ACQUIRE, "l")]
+            if access is not None:
+                events.append(Event(-1, thread, access, "x"))
+            return events + [Event(-1, thread, EventType.RELEASE, "l")]
+
+        events = []
+        for _ in range(sections):
+            events += section("t1", EventType.WRITE)
+        # t2's read conflicts with t1's last write: Rule (a) orders every
+        # t1 section before t2's release, so t2's cursor passes them all.
+        events += section("t2", EventType.READ)
+        head = len(events)
+        for _ in range(tail):
+            events += section("t2")
+
+        trace = Trace(events, validate=True)
+        detector = WCPDetector(prune_queues=False)
+        detector.reset(trace)
+        trace = list(trace)
+        for event in trace[:head]:
+            detector.process(event)
+        state = detector._locks["l"]
+        assert type(state.log) is CountingDeque and state.base == 0
+        assert state.cursor[detector._registry.lookup("t2")] == sections + 1
+
+        del touched[:]
+        for event in trace[head:]:
+            detector.process(event)
+        detector.finish()
+        # Each tail release walks its own open entry and closes it: two
+        # touches, independent of the entries before the cursor.
+        assert len(state.log) == sections + 1 + tail
+        assert len(touched) == 2 * tail
