@@ -23,7 +23,7 @@ to "epoch based optimizations"), each join also carries an *epoch*
 ``c@t`` of the most recent access plus a flag recording that the epoch
 characterises the whole join.  The flag is set when the latest access's
 clock dominated the join at record time (so the join collapsed to exactly
-that clock) *and* the producing detector vouched for exactness (below).
+that clock); the exactness contract below makes that sufficient.
 While the flag holds, ``join <= C`` reduces to the O(1) comparison
 ``c <= C(t)``, with no clock traversal and no allocation.  The flag drops
 back to the slow path the moment an access fails to dominate (concurrent
@@ -35,17 +35,14 @@ Exactness contract
 The O(1) reduction is only valid when, for every later access clock ``C``
 produced by the same detector run, ``C_a(t) <= C(t)`` implies
 ``C_a <= C`` pointwise (``C_a`` being the recorded access's clock, ``t``
-its thread).  For HB-style timestamping this always holds: a thread's
-component only escapes to other clocks via end-of-interval snapshots
-(release / fork / join all start a fresh local interval).  For WCP's
-``C_e = P_t[t := N_t]`` it holds *unless* a snapshot of the thread's
-current release-free block already escaped mid-block -- which only fork
-(publishing the parent's ``C``/``H``) and join (publishing the child's
-``C``/``H``) can cause, since ``N_t`` bumps only after releases.  The
-detectors therefore pass ``exact=`` per access: HB passes True, WCP passes
-False exactly for accesses in a block that already leaked through a
-fork/join.  With ``exact=False`` the access records normally but never
-arms the epoch, so results are bit-identical to the always-slow check.
+its thread).  Every vector-clock detector in the library guarantees it
+unconditionally: a thread's own component only escapes into other
+threads' clocks through end-of-interval snapshots, because every event
+kind that publishes a thread's clock (release, fork, join for the joined
+child, barrier arrival, notify, read-mode release) defers a bump of that
+thread's local clock to its next event -- the ``bumps`` discipline of
+:mod:`repro.trace.semantics`.  The epoch is therefore armed whenever the
+access dominates the join.
 
 Ownership contract
 ------------------
@@ -120,7 +117,7 @@ class VariableHistory:
     # ------------------------------------------------------------------ #
 
     def observe_read(
-        self, event: Event, clock: DenseClock, key: int, exact: bool
+        self, event: Event, clock: DenseClock, key: int
     ) -> List[Event]:
         """Check a read against earlier writes, then record it.
 
@@ -161,7 +158,7 @@ class VariableHistory:
             time = times[key] if key < len(times) else 0
             self.r_tid = key
             self.r_time = time
-            self.r_fast = exact and time > 0
+            self.r_fast = time > 0
         else:
             join = self.read_join
             if not self._rj_owned:
@@ -177,7 +174,7 @@ class VariableHistory:
         return racy
 
     def observe_write(
-        self, event: Event, clock: DenseClock, key: int, exact: bool
+        self, event: Event, clock: DenseClock, key: int
     ) -> List[Event]:
         """Check a write against earlier reads and writes, then record it."""
         # Epoch lookups index the raw buffer (see observe_read).
@@ -212,7 +209,7 @@ class VariableHistory:
             time = times[key] if key < len(times) else 0
             self.w_tid = key
             self.w_time = time
-            self.w_fast = exact and time > 0
+            self.w_fast = time > 0
         else:
             join = self.write_join
             if not self._wj_owned:
@@ -285,14 +282,12 @@ class AccessHistory:
         on_race: Optional[Callable[[Event, Event], None]] = None,
         *,
         key: int,
-        exact: bool,
     ) -> int:
         """Check ``event`` against the history, record it, report races.
 
         ``clock`` is the access's timestamp, handed over under the
         ownership contract (module docstring); ``key`` is the accessing
-        thread's tid; ``exact`` arms the O(1) epoch fast path (see the
-        module docstring for the contract the caller must satisfy).
+        thread's tid.
 
         Returns the number of racy earlier events found for this access.
         """
@@ -300,9 +295,9 @@ class AccessHistory:
         if history is None:
             history = self._variables[event.variable] = VariableHistory()
         if event.is_read():
-            racy = history.observe_read(event, clock, key, exact)
+            racy = history.observe_read(event, clock, key)
         else:
-            racy = history.observe_write(event, clock, key, exact)
+            racy = history.observe_write(event, clock, key)
         if racy:
             for earlier in racy:
                 report.add(earlier, event)

@@ -5,7 +5,8 @@ detector processes the trace in a single streaming pass and maintains:
 
 ``N_t``
     an integer local clock per thread, incremented just before processing
-    an event whose thread-order predecessor was a release;
+    an event whose thread-order predecessor was a release (or another
+    event the event registry marks as bumping -- see below);
 ``P_t``
     the WCP-predecessor clock of thread ``t`` (the join of ``C_e`` over all
     events ``e`` WCP-before the last event of ``t``);
@@ -43,7 +44,13 @@ comparison (see :mod:`repro.core.history`).
 Fork and join events are not part of the paper's formal model but are
 emitted by real loggers; we treat them as inviolable program-order edges
 (like thread order) by joining the parent's ``C`` into the child's ``P``
-and ``H`` on fork, and symmetrically on join.
+and ``H`` on fork, and symmetrically on join.  Like every event that
+publishes a thread's clock, they end that thread's local interval: fork
+defers a bump of the parent's ``N_t`` and join one of the child's, the
+same rule HB follows (the registry's ``bumps`` field in
+:mod:`repro.trace.semantics`).  Without it the parent's later events in
+the same block would look ordered before the child's, hiding races that
+HB reports.
 
 One deliberate deviation from the literal pseudocode: Definition 3's
 Rule (a) requires the event in ``CS(r)`` to *conflict* with the later
@@ -76,11 +83,12 @@ Hot-path engineering (the constant factor behind Theorem 3's
   to it without copying.  Inside the Rule (b) cursor walk this turns the
   per-iteration ``_clock_c`` rebuild into a rebuild-on-actual-change.
 * **Epoch-accelerated race checks** -- accesses flow into the shared
-  :class:`~repro.core.history.AccessHistory` with ``exact=True`` unless a
-  fork/join leaked a mid-block snapshot of the thread's current
-  release-free block (the condition under which the FastTrack-style O(1)
-  epoch comparison is provably equivalent to the full join comparison for
-  WCP timestamps -- see the history module docstring).
+  :class:`~repro.core.history.AccessHistory`, whose FastTrack-style O(1)
+  epoch comparison is provably equivalent to the full join comparison
+  because a thread's clock only escapes at the end of a local interval
+  (see the history module's exactness contract).  The same lemma turns
+  the Rule (b) gate ``A <= C_t`` into the O(1) comparison of the
+  acquire's owner epoch.
 
 Space is linear in the worst case due to the FIFO queues, and the
 detector records the maximum total queue length so Table 1's column 11
@@ -188,14 +196,11 @@ class _LockState:
     def __init__(self) -> None:
         #: Shared critical-section log: [acquire clock, release HB-time or
         #: None while open, owning tid, acquire epoch] per entry.  The
-        #: epoch (the owner's ``N_o`` at acquire) is set when no mid-block
-        #: snapshot of the owner's block escaped before the acquire, in
-        #: which case the Rule (b) gate ``A <= C_t`` reduces to the O(1)
-        #: comparison ``N_o <= C_t(o)`` (same exactness lemma as the
-        #: access history's epoch fast path); None forces the full
-        #: comparison.  Snapshots strip the field (it is a pure
-        #: accelerator), so restored detectors walk pre-snapshot entries
-        #: with the full comparison and identical verdicts.
+        #: epoch is the owner's ``N_o`` at acquire, through which the
+        #: Rule (b) gate ``A <= C_t`` reduces to the O(1) comparison
+        #: ``N_o <= C_t(o)`` (same exactness lemma as the access
+        #: history's epoch fast path).  It equals ``A(o)``, so snapshots
+        #: leave it out and restore derives it.
         self.log: Deque[list] = deque()
         #: Absolute index of the log's first retained entry.
         self.base = 0
@@ -296,7 +301,7 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 3
+    snapshot_version = 4
 
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
@@ -338,9 +343,6 @@ class WCPDetector(Detector):
         # Cached frozen ``C_t`` per thread (None = needs rebuild).
         self._ct: List[object] = []
         self._prev_release: List[bool] = []
-        # ``N_t`` value at the last mid-block snapshot leak (fork by the
-        # thread / join consuming it); -1 when the current block is clean.
-        self._leak: List[int] = []
         # Per-thread stack of open critical sections:
         # (lock, variables read, variables written).
         self._open_sections: List[Optional[list]] = []
@@ -422,7 +424,6 @@ class WCPDetector(Detector):
             self._ht.extend([None] * grow)
             self._ct.extend([None] * grow)
             self._prev_release.extend([False] * grow)
-            self._leak.extend([-1] * grow)
             self._open_sections.extend([None] * grow)
             self._read_held.extend([None] * grow)
         if nt[tid] == 0:
@@ -431,7 +432,6 @@ class WCPDetector(Detector):
             self._ht[tid] = DenseClock.single(tid, 1)
             self._ct[tid] = None
             self._prev_release[tid] = False
-            self._leak[tid] = -1
             self._open_sections[tid] = []
             self._read_held[tid] = {}
             self._thread_names.append(name)
@@ -441,11 +441,6 @@ class WCPDetector(Detector):
         if state is None:
             state = self._locks[lock] = _LockState()
         return state
-
-    @property
-    def _cs_log(self) -> Dict[str, Deque[list]]:
-        """Per-lock critical-section logs (compatibility view)."""
-        return {lock: state.log for lock, state in self._locks.items()}
 
     # ------------------------------------------------------------------ #
     # Clock helpers
@@ -463,13 +458,6 @@ class WCPDetector(Detector):
             ct = self._pt[tid].copy().assign(tid, self._nt[tid])
             self._ct[tid] = ct
         return ct
-
-    def _bump_queue_total(self, delta: int) -> None:
-        if not self._track_queue_stats:
-            return
-        self._queue_total += delta
-        if self._queue_total > self._max_queue_total:
-            self._max_queue_total = self._queue_total
 
     # ------------------------------------------------------------------ #
     # Event dispatch
@@ -609,17 +597,17 @@ class WCPDetector(Detector):
         # Line 3: advertise this acquire's timestamp by opening a log entry
         # (the pseudocode appends to every other thread's Acq queue; the
         # shared log defers that fan-out to the consumers' cursors).  The
-        # acquire epoch arms the consumers' O(1) gate unless a fork/join
-        # already leaked a snapshot of this block (see _LockState.log).
+        # acquire epoch arms the consumers' O(1) gate (see _LockState.log).
         nt = self._nt[tid]
         ct = ct_cache[tid]
         if ct is None:
             ct = ct_cache[tid] = self._pt[tid].copy().assign(tid, nt)
         log = state.log
         state.open_entry[tid] = state.base + len(log)
-        log.append([ct, None, tid, nt if self._leak[tid] != nt else None])
+        log.append([ct, None, tid, nt])
         if self._track_queue_stats:
-            # Inlined _bump_queue_total(_audience_size(...)).
+            # Pseudocode queue occupancy: one entry per other-thread queue
+            # (with pruning, queues exist only for the lock's releasers).
             if self._effective_prune:
                 audience = state.releasers
                 delta = len(audience) - (1 if tid in audience else 0)
@@ -699,11 +687,7 @@ class WCPDetector(Detector):
                         cursor += 1
                         continue
                     gate = entry[3]
-                    if gate is None:
-                        ordered = entry[0] <= ct
-                    else:
-                        ordered = owner < nct and gate <= ct_times[owner]
-                    if not ordered:
+                    if not (owner < nct and gate <= ct_times[owner]):
                         if pending is None:
                             break
                         if pt.merge(pending):
@@ -711,11 +695,7 @@ class WCPDetector(Detector):
                             ct_times = ct._times
                             nct = len(ct_times)
                         pending = None
-                        if gate is None:
-                            ordered = entry[0] <= ct
-                        else:
-                            ordered = owner < nct and gate <= ct_times[owner]
-                        if not ordered:
+                        if not (owner < nct and gate <= ct_times[owner]):
                             break
                     release_time = entry[1]
                     if release_time is None:
@@ -734,12 +714,7 @@ class WCPDetector(Detector):
                     if owner == tid:
                         cursor += 1
                         continue
-                    gate = entry[3]
-                    if gate is None:
-                        ordered = entry[0] <= ct
-                    else:
-                        ordered = owner < nct and gate <= ct_times[owner]
-                    if not ordered:
+                    if not (owner < nct and entry[3] <= ct_times[owner]):
                         break
                     release_time = entry[1]
                     if release_time is None:
@@ -799,7 +774,8 @@ class WCPDetector(Detector):
         if open_index is not None and open_index >= state.base:
             log[open_index - state.base][1] = release_snapshot
         if self._track_queue_stats:
-            # Inlined _bump_queue_total(_audience_size(...)).
+            # Pseudocode queue occupancy: one entry per other-thread queue
+            # (with pruning, queues exist only for the lock's releasers).
             if self._effective_prune:
                 audience = state.releasers
                 delta = len(audience) - (1 if tid in audience else 0)
@@ -816,20 +792,6 @@ class WCPDetector(Detector):
             state.releasers.add(tid)
             if len(state.log) >= self._QUIESCE_LOG_THRESHOLD:
                 self._reclaim_quiescent(state)
-
-    def _audience_size(self, state: _LockState, tid: int) -> int:
-        """Number of pseudocode queues this entry would be appended to.
-
-        Only used for the Table-1 queue statistics: with pruning, queues
-        exist for threads that release the lock; otherwise for every
-        known thread (minus the owner in both cases).
-        """
-        if self._effective_prune:
-            audience = state.releasers
-            size = len(audience)
-            return size - 1 if tid in audience else size
-        # The owner is always initialised, hence always counted.
-        return len(self._thread_names) - 1
 
     def _reclaim(self, state: _LockState) -> None:
         """Drop closed log entries that every possible consumer has passed.
@@ -930,7 +892,7 @@ class WCPDetector(Detector):
                 break
             acq_clock = entry[0]
             owner = entry[2]
-            acq_owner_time = acq_clock.get(owner)
+            acq_owner_time = entry[3]
             blocked = False
             for tid, nt in enumerate(self._nt):
                 if nt == 0 or tid == owner:
@@ -1060,7 +1022,7 @@ class WCPDetector(Detector):
         read_held = self._read_held[tid]
         if read_held:
             self._read_held_rule_a(event.target, tid, read_held, False)
-        # Race check, inlined from _check_access (the per-access hot path).
+        # Race check (the per-access hot path).
         ct = self._ct[tid]
         if ct is None:
             ct = self._ct[tid] = self._pt[tid].copy().assign(tid, self._nt[tid])
@@ -1068,9 +1030,7 @@ class WCPDetector(Detector):
         history = variables.get(event.target)
         if history is None:
             history = variables[event.target] = VariableHistory()
-        racy = history.observe_read(
-            event, ct, tid, self._leak[tid] != self._nt[tid]
-        )
+        racy = history.observe_read(event, ct, tid)
         if racy:
             report = self.report
             for earlier in racy:
@@ -1107,7 +1067,7 @@ class WCPDetector(Detector):
         read_held = self._read_held[tid]
         if read_held:
             self._read_held_rule_a(event.target, tid, read_held, True)
-        # Race check, inlined from _check_access (the per-access hot path).
+        # Race check (the per-access hot path).
         ct = self._ct[tid]
         if ct is None:
             ct = self._ct[tid] = self._pt[tid].copy().assign(tid, self._nt[tid])
@@ -1115,9 +1075,7 @@ class WCPDetector(Detector):
         history = variables.get(event.target)
         if history is None:
             history = variables[event.target] = VariableHistory()
-        racy = history.observe_write(
-            event, ct, tid, self._leak[tid] != self._nt[tid]
-        )
+        racy = history.observe_write(event, ct, tid)
         if racy:
             report = self.report
             for earlier in racy:
@@ -1217,9 +1175,8 @@ class WCPDetector(Detector):
         self._ht[child].merge(self._ht[tid])
         # Keep the child's own component pinned to its local clock.
         self._ht[child].assign(child, self._nt[child])
-        # The parent's mid-block C/H escaped: epoch checks for accesses in
-        # the remainder of this block must take the full-join path.
-        self._leak[tid] = self._nt[tid]
+        # The parent's C/H escaped: its next event starts a new interval.
+        self._prev_release[tid] = True
 
     def _join(self, event: Event, tid: int) -> None:
         child_name = event.target
@@ -1229,8 +1186,9 @@ class WCPDetector(Detector):
             self._ct[tid] = None
         self._ht[tid].merge(self._ht[child])
         self._ht[tid].assign(tid, self._nt[tid])
-        # The child's mid-block C/H escaped into the parent.
-        self._leak[child] = self._nt[child]
+        # The child's C/H escaped into the parent: any (unusual) child
+        # event after the join starts a new interval.
+        self._prev_release[child] = True
 
     # ------------------------------------------------------------------ #
     # Extended vocabulary: rwlocks, barriers, wait/notify
@@ -1413,17 +1371,8 @@ class WCPDetector(Detector):
             state.notify_h.merge(self._ht[tid])
 
     # ------------------------------------------------------------------ #
-    # Race checking
+    # Finishing and the shard-boundary protocol
     # ------------------------------------------------------------------ #
-
-    def _check_access(self, event: Event, tid: int) -> None:
-        self._history.observe(
-            event,
-            self._clock_c(tid),
-            self.report,
-            key=tid,
-            exact=self._leak[tid] != self._nt[tid],
-        )
 
     def finish(self) -> None:
         if self._track_queue_stats:
@@ -1497,9 +1446,8 @@ class WCPDetector(Detector):
         locks: Dict[str, object] = {}
         for lock, state in self._locks.items():
             locks[lock] = {
-                # The acquire epoch (entry[3]) is a pure accelerator and
-                # is rebuilt as "unknown" on restore; stripping it keeps
-                # the wire format stable across detector versions.
+                # The acquire epoch (entry[3]) is the acquire clock's owner
+                # component, so restore derives it instead of storing it.
                 "log": [(entry[0], entry[1], entry[2]) for entry in state.log],
                 "base": state.base,
                 "cursor": dict(state.cursor),
@@ -1538,7 +1486,6 @@ class WCPDetector(Detector):
             "pt": list(self._pt),
             "ht": list(self._ht),
             "prev_release": list(self._prev_release),
-            "leak": list(self._leak),
             "open_sections": [
                 None if sections is None else [
                     (lock, reads, writes)
@@ -1593,16 +1540,14 @@ class WCPDetector(Detector):
         self._ht = list(state["ht"])
         self._ct = [None] * len(self._nt)
         self._prev_release = list(state["prev_release"])
-        self._leak = list(state["leak"])
         self._thread_names = list(state["thread_names"])
 
         locks: Dict[str, _LockState] = {}
         for lock, entry in state["locks"].items():
             lock_state = _LockState()
-            # Pad the stripped acquire-epoch field: None takes the full
-            # Rule (b) comparison, which is verdict-identical.
             lock_state.log = deque(
-                [item[0], item[1], item[2], None] for item in entry["log"]
+                [acq, release, owner, acq.get(owner)]
+                for acq, release, owner in entry["log"]
             )
             lock_state.base = entry["base"]
             lock_state.cursor = dict(entry["cursor"])

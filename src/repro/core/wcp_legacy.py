@@ -24,6 +24,10 @@ the cost profile being measured against.  The pre-overhaul access history
 is frozen here as well (:class:`_LegacyAccessHistory`): sharing the live,
 epoch-accelerated :mod:`repro.core.history` would make the differential
 blind to regressions in the rewritten history itself.
+
+The one change made since it was frozen is semantic, not a speed-up:
+fork ends the parent's local interval and join the child's (the event
+registry's ``bumps`` rule), exactly as in the current detector.
 """
 
 from __future__ import annotations
@@ -260,7 +264,11 @@ class LegacyWCPDetector(Detector):
             self._join(event)
         # BEGIN / END need no clock work.
 
-        self._prev_was_release[thread] = etype is EventType.RELEASE
+        # Release and fork end this thread's local interval (a join ends
+        # the child's; see _join).
+        self._prev_was_release[thread] = (
+            etype is EventType.RELEASE or etype is EventType.FORK
+        )
 
     # ------------------------------------------------------------------ #
     # Algorithm 1 procedures
@@ -407,6 +415,7 @@ class LegacyWCPDetector(Detector):
         self._pt[parent].join(self._clock_c(child))
         self._ht[parent].join(self._ht[child])
         self._ht[parent].assign(parent, self._nt[parent])
+        self._prev_was_release[child] = True
 
     # ------------------------------------------------------------------ #
     # Race checking

@@ -11,11 +11,16 @@ processing it.  Two events are HB-ordered exactly when their timestamps are
 pointwise ordered, so races are found with the same per-variable access
 history used by the WCP detector.
 
-The local component ``C_t(t)`` is incremented after every release and fork
-(deferred to just before the thread's next event) so that distinct
+The local component ``C_t(t)`` is incremented after every event the event
+registry marks as bumping (:mod:`repro.trace.semantics`: release-like
+events and fork bump their own thread, join bumps the joined child),
+deferred to just before the bumped thread's next event, so that distinct
 synchronization intervals get distinct local times; this matches the
 standard Djit+ formulation and keeps the clock comparison exact -- the
 timestamp observed right after processing an event is that event's HB time.
+This synchronization core is shared:
+:class:`~repro.hb.fasttrack.FastTrackDetector` subclasses this detector
+and replaces only the per-access race check.
 
 Hot-path engineering: per-thread state is a flat list indexed by interned
 tids (see :class:`~repro.vectorclock.registry.ThreadRegistry`), clocks are
@@ -134,10 +139,7 @@ class HBDetector(Detector):
             snap = self._snap[tid]
             if snap is None:
                 snap = self._snap[tid] = clock.copy()
-            # HB timestamps satisfy the exactness contract unconditionally:
-            # a thread's component only escapes via end-of-interval
-            # snapshots (release / fork / join all defer an increment).
-            self._history.observe(event, snap, self.report, key=tid, exact=True)
+            self._history.observe(event, snap, self.report, key=tid)
         elif etype is EventType.ACQUIRE:
             lock_clock = self._lock_clocks.get(event.lock)
             if lock_clock is not None and clock.merge(lock_clock):
@@ -264,17 +266,12 @@ class HBDetector(Detector):
             if entry[0] is not None and clock.merge(entry[0]):
                 self._snap[tid] = None
 
-    def process_foreign(self, event: Event) -> None:
-        """Apply a foreign access's clock effects: only the deferred bump.
+    def _prologue(self, event: Event) -> int:
+        """Shared per-event prologue: intern, initialise, apply the bump.
 
-        Accesses never join anything into HB clocks, but the *first*
-        access after a release/fork applies the thread's deferred local
-        increment; replaying that here keeps this shard's clock visibility
-        in lock-step with the shards that own the access (so later
-        replicated fork/join snapshots of this thread agree everywhere).
-        Called only when a co-selected detector (WCP) caused foreign
-        transport; HB alone never requests it, because its race verdicts
-        are independent of the bump's visibility lag.
+        Returns the event's tid.  :meth:`process_foreign` and subclasses
+        that take over the access path call this; :meth:`process` inlines
+        a copy of it for speed, so any change here must be mirrored there.
         """
         tid = event.tid
         if tid is None or not self._trust_tids:
@@ -290,14 +287,46 @@ class HBDetector(Detector):
         waiting = self._barrier_waiting.get(tid)
         if waiting:
             self._join_open_barriers(tid, clock, waiting)
+        return tid
+
+    def process_foreign(self, event: Event) -> None:
+        """Apply a foreign access's clock effects: only the deferred bump.
+
+        Accesses never join anything into HB clocks, but the *first*
+        access after a release/fork applies the thread's deferred local
+        increment; replaying that here keeps this shard's clock visibility
+        in lock-step with the shards that own the access (so later
+        replicated fork/join snapshots of this thread agree everywhere).
+        Called only when a co-selected detector (WCP) caused foreign
+        transport; HB alone never requests it, because its race verdicts
+        are independent of the bump's visibility lag.
+        """
+        self._prologue(event)
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (checkpoint/resume, sharded worker restore)
     # ------------------------------------------------------------------ #
 
     def state_snapshot(self) -> bytes:
-        report = self.report  # raises before reset()
-        state = {
+        return pack_state(
+            type(self).__name__, self.snapshot_version,
+            self.snapshot_config(), self._state_dict(),
+        )
+
+    def restore_state(self, blob: bytes) -> None:
+        if self._report is None:
+            raise RuntimeError(
+                "restore_state() requires reset() first (the reset binds "
+                "the pass context and its shared thread registry)"
+            )
+        state = unpack_for(self).unpack(blob)
+        adopt_registry_names(self._registry, state["names"])
+        self._restore_dict(state)
+        self.restore_pending = False
+
+    def _state_dict(self) -> dict:
+        """The codec-encodable state :meth:`state_snapshot` packs."""
+        return {
             "names": self._registry.names(),
             "clocks": list(self._clocks),
             "pending": list(self._pending),
@@ -318,21 +347,11 @@ class HBDetector(Detector):
                 for held in self._read_held
             ],
             "history": self._history.state_dict(),
-            "report": report.state_dict(),
+            "report": self.report.state_dict(),
         }
-        return pack_state(
-            type(self).__name__, self.snapshot_version,
-            self.snapshot_config(), state,
-        )
 
-    def restore_state(self, blob: bytes) -> None:
-        if self._report is None:
-            raise RuntimeError(
-                "restore_state() requires reset() first (the reset binds "
-                "the pass context and its shared thread registry)"
-            )
-        state = unpack_for(self).unpack(blob)
-        adopt_registry_names(self._registry, state["names"])
+    def _restore_dict(self, state: dict) -> None:
+        """Inverse of :meth:`_state_dict` (names already adopted)."""
         self._clocks = list(state["clocks"])
         self._pending = list(state["pending"])
         # Frozen per-thread snapshots are a sharing optimisation; the next
@@ -356,7 +375,6 @@ class HBDetector(Detector):
         ]
         self._history = AccessHistory.from_state(state["history"])
         self._report = RaceReport.from_state(state["report"])
-        self.restore_pending = False
 
     def sync_clock_state(self) -> dict:
         """Serialized per-thread HB clocks (shard-boundary protocol).

@@ -37,7 +37,11 @@ has exactly one :class:`EventSemantics` entry declaring:
     ``rel``, ``"rw"`` for ``rrel``).
 ``bumps``
     Which local clock the event's epilogue bumps (``"self"`` for
-    release-like events, ``"target"`` for join, None otherwise) --
+    release-like events and fork, ``"target"`` for join, None
+    otherwise).  Every vector-clock detector (WCP, HB, FastTrack) obeys
+    it: the bump is deferred to the bumped thread's next event, so a
+    thread's clock only escapes at the end of a local interval, which is
+    what keeps the access history's epoch checks exact.  It is also
     exactly the "pending bump" set the partitioner must track so
     accesses that carry a deferred bump are routed with clock state.
 

@@ -14,23 +14,34 @@ epoch-accelerated history, chain-collapsed Rule (a)/(b) joins) must be
 
 Two generators are used: the hypothesis strategy from
 ``tests/test_properties.py`` (locks + accesses) and a seeded fork/join
-generator, because fork/join are exactly the events that can invalidate
-the history's epoch fast path for WCP (mid-block snapshot leaks).
+generator, because fork/join publish a thread's clock mid-trace and must
+end its local interval like a release does (the event registry's
+``bumps`` rule) for the history's epoch fast path to stay exact.
+
+Parity with the legacy detector cannot catch a bug both share, so the
+fork/join rule is also checked against the definitional oracles: tiny
+traces whose one race every clock detector must report, a seeded sweep
+pinning HB races within WCP races within the WCP closure's, and a
+registry conformance check that every bumping event kind bumps in every
+clock detector.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_properties import traces
 
-from repro.core.closure import HBClosure
+from repro.core.closure import HBClosure, WCPClosure, WCPClosureDetector
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import IterableSource, RaceEngine
 from repro.hb import FastTrackDetector, HBDetector
+from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
+from repro.trace.semantics import REGISTRY
 from repro.trace.trace import Trace
 from repro.vectorclock.registry import ThreadRegistry
 
@@ -147,8 +158,8 @@ class TestWCPBackendParity:
         _assert_wcp_equivalent(trace)
 
     def test_fork_join_traces(self):
-        # Fork/join is where the epoch fast path must demote itself to the
-        # full join comparison (mid-block snapshot leaks); sweep seeds
+        # Fork/join publish clocks outside releases, so they exercise the
+        # deferred bumps the epoch fast path relies on; sweep seeds
         # deterministically so failures are reproducible.
         for seed in range(60):
             _assert_wcp_equivalent(random_trace_with_forks(seed))
@@ -238,3 +249,112 @@ class TestTidStampTrust:
         assert trace[1].tid == trace.registry.lookup("t1")
         assert events[0].tid == 1 and events[1].tid == 0
         assert WCPDetector().run(trace).count() == 1
+
+
+CLOCK_DETECTORS = (WCPDetector, HBDetector, FastTrackDetector)
+
+# One race each, between accesses that fork or join leaves unordered: the
+# forking parent's next access, and a joined child's access after the join.
+FORK_JOIN_RACES = {
+    "post-fork parent write": (
+        TraceBuilder().fork("t0", "t1").write("t0", "x").write("t1", "x")
+    ),
+    "post-join child write": (
+        TraceBuilder().write("t1", "y").join("t0", "t1")
+        .write("t1", "x").write("t0", "x")
+    ),
+    "post-join child read": (
+        TraceBuilder().write("t1", "y").join("t0", "t1")
+        .read("t1", "x").write("t0", "x")
+    ),
+    "post-join child with no pre-join access": (
+        TraceBuilder().join("t0", "t1").write("t1", "x").write("t0", "x")
+    ),
+}
+
+
+class TestForkJoinAgainstOracles:
+    @pytest.mark.parametrize("scenario", sorted(FORK_JOIN_RACES))
+    @pytest.mark.parametrize(
+        "detector", CLOCK_DETECTORS, ids=lambda cls: cls.name
+    )
+    def test_reports_exactly_the_closure_race(self, scenario, detector):
+        trace = FORK_JOIN_RACES[scenario].build()
+        expected = _closure_pairs(WCPClosure(trace))
+        assert len(expected) == 1
+        assert _closure_pairs(HBClosure(trace)) == expected
+        assert set(detector().run(trace).location_pairs()) == expected
+
+    def test_hb_races_within_wcp_races_within_closure_races(self):
+        for seed in range(200):
+            trace = random_trace_with_forks(seed)
+            hb = set(HBDetector().run(trace).location_pairs())
+            wcp = set(WCPDetector().run(trace).location_pairs())
+            closure = set(WCPClosureDetector().run(trace).location_pairs())
+            assert hb <= wcp <= closure, seed
+            # Weak soundness direction: WCP clocks order every pair the
+            # closure orders, so no reported race is a closure-ordered pair.
+            oracle = WCPClosure(trace)
+            clocks = WCPDetector().timestamps(trace)
+            for second in range(len(trace)):
+                for first in range(second):
+                    if oracle.ordered(first, second):
+                        assert clocks[first] <= clocks[second], (
+                            seed, first, second,
+                        )
+
+
+# For every event kind that bumps a local clock: a trace containing it,
+# the index of the bumping event, the bumped thread and the index of that
+# thread's next event.
+BUMP_SCENARIOS = {
+    EventType.RELEASE: (
+        TraceBuilder().acquire("t0", "l").release("t0", "l")
+        .write("t0", "x"), 1, "t0", 2,
+    ),
+    EventType.FORK: (
+        TraceBuilder().fork("t0", "t1").write("t0", "x"), 0, "t0", 1,
+    ),
+    EventType.JOIN: (
+        TraceBuilder().write("t1", "x").join("t0", "t1").write("t1", "y"),
+        1, "t1", 2,
+    ),
+    EventType.RREL: (
+        TraceBuilder().read_acquire("t0", "l").rw_release("t0", "l")
+        .write("t0", "x"), 1, "t0", 2,
+    ),
+    EventType.BARRIER: (
+        TraceBuilder().barrier("t0", "b").write("t0", "x"), 0, "t0", 1,
+    ),
+    EventType.NOTIFY: (
+        TraceBuilder().notify("t0", "m").write("t0", "x"), 0, "t0", 1,
+    ),
+}
+
+
+class TestRegistryBumpConformance:
+    def test_every_bumping_kind_has_a_scenario(self):
+        bumping = {
+            etype for etype, semantics in REGISTRY.items()
+            if semantics.bumps in ("self", "target")
+        }
+        assert bumping == set(BUMP_SCENARIOS)
+
+    @pytest.mark.parametrize(
+        "etype", sorted(BUMP_SCENARIOS, key=lambda etype: etype.value),
+        ids=lambda etype: etype.value,
+    )
+    @pytest.mark.parametrize(
+        "detector", CLOCK_DETECTORS, ids=lambda cls: cls.name
+    )
+    def test_bumped_thread_starts_a_new_interval(self, etype, detector):
+        builder, at, bumped, following = BUMP_SCENARIOS[etype]
+        trace = builder.build()
+        assert trace[at].etype is etype
+        assert trace[following].thread == bumped
+        bumps = REGISTRY[etype].bumps
+        assert bumped == (
+            trace[at].thread if bumps == "self" else trace[at].target
+        )
+        clocks = detector().timestamps(trace)
+        assert clocks[following].get(bumped) > clocks[at].get(bumped)

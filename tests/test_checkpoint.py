@@ -493,6 +493,36 @@ class TestEngineResume:
         ):
             RaceEngine(EngineConfig()).resume(TraceSource(trace), directory)
 
+    @pytest.mark.parametrize("detector_cls", [WCPDetector, FastTrackDetector])
+    def test_resume_of_v3_checkpoint_reports_the_version(
+        self, tmp_path, detector_cls
+    ):
+        # Version 3 states predate the shared fork/join bump rule (WCP's
+        # leak list, FastTrack's own synchronization layout): both the
+        # checkpoint stamp and the state envelope must be refused by
+        # version, never half-restored into a KeyError.
+        trace = random_trace(1, n_events=120)
+        detector = detector_cls()
+        stamp = detector_stamp(detector)
+        stamp["snapshot_version"] = 3
+        state = pack_state(
+            detector_cls.__name__, 3, detector.snapshot_config(),
+            {"names": [], "leak": []},
+        )
+        directory = tmp_path / "ckpts"
+        Checkpointer(directory, every=20).save(Checkpoint(
+            events=60, source_name=trace.name, stamps=[stamp],
+            states=[state], every=20,
+        ))
+        with pytest.raises(
+            CheckpointMismatchError,
+            match="snapshot format version mismatch -- checkpoint has 3",
+        ):
+            RaceEngine(EngineConfig()).resume(TraceSource(trace), directory)
+        detector.reset(trace)
+        with pytest.raises(SnapshotMismatchError, match="version 3"):
+            detector.restore_state(state)
+
     def test_resume_continues_checkpointing_at_original_cadence(self, tmp_path):
         trace = random_trace(6, n_events=200)
         directory = tmp_path / "ckpts"

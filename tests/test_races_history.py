@@ -18,7 +18,7 @@ def _observe(history, event, times, report, **kwargs):
     """Observe ``event`` at the tid-keyed clock ``times`` (t1 is tid 0)."""
     tid = int(event.thread[1:]) - 1
     return history.observe(
-        event, DenseClock(times), report, key=tid, exact=True, **kwargs
+        event, DenseClock(times), report, key=tid, **kwargs
     )
 
 

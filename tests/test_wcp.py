@@ -81,11 +81,11 @@ class TestWCPDetectorBasics:
         trace = builder.build()
         detector = WCPDetector(prune_queues=True)
         detector.run(trace)
-        assert len(detector._cs_log["l"]) <= 1
+        assert len(detector._locks["l"].log) <= 1
         # Without the releaser census the log is kept in full.
         unpruned = WCPDetector(prune_queues=False)
         unpruned.run(trace)
-        assert len(unpruned._cs_log["l"]) == 50
+        assert len(unpruned._locks["l"].log) == 50
 
     def test_shared_lock_log_reclaimed_after_consumption(self):
         builder = TraceBuilder()
@@ -97,7 +97,7 @@ class TestWCPDetectorBasics:
         detector.run(trace)
         # Both threads consume each other's sections as they go; the log
         # must not retain all 40 sections.
-        assert len(detector._cs_log["l"]) < 10
+        assert len(detector._locks["l"].log) < 10
 
     def test_fork_join_edges_respected(self):
         trace = (
