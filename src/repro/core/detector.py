@@ -2,14 +2,24 @@
 
 A detector consumes a stream of events and produces a
 :class:`~repro.core.races.RaceReport`.  Every detector is written in the
-streaming style (:meth:`Detector.reset`, :meth:`Detector.process`,
+streaming style (:meth:`Detector.reset`, :meth:`Detector.process_batch`,
 :meth:`Detector.finish`) so that it can be driven online -- by
 :meth:`Detector.run` over a materialised :class:`~repro.trace.trace.Trace`,
 or by the :class:`~repro.engine.RaceEngine`, which multiplexes one event
-stream into several detectors in a single pass.  The engine hands each
-detector whole blocks of events through :meth:`Detector.process_batch`,
-whose default loops over :meth:`Detector.process`; a compiled kernel
-overrides it to consume a block in one call.
+stream into several detectors in a single pass.  Both hand each detector
+whole blocks of events through :meth:`Detector.process_batch`.
+
+Two shapes of detector implement it:
+
+* the clock detectors (WCP, HB, FastTrack) implement
+  :meth:`Detector.process_batch` itself -- per-batch state bound once, the
+  hot kinds handled inline -- and their :meth:`Detector.process` is a
+  one-event batch;
+* every other detector implements :meth:`Detector.process`, and the
+  default :meth:`Detector.process_batch` loops over it.
+
+Either way a block's result must not depend on how the stream was cut
+into blocks (``tests/test_batch_parity.py``).
 
 ``reset`` accepts either a full :class:`~repro.trace.trace.Trace` or any
 *trace-like* object exposing ``name``, ``threads``, ``__len__`` and
@@ -44,10 +54,12 @@ from repro.trace.trace import Trace
 class Detector(abc.ABC):
     """Abstract base class for race detectors.
 
-    Subclasses must implement :meth:`reset` and :meth:`process`; the default
-    :meth:`run` drives them over a whole trace and records the wall-clock
-    analysis time in ``report.stats["time_s"]`` (see the module docstring
-    for the exact timing contract).
+    Subclasses must implement :meth:`reset` and :meth:`process` (a
+    detector that implements :meth:`process_batch` makes :meth:`process`
+    a one-event batch); the default :meth:`run` drives them over a whole
+    trace and records the wall-clock analysis time in
+    ``report.stats["time_s"]`` (see the module docstring for the exact
+    timing contract).
     """
 
     #: Human-readable detector name, overridden by subclasses.
@@ -114,10 +126,10 @@ class Detector(abc.ABC):
     def process_batch(self, events: Sequence[Event]) -> None:
         """Process a block of consecutive events, in order.
 
-        The engine's only entry point into a detector during a pass, and
-        the override point for compiled batch kernels: an override must
-        leave exactly the state (and report) that calling
-        :meth:`process` on each event would.  The default does just that.
+        The only entry point into a detector during a pass (engine and
+        :meth:`run`).  An implementation must leave exactly the state and
+        report that any other split of the same events into blocks would.
+        The default calls :meth:`process` on each event.
         """
         process = self.process
         for event in events:
@@ -279,16 +291,15 @@ class Detector(abc.ABC):
     def run(self, trace: Trace) -> RaceReport:
         """Run the detector over the whole trace and return its report.
 
-        The timed region covers ``reset`` + the event loop + ``finish`` so
-        that ``stats["time_s"]`` means the same thing for every detector
+        The trace is one :meth:`process_batch` block.  The timed region
+        covers ``reset`` + processing + ``finish`` so that
+        ``stats["time_s"]`` means the same thing for every detector
         regardless of where it does its work.
         """
         started = time.perf_counter()
         self.reset(trace)
-        events = 0
-        for event in trace:
-            self.process(event)
-            events += 1
+        self.process_batch(trace)
+        events = len(trace)
         self.finish()
         elapsed = time.perf_counter() - started
         self.account_cost(elapsed, events=events)

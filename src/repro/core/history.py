@@ -12,8 +12,20 @@ thread and per program location, the latest access clock.  The ``R_x`` /
 ``W_x`` joins provide the fast path ("no race here"); only on a failed
 check do we scan the per-thread histories to attribute the race to concrete
 earlier events.  The history size is bounded by (#threads x #program
-locations touching the variable), so the overall algorithm stays linear in
-the trace length for a fixed program.
+locations touching the variable).
+
+Race attribution
+----------------
+The scan itself must not cost a pass over every (thread, location) cell:
+on traces whose locations are unbounded (every event its own ``loc``) that
+would make the detectors quadratic.  The exactness contract below decides
+it instead: a cell of thread ``u`` recorded at clock ``C_a`` is unordered
+with a later access clock ``C`` exactly when ``C_a(u) > C(u)``, and
+``C_a(u)`` never decreases along ``u``'s accesses.  So each thread's cells
+are kept in recency order and the scan walks them newest first, stopping
+at the first ordered cell: it touches the racy cells plus one per thread.
+The racy cells are then reported in the order their locations were first
+recorded, which keeps witnesses and distances independent of the scan.
 
 Epoch fast path
 ---------------
@@ -42,7 +54,8 @@ kind that publishes a thread's clock (release, fork, join for the joined
 child, barrier arrival, notify, read-mode release) defers a bump of that
 thread's local clock to its next event -- the ``bumps`` discipline of
 :mod:`repro.trace.semantics`.  The epoch is therefore armed whenever the
-access dominates the join.
+access dominates the join, and the same lemma stops the race-attribution
+scan at a thread's first ordered cell (see *Race attribution*).
 
 Ownership contract
 ------------------
@@ -63,8 +76,13 @@ from repro.core.races import RaceReport
 from repro.trace.event import Event
 from repro.vectorclock.dense import DenseClock
 
-# (event, clock) of the latest access at one (thread, location).
-_Cell = Tuple[Event, DenseClock]
+# (event, clock, rank) of the latest access at one (thread, location);
+# ``rank`` is the order in which the thread first accessed the location.
+_Cell = Tuple[Event, DenseClock, int]
+
+
+def _rank(cell: _Cell) -> int:
+    return cell[2]
 
 
 class VariableHistory:
@@ -90,7 +108,7 @@ class VariableHistory:
         # join aliases a caller's clock; copy-on-write flips it).
         self._rj_owned = False
         self._wj_owned = False
-        # thread -> location -> (event, clock)
+        # thread -> location -> cell, least recently accessed first
         self.reads: Dict[str, Dict[str, _Cell]] = {}
         self.writes: Dict[str, Dict[str, _Cell]] = {}
         self.w_tid = None
@@ -103,13 +121,20 @@ class VariableHistory:
     def _unordered_cells(
         self, cells: Dict[str, Dict[str, _Cell]], event: Event, clock
     ) -> List[Event]:
+        # Newest first, up to the first ordered cell (module docstring,
+        # *Race attribution*); reported in first-access order.
         racy = []
         for thread, by_loc in cells.items():
             if thread == event.thread:
                 continue
-            for prior_event, prior_clock in by_loc.values():
-                if not prior_clock <= clock:
-                    racy.append(prior_event)
+            unordered = []
+            for cell in reversed(by_loc.values()):
+                if cell[1] <= clock:
+                    break
+                unordered.append(cell)
+            if unordered:
+                unordered.sort(key=_rank)
+                racy.extend([cell[0] for cell in unordered])
         return racy
 
     # ------------------------------------------------------------------ #
@@ -170,7 +195,10 @@ class VariableHistory:
         cells = self.reads.get(event.thread)
         if cells is None:
             cells = self.reads[event.thread] = {}
-        cells[event.location()] = (event, clock)
+        # Re-insert to keep recency order; the rank survives the move.
+        loc = event.location()
+        old = cells.pop(loc, None)
+        cells[loc] = (event, clock, len(cells) if old is None else old[2])
         return racy
 
     def observe_write(
@@ -221,7 +249,10 @@ class VariableHistory:
         cells = self.writes.get(event.thread)
         if cells is None:
             cells = self.writes[event.thread] = {}
-        cells[event.location()] = (event, clock)
+        # Re-insert to keep recency order; the rank survives the move.
+        loc = event.location()
+        old = cells.pop(loc, None)
+        cells[loc] = (event, clock, len(cells) if old is None else old[2])
         return racy
 
     # ------------------------------------------------------------------ #
@@ -234,17 +265,15 @@ class VariableHistory:
         The join clocks are serialized by value; restore re-marks them as
         owned (the aliasing of caller clocks they may have had is a memory
         optimisation, never observable in verdicts), which keeps
-        copy-on-write behaviour correct without tracking identities.
+        copy-on-write behaviour correct without tracking identities.  Each
+        thread's cells are written as ``location -> (event, clock)`` in
+        first-access order; the ranks and the recency order are derived.
         """
         return {
             "read_join": self.read_join,
             "write_join": self.write_join,
-            "reads": {
-                thread: dict(by_loc) for thread, by_loc in self.reads.items()
-            },
-            "writes": {
-                thread: dict(by_loc) for thread, by_loc in self.writes.items()
-            },
+            "reads": _cells_state(self.reads),
+            "writes": _cells_state(self.writes),
             "w": (self.w_tid, self.w_time, self.w_fast),
             "r": (self.r_tid, self.r_time, self.r_fast),
         }
@@ -257,15 +286,38 @@ class VariableHistory:
         history.write_join = state["write_join"]
         history._rj_owned = history.read_join is not None
         history._wj_owned = history.write_join is not None
-        history.reads = {
-            thread: dict(by_loc) for thread, by_loc in state["reads"].items()
-        }
-        history.writes = {
-            thread: dict(by_loc) for thread, by_loc in state["writes"].items()
-        }
+        history.reads = _cells_from_state(state["reads"])
+        history.writes = _cells_from_state(state["writes"])
         history.w_tid, history.w_time, history.w_fast = state["w"]
         history.r_tid, history.r_time, history.r_fast = state["r"]
         return history
+
+
+def _cells_state(cells: Dict[str, Dict[str, _Cell]]) -> Dict[str, dict]:
+    state = {}
+    for thread, by_loc in cells.items():
+        ranked = sorted(by_loc.items(), key=lambda item: item[1][2])
+        state[thread] = {loc: (cell[0], cell[1]) for loc, cell in ranked}
+    return state
+
+
+def _cells_from_state(state: Dict[str, dict]) -> Dict[str, Dict[str, _Cell]]:
+    """Rank the cells by position, then restore their recency order.
+
+    A thread's access clocks only grow, so one thread's cells form a chain
+    (each later cell dominates every earlier one): ordering by component
+    sum recovers their recency order, up to equal clocks, which the
+    attribution scan treats alike.
+    """
+    cells = {}
+    for thread, by_loc in state.items():
+        ranked = [
+            (loc, (event, clock, rank))
+            for rank, (loc, (event, clock)) in enumerate(by_loc.items())
+        ]
+        ranked.sort(key=lambda item: sum(item[1][1]._times))
+        cells[thread] = dict(ranked)
+    return cells
 
 
 class AccessHistory:

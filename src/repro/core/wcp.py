@@ -74,6 +74,10 @@ Hot-path engineering (the constant factor behind Theorem 3's
   values are trusted and no per-event hashing happens at all).
 * **Dense clocks** -- all internal clocks are array-backed
   :class:`~repro.vectorclock.dense.DenseClock`\\ s.
+* **Batch-native dispatch** -- :meth:`WCPDetector.process_batch` is the
+  implementation (``process`` is a one-event batch): it binds the
+  per-thread lists once per block and runs the prologue, Rule (a) and
+  the race check of every access inline.
 * **Incremental ``C_t``** -- instead of materialising
   ``P_t.copy().assign(t, N_t)`` per event, each thread's ``C_t`` is
   cached and invalidated only when ``P_t`` actually grows (all ``P_t``
@@ -113,7 +117,7 @@ comparable with the paper.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
@@ -464,12 +468,12 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def _thread_prologue(self, event: Event) -> int:
-        """Shared per-event prologue: intern, initialise, apply the bump.
+        """The per-event prologue alone: intern, initialise, apply the bump.
 
-        Returns the event's tid.  :meth:`process_foreign` calls this;
-        :meth:`process` inlines a copy of it for speed -- the deferred
-        ``N_t`` bump must advance at the same event on every shard, so any
-        change here must be mirrored there.
+        Returns the event's tid.  Only :meth:`process_foreign` runs it on
+        its own; :meth:`process_batch` runs the same steps inline.  The
+        deferred ``N_t`` bump must advance at the same event on every
+        shard, which the sharded parity suites check.
         """
         self._processed_events += 1
         tid = event.tid
@@ -519,58 +523,98 @@ class WCPDetector(Detector):
             self._ct[tid] = None
 
     def process(self, event: Event) -> None:
-        # Per-event prologue, inlined from _thread_prologue (which
-        # process_foreign still calls): the deferred N_t bump must advance
-        # at the same event on both paths, so keep the copies in sync.
-        self._processed_events += 1
-        tid = event.tid
-        if tid is None or not self._trust_tids:
-            tid = self._registry.intern(event.thread)
+        """Process one event: a one-event :meth:`process_batch`."""
+        self.process_batch((event,))
+
+    def process_batch(self, events: Sequence[Event]) -> None:
+        """The detector: prologue and hot kinds inline, rare kinds by method.
+
+        Per-thread lists and the history are bound once per batch (a pass
+        only grows or mutates them in place).  Each event runs
+        :meth:`_thread_prologue`'s steps inline; reads and writes run
+        Rule (a) and the race check here, acquires and releases go
+        straight to :meth:`_acquire` / :meth:`_release`, and every other
+        kind to its method in :attr:`_RARE`.
+        """
+        self._processed_events += len(events)
         nt_list = self._nt
-        if tid >= len(nt_list) or nt_list[tid] == 0:
-            self._ensure_thread(tid, event.thread)
+        pt_list = self._pt
+        ht_list = self._ht
+        ct_cache = self._ct
         prev = self._prev_release
-        if prev[tid]:
-            # The previous event of this thread was a release: bump N_t.
-            nt = nt_list[tid] + 1
-            nt_list[tid] = nt
-            self._ht[tid].assign(tid, nt)
-            self._ct[tid] = None
-            prev[tid] = False
-        if self._barrier_waiting:
-            waiting = self._barrier_waiting.get(tid)
-            if waiting:
-                self._join_open_barriers(tid, waiting)
-        etype = event.etype
-        if etype is EventType.READ:
-            self._read(event, tid)
-        elif etype is EventType.WRITE:
-            self._write(event, tid)
-        elif etype is EventType.ACQUIRE:
-            self._acquire(event, tid)
-        elif etype is EventType.RELEASE:
-            self._release(event, tid)
-            self._prev_release[tid] = True
-        elif etype is EventType.FORK:
-            self._fork(event, tid)
-        elif etype is EventType.JOIN:
-            self._join(event, tid)
-        elif etype is EventType.RACQ_R:
-            self._racq_r(event, tid)
-        elif etype is EventType.RACQ_W:
-            self._racq_w(event, tid)
-        elif etype is EventType.RREL:
-            self._rrel(event, tid)
-            self._prev_release[tid] = True
-        elif etype is EventType.BARRIER:
-            self._barrier(event, tid)
-            self._prev_release[tid] = True
-        elif etype is EventType.WAIT:
-            self._wait(event, tid)
-        elif etype is EventType.NOTIFY:
-            self._notify(event, tid)
-            self._prev_release[tid] = True
-        # BEGIN / END need no clock work.
+        open_sections = self._open_sections
+        read_held_of = self._read_held
+        barrier_waiting = self._barrier_waiting
+        variables = self._history._variables
+        report_add = self.report.add
+        trust = self._trust_tids
+        intern = self._registry.intern
+        read_rule_a = self._read_rule_a
+        write_rule_a = self._write_rule_a
+        acquire_rule = self._acquire
+        release_rule = self._release
+        rare = self._RARE
+        read = EventType.READ
+        write = EventType.WRITE
+        acquire = EventType.ACQUIRE
+        release = EventType.RELEASE
+        for event in events:
+            tid = event.tid
+            if tid is None or not trust:
+                tid = intern(event.thread)
+            if tid >= len(nt_list) or nt_list[tid] == 0:
+                self._ensure_thread(tid, event.thread)
+            if prev[tid]:
+                # The previous event of this thread was a release: bump N_t.
+                nt = nt_list[tid] + 1
+                nt_list[tid] = nt
+                ht_list[tid].assign(tid, nt)
+                ct_cache[tid] = None
+                prev[tid] = False
+            if barrier_waiting:
+                waiting = barrier_waiting.get(tid)
+                if waiting:
+                    self._join_open_barriers(tid, waiting)
+            etype = event.etype
+            if etype is read or etype is write:
+                variable = event.target
+                sections = open_sections[tid]
+                read_held = read_held_of[tid]
+                if etype is read:
+                    if sections:
+                        read_rule_a(variable, tid, sections)
+                    if read_held:
+                        self._read_held_rule_a(variable, tid, read_held, False)
+                else:
+                    if sections:
+                        write_rule_a(variable, tid, sections)
+                    if read_held:
+                        self._read_held_rule_a(variable, tid, read_held, True)
+                # Race check (the per-access hot path).
+                ct = ct_cache[tid]
+                if ct is None:
+                    ct = ct_cache[tid] = pt_list[tid].copy().assign(
+                        tid, nt_list[tid]
+                    )
+                history = variables.get(variable)
+                if history is None:
+                    history = variables[variable] = VariableHistory()
+                if etype is read:
+                    racy = history.observe_read(event, ct, tid)
+                else:
+                    racy = history.observe_write(event, ct, tid)
+                for earlier in racy:
+                    report_add(earlier, event)
+            elif etype is acquire:
+                acquire_rule(event, tid)
+            elif etype is release:
+                release_rule(event, tid)
+                prev[tid] = True
+            else:
+                handler = rare.get(id(etype))
+                if handler is not None:
+                    handler(self, event, tid)
+                # BEGIN / END need no clock work.
 
     # ------------------------------------------------------------------ #
     # Algorithm 1 procedures
@@ -1015,27 +1059,6 @@ class WCPDetector(Detector):
         seen[tid] = version
         return changed
 
-    def _read(self, event: Event, tid: int) -> None:
-        sections = self._open_sections[tid]
-        if sections:
-            self._read_rule_a(event.target, tid, sections)
-        read_held = self._read_held[tid]
-        if read_held:
-            self._read_held_rule_a(event.target, tid, read_held, False)
-        # Race check (the per-access hot path).
-        ct = self._ct[tid]
-        if ct is None:
-            ct = self._ct[tid] = self._pt[tid].copy().assign(tid, self._nt[tid])
-        variables = self._history._variables
-        history = variables.get(event.target)
-        if history is None:
-            history = variables[event.target] = VariableHistory()
-        racy = history.observe_read(event, ct, tid)
-        if racy:
-            report = self.report
-            for earlier in racy:
-                report.add(earlier, event)
-
     def _read_rule_a(self, variable: str, tid: int, sections: list) -> None:
         # Line 11: Rule (a) -- order this read after every release of an
         # enclosing lock whose critical section wrote the same variable.
@@ -1059,27 +1082,6 @@ class WCPDetector(Detector):
             section_reads.add(variable)
         if changed:
             self._ct[tid] = None
-
-    def _write(self, event: Event, tid: int) -> None:
-        sections = self._open_sections[tid]
-        if sections:
-            self._write_rule_a(event.target, tid, sections)
-        read_held = self._read_held[tid]
-        if read_held:
-            self._read_held_rule_a(event.target, tid, read_held, True)
-        # Race check (the per-access hot path).
-        ct = self._ct[tid]
-        if ct is None:
-            ct = self._ct[tid] = self._pt[tid].copy().assign(tid, self._nt[tid])
-        variables = self._history._variables
-        history = variables.get(event.target)
-        if history is None:
-            history = variables[event.target] = VariableHistory()
-        racy = history.observe_write(event, ct, tid)
-        if racy:
-            report = self.report
-            for earlier in racy:
-                report.add(earlier, event)
 
     def _write_rule_a(self, variable: str, tid: int, sections: list) -> None:
         # Line 12: Rule (a) for writes -- conflicting accesses are both
@@ -1279,6 +1281,7 @@ class WCPDetector(Detector):
                 state.read_pl.merge(pt)
         else:
             self._release(event, tid)
+        self._prev_release[tid] = True
 
     def _barrier(self, event: Event, tid: int) -> None:
         """Barrier arrival: all-to-all join at each generation.
@@ -1333,6 +1336,7 @@ class WCPDetector(Detector):
         # The arriver just merged the whole accumulator, so it has seen
         # the version its own contribution produced.
         self._barrier_waiting.setdefault(tid, {})[event.target] = entry[3]
+        self._prev_release[tid] = True
 
     def _wait(self, event: Event, tid: int) -> None:
         """Wake-side wait: re-acquire the monitor plus the notify edge.
@@ -1358,8 +1362,8 @@ class WCPDetector(Detector):
 
         The accumulators are never cleared (notifyAll semantics: every
         later waiter on the monitor is ordered after every notify), and a
-        notify is release-like -- the caller marks the deferred ``N_t``
-        bump, keeping access epochs exact.
+        notify is release-like -- it defers an ``N_t`` bump, keeping
+        access epochs exact.
         """
         state = self._lock_state(event.target)
         ct = self._clock_c(tid)
@@ -1369,6 +1373,19 @@ class WCPDetector(Detector):
         else:
             state.notify_p.merge(ct)
             state.notify_h.merge(self._ht[tid])
+        self._prev_release[tid] = True
+
+    #: id(kind) -> the method handling it (the batch loop inlines the rest).
+    _RARE = {
+        id(EventType.FORK): _fork,
+        id(EventType.JOIN): _join,
+        id(EventType.RACQ_R): _racq_r,
+        id(EventType.RACQ_W): _racq_w,
+        id(EventType.RREL): _rrel,
+        id(EventType.BARRIER): _barrier,
+        id(EventType.WAIT): _wait,
+        id(EventType.NOTIFY): _notify,
+    }
 
     # ------------------------------------------------------------------ #
     # Finishing and the shard-boundary protocol

@@ -261,7 +261,8 @@ class _ShardWorker:
     semantics of the unsharded engine (shard substreams are genuine
     streams: no pre-scan, threads discovered lazily; snapshotting and
     early stop are coordinator-side, so the worker never steps the pass:
-    it calls its detectors' ``process``/``process_foreign`` directly).
+    it calls its detectors' ``process_batch``/``process_foreign``
+    directly).
     """
 
     def __init__(
@@ -334,10 +335,12 @@ class _ShardWorker:
             )
         started = time.perf_counter()
         detectors = self.detectors
-        processors = [detector.process for detector in detectors]
         etype_of = _ETYPE_OF_VALUE
         intern = self.registry.intern
         new_event = Event.__new__
+        # Each maximal run of owned events is stepped detector-major
+        # through process_batch; a foreign event ends the run.
+        run: List[Event] = []
         for index, thread, etype_value, target, loc, owned in batch:
             # Assemble the event directly: the wire tuples come from real
             # events, so Event.__init__'s target validation is redundant
@@ -350,11 +353,17 @@ class _ShardWorker:
             event.loc = loc
             event.tid = intern(thread)
             if owned:
-                for process in processors:
-                    process(event)
-            else:
+                run.append(event)
+                continue
+            if run:
                 for detector in detectors:
-                    detector.process_foreign(event)
+                    detector.process_batch(run)
+                run = []
+            for detector in detectors:
+                detector.process_foreign(event)
+        if run:
+            for detector in detectors:
+                detector.process_batch(run)
         self.events += len(batch)
         self.context.events_seen = self.events
         self.busy_s += time.perf_counter() - started

@@ -15,8 +15,9 @@ same idea to the WCP detector's race checks.
 Synchronization is HB's: :class:`FastTrackDetector` subclasses
 :class:`repro.hb.hb.HBDetector`, whose clocks, deferred local bumps,
 lock/fork/join/rwlock/barrier/wait/notify rules and snapshot layout it
-inherits unchanged.  It replaces only the per-access race check, so it
-reports the same HB races; the per-variable state is:
+inherits unchanged.  It replaces only the per-access race check -- the
+``_access`` hook of HB's batch loop -- so it reports the same HB races;
+the per-variable state is:
 
 * ``write``: epoch of the last write (plus the writing event, so that race
   pairs can be attributed to program locations);
@@ -78,16 +79,12 @@ class FastTrackDetector(HBDetector):
             self._variables[variable] = state
         return state
 
-    def process(self, event: Event) -> None:
-        etype = event.etype
-        if etype is EventType.READ:
-            tid = self._prologue(event)
-            self._read(event, tid, self._clocks[tid])
-        elif etype is EventType.WRITE:
-            tid = self._prologue(event)
-            self._write(event, tid, self._clocks[tid])
+    def _access(self, event: Event, tid: int, clock) -> None:
+        """The access hook of HB's batch loop: FastTrack's epoch rules."""
+        if event.etype is EventType.READ:
+            self._read(event, tid, clock)
         else:
-            super().process(event)
+            self._write(event, tid, clock)
 
     # ------------------------------------------------------------------ #
     # FastTrack access rules

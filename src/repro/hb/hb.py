@@ -22,10 +22,12 @@ This synchronization core is shared:
 :class:`~repro.hb.fasttrack.FastTrackDetector` subclasses this detector
 and replaces only the per-access race check.
 
-Hot-path engineering: per-thread state is a flat list indexed by interned
-tids (see :class:`~repro.vectorclock.registry.ThreadRegistry`), clocks are
-array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s, and each
-thread keeps a *frozen snapshot* of its clock that is shared with the
+Hot-path engineering: :meth:`HBDetector.process_batch` is the
+implementation (``process`` is a one-event batch), with the prologue and
+the four hot kinds inline; per-thread state is a flat list indexed by
+interned tids (see :class:`~repro.vectorclock.registry.ThreadRegistry`),
+clocks are array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s,
+and each thread keeps a *frozen snapshot* of its clock that is shared with the
 access history across consecutive accesses and invalidated only by
 synchronization events -- so a run of accesses between two sync operations
 costs one clock copy in total, and (because HB timestamps satisfy the
@@ -35,10 +37,10 @@ an O(1) epoch comparison in the common case.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.detector import Detector
-from repro.core.history import AccessHistory
+from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
 from repro.trace.event import Event, EventType
@@ -84,7 +86,7 @@ class HBDetector(Detector):
         # cleared by the next write-acquire (read sections stay unordered).
         self._read_rel: Dict[str, object] = {}
         # Joined clocks of every notify per monitor (never cleared).
-        self._notify: Dict[str, object] = {}
+        self._notify_clocks: Dict[str, object] = {}
         # Per-barrier generation state:
         # [accumulator clock, participant tids, accumulator version].
         self._barriers: Dict[str, list] = {}
@@ -118,111 +120,143 @@ class HBDetector(Detector):
     # Event handling
     # ------------------------------------------------------------------ #
 
+    #: The access rule, ``(event, tid, clock)``; None runs HB's own rule
+    #: inline.  :class:`~repro.hb.fasttrack.FastTrackDetector` sets it.
+    _access = None
+
     def process(self, event: Event) -> None:
-        tid = event.tid
-        if tid is None or not self._trust_tids:
-            tid = self._registry.intern(event.thread)
-        if tid >= len(self._clocks) or self._clocks[tid] is None:
-            clock = self._ensure_thread(tid)
-        else:
-            clock = self._clocks[tid]
-        if self._pending[tid]:
-            clock.increment(tid)
-            self._pending[tid] = False
-            self._snap[tid] = None
-        waiting = self._barrier_waiting.get(tid)
-        if waiting:
-            self._join_open_barriers(tid, clock, waiting)
-        etype = event.etype
+        """Process one event: a one-event :meth:`process_batch`."""
+        self.process_batch((event,))
 
-        if etype is EventType.READ or etype is EventType.WRITE:
-            snap = self._snap[tid]
-            if snap is None:
-                snap = self._snap[tid] = clock.copy()
-            self._history.observe(event, snap, self.report, key=tid)
-        elif etype is EventType.ACQUIRE:
-            lock_clock = self._lock_clocks.get(event.lock)
-            if lock_clock is not None and clock.merge(lock_clock):
-                self._snap[tid] = None
-        elif etype is EventType.RELEASE:
-            self._lock_clocks[event.lock] = clock.copy()
-            self._pending[tid] = True
-        elif etype is EventType.FORK:
-            child_tid = self._registry.intern(event.other_thread)
-            child = self._ensure_thread(child_tid)
-            child.merge(clock)
-            child.assign(child_tid, max(child.get(child_tid), 1))
-            self._snap[child_tid] = None
-            self._pending[tid] = True
-        elif etype is EventType.JOIN:
-            child_tid = self._registry.intern(event.other_thread)
-            child = self._ensure_thread(child_tid)
-            clock.merge(child)
-            clock.assign(tid, max(clock.get(tid), 1))
-            self._snap[tid] = None
-            # Any (unusual) child events after the join start a new interval.
-            self._pending[child_tid] = True
-        elif etype is EventType.RACQ_R:
-            # Ordered after the last write-mode/mutex release only; read
-            # sections do not order each other.
-            lock_clock = self._lock_clocks.get(event.lock)
-            if lock_clock is not None and clock.merge(lock_clock):
-                self._snap[tid] = None
-            self._read_held[tid].add(event.lock)
-        elif etype is EventType.RACQ_W:
-            # A mutex acquire that also waits for all published readers.
-            lock_clock = self._lock_clocks.get(event.lock)
-            if lock_clock is not None and clock.merge(lock_clock):
-                self._snap[tid] = None
-            read_join = self._read_rel.pop(event.lock, None)
-            if read_join is not None and clock.merge(read_join):
-                self._snap[tid] = None
-        elif etype is EventType.RREL:
-            if event.lock in self._read_held[tid]:
-                # Read sections publish into the read accumulator (seen by
-                # the next write-acquire), not into the lock clock.
-                self._read_held[tid].discard(event.lock)
-                read_join = self._read_rel.get(event.lock)
-                if read_join is None:
-                    self._read_rel[event.lock] = clock.copy()
+    def process_batch(self, events: Sequence[Event]) -> None:
+        """The detector: prologue and hot kinds inline, rare kinds by method.
+
+        Per-thread lists, lock clocks and the history are bound once per
+        batch (a pass only grows or mutates them in place).  Each event
+        runs :meth:`_prologue`'s steps inline; reads, writes, acquires and
+        releases are handled here, every other kind by its method in
+        :attr:`_RARE`.
+        """
+        clocks = self._clocks
+        pending = self._pending
+        snaps = self._snap
+        lock_clocks = self._lock_clocks
+        barrier_waiting = self._barrier_waiting
+        variables = self._history._variables
+        report_add = self.report.add
+        trust = self._trust_tids
+        intern = self._registry.intern
+        ensure = self._ensure_thread
+        access = self._access
+        rare = self._RARE
+        read = EventType.READ
+        write = EventType.WRITE
+        acquire = EventType.ACQUIRE
+        release = EventType.RELEASE
+        for event in events:
+            tid = event.tid
+            if tid is None or not trust:
+                tid = intern(event.thread)
+            clock = clocks[tid] if tid < len(clocks) else None
+            if clock is None:
+                clock = ensure(tid)
+            if pending[tid]:
+                clock.increment(tid)
+                pending[tid] = False
+                snaps[tid] = None
+            if barrier_waiting:
+                waiting = barrier_waiting.get(tid)
+                if waiting:
+                    self._join_open_barriers(tid, clock, waiting)
+            etype = event.etype
+            if etype is read or etype is write:
+                if access is not None:
+                    access(event, tid, clock)
+                    continue
+                snap = snaps[tid]
+                if snap is None:
+                    snap = snaps[tid] = clock.copy()
+                history = variables.get(event.target)
+                if history is None:
+                    history = variables[event.target] = VariableHistory()
+                if etype is read:
+                    racy = history.observe_read(event, snap, tid)
                 else:
-                    read_join.merge(clock)
+                    racy = history.observe_write(event, snap, tid)
+                for earlier in racy:
+                    report_add(earlier, event)
+            elif etype is acquire:
+                lock_clock = lock_clocks.get(event.target)
+                if lock_clock is not None and clock.merge(lock_clock):
+                    snaps[tid] = None
+            elif etype is release:
+                lock_clocks[event.target] = clock.copy()
+                pending[tid] = True
             else:
-                self._lock_clocks[event.lock] = clock.copy()
-            self._pending[tid] = True
-        elif etype is EventType.BARRIER:
-            self._barrier_arrive(event.barrier, tid, clock)
-            self._pending[tid] = True
-        elif etype is EventType.WAIT:
-            # Wake-side re-acquire plus the notify edge (the producer
-            # emitted rel(m) at wait-start, the RVPredict desugaring).
-            merged = False
-            lock_clock = self._lock_clocks.get(event.lock)
-            if lock_clock is not None and clock.merge(lock_clock):
-                merged = True
-            notify = self._notify.get(event.lock)
-            if notify is not None and clock.merge(notify):
-                merged = True
-            if merged:
-                self._snap[tid] = None
-        elif etype is EventType.NOTIFY:
-            notify = self._notify.get(event.lock)
-            if notify is None:
-                self._notify[event.lock] = clock.copy()
-            else:
-                notify.merge(clock)
-            self._pending[tid] = True
-        # BEGIN / END: no clock effect.
+                handler = rare.get(id(etype))
+                if handler is not None:
+                    handler(self, event, tid, clock)
+                # BEGIN / END: no clock effect.
 
-    def _barrier_arrive(self, barrier: str, tid: int, clock) -> None:
+    def _fork(self, event: Event, tid: int, clock) -> None:
+        child_tid = self._registry.intern(event.target)
+        child = self._ensure_thread(child_tid)
+        child.merge(clock)
+        child.assign(child_tid, max(child.get(child_tid), 1))
+        self._snap[child_tid] = None
+        self._pending[tid] = True
+
+    def _join(self, event: Event, tid: int, clock) -> None:
+        child_tid = self._registry.intern(event.target)
+        child = self._ensure_thread(child_tid)
+        clock.merge(child)
+        clock.assign(tid, max(clock.get(tid), 1))
+        self._snap[tid] = None
+        # Any (unusual) child events after the join start a new interval.
+        self._pending[child_tid] = True
+
+    def _racq_r(self, event: Event, tid: int, clock) -> None:
+        # Ordered after the last write-mode/mutex release only; read
+        # sections do not order each other.
+        lock_clock = self._lock_clocks.get(event.target)
+        if lock_clock is not None and clock.merge(lock_clock):
+            self._snap[tid] = None
+        self._read_held[tid].add(event.target)
+
+    def _racq_w(self, event: Event, tid: int, clock) -> None:
+        # A mutex acquire that also waits for all published readers.
+        lock_clock = self._lock_clocks.get(event.target)
+        if lock_clock is not None and clock.merge(lock_clock):
+            self._snap[tid] = None
+        read_join = self._read_rel.pop(event.target, None)
+        if read_join is not None and clock.merge(read_join):
+            self._snap[tid] = None
+
+    def _rrel(self, event: Event, tid: int, clock) -> None:
+        lock = event.target
+        if lock in self._read_held[tid]:
+            # Read sections publish into the read accumulator (seen by
+            # the next write-acquire), not into the lock clock.
+            self._read_held[tid].discard(lock)
+            read_join = self._read_rel.get(lock)
+            if read_join is None:
+                self._read_rel[lock] = clock.copy()
+            else:
+                read_join.merge(clock)
+        else:
+            self._lock_clocks[lock] = clock.copy()
+        self._pending[tid] = True
+
+    def _barrier(self, event: Event, tid: int, clock) -> None:
         """All-to-all join at each barrier generation (see WCP counterpart).
 
         A generation closes when some participant arrives again: every
         participant of the closed generation receives the accumulated join
         of all its arrival clocks, then a fresh generation starts with the
         repeat arriver.  Arrivals also merge the open generation's
-        accumulator so far.
+        accumulator so far.  An arrival ends the thread's interval.
         """
+        barrier = event.target
         entry = self._barriers.get(barrier)
         if entry is None:
             entry = self._barriers[barrier] = [None, set(), 0]
@@ -247,6 +281,40 @@ class HBDetector(Detector):
         participants.add(tid)
         entry[2] += 1
         self._barrier_waiting.setdefault(tid, {})[barrier] = entry[2]
+        self._pending[tid] = True
+
+    def _wait(self, event: Event, tid: int, clock) -> None:
+        # Wake-side re-acquire plus the notify edge (the producer
+        # emitted rel(m) at wait-start, the RVPredict desugaring).
+        merged = False
+        lock_clock = self._lock_clocks.get(event.target)
+        if lock_clock is not None and clock.merge(lock_clock):
+            merged = True
+        notify = self._notify_clocks.get(event.target)
+        if notify is not None and clock.merge(notify):
+            merged = True
+        if merged:
+            self._snap[tid] = None
+
+    def _notify(self, event: Event, tid: int, clock) -> None:
+        notify = self._notify_clocks.get(event.target)
+        if notify is None:
+            self._notify_clocks[event.target] = clock.copy()
+        else:
+            notify.merge(clock)
+        self._pending[tid] = True
+
+    #: id(kind) -> the method handling it (the batch loop inlines the rest).
+    _RARE = {
+        id(EventType.FORK): _fork,
+        id(EventType.JOIN): _join,
+        id(EventType.RACQ_R): _racq_r,
+        id(EventType.RACQ_W): _racq_w,
+        id(EventType.RREL): _rrel,
+        id(EventType.BARRIER): _barrier,
+        id(EventType.WAIT): _wait,
+        id(EventType.NOTIFY): _notify,
+    }
 
     def _join_open_barriers(
         self, tid: int, clock, waiting: Dict[str, int]
@@ -267,11 +335,11 @@ class HBDetector(Detector):
                 self._snap[tid] = None
 
     def _prologue(self, event: Event) -> int:
-        """Shared per-event prologue: intern, initialise, apply the bump.
+        """The per-event prologue alone: intern, initialise, apply the bump.
 
-        Returns the event's tid.  :meth:`process_foreign` and subclasses
-        that take over the access path call this; :meth:`process` inlines
-        a copy of it for speed, so any change here must be mirrored there.
+        Returns the event's tid.  Only :meth:`process_foreign` runs it on
+        its own; :meth:`process_batch` runs the same steps inline, and the
+        sharded parity suites check that the two agree.
         """
         tid = event.tid
         if tid is None or not self._trust_tids:
@@ -332,7 +400,7 @@ class HBDetector(Detector):
             "pending": list(self._pending),
             "lock_clocks": dict(self._lock_clocks),
             "read_rel": dict(self._read_rel),
-            "notify": dict(self._notify),
+            "notify": dict(self._notify_clocks),
             "barriers": {
                 barrier: (entry[0], set(entry[1]), entry[2])
                 for barrier, entry in self._barriers.items()
@@ -359,7 +427,7 @@ class HBDetector(Detector):
         self._snap = [None] * len(self._clocks)
         self._lock_clocks = dict(state["lock_clocks"])
         self._read_rel = dict(state["read_rel"])
-        self._notify = dict(state["notify"])
+        self._notify_clocks = dict(state["notify"])
         self._barriers = {
             barrier: [acc, set(participants), version]
             for barrier, (acc, participants, version)
