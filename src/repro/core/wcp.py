@@ -108,6 +108,29 @@ the whole trace at :meth:`reset`; when fed from a stream
 (``is_complete`` False) or with ``prune_queues=False`` the log is kept
 in full, matching the pseudocode's worst-case linear space.
 
+The same census applies a second exact optimisation, *thread-local lock
+elision*: a lock that only mutex ``acq``/``rel`` events of a single
+thread name (no rwlock, ``wait`` or ``notify`` event, no second thread --
+not even one that acquires and never releases) keeps no per-lock state.
+Its acquires and releases skip the ``H_l``/``P_l`` merges and snapshots,
+the log entry, the Rule (b) walk, reclamation, the Rule (a) tables and
+the open-section entry (so accesses inside run Rule (a) only for the
+shared locks enclosing them); a release still defers the ``N_t`` bump.
+Nothing observable changes, because all that state is read only by
+other threads:
+
+1. only other threads' acquires read ``H_l``/``P_l`` -- there are none;
+2. Rule (b) consumers of a log entry are releasers other than its owner
+   -- there are none;
+3. the lock's Rule (a) cells would hold only the owner's releases, which
+   Definition 3 excludes (so ``strict_pseudocode=True``, which counts
+   them, never elides);
+4. the pseudocode queue occupancy of a single-releaser lock already
+   changes by zero, so ``max_queue_total`` is unchanged.
+
+Snapshots carry each lock's thread-local flag, so a resumed batch pass
+(which skips the prescan) keeps the elision.
+
 ``report.stats["max_queue_total"]`` still reports the *pseudocode's*
 queue occupancy (each critical section contributes one acquire and one
 release entry per other-thread queue) so that Table 1's column 11 stays
@@ -123,12 +146,15 @@ from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
-from repro.trace.event import Event, EventType
+from repro.trace.event import LOCK_EVENTS, Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import encode_clock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
+
+#: ``id(kind)`` of every event kind whose operand names a lock.
+_LOCK_KIND_IDS = frozenset(map(id, LOCK_EVENTS))
 
 
 class _RuleACell:
@@ -186,11 +212,28 @@ class _LockState:
     cursor, ``P_l``, ``H_l``, holder, Rule (a) tables); everything now
     lives on one object fetched once, with the per-thread cursors and
     open-entry indices keyed by plain int tids.
+
+    ``local`` marks a *thread-local* lock: the whole-trace census found
+    that every event naming it is a mutex ``acq``/``rel`` by one thread.
+    Such a lock keeps no state at all -- :meth:`WCPDetector._acquire` and
+    :meth:`WCPDetector._release` return before touching ``H_l``/``P_l``,
+    the log, the Rule (a) tables or the open-section stack -- which is
+    exact because every reader of that state is another thread:
+
+    1. only other threads' acquires read ``H_l``/``P_l`` (a same-thread
+       re-acquire merges clocks its own monotone ``H_t``/``P_t`` already
+       dominate);
+    2. Rule (b) consumers of a log entry are releasers other than its
+       owner;
+    3. the Rule (a) cells hold only the owner's releases, which
+       Definition 3 excludes (hence never under ``strict_pseudocode``);
+    4. the pseudocode queue occupancy of a single-thread lock changes by
+       zero at every acquire and release.
     """
 
     __slots__ = (
         "log", "base", "cursor", "open_entry", "pl", "hl",
-        "holder", "tainted", "releasers", "lr", "lw",
+        "holder", "tainted", "releasers", "local", "lr", "lw",
         "evicted_acq", "evicted_rel",
         "read_lr", "read_lw",
         "read_pl", "read_hl", "notify_p", "notify_h",
@@ -227,6 +270,8 @@ class _LockState:
         self.tainted = False
         #: tids that release this lock somewhere in the trace (pruned mode).
         self.releasers: Set[int] = set()
+        #: True when the census found the lock thread-local (see above).
+        self.local = False
         #: Rule (a) tables: variable -> cell.
         self.lr: Dict[str, _RuleACell] = {}
         self.lw: Dict[str, _RuleACell] = {}
@@ -305,7 +350,7 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 4
+    snapshot_version = 5
 
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
@@ -378,13 +423,13 @@ class WCPDetector(Detector):
         self._max_queue_total = 0
         self._processed_events = 0
 
-        # Threads that release each lock somewhere in the trace: queues for
-        # other threads are never read, so they need not be kept.  The
-        # prescan needs the whole trace up front; when fed from a stream
-        # (``is_complete`` False) fall back to keeping every queue.  A
-        # pending restore makes the prescan pure waste (the snapshot
-        # carries the censused releaser sets and modes), so skip it --
-        # conservatively disabling pruning, which the restore overwrites.
+        # The census (releasers and thread-local locks, see _take_census)
+        # needs the whole trace up front; when fed from a stream
+        # (``is_complete`` False) fall back to keeping every queue and
+        # eliding nothing.  A pending restore makes the prescan pure waste
+        # (the snapshot carries the censused releaser sets, thread-local
+        # flags and modes), so skip it -- conservatively disabling
+        # pruning, which the restore overwrites.
         self._effective_prune = (
             self._prune_queues
             and not self.restore_pending
@@ -399,25 +444,61 @@ class WCPDetector(Detector):
         )
         self._stream_reclaimed = 0
         if self._effective_prune:
-            intern = self._registry.intern
-            locks = self._locks
-            release = EventType.RELEASE
-            rrel = EventType.RREL
-            for event in trace:
-                # ``rrel`` threads are censused too: a write-mode rrel runs
-                # the same Rule (b) log walk a mutex release does, so its
-                # thread's cursor must gate reclamation (read-mode rrels
-                # never walk -- counting them is conservative, not wrong).
-                etype = event.etype
-                if etype is release or etype is rrel:
-                    state = locks.get(event.target)
-                    if state is None:
-                        state = locks[event.target] = _LockState()
-                    state.releasers.add(intern(event.thread))
+            self._take_census(trace)
 
         intern = self._registry.intern
         for thread in trace.threads:
             self._ensure_thread(intern(thread), thread)
+
+    def _take_census(self, trace: Trace) -> None:
+        """One prescan of the whole trace: releasers and thread-local locks.
+
+        Threads that release each lock somewhere in the trace are the only
+        readers of its Rule (b) log, so queues for other threads need not
+        be kept (see :meth:`_reclaim`).  Outside ``strict_pseudocode``, a
+        lock that only mutex ``acq``/``rel`` events of one thread name is
+        marked thread-local and skips all per-lock bookkeeping (see
+        :class:`_LockState`).
+        """
+        read = EventType.READ
+        write = EventType.WRITE
+        acquire = EventType.ACQUIRE
+        release = EventType.RELEASE
+        rrel = EventType.RREL
+        lock_kinds = _LOCK_KIND_IDS
+        # lock -> the one thread naming it so far, None once it is shared.
+        sole: Dict[str, Optional[str]] = {}
+        # (lock, thread) of every release; a dict, not a set, so locks and
+        # tids are created in trace order.  ``rrel`` threads are censused
+        # too: a write-mode rrel runs the same Rule (b) log walk a mutex
+        # release does, so its thread's cursor must gate reclamation
+        # (read-mode rrels never walk -- counting them is conservative,
+        # not wrong).
+        released: Dict[tuple, None] = {}
+        for event in trace:
+            etype = event.etype
+            if etype is read or etype is write:
+                continue
+            lock = event.target
+            thread = event.thread
+            if etype is acquire or etype is release:
+                if sole.setdefault(lock, thread) != thread:
+                    sole[lock] = None
+                if etype is release:
+                    released[lock, thread] = None
+            elif id(etype) in lock_kinds:
+                sole[lock] = None
+                if etype is rrel:
+                    released[lock, thread] = None
+        intern = self._registry.intern
+        lock_state = self._lock_state
+        for lock, thread in released:
+            lock_state(lock).releasers.add(intern(thread))
+        if self._strict_pseudocode:
+            return
+        for lock, thread in sole.items():
+            if thread is not None:
+                lock_state(lock).local = True
 
     def _ensure_thread(self, tid: int, name: str) -> None:
         nt = self._nt
@@ -625,6 +706,9 @@ class WCPDetector(Detector):
         state = self._locks.get(lock)
         if state is None:
             state = self._locks[lock] = _LockState()
+        elif state.local:
+            # Thread-local lock: nothing to receive or advertise.
+            return
         # Overlapping critical sections break the release chain the
         # Rule (a) fast path relies on; fall back to the full walk then.
         if state.holder is not None:
@@ -669,6 +753,10 @@ class WCPDetector(Detector):
         state = self._locks.get(lock)
         if state is None:
             state = self._locks[lock] = _LockState()
+        elif state.local:
+            # Thread-local lock: nothing to publish (the caller still
+            # defers the N_t bump).
+            return
         if state.holder == tid:
             state.holder = None
         else:
@@ -1474,6 +1562,7 @@ class WCPDetector(Detector):
                 "holder": state.holder,
                 "tainted": state.tainted,
                 "releasers": state.releasers,
+                "local": state.local,
                 "lr": {
                     variable: self._cell_state(cell)
                     for variable, cell in state.lr.items()
@@ -1574,6 +1663,7 @@ class WCPDetector(Detector):
             lock_state.holder = entry["holder"]
             lock_state.tainted = entry["tainted"]
             lock_state.releasers = set(entry["releasers"])
+            lock_state.local = entry["local"]
             lock_state.lr = {
                 variable: self._cell_from_state(cell)
                 for variable, cell in entry["lr"].items()

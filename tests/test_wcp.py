@@ -215,9 +215,18 @@ class TestRuleAVersionMemo:
         builder = TraceBuilder()
         for _ in range(3):
             builder.acquire("t1", "l").write("t1", "x").release("t1", "l")
-        detector = WCPDetector()
-        detector.run(builder.build())
+        trace = builder.build()
+        # The memo does not depend on the census; without it the one-thread
+        # lock keeps its Rule (a) cells.
+        detector = WCPDetector(prune_queues=False)
+        detector.run(trace)
         assert detector._locks["l"].lw["x"].version == 3
+        # Under the census the lock is thread-local: no cells, no log.
+        censused = WCPDetector()
+        censused.run(trace)
+        state = censused._locks["l"]
+        assert state.local
+        assert not state.lw and not state.lr and not state.log
 
     @pytest.mark.parametrize("seed", range(5))
     def test_memo_keeps_closure_agreement(self, seed):
