@@ -21,7 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.analysis.metrics": [
         "race_distances", "max_race_distance", "min_race_distance",
         "long_distance_races", "queue_statistics", "trace_summary",
-        "event_census",
+        "event_census", "thread_locality",
     ],
     "repro.analysis.compare": ["BenchmarkRow", "compare_on_trace", "run_table"],
     "repro.analysis.tables": ["format_table"],

@@ -8,7 +8,9 @@ counts:
   distances of millions of events, which windowed tools cannot see;
 * *queue statistics* (Table 1, column 11): the maximum total length of the
   WCP detector's FIFO queues as a fraction of the trace length;
-* general trace summaries (Table 1, columns 3-5).
+* general trace summaries (Table 1, columns 3-5), and how much of a
+  trace is thread-local (what the batch detectors' census lets them
+  skip).
 """
 
 from __future__ import annotations
@@ -74,3 +76,22 @@ def event_census(trace: Trace) -> Dict[str, int]:
     ``stats`` subcommand prints this as its census column.
     """
     return trace.census()
+
+
+def thread_locality(trace: Trace) -> Dict[str, int]:
+    """How much of ``trace`` only one thread touches, from its census.
+
+    ``local_variables`` / ``local_locks`` count the variables and locks
+    with a sole thread (:class:`~repro.trace.trace.ThreadCensus`), and
+    ``local_accesses`` the reads and writes of those variables -- the
+    accesses the batch WCP, HB and FastTrack detectors skip.
+    """
+    census = trace.thread_census
+    local = census.local_variables
+    return {
+        "local_variables": len(local),
+        "local_locks": len(census.local_locks),
+        "local_accesses": sum(
+            1 for event in trace if event.target in local and event.is_access()
+        ),
+    }

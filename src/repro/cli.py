@@ -722,7 +722,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import event_census, trace_summary
+    from repro.analysis.metrics import (
+        event_census, thread_locality, trace_summary,
+    )
     from repro.analysis.tables import format_table
 
     # The shared load path: stats validates by default exactly like
@@ -739,7 +741,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 2
     parse_s = time.perf_counter() - parse_started
-    for key, value in sorted(trace_summary(trace).items()):
+    summary = trace_summary(trace)
+    for key, value in sorted(summary.items()):
         print("%-10s %d" % (key, value))
     census = event_census(trace)
     if census:
@@ -747,6 +750,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("event census:")
         for token, count in sorted(census.items()):
             print("  %-10s %d" % (token, count))
+    locality = thread_locality(trace)
+    accesses = trace.stats()["accesses"]
+    print()
+    print("thread-local (one thread touches it):")
+    print("  %-10s %d of %d" % (
+        "variables", locality["local_variables"], summary["variables"]))
+    print("  %-10s %d of %d" % (
+        "locks", locality["local_locks"], summary["locks"]))
+    print("  %-10s %d of %d (%.1f%%)" % (
+        "accesses", locality["local_accesses"], accesses,
+        100.0 * locality["local_accesses"] / accesses if accesses else 0.0))
     result = None
     detectors = None
     if args.detectors or args.timing:

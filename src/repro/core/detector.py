@@ -30,7 +30,8 @@ Timing contract
 ---------------
 ``report.stats["time_s"]`` always means the detector's *own* analysis
 time -- the time spent in ``reset`` (which may do per-trace
-precomputation, e.g. WCP's queue-pruning prescan), in processing events,
+precomputation, e.g. building the trace's thread census, which the
+first detector of a pass pays for), in processing events,
 and in ``finish`` (which may flush buffered windows, e.g. the CP/MCM
 detectors).  ``stats["events_per_s"]`` is ``events / time_s``.  Under the
 engine that time is attributed per detector, once per stepped block
@@ -48,7 +49,7 @@ from typing import Dict, Optional, Sequence
 from repro.core.races import RaceReport, ReportSnapshot
 from repro.core.snapshot import SnapshotUnsupportedError
 from repro.trace.event import Event
-from repro.trace.trace import Trace
+from repro.trace.trace import ThreadCensus, Trace
 
 
 class Detector(abc.ABC):
@@ -95,7 +96,7 @@ class Detector(abc.ABC):
 
     #: Set by the engines immediately before a ``reset`` that will be
     #: followed by :meth:`restore_state`: reset-time whole-trace
-    #: precomputation (e.g. WCP's releaser-census prescan) would be
+    #: precomputation (e.g. reading the trace's thread census) would be
     #: overwritten by the restore, so detectors may skip it.  Cleared by
     #: :meth:`restore_state`; a detector that honours the hint must stay
     #: correct (merely slower / more conservative) if no restore follows.
@@ -213,6 +214,19 @@ class Detector(abc.ABC):
             "detector %s (%s) does not support state snapshots"
             % (self.name, type(self).__name__)
         )
+
+    def _thread_census(self, trace: Trace) -> Optional[ThreadCensus]:
+        """The whole-trace :class:`~repro.trace.trace.ThreadCensus`, or None.
+
+        Only a complete trace has one (a stream context has not seen its
+        events yet), and a pending restore brings the census-derived state
+        in its snapshot, so none is taken then.  A :class:`Trace` builds it
+        once and shares it with every detector of the pass.
+        """
+        if self.restore_pending or not getattr(trace, "is_complete", True):
+            return None
+        census = getattr(trace, "thread_census", None)
+        return census if census is not None else ThreadCensus(trace)
 
     @property
     def report(self) -> RaceReport:

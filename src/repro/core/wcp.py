@@ -128,8 +128,24 @@ other threads:
 4. the pseudocode queue occupancy of a single-releaser lock already
    changes by zero, so ``max_queue_total`` is unchanged.
 
-Snapshots carry each lock's thread-local flag, so a resumed batch pass
-(which skips the prescan) keeps the elision.
+The census (:attr:`Trace.thread_census
+<repro.trace.trace.Trace.thread_census>`, shared with the HB and
+FastTrack detectors of the pass) also drives *thread-local access
+elision*: an access to a variable that only one thread reads or writes
+runs the per-event prologue (intern, the deferred ``N_t`` bump, the
+barrier re-join) and then stops -- no Rule (a) join, no open-section
+read/write set, no access history.  This is exact for the same reason:
+
+5. a variable one thread touches has no conflicting pair, so no race;
+6. its Rule (a) cells would hold only the owner's releases, which the
+   owner's own accesses skip (Definition 3 again, so
+   ``strict_pseudocode=True`` keeps the full path here too);
+7. accesses bump no clock, so ``C_t``, ``timestamps()`` and every other
+   variable's race check are unchanged.
+
+Snapshots carry each lock's thread-local flag and the set of thread-local
+variables, so a resumed batch pass (which skips the census) keeps both
+elisions.
 
 ``report.stats["max_queue_total"]`` still reports the *pseudocode's*
 queue occupancy (each critical section contributes one acquire and one
@@ -140,21 +156,18 @@ comparable with the paper.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
-from repro.trace.event import LOCK_EVENTS, Event, EventType
-from repro.trace.trace import Trace
+from repro.trace.event import Event, EventType
+from repro.trace.trace import ThreadCensus, Trace
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import encode_clock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
-
-#: ``id(kind)`` of every event kind whose operand names a lock.
-_LOCK_KIND_IDS = frozenset(map(id, LOCK_EVENTS))
 
 
 class _RuleACell:
@@ -350,7 +363,7 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 5
+    snapshot_version = 6
 
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
@@ -423,18 +436,20 @@ class WCPDetector(Detector):
         self._max_queue_total = 0
         self._processed_events = 0
 
-        # The census (releasers and thread-local locks, see _take_census)
-        # needs the whole trace up front; when fed from a stream
-        # (``is_complete`` False) fall back to keeping every queue and
-        # eliding nothing.  A pending restore makes the prescan pure waste
-        # (the snapshot carries the censused releaser sets, thread-local
-        # flags and modes), so skip it -- conservatively disabling
-        # pruning, which the restore overwrites.
-        self._effective_prune = (
-            self._prune_queues
-            and not self.restore_pending
-            and getattr(trace, "is_complete", True)
-        )
+        #: Variables only one thread accesses (census); their accesses
+        #: skip Rule (a) and the race check.
+        self._local_variables: FrozenSet[str] = frozenset()
+        self._local_accesses = 0
+
+        # The census (releasers, thread-local locks and variables, see
+        # _take_census) needs the whole trace up front; when fed from a
+        # stream (``is_complete`` False) fall back to keeping every queue
+        # and eliding nothing.  A pending restore makes the census pure
+        # waste (the snapshot carries the censused releaser sets,
+        # thread-local flags and modes), so skip it -- conservatively
+        # disabling pruning, which the restore overwrites.
+        census = self._thread_census(trace) if self._prune_queues else None
+        self._effective_prune = census is not None
         # Quiescence reclamation replaces the census exactly when the
         # census is unavailable (stream) but pruning is wanted.
         self._quiesce_reclaim = (
@@ -443,62 +458,37 @@ class WCPDetector(Detector):
             and not self._effective_prune
         )
         self._stream_reclaimed = 0
-        if self._effective_prune:
-            self._take_census(trace)
+        if census is not None:
+            self._take_census(census)
 
         intern = self._registry.intern
         for thread in trace.threads:
             self._ensure_thread(intern(thread), thread)
 
-    def _take_census(self, trace: Trace) -> None:
-        """One prescan of the whole trace: releasers and thread-local locks.
+    def _take_census(self, census: ThreadCensus) -> None:
+        """Apply the trace's census: releasers, thread-local locks and variables.
 
         Threads that release each lock somewhere in the trace are the only
         readers of its Rule (b) log, so queues for other threads need not
-        be kept (see :meth:`_reclaim`).  Outside ``strict_pseudocode``, a
-        lock that only mutex ``acq``/``rel`` events of one thread name is
-        marked thread-local and skips all per-lock bookkeeping (see
-        :class:`_LockState`).
+        be kept (see :meth:`_reclaim`).  ``rrel`` threads count too: a
+        write-mode rrel walks the log as a mutex release does, so its
+        cursor must gate reclamation (read-mode rrels never walk --
+        counting them is conservative, not wrong).  Outside
+        ``strict_pseudocode``, a lock that only mutex ``acq``/``rel``
+        events of one thread name is marked thread-local and skips all
+        per-lock bookkeeping (see :class:`_LockState`), and an access to
+        a variable only one thread touches skips Rule (a) and the race
+        check.
         """
-        read = EventType.READ
-        write = EventType.WRITE
-        acquire = EventType.ACQUIRE
-        release = EventType.RELEASE
-        rrel = EventType.RREL
-        lock_kinds = _LOCK_KIND_IDS
-        # lock -> the one thread naming it so far, None once it is shared.
-        sole: Dict[str, Optional[str]] = {}
-        # (lock, thread) of every release; a dict, not a set, so locks and
-        # tids are created in trace order.  ``rrel`` threads are censused
-        # too: a write-mode rrel runs the same Rule (b) log walk a mutex
-        # release does, so its thread's cursor must gate reclamation
-        # (read-mode rrels never walk -- counting them is conservative,
-        # not wrong).
-        released: Dict[tuple, None] = {}
-        for event in trace:
-            etype = event.etype
-            if etype is read or etype is write:
-                continue
-            lock = event.target
-            thread = event.thread
-            if etype is acquire or etype is release:
-                if sole.setdefault(lock, thread) != thread:
-                    sole[lock] = None
-                if etype is release:
-                    released[lock, thread] = None
-            elif id(etype) in lock_kinds:
-                sole[lock] = None
-                if etype is rrel:
-                    released[lock, thread] = None
         intern = self._registry.intern
         lock_state = self._lock_state
-        for lock, thread in released:
-            lock_state(lock).releasers.add(intern(thread))
+        for lock, threads in census.releasers.items():
+            lock_state(lock).releasers.update(map(intern, threads))
         if self._strict_pseudocode:
             return
-        for lock, thread in sole.items():
-            if thread is not None:
-                lock_state(lock).local = True
+        for lock in census.local_locks:
+            lock_state(lock).local = True
+        self._local_variables = census.local_variables
 
     def _ensure_thread(self, tid: int, name: str) -> None:
         nt = self._nt
@@ -613,9 +603,10 @@ class WCPDetector(Detector):
         Per-thread lists and the history are bound once per batch (a pass
         only grows or mutates them in place).  Each event runs
         :meth:`_thread_prologue`'s steps inline; reads and writes run
-        Rule (a) and the race check here, acquires and releases go
-        straight to :meth:`_acquire` / :meth:`_release`, and every other
-        kind to its method in :attr:`_RARE`.
+        Rule (a) and the race check here -- except accesses to a
+        thread-local variable, which stop after the prologue -- acquires
+        and releases go straight to :meth:`_acquire` / :meth:`_release`,
+        and every other kind to its method in :attr:`_RARE`.
         """
         self._processed_events += len(events)
         nt_list = self._nt
@@ -626,6 +617,8 @@ class WCPDetector(Detector):
         open_sections = self._open_sections
         read_held_of = self._read_held
         barrier_waiting = self._barrier_waiting
+        local_variables = self._local_variables
+        local_accesses = 0
         variables = self._history._variables
         report_add = self.report.add
         trust = self._trust_tids
@@ -659,6 +652,9 @@ class WCPDetector(Detector):
             etype = event.etype
             if etype is read or etype is write:
                 variable = event.target
+                if variable in local_variables:
+                    local_accesses += 1
+                    continue
                 sections = open_sections[tid]
                 read_held = read_held_of[tid]
                 if etype is read:
@@ -696,6 +692,7 @@ class WCPDetector(Detector):
                 if handler is not None:
                     handler(self, event, tid)
                 # BEGIN / END need no clock work.
+        self._local_accesses += local_accesses
 
     # ------------------------------------------------------------------ #
     # Algorithm 1 procedures
@@ -1238,9 +1235,12 @@ class WCPDetector(Detector):
         skipping them would leave this shard's clocks behind the full
         run's), while the access history and race check stay exclusively
         with the owner shard.  The thread-order prologue (the deferred
-        ``N_t`` bump) is the same code :meth:`process` runs.
+        ``N_t`` bump) is the same code :meth:`process` runs, and an access
+        to a thread-local variable stops after it there too.
         """
         tid = self._thread_prologue(event)
+        if event.target in self._local_variables:
+            return
         sections = self._open_sections[tid]
         read_held = self._read_held[tid]
         etype = event.etype
@@ -1480,6 +1480,7 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def finish(self) -> None:
+        self.report.stats["local_accesses"] = float(self._local_accesses)
         if self._track_queue_stats:
             events = max(1, self._processed_events)
             self.report.stats["max_queue_total"] = float(self._max_queue_total)
@@ -1624,8 +1625,10 @@ class WCPDetector(Detector):
                 self._max_queue_total,
                 self._processed_events,
                 self._stream_reclaimed,
+                self._local_accesses,
             ),
             "modes": (self._effective_prune, self._quiesce_reclaim),
+            "local_variables": self._local_variables,
         }
         return pack_state(
             type(self).__name__, self.snapshot_version,
@@ -1721,8 +1724,10 @@ class WCPDetector(Detector):
             self._max_queue_total,
             self._processed_events,
             self._stream_reclaimed,
+            self._local_accesses,
         ) = state["counters"]
         self._effective_prune, self._quiesce_reclaim = state["modes"]
+        self._local_variables = frozenset(state["local_variables"])
         self.restore_pending = False
 
     # ------------------------------------------------------------------ #

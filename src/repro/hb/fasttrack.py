@@ -27,6 +27,12 @@ the per-variable state is:
 
 Epochs, clock components and the read map are keyed by interned integer
 tids (:class:`~repro.vectorclock.registry.ThreadRegistry`).
+
+HB's thread-local access elision applies unchanged: on a complete trace
+an access to a variable only one thread touches never reaches the hook,
+keeps no ``_VariableState`` and is counted in ``local_accesses`` instead
+of ``fast_path_hits`` (such a variable never enters read-shared mode, so
+``slow_path_hits`` is unchanged).
 """
 
 from __future__ import annotations
@@ -62,12 +68,13 @@ class FastTrackDetector(HBDetector):
     name = "FastTrack"
 
     #: HB's state layout plus the per-variable epochs.
-    snapshot_version = 4
+    snapshot_version = 5
 
     def reset(self, trace: Trace) -> None:
         super().reset(trace)
         self._variables: Dict[str, _VariableState] = {}
-        #: Number of accesses handled entirely with O(1) epoch comparisons.
+        #: Number of checked accesses (thread-local ones are not checked)
+        #: handled entirely with O(1) epoch comparisons.
         self.fast_path_hits = 0
         #: Number of accesses that needed a vector-clock comparison.
         self.slow_path_hits = 0
@@ -197,6 +204,7 @@ class FastTrackDetector(HBDetector):
         self.fast_path_hits, self.slow_path_hits = state["counters"]
 
     def finish(self) -> None:
+        super().finish()
         total = self.fast_path_hits + self.slow_path_hits
         self.report.stats["fast_path_hits"] = float(self.fast_path_hits)
         self.report.stats["slow_path_hits"] = float(self.slow_path_hits)

@@ -33,11 +33,21 @@ synchronization events -- so a run of accesses between two sync operations
 costs one clock copy in total, and (because HB timestamps satisfy the
 history's exactness contract unconditionally) the per-access race check is
 an O(1) epoch comparison in the common case.
+
+Thread-local access elision: on a complete trace the detector reads the
+trace's :class:`~repro.trace.trace.ThreadCensus`, and an access to a
+variable that only one thread reads or writes runs the per-event
+prologue (intern, the deferred bump, the barrier re-join) and then stops
+-- no snapshot copy, no access history (no race check for FastTrack).
+Such a variable has no conflicting pair and accesses move no HB clock, so
+races, clocks and ``timestamps()`` are unchanged.  ``local_accesses``
+counts the skipped accesses; stream contexts, shards, serve and a pending
+restore take no census, and snapshots carry the local-variable set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
@@ -63,7 +73,7 @@ class HBDetector(Detector):
     #: Per-thread/per-lock clocks plus the access history: all bounded,
     #: all incrementally maintained, so snapshots are supported in full.
     supports_snapshot = True
-    snapshot_version = 3
+    snapshot_version = 4
 
     def reset(self, trace: Trace) -> None:
         self._trace = trace
@@ -98,6 +108,13 @@ class HBDetector(Detector):
         # Per-thread set of rwlocks currently held in read mode.
         self._read_held: List[Optional[set]] = []
         self._history = AccessHistory()
+        #: Variables only one thread accesses (census); their accesses
+        #: skip the race check.
+        census = self._thread_census(trace)
+        self._local_variables: FrozenSet[str] = (
+            census.local_variables if census is not None else frozenset()
+        )
+        self._local_accesses = 0
         intern = self._registry.intern
         for thread in trace.threads:
             self._ensure_thread(intern(thread))
@@ -134,7 +151,8 @@ class HBDetector(Detector):
         Per-thread lists, lock clocks and the history are bound once per
         batch (a pass only grows or mutates them in place).  Each event
         runs :meth:`_prologue`'s steps inline; reads, writes, acquires and
-        releases are handled here, every other kind by its method in
+        releases are handled here (an access to a thread-local variable
+        stops after the prologue), every other kind by its method in
         :attr:`_RARE`.
         """
         clocks = self._clocks
@@ -142,6 +160,8 @@ class HBDetector(Detector):
         snaps = self._snap
         lock_clocks = self._lock_clocks
         barrier_waiting = self._barrier_waiting
+        local_variables = self._local_variables
+        local_accesses = 0
         variables = self._history._variables
         report_add = self.report.add
         trust = self._trust_tids
@@ -170,6 +190,9 @@ class HBDetector(Detector):
                     self._join_open_barriers(tid, clock, waiting)
             etype = event.etype
             if etype is read or etype is write:
+                if event.target in local_variables:
+                    local_accesses += 1
+                    continue
                 if access is not None:
                     access(event, tid, clock)
                     continue
@@ -197,6 +220,10 @@ class HBDetector(Detector):
                 if handler is not None:
                     handler(self, event, tid, clock)
                 # BEGIN / END: no clock effect.
+        self._local_accesses += local_accesses
+
+    def finish(self) -> None:
+        self.report.stats["local_accesses"] = float(self._local_accesses)
 
     def _fork(self, event: Event, tid: int, clock) -> None:
         child_tid = self._registry.intern(event.target)
@@ -416,6 +443,8 @@ class HBDetector(Detector):
             ],
             "history": self._history.state_dict(),
             "report": self.report.state_dict(),
+            "local_variables": self._local_variables,
+            "local_accesses": self._local_accesses,
         }
 
     def _restore_dict(self, state: dict) -> None:
@@ -443,6 +472,8 @@ class HBDetector(Detector):
         ]
         self._history = AccessHistory.from_state(state["history"])
         self._report = RaceReport.from_state(state["report"])
+        self._local_variables = frozenset(state["local_variables"])
+        self._local_accesses = state["local_accesses"]
 
     def sync_clock_state(self) -> dict:
         """Serialized per-thread HB clocks (shard-boundary protocol).

@@ -27,15 +27,23 @@ is built in one pass the first time one of :meth:`Trace.match`,
 :meth:`Trace.held_locks`, :meth:`Trace.enclosing_acquire`,
 :meth:`Trace.critical_section`, :meth:`Trace.thread_events` or
 :meth:`Trace.thread_indices` is called.
+
+The batch clock detectors (WCP, HB, FastTrack) read one more whole-trace
+fact, :attr:`Trace.thread_census` (:class:`ThreadCensus`): which threads
+touch each variable and lock.  It too is built in one pass on first use,
+so every detector of a multi-detector pass shares it and a run that never
+asks (``--stream``, shards, serve) never pays for it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.trace.event import Event
+from repro.trace.event import ACCESS_EVENTS, LOCK_EVENTS, Event, EventType
 from repro.trace.semantics import (
     REGISTRY,
     LockDiscipline,
@@ -49,7 +57,8 @@ from repro.vectorclock.registry import ThreadRegistry
 # :mod:`repro.trace.semantics` (next to the shared LockDiscipline state
 # machine that raises them) but have always been importable from here.
 __all__ = [
-    "Trace", "TraceError", "LockSemanticsError", "WellNestednessError",
+    "Trace", "ThreadCensus", "TraceError", "LockSemanticsError",
+    "WellNestednessError",
 ]
 
 
@@ -151,6 +160,11 @@ class Trace:
     @cached_property
     def _oracle(self) -> "_OracleIndex":
         return _OracleIndex(self._events)
+
+    @cached_property
+    def thread_census(self) -> "ThreadCensus":
+        """Which threads touch each variable and lock (one pass, cached)."""
+        return ThreadCensus(self._events)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -333,7 +347,8 @@ class Trace:
 
     def stats(self) -> Dict[str, int]:
         """Return basic counts (events, threads, locks, variables, accesses)."""
-        accesses = sum(1 for e in self._events if e.is_access())
+        census = self._census
+        accesses = sum(census.get(token, 0) for token in _ACCESS_TOKENS)
         return {
             "events": len(self._events),
             "threads": len(self._threads),
@@ -363,6 +378,86 @@ _KINDS: Dict[int, Tuple[str, Optional[str], bool]] = {
     id(etype): (sem.token, sem.operand, sem.role is not None)
     for etype, sem in REGISTRY.items()
 }
+
+
+#: Census tokens of the access kinds (``Trace.stats()["accesses"]``).
+_ACCESS_TOKENS = tuple(REGISTRY[etype].token for etype in ACCESS_EVENTS)
+
+#: ``id(kind)`` of every event kind whose operand names a lock.
+_LOCK_KIND_IDS = frozenset(map(id, LOCK_EVENTS))
+
+
+class ThreadCensus:
+    """Which threads touch each variable and lock, over a whole trace.
+
+    The batch clock detectors use it to skip state only other threads
+    could read (see the exactness notes in :mod:`repro.core.wcp`):
+
+    ``variable_thread``
+        variable -> the one thread that reads or writes it, or None when
+        two or more threads do.  ``local_variables`` is the set of
+        variables with a sole thread.
+    ``lock_thread``
+        lock -> the one thread naming it when every event naming it is a
+        mutex ``acq``/``rel`` of that thread, else None (a second thread
+        -- even one that acquires and never releases -- or any rwlock,
+        ``wait`` or ``notify`` event).  ``local_locks`` lists the locks
+        with a sole thread, in first-appearance order.
+    ``releasers``
+        lock -> the threads that release it (``rel`` or ``rrel``), in
+        order of their first release; locks in order of first release.
+
+    Read-only once built.
+    """
+
+    __slots__ = (
+        "variable_thread", "lock_thread", "releasers",
+        "local_variables", "local_locks",
+    )
+
+    def __init__(self, events: Iterable[Event]) -> None:
+        read = EventType.READ
+        write = EventType.WRITE
+        acquire = EventType.ACQUIRE
+        release = EventType.RELEASE
+        rrel = EventType.RREL
+        lock_kinds = _LOCK_KIND_IDS
+        variable_thread: Dict[str, Optional[str]] = {}
+        lock_thread: Dict[str, Optional[str]] = {}
+        # (lock, thread) of every release; a dict, not a set, so the
+        # result keeps trace order.
+        released: Dict[Tuple[str, str], None] = {}
+        owner_of = variable_thread.setdefault
+        for event in events:
+            etype = event.etype
+            thread = event.thread
+            if etype is read or etype is write:
+                if owner_of(event.target, thread) != thread:
+                    variable_thread[event.target] = None
+            elif etype is acquire or etype is release:
+                lock = event.target
+                if lock_thread.setdefault(lock, thread) != thread:
+                    lock_thread[lock] = None
+                if etype is release:
+                    released[lock, thread] = None
+            elif id(etype) in lock_kinds:
+                lock = event.target
+                lock_thread[lock] = None
+                if etype is rrel:
+                    released[lock, thread] = None
+        releasers: Dict[str, List[str]] = {}
+        for lock, thread in released:
+            releasers.setdefault(lock, []).append(thread)
+        self.variable_thread = variable_thread
+        self.lock_thread = lock_thread
+        self.releasers = releasers
+        self.local_variables: FrozenSet[str] = frozenset(
+            variable for variable, thread in variable_thread.items()
+            if thread is not None
+        )
+        self.local_locks: Tuple[str, ...] = tuple(
+            lock for lock, thread in lock_thread.items() if thread is not None
+        )
 
 
 class _OracleIndex:

@@ -3,6 +3,7 @@
 import json
 
 from repro.cli import main
+from repro.trace.builder import TraceBuilder
 from repro.trace.writers import dump_trace
 from repro.bench.paper_figures import figure_1a, figure_2b, figure_5
 
@@ -25,6 +26,20 @@ class TestStatsCommand:
         assert main(["stats", str(trace_path)]) == 0
         output = capsys.readouterr().out
         assert "events" in output and "threads" in output and "locks" in output
+
+    def test_stats_prints_thread_locality(self, tmp_path, capsys):
+        builder = TraceBuilder()
+        builder.acquire("t1", "p").write("t1", "y").read("t1", "y")
+        builder.write("t1", "x").release("t1", "p")
+        builder.acquire("t2", "s").write("t2", "x").release("t2", "s")
+        builder.acquire("t1", "s").release("t1", "s")
+        trace_path = dump_trace(builder.build(), tmp_path / "t.std")
+        assert main(["stats", str(trace_path)]) == 0
+        output = capsys.readouterr().out
+        assert "thread-local (one thread touches it):" in output
+        assert "  variables  1 of 2\n" in output
+        assert "  locks      1 of 2\n" in output
+        assert "  accesses   2 of 4 (50.0%)\n" in output
 
 
 class TestWitnessCommand:

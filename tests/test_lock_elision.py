@@ -9,8 +9,6 @@ flags are cleared (same census, no elision), which must also agree on
 every statistic.
 """
 
-import random
-
 import pytest
 
 from repro import RaceEngine, EngineConfig, WCPDetector
@@ -23,7 +21,7 @@ from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 
-from conftest import random_trace
+from conftest import private_shared_trace, random_trace
 
 
 class _CensusWithoutElision(WCPDetector):
@@ -78,52 +76,6 @@ def _assert_exact(trace, label=""):
         prune_queues=False
     ).timestamps(trace), label
     return len(_elided(elided))
-
-
-def private_shared_trace(seed, n_threads=3, steps=60):
-    """Nested sections over per-thread private locks and shared locks.
-
-    Each thread owns two private locks; two locks are shared.  Sections
-    nest in any order (private inside shared and the reverse), accesses
-    hit both shared and per-thread variables, and lock semantics and
-    well-nestedness hold by construction.
-    """
-    rng = random.Random(seed)
-    threads = ["t%d" % i for i in range(n_threads)]
-    private = {t: ["p_%s_%d" % (t, i) for i in range(2)] for t in threads}
-    shared = ["s0", "s1"]
-    variables = ["x0", "x1", "x2"]
-    held = {t: [] for t in threads}
-    holder = {}
-    events = []
-
-    def add(thread, etype, target):
-        events.append(Event(len(events), thread, etype, target))
-
-    for _ in range(steps):
-        thread = rng.choice(threads)
-        free = [
-            lock for lock in private[thread] + shared
-            if lock not in holder
-        ]
-        roll = rng.random()
-        if roll < 0.3 and free:
-            lock = rng.choice(free)
-            holder[lock] = thread
-            held[thread].append(lock)
-            add(thread, EventType.ACQUIRE, lock)
-        elif roll < 0.55 and held[thread]:
-            lock = held[thread].pop()
-            del holder[lock]
-            add(thread, EventType.RELEASE, lock)
-        else:
-            etype = EventType.READ if rng.random() < 0.5 else EventType.WRITE
-            target = rng.choice(variables + ["y_" + thread])
-            add(thread, etype, target)
-    for thread in threads:
-        while held[thread]:
-            add(thread, EventType.RELEASE, held[thread].pop())
-    return Trace(events, name="private_shared_%d" % seed)
 
 
 SEEDS = range(300)
