@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "restores exact verdicts at worst-case linear memory)",
     )
     analyze.add_argument(
-        "--window", type=int, default=None,
+        "--window", type=_positive_int, default=None,
         help="optionally window the detector(s) to this many events",
     )
     _add_shard_arguments(analyze)
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stop the pass as soon as any detector reports a race",
     )
     analyze.add_argument(
-        "--max-events", type=int, default=None, metavar="N",
+        "--max-events", type=_positive_int, default=None, metavar="N",
         help="stop the pass after N events",
     )
     analyze.add_argument(
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "with the thread-quiescence heuristic",
     )
     serve.add_argument(
-        "--max-events", type=int, default=None, metavar="N",
+        "--max-events", type=_positive_int, default=None, metavar="N",
         help="stop each connection's pass after N events",
     )
     serve.add_argument(
@@ -614,7 +614,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.window:
+    if args.window is not None:
         if args.shards > 1:
             print("--window cannot be combined with --shards (windowed "
                   "detectors are not shardable)", file=sys.stderr)
@@ -634,7 +634,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         config.with_detectors(*detectors)
     if args.first_race:
         config.stop_on_first_race()
-    if args.max_events:
+    if args.max_events is not None:
         config.stop_after_events(args.max_events)
     if args.checkpoint:
         config.with_checkpoints(args.checkpoint, every=args.checkpoint_every)
@@ -879,7 +879,7 @@ def _make_serve_server(args: argparse.Namespace, on_session_end=None):
         return _make_detectors(names, args)
 
     config = EngineConfig()
-    if args.max_events:
+    if args.max_events is not None:
         config.stop_after_events(args.max_events)
     if args.checkpoint_dir:
         config.checkpoint_every = args.checkpoint_every

@@ -68,17 +68,17 @@ class Detector(abc.ABC):
 
     #: True when the detector participates in the sharded engine's
     #: replicate-synchronization / route-accesses protocol (see
-    #: :mod:`repro.engine.partition`): its clock state must depend only on
-    #: the synchronization skeleton plus whatever :meth:`process_foreign`
-    #: consumes, so that a shard seeing every sync event but only a subset
-    #: of the accesses reaches race verdicts identical to the full run.
+    #: :mod:`repro.engine.partition`): fed every sync event, the accesses
+    #: it owns and the accesses of variables marked by :meth:`mark_foreign`,
+    #: a shard must reach the full run's clocks and its verdicts on the
+    #: variables it owns.
     shardable = False
 
     #: True when accesses performed *inside critical sections* mutate the
     #: detector's clock state (WCP's Rule (a)), so the sharded engine must
-    #: replicate them to non-owner shards as "foreign" events.  Detectors
-    #: whose clocks only move on sync events (HB, FastTrack) leave this
-    #: False and foreign accesses are never transported.
+    #: also send them to non-owner shards, marked foreign.  Detectors whose
+    #: clocks only move on sync events (HB, FastTrack) leave this False;
+    #: alone, they are never sent foreign accesses.
     needs_foreign_accesses = False
 
     #: True when the detector implements the versioned snapshot protocol
@@ -139,17 +139,15 @@ class Detector(abc.ABC):
     def finish(self) -> None:
         """Hook called after the last event; default is a no-op."""
 
-    def process_foreign(self, event: Event) -> None:
-        """Process an access event owned by another shard, clocks only.
+    def mark_foreign(self, variable: str) -> None:
+        """Race-check no access of ``variable``: another shard owns it.
 
-        The sharded engine replicates in-critical-section accesses to
-        non-owner shards when any detector has ``needs_foreign_accesses``;
-        those shards must apply the access's *clock* effects (so WCP's
-        Rule (a) keeps every shard's ``P_t`` identical to the full run)
-        without race-checking or recording it (the owner shard does that
-        exactly once).  The default is a no-op, which is correct for every
-        detector whose clocks ignore accesses.
+        A non-owner shard calls it (idempotent) before the variable's
+        first access reaches :meth:`process_batch`.  The detector then
+        applies those accesses' clock effects as the unsharded run does
+        and records nothing for them.  Snapshots carry the marks.
         """
+        raise NotImplementedError("%s has no mark_foreign" % self.name)
 
     def sync_clock_state(self) -> Optional[Dict[object, bytes]]:
         """Return the per-thread synchronization clocks, serialized.

@@ -293,6 +293,23 @@ class VariableHistory:
         return history
 
 
+class _ForeignVariable:
+    """History of a variable another shard owns: records and reports
+    nothing (:meth:`AccessHistory.mark_foreign`); the detector's clock
+    rules still run for its accesses."""
+
+    __slots__ = ()
+
+    def observe_read(self, event, clock, key) -> tuple:
+        return ()
+
+    observe_write = observe_read
+
+
+#: The one shared stand-in; a snapshot writes it as None.
+FOREIGN = _ForeignVariable()
+
+
 def _cells_state(cells: Dict[str, Dict[str, _Cell]]) -> Dict[str, dict]:
     state = {}
     for thread, by_loc in cells.items():
@@ -357,6 +374,10 @@ class AccessHistory:
                     on_race(earlier, event)
         return len(racy)
 
+    def mark_foreign(self, variable: str) -> None:
+        """Check and record no access of ``variable`` (see :data:`FOREIGN`)."""
+        self._variables[variable] = FOREIGN
+
     def clear(self) -> None:
         """Drop all recorded history."""
         self._variables.clear()
@@ -366,9 +387,10 @@ class AccessHistory:
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> Dict[str, object]:
-        """Return every variable's history as codec-encodable structures."""
+        """Every variable's history as codec-encodable structures
+        (None for a foreign variable)."""
         return {
-            variable: history.state_dict()
+            variable: None if history is FOREIGN else history.state_dict()
             for variable, history in self._variables.items()
         }
 
@@ -377,7 +399,9 @@ class AccessHistory:
         """Inverse of :meth:`state_dict`."""
         history = cls()
         history._variables = {
-            variable: VariableHistory.from_state(entry)
+            variable: (
+                FOREIGN if entry is None else VariableHistory.from_state(entry)
+            )
             for variable, entry in state.items()
         }
         return history

@@ -105,8 +105,9 @@ reads its cursor, so it cannot hold entries alive).  This changes the
 memory profile dramatically on traces with thread-local locks (which
 would otherwise accumulate entries forever).  The releaser census needs
 the whole trace at :meth:`reset`; when fed from a stream
-(``is_complete`` False) or with ``prune_queues=False`` the log is kept
-in full, matching the pseudocode's worst-case linear space.
+(``is_complete`` False) the log is kept in full, matching the
+pseudocode's worst-case linear space, unless ``stream_reclaim`` applies
+its heuristic instead.
 
 The same census applies a second exact optimisation, *thread-local lock
 elision*: a lock that only mutex ``acq``/``rel`` events of a single
@@ -316,22 +317,16 @@ class _LockState:
 class WCPDetector(Detector):
     """Streaming WCP race detector (Algorithm 1).
 
+    The maximum total FIFO-queue length is always recorded in
+    ``report.stats["max_queue_total"]``, and its fraction of the processed
+    events in ``report.stats["max_queue_fraction"]`` (Table 1, col 11).
+
     Parameters
     ----------
-    track_queue_stats:
-        When True (default) record the maximum total FIFO-queue length in
-        ``report.stats["max_queue_total"]`` and the fraction of the
-        processed events in ``report.stats["max_queue_fraction"]``
-        (Table 1, col 11).
     strict_pseudocode:
         When True, follow Algorithm 1 literally and let Rule (a) joins
         include releases performed by the accessing thread itself (see the
         module docstring).  Default False (agree with Definition 3).
-    prune_queues:
-        When True (default) reclaim critical-section log entries consumed
-        by every releasing thread (exactly equivalent, far less memory).
-        Requires the full trace at :meth:`reset`; automatically disabled
-        when reset with a non-prescannable stream context.
     stream_reclaim:
         When True, reclaim Rule (b) log entries *in stream mode* (where the
         releaser census is unavailable) with the epoch-accelerated
@@ -355,7 +350,7 @@ class WCPDetector(Detector):
 
     #: Sharded-engine contract: clock state depends on the sync skeleton
     #: plus in-critical-section accesses, which Rule (a) feeds into P_t --
-    #: so those must be replicated to non-owner shards (process_foreign).
+    #: so those must also reach non-owner shards (see mark_foreign).
     shardable = True
     needs_foreign_accesses = True
 
@@ -363,22 +358,18 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 6
+    snapshot_version = 7
 
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
 
     def __init__(
         self,
-        track_queue_stats: bool = True,
         strict_pseudocode: bool = False,
-        prune_queues: bool = True,
         stream_reclaim: bool = False,
     ) -> None:
         super().__init__()
-        self._track_queue_stats = track_queue_stats
         self._strict_pseudocode = strict_pseudocode
-        self._prune_queues = prune_queues
         self._stream_reclaim = stream_reclaim
         self._trace: Optional[Trace] = None
 
@@ -448,15 +439,11 @@ class WCPDetector(Detector):
         # waste (the snapshot carries the censused releaser sets,
         # thread-local flags and modes), so skip it -- conservatively
         # disabling pruning, which the restore overwrites.
-        census = self._thread_census(trace) if self._prune_queues else None
+        census = self._thread_census(trace)
         self._effective_prune = census is not None
         # Quiescence reclamation replaces the census exactly when the
-        # census is unavailable (stream) but pruning is wanted.
-        self._quiesce_reclaim = (
-            self._stream_reclaim
-            and self._prune_queues
-            and not self._effective_prune
-        )
+        # census is unavailable (stream).
+        self._quiesce_reclaim = self._stream_reclaim and census is None
         self._stream_reclaimed = 0
         if census is not None:
             self._take_census(census)
@@ -538,35 +525,6 @@ class WCPDetector(Detector):
     # Event dispatch
     # ------------------------------------------------------------------ #
 
-    def _thread_prologue(self, event: Event) -> int:
-        """The per-event prologue alone: intern, initialise, apply the bump.
-
-        Returns the event's tid.  Only :meth:`process_foreign` runs it on
-        its own; :meth:`process_batch` runs the same steps inline.  The
-        deferred ``N_t`` bump must advance at the same event on every
-        shard, which the sharded parity suites check.
-        """
-        self._processed_events += 1
-        tid = event.tid
-        if tid is None or not self._trust_tids:
-            tid = self._registry.intern(event.thread)
-        nt_list = self._nt
-        if tid >= len(nt_list) or nt_list[tid] == 0:
-            self._ensure_thread(tid, event.thread)
-        prev = self._prev_release
-        if prev[tid]:
-            # The previous event of this thread was a release: bump N_t.
-            nt = nt_list[tid] + 1
-            nt_list[tid] = nt
-            self._ht[tid].assign(tid, nt)
-            self._ct[tid] = None
-            prev[tid] = False
-        if self._barrier_waiting:
-            waiting = self._barrier_waiting.get(tid)
-            if waiting:
-                self._join_open_barriers(tid, waiting)
-        return tid
-
     def _join_open_barriers(self, tid: int, waiting: Dict[str, int]) -> None:
         """Order a blocked arriver's next events after all arrivals so far.
 
@@ -601,12 +559,13 @@ class WCPDetector(Detector):
         """The detector: prologue and hot kinds inline, rare kinds by method.
 
         Per-thread lists and the history are bound once per batch (a pass
-        only grows or mutates them in place).  Each event runs
-        :meth:`_thread_prologue`'s steps inline; reads and writes run
-        Rule (a) and the race check here -- except accesses to a
-        thread-local variable, which stop after the prologue -- acquires
-        and releases go straight to :meth:`_acquire` / :meth:`_release`,
-        and every other kind to its method in :attr:`_RARE`.
+        only grows or mutates them in place).  Each event runs the
+        prologue (intern, initialise, the deferred ``N_t`` bump, the
+        barrier re-join) inline; reads and writes run Rule (a) and the
+        race check here -- except accesses to a thread-local variable,
+        which stop after the prologue -- acquires and releases go straight
+        to :meth:`_acquire` / :meth:`_release`, and every other kind to
+        its method in :attr:`_RARE`.
         """
         self._processed_events += len(events)
         nt_list = self._nt
@@ -730,18 +689,17 @@ class WCPDetector(Detector):
         log = state.log
         state.open_entry[tid] = state.base + len(log)
         log.append([ct, None, tid, nt])
-        if self._track_queue_stats:
-            # Pseudocode queue occupancy: one entry per other-thread queue
-            # (with pruning, queues exist only for the lock's releasers).
-            if self._effective_prune:
-                audience = state.releasers
-                delta = len(audience) - (1 if tid in audience else 0)
-            else:
-                delta = len(self._thread_names) - 1
-            total = self._queue_total + delta
-            self._queue_total = total
-            if total > self._max_queue_total:
-                self._max_queue_total = total
+        # Pseudocode queue occupancy: one entry per other-thread queue
+        # (with pruning, queues exist only for the lock's releasers).
+        if self._effective_prune:
+            audience = state.releasers
+            delta = len(audience) - (1 if tid in audience else 0)
+        else:
+            delta = len(self._thread_names) - 1
+        total = self._queue_total + delta
+        self._queue_total = total
+        if total > self._max_queue_total:
+            self._max_queue_total = total
         # Track the opening of the critical section for R/W collection.
         self._open_sections[tid].append((lock, set(), set(), state))
 
@@ -854,9 +812,8 @@ class WCPDetector(Detector):
                         nct = len(ct_times)
                     consumed += 1
                     cursor += 1
-            if consumed and self._track_queue_stats:
-                # A negative delta can never raise the max: plain decrement.
-                self._queue_total -= 2 * consumed
+            # A negative delta can never raise the max: plain decrement.
+            self._queue_total -= 2 * consumed
         state.cursor[tid] = cursor
 
         # Close the critical section and fetch its accessed variables.
@@ -902,18 +859,17 @@ class WCPDetector(Detector):
         open_index = state.open_entry.pop(tid, None)
         if open_index is not None and open_index >= state.base:
             log[open_index - state.base][1] = release_snapshot
-        if self._track_queue_stats:
-            # Pseudocode queue occupancy: one entry per other-thread queue
-            # (with pruning, queues exist only for the lock's releasers).
-            if self._effective_prune:
-                audience = state.releasers
-                delta = len(audience) - (1 if tid in audience else 0)
-            else:
-                delta = len(self._thread_names) - 1
-            total = self._queue_total + delta
-            self._queue_total = total
-            if total > self._max_queue_total:
-                self._max_queue_total = total
+        # Pseudocode queue occupancy: one entry per other-thread queue
+        # (with pruning, queues exist only for the lock's releasers).
+        if self._effective_prune:
+            audience = state.releasers
+            delta = len(audience) - (1 if tid in audience else 0)
+        else:
+            delta = len(self._thread_names) - 1
+        total = self._queue_total + delta
+        self._queue_total = total
+        if total > self._max_queue_total:
+            self._max_queue_total = total
 
         if self._effective_prune:
             self._reclaim(state)
@@ -1225,36 +1181,6 @@ class WCPDetector(Detector):
         if changed:
             self._ct[tid] = None
 
-    def process_foreign(self, event: Event) -> None:
-        """Apply an access's clock effects without race-checking it.
-
-        The sharded engine calls this for in-critical-section accesses
-        whose variable belongs to another shard: the Rule (a) joins and the
-        section read/write sets must be applied on *every* shard (they feed
-        the releasing thread's ``P_t`` and the per-lock Rule (a) cells, so
-        skipping them would leave this shard's clocks behind the full
-        run's), while the access history and race check stay exclusively
-        with the owner shard.  The thread-order prologue (the deferred
-        ``N_t`` bump) is the same code :meth:`process` runs, and an access
-        to a thread-local variable stops after it there too.
-        """
-        tid = self._thread_prologue(event)
-        if event.target in self._local_variables:
-            return
-        sections = self._open_sections[tid]
-        read_held = self._read_held[tid]
-        etype = event.etype
-        if etype is EventType.READ:
-            if sections:
-                self._read_rule_a(event.target, tid, sections)
-            if read_held:
-                self._read_held_rule_a(event.target, tid, read_held, False)
-        elif etype is EventType.WRITE:
-            if sections:
-                self._write_rule_a(event.target, tid, sections)
-            if read_held:
-                self._read_held_rule_a(event.target, tid, read_held, True)
-
     def _fork(self, event: Event, tid: int) -> None:
         child_name = event.target
         child = self._registry.intern(child_name)
@@ -1481,16 +1407,20 @@ class WCPDetector(Detector):
 
     def finish(self) -> None:
         self.report.stats["local_accesses"] = float(self._local_accesses)
-        if self._track_queue_stats:
-            events = max(1, self._processed_events)
-            self.report.stats["max_queue_total"] = float(self._max_queue_total)
-            self.report.stats["max_queue_fraction"] = (
-                self._max_queue_total / float(events)
-            )
+        events = max(1, self._processed_events)
+        self.report.stats["max_queue_total"] = float(self._max_queue_total)
+        self.report.stats["max_queue_fraction"] = (
+            self._max_queue_total / float(events)
+        )
         if self._quiesce_reclaim:
             self.report.stats["stream_log_reclaimed"] = float(
                 self._stream_reclaimed
             )
+
+    def mark_foreign(self, variable: str) -> None:
+        """Drop ``variable``'s race checks; its accesses still run
+        Rule (a), which every shard needs for the full run's clocks."""
+        self._history.mark_foreign(variable)
 
     def sync_clock_state(self) -> Dict[object, bytes]:
         """Serialized per-thread WCP times ``C_t`` (shard-boundary protocol).
@@ -1517,9 +1447,7 @@ class WCPDetector(Detector):
 
     def snapshot_config(self) -> Dict[str, object]:
         return {
-            "track_queue_stats": self._track_queue_stats,
             "strict_pseudocode": self._strict_pseudocode,
-            "prune_queues": self._prune_queues,
             "stream_reclaim": self._stream_reclaim,
         }
 
@@ -1705,7 +1633,7 @@ class WCPDetector(Detector):
         }
         self._barrier_waiting = {
             tid: dict(waiting)
-            for tid, waiting in dict(state.get("barrier_waiting", {})).items()
+            for tid, waiting in state["barrier_waiting"].items()
         }
 
         # Re-link open sections to their (just rebuilt) lock states.

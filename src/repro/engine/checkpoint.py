@@ -70,8 +70,6 @@ __all__ = [
 
 logger = logging.getLogger("repro.engine.checkpoint")
 
-#: Legacy (pre-CRC) file magic; still readable, never written.
-CHECKPOINT_MAGIC = b"RCKP"
 #: Current file magic: payload framed with an explicit length + CRC32, so
 #: truncation and bit flips are detected *as corruption* instead of
 #: surfacing as a raw codec error deep in the payload.
@@ -323,19 +321,15 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        """Inverse of :meth:`to_bytes`; fails fast on corruption and drift.
-
-        Reads both the current CRC-framed format and the legacy unframed
-        one (files written by older builds).
-        """
-        if blob[:4] == CHECKPOINT_MAGIC_FRAMED:
-            body = unframe_blob(bytes(blob[4:]))
-        elif blob[:4] == CHECKPOINT_MAGIC:
-            body = bytes(blob[4:])
-        else:
+        """Inverse of :meth:`to_bytes`; fails fast on corruption and drift."""
+        if blob[:4] == b"RCKP":
+            raise CheckpointError("retired unframed checkpoint format (RCKP)")
+        if blob[:4] != CHECKPOINT_MAGIC_FRAMED:
             raise CheckpointError(
-                "not a checkpoint file (missing %r header)" % (CHECKPOINT_MAGIC,)
+                "not a checkpoint file (missing %r header)"
+                % (CHECKPOINT_MAGIC_FRAMED,)
             )
+        body = unframe_blob(bytes(blob[4:]))
         try:
             parsed = decode(body)
         except CodecError as error:

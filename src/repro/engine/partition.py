@@ -34,9 +34,10 @@ relies on:
     on every shard before the next replicated fork/join snapshots the
     thread's clock).  Such accesses are still race-checked only by the
     owner shard, but are additionally replicated to the other shards as
-    *foreign* events -- processed via
-    :meth:`~repro.core.detector.Detector.process_foreign` for their clock
-    effects only.  When no selected detector has
+    *foreign* events.  A non-owner shard runs them through
+    ``process_batch`` like every other event, after marking their
+    variable with :meth:`~repro.core.detector.Detector.mark_foreign`:
+    same clock rules, no race check.  When no selected detector has
     ``needs_foreign_accesses``, foreign copies are not transported at all
     (HB and FastTrack verdicts never need them; the clock lag is then
     confined to components other shards cannot observe).

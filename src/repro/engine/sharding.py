@@ -261,8 +261,10 @@ class _ShardWorker:
     semantics of the unsharded engine (shard substreams are genuine
     streams: no pre-scan, threads discovered lazily; snapshotting and
     early stop are coordinator-side, so the worker never steps the pass:
-    it calls its detectors' ``process_batch``/``process_foreign``
-    directly).
+    it hands each transport batch whole to every detector's
+    ``process_batch``).  Before that it marks each variable of a
+    *foreign* access (owned by another shard) in every detector, once:
+    :meth:`~repro.core.detector.Detector.mark_foreign`.
     """
 
     def __init__(
@@ -291,6 +293,9 @@ class _ShardWorker:
         self.context = self.pass_.context
         self.events = 0
         self.busy_s = 0.0
+        #: Variables marked foreign in every detector (empty again after a
+        #: restart; marking is idempotent).
+        self.foreign: set = set()
 
     def start(self) -> None:
         self.pass_.start()
@@ -338,9 +343,9 @@ class _ShardWorker:
         etype_of = _ETYPE_OF_VALUE
         intern = self.registry.intern
         new_event = Event.__new__
-        # Each maximal run of owned events is stepped detector-major
-        # through process_batch; a foreign event ends the run.
-        run: List[Event] = []
+        foreign = self.foreign
+        events: List[Event] = []
+        append = events.append
         for index, thread, etype_value, target, loc, owned in batch:
             # Assemble the event directly: the wire tuples come from real
             # events, so Event.__init__'s target validation is redundant
@@ -352,18 +357,15 @@ class _ShardWorker:
             event.target = target
             event.loc = loc
             event.tid = intern(thread)
-            if owned:
-                run.append(event)
-                continue
-            if run:
+            append(event)
+            # Ownership is fixed per variable, so marking ahead of the
+            # variable's earlier accesses in this batch changes nothing.
+            if not owned and target not in foreign:
+                foreign.add(target)
                 for detector in detectors:
-                    detector.process_batch(run)
-                run = []
-            for detector in detectors:
-                detector.process_foreign(event)
-        if run:
-            for detector in detectors:
-                detector.process_batch(run)
+                    detector.mark_foreign(target)
+        for detector in detectors:
+            detector.process_batch(events)
         self.events += len(batch)
         self.context.events_seen = self.events
         self.busy_s += time.perf_counter() - started

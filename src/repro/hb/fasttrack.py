@@ -32,12 +32,15 @@ HB's thread-local access elision applies unchanged: on a complete trace
 an access to a variable only one thread touches never reaches the hook,
 keeps no ``_VariableState`` and is counted in ``local_accesses`` instead
 of ``fast_path_hits`` (such a variable never enters read-shared mode, so
-``slow_path_hits`` is unchanged).
+``slow_path_hits`` is unchanged).  A variable another shard owns
+(:meth:`FastTrackDetector.mark_foreign`) stops at the top of the hook the
+same way: its accesses keep HB's clock effects and no state, and a
+snapshot writes its entry as None.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.hb.hb import HBDetector
 from repro.trace.event import Event, EventType
@@ -73,6 +76,8 @@ class FastTrackDetector(HBDetector):
     def reset(self, trace: Trace) -> None:
         super().reset(trace)
         self._variables: Dict[str, _VariableState] = {}
+        #: Variables another shard owns (:meth:`mark_foreign`).
+        self._foreign: Set[str] = set()
         #: Number of checked accesses (thread-local ones are not checked)
         #: handled entirely with O(1) epoch comparisons.
         self.fast_path_hits = 0
@@ -86,8 +91,14 @@ class FastTrackDetector(HBDetector):
             self._variables[variable] = state
         return state
 
+    def mark_foreign(self, variable: str) -> None:
+        """Skip ``variable`` in the access hook: another shard owns it."""
+        self._foreign.add(variable)
+
     def _access(self, event: Event, tid: int, clock) -> None:
         """The access hook of HB's batch loop: FastTrack's epoch rules."""
+        if event.target in self._foreign:
+            return
         if event.etype is EventType.READ:
             self._read(event, tid, clock)
         else:
@@ -183,13 +194,20 @@ class FastTrackDetector(HBDetector):
             }
             for variable, var_state in self._variables.items()
         }
+        # A foreign variable keeps no state; its entry is None (sorted:
+        # equal states give equal bytes).
+        state["variables"].update(dict.fromkeys(sorted(self._foreign)))
         state["counters"] = (self.fast_path_hits, self.slow_path_hits)
         return state
 
     def _restore_dict(self, state: dict) -> None:
         super()._restore_dict(state)
         variables = {}
+        self._foreign = set()
         for variable, entry in state["variables"].items():
+            if entry is None:
+                self._foreign.add(variable)
+                continue
             var_state = _VariableState()
             var_state.write_epoch = entry["write_epoch"]
             var_state.write_event = entry["write_event"]

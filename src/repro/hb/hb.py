@@ -67,7 +67,7 @@ class HBDetector(Detector):
 
     #: HB clocks move only on synchronization events, so the sharded
     #: engine's replicate-sync / route-accesses split is exact for HB and
-    #: foreign in-CS accesses need not even be transported.
+    #: foreign accesses need not even be transported for it.
     shardable = True
 
     #: Per-thread/per-lock clocks plus the access history: all bounded,
@@ -150,10 +150,10 @@ class HBDetector(Detector):
 
         Per-thread lists, lock clocks and the history are bound once per
         batch (a pass only grows or mutates them in place).  Each event
-        runs :meth:`_prologue`'s steps inline; reads, writes, acquires and
-        releases are handled here (an access to a thread-local variable
-        stops after the prologue), every other kind by its method in
-        :attr:`_RARE`.
+        runs the prologue (intern, initialise, the deferred bump, the
+        barrier re-join) inline; reads, writes, acquires and releases are
+        handled here (an access to a thread-local variable stops after
+        the prologue), every other kind by its method in :attr:`_RARE`.
         """
         clocks = self._clocks
         pending = self._pending
@@ -361,42 +361,10 @@ class HBDetector(Detector):
             if entry[0] is not None and clock.merge(entry[0]):
                 self._snap[tid] = None
 
-    def _prologue(self, event: Event) -> int:
-        """The per-event prologue alone: intern, initialise, apply the bump.
-
-        Returns the event's tid.  Only :meth:`process_foreign` runs it on
-        its own; :meth:`process_batch` runs the same steps inline, and the
-        sharded parity suites check that the two agree.
-        """
-        tid = event.tid
-        if tid is None or not self._trust_tids:
-            tid = self._registry.intern(event.thread)
-        if tid >= len(self._clocks) or self._clocks[tid] is None:
-            clock = self._ensure_thread(tid)
-        else:
-            clock = self._clocks[tid]
-        if self._pending[tid]:
-            clock.increment(tid)
-            self._pending[tid] = False
-            self._snap[tid] = None
-        waiting = self._barrier_waiting.get(tid)
-        if waiting:
-            self._join_open_barriers(tid, clock, waiting)
-        return tid
-
-    def process_foreign(self, event: Event) -> None:
-        """Apply a foreign access's clock effects: only the deferred bump.
-
-        Accesses never join anything into HB clocks, but the *first*
-        access after a release/fork applies the thread's deferred local
-        increment; replaying that here keeps this shard's clock visibility
-        in lock-step with the shards that own the access (so later
-        replicated fork/join snapshots of this thread agree everywhere).
-        Called only when a co-selected detector (WCP) caused foreign
-        transport; HB alone never requests it, because its race verdicts
-        are independent of the bump's visibility lag.
-        """
-        self._prologue(event)
+    def mark_foreign(self, variable: str) -> None:
+        """Drop ``variable``'s race checks; its accesses still apply a
+        deferred bump, which must advance on every shard alike."""
+        self._history.mark_foreign(variable)
 
     # ------------------------------------------------------------------ #
     # Snapshot protocol (checkpoint/resume, sharded worker restore)
@@ -464,7 +432,7 @@ class HBDetector(Detector):
         }
         self._barrier_waiting = {
             tid: dict(waiting)
-            for tid, waiting in dict(state.get("barrier_waiting", {})).items()
+            for tid, waiting in state["barrier_waiting"].items()
         }
         self._read_held = [
             None if held is None else set(held)

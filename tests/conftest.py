@@ -7,6 +7,7 @@ from typing import List, Optional
 
 import pytest
 
+from repro.core.wcp import WCPDetector
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 
@@ -69,6 +70,37 @@ def random_trace(
             events.append(Event(len(events), thread, EventType.RELEASE, lock))
 
     return Trace(events, name=name or "random_%d" % seed)
+
+
+class NoCensus:
+    """``trace`` behind a non-complete context: no census is taken.
+
+    A clock detector reset on it keeps every lock and variable on its full
+    path, the reference the census-driven elisions are compared with.
+    """
+
+    is_complete = False
+
+    def __init__(self, trace):
+        self._trace = trace
+        self.name = trace.name
+        self.registry = trace.registry
+        self.threads = trace.threads
+
+    def __iter__(self):
+        return iter(self._trace)
+
+    def __len__(self):
+        return len(self._trace)
+
+
+class UncensusedWCP(WCPDetector):
+    """WCP that takes no census: every reset sees the trace through
+    :class:`NoCensus`.  For windowed runs and detector factories, where
+    the caller cannot wrap the trace itself."""
+
+    def reset(self, trace):
+        super().reset(NoCensus(trace))
 
 
 def private_shared_trace(seed, n_threads=3, steps=60):

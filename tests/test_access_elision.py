@@ -23,25 +23,7 @@ from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 
-from conftest import private_shared_trace, random_trace
-
-
-class _NoCensus:
-    """``trace`` behind a non-complete context: no census is taken."""
-
-    is_complete = False
-
-    def __init__(self, trace):
-        self._trace = trace
-        self.name = trace.name
-        self.registry = trace.registry
-        self.threads = trace.threads
-
-    def __iter__(self):
-        return iter(self._trace)
-
-    def __len__(self):
-        return len(self._trace)
+from conftest import NoCensus, private_shared_trace, random_trace
 
 
 def _keeping_accesses(cls):
@@ -94,7 +76,7 @@ def _assert_exact(cls, trace, label=""):
     Returns the number of accesses the census run skipped.
     """
     report = cls().run(trace)
-    full = cls().run(_NoCensus(trace))
+    full = cls().run(NoCensus(trace))
     assert full.stats["local_accesses"] == 0.0, label
     assert _fingerprint(report) == _fingerprint(full), label
     kept = _keeping_accesses(cls)().run(trace)
@@ -108,7 +90,7 @@ def _assert_exact(cls, trace, label=""):
             kept.stats["fast_path_hits"] - report.stats["fast_path_hits"]
             == local
         ), label
-    assert cls().timestamps(trace) == cls().timestamps(_NoCensus(trace)), label
+    assert cls().timestamps(trace) == cls().timestamps(NoCensus(trace)), label
     return int(local)
 
 
@@ -232,7 +214,7 @@ class TestTargeted:
         assert strict._local_variables == frozenset()
         assert report.stats["local_accesses"] == 0.0
         assert strict._locks["l"].lw.keys() == {"x", "y"}
-        full = WCPDetector(strict_pseudocode=True).run(_NoCensus(trace))
+        full = WCPDetector(strict_pseudocode=True).run(NoCensus(trace))
         assert _fingerprint(report) == _fingerprint(full)
 
     @pytest.mark.parametrize("after_fork", [False, True])
@@ -340,7 +322,7 @@ class TestResume:
             assert resumed[key].stats["local_accesses"] > 0
 
     @pytest.mark.parametrize("cls, old", [
-        (WCPDetector, 5), (FastTrackDetector, 4), (HBDetector, 3),
+        (WCPDetector, 6), (FastTrackDetector, 4), (HBDetector, 3),
     ])
     def test_previous_snapshot_version_is_refused(self, cls, old):
         assert cls.snapshot_version == old + 1

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NoCensus
 from test_properties import traces
 
 from repro.core.closure import HBClosure, WCPClosure, WCPClosureDetector
@@ -187,7 +188,7 @@ class TestWCPBackendParity:
     def test_unpruned_queues_agree(self):
         for seed in range(15):
             trace = random_trace_with_forks(seed + 900)
-            dense = WCPDetector(prune_queues=False).run(trace)
+            dense = WCPDetector().run(NoCensus(trace))
             legacy = LegacyWCPDetector(prune_queues=False).run(trace)
             assert _race_key(dense) == _race_key(legacy)
             assert dense.stats["max_queue_total"] == (

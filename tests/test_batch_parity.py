@@ -8,9 +8,8 @@ every split must give the same race pairs (witness indices and
 distances), raw counts, non-time statistics and final snapshot bytes.
 At each block end the detector's clock for the block's last event must
 equal what :meth:`timestamps` (one event at a time) reports for it.
-``process_foreign`` runs on its own the per-event prologue that
-``process_batch`` inlines, so an access fed either way must leave the
-same clocks.
+A variable marked foreign (the sharded engine's non-owner shards) must
+leave every clock as it was and lose only its race checks.
 
 The last tests pin the race-attribution scan of
 :class:`~repro.core.history.VariableHistory`: witnesses come in
@@ -21,6 +20,7 @@ per scan do not grow with the trace.
 
 import pytest
 
+from conftest import NoCensus
 from test_backend_parity import random_trace_with_forks
 
 from repro.bench.generators import mixed_vocabulary_trace
@@ -122,7 +122,11 @@ def test_run_is_one_block():
 
 
 def _clock_state(detector):
-    """Every clock-relevant field, the caches left out."""
+    """Every clock-relevant field, the caches left out (a snapshot drops
+    empty barrier-waiting entries, which carry nothing)."""
+    waiting = {
+        tid: seen for tid, seen in detector._barrier_waiting.items() if seen
+    }
     if isinstance(detector, WCPDetector):
         return (
             list(detector._nt),
@@ -138,36 +142,70 @@ def _clock_state(detector):
                 else [(lock, set(r), set(w)) for lock, r, w, _ in sections]
                 for sections in detector._open_sections
             ],
-            repr(detector._read_held),
-            repr(detector._barrier_waiting),
+            list(detector._read_held),
+            waiting,
         )
     return (
         list(detector._clocks),
         list(detector._pending),
-        repr(detector._barrier_waiting),
+        waiting,
     )
 
 
-@pytest.mark.parametrize("detector", ["wcp", "hb"])
-def test_foreign_accesses_move_clocks_like_owned_ones(detector):
-    """``process_foreign`` runs on its own the prologue (and, for WCP,
-    the Rule (a) joins) that ``process_batch`` runs inline: fed an access
-    either way, a detector must end with the same clocks."""
-    factory = DETECTORS[detector]
+def _marking(cls, marked):
+    """``cls`` with ``marked`` variables foreign from every reset on."""
+
+    class Marked(cls):
+        def reset(self, trace):
+            super().reset(trace)
+            for variable in marked:
+                self.mark_foreign(variable)
+
+    return Marked
+
+
+@pytest.mark.parametrize("detector", ["wcp", "hb", "fasttrack"])
+def test_foreign_marks_drop_only_race_checks(detector):
+    """A variable marked foreign (another shard owns it) keeps every clock
+    effect of its accesses and loses only their race check: the clocks
+    and timestamps equal the unmarked run's, and the races are the
+    unmarked run's races on the other variables.  The marks survive a
+    snapshot taken mid-run."""
+    cls = DETECTORS[detector]
     for seed in range(40):
-        trace = mixed_vocabulary_trace(seed, threads=3, steps=60)
-        owned, foreign = factory(), factory()
-        owned.reset(trace)
+        # Behind NoCensus no variable is thread-local, so every access
+        # reaches the race check the mark drops.
+        trace = NoCensus(mixed_vocabulary_trace(seed, threads=3, steps=60))
+        marked = set(trace._trace.variables[::2])
+        marking = _marking(cls, marked)
+        assert marking().timestamps(trace) == cls().timestamps(trace), seed
+        plain, foreign = cls(), cls()
+        plain.reset(trace)
         foreign.reset(trace)
+        for variable in marked:
+            foreign.mark_foreign(variable)
         for event in trace:
-            owned.process_batch((event,))
-            if event.is_access():
-                foreign.process_foreign(event)
-            else:
-                foreign.process_batch((event,))
-            assert _clock_state(owned) == _clock_state(foreign), (
+            plain.process_batch((event,))
+            foreign.process_batch((event,))
+            assert _clock_state(plain) == _clock_state(foreign), (
                 seed, event.index,
             )
+            if event.index == len(trace) // 2:
+                blob = foreign.state_snapshot()
+                foreign = cls()
+                foreign.reset(trace)
+                foreign.restore_state(blob)
+        plain.finish()
+        foreign.finish()
+        assert not set(foreign.report.variables()) & marked, seed
+        expected = [
+            (pair.first_event.index, pair.second_event.index)
+            for pair in plain.report.pairs() if pair.variable not in marked
+        ]
+        assert [
+            (pair.first_event.index, pair.second_event.index)
+            for pair in foreign.report.pairs()
+        ] == expected, seed
 
 
 def _unique_location_trace(sections):

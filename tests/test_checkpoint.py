@@ -75,7 +75,7 @@ from repro.vectorclock.codec import (
     encode_clock,
 )
 
-from conftest import random_trace
+from conftest import UncensusedWCP, random_trace
 
 
 def _fingerprint(report):
@@ -137,7 +137,7 @@ DETECTOR_FACTORIES = [
     lambda: WCPDetector(strict_pseudocode=True),
     lambda: WCPDetector(stream_reclaim=True),
     HBDetector,
-    lambda: WCPDetector(prune_queues=False),
+    lambda: UncensusedWCP(),
     FastTrackDetector,
 ]
 
@@ -372,7 +372,7 @@ class TestCheckpointer:
     def test_corrupt_file_fails_cleanly(self, tmp_path):
         checkpointer = Checkpointer(tmp_path)
         path = checkpointer.save(self._checkpoint(10))
-        path.write_bytes(b"RCKPgarbage")
+        path.write_bytes(b"RCK2" + frame_blob(b"garbage"))
         with pytest.raises(CheckpointError, match="corrupt"):
             checkpointer.load()
 
@@ -380,8 +380,16 @@ class TestCheckpointer:
         from repro.vectorclock.codec import encode as _encode
 
         path = tmp_path / "ckpt-000000000010.rckp"
-        path.write_bytes(b"RCKP" + _encode((999, {})))
+        path.write_bytes(b"RCK2" + frame_blob(_encode((999, {}))))
         with pytest.raises(CheckpointMismatchError, match="version"):
+            Checkpointer(tmp_path).load()
+
+    def test_retired_unframed_format_is_refused(self, tmp_path):
+        from repro.vectorclock.codec import encode as _encode
+
+        path = tmp_path / "ckpt-000000000010.rckp"
+        path.write_bytes(b"RCKP" + _encode((1, {})))
+        with pytest.raises(CheckpointError, match="retired .*RCKP"):
             Checkpointer(tmp_path).load()
 
     def test_clear(self, tmp_path):
@@ -492,6 +500,23 @@ class TestEngineResume:
             match="snapshot format version mismatch -- checkpoint has 2",
         ):
             RaceEngine(EngineConfig()).resume(TraceSource(trace), directory)
+
+    def test_v6_wcp_stamp_is_refused_by_version(self):
+        # Version 6 stamps carry the removed ``track_queue_stats`` and
+        # ``prune_queues`` arguments; the rebuild blames the version.
+        stamp = detector_stamp(WCPDetector())
+        stamp["snapshot_version"] = 6
+        stamp["config"] = dict(
+            stamp["config"], track_queue_stats=True, prune_queues=True
+        )
+        with pytest.raises(
+            CheckpointMismatchError,
+            match="checkpoint has 6, this build has 7",
+        ):
+            build_detector(stamp)
+        assert build_detector(detector_stamp(WCPDetector())).snapshot_config() == {
+            "strict_pseudocode": False, "stream_reclaim": False,
+        }
 
     @pytest.mark.parametrize("detector_cls", [WCPDetector, FastTrackDetector])
     def test_resume_of_v3_checkpoint_reports_the_version(

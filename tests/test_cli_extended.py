@@ -1,6 +1,10 @@
-"""Tests for the stats/witness CLI subcommands and the JSON export flag."""
+"""Tests for the stats/witness CLI subcommands, the JSON export flag and
+the numeric-flag checks."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.trace.builder import TraceBuilder
@@ -73,3 +77,37 @@ class TestWitnessCommand:
         # Either the witness is found immediately or the budget message shows.
         assert code in (1, 2)
         assert "witness" in output or "budget" in output
+
+
+class TestNumericFlags:
+    """Counts must be positive integers: anything else is a usage error
+    (exit 2, one line naming the flag), never a traceback or a silently
+    ignored value."""
+
+    QUICKSTART = Path(__file__).resolve().parents[1] / (
+        "examples/traces/quickstart.std"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{trace}", "--max-events", "-5"],
+        ["analyze", "{trace}", "--max-events", "0"],
+        ["analyze", "{trace}", "--window", "-3"],
+        ["analyze", "{trace}", "--window", "0"],
+        ["serve", "--max-events", "-5"],
+        ["serve", "--max-events", "0"],
+    ])
+    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
+        argv = [arg.format(trace=self.QUICKSTART) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "must be a positive integer" in err
+
+    def test_positive_counts_still_apply(self, capsys):
+        code = main([
+            "analyze", str(self.QUICKSTART), "--max-events", "3",
+            "--window", "2",
+        ])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,12 +1,12 @@
 """Thread-local lock elision in batch WCP is exact.
 
-With the whole-trace census (a complete trace and ``prune_queues``), a
-lock that only mutex ``acq``/``rel`` events of one thread name keeps no
-per-lock state: ``_acquire``/``_release`` return early.  Every test here
-compares that run with ``WCPDetector(prune_queues=False)``, which takes no
-census and so elides nothing, and with a census run whose thread-local
-flags are cleared (same census, no elision), which must also agree on
-every statistic.
+With the whole-trace census (a complete trace), a lock that only mutex
+``acq``/``rel`` events of one thread name keeps no per-lock state:
+``_acquire``/``_release`` return early.  Every test here compares that
+run with one over the same trace behind a ``NoCensus`` view, which takes
+no census and so elides nothing, and with a census run whose
+thread-local flags are cleared (same census, no elision), which must
+also agree on every statistic.
 """
 
 import pytest
@@ -21,7 +21,9 @@ from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 
-from conftest import private_shared_trace, random_trace
+from conftest import (
+    NoCensus, UncensusedWCP, private_shared_trace, random_trace,
+)
 
 
 class _CensusWithoutElision(WCPDetector):
@@ -67,14 +69,14 @@ def _assert_exact(trace, label=""):
     """
     elided = WCPDetector()
     report = elided.run(trace)
-    full = WCPDetector(prune_queues=False).run(trace)
+    full = WCPDetector().run(NoCensus(trace))
     kept = _CensusWithoutElision().run(trace)
     assert _fingerprint(report) == _fingerprint(full), label
     assert _fingerprint(report) == _fingerprint(kept), label
     assert _stats(report) == _stats(kept), label
-    assert WCPDetector().timestamps(trace) == WCPDetector(
-        prune_queues=False
-    ).timestamps(trace), label
+    assert WCPDetector().timestamps(trace) == WCPDetector().timestamps(
+        NoCensus(trace)
+    ), label
     return len(_elided(elided))
 
 
@@ -172,7 +174,7 @@ class TestCensus:
         assert _elided(strict) == []
         assert strict._locks["l"].releasers
         report = WCPDetector(strict_pseudocode=True).run(trace)
-        full = WCPDetector(strict_pseudocode=True, prune_queues=False).run(trace)
+        full = WCPDetector(strict_pseudocode=True).run(NoCensus(trace))
         assert _fingerprint(report) == _fingerprint(full)
 
     def test_stream_context_takes_no_census(self):
@@ -234,18 +236,14 @@ class TestWindowedCensus:
         inner = WCPDetector()
         windowed = WindowedDetector(inner, window_size=9).run(trace)
         assert _elided(inner) == ["l"]
-        full = WindowedDetector(
-            WCPDetector(prune_queues=False), window_size=9
-        ).run(trace)
+        full = WindowedDetector(UncensusedWCP(), window_size=9).run(trace)
         assert _fingerprint(windowed) == _fingerprint(full)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_windowed_random_parity(self, seed):
         trace = private_shared_trace(seed, steps=80)
         elided = WindowedDetector(WCPDetector(), window_size=17).run(trace)
-        full = WindowedDetector(
-            WCPDetector(prune_queues=False), window_size=17
-        ).run(trace)
+        full = WindowedDetector(UncensusedWCP(), window_size=17).run(trace)
         assert _fingerprint(elided) == _fingerprint(full)
 
 

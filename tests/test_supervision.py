@@ -28,10 +28,14 @@ from repro import (
     SupervisionSettings,
     WorkerFailure,
 )
+from repro.bench.generators import mixed_vocabulary_trace
 from repro.cli import main
 from repro.engine.checkpoint import detector_stamp
 from repro.engine.faults import corrupt_blob
 from repro.engine.faults import WorkerDied
+from repro.engine.partition import (
+    ROUTE_CLOCK, HashPartition, StreamPartitioner,
+)
 from repro.engine.sharding import _ProcessTransport, _ShardWorker
 from repro.engine.supervision import SupervisedTransport, new_supervision_stats
 from repro.trace.event import EventType
@@ -54,6 +58,16 @@ def _sharded(trace, plan=None, mode="serial", shards=3, batch_size=16,
     if plan is not None:
         config.with_fault_plan(plan)
     return ShardedEngine(config).run(trace, detectors=detectors)
+
+
+def _witnesses(report):
+    return [
+        (
+            sorted(pair.locations), pair.first_event.index,
+            pair.second_event.index, report.distance_of(pair),
+        )
+        for pair in report.pairs()
+    ], report.raw_race_count
 
 
 def _assert_parity(trace, result, detectors=DETECTORS):
@@ -203,6 +217,30 @@ class TestFaultParity:
         _assert_parity(trace, result)
         assert result.supervision["worker_restarts"] == 1
         assert result.supervision["snapshot_fallbacks"] == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("at_event", [40, 150])
+    def test_kill_of_a_shard_holding_foreign_variables(self, mode, at_event):
+        """WCP, HB and FastTrack beside each other send clock-relevant
+        accesses of variables shard 1 does not own to shard 1, which marks
+        them foreign.  Killed before or after its snapshots carry those
+        marks, it must come back race-checking none of them: the merged
+        report keeps every witness and distance of the unsharded run."""
+        trace = mixed_vocabulary_trace(5, threads=4, steps=160)
+        partitioner = StreamPartitioner(HashPartition(3))
+        foreign_to_1 = {
+            event.target for event in trace
+            if partitioner.classify(event)[0] == ROUTE_CLOCK
+            and partitioner.policy.owner_of(event.target) != 1
+        }
+        assert foreign_to_1
+        plan = FaultPlan.kill(1, at_event=at_event)
+        result = _sharded(trace, plan, mode=mode)
+        assert plan.unfired() == []
+        assert result.supervision["worker_restarts"] == 1
+        single = RaceEngine().run(trace, detectors=DETECTORS)
+        for name in single.keys():
+            assert _witnesses(result[name]) == _witnesses(single[name]), name
 
     def test_recovery_is_visible_in_summary(self):
         trace = random_trace(43, n_events=200, n_threads=4, n_vars=6)

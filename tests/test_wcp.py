@@ -14,7 +14,7 @@ from repro.hb import HBDetector
 from repro.trace.builder import TraceBuilder
 from repro.bench.paper_figures import figure_2a, figure_2b
 
-from conftest import random_trace
+from conftest import NoCensus, random_trace
 
 
 class TestWCPDetectorBasics:
@@ -52,22 +52,18 @@ class TestWCPDetectorBasics:
         assert "max_queue_fraction" in report.stats
         assert report.stats["max_queue_fraction"] >= 0.0
 
-    def test_queue_statistics_can_be_disabled(self, protected_trace):
-        report = WCPDetector(track_queue_stats=False).run(protected_trace)
-        assert "max_queue_total" not in report.stats
-
     def test_prune_queues_does_not_change_result(self):
         for seed in range(6):
             trace = random_trace(seed=seed, n_events=80, n_threads=4, n_locks=3)
-            pruned = WCPDetector(prune_queues=True).run(trace)
-            unpruned = WCPDetector(prune_queues=False).run(trace)
+            pruned = WCPDetector().run(trace)
+            unpruned = WCPDetector().run(NoCensus(trace))
             assert set(pruned.location_pairs()) == set(unpruned.location_pairs())
 
     def test_prune_queues_timestamps_identical(self):
         for seed in range(4):
             trace = random_trace(seed=seed, n_events=60, n_threads=4, n_locks=2)
-            pruned = WCPDetector(prune_queues=True).timestamps(trace)
-            unpruned = WCPDetector(prune_queues=False).timestamps(trace)
+            pruned = WCPDetector().timestamps(trace)
+            unpruned = WCPDetector().timestamps(NoCensus(trace))
             assert [str(c) for c in pruned] == [str(c) for c in unpruned]
 
     def test_thread_local_lock_log_is_reclaimed(self):
@@ -79,12 +75,12 @@ class TestWCPDetectorBasics:
             builder.acquire("t1", "l").write("t1", "x").release("t1", "l")
         builder.write("t2", "y")
         trace = builder.build()
-        detector = WCPDetector(prune_queues=True)
+        detector = WCPDetector()
         detector.run(trace)
         assert len(detector._locks["l"].log) <= 1
         # Without the releaser census the log is kept in full.
-        unpruned = WCPDetector(prune_queues=False)
-        unpruned.run(trace)
+        unpruned = WCPDetector()
+        unpruned.run(NoCensus(trace))
         assert len(unpruned._locks["l"].log) == 50
 
     def test_shared_lock_log_reclaimed_after_consumption(self):
@@ -93,7 +89,7 @@ class TestWCPDetectorBasics:
             builder.acquire("t1", "l").write("t1", "x").release("t1", "l")
             builder.acquire("t2", "l").write("t2", "x").release("t2", "l")
         trace = builder.build()
-        detector = WCPDetector(prune_queues=True)
+        detector = WCPDetector()
         detector.run(trace)
         # Both threads consume each other's sections as they go; the log
         # must not retain all 40 sections.
@@ -218,8 +214,8 @@ class TestRuleAVersionMemo:
         trace = builder.build()
         # The memo does not depend on the census; without it the one-thread
         # lock keeps its Rule (a) cells.
-        detector = WCPDetector(prune_queues=False)
-        detector.run(trace)
+        detector = WCPDetector()
+        detector.run(NoCensus(trace))
         assert detector._locks["l"].lw["x"].version == 3
         # Under the census the lock is thread-local: no cells, no log.
         censused = WCPDetector()
@@ -407,8 +403,8 @@ class TestRuleBWalkCost:
             events += section("t2")
 
         trace = Trace(events, validate=True)
-        detector = WCPDetector(prune_queues=False)
-        detector.reset(trace)
+        detector = WCPDetector()
+        detector.reset(NoCensus(trace))
         trace = list(trace)
         for event in trace[:head]:
             detector.process(event)
