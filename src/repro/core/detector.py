@@ -303,14 +303,15 @@ class Detector(abc.ABC):
     def run(self, trace: Trace) -> RaceReport:
         """Run the detector over the whole trace and return its report.
 
-        The trace is one :meth:`process_batch` block.  The timed region
+        The trace is one :meth:`process_batch` block (a :class:`Trace`
+        hands over its column block, ``trace.events``).  The timed region
         covers ``reset`` + processing + ``finish`` so that
         ``stats["time_s"]`` means the same thing for every detector
         regardless of where it does its work.
         """
         started = time.perf_counter()
         self.reset(trace)
-        self.process_batch(trace)
+        self.process_batch(getattr(trace, "events", trace))
         events = len(trace)
         self.finish()
         elapsed = time.perf_counter() - started

@@ -70,8 +70,12 @@ Hot-path engineering (the constant factor behind Theorem 3's
 * **Interned thread ids** -- every per-thread structure is a flat list
   indexed by the dense integer tid of a
   :class:`~repro.vectorclock.registry.ThreadRegistry` (adopted from the
-  trace / engine source when available, so pre-stamped ``event.tid``
-  values are trusted and no per-event hashing happens at all).
+  trace / engine pass, whose column blocks carry those tids, so no
+  per-event hashing happens at all).
+* **Columns** -- :meth:`WCPDetector.process_batch` reads a block's
+  thread and op columns (:class:`~repro.trace.columns.ColumnBlock`) and
+  builds an :class:`Event` only for a checked access, a rare kind or a
+  race witness; a thread-local access or lock costs no event at all.
 * **Dense clocks** -- all internal clocks are array-backed
   :class:`~repro.vectorclock.dense.DenseClock`\\ s.
 * **Batch-native dispatch** -- :meth:`WCPDetector.process_batch` is the
@@ -157,12 +161,14 @@ comparable with the paper.
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
+from repro.trace.columns import as_block
 from repro.trace.event import Event, EventType
 from repro.trace.trace import ThreadCensus, Trace
 from repro.vectorclock.clock import VectorClock
@@ -381,9 +387,8 @@ class WCPDetector(Detector):
         self._trace = trace
         self._new_report(trace)
         registry = getattr(trace, "registry", None)
-        # Events stamped by the adopted registry carry trustworthy tids;
-        # with a private registry every tid is re-interned per event.
-        self._trust_tids = registry is not None
+        # Blocks decoded with the adopted registry are read as they are;
+        # any other block is re-interned once (columns.as_block).
         self._registry: ThreadRegistry = (
             registry if registry is not None else ThreadRegistry()
         )
@@ -558,16 +563,25 @@ class WCPDetector(Detector):
     def process_batch(self, events: Sequence[Event]) -> None:
         """The detector: prologue and hot kinds inline, rare kinds by method.
 
-        Per-thread lists and the history are bound once per batch (a pass
-        only grows or mutates them in place).  Each event runs the
-        prologue (intern, initialise, the deferred ``N_t`` bump, the
-        barrier re-join) inline; reads and writes run Rule (a) and the
-        race check here -- except accesses to a thread-local variable,
-        which stop after the prologue -- acquires and releases go straight
-        to :meth:`_acquire` / :meth:`_release`, and every other kind to
-        its method in :attr:`_RARE`.
+        Runs over the columns of ``events`` (a
+        :class:`~repro.trace.columns.ColumnBlock`; any other sequence
+        goes through its one adapter, :func:`~repro.trace.columns.as_block`)
+        and builds an :class:`Event` only for a checked access or a rare
+        kind.  Per-thread lists and the history are bound once per batch
+        (a pass only grows or mutates them in place).  Each row runs the
+        prologue (initialise, the deferred ``N_t`` bump, the barrier
+        re-join) inline; reads and writes run Rule (a) and the race check
+        here -- except accesses to a thread-local variable, which stop
+        after the prologue -- acquires and releases go straight to
+        :meth:`_acquire` / :meth:`_release`, and every other kind to its
+        method in :attr:`_RARE`.
         """
-        self._processed_events += len(events)
+        block = as_block(events, self._registry)
+        self._processed_events += len(block)
+        tids, ops = block.columns()
+        optable = block.table.ops
+        row = block.row
+        name_of = self._registry.name_of
         nt_list = self._nt
         pt_list = self._pt
         ht_list = self._ht
@@ -580,8 +594,6 @@ class WCPDetector(Detector):
         local_accesses = 0
         variables = self._history._variables
         report_add = self.report.add
-        trust = self._trust_tids
-        intern = self._registry.intern
         read_rule_a = self._read_rule_a
         write_rule_a = self._write_rule_a
         acquire_rule = self._acquire
@@ -591,12 +603,9 @@ class WCPDetector(Detector):
         write = EventType.WRITE
         acquire = EventType.ACQUIRE
         release = EventType.RELEASE
-        for event in events:
-            tid = event.tid
-            if tid is None or not trust:
-                tid = intern(event.thread)
+        for j, tid, op in zip(count(), tids, ops):
             if tid >= len(nt_list) or nt_list[tid] == 0:
-                self._ensure_thread(tid, event.thread)
+                self._ensure_thread(tid, name_of(tid))
             if prev[tid]:
                 # The previous event of this thread was a release: bump N_t.
                 nt = nt_list[tid] + 1
@@ -608,33 +617,33 @@ class WCPDetector(Detector):
                 waiting = barrier_waiting.get(tid)
                 if waiting:
                     self._join_open_barriers(tid, waiting)
-            etype = event.etype
+            etype, target = optable[op]
             if etype is read or etype is write:
-                variable = event.target
-                if variable in local_variables:
+                if target in local_variables:
                     local_accesses += 1
                     continue
+                event = row(j)
                 sections = open_sections[tid]
                 read_held = read_held_of[tid]
                 if etype is read:
                     if sections:
-                        read_rule_a(variable, tid, sections)
+                        read_rule_a(target, tid, sections)
                     if read_held:
-                        self._read_held_rule_a(variable, tid, read_held, False)
+                        self._read_held_rule_a(target, tid, read_held, False)
                 else:
                     if sections:
-                        write_rule_a(variable, tid, sections)
+                        write_rule_a(target, tid, sections)
                     if read_held:
-                        self._read_held_rule_a(variable, tid, read_held, True)
+                        self._read_held_rule_a(target, tid, read_held, True)
                 # Race check (the per-access hot path).
                 ct = ct_cache[tid]
                 if ct is None:
                     ct = ct_cache[tid] = pt_list[tid].copy().assign(
                         tid, nt_list[tid]
                     )
-                history = variables.get(variable)
+                history = variables.get(target)
                 if history is None:
-                    history = variables[variable] = VariableHistory()
+                    history = variables[target] = VariableHistory()
                 if etype is read:
                     racy = history.observe_read(event, ct, tid)
                 else:
@@ -642,14 +651,14 @@ class WCPDetector(Detector):
                 for earlier in racy:
                     report_add(earlier, event)
             elif etype is acquire:
-                acquire_rule(event, tid)
+                acquire_rule(target, tid)
             elif etype is release:
-                release_rule(event, tid)
+                release_rule(target, tid)
                 prev[tid] = True
             else:
                 handler = rare.get(id(etype))
                 if handler is not None:
-                    handler(self, event, tid)
+                    handler(self, row(j), tid)
                 # BEGIN / END need no clock work.
         self._local_accesses += local_accesses
 
@@ -657,8 +666,7 @@ class WCPDetector(Detector):
     # Algorithm 1 procedures
     # ------------------------------------------------------------------ #
 
-    def _acquire(self, event: Event, tid: int) -> None:
-        lock = event.target
+    def _acquire(self, lock: str, tid: int) -> None:
         state = self._locks.get(lock)
         if state is None:
             state = self._locks[lock] = _LockState()
@@ -703,8 +711,7 @@ class WCPDetector(Detector):
         # Track the opening of the critical section for R/W collection.
         self._open_sections[tid].append((lock, set(), set(), state))
 
-    def _release(self, event: Event, tid: int) -> None:
-        lock = event.target
+    def _release(self, lock: str, tid: int) -> None:
         state = self._locks.get(lock)
         if state is None:
             state = self._locks[lock] = _LockState()
@@ -1248,7 +1255,7 @@ class WCPDetector(Detector):
             self._ct[tid] = None
         state.read_hl = None
         state.read_pl = None
-        self._acquire(event, tid)
+        self._acquire(event.target, tid)
 
     def _rrel(self, event: Event, tid: int) -> None:
         """Reader/writer release: mode-resolved against this thread's state.
@@ -1294,7 +1301,7 @@ class WCPDetector(Detector):
             else:
                 state.read_pl.merge(pt)
         else:
-            self._release(event, tid)
+            self._release(event.target, tid)
         self._prev_release[tid] = True
 
     def _barrier(self, event: Event, tid: int) -> None:
@@ -1369,7 +1376,7 @@ class WCPDetector(Detector):
         notify_p = state.notify_p
         if notify_p is not None and self._pt[tid].merge(notify_p):
             self._ct[tid] = None
-        self._acquire(event, tid)
+        self._acquire(event.target, tid)
 
     def _notify(self, event: Event, tid: int) -> None:
         """Publish ``C_t``/``H_t`` into the monitor's notify accumulators.
@@ -1676,9 +1683,7 @@ class WCPDetector(Detector):
         intern = self._registry.intern
         for event in trace:
             self.process(event)
-            tid = event.tid
-            if tid is None or not self._trust_tids:
-                tid = intern(event.thread)
+            tid = intern(event.thread)
             clocks.append(to_public(self._clock_c(tid)))
         self.finish()
         return clocks

@@ -42,7 +42,9 @@ from repro.core.races import RaceReport, ReportSnapshot
 from repro.engine.config import DetectorSpec, EngineConfig
 from repro.engine.sources import EventSource, as_source
 from repro.gcpause import gc_paused
+from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event
+from repro.vectorclock.registry import ThreadRegistry
 
 
 class StreamContext:
@@ -51,10 +53,10 @@ class StreamContext:
     Exposes the small protocol detectors consult at reset time -- ``name``,
     ``threads`` (empty; detectors discover threads lazily), ``__len__``
     (events seen so far, updated by the engine), ``is_complete = False``
-    so detectors skip whole-trace prescans, and ``registry`` (the source's
-    thread-interning table, shared by every detector of the pass so the
-    events' pre-stamped tids can be trusted; None when the source does not
-    stamp).
+    so detectors skip whole-trace prescans, and ``registry`` (the pass's
+    thread-interning table -- the source's when it has one -- shared by
+    every detector of the pass, so the blocks' thread ids are read as
+    they are).
     """
 
     is_complete = False
@@ -237,11 +239,18 @@ class EnginePass:
         self.trace = trace
         # Complete sources hand detectors the real trace so reset-time
         # prescans keep working; streams get a non-prescannable context.
+        # Every detector of the pass adopts the pass registry, and every
+        # block reaches them in it (step_batch).
+        if trace is not None:
+            registry = getattr(trace, "registry", None)
+        if registry is None:
+            registry = ThreadRegistry()
         self.context = (
             trace
             if trace is not None
             else StreamContext(source_name, registry=registry)
         )
+        self.registry = registry
         # A resumed pass continues the checkpointed numbering: ``events``
         # stays the *absolute* stream offset, so renumbering, race
         # distances, snapshot cadence and checkpoint offsets all line up
@@ -279,12 +288,17 @@ class EnginePass:
     def step_batch(self, events: Sequence[Event]) -> Optional[str]:
         """Feed a block of events through the pass.
 
-        The block is cut into chunks at the next offsets where anything
-        can happen -- a snapshot, a checkpoint, the event budget; with a
-        race budget every event is a chunk of its own, so a stop lands on
-        the same event as one-at-a-time stepping.  Each chunk is
-        renumbered to its stream positions, then run detector by
-        detector through :meth:`Detector.process_batch
+        The block becomes a :class:`~repro.trace.columns.ColumnBlock`
+        numbered from the pass offset in the pass registry: a column
+        block is re-based (nothing to do when its numbering and registry
+        already agree, the common case), any other sequence of events
+        goes through :meth:`ColumnBlock.from_events
+        <repro.trace.columns.ColumnBlock.from_events>`.  It is cut into
+        chunks -- O(1) views -- at the next offsets where anything can
+        happen: a snapshot, a checkpoint, the event budget; with a race
+        budget every event is a chunk of its own, so a stop lands on the
+        same event as one-at-a-time stepping.  Each chunk runs detector
+        by detector through :meth:`Detector.process_batch
         <repro.core.detector.Detector.process_batch>`, with one
         ``account_cost`` per detector per chunk.  Returns the stop reason
         when the pass should end (the rest of the block is dropped),
@@ -299,6 +313,12 @@ class EnginePass:
         detectors = self.detectors
         context = self.context if self.context is not self.trace else None
         clock = time.perf_counter
+        if isinstance(events, ColumnBlock):
+            events = events.rebased(self.events, self.registry)
+        else:
+            events = ColumnBlock.from_events(
+                events, self.registry, start=self.events
+            )
         total = len(events)
         position = 0
         while position < total:
@@ -310,9 +330,8 @@ class EnginePass:
                 size = min(size, every - done % every)
             if event_budget is not None:
                 size = min(size, max(1, event_budget - done))
-            chunk = _renumbered(
-                events if size == total else events[position:position + size],
-                done,
+            chunk = (
+                events if size == total else events[position:position + size]
             )
             for detector in detectors:
                 before = clock()
@@ -450,30 +469,6 @@ def prepare_resume_pass(
     for detector, blob in zip(resolved, loaded.states):
         detector.restore_state(blob)
     return pass_
-
-
-def _renumbered(events: Sequence[Event], start: int) -> Sequence[Event]:
-    """``events`` numbered ``start, start + 1, ...``.
-
-    Streams may carry unnumbered events (builder convention -1) or a
-    numbering that restarts after a resume; such events are replaced by
-    renumbered copies (preserving the source's interned-tid stamp), so
-    race distances stay well-defined.  The input is never mutated.
-    """
-    index = start
-    for event in events:
-        if event.index != index:
-            break
-        index += 1
-    else:
-        return events
-    return [
-        event if event.index == index else Event(
-            index, event.thread, event.etype, event.target, event.loc,
-            tid=event.tid,
-        )
-        for index, event in enumerate(events, start)
-    ]
 
 
 def _drive(pass_: EnginePass, source: EventSource) -> EngineResult:

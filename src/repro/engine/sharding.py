@@ -72,6 +72,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.detector import Detector
@@ -111,6 +112,7 @@ from repro.engine.partition import (
     make_policy,
 )
 from repro.engine.sources import as_source
+from repro.trace.columns import ColumnBlock, OpTable
 from repro.trace.event import Event, EventType
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import decode_clock
@@ -284,6 +286,8 @@ class _ShardWorker:
         self.kill_at = kill_at
         self.hard_exit = hard_exit
         self.registry = ThreadRegistry()
+        #: Wire ``(etype value, target)`` -> op id, across batches.
+        self.op_table = OpTable()
         # Workers never step the pass (their detectors' cost covers only
         # reset and finish): busy time is measured per batch and shipped
         # in the finish payload.
@@ -339,36 +343,71 @@ class _ShardWorker:
                 % (self.shard_id, self.events)
             )
         started = time.perf_counter()
+        if batch:
+            block = self._block_of(batch)
+            for detector in self.detectors:
+                detector.process_batch(block)
+        self.events += len(batch)
+        self.context.events_seen = self.events
+        self.busy_s += time.perf_counter() - started
+
+    def _block_of(self, batch: List[tuple]) -> ColumnBlock:
+        """The wire tuples as one column block, in one pass.
+
+        A shard's substream is mostly accesses, which its detectors
+        check (no census in a stream), so each row's event is assembled
+        along with its columns and the detectors find it built.  The
+        tuples come from real events, so neither needs validation;
+        threads are interned and ops memoised in the worker's own
+        tables, and the stream indices become the block's index column
+        (a shard sees a subsequence).  The variable of a non-owned
+        access is marked foreign in every detector on first sight:
+        ownership is fixed per variable, so marking ahead of the
+        variable's earlier accesses in this batch changes nothing.
+        """
         detectors = self.detectors
-        etype_of = _ETYPE_OF_VALUE
-        intern = self.registry.intern
-        new_event = Event.__new__
         foreign = self.foreign
+        intern = self.registry.intern
+        table = self.op_table
+        op_ids = table.ids
+        op_of = op_ids.get
+        kinds = table.ops
+        new_event = Event.__new__
+        tid_of: Dict[str, int] = {}
+        tids: List[int] = []
+        ops: List[int] = []
+        locs: List[Optional[str]] = []
+        indices: List[int] = []
         events: List[Event] = []
-        append = events.append
         for index, thread, etype_value, target, loc, owned in batch:
-            # Assemble the event directly: the wire tuples come from real
-            # events, so Event.__init__'s target validation is redundant
-            # on this (very hot) path.
+            tid = tid_of.get(thread)
+            if tid is None:
+                tid = tid_of[thread] = intern(thread)
+            key = (etype_value, target)
+            op = op_of(key)
+            if op is None:
+                op = op_ids[key] = len(kinds)
+                kinds.append((_ETYPE_OF_VALUE[etype_value], target))
             event = new_event(Event)
             event.index = index
             event.thread = thread
-            event.etype = etype_of[etype_value]
+            event.etype = kinds[op][0]
             event.target = target
             event.loc = loc
-            event.tid = intern(thread)
-            append(event)
-            # Ownership is fixed per variable, so marking ahead of the
-            # variable's earlier accesses in this batch changes nothing.
+            event.tid = tid
+            tids.append(tid)
+            ops.append(op)
+            locs.append(loc)
+            indices.append(index)
+            events.append(event)
             if not owned and target not in foreign:
                 foreign.add(target)
                 for detector in detectors:
                     detector.mark_foreign(target)
-        for detector in detectors:
-            detector.process_batch(events)
-        self.events += len(batch)
-        self.context.events_seen = self.events
-        self.busy_s += time.perf_counter() - started
+        return ColumnBlock(
+            array("i", tids), array("i", ops), table, locs, self.registry,
+            indices[0], events, indices,
+        )
 
     def progress(self) -> List[tuple]:
         """Per-detector ``(distinct, raw)`` race counts so far."""

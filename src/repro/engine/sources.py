@@ -54,8 +54,11 @@ from __future__ import annotations
 import itertools
 import queue as queue_module
 from pathlib import Path
-from typing import AsyncIterator, Iterable, Iterator, List, Optional, Union
+from typing import (
+    AsyncIterator, Iterable, Iterator, List, Optional, Sequence, Union,
+)
 
+from repro.trace.columns import ColumnBlock, OpTable
 from repro.trace.event import Event
 from repro.trace.parsers import (
     BATCH_LINES,
@@ -92,8 +95,12 @@ class EventSource:
     def __iter__(self) -> Iterator[Event]:
         return itertools.chain.from_iterable(self.batches())
 
-    def batches(self) -> Iterator[List[Event]]:
-        """Yield the stream as lists of events: the unit the engine steps.
+    def batches(self) -> Iterator[Sequence[Event]]:
+        """Yield the stream as blocks of events: the unit the engine steps.
+
+        A block is a :class:`~repro.trace.columns.ColumnBlock` (decoded
+        files and sockets, slices of a trace) or a list of events (push
+        queues, iterables); the engine adapts a list to columns once.
 
         Block boundaries carry no meaning (the engine splits blocks
         wherever a snapshot, checkpoint or budget is due), so a source
@@ -596,7 +603,7 @@ class LineProtocolSource(AsyncEventSource):
     fast producer pays the per-line Python overhead once per *batch*
     while a trickling producer still sees per-line latency (a read
     returns as soon as any bytes arrive).  :meth:`batches` yields those
-    blocks as lists -- the serve tier hands one list per read from its
+    column blocks -- the serve tier hands one block per read from its
     pump to its drive loop; ``async for event in source`` is the same
     decoder flattened to single events.
     """
@@ -634,8 +641,8 @@ class LineProtocolSource(AsyncEventSource):
         """Record the resume offset; the peer replays from it (handshake)."""
         self.resume_offset = events
 
-    async def batches(self) -> AsyncIterator[List[Event]]:
-        """Yield the decoded events of each socket read as one list.
+    async def batches(self) -> AsyncIterator[ColumnBlock]:
+        """Yield the decoded rows of each socket read as one column block.
 
         Blocks holding no event (only comments or blanks) are skipped.
         Numbering, thread interning and error line numbers continue
@@ -649,7 +656,7 @@ class LineProtocolSource(AsyncEventSource):
         on_bytes = self.on_bytes
         index = 0
         line_number = 1
-        op_cache: dict = {}
+        op_table = OpTable()
         if self.initial_lines:
             block = []
             for raw in self.initial_lines:
@@ -659,7 +666,7 @@ class LineProtocolSource(AsyncEventSource):
                 block.append(data.decode("utf-8", "replace"))
             events, index, line_number = parse_std_batch(
                 block, index, line_number,
-                registry=registry, op_cache=op_cache,
+                registry=registry, op_table=op_table,
             )
             if events:
                 yield events
@@ -696,7 +703,7 @@ class LineProtocolSource(AsyncEventSource):
             # decoding every line separately.
             events, index, line_number = parse_std_batch(
                 block.decode("utf-8", "replace").split("\n"),
-                index, line_number, registry=registry, op_cache=op_cache,
+                index, line_number, registry=registry, op_table=op_table,
             )
             if events:
                 yield events

@@ -37,16 +37,12 @@ from repro.engine.sources import (
     as_source,
     async_batches,
 )
+from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event
-from repro.trace.semantics import REGISTRY, LockDiscipline
+from repro.trace.semantics import LockDiscipline
 from repro.trace.trace import LockSemanticsError, WellNestednessError  # noqa: F401  (re-exported API)
 
 __all__ = ["OnlineValidator", "ValidatingSource"]
-
-#: Identities of the event kinds with a lock-discipline role.
-_DISCIPLINED = frozenset(
-    id(etype) for etype, sem in REGISTRY.items() if sem.role is not None
-)
 
 
 class OnlineValidator:
@@ -100,23 +96,29 @@ class OnlineValidator:
         step the prefix before raising it, exactly as a per-event
         consumer would.  The validator runs ahead of the pass stepping
         the block, so the state at the block's start is kept for
-        :meth:`state_dict`.
+        :meth:`state_dict`.  Only the rows whose kind has a
+        lock-discipline role are read, from the block's columns (any
+        other sequence of events is adapted to columns first).
         """
         start = self.events_checked
         self._block = (start, self._discipline.state_dict(), events)
+        block = (
+            events if isinstance(events, ColumnBlock)
+            else ColumnBlock.from_events(events)
+        )
+        tids, ops = block.columns()
+        optable = block.table.ops
+        names = block.registry.names()
         step = self._discipline.step
-        index = start
+        row = 0
         try:
-            for event in events:
-                etype = event.etype
-                # Only lock-discipline kinds can change state or fail.
-                if id(etype) in _DISCIPLINED:
-                    step(etype, event.thread, event.target, index)
-                index += 1
+            for row in block.sync_rows():
+                etype, target = optable[ops[row]]
+                step(etype, names[tids[row]], target, start + row)
         except Exception as error:
-            self.events_checked = index + 1
-            return events[:index - start], error
-        self.events_checked = index
+            self.events_checked = start + row + 1
+            return events[:row], error
+        self.events_checked = start + len(block)
         return events, None
 
     # ------------------------------------------------------------------ #
@@ -142,8 +144,7 @@ class OnlineValidator:
                     "(checked %d)" % (events, self.events_checked)
                 )
             replay = OnlineValidator.from_state(dict(state, events=start))
-            for event in block[:events - start]:
-                replay.check(event)
+            replay.check_batch(block[:events - start])
             return replay.state_dict()
         state = self._discipline.state_dict()
         state["events"] = self.events_checked

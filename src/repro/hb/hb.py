@@ -47,12 +47,14 @@ restore take no census, and snapshots carry the local-variable set.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
+from repro.trace.columns import as_block
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock.codec import encode_clock
@@ -79,7 +81,6 @@ class HBDetector(Detector):
         self._trace = trace
         self._new_report(trace)
         registry = getattr(trace, "registry", None)
-        self._trust_tids = registry is not None
         self._registry: ThreadRegistry = (
             registry if registry is not None else ThreadRegistry()
         )
@@ -148,13 +149,21 @@ class HBDetector(Detector):
     def process_batch(self, events: Sequence[Event]) -> None:
         """The detector: prologue and hot kinds inline, rare kinds by method.
 
+        Runs over the columns of ``events`` (a
+        :class:`~repro.trace.columns.ColumnBlock`; any other sequence
+        goes through :func:`~repro.trace.columns.as_block`) and builds an
+        :class:`Event` only for a checked access or a rare kind.
         Per-thread lists, lock clocks and the history are bound once per
-        batch (a pass only grows or mutates them in place).  Each event
-        runs the prologue (intern, initialise, the deferred bump, the
-        barrier re-join) inline; reads, writes, acquires and releases are
-        handled here (an access to a thread-local variable stops after
-        the prologue), every other kind by its method in :attr:`_RARE`.
+        batch (a pass only grows or mutates them in place).  Each row
+        runs the prologue (initialise, the deferred bump, the barrier
+        re-join) inline; reads, writes, acquires and releases are handled
+        here (an access to a thread-local variable stops after the
+        prologue), every other kind by its method in :attr:`_RARE`.
         """
+        block = as_block(events, self._registry)
+        tids, ops = block.columns()
+        optable = block.table.ops
+        row = block.row
         clocks = self._clocks
         pending = self._pending
         snaps = self._snap
@@ -164,8 +173,6 @@ class HBDetector(Detector):
         local_accesses = 0
         variables = self._history._variables
         report_add = self.report.add
-        trust = self._trust_tids
-        intern = self._registry.intern
         ensure = self._ensure_thread
         access = self._access
         rare = self._RARE
@@ -173,10 +180,7 @@ class HBDetector(Detector):
         write = EventType.WRITE
         acquire = EventType.ACQUIRE
         release = EventType.RELEASE
-        for event in events:
-            tid = event.tid
-            if tid is None or not trust:
-                tid = intern(event.thread)
+        for j, tid, op in zip(count(), tids, ops):
             clock = clocks[tid] if tid < len(clocks) else None
             if clock is None:
                 clock = ensure(tid)
@@ -188,20 +192,21 @@ class HBDetector(Detector):
                 waiting = barrier_waiting.get(tid)
                 if waiting:
                     self._join_open_barriers(tid, clock, waiting)
-            etype = event.etype
+            etype, target = optable[op]
             if etype is read or etype is write:
-                if event.target in local_variables:
+                if target in local_variables:
                     local_accesses += 1
                     continue
+                event = row(j)
                 if access is not None:
                     access(event, tid, clock)
                     continue
                 snap = snaps[tid]
                 if snap is None:
                     snap = snaps[tid] = clock.copy()
-                history = variables.get(event.target)
+                history = variables.get(target)
                 if history is None:
-                    history = variables[event.target] = VariableHistory()
+                    history = variables[target] = VariableHistory()
                 if etype is read:
                     racy = history.observe_read(event, snap, tid)
                 else:
@@ -209,16 +214,16 @@ class HBDetector(Detector):
                 for earlier in racy:
                     report_add(earlier, event)
             elif etype is acquire:
-                lock_clock = lock_clocks.get(event.target)
+                lock_clock = lock_clocks.get(target)
                 if lock_clock is not None and clock.merge(lock_clock):
                     snaps[tid] = None
             elif etype is release:
-                lock_clocks[event.target] = clock.copy()
+                lock_clocks[target] = clock.copy()
                 pending[tid] = True
             else:
                 handler = rare.get(id(etype))
                 if handler is not None:
-                    handler(self, event, tid, clock)
+                    handler(self, row(j), tid, clock)
                 # BEGIN / END: no clock effect.
         self._local_accesses += local_accesses
 
@@ -475,9 +480,7 @@ class HBDetector(Detector):
         intern = self._registry.intern
         for event in trace:
             self.process(event)
-            tid = event.tid
-            if tid is None or not self._trust_tids:
-                tid = intern(event.thread)
+            tid = intern(event.thread)
             clocks.append(to_public(self._clocks[tid]))
         self.finish()
         return clocks

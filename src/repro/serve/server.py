@@ -8,7 +8,7 @@ connection" into a governed multi-stream service.  Two layers:
     query, ``# stream-id:`` directive, tenant derivation), admission,
     and the pump/drive pair that replaces the engine's plain ``async
     for``.  The *pump* task decodes STD lines off the socket and puts
-    one list of events per socket read (:meth:`LineProtocolSource.batches
+    one column block per socket read (:meth:`LineProtocolSource.batches
     <repro.engine.sources.LineProtocolSource.batches>`) on a bounded
     :class:`asyncio.Queue`; the *drive* loop takes a batch off the queue,
     validates it and steps it through a shared

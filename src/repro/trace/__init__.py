@@ -9,6 +9,9 @@ consumes:
 * :class:`~repro.trace.trace.Trace` -- an immutable sequence of events with
   well-formedness checks (lock semantics and well nestedness, Section 2.1 of
   the paper) plus derived lookups such as critical sections and projections.
+* :class:`~repro.trace.columns.ColumnBlock` -- a run of events held as
+  thread/op/location columns, each :class:`Event` built on first access;
+  what the decoders emit and what a ``Trace`` holds.
 * :class:`~repro.trace.builder.TraceBuilder` -- a small DSL for writing the
   paper's example traces by hand.
 * :mod:`~repro.trace.semantics` -- the declarative event-semantics
@@ -26,6 +29,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.trace.event": ["Event", "EventType"],
+    "repro.trace.columns": ["ColumnBlock"],
     "repro.trace.semantics": [
         "EventSemantics", "LockDiscipline", "REGISTRY", "TOKEN_TO_ETYPE",
     ],

@@ -26,23 +26,27 @@ offending token.
 Three layers of entry points:
 
 * the *block decoders* (:func:`parse_std_batch`, :func:`parse_csv_batch`)
-  turn a list of raw lines/rows into a list of events in one call.  They
-  are the decoding hot path: attribute lookups are hoisted out of the
-  loop and the wire tokens that repeat across a trace -- ``op(arg)``
-  fields and thread names -- are memoized, so the regex / interning cost
+  turn raw lines/rows into one :class:`~repro.trace.columns.ColumnBlock`
+  in one call and build no :class:`~repro.trace.event.Event`: each line
+  appends a thread id, an op id and a location to the block's columns.
+  They are the decoding hot path: attribute lookups are hoisted out of
+  the loop and the wire tokens that repeat across a trace -- ``op(arg)``
+  fields and thread names -- are memoised
+  (:class:`~repro.trace.columns.OpTable`), so the regex / interning cost
   is paid once per distinct token instead of once per line;
 * the *streaming* layer (:func:`iter_std_blocks`, :func:`iter_csv_blocks`,
-  :func:`iter_trace_blocks`) yields lists of
-  :class:`~repro.trace.event.Event` objects without materialising the
-  input -- it reads fixed-size blocks of lines through the block
+  :func:`iter_trace_blocks`) yields column blocks without materialising
+  the input -- it reads fixed-size blocks of lines through the block
   decoders (constant memory either way), and is what the
   :class:`~repro.engine.FileSource` feeds to the streaming engine so
   that arbitrarily large logs can be analysed; :func:`iter_std_events`,
   :func:`iter_csv_events` and :func:`iter_trace_file` are the same
-  streams flattened to single events;
+  streams flattened to single events, each built as it is reached;
 * the *whole-trace* layer (:func:`parse_std`, :func:`parse_csv`,
-  :func:`load_trace`) builds a validated
-  :class:`~repro.trace.trace.Trace` on top of the streaming layer.
+  :func:`load_trace`) decodes the whole input into one column block and
+  builds a validated :class:`~repro.trace.trace.Trace` over it (the
+  mtrace/tsan adapters' event streams go through the trace's one
+  Event adapter, :meth:`~repro.trace.columns.ColumnBlock.from_events`).
 
 :func:`load_trace` / :func:`iter_trace_file` dispatch on the file
 extension (``.csv``/``.mtrace``/``.tsan`` vs STD) unless an explicit
@@ -54,11 +58,13 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.gcpause import gc_paused
+from repro.trace.columns import ColumnBlock, OpTable
 from repro.trace.event import Event, EventType
 from repro.trace.semantics import REGISTRY, TOKEN_TO_ETYPE, TraceError
 from repro.trace.trace import Trace
@@ -122,103 +128,145 @@ BATCH_LINES = 1024
 
 
 def parse_std_batch(
-    lines: Sequence[str],
+    lines: Iterable[str],
     index: int = 0,
     line_number: int = 1,
     registry: Optional[ThreadRegistry] = None,
-    op_cache: Optional[Dict[str, Tuple[EventType, Optional[str]]]] = None,
-) -> Tuple[List[Event], int, int]:
-    """Decode a block of STD lines into events in one call.
+    op_table: Optional[OpTable] = None,
+) -> Tuple[ColumnBlock, int, int]:
+    """Decode STD lines into one :class:`~repro.trace.columns.ColumnBlock`.
 
     Blank lines and ``#`` comments are skipped (but counted for error
-    messages), parse errors quote the 1-based line number.  What the
-    block shape buys is amortisation -- constructor and method lookups
-    are hoisted out of the loop, and two memos exploit the redundancy of
-    real traces:
+    messages), parse errors quote the 1-based line number.  No
+    :class:`~repro.trace.event.Event` is built: each line appends its
+    thread id, op id and location to the block's columns.  Three memos
+    exploit the redundancy of real traces:
 
-    * ``op_cache`` maps raw ``op(arg)`` fields to their resolved
-      ``(etype, target)``; a trace touching L locks and V variables pays
-      the regex only O(L + V) times instead of once per line.  Callers
-      decoding a stream in consecutive blocks pass the same dict back in
-      to keep the memo warm across blocks.
-    * thread names are interned through a local memo, so the registry is
-      consulted once per distinct thread per block, not once per line.
+    * ``op_table`` maps raw ``op(arg)`` fields to op ids; a trace
+      touching L locks and V variables pays the regex only O(L + V)
+      times instead of once per line.  Callers decoding a stream in
+      consecutive blocks pass the same table (and the same ``registry``)
+      back in to keep the memos warm across blocks (the blocks then
+      share its op list).
+    * ``op_table.heads`` maps the raw ``thread|op(arg)`` prefix of a
+      ``thread|op(arg)|loc`` line to its ``(tid, op id)``, so a line
+      repeating a known prefix costs one split at its last ``|`` and one
+      lookup; every other line takes the field-by-field path below.
+    * thread names are interned through a local memo, so ``registry``
+      (a fresh one when None) is consulted once per distinct thread per
+      call, not once per line.
 
-    Returns ``(events, next_index, next_line_number)`` so consecutive
+    Returns ``(block, next_index, next_line_number)`` so consecutive
     calls continue the numbering exactly where the previous block ended.
     """
-    if op_cache is None:
-        op_cache = {}
-    op_cached = op_cache.get
-    intern = registry.intern if registry is not None else None
-    tid_cache: Dict[str, Optional[int]] = {}
-    tid_cached = tid_cache.get
-    event_cls = Event
-    events: List[Event] = []
-    append = events.append
+    if registry is None:
+        registry = ThreadRegistry()
+    if op_table is None:
+        op_table = OpTable()
+    op_ids = op_table.ids
+    op_of = op_ids.get
+    optable = op_table.ops
+    heads = op_table.heads
+    head_of = heads.get
+    intern = registry.intern
+    # Raw (unstripped) thread field -> tid.
+    tid_cache: Dict[str, int] = {}
+    tid_of = tid_cache.get
+    tids: List[int] = []
+    ops: List[int] = []
+    locs: List[Optional[str]] = []
+    add_tid = tids.append
+    add_op = ops.append
+    add_loc = locs.append
     for raw in lines:
-        line = raw.strip()
-        if not line or line[0] == "#":
+        # A known head has exactly one "|" and came from a valid
+        # three-field line, so the line is that line's thread and op
+        # plus a location without "|".
+        head, _, tail = raw.rpartition("|")
+        known = head_of(head)
+        if known is not None:
+            add_tid(known[0])
+            add_op(known[1])
+            add_loc(tail.strip() or None)
             line_number += 1
             continue
-        parts = line.split("|")
+        parts = raw.split("|")
         if len(parts) < 2:
+            line = raw.strip()
+            if not line or line[0] == "#":
+                line_number += 1
+                continue
             raise TraceParseError(
                 "line %d: expected 'thread|op(arg)[|loc]', got %r"
                 % (line_number, raw)
             )
-        thread = parts[0].strip()
-        op_field = parts[1].strip()
-        resolved = op_cached(op_field)
-        if resolved is None:
-            resolved = op_cache[op_field] = _parse_operation(
-                op_field, line_number
-            )
-        etype, target = resolved
-        if len(parts) > 2:
-            loc = parts[2].strip() or None
-        else:
-            loc = None
-        if intern is not None:
-            tid = tid_cached(thread)
-            if tid is None:
-                tid = tid_cache[thread] = intern(thread)
-        else:
-            tid = None
-        append(event_cls(index, thread, etype, target, loc, tid=tid))
-        index += 1
+        # Both memos are keyed by the raw field, so a line of known
+        # tokens strips only its location.
+        tid = tid_of(parts[0])
+        if tid is None:
+            thread = parts[0].strip()
+            if thread[:1] == "#":
+                line_number += 1
+                continue
+        op = op_of(parts[1])
+        if op is None:
+            op_field = parts[1].strip()
+            op = op_of(op_field)
+            if op is None:
+                op = op_ids[op_field] = len(optable)
+                optable.append(_parse_operation(op_field, line_number))
+            op_ids[parts[1]] = op
+        if tid is None:
+            if not thread:
+                raise TraceParseError(
+                    "line %d: empty thread field in %r"
+                    % (line_number, raw.strip())
+                )
+            tid = tid_cache[parts[0]] = intern(thread)
+        if len(parts) == 3:
+            heads[head] = (tid, op)
+        add_tid(tid)
+        add_op(op)
+        add_loc(parts[2].strip() or None if len(parts) > 2 else None)
         line_number += 1
-    return events, index, line_number
+    return (
+        ColumnBlock(array("i", tids), array("i", ops), op_table, locs,
+                    registry, index),
+        index + len(tids),
+        line_number,
+    )
 
 
 def iter_std_blocks(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
-) -> Iterator[List[Event]]:
-    """Lazily parse STD-format lines into blocks (lists) of events.
+) -> Iterator[ColumnBlock]:
+    """Lazily parse STD-format lines into column blocks.
 
-    Events are numbered in order of appearance.  Lines are pulled in
+    Rows are numbered in order of appearance.  Lines are pulled in
     blocks of :data:`BATCH_LINES` and decoded through
-    :func:`parse_std_batch` (sharing one operation memo across blocks),
-    so memory stays constant while the per-line overhead of one-at-a-time
+    :func:`parse_std_batch` (sharing one op table across blocks), so
+    memory stays constant while the per-line overhead of one-at-a-time
     parsing is amortised away; each non-empty decoded block is yielded
-    as it stands, which is the unit the streaming engine steps.  When a
-    ``registry`` is given, every event is stamped with its interned
-    thread ``tid`` at parse time so downstream detectors sharing the
-    registry never hash a thread identifier again.
+    as it stands, which is the unit the streaming engine steps.  Thread
+    ids are interned in ``registry`` (a fresh one when None), so
+    downstream detectors sharing it never hash a thread name again.
     """
+    if registry is None:
+        registry = ThreadRegistry()
     iterator = iter(lines)
     index = 0
     line_number = 1
-    op_cache: Dict[str, Tuple[EventType, Optional[str]]] = {}
+    op_table = OpTable()
     while True:
-        block = list(islice(iterator, BATCH_LINES))
-        if not block:
+        lines_block = list(islice(iterator, BATCH_LINES))
+        if not lines_block:
             return
-        events, index, line_number = parse_std_batch(
-            block, index, line_number, registry=registry, op_cache=op_cache
+        block, index, line_number = parse_std_batch(
+            lines_block, index, line_number,
+            registry=registry, op_table=op_table,
         )
-        if events:
-            yield events
+        if block:
+            yield block
 
 
 def iter_std_events(
@@ -226,45 +274,52 @@ def iter_std_events(
 ) -> Iterator[Event]:
     """Lazily parse STD-format lines into a stream of events.
 
-    :func:`iter_std_blocks` flattened: this feeds per-event consumers
-    (``Trace`` construction) from arbitrarily large log files.
+    :func:`iter_std_blocks` flattened: each row is built as an
+    :class:`~repro.trace.event.Event` when the iteration reaches it.
     """
     return chain.from_iterable(iter_std_blocks(lines, registry=registry))
 
 
 def parse_csv_batch(
-    rows: Sequence[List[str]],
+    rows: Iterable[List[str]],
     columns: Dict[str, int],
     index: int = 0,
     row_number: int = 2,
     registry: Optional[ThreadRegistry] = None,
-    etype_cache: Optional[Dict[str, EventType]] = None,
-) -> Tuple[List[Event], int, int]:
-    """Decode a block of already-split CSV rows into events in one call.
+    op_table: Optional[OpTable] = None,
+) -> Tuple[ColumnBlock, int, int]:
+    """Decode already-split CSV rows into one column block.
 
     ``columns`` maps the (lower-cased) header field names to their
-    positions, resolved once per file by :func:`iter_csv_events`; ``rows``
+    positions, resolved once per file (:func:`_csv_columns`); ``rows``
     come straight from :class:`csv.reader`.  Mirrors
-    :func:`parse_std_batch`: the event-type tokens are memoized in
-    ``etype_cache`` (pass the same dict back in across blocks) and thread
-    interning goes through a per-block memo.  Empty rows (blank lines)
-    are skipped without consuming a row number, matching the historical
-    ``csv.DictReader`` behaviour.  Returns ``(events, next_index,
-    next_row_number)``.
+    :func:`parse_std_batch`: the raw ``(etype, target)`` fields are
+    memoised in ``op_table`` (pass the same table back in across
+    blocks) and thread interning goes through a per-call memo.  Empty
+    rows (blank lines) are skipped without consuming a row number,
+    matching the historical ``csv.DictReader`` behaviour.  Returns
+    ``(block, next_index, next_row_number)``.
     """
-    if etype_cache is None:
-        etype_cache = {}
-    etype_cached = etype_cache.get
-    intern = registry.intern if registry is not None else None
-    tid_cache: Dict[str, Optional[int]] = {}
-    tid_cached = tid_cache.get
+    if registry is None:
+        registry = ThreadRegistry()
+    if op_table is None:
+        op_table = OpTable()
+    op_ids = op_table.ids
+    op_of = op_ids.get
+    optable = op_table.ops
+    intern = registry.intern
+    tid_cache: Dict[str, int] = {}
+    tid_of = tid_cache.get
     thread_col = columns.get("thread")
     etype_col = columns.get("etype")
     target_col = columns.get("target")
     loc_col = columns.get("loc")
-    event_cls = Event
-    events: List[Event] = []
-    append = events.append
+    tids: List[int] = []
+    ops: List[int] = []
+    locs: List[Optional[str]] = []
+    add_tid = tids.append
+    add_op = ops.append
+    add_loc = locs.append
     for row in rows:
         if not row:
             continue
@@ -277,8 +332,13 @@ def parse_csv_batch(
                 "row %d: missing thread/etype column" % row_number
             )
         raw_etype = row[etype_col]
-        etype = etype_cached(raw_etype)
-        if etype is None:
+        raw_target = (
+            row[target_col]
+            if target_col is not None and target_col < n_fields else None
+        )
+        key = (raw_etype, raw_target)
+        op = op_of(key)
+        if op is None:
             etype_name = raw_etype.strip().lower()
             etype = TOKEN_TO_ETYPE.get(etype_name)
             if etype is None:
@@ -286,61 +346,74 @@ def parse_csv_batch(
                     "row %d: unknown event type token %r"
                     % (row_number, raw_etype)
                 )
-            etype_cache[raw_etype] = etype
-        target = (
-            row[target_col].strip() or None
-            if target_col is not None and target_col < n_fields else None
-        )
-        if target is None and REGISTRY[etype].operand is not None:
-            _check_operand(
-                etype, target, raw_etype.strip().lower(), "row %d" % row_number
+            target = (
+                raw_target.strip() or None if raw_target is not None else None
             )
-        loc = (
+            _check_operand(etype, target, etype_name, "row %d" % row_number)
+            op = op_ids[key] = len(optable)
+            optable.append((etype, target))
+        thread = row[thread_col].strip()
+        tid = tid_of(thread)
+        if tid is None:
+            if not thread:
+                raise TraceParseError(
+                    "row %d: empty thread field in %r"
+                    % (row_number, ",".join(row))
+                )
+            tid = tid_cache[thread] = intern(thread)
+        add_tid(tid)
+        add_op(op)
+        add_loc(
             row[loc_col].strip() or None
             if loc_col is not None and loc_col < n_fields else None
         )
-        thread = row[thread_col].strip()
-        if intern is not None:
-            tid = tid_cached(thread)
-            if tid is None:
-                tid = tid_cache[thread] = intern(thread)
-        else:
-            tid = None
-        append(event_cls(index, thread, etype, target, loc, tid=tid))
-        index += 1
         row_number += 1
-    return events, index, row_number
+    return (
+        ColumnBlock(array("i", tids), array("i", ops), op_table, locs,
+                    registry, index),
+        index + len(tids),
+        row_number,
+    )
+
+
+def _csv_columns(reader) -> Optional[Dict[str, int]]:
+    """Consume the header row; its field positions (None: empty input)."""
+    header = next(reader, None)
+    if header is None:
+        return None
+    return {name.strip().lower(): pos for pos, name in enumerate(header)}
 
 
 def iter_csv_blocks(
     lines: Iterable[str], registry: Optional[ThreadRegistry] = None
-) -> Iterator[List[Event]]:
+) -> Iterator[ColumnBlock]:
     """Lazily parse CSV-format lines (header row required) into blocks.
 
     The header's column positions are resolved once, then the rows are
     decoded in blocks of :data:`BATCH_LINES` through
-    :func:`parse_csv_batch` (one shared event-type memo), replacing the
-    per-row dict building of ``csv.DictReader``.  ``registry`` stamps
-    interned thread tids exactly like :func:`iter_std_blocks`.
+    :func:`parse_csv_batch` (one shared op table), replacing the
+    per-row dict building of ``csv.DictReader``.  ``registry`` interns
+    thread ids exactly like :func:`iter_std_blocks`.
     """
+    if registry is None:
+        registry = ThreadRegistry()
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
+    columns = _csv_columns(reader)
+    if columns is None:
         return
-    columns = {name.strip().lower(): pos for pos, name in enumerate(header)}
     index = 0
     row_number = 2
-    etype_cache: Dict[str, EventType] = {}
+    op_table = OpTable()
     while True:
-        block = list(islice(reader, BATCH_LINES))
-        if not block:
+        rows = list(islice(reader, BATCH_LINES))
+        if not rows:
             return
-        events, index, row_number = parse_csv_batch(
-            block, columns, index, row_number,
-            registry=registry, etype_cache=etype_cache,
+        block, index, row_number = parse_csv_batch(
+            rows, columns, index, row_number,
+            registry=registry, op_table=op_table,
         )
-        if events:
-            yield events
+        if block:
+            yield block
 
 
 def iter_csv_events(
@@ -402,7 +475,7 @@ def event_iterator(
 
 def block_iterator(
     format: Optional[str],
-) -> Callable[..., Iterator[List[Event]]]:
+) -> Callable[..., Iterator[Sequence[Event]]]:
     """Resolve a format name to its ``(lines, registry=...)`` block iterator.
 
     STD and CSV decode natively in blocks; the adapters' event streams
@@ -429,7 +502,7 @@ def iter_trace_blocks(
     path: Union[str, Path],
     registry: Optional[ThreadRegistry] = None,
     format: Optional[str] = None,
-) -> Iterator[List[Event]]:
+) -> Iterator[Sequence[Event]]:
     """Lazily stream the events of a trace file, one decoded block at a time.
 
     The file is opened when iteration starts and closed when the iterator
@@ -493,12 +566,28 @@ def _as_lines(source: Union[str, Iterable[str]]) -> Iterable[str]:
     return source
 
 
+def _decode(
+    lines: Iterable[str], format: str, registry: ThreadRegistry
+) -> Union[ColumnBlock, Iterable[Event]]:
+    """A whole input as one column block (STD, CSV) or, for the
+    adapters, their event stream (``Trace`` adapts it to columns)."""
+    if format == "std":
+        return parse_std_batch(lines, registry=registry)[0]
+    if format == "csv":
+        reader = csv.reader(lines)
+        columns = _csv_columns(reader)
+        if columns is None:
+            return parse_csv_batch((), {}, registry=registry)[0]
+        return parse_csv_batch(reader, columns, registry=registry)[0]
+    return event_iterator(format)(lines, registry=registry)
+
+
 def parse_std(source: Union[str, Iterable[str]], name: Optional[str] = None,
               validate: bool = True,
               registry: Optional[ThreadRegistry] = None) -> Trace:
     """Parse the STD text format from a string or an iterable of lines."""
     registry = registry if registry is not None else ThreadRegistry()
-    return Trace(iter_std_events(_as_lines(source), registry=registry),
+    return Trace(_decode(_as_lines(source), "std", registry),
                  validate=validate, name=name, registry=registry)
 
 
@@ -507,7 +596,7 @@ def parse_csv(source: Union[str, Iterable[str]], name: Optional[str] = None,
               registry: Optional[ThreadRegistry] = None) -> Trace:
     """Parse the CSV format (``thread,etype,target,loc`` with header)."""
     registry = registry if registry is not None else ThreadRegistry()
-    return Trace(iter_csv_events(_as_lines(source), registry=registry),
+    return Trace(_decode(_as_lines(source), "csv", registry),
                  validate=validate, name=name, registry=registry)
 
 
@@ -518,20 +607,22 @@ def load_trace(
 ) -> Trace:
     """Load a trace from ``path``, dispatching on the file extension.
 
-    The file is parsed line by line through the streaming layer, so only
-    the event objects (never the raw text) are held in memory.  Pass
+    The file is decoded line by line into one column block, so neither
+    the raw text nor an event per line is held in memory.  Pass
     ``format`` (one of :data:`FORMAT_NAMES`) to override the extension
     dispatch -- e.g. to ingest an mtrace-style log from a ``.txt`` file.
     The cyclic collector is paused while the trace is built (see
     :mod:`repro.gcpause`).
     """
     path = Path(path)
-    parse_events = event_iterator(format or detect_format(path))
+    format = format or detect_format(path)
+    if format not in FORMAT_NAMES:
+        event_iterator(format)  # raises: unknown format
     registry = ThreadRegistry()
     with path.open("r", newline="") as handle, gc_paused():
         try:
             return Trace(
-                parse_events(handle, registry=registry),
+                _decode(handle, format, registry),
                 validate=validate, name=path.stem, registry=registry,
             )
         except UnicodeDecodeError as error:

@@ -10,10 +10,21 @@ A trace (Section 2.1) is a sequence of events satisfying two properties:
 
 :class:`Trace` validates both properties on construction (validation can be
 disabled for performance when the producer is trusted, e.g. the benchmark
-generators).  Construction does only what every caller needs: it renumbers
-and interns the events, records the first-appearance order of threads,
-locks, variables and barriers (detectors iterate ``trace.threads``, so
-their reports depend on it) and takes the per-kind census.
+generators).  A trace holds one :class:`~repro.trace.columns.ColumnBlock`
+-- thread ids, op ids and locations as columns -- and builds each
+:class:`~repro.trace.event.Event` only when something asks for it
+(``trace[i]``, iteration, the oracles, race witnesses), once.  The file
+loaders hand it the decoders' block; ``Trace(events)`` reaches the same
+columns through the one Event adapter,
+:meth:`ColumnBlock.from_events <repro.trace.columns.ColumnBlock.from_events>`,
+so there is one index, census and validation path.  Construction does
+only what every caller needs, all from the columns: it records the
+first-appearance order of threads (fork/join operands included), locks,
+variables and barriers (detectors iterate ``trace.threads``, so their
+reports depend on it) from the distinct ``(thread, op)`` rows, takes the
+per-kind census with one ``Counter`` over the op column, and drives
+:class:`~repro.trace.semantics.LockDiscipline` over the rows whose kind
+has a lock-discipline role.
 
 The detectors read nothing else.  The per-event lock structure the
 definitional oracles (:mod:`repro.core.closure`,
@@ -30,19 +41,21 @@ is built in one pass the first time one of :meth:`Trace.match`,
 
 The batch clock detectors (WCP, HB, FastTrack) read one more whole-trace
 fact, :attr:`Trace.thread_census` (:class:`ThreadCensus`): which threads
-touch each variable and lock.  It too is built in one pass on first use,
-so every detector of a multi-detector pass shares it and a run that never
-asks (``--stream``, shards, serve) never pays for it.
+touch each variable and lock.  It is built on first use from the same
+distinct ``(thread, op)`` rows, so every detector of a multi-detector
+pass shares it and a run that never asks (``--stream``, shards, serve)
+never pays for it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cached_property
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.trace.columns import ColumnBlock
 from repro.trace.event import ACCESS_EVENTS, LOCK_EVENTS, Event, EventType
 from repro.trace.semantics import (
     REGISTRY,
@@ -73,8 +86,10 @@ class Trace:
     Parameters
     ----------
     events:
-        The events in program (temporal) order.  Events are re-indexed so
-        that ``trace[i].index == i``.
+        The events in program (temporal) order: a column block (the
+        decoders' output) or any iterable of events.  Rows are numbered
+        so that ``trace[i].index == i``; an event whose index disagrees
+        is rebuilt as a renumbered copy on first access.
     validate:
         When True (default) check lock semantics and well nestedness and
         raise :class:`LockSemanticsError` / :class:`WellNestednessError` on
@@ -87,7 +102,8 @@ class Trace:
         Every event is stamped with its interned ``tid`` during indexing;
         events that already carry a *conflicting* tid (stamped by a
         different registry) are replaced by fresh copies so the original
-        producer's stamps stay intact.
+        producer's stamps stay intact.  A column block is re-interned
+        into it when its own registry differs.
     """
 
     #: A materialised trace can always be re-iterated / pre-scanned.
@@ -101,55 +117,56 @@ class Trace:
         registry: Optional[ThreadRegistry] = None,
     ) -> None:
         self.name = name or "trace"
-        self.registry = registry if registry is not None else ThreadRegistry()
-        intern = self.registry.intern
-        self._events: List[Event] = []
-        append = self._events.append
+        if isinstance(events, ColumnBlock):
+            if registry is None:
+                registry = events.registry
+            block = events.rebased(0, registry)
+        else:
+            if registry is None:
+                registry = ThreadRegistry()
+            block = ColumnBlock.from_events(events, registry, start=0)
+        self.registry = registry
+        self._block = block
+        tids, ops = block.columns()
+        optable = block.table.ops
+        name_of = registry.name_of
+        # Every distinct (thread, op) row in order of first appearance:
+        # a thread, lock, variable or barrier first appears in the first
+        # pair naming it, so the orders below (and the thread census)
+        # come from the pairs, never from the rows.
+        self._pairs: Dict[Tuple[int, int], None] = dict.fromkeys(
+            zip(tids, ops)
+        )
         threads: Dict[str, None] = {}
         locks: Dict[str, None] = {}
         variables: Dict[str, None] = {}
         barriers: Dict[str, None] = {}
-        census: Dict[str, int] = {}
-        # Bind each kind's first-appearance record to this trace's dicts.
         seen_by_operand = {
             "thread": threads, "lock": locks,
             "variable": variables, "barrier": barriers,
         }
-        kinds = {
-            key: (token, seen_by_operand.get(operand), has_role)
-            for key, (token, operand, has_role) in _KINDS.items()
-        }
-        # Events with a lock-discipline role, validated after the input is
-        # exhausted so a parse error later in the input still wins.
-        sync: List[Event] = []
-        for position, event in enumerate(events):
-            thread = event.thread
-            tid = intern(thread)
-            if event.index != position or (
-                event.tid is not None and event.tid != tid
-            ):
-                event = Event(
-                    position, thread, event.etype, event.target,
-                    event.loc, tid=tid,
-                )
-            else:
-                event.tid = tid
-            append(event)
-            threads[thread] = None
-            token, seen, has_role = kinds[id(event.etype)]
-            census[token] = census.get(token, 0) + 1
+        semantics = [REGISTRY[etype] for etype, _ in optable]
+        for tid, op in self._pairs:
+            threads[name_of(tid)] = None
+            seen = seen_by_operand.get(semantics[op].operand)
             if seen is not None:
-                seen[event.target] = None
-            if has_role and validate:
-                sync.append(event)
+                seen[optable[op][1]] = None
+        # Counter keeps first-appearance order, so the tokens do too.
+        census: Dict[str, int] = {}
+        for op, number in Counter(ops).items():
+            token = semantics[op].token
+            census[token] = census.get(token, 0) + number
 
         if validate:
-            # The shared lock-semantics / well-nestedness state machine;
-            # the streaming OnlineValidator drives the identical machine,
-            # so both paths raise the same exception class and message.
+            # The shared lock-semantics / well-nestedness state machine,
+            # over the rows whose kind has a discipline role; the
+            # streaming OnlineValidator drives the identical machine, so
+            # both paths raise the same exception class and message.
             step = LockDiscipline().step
-            for event in sync:
-                step(event.etype, event.thread, event.target, event.index)
+            names = registry.names()
+            for index in block.sync_rows():
+                etype, target = optable[ops[index]]
+                step(etype, names[tids[index]], target, index)
 
         self._threads: List[str] = list(threads)
         self._locks: List[str] = list(locks)
@@ -159,30 +176,31 @@ class Trace:
 
     @cached_property
     def _oracle(self) -> "_OracleIndex":
-        return _OracleIndex(self._events)
+        return _OracleIndex(self._block)
 
     @cached_property
     def thread_census(self) -> "ThreadCensus":
-        """Which threads touch each variable and lock (one pass, cached)."""
-        return ThreadCensus(self._events)
+        """Which threads touch each variable and lock (cached)."""
+        return ThreadCensus(self._block, self._pairs)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._block)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self._block)
 
     def __getitem__(self, index: int) -> Event:
-        return self._events[index]
+        return self._block[index]
 
     @property
-    def events(self) -> Sequence[Event]:
-        """The events in temporal order."""
-        return self._events
+    def events(self) -> ColumnBlock:
+        """The events in temporal order: the trace's column block, whose
+        rows are built as :class:`Event`\\ s on first access."""
+        return self._block
 
     @property
     def threads(self) -> List[str]:
@@ -207,7 +225,7 @@ class Trace:
     def thread_events(self, thread: str) -> List[Event]:
         """Return the projection of the trace onto ``thread`` (sigma|t)."""
         indices = self._oracle.by_thread.get(thread, [])
-        return [self._events[i] for i in indices]
+        return [self._block[i] for i in indices]
 
     def thread_indices(self, thread: str) -> List[int]:
         """Return the indices of events performed by ``thread``."""
@@ -226,7 +244,7 @@ class Trace:
         partner = self._oracle.match.get(event.index)
         if partner is None:
             return None
-        return self._events[partner]
+        return self._block[partner]
 
     def held_locks(self, event: Event) -> Tuple[str, ...]:
         """Return the locks whose critical sections contain ``event``.
@@ -241,7 +259,7 @@ class Trace:
         acquire_index = self._oracle.acquire_at[event.index].get(lock)
         if acquire_index is None:
             return None
-        return self._events[acquire_index]
+        return self._block[acquire_index]
 
     def critical_section(self, event: Event) -> List[Event]:
         """Return the events of the critical section started/ended at ``event``.
@@ -266,9 +284,9 @@ class Trace:
                 )
         thread_idx = self._oracle.by_thread[acquire.thread]
         start = acquire.index
-        end = release.index if release is not None else self._events[-1].index
+        end = release.index if release is not None else self._block[-1].index
         return [
-            self._events[i]
+            self._block[i]
             for i in thread_idx
             if start <= i <= end
         ]
@@ -291,7 +309,7 @@ class Trace:
     def accesses(self, variable: str) -> List[Event]:
         """Return all read/write events on ``variable`` in temporal order."""
         return [
-            event for event in self._events
+            event for event in self._block
             if event.is_access() and event.variable == variable
         ]
 
@@ -301,7 +319,7 @@ class Trace:
             raise ValueError("last_write_before expects a read/write event")
         variable = event.variable
         for i in range(event.index - 1, -1, -1):
-            candidate = self._events[i]
+            candidate = self._block[i]
             if candidate.is_write() and candidate.variable == variable:
                 return candidate
         return None
@@ -313,7 +331,7 @@ class Trace:
         traces (tests, examples), not for the streaming detectors.
         """
         by_variable: Dict[str, List[Event]] = defaultdict(list)
-        for event in self._events:
+        for event in self._block:
             if event.is_access():
                 by_variable[event.variable].append(event)
         for events in by_variable.values():
@@ -333,16 +351,16 @@ class Trace:
         (an acquire without its release, or vice versa); validation is
         therefore disabled, matching how windowed tools treat fragments.
         """
-        chunk = self._events[start:start + size]
         return Trace(
-            [Event(-1, e.thread, e.etype, e.target, e.loc) for e in chunk],
+            self._block[start:start + size],
             validate=False,
             name="%s[%d:%d]" % (self.name, start, start + size),
+            registry=ThreadRegistry(),
         )
 
     def windows(self, size: int) -> Iterator["Trace"]:
         """Yield consecutive non-overlapping windows of ``size`` events."""
-        for start in range(0, len(self._events), size):
+        for start in range(0, len(self._block), size):
             yield self.window(start, size)
 
     def stats(self) -> Dict[str, int]:
@@ -350,7 +368,7 @@ class Trace:
         census = self._census
         accesses = sum(census.get(token, 0) for token in _ACCESS_TOKENS)
         return {
-            "events": len(self._events),
+            "events": len(self._block),
             "threads": len(self._threads),
             "locks": len(self._locks),
             "variables": len(self._variables),
@@ -367,17 +385,8 @@ class Trace:
 
     def __repr__(self) -> str:
         return "Trace(%r, events=%d, threads=%d, locks=%d)" % (
-            self.name, len(self._events), len(self._threads), len(self._locks)
+            self.name, len(self._block), len(self._threads), len(self._locks)
         )
-
-
-#: ``id(etype)`` -> (census token, operand kind, has a lock-discipline
-#: role), built once from the registry.  Keying by identity keeps the
-#: construction loop free of ``Enum.__hash__`` and ``EventType.value``.
-_KINDS: Dict[int, Tuple[str, Optional[str], bool]] = {
-    id(etype): (sem.token, sem.operand, sem.role is not None)
-    for etype, sem in REGISTRY.items()
-}
 
 
 #: Census tokens of the access kinds (``Trace.stats()["accesses"]``).
@@ -415,7 +424,25 @@ class ThreadCensus:
         "local_variables", "local_locks",
     )
 
-    def __init__(self, events: Iterable[Event]) -> None:
+    def __init__(
+        self,
+        events: Iterable[Event],
+        pairs: Optional[Iterable[Tuple[int, int]]] = None,
+    ) -> None:
+        """Take the census of ``events`` (a column block or any event
+        sequence).  ``pairs`` are the block's distinct ``(tid, op)`` rows
+        in first-appearance order when the caller already has them: each
+        rule below only depends on which thread names which operand and
+        in what order that first happens, so the pairs stand for the
+        rows."""
+        block = (
+            events if isinstance(events, ColumnBlock)
+            else ColumnBlock.from_events(events)
+        )
+        if pairs is None:
+            pairs = dict.fromkeys(zip(*block.columns()))
+        optable = block.table.ops
+        name_of = block.registry.name_of
         read = EventType.READ
         write = EventType.WRITE
         acquire = EventType.ACQUIRE
@@ -428,23 +455,21 @@ class ThreadCensus:
         # result keeps trace order.
         released: Dict[Tuple[str, str], None] = {}
         owner_of = variable_thread.setdefault
-        for event in events:
-            etype = event.etype
-            thread = event.thread
+        for tid, op in pairs:
+            etype, target = optable[op]
+            thread = name_of(tid)
             if etype is read or etype is write:
-                if owner_of(event.target, thread) != thread:
-                    variable_thread[event.target] = None
+                if owner_of(target, thread) != thread:
+                    variable_thread[target] = None
             elif etype is acquire or etype is release:
-                lock = event.target
-                if lock_thread.setdefault(lock, thread) != thread:
-                    lock_thread[lock] = None
+                if lock_thread.setdefault(target, thread) != thread:
+                    lock_thread[target] = None
                 if etype is release:
-                    released[lock, thread] = None
+                    released[target, thread] = None
             elif id(etype) in lock_kinds:
-                lock = event.target
-                lock_thread[lock] = None
+                lock_thread[target] = None
                 if etype is rrel:
-                    released[lock, thread] = None
+                    released[target, thread] = None
         releasers: Dict[str, List[str]] = {}
         for lock, thread in released:
             releasers.setdefault(lock, []).append(thread)
