@@ -24,8 +24,8 @@ An :class:`EventSource` is anything that can hand the
   plain ``for`` loop or an ``async for`` loop;
 * :class:`LineProtocolSource` -- an asyncio-native source decoding the
   STD line protocol off an :class:`asyncio.StreamReader` (an accepted
-  socket connection, a pipe) through the batched
-  :func:`repro.trace.parsers.parse_std_batch` decoder; backpressure
+  socket connection, a pipe) through the bytes-level
+  :class:`repro.trace.parsers.StdDecoder` the file paths use; backpressure
   comes from the stream's own flow control (the transport pauses the
   peer when the reader's buffer fills).
 
@@ -58,13 +58,13 @@ from typing import (
     AsyncIterator, Iterable, Iterator, List, Optional, Sequence, Union,
 )
 
-from repro.trace.columns import ColumnBlock, OpTable
+from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event
 from repro.trace.parsers import (
     BATCH_LINES,
+    StdDecoder,
     group_events,
     iter_trace_blocks,
-    parse_std_batch,
 )
 from repro.trace.trace import Trace
 from repro.vectorclock.registry import ThreadRegistry
@@ -589,23 +589,25 @@ class LineProtocolSource(AsyncEventSource):
     """Decode the STD line protocol off an :class:`asyncio.StreamReader`.
 
     One ``thread|op(arg)[|loc]`` event per line -- the exact grammar of
-    the on-disk STD format, so a logger can pipe the same bytes to a
-    file or a socket.  The reader may come from an accepted server
-    connection (``repro-race serve``), ``asyncio.open_connection``, or a
-    pipe transport; end of stream is the peer's EOF.  asyncio's stream
-    flow control provides the backpressure: when the engine falls
-    behind, the transport pauses the peer instead of buffering
-    unboundedly.
+    the on-disk STD format, decoded by the same bytes-level decoder
+    (:class:`~repro.trace.parsers.StdDecoder`), so a logger can pipe the
+    same bytes to a file or a socket and get the same events and the
+    same errors: lines end at ``\\n``, ``\\r\\n`` or a bare ``\\r``, and a
+    line that is not UTF-8 is an error naming its line and bytes.  The
+    reader may come from an accepted server connection (``repro-race
+    serve``), ``asyncio.open_connection``, or a pipe transport; end of
+    stream is the peer's EOF.  asyncio's stream flow control provides
+    the backpressure: when the engine falls behind, the transport
+    pauses the peer instead of buffering unboundedly.
 
-    Decoding is batched: whatever span of complete lines one socket read
-    (at most 64 KiB) delivers is decoded by
-    :func:`repro.trace.parsers.parse_std_batch` as a single block, so a
-    fast producer pays the per-line Python overhead once per *batch*
-    while a trickling producer still sees per-line latency (a read
-    returns as soon as any bytes arrive).  :meth:`batches` yields those
-    column blocks -- the serve tier hands one block per read from its
-    pump to its drive loop; ``async for event in source`` is the same
-    decoder flattened to single events.
+    Decoding is batched: whatever span of whole lines one socket read
+    (at most 64 KiB) completes is decoded as a single column block, so
+    a fast producer pays the per-call overhead once per *batch* while a
+    trickling producer still sees per-line latency (a read returns as
+    soon as any bytes arrive).  :meth:`batches` yields those blocks --
+    the serve tier hands one block per read from its pump to its drive
+    loop; ``async for event in source`` is the same decoder flattened
+    to single events.
     """
 
     #: Longest accepted line (bytes, newline excluded).  Replaces the
@@ -652,30 +654,28 @@ class LineProtocolSource(AsyncEventSource):
         import asyncio
 
         read = self.reader.read
-        registry = self.registry
         on_bytes = self.on_bytes
-        index = 0
-        line_number = 1
-        op_table = OpTable()
+        decoder = StdDecoder(self.registry)
         if self.initial_lines:
-            block = []
-            for raw in self.initial_lines:
-                data = raw if isinstance(raw, bytes) else raw.encode("utf-8")
-                if on_bytes is not None:
-                    on_bytes(len(data))
-                block.append(data.decode("utf-8", "replace"))
-            events, index, line_number = parse_std_batch(
-                block, index, line_number,
-                registry=registry, op_table=op_table,
+            # Each peeked line is whole (the peer may have ended it with
+            # EOF instead of a newline).
+            data = b"".join(
+                raw if isinstance(raw, bytes) else raw.encode("utf-8")
+                for raw in self.initial_lines
             )
+            if on_bytes is not None:
+                on_bytes(len(data))
+            events = decoder.decode(data, final=True)
             if events:
                 yield events
-        pending = b""
         max_line = self.MAX_LINE_BYTES
         read_bytes = self.READ_BYTES
         while True:
             chunk = await read(read_bytes)
-            if not chunk:
+            pending = decoder.pending
+            final = not chunk
+            if final and pending[-1:] != b"\r":
+                # (A final bare "\r" ends its line: decode it below.)
                 if pending:
                     # The peer vanished mid-line.  Surface it as the
                     # disconnect it is (the serve tier counts it in
@@ -684,29 +684,23 @@ class LineProtocolSource(AsyncEventSource):
                     # never finished sending.
                     raise asyncio.IncompleteReadError(pending, None)
                 return
-            pending += chunk
-            cut = chunk.rfind(b"\n")
-            if cut >= 0:
-                cut += len(pending) - len(chunk)
-            if len(pending) - cut - 1 > max_line:
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
+            tail = len(chunk) - cut - 1
+            if cut < 0 and pending[-1:] != b"\r":
+                tail += len(pending)
+            if tail > max_line:
                 raise ValueError(
                     "line protocol: %d bytes without a newline (limit %d)"
-                    % (len(pending) - cut - 1, max_line)
+                    % (tail, max_line)
                 )
-            if cut < 0:
-                continue
-            block, pending = pending[:cut], pending[cut + 1:]
-            if on_bytes is not None:
-                on_bytes(cut + 1)
-            # 0x0A never occurs inside a multi-byte UTF-8 sequence, so
-            # decoding the block once and splitting on "\n" equals
-            # decoding every line separately.
-            events, index, line_number = parse_std_batch(
-                block.decode("utf-8", "replace").split("\n"),
-                index, line_number, registry=registry, op_table=op_table,
-            )
+            events = decoder.decode(chunk, final=final)
+            used = len(pending) + len(chunk) - len(decoder.pending)
+            if used and on_bytes is not None:
+                on_bytes(used)
             if events:
                 yield events
+            if final:
+                return
 
 
 async def _aflatten(blocks) -> AsyncIterator[Event]:

@@ -9,7 +9,9 @@ run of rows as
 * ``tids`` -- an ``array('i')`` of thread ids interned in ``registry``;
 * ``ops`` -- an ``array('i')`` of op ids into ``table``, the decoding
   stream's :class:`OpTable` of memoised ``(EventType, target)`` pairs;
-* ``locs`` -- a list of program locations;
+* ``locs`` -- the program locations: a list, or -- for blocks the
+  bytes-level STD decoder emits -- :class:`LocSpans`, byte spans into
+  the decoded buffer whose ``str`` is built only when a row is;
 * ``start`` -- the stream index of the first row,
 
 and behaves as a ``Sequence[Event]``: ``block[j]`` builds row ``j``'s
@@ -31,13 +33,13 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from itertools import compress, count
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.trace.event import Event, EventType
 from repro.trace.semantics import REGISTRY
 from repro.vectorclock.registry import ThreadRegistry
 
-__all__ = ["ColumnBlock", "OpTable", "as_block"]
+__all__ = ["ColumnBlock", "LocSpans", "OpTable", "as_block"]
 
 
 _new_event = Event.__new__
@@ -45,6 +47,13 @@ _new_event = Event.__new__
 #: ``id(kind)`` -> 1 when the kind has a lock-discipline role, else 0.
 _HAS_ROLE = {
     id(etype): int(sem.role is not None) for etype, sem in REGISTRY.items()
+}
+
+#: ``id(kind)`` -> its code for the compiled lock-discipline pre-check:
+#: 0 no role, 1 ``acquire``, 2 ``release``, 3 any other role.
+_DISCIPLINE_CODE = {
+    id(etype): {None: 0, "acquire": 1, "release": 2}.get(sem.role, 3)
+    for etype, sem in REGISTRY.items()
 }
 
 
@@ -59,13 +68,17 @@ class OpTable:
     its ``(tid, op id)`` in the stream's thread registry.
     """
 
-    __slots__ = ("ids", "ops", "heads", "_roles")
+    __slots__ = ("ids", "ops", "heads", "_roles", "_codes", "_locks",
+                 "_lock_ids")
 
     def __init__(self) -> None:
         self.ids: Dict[object, int] = {}
         self.ops: List[Tuple[EventType, Optional[str]]] = []
         self.heads: Dict[str, Tuple[int, int]] = {}
         self._roles = bytearray()
+        self._codes = bytearray()
+        self._locks = array("i")
+        self._lock_ids: Dict[str, int] = {}
 
     def roles(self) -> bytearray:
         """Per op id, 1 when its kind has a lock-discipline role."""
@@ -75,6 +88,65 @@ class OpTable:
                 _HAS_ROLE[id(etype)] for etype, _ in self.ops[len(roles):]
             )
         return roles
+
+    def discipline(self) -> Tuple[bytearray, array, int]:
+        """``(codes, locks, lock count)`` for the compiled lock check.
+
+        Per op id, ``codes`` holds 0 (no lock role), 1 (``acquire``), 2
+        (``release``) or 3 (any other role), and ``locks`` the dense id
+        of an acquire's or release's lock (0 otherwise).
+        """
+        codes, locks, lock_ids = self._codes, self._locks, self._lock_ids
+        for etype, target in self.ops[len(codes):]:
+            code = _DISCIPLINE_CODE[id(etype)]
+            codes.append(code)
+            locks.append(
+                lock_ids.setdefault(target, len(lock_ids))
+                if code in (1, 2) else 0
+            )
+        return codes, locks, len(lock_ids)
+
+
+class LocSpans:
+    """Program locations as byte spans into one decoded buffer.
+
+    Location ``k`` is ``data[starts[k]:ends[k]]`` as UTF-8, or None when
+    the span is empty; a negative ``starts[k]`` instead names the string
+    ``decoded[~starts[k]]``, a location the Python decoder built.  A
+    slice is a :class:`LocSpans` over copied span columns and the same
+    buffer and strings.
+    """
+
+    __slots__ = ("data", "starts", "ends", "decoded")
+
+    def __init__(
+        self, data: bytes, starts: array, ends: array, decoded: List[str]
+    ) -> None:
+        self.data = data
+        self.starts = starts
+        self.ends = ends
+        self.decoded = decoded
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return LocSpans(self.data, self.starts[item], self.ends[item],
+                            self.decoded)
+        start, end = self.starts[item], self.ends[item]
+        if start < 0:
+            return self.decoded[~start]
+        return self.data[start:end].decode() if end > start else None
+
+    def strings(self, lo: int, hi: int) -> List[Optional[str]]:
+        """Locations ``lo`` to ``hi`` (exclusive) as a list."""
+        data, decoded = self.data, self.decoded
+        return [
+            decoded[~start] if start < 0
+            else data[start:end].decode() if end > start else None
+            for start, end in zip(self.starts[lo:hi], self.ends[lo:hi])
+        ]
 
 
 class ColumnBlock(Sequence):
@@ -94,7 +166,7 @@ class ColumnBlock(Sequence):
         tids: array,
         ops: array,
         table: OpTable,
-        locs: List[Optional[str]],
+        locs: Union[List[Optional[str]], LocSpans],
         registry: ThreadRegistry,
         start: int = 0,
         cache: Optional[List[Optional[Event]]] = None,
@@ -296,6 +368,11 @@ class ColumnBlock(Sequence):
             names = self.registry.names()
             indices = self._indices
             base = self.start - lo
+            # Span locations are decoded once for the whole run; the
+            # list is indexed from ``lo`` like the other columns.
+            shift = 0
+            if isinstance(locs, LocSpans):
+                locs, shift = locs.strings(lo, hi), lo
             for k in range(lo, hi):
                 if cache[k] is None:
                     event = cache[k] = _new_event(Event)
@@ -305,7 +382,7 @@ class ColumnBlock(Sequence):
                     event.index = (
                         indices[k] if indices is not None else base + k
                     )
-                    event.loc = locs[k]
+                    event.loc = locs[k - shift]
         if lo == 0 and hi == len(cache):
             return iter(cache)
         return iter(cache[lo:hi])

@@ -25,19 +25,26 @@ offending token.
 
 Three layers of entry points:
 
-* the *block decoders* (:func:`parse_std_batch`, :func:`parse_csv_batch`)
-  turn raw lines/rows into one :class:`~repro.trace.columns.ColumnBlock`
-  in one call and build no :class:`~repro.trace.event.Event`: each line
-  appends a thread id, an op id and a location to the block's columns.
-  They are the decoding hot path: attribute lookups are hoisted out of
+* the *block decoders* turn raw input into one
+  :class:`~repro.trace.columns.ColumnBlock` in one call and build no
+  :class:`~repro.trace.event.Event`: each line appends a thread id, an
+  op id and a location to the block's columns.
+  :func:`parse_std_batch` (str lines) and :func:`parse_csv_batch` (CSV
+  rows) are the Python decoders: attribute lookups are hoisted out of
   the loop and the wire tokens that repeat across a trace -- ``op(arg)``
   fields and thread names -- are memoised
   (:class:`~repro.trace.columns.OpTable`), so the regex / interning cost
-  is paid once per distinct token instead of once per line;
+  is paid once per distinct token instead of once per line.
+  :class:`StdDecoder` is the one bytes-level STD entry point: with the
+  compiled kernels a C scanner takes every line whose head is already
+  memoised and keeps its location as a byte span, and every other line
+  goes through :func:`parse_std_batch`'s per-line logic, which stays
+  the specification;
 * the *streaming* layer (:func:`iter_std_blocks`, :func:`iter_csv_blocks`,
   :func:`iter_trace_blocks`) yields column blocks without materialising
-  the input -- it reads fixed-size blocks of lines through the block
-  decoders (constant memory either way), and is what the
+  the input -- an STD file is read in binary chunks through one
+  :class:`StdDecoder`, CSV in fixed-size blocks of rows (constant
+  memory either way) -- and is what the
   :class:`~repro.engine.FileSource` feeds to the streaming engine so
   that arbitrarily large logs can be analysed; :func:`iter_std_events`,
   :func:`iter_csv_events` and :func:`iter_trace_file` are the same
@@ -61,10 +68,13 @@ import re
 from array import array
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
+)
 
 from repro.gcpause import gc_paused
-from repro.trace.columns import ColumnBlock, OpTable
+from repro.trace.columns import ColumnBlock, LocSpans, OpTable
 from repro.trace.event import Event, EventType
 from repro.trace.semantics import REGISTRY, TOKEN_TO_ETYPE, TraceError
 from repro.trace.trace import Trace
@@ -126,6 +136,9 @@ def _parse_operation(text: str, line_number: int) -> "tuple[EventType, Optional[
 #: events stays trivially bounded (constant memory is preserved).
 BATCH_LINES = 1024
 
+#: Bytes read per block when an STD file is streamed in binary.
+READ_BYTES = 1 << 16
+
 
 def parse_std_batch(
     lines: Iterable[str],
@@ -151,10 +164,14 @@ def parse_std_batch(
     * ``op_table.heads`` maps the raw ``thread|op(arg)`` prefix of a
       ``thread|op(arg)|loc`` line to its ``(tid, op id)``, so a line
       repeating a known prefix costs one split at its last ``|`` and one
-      lookup; every other line takes the field-by-field path below.
+      lookup; every other line takes the field-by-field path.
     * thread names are interned through a local memo, so ``registry``
       (a fresh one when None) is consulted once per distinct thread per
       call, not once per line.
+
+    This is the specification of STD decoding: :class:`StdDecoder`, the
+    bytes-level entry point, sends every line its compiled scanner does
+    not take through the same per-line logic.
 
     Returns ``(block, next_index, next_line_number)`` so consecutive
     calls continue the numbering exactly where the previous block ended.
@@ -163,21 +180,46 @@ def parse_std_batch(
         registry = ThreadRegistry()
     if op_table is None:
         op_table = OpTable()
+    tids: List[int] = []
+    ops: List[int] = []
+    locs: List[Optional[str]] = []
+    line_number = _std_lines(
+        lines, line_number, registry, op_table, {}, tids, ops, locs
+    )
+    return (
+        ColumnBlock(array("i", tids), array("i", ops), op_table, locs,
+                    registry, index),
+        index + len(tids),
+        line_number,
+    )
+
+
+def _std_lines(
+    lines: Iterable[str],
+    line_number: int,
+    registry: ThreadRegistry,
+    op_table: OpTable,
+    tid_cache: Dict[str, int],
+    tids: List[int],
+    ops: List[int],
+    locs: List[Optional[str]],
+) -> int:
+    """The per-line STD logic of :func:`parse_std_batch`.
+
+    Appends each data line's tid, op id and location to the three
+    lists; ``tid_cache`` maps raw thread fields to tids.  Returns the
+    next line number.
+    """
+    add_tid = tids.append
+    add_op = ops.append
+    add_loc = locs.append
     op_ids = op_table.ids
     op_of = op_ids.get
     optable = op_table.ops
     heads = op_table.heads
     head_of = heads.get
     intern = registry.intern
-    # Raw (unstripped) thread field -> tid.
-    tid_cache: Dict[str, int] = {}
     tid_of = tid_cache.get
-    tids: List[int] = []
-    ops: List[int] = []
-    locs: List[Optional[str]] = []
-    add_tid = tids.append
-    add_op = ops.append
-    add_loc = locs.append
     for raw in lines:
         # A known head has exactly one "|" and came from a valid
         # three-field line, so the line is that line's thread and op
@@ -229,30 +271,279 @@ def parse_std_batch(
         add_op(op)
         add_loc(parts[2].strip() or None if len(parts) > 2 else None)
         line_number += 1
-    return (
-        ColumnBlock(array("i", tids), array("i", ops), op_table, locs,
-                    registry, index),
-        index + len(tids),
-        line_number,
+    return line_number
+
+
+def _utf8_error(
+    line_number: int, raw: bytes, start: int, end: int
+) -> TraceParseError:
+    """The one-line error for a line of STD/CSV bytes that is not UTF-8
+    (``raw[start:end]`` are the bad bytes)."""
+    return TraceParseError(
+        "line %d: invalid UTF-8 byte(s) %s in %r" % (
+            line_number,
+            " ".join("0x%02x" % byte for byte in raw[start:end]),
+            raw.rstrip(b"\r\n").decode("utf-8", "replace"),
+        )
     )
 
 
-def iter_std_blocks(
-    lines: Iterable[str], registry: Optional[ThreadRegistry] = None
-) -> Iterator[ColumnBlock]:
-    """Lazily parse STD-format lines into column blocks.
+def _complete(data: bytes) -> int:
+    """Length of the prefix of ``data`` made of whole lines.
 
-    Rows are numbered in order of appearance.  Lines are pulled in
-    blocks of :data:`BATCH_LINES` and decoded through
-    :func:`parse_std_batch` (sharing one op table across blocks), so
-    memory stays constant while the per-line overhead of one-at-a-time
-    parsing is amortised away; each non-empty decoded block is yielded
-    as it stands, which is the unit the streaming engine steps.  Thread
-    ids are interned in ``registry`` (a fresh one when None), so
+    Lines end at ``\\n``, ``\\r\\n`` or a bare ``\\r`` (the universal
+    newlines of a text-mode file).  A final ``\\r`` is held back, since
+    the ``\\n`` of its ``\\r\\n`` may come with the next bytes.
+    """
+    limit = len(data) - (data[-1:] == b"\r")
+    return max(data.rfind(b"\n", 0, limit), data.rfind(b"\r", 0, limit)) + 1
+
+
+def _utf8_lines(
+    data: bytes, pos: int, end: int, line_number: int
+) -> Tuple[str, int]:
+    """``data[pos:end]`` as text, cut before its first line that is not
+    UTF-8: returns the text and the offset it ends at.  When that line
+    is the first one (number ``line_number``), raises its error."""
+    chunk = data[pos:end]
+    try:
+        return chunk.decode("utf-8"), end
+    except UnicodeDecodeError as error:
+        bad = max(chunk.rfind(b"\n", 0, error.start),
+                  chunk.rfind(b"\r", 0, error.start)) + 1
+        if bad:
+            return chunk[:bad].decode("utf-8"), pos + bad
+        line = chunk
+        for mark in (b"\n", b"\r"):
+            line = line.split(mark, 1)[0]
+        raise _utf8_error(line_number, line, error.start, error.end) from None
+
+
+#: Lines the scanner must take between two stops for the Python logic
+#: to go back to taking one line per stop.
+_WARM_RUN = 16
+
+#: Most lines the Python logic takes at one stop of the scanner.
+_MAX_BURST = 4096
+
+
+class StdDecoder:
+    """Incremental STD decoding from bytes: the one bytes-level entry point.
+
+    :func:`load_trace`, the file stream behind
+    :class:`~repro.engine.FileSource` (:func:`iter_std_blocks` over a
+    binary file) and :class:`~repro.engine.LineProtocolSource` all feed
+    raw bytes through :meth:`decode`, which returns one
+    :class:`~repro.trace.columns.ColumnBlock` of the whole lines seen so
+    far and keeps an unfinished last line in :attr:`pending`.  Lines end
+    at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text-mode file; numbering,
+    interning and the op table carry across calls.
+
+    With the compiled kernels (:mod:`repro.vectorclock.kernels`) the C
+    scanner decodes every ``\\n``-terminated ASCII line whose raw
+    ``thread|op(arg)`` head is already in the op table's ``heads`` and
+    records its location as a byte span (:class:`~repro.trace.columns.
+    LocSpans`).  Any other line -- an unknown head, a comment, a blank,
+    two or four-plus fields, a non-ASCII byte, a stray ``\\r`` -- goes
+    through the per-line logic of :func:`parse_std_batch`, so thread
+    and op interning order, line numbers and every error message are
+    those of the Python decoder.  Where the scanner stops again soon
+    after resuming (a stretch of new heads), the Python logic takes
+    twice as many lines at the next stop, up to :data:`_MAX_BURST`;
+    the locations it decodes are kept as the strings it built.
+    Without the kernels, or for a call with fewer than
+    :attr:`COMPILED_MIN_BYTES` bytes of whole lines, the text goes
+    through :func:`parse_std_batch`.
+    A line that is not UTF-8 raises when it is reached, naming its line
+    and bytes.
+    """
+
+    __slots__ = (
+        "registry", "op_table", "index", "line_number", "pending",
+        "_tid_cache", "_kernels", "_heads", "_synced",
+    )
+
+    #: Fewest bytes of whole lines for which a decode call uses the
+    #: scanner.  A short input is mostly new
+    #: heads, and each one costs a scanner stop and a C table insert on
+    #: top of the Python logic: an 80-line mixed-vocabulary push decodes
+    #: in ~100 us in Python and ~180 us through the scanner, while at
+    #: 25 KB the scanner is ahead.
+    COMPILED_MIN_BYTES = 1 << 14
+
+    def __init__(
+        self,
+        registry: Optional[ThreadRegistry] = None,
+        op_table: Optional[OpTable] = None,
+    ) -> None:
+        self.registry = registry if registry is not None else ThreadRegistry()
+        self.op_table = op_table if op_table is not None else OpTable()
+        #: Index of the next row and number of the next line.
+        self.index = 0
+        self.line_number = 1
+        #: Bytes of an unfinished last line, kept for the next call.
+        self.pending = b""
+        self._tid_cache: Dict[str, int] = {}
+        self._heads = None
+        self._synced = 0
+        from repro.vectorclock import kernels
+
+        self._kernels = kernels if kernels.BACKEND == "cffi" else None
+
+    def decode(self, data: bytes = b"", final: bool = False) -> ColumnBlock:
+        """Decode the whole lines of :attr:`pending` + ``data``.
+
+        With ``final`` the unterminated rest is a last line too.
+        """
+        if self.pending:
+            data = self.pending + data
+        cut = len(data) if final else _complete(data)
+        self.pending = data[cut:]
+        if self._kernels is None or cut < self.COMPILED_MIN_BYTES:
+            return self._decode_text(data, cut)
+        return self._decode_compiled(data, cut)
+
+    def _decode_text(self, data: bytes, cut: int) -> ColumnBlock:
+        """``data[:cut]`` through :func:`parse_std_batch`."""
+        text, end = _utf8_lines(data, 0, cut, self.line_number)
+        # The lines before one that is not UTF-8 first: an error there
+        # wins.
+        block, self.index, self.line_number = parse_std_batch(
+            io.StringIO(text, newline=""), self.index, self.line_number,
+            registry=self.registry, op_table=self.op_table,
+        )
+        if end < cut:
+            _utf8_lines(data, end, cut, self.line_number)  # raises
+        return block
+
+    def _decode_compiled(self, data: bytes, cut: int) -> ColumnBlock:
+        """``data[:cut]`` through the C scanner; where it stops, the
+        Python logic takes the next lines and the scanner resumes."""
+        ffi, lib = self._kernels.ffi, self._kernels.lib
+        if self._heads is None:
+            self._heads = ffi.gc(lib.std_heads_new(), lib.std_heads_free)
+            if self._heads == ffi.NULL:
+                raise MemoryError("std_heads_new")
+        heads = self.op_table.heads
+        if len(heads) != self._synced:
+            self._sync_heads()
+        # At most one row per line; a line ends at "\n", "\r\n" or "\r".
+        capacity = 1 + data.count(b"\n", 0, cut) + data.count(
+            b"\r", 0, cut) - data.count(b"\r\n", 0, cut)
+        tids = array("i", bytes(4 * capacity))
+        ops = array("i", bytes(4 * capacity))
+        starts = array("q", bytes(8 * capacity))
+        ends = array("q", bytes(8 * capacity))
+        # Locations the Python logic decoded, as it built them.
+        decoded: List[str] = []
+        text = ffi.from_buffer(data)
+        views = [ffi.from_buffer("int[]", tids), ffi.from_buffer("int[]", ops),
+                 ffi.from_buffer("long long[]", starts),
+                 ffi.from_buffer("long long[]", ends)]
+        scan, lines_end = lib.std_scan, lib.std_lines_end
+        table = self._heads
+        # [next row, end of the line the scan stopped at (0: unknown)]
+        state = ffi.new("long long[2]")
+        registry, op_table = self.registry, self.op_table
+        tid_cache = self._tid_cache
+        line_number = self.line_number
+        row = pos = 0
+        burst = 1
+        new_tids: List[int] = []
+        new_ops: List[int] = []
+        new_locs: List[Optional[str]] = []
+        try:
+            while True:
+                pos = scan(table, text, pos, cut, *views, state, capacity)
+                taken = state[0] - row
+                line_number += taken
+                row = state[0]
+                if pos >= cut:
+                    break
+                # The Python logic takes the next ``burst`` lines: one
+                # while the scanner runs on between stops, twice as many
+                # after each stop that came soon (a stretch of new heads).
+                burst = min(burst * 2, _MAX_BURST) if taken < _WARM_RUN else 1
+                end = (state[1] if burst == 1 and state[1]
+                       else lines_end(text, pos, cut, burst))
+                # A line that is not UTF-8 raises when it comes first.
+                lines, end = _utf8_lines(data, pos, end, line_number)
+                line_number = _std_lines(
+                    (lines,) if burst == 1 else io.StringIO(lines, newline=""),
+                    line_number, registry, op_table, tid_cache,
+                    new_tids, new_ops, new_locs,
+                )
+                for tid, op, loc in zip(new_tids, new_ops, new_locs):
+                    tids[row] = tid
+                    ops[row] = op
+                    if loc is None:
+                        starts[row] = ends[row] = 0
+                    else:
+                        starts[row] = ~len(decoded)
+                        decoded.append(loc)
+                    row += 1
+                state[0] = row
+                new_tids.clear()
+                new_ops.clear()
+                new_locs.clear()
+                if len(heads) != self._synced:
+                    self._sync_heads()
+                pos = end
+        finally:
+            for view in views:
+                ffi.release(view)
+            ffi.release(text)
+        self.line_number = line_number
+        for column in (tids, ops, starts, ends):
+            del column[row:]
+        block = ColumnBlock(
+            tids, ops, op_table, LocSpans(data, starts, ends, decoded),
+            registry, self.index,
+        )
+        self.index += row
+        return block
+
+    def _sync_heads(self) -> None:
+        """Copy the heads the Python logic added into the C table."""
+        heads = self.op_table.heads
+        put = self._kernels.lib.std_heads_put
+        for head in islice(reversed(heads), len(heads) - self._synced):
+            if head.isascii():
+                tid, op = heads[head]
+                encoded = head.encode()
+                if put(self._heads, encoded, len(encoded), tid, op):
+                    raise MemoryError("std_heads_put")
+        self._synced = len(heads)
+
+
+def iter_std_blocks(
+    lines: Union[Iterable[str], BinaryIO],
+    registry: Optional[ThreadRegistry] = None,
+) -> Iterator[ColumnBlock]:
+    """Lazily parse STD input into column blocks.
+
+    ``lines`` is a binary file object or an iterable of str lines.  A
+    binary file is read :data:`READ_BYTES` at a time through one
+    :class:`StdDecoder`, which yields the whole lines of each read as a
+    block.  Str lines are pulled :data:`BATCH_LINES` at a time through
+    :func:`parse_std_batch` (sharing one op table).  Either way memory
+    stays constant while the per-line overhead is amortised, and each
+    non-empty block is yielded as it stands: it is the unit the
+    streaming engine steps.  Rows are numbered in order of appearance;
+    thread ids are interned in ``registry`` (a fresh one when None), so
     downstream detectors sharing it never hash a thread name again.
     """
     if registry is None:
         registry = ThreadRegistry()
+    if isinstance(lines, (io.RawIOBase, io.BufferedIOBase)):
+        decoder = StdDecoder(registry)
+        while True:
+            chunk = lines.read(READ_BYTES)
+            block = decoder.decode(chunk, final=not chunk)
+            if block:
+                yield block
+            if not chunk:
+                return
     iterator = iter(lines)
     index = 0
     line_number = 1
@@ -513,7 +804,12 @@ def iter_trace_blocks(
     raise a :class:`TraceParseError` naming their line.
     """
     path = Path(path)
-    parse_blocks = block_iterator(format or detect_format(path))
+    format = format or detect_format(path)
+    parse_blocks = block_iterator(format)
+    if format == "std":
+        with path.open("rb") as handle:
+            yield from parse_blocks(handle, registry=registry)
+        return
     with path.open("r", newline="") as handle:
         try:
             yield from parse_blocks(handle, registry=registry)
@@ -536,7 +832,9 @@ def iter_trace_file(
 def _invalid_utf8(path: Path, error: UnicodeDecodeError) -> TraceParseError:
     """Name the line and bytes behind a text-decoding failure.
 
-    Runs only on the error path: the file is rescanned in binary, line by
+    Runs only on the error path of the text-mode formats (CSV and the
+    adapters; STD is decoded from bytes by :class:`StdDecoder`, which
+    names the line itself): the file is rescanned in binary, line by
     line (a newline byte never occurs inside a multi-byte UTF-8
     sequence, so the first line that fails to decode is the culprit).
     """
@@ -545,14 +843,7 @@ def _invalid_utf8(path: Path, error: UnicodeDecodeError) -> TraceParseError:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as bad:
-                return TraceParseError(
-                    "line %d: invalid UTF-8 byte(s) %s in %r" % (
-                        line_number,
-                        " ".join("0x%02x" % byte
-                                 for byte in raw[bad.start:bad.end]),
-                        raw.rstrip(b"\r\n").decode("utf-8", "replace"),
-                    )
-                )
+                return _utf8_error(line_number, raw, bad.start, bad.end)
     return TraceParseError("%s: %s" % (path.name, error))
 
 
@@ -607,8 +898,11 @@ def load_trace(
 ) -> Trace:
     """Load a trace from ``path``, dispatching on the file extension.
 
-    The file is decoded line by line into one column block, so neither
-    the raw text nor an event per line is held in memory.  Pass
+    An STD file is read as bytes and decoded by :class:`StdDecoder` into
+    one column block whose locations stay byte spans into those bytes
+    until a row is built; the other formats are decoded line by line
+    from text into one block (CSV) or through the trace's Event adapter
+    (mtrace, tsan), so no event per line is held in memory.  Pass
     ``format`` (one of :data:`FORMAT_NAMES`) to override the extension
     dispatch -- e.g. to ingest an mtrace-style log from a ``.txt`` file.
     The cyclic collector is paused while the trace is built (see
@@ -619,6 +913,13 @@ def load_trace(
     if format not in FORMAT_NAMES:
         event_iterator(format)  # raises: unknown format
     registry = ThreadRegistry()
+    if format == "std":
+        data = path.read_bytes()
+        with gc_paused():
+            return Trace(
+                StdDecoder(registry).decode(data, final=True),
+                validate=validate, name=path.stem, registry=registry,
+            )
     with path.open("r", newline="") as handle, gc_paused():
         try:
             return Trace(

@@ -22,9 +22,12 @@ only what every caller needs, all from the columns: it records the
 first-appearance order of threads (fork/join operands included), locks,
 variables and barriers (detectors iterate ``trace.threads``, so their
 reports depend on it) from the distinct ``(thread, op)`` rows, takes the
-per-kind census with one ``Counter`` over the op column, and drives
-:class:`~repro.trace.semantics.LockDiscipline` over the rows whose kind
-has a lock-discipline role.
+per-kind census with one ``Counter`` over the op column, and validates
+the rows whose kind has a lock-discipline role: with the compiled
+kernels an accept-only C pass over the columns takes traces whose lock
+rows are all ``acquire``/``release`` and well formed, and
+:class:`~repro.trace.semantics.LockDiscipline`, the specification,
+runs (and raises) on every other trace.
 
 The detectors read nothing else.  The per-event lock structure the
 definitional oracles (:mod:`repro.core.closure`,
@@ -157,7 +160,7 @@ class Trace:
             token = semantics[op].token
             census[token] = census.get(token, 0) + number
 
-        if validate:
+        if validate and not _discipline_holds(block, len(registry)):
             # The shared lock-semantics / well-nestedness state machine,
             # over the rows whose kind has a discipline role; the
             # streaming OnlineValidator drives the identical machine, so
@@ -387,6 +390,40 @@ class Trace:
         return "Trace(%r, events=%d, threads=%d, locks=%d)" % (
             self.name, len(self._block), len(self._threads), len(self._locks)
         )
+
+
+def _discipline_holds(block: ColumnBlock, threads: int) -> bool:
+    """True when the compiled pre-check accepts ``block``'s lock rows.
+
+    The check (``lock_check`` in :mod:`repro.vectorclock.kernels`) only
+    ever accepts: it handles the roles ``acquire`` and ``release`` with
+    a holder per lock and the innermost open acquire per thread, which
+    is exactly :class:`~repro.trace.semantics.LockDiscipline` on such
+    rows.  False -- another role, a violation, or no compiled kernels
+    -- means the caller runs ``LockDiscipline``, the specification,
+    which raises the error.
+    """
+    from repro.vectorclock import kernels
+
+    if kernels.BACKEND != "cffi":
+        return False
+    ffi, lib = kernels.ffi, kernels.lib
+    tids, ops = block.columns()
+    codes, locks, lock_count = block.table.discipline()
+    if not tids:
+        return True
+    views = [ffi.from_buffer("int[]", tids), ffi.from_buffer("int[]", ops),
+             ffi.from_buffer("unsigned char[]", codes),
+             ffi.from_buffer("int[]", locks)]
+    try:
+        verdict = lib.lock_check(
+            views[0], views[1], len(tids), views[2], views[3], len(codes),
+            lock_count, threads,
+        )
+    finally:
+        for view in views:
+            ffi.release(view)
+    return verdict == 1
 
 
 #: Census tokens of the access kinds (``Trace.stats()["accesses"]``).

@@ -10,14 +10,43 @@ from typing import Union
 from repro.trace.trace import Trace
 
 
+#: Per STD field, the characters its parser would read as structure.
+_STD_FORBIDDEN = (
+    ("thread", "|\n\r"),
+    ("target", ")|\n\r"),
+    ("location", "|\n\r"),
+)
+
+
 def write_std(trace: Trace) -> str:
-    """Serialize ``trace`` in the STD one-event-per-line format."""
+    """Serialize ``trace`` in the STD one-event-per-line format.
+
+    Raises :class:`ValueError`, naming the event index and the field,
+    when a thread or location holds ``|`` or a line break, or a target
+    holds ``)``, ``|`` or a line break: STD cannot carry them, and the
+    line would load back as a different event.
+    """
     lines = []
     for event in trace:
         target = event.target if event.target is not None else ""
         loc = event.loc or ""
-        lines.append("%s|%s(%s)|%s" % (event.thread, event.etype.value, target, loc))
+        line = "%s|%s(%s)|%s" % (event.thread, event.etype.value, target, loc)
+        if line.count("|") != 2 or ")" in target or (
+            "\n" in line or "\r" in line
+        ):
+            _refuse_std(event.index, (str(event.thread), target, loc))
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _refuse_std(index: int, values) -> None:
+    for (field, forbidden), value in zip(_STD_FORBIDDEN, values):
+        for char in forbidden:
+            if char in value:
+                raise ValueError(
+                    "event %d: %s %r contains %r, which STD cannot carry"
+                    % (index, field, value, char)
+                )
 
 
 def write_csv(trace: Trace) -> str:

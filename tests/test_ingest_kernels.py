@@ -1,0 +1,535 @@
+"""Compiled ingest: the STD decode and lock-check kernels equal Python.
+
+:class:`~repro.trace.parsers.StdDecoder` decodes bytes with the C scanner
+when the compiled kernels are active and sends every other line through
+the Python decoder, :func:`~repro.trace.parsers.parse_std_batch`;
+``Trace(validate=True)`` runs an accept-only C lock check before
+:class:`~repro.trace.semantics.LockDiscipline`.  The Python code is the
+specification: these tests pin that the kernel path decodes the same
+columns (tids, ops, locations, op-table and thread order, line numbers)
+and raises the same errors, that every chunking of a stream gives the
+one-shot result on the file and line-protocol paths, and that the lock
+check never accepts what ``LockDiscipline`` rejects.  Under
+``REPRO_CLOCK_KERNEL=python`` both sides are the Python decoder.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import glob
+import io
+import os
+import random
+from contextlib import contextmanager
+
+import pytest
+
+import repro.trace.parsers as parsers
+from repro.api import make_detector, run_engine
+from repro.bench.generators import mixed_vocabulary_trace
+from repro.bench.suite import get_benchmark
+from repro.engine import FileSource, LineProtocolSource
+from repro.trace.columns import ColumnBlock
+from repro.trace.event import Event, EventType
+from repro.trace.parsers import StdDecoder, load_trace, parse_std_batch
+from repro.trace.semantics import LockDiscipline, TraceError
+from repro.trace.trace import Trace, _discipline_holds
+from repro.trace.writers import write_std
+from repro.vectorclock import kernels
+
+COMPILED = kernels.BACKEND == "cffi"
+
+EXAMPLES = sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir,
+    "examples", "traces", "*",
+)))
+
+TABLE1 = ("account", "bufwriter", "moldyn", "derby", "xalan")
+
+FIELD_VARIANTS = [
+    "t1|w(x)|a",
+    " t1 | w(x) | b ",
+    "# t9|w(y)|z",
+    "   ",
+    "t1|w(x)",
+    "t1|w(x)|",
+    "t1|w(x)|c|extra",
+    "t1|w(x)|d",
+    "t2|r( x )|e",
+    "t1 |w(x)|f",
+]
+
+
+def _inputs():
+    for path in EXAMPLES:
+        with open(path, "rb") as handle:
+            yield os.path.basename(path), handle.read()
+    for name in TABLE1:
+        trace = get_benchmark(name, scale=0.02, seed=3)
+        yield name, write_std(trace).encode()
+    for seed in range(20):
+        trace = mixed_vocabulary_trace(seed=seed, threads=2 + seed % 4,
+                                       steps=60)
+        yield "mixed-%d" % seed, write_std(trace).encode()
+    yield "field-variants", ("\n".join(FIELD_VARIANTS) + "\n").encode()
+    # Non-ASCII names, and locations wrapped in whitespace only
+    # str.strip() knows (NBSP, ideographic space), on repeated heads.
+    yield "unicode", "".join(
+        "%s|w(%s)|%s\n" % (thread, variable, location)
+        for thread in ("t0", "tré") for variable in ("x", "ÿ")
+        for location in ("a", "\u00a0b\u00a0", "\u3000c", "d é", "")
+        for _ in range(2)
+    ).encode()
+    # Known heads with now and then a non-ASCII line, which the scanner
+    # hands to the Python logic one line at a time.
+    yield "sparse-unicode", b"".join(
+        b"t0|w(x)|a\n" * 20 + b"t%d|w(x)|\xc3\xa9\n" % (i % 2)
+        for i in range(6)
+    )
+    # Mostly new heads (the scanner hands the Python logic ever longer
+    # runs), then mostly known ones (back to one line per stop).
+    yield "new-heads", "".join(
+        "t%d|%s(v%d)|p%d\n" % (i % 3, "rw"[i % 2], i if i < 3000 else i % 7,
+                               i % 5)
+        for i in range(4000)
+    ).encode()
+
+
+INPUTS = dict(_inputs())
+
+
+def _outcome(decode):
+    """The decoded block's columns and tables, or the error's text."""
+    try:
+        decoder, block = decode()
+    except TraceError as error:
+        return "%s: %s" % (type(error).__name__, error)
+    return (
+        list(block.tids), list(block.ops),
+        [block.locs[k] for k in range(len(block))],
+        [(e.index, e.thread, e.etype, e.target, e.loc) for e in block],
+        list(block.table.ops), block.registry.names(),
+        decoder.index, decoder.line_number,
+    )
+
+
+@contextmanager
+def _scanner(on):
+    """Decode every input through the scanner (when the kernels are
+    active), or none."""
+    saved = StdDecoder.COMPILED_MIN_BYTES
+    StdDecoder.COMPILED_MIN_BYTES = 0 if on else float("inf")
+    try:
+        yield
+    finally:
+        StdDecoder.COMPILED_MIN_BYTES = saved
+
+
+def _decoded(data, scanner):
+    def decode():
+        decoder = StdDecoder()
+        with _scanner(scanner):
+            return decoder, decoder.decode(data, final=True)
+    return _outcome(decode)
+
+
+def _spec(data):
+    """The Python decoder over the text a text-mode file reads."""
+    class Lines:
+        index = 0
+        line_number = 1
+
+    def decode():
+        text = io.StringIO(data.decode("utf-8"), newline="")
+        block, Lines.index, Lines.line_number = parse_std_batch(text)
+        return Lines, block
+    return _outcome(decode)
+
+
+# --------------------------------------------------------------------- #
+# Decode: kernel == Python
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_decoder_equals_python(name):
+    data = INPUTS[name]
+    expected = _spec(data)
+    assert _decoded(data, True) == expected
+    assert _decoded(data, False) == expected
+    # Line endings: CRLF and bare CR read as the same lines.
+    for ending in (b"\r\n", b"\r"):
+        crlf = data.replace(b"\n", ending)
+        assert _decoded(crlf, True) == _decoded(crlf, False) == (
+            _spec(crlf)
+        )
+
+
+def test_decoder_keeps_locations_as_spans():
+    data = INPUTS["xalan"]
+    with _scanner(True):
+        block = StdDecoder().decode(data, final=True)
+    assert len(block.locs) == len(block)
+    if COMPILED:
+        assert block.locs.data is data
+    # A short input is mostly new heads: it skips the scanner.
+    short = INPUTS["quickstart.std"]
+    assert len(short) < StdDecoder.COMPILED_MIN_BYTES
+    assert isinstance(StdDecoder().decode(short, final=True).locs, list)
+    events = list(block)
+    assert [e.loc for e in events] == [block.row(k).loc
+                                       for k in range(len(block))]
+    assert [e.loc for e in events] == [
+        line.split("|")[2].strip() or None
+        for line in data.decode().splitlines()
+    ]
+
+
+#: Pieces the fuzzed lines are made of: structure, whitespace that
+#: str.strip() removes, line breaks, non-ASCII and invalid UTF-8.
+_PIECES = (
+    ["t0", "t1", "t2", "w", "r", "acq", "rel", "fork", "x", "l", "a:1"]
+    + ["|", "|", "|", "(", ")", "#", "(x)", "(l)"]
+    + [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
+    + ["\r", "\n", "\r\n"]
+    + ["é", " ", "　", " "]
+)
+_BAD_BYTES = [b"\xff", b"\xc3", b"\xe2\x28"]
+
+
+def _fuzzed_line(rng):
+    if rng.random() < 0.6:
+        # Mostly well formed, so that heads repeat and get memoised.
+        line = "%s%s|%s(%s)%s" % (
+            rng.choice(["", " "]), rng.choice(["t0", "t1", "t2"]),
+            rng.choice(["w", "r", "acq", "rel"]), rng.choice(["x", "l"]),
+            rng.choice(["", "|a", "| b ", "|é", "|", "|c|d"]),
+        )
+        line = line.encode()
+    else:
+        line = "".join(rng.choice(_PIECES)
+                       for _ in range(rng.randint(0, 8))).encode()
+    if rng.random() < 0.05:
+        cut = rng.randint(0, len(line))
+        line = line[:cut] + rng.choice(_BAD_BYTES) + line[cut:]
+    return line + rng.choice([b"\n", b"\n", b"\r\n", b"\r", b""])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fuzzed_bytes_decode_like_python(seed):
+    rng = random.Random(seed)
+    data = b"".join(_fuzzed_line(rng) for _ in range(rng.randint(1, 40)))
+    expected = _decoded(data, False)
+    assert _decoded(data, True) == expected
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert _spec(data) == expected
+
+
+@pytest.mark.parametrize("tail", [
+    b"a\rb\n",            # a bare CR ends the line; "b" is malformed
+    b"a\r# note\n",       # ... and "# note" is a comment
+    b"a\xffb\n",          # invalid UTF-8 after a known head
+    b"\xc2\xa0a\xc2\xa0\n",  # NBSP, stripped by str.strip() only
+])
+def test_known_head_with_a_tail_the_scanner_must_refuse(tail):
+    data = b"t0|w(x)|first\n" * 2 + b"t0|w(x)|" + tail + b"t1|r(x)|z\n"
+    assert _decoded(data, True) == _decoded(data, False)
+
+
+@pytest.mark.skipif(not COMPILED, reason="needs the compiled kernels")
+def test_scanner_takes_lines_with_known_heads(monkeypatch):
+    data = INPUTS["xalan"]
+    monkeypatch.setattr(StdDecoder, "COMPILED_MIN_BYTES", 0)
+    decoder = StdDecoder()
+    first = decoder.decode(data, final=True)
+    calls = []
+    original = parsers._std_lines
+    monkeypatch.setattr(parsers, "_std_lines",
+                        lambda *args: calls.append(1) or original(*args))
+    again = decoder.decode(data, final=True)
+    assert calls == []
+    assert list(again.tids) == list(first.tids)
+    assert list(again.ops) == list(first.ops)
+
+
+def test_scanner_strips_locations_like_str_strip():
+    # Each line twice: the second one's head is known, so the scanner
+    # takes it and strips its location itself.
+    lines = []
+    for code in range(128):
+        if chr(code) not in "\n\r":
+            line = "t%d|w(x)|%sa%sb%s\n" % (code % 2, chr(code), chr(code),
+                                          chr(code))
+            lines += [line, line]
+    data = "".join(lines).encode()
+    assert _decoded(data, True) == _decoded(data, False) == _spec(data)
+
+
+@pytest.mark.parametrize("bad_line", [1, 2, 40, 900, 2999])
+def test_bad_bytes_among_new_heads_name_their_line(bad_line):
+    lines = INPUTS["new-heads"].splitlines(keepends=True)
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b"|p", b"|\xc3p")
+    data = b"".join(lines)
+    message = _decoded(data, False)
+    assert message.startswith(
+        "TraceParseError: line %d: invalid UTF-8 byte(s) 0xc3 in " % bad_line
+    )
+    assert _decoded(data, True) == message
+
+
+def test_bad_bytes_after_a_parse_error_do_not_hide_it():
+    data = b"t0|w(x)|a\nt1 acq(l)\nt1|w(\xffy)|b\n"
+    message = ("TraceParseError: line 2: expected 'thread|op(arg)[|loc]', "
+               "got 't1 acq(l)\\n'")
+    assert _decoded(data, True) == _decoded(data, False) == message
+
+
+# --------------------------------------------------------------------- #
+# Streams: every chunking gives the one-shot result
+# --------------------------------------------------------------------- #
+
+_SMALL = (
+    b"# a comment\r\n"
+    b"t0|acq(l)|a:1\r\n"
+    b"t0|w(x)|a:2\n"
+    b"t0|rel(l)|a:3\r"
+    b"\r\n"
+    b" t1 | w(x) | b:1 \r"
+    b"t1|w(x)|b:2\r\n"
+    b"t2|r(x)\n"
+    b"t2|w(\xc3\xa9)|\xc3\xa9:1\n"
+    b"t2|w(x)|c|d\n"
+)
+
+
+def _rows(blocks):
+    return [(e.index, e.thread, e.etype, e.target, e.loc)
+            for block in blocks for e in block]
+
+
+class _ChunkReader:
+    """An asyncio reader that returns the given chunks, one per read."""
+
+    def __init__(self, chunks):
+        self.chunks = [chunk for chunk in chunks if chunk]
+
+    async def read(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def _protocol(chunks):
+    async def run():
+        source = LineProtocolSource(_ChunkReader(chunks))
+        return [block async for block in source.batches()], source
+    blocks, source = asyncio.run(run())
+    return _rows(blocks), source.registry.names()
+
+
+@pytest.fixture(params=["scanner", "python"])
+def min_bytes(request, monkeypatch):
+    """Streams decode through the scanner (every call) or through the
+    Python decoder (a short input)."""
+    if request.param == "scanner":
+        monkeypatch.setattr(StdDecoder, "COMPILED_MIN_BYTES", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("data", [_SMALL, _SMALL + b"t0|w(x)|e\r"],
+                         ids=["newline-end", "cr-end"])
+def test_every_split_point_gives_the_same_rows(data, tmp_path, monkeypatch,
+                                               min_bytes):
+    path = tmp_path / "small.std"
+    path.write_bytes(data)
+    trace = load_trace(path, validate=False)
+    expected = (_rows([trace]), trace.registry.names())
+    assert len(trace) == 8 + (data != _SMALL)
+    for split in range(len(data) + 1):
+        assert _protocol([data[:split], data[split:]]) == expected, split
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(parsers, "READ_BYTES", size)
+        source = FileSource(path)
+        assert (_rows(source.batches()), source.registry.names()) == (
+            expected
+        ), size
+
+
+def test_split_error_names_the_same_line(tmp_path, monkeypatch, min_bytes):
+    data = _SMALL + b"t3|w(\xffx)|z\n"
+    path = tmp_path / "bad.std"
+    path.write_bytes(data)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    message = str(info.value)
+    assert message.startswith("line 11: invalid UTF-8 byte(s) 0xff in ")
+    for split in range(len(data) + 1):
+        with pytest.raises(TraceError) as info:
+            _protocol([data[:split], data[split:]])
+        assert str(info.value) == message
+    for size in (1, 7, 64):
+        monkeypatch.setattr(parsers, "READ_BYTES", size)
+        with pytest.raises(TraceError) as info:
+            list(FileSource(path))
+        assert str(info.value) == message
+
+
+# --------------------------------------------------------------------- #
+# The line protocol parses the file grammar
+# --------------------------------------------------------------------- #
+
+def test_line_protocol_rejects_invalid_utf8_like_the_file(tmp_path):
+    data = b"t\xff0|w(x)|a\n"
+    path = tmp_path / "bad.std"
+    path.write_bytes(data)
+    with pytest.raises(TraceError) as info:
+        load_trace(path)
+    assert str(info.value) == (
+        "line 1: invalid UTF-8 byte(s) 0xff in 't�0|w(x)|a'"
+    )
+    with pytest.raises(TraceError) as protocol:
+        _protocol([data])
+    assert str(protocol.value) == str(info.value)
+
+
+@pytest.mark.parametrize("data", [
+    b"t0|w(x)|a\rt1|w(x)|b\n",
+    b"t0|w(x)|a\r\nt1|w(x)|b\r\n",
+], ids=["bare-cr", "crlf"])
+def test_line_protocol_splits_lines_like_the_file(data, tmp_path):
+    path = tmp_path / "race.std"
+    path.write_bytes(data)
+    trace = load_trace(path)
+    rows, _ = _protocol([data])
+    assert rows == _rows([trace]) == [
+        (0, "t0", EventType.WRITE, "x", "a"),
+        (1, "t1", EventType.WRITE, "x", "b"),
+    ]
+    batch = run_engine(trace, detectors=[make_detector("hb")])
+    events = [Event(-1, *row[1:]) for row in rows]
+    pushed = run_engine(events, detectors=[make_detector("hb")])
+    assert batch["HB"].count() == pushed["HB"].count() == 1
+
+
+# --------------------------------------------------------------------- #
+# write_std refuses what STD cannot carry
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("event,message", [
+    (Event(0, "t0", EventType.WRITE, "x", "a|b"),
+     "event 0: location 'a|b' contains '|', which STD cannot carry"),
+    (Event(0, "t|0", EventType.WRITE, "x", "a"),
+     "event 0: thread 't|0' contains '|', which STD cannot carry"),
+    (Event(0, "t0", EventType.WRITE, "x", "a\nb"),
+     "event 0: location 'a\\nb' contains '\\n', which STD cannot carry"),
+    (Event(0, "t\r0", EventType.WRITE, "x", None),
+     "event 0: thread 't\\r0' contains '\\r', which STD cannot carry"),
+    (Event(0, "t0", EventType.WRITE, "f(x)", None),
+     "event 0: target 'f(x)' contains ')', which STD cannot carry"),
+    (Event(0, "t0", EventType.ACQUIRE, "l|m", None),
+     "event 0: target 'l|m' contains '|', which STD cannot carry"),
+])
+def test_write_std_refuses_unwritable_fields(event, message):
+    with pytest.raises(ValueError) as info:
+        write_std(Trace([event], validate=False))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(
+    set(TABLE1) | {"mixed-%d" % seed for seed in range(0, 20, 4)}
+))
+def test_write_std_round_trips_generated_traces(name, tmp_path):
+    if name.startswith("mixed-"):
+        seed = int(name.split("-")[1])
+        original = mixed_vocabulary_trace(seed=seed, threads=3, steps=80)
+    else:
+        original = get_benchmark(name, scale=0.02, seed=5)
+    path = tmp_path / "trace.std"
+    path.write_text(write_std(original))
+    loaded = load_trace(path)
+    assert [(e.thread, e.etype, e.target, e.loc) for e in loaded] == [
+        (e.thread, e.etype, e.target, e.loc) for e in original
+    ]
+
+
+# --------------------------------------------------------------------- #
+# Lock discipline: the compiled pre-check accepts only what Python does
+# --------------------------------------------------------------------- #
+
+def _lock_program(rng, kinds):
+    """Random acquires and releases over 3 threads and 4 locks, mostly
+    well formed, with re-entrant and contended acquires and crossed and
+    foreign releases mixed in."""
+    locks = ["l0", "l1", "l2", "l3"]
+    held = {thread: [] for thread in ("t0", "t1", "t2")}
+    events = []
+    for _ in range(rng.randint(1, 30)):
+        thread = rng.choice(sorted(held))
+        stack = held[thread]
+        taken = [lock for own in held.values() for lock in own]
+        roll = rng.random()
+        if stack and (roll < 0.4 or len(taken) == len(locks)):
+            pick = rng.random()
+            if pick < 0.8:
+                lock = stack.pop()
+            elif pick < 0.93:
+                lock = rng.choice(stack)  # crossed when not innermost
+                stack.remove(lock)
+            else:
+                lock = rng.choice(locks)  # often foreign or unheld
+            events.append((thread, EventType.RELEASE, lock))
+        elif roll < 0.95:
+            free = [lock for lock in locks if lock not in taken]
+            if free and rng.random() < 0.97:
+                lock = rng.choice(free)
+            else:
+                lock = rng.choice(locks)  # re-entrant or contended
+            events.append((thread, rng.choice(kinds), lock))
+            stack.append(lock)
+        else:
+            events.append((thread, EventType.READ, "x"))
+    return [Event(i, thread, etype, target)
+            for i, (thread, etype, target) in enumerate(events)]
+
+
+def _spec_verdict(events):
+    discipline = LockDiscipline()
+    try:
+        for event in events:
+            discipline.step(event.etype, event.thread, event.target,
+                            event.index)
+    except TraceError as error:
+        return "%s: %s" % (type(error).__name__, error)
+    return None
+
+
+def _trace_verdict(events):
+    try:
+        Trace(events)
+    except TraceError as error:
+        return "%s: %s" % (type(error).__name__, error)
+    return None
+
+
+@pytest.mark.parametrize("kinds", [
+    (EventType.ACQUIRE,),
+    (EventType.ACQUIRE, EventType.WAIT),
+    (EventType.ACQUIRE, EventType.RACQ_W),
+], ids=["acq", "acq-wait", "acq-rwlock"])
+def test_lock_check_accepts_only_what_python_accepts(kinds):
+    rng = random.Random(len(kinds))
+    verdicts = set()
+    for _ in range(400):
+        events = _lock_program(rng, kinds)
+        expected = _spec_verdict(events)
+        verdicts.add(expected is None)
+        assert _trace_verdict(events) == expected
+        block = ColumnBlock.from_events(events)
+        holds = _discipline_holds(block, len(block.registry))
+        if not COMPILED or EventType.RACQ_W in kinds and any(
+            event.etype is EventType.RACQ_W for event in events
+        ):
+            assert not holds
+        else:
+            assert holds == (expected is None)
+    assert verdicts == {True, False}
