@@ -90,6 +90,20 @@ Hot-path engineering (the constant factor behind Theorem 3's
   mutated, so the Rule (b) log and the access history can hold references
   to it without copying.  Inside the Rule (b) cursor walk this turns the
   per-iteration ``_clock_c`` rebuild into a rebuild-on-actual-change.
+* **Compiled kernel and hand-over** -- with the cffi kernels
+  (:mod:`repro.vectorclock.kernels`) each block runs in one C call
+  (:class:`~repro.core.wcp_compiled.WCPKernel`) whose state mirrors the
+  fields below field for field.  The kernel returns before the first row
+  of a kind it does not run (rwlocks, barriers, wait/notify) or that
+  would taint a lock, and before a :meth:`WCPDetector.mark_foreign`; the
+  detector then transcribes the C state into its Python fields once and
+  runs :meth:`WCPDetector.process_batch` -- the specification -- for the
+  rest of the pass.  While the kernel is live the Python fields are
+  stale: ``state_snapshot``, ``sync_clock_state`` and pickling transcribe
+  first, ``finish`` hands over, and ``_clock_c`` reads ``C_t`` from C.
+  Under ``REPRO_CLOCK_KERNEL=python``, with
+  ``strict_pseudocode=True`` or on a restored detector the kernel never
+  starts.
 * **Epoch-accelerated race checks** -- accesses flow into the shared
   :class:`~repro.core.history.AccessHistory`, whose FastTrack-style O(1)
   epoch comparison is provably equivalent to the full join comparison
@@ -171,6 +185,7 @@ from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
 from repro.trace.columns import as_block
 from repro.trace.event import Event, EventType
 from repro.trace.trace import ThreadCensus, Trace
+from repro.vectorclock import kernels
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import encode_clock
 from repro.vectorclock.dense import DenseClock
@@ -369,6 +384,20 @@ class WCPDetector(Detector):
     #: Stream-reclaim only bothers scanning once a lock's log is this long.
     _QUIESCE_LOG_THRESHOLD = 64
 
+    #: A first block with fewer rows than this before its end or its
+    #: first row of a kind the kernel does not run keeps the pass on the
+    #: Python path.
+    _KERNEL_MIN_ROWS = 64
+
+    #: Private per-instance switch: False keeps this detector on the
+    #: Python path even when the compiled kernels are active.
+    _use_kernel = True
+
+    #: The live compiled state (None: the Python fields are the state),
+    #: and whether the next block starts it.
+    _kernel = None
+    _kernel_pending = False
+
     def __init__(
         self,
         strict_pseudocode: bool = False,
@@ -384,6 +413,8 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def reset(self, trace: Trace) -> None:
+        self._kernel = None
+        self._synced = True
         self._trace = trace
         self._new_report(trace)
         registry = getattr(trace, "registry", None)
@@ -457,6 +488,49 @@ class WCPDetector(Detector):
         for thread in trace.threads:
             self._ensure_thread(intern(thread), thread)
 
+        # The kernel starts with the first block, from the state as it
+        # stands then.
+        self._kernel_pending = (
+            kernels.BACKEND == "cffi" and self._use_kernel
+            and not self._strict_pseudocode and not self.restore_pending
+        )
+
+    def _start_kernel(self, block):
+        """The kernel for this pass, or None when ``block`` -- the pass's
+        first -- runs fewer than :attr:`_KERNEL_MIN_ROWS` rows before its
+        end or its first row of a kind the kernel does not run: the
+        kernel could not win back its start and hand-over there (a serve
+        session's first block is its peeked lines)."""
+        from repro.core.wcp_compiled import WCPKernel, first_rare_row
+
+        self._kernel_pending = False
+        if first_rare_row(block) < self._KERNEL_MIN_ROWS:
+            return None
+        kernel = self._kernel = WCPKernel(self)
+        return kernel
+
+    def _sync(self) -> None:
+        """Bring the Python fields up to date with a live kernel."""
+        if not self._synced:
+            self._kernel.transcribe(self)
+            self._synced = True
+
+    def _hand_over(self) -> None:
+        """Transcribe the compiled state and continue in Python."""
+        self._kernel_pending = False
+        if self._kernel is not None:
+            self._sync()
+            self._kernel = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the Python state (a live kernel's transcribed); the copy
+        continues on the Python path."""
+        if self._kernel is not None:
+            self._sync()
+        state = dict(self.__dict__)
+        state["_kernel"] = None
+        return state
+
     def _take_census(self, census: ThreadCensus) -> None:
         """Apply the trace's census: releasers, thread-local locks and variables.
 
@@ -520,6 +594,8 @@ class WCPDetector(Detector):
         it with a fresh build, so the Rule (b) log and the access history
         can safely alias it.
         """
+        if self._kernel is not None:
+            return self._kernel.clock_c(tid)
         ct = self._ct[tid]
         if ct is None:
             ct = self._pt[tid].copy().assign(tid, self._nt[tid])
@@ -577,6 +653,17 @@ class WCPDetector(Detector):
         method in :attr:`_RARE`.
         """
         block = as_block(events, self._registry)
+        kernel = self._kernel
+        if kernel is None and self._kernel_pending:
+            kernel = self._start_kernel(block)
+        if kernel is not None:
+            self._synced = False
+            done = kernel.run(block, self.report.add, self)
+            self._processed_events += done
+            if done == len(block):
+                return
+            self._hand_over()
+            block = block[done:]
         self._processed_events += len(block)
         tids, ops = block.columns()
         optable = block.table.ops
@@ -1413,6 +1500,7 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def finish(self) -> None:
+        self._hand_over()
         self.report.stats["local_accesses"] = float(self._local_accesses)
         events = max(1, self._processed_events)
         self.report.stats["max_queue_total"] = float(self._max_queue_total)
@@ -1427,6 +1515,7 @@ class WCPDetector(Detector):
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still run
         Rule (a), which every shard needs for the full run's clocks."""
+        self._hand_over()
         self._history.mark_foreign(variable)
 
     def sync_clock_state(self) -> Dict[object, bytes]:
@@ -1436,6 +1525,8 @@ class WCPDetector(Detector):
         shards which saw a thread's release but not (yet) its next routed
         access still report the same state.
         """
+        if self._kernel is not None:
+            self._sync()
         state: Dict[object, bytes] = {}
         name_of = self._registry.name_of
         for tid, nt in enumerate(self._nt):
@@ -1484,6 +1575,8 @@ class WCPDetector(Detector):
 
     def state_snapshot(self) -> bytes:
         report = self.report  # raises before reset()
+        if self._kernel is not None:
+            self._sync()
         locks: Dict[str, object] = {}
         for lock, state in self._locks.items():
             locks[lock] = {
@@ -1578,6 +1671,8 @@ class WCPDetector(Detector):
             )
         state = unpack_for(self).unpack(blob)
         adopt_registry_names(self._registry, state["names"])
+        self._kernel = None
+        self._kernel_pending = False
 
         self._nt = list(state["nt"])
         self._pt = list(state["pt"])

@@ -1,0 +1,556 @@
+"""The compiled WCP kernel: Algorithm 1 in one C call per column block.
+
+:class:`~repro.core.wcp.WCPDetector` hands each block to
+:class:`WCPKernel` while the kernel is live.  The C state
+(``wcp_state`` in :mod:`repro.vectorclock.kernels`) mirrors the
+detector's Python state field for field -- per-thread ``N_t``, ``P_t``,
+``H_t`` and open sections; per-lock Rule (b) logs, cursors, reclamation
+state and Rule (a) cells; per-variable access histories -- with the same
+orders wherever an order is observable (the history's threads and
+cells, each log, each cell's releasers).  So :meth:`WCPKernel.transcribe`
+can rebuild the Python state at any row boundary, and the Python
+``process_batch`` -- the specification -- carries on from there.
+
+Per block the kernel reads the tid and op columns plus one code and one
+dense id per op (:meth:`WCPKernel._translate`, memoised per op table).
+A location reaches the kernel as a byte span of the decoded buffer
+(:class:`~repro.trace.columns.LocSpans`), which it hashes into its one
+UTF-8-keyed location table; Python interns only the locations it holds
+as strings, and only for the access rows that reach the history.  A race
+comes back as a record -- the row, and the earlier access's index,
+thread, kind and location -- from which the two events are built and
+reported in the order the Python loop reports them.
+
+The kernel runs acquire/release/read/write/fork/join/begin/end rows of
+locks that stay chain-clean.  It returns before touching a row of any
+other kind or a row that would taint a lock, and the detector then
+hands over to Python for the rest of the pass.  A location of None is
+keyed by its row index, which stands for the location string
+(``thread:op(target)@index``) the Python history synthesises for it;
+the two keyings differ only if a real location of the same thread and
+variable spells out such a string.
+"""
+
+from __future__ import annotations
+
+from array import array
+from collections import deque
+from itertools import compress, repeat
+from operator import is_not
+from typing import Dict, List, Optional
+
+from repro.core.history import AccessHistory, VariableHistory
+from repro.trace.columns import ColumnBlock, LocSpans
+from repro.trace.event import Event, EventType
+from repro.vectorclock import kernels
+from repro.vectorclock.dense import DenseClock
+
+_new_event = Event.__new__
+
+#: ``id(kind)`` -> the kernel's code (everything else is 7: Python's).
+_CODES = {
+    id(EventType.READ): 0,
+    id(EventType.WRITE): 1,
+    id(EventType.ACQUIRE): 2,
+    id(EventType.RELEASE): 3,
+    id(EventType.FORK): 4,
+    id(EventType.JOIN): 5,
+    id(EventType.BEGIN): 6,
+    id(EventType.END): 6,
+}
+
+
+def first_rare_row(block: ColumnBlock) -> int:
+    """The first row of ``block`` of a kind the kernel does not run
+    (``len(block)`` when there is none)."""
+    ffi, lib = kernels.ffi, kernels.lib
+    codes = bytes([_CODES.get(id(etype), 7) for etype, _ in block.table.ops])
+    ops = block.columns()[1]
+    with ffi.from_buffer("int[]", ops) as rows, \
+            ffi.from_buffer("unsigned char[]", codes) as kinds:
+        return lib.wcp_first_stop(rows, len(ops), kinds, len(codes))
+
+
+class WCPKernel:
+    """The compiled state of one WCP pass (see the module docstring)."""
+
+    def __init__(self, detector) -> None:
+        ffi, lib = kernels.ffi, kernels.lib
+        self._ffi = ffi
+        self._lib = lib
+        handle = lib.wcp_new(
+            int(detector._effective_prune), int(detector._quiesce_reclaim)
+        )
+        if handle == ffi.NULL:
+            raise MemoryError("wcp_new")
+        self._handle = ffi.gc(handle, lib.wcp_free)
+        self._state = ffi.cast("wcp_state *", handle)
+        self._registry = detector._registry
+        self._out = ffi.new("long long[2]")
+        self._lock_ids: Dict[str, int] = {}
+        self._lock_names: List[Optional[str]] = [None]
+        self._var_ids: Dict[str, int] = {}
+        self._var_names: List[Optional[str]] = [None]
+        self._local_variables = detector._local_variables
+        # The census' thread-local locks keep their Python state: nothing
+        # ever changes it.  In C, all of them share one lock id, and all
+        # thread-local variables one variable id.
+        self._local_locks = {
+            lock: state for lock, state in detector._locks.items()
+            if state.local
+        }
+        self._shared_lock = self._check(lib.wcp_add_lock(handle, 1))
+        self._check(lib.wcp_census_lock(handle, self._shared_lock, -1))
+        self._shared_var = self._check(lib.wcp_add_var(handle, 1))
+        self._loc_ids: Dict[str, int] = {}
+        self._loc_names: Dict[int, str] = {}
+        # Op translation of the last op table seen: a code and an id per
+        # op in C arrays, and per op whether its rows reach the history.
+        self._table = None
+        self._n_ops = 0
+        self._kinds = ffi.new("unsigned char[]", 64)
+        self._targets = ffi.new("int[]", 64)
+        self._checked = bytearray()
+        self._decoded = None
+        self._decoded_ids = array("i")
+        # The reset state: initialised threads and the census' locks.
+        lookup = self._registry.lookup
+        for name in detector._thread_names:
+            self._check(lib.wcp_thread_init(handle, lookup(name)))
+        for lock, state in detector._locks.items():
+            if state.local:
+                continue
+            lock_id = self._lock_id(lock)
+            self._check(lib.wcp_census_lock(handle, lock_id, -1))
+            for tid in state.releasers:
+                self._check(lib.wcp_census_lock(handle, lock_id, tid))
+
+    @staticmethod
+    def _check(code: int) -> int:
+        if code == -1:
+            raise MemoryError("WCP kernel")
+        if code < 0:
+            raise RuntimeError("WCP kernel: id out of range")
+        return code
+
+    # ------------------------------------------------------------------ #
+    # Interning: ops, locks, variables, locations
+    # ------------------------------------------------------------------ #
+
+    def _lock_id(self, lock: str) -> int:
+        lock_id = self._lock_ids.get(lock)
+        if lock_id is None:
+            if lock in self._local_locks:
+                return self._shared_lock
+            lock_id = self._check(self._lib.wcp_add_lock(self._handle, 0))
+            self._lock_ids[lock] = lock_id
+            self._lock_names.append(lock)
+        return lock_id
+
+    def _var_id(self, variable: str) -> int:
+        var_id = self._var_ids.get(variable)
+        if var_id is None:
+            if variable in self._local_variables:
+                return self._shared_var
+            var_id = self._check(self._lib.wcp_add_var(self._handle, 0))
+            self._var_ids[variable] = var_id
+            self._var_names.append(variable)
+        return var_id
+
+    def _translate(self, table) -> None:
+        """Extend the op codes and ids to every op of ``table``."""
+        ffi = self._ffi
+        if table is not self._table:
+            self._table = table
+            self._n_ops = 0
+            self._checked = bytearray()
+        ops = table.ops
+        if len(ops) > len(self._kinds):
+            size = 2 * len(ops)
+            kinds = ffi.new("unsigned char[]", size)
+            targets = ffi.new("int[]", size)
+            ffi.memmove(kinds, self._kinds, self._n_ops)
+            ffi.memmove(targets, self._targets, 4 * self._n_ops)
+            self._kinds, self._targets = kinds, targets
+        kinds, targets, checked = self._kinds, self._targets, self._checked
+        lookup = self._registry.lookup
+        local_variables = self._local_variables
+        for op in range(self._n_ops, len(ops)):
+            etype, target = ops[op]
+            code = _CODES.get(id(etype), 7)
+            if code < 2:
+                ident = self._var_id(target)
+            elif code < 4:
+                ident = self._lock_id(target)
+            elif code < 6:
+                tid = lookup(target)
+                ident = -1 if tid is None else tid
+            else:
+                ident = 0
+            kinds[op] = code
+            targets[op] = ident
+            checked.append(code < 2 and target not in local_variables)
+        self._n_ops = len(ops)
+
+    def _loc_id(self, loc: str) -> int:
+        loc_id = self._loc_ids.get(loc)
+        if loc_id is None:
+            key = loc.encode("utf-8", "surrogatepass")
+            loc_id = self._check(
+                self._lib.wcp_loc_put(self._handle, key, len(key))
+            )
+            self._loc_ids[loc] = loc_id
+            self._loc_names[loc_id] = loc
+        return loc_id
+
+    def _loc_name(self, loc_id: int) -> Optional[str]:
+        if loc_id < 0:
+            return None
+        name = self._loc_names.get(loc_id)
+        if name is None:
+            key = self._ffi.new("char **")
+            size = self._lib.wcp_loc_get(self._handle, loc_id, key)
+            name = self._ffi.unpack(key[0], size).decode(
+                "utf-8", "surrogatepass"
+            )
+            self._loc_names[loc_id] = name
+        return name
+
+    # ------------------------------------------------------------------ #
+    # Running a block
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _indices(block: ColumnBlock, lo: int, hi: int) -> Optional[array]:
+        """Row indices when some row's is not ``start + j``, else None."""
+        if block._indices is not None:
+            return array("q", block._indices[lo:hi])
+        cache = block._cache
+        rows = cache if lo == 0 and hi == len(cache) else cache[lo:hi]
+        if not any(rows):
+            return None
+        start = block.start
+        built = compress(range(hi - lo), map(is_not, rows, repeat(None)))
+        if all(rows[k].index == start + k for k in built):
+            return None
+        return array("q", [
+            start + k if event is None else event.index
+            for k, event in enumerate(rows)
+        ])
+
+    def run(self, block: ColumnBlock, report_add, detector) -> int:
+        """Run ``block``'s rows; return how many ran (all, unless a row
+        needs the Python detector)."""
+        ffi, lib = self._ffi, self._lib
+        table = block.table
+        if table is not self._table or len(table.ops) != self._n_ops:
+            self._translate(table)
+        tids, ops = block.columns()
+        n = len(tids)
+        lo = block._lo
+        locs = block.locs
+        indices = self._indices(block, lo, block._hi)
+        buffers = []
+
+        def view(kind, buffer):
+            pointer = ffi.from_buffer(kind, buffer)
+            buffers.append(pointer)
+            return pointer
+
+        try:
+            tids_p = view("int[]", tids)
+            ops_p = view("int[]", ops)
+            kinds, targets, n_ops = self._kinds, self._targets, self._n_ops
+            stop = lib.wcp_first_stop(ops_p, n, kinds, n_ops)
+            data, n_data = ffi.NULL, 0
+            starts = ends = loc_ids = decoded = indices_p = ffi.NULL
+            n_decoded = 0
+            if isinstance(locs, LocSpans):
+                data = view("char[]", locs.data)
+                n_data = len(locs.data)
+                starts = view("long long[]", locs.starts) + lo
+                ends = view("long long[]", locs.ends) + lo
+                if locs.decoded:
+                    # The strings the Python decoder built are interned
+                    # when an access row that reaches the history needs
+                    # one (-2: not yet).
+                    if locs.decoded is not self._decoded:
+                        self._decoded = locs.decoded
+                        self._decoded_ids = array("i", [-2]) * len(
+                            locs.decoded
+                        )
+                    decoded = view("int[]", self._decoded_ids)
+                    n_decoded = len(self._decoded_ids)
+            else:
+                # Only the access rows the kernel will reach need an id.
+                ids = array("i", [-1]) * n
+                loc_id = self._loc_id
+                checked = self._checked.__getitem__
+                for k in compress(range(stop), map(checked, ops[:stop])):
+                    loc = locs[lo + k]
+                    if loc is not None:
+                        ids[k] = loc_id(loc)
+                loc_ids = view("int[]", ids)
+            if indices is not None:
+                indices_p = view("long long[]", indices)
+            out = self._out
+            state = self._state
+            local = row = 0
+            while True:
+                done = lib.wcp_run(
+                    self._handle, tids_p + row, ops_p + row, stop - row,
+                    kinds, targets, n_ops, len(self._registry),
+                    data, n_data,
+                    starts if starts == ffi.NULL else starts + row,
+                    ends if ends == ffi.NULL else ends + row,
+                    decoded, n_decoded,
+                    loc_ids if loc_ids == ffi.NULL else loc_ids + row,
+                    indices_p if indices_p == ffi.NULL else indices_p + row,
+                    block.start + row, out,
+                )
+                local += out[1]
+                if state.nraces:
+                    self._report(block, ops, row, indices, report_add)
+                row += done
+                reason = out[0]
+                if reason == 2:
+                    # A fork/join names a thread not interned yet.
+                    op = ops[row]
+                    targets[op] = self._registry.intern(table.ops[op][1])
+                    continue
+                if reason == 3:
+                    string = ~locs.starts[lo + row]
+                    self._decoded_ids[string] = self._loc_id(
+                        locs.decoded[string]
+                    )
+                    continue
+                if reason < 0:
+                    self._check(reason)
+                break
+        finally:
+            for pointer in buffers:
+                ffi.release(pointer)
+        detector._local_accesses += local
+        return row
+
+    def _report(self, block, ops, base, indices, report_add) -> None:
+        """Report the races the last call recorded, in its order."""
+        state = self._state
+        records = self._ffi.unpack(state.races, 5 * state.nraces)
+        state.nraces = 0
+        optable = block.table.ops
+        name_of = self._registry.name_of
+        row_of = block.row
+        start, size = block.start, len(block)
+        for k in range(0, len(records), 5):
+            row, index, tid, kind, loc = records[k:k + 5]
+            row += base
+            second = row_of(row)
+            if indices is None and start <= index < start + size:
+                first = row_of(index - start)
+            else:
+                first = _new_event(Event)
+                first.etype = EventType.READ if kind == 0 else EventType.WRITE
+                first.target = optable[ops[row]][1]
+                first.tid = tid
+                first.thread = name_of(tid)
+                first.index = index
+                first.loc = self._loc_name(loc)
+            report_add(first, second)
+
+    def clock_c(self, tid: int) -> DenseClock:
+        """``C_t`` of an initialised thread."""
+        clock = self._lib.wcp_ct(self._handle, tid)
+        if clock == self._ffi.NULL:
+            raise MemoryError("wcp_ct")
+        return DenseClock._from_times(self._ffi.unpack(clock + 2, clock[1]))
+
+    # ------------------------------------------------------------------ #
+    # Transcription
+    # ------------------------------------------------------------------ #
+
+    def transcribe(self, detector) -> None:
+        """Write the C state back into ``detector``'s Python fields."""
+        from repro.core.wcp import _LockState, _RuleACell
+
+        ffi = self._ffi
+        state = self._state
+        unpack = ffi.unpack
+        frozen: Dict[int, DenseClock] = {}
+        null = ffi.NULL
+
+        def shared(pointer) -> Optional[DenseClock]:
+            # Aliased clocks stay aliased (the Python detector shares its
+            # frozen clocks the same way).
+            if pointer == null:
+                return None
+            key = int(ffi.cast("uintptr_t", pointer))
+            clock = frozen.get(key)
+            if clock is None:
+                clock = frozen[key] = own(pointer)
+            return clock
+
+        def own(pointer) -> DenseClock:
+            size = pointer[1]
+            return DenseClock._from_times(
+                unpack(pointer + 2, size) if size else ()
+            )
+
+        def mutable(clock) -> DenseClock:
+            return DenseClock._from_times(
+                unpack(clock.t, clock.n) if clock.n else ()
+            )
+
+        def ints(pointer, size) -> list:
+            return unpack(pointer, size) if size else []
+
+        def ids(idset) -> list:
+            return ints(idset.items, idset.n)
+
+        name_of = self._registry.name_of
+        lock_names, var_names = self._lock_names, self._var_names
+
+        # Locks, in creation order, with their Rule (a) cells.
+        locks: Dict[str, _LockState] = dict(self._local_locks)
+        by_id: Dict[int, _LockState] = {}
+        for lock_id in ints(state.lock_order, state.nlock_order):
+            if lock_id == self._shared_lock:
+                continue
+            lock = state.locks[lock_id]
+            entry = _LockState()
+            mask = lock.cap - 1
+            log = []
+            for k in range(lock.len):
+                item = lock.log[(lock.head + k) & mask]
+                log.append([
+                    shared(item.acq), shared(item.rel), item.owner, item.epoch
+                ])
+            entry.log = deque(log)
+            entry.base = lock.base
+            entry.cursor = {
+                lock.cursors[k].tid: lock.cursors[k].cur
+                for k in range(lock.ncur)
+            }
+            if lock.open_tid >= 0:
+                entry.open_entry = {lock.open_tid: lock.open_idx}
+            entry.pl = shared(lock.pl)
+            entry.hl = shared(lock.hl)
+            entry.holder = None if lock.holder < 0 else lock.holder
+            entry.releasers = set(ids(lock.releasers))
+            entry.local = bool(lock.local)
+            if lock.evicted_any:
+                entry.evicted_acq = {}
+                entry.evicted_rel = {}
+                for k in range(lock.nev):
+                    evicted = lock.ev[k]
+                    entry.evicted_acq[evicted.owner] = own(evicted.acq)
+                    entry.evicted_rel[evicted.owner] = own(evicted.rel)
+            entry.reclaim_blocker = None if lock.blocker < 0 else lock.blocker
+            locks[lock_names[lock_id]] = entry
+            by_id[lock_id] = entry
+        for k in range(state.ncells):
+            source = state.cells[k]
+            cell = _RuleACell()
+            cell.by_tid = {
+                source.bt[b].tid: shared(source.bt[b].clk)
+                for b in range(source.nbt)
+            }
+            cell.top_tid = source.top_tid
+            cell.second_tid = source.second_tid
+            cell.top = cell.by_tid.get(cell.top_tid)
+            cell.second = cell.by_tid.get(cell.second_tid)
+            cell.version = source.version
+            cell.seen = {
+                source.seen[s].tid: source.seen[s].ver
+                for s in range(source.nseen)
+            }
+            owner = by_id[source.lock]
+            table = owner.lw if source.kind else owner.lr
+            table[var_names[source.var]] = cell
+
+        # Threads.
+        size = max(state.nth, len(detector._nt))
+        nt = [0] * size
+        pt: List[object] = [None] * size
+        ht: List[object] = [None] * size
+        prev = [False] * size
+        sections: List[Optional[list]] = [None] * size
+        read_held: List[Optional[dict]] = [None] * size
+        for tid in range(state.nth):
+            thread = state.th[tid]
+            if thread.nt == 0:
+                continue
+            nt[tid] = thread.nt
+            pt[tid] = mutable(thread.p)
+            ht[tid] = mutable(thread.h)
+            prev[tid] = bool(thread.prev)
+            read_held[tid] = {}
+            stack = []
+            for k in range(thread.nsec):
+                section = thread.secs[k]
+                lock = lock_names[section.lock]
+                stack.append((
+                    lock,
+                    {var_names[v] for v in ids(section.reads)},
+                    {var_names[v] for v in ids(section.writes)},
+                    locks[lock],
+                ))
+            sections[tid] = stack
+
+        # Access histories, in creation order.
+        history = AccessHistory()
+        variables = history._variables
+        read, write = EventType.READ, EventType.WRITE
+        for var_id in ints(state.var_order, state.nvar_order):
+            source = state.vars[var_id]
+            variable = var_names[var_id]
+            target = VariableHistory()
+            target.read_join = shared(source.rj)
+            target.write_join = shared(source.wj)
+            target._rj_owned = bool(source.rj_owned)
+            target._wj_owned = bool(source.wj_owned)
+            target.r_tid = None if source.r_tid < 0 else source.r_tid
+            target.r_time = source.r_time
+            target.r_fast = bool(source.r_fast)
+            target.w_tid = None if source.w_tid < 0 else source.w_tid
+            target.w_time = source.w_time
+            target.w_fast = bool(source.w_fast)
+            for kind, cells in ((0, target.reads), (1, target.writes)):
+                etype = write if kind else read
+                for l in range(source.nlists[kind]):
+                    tlist = state.tlists[source.lists[kind][l]]
+                    thread = name_of(tlist.tid)
+                    by_loc = cells[thread] = {}
+                    c = tlist.head
+                    while c >= 0:
+                        item = state.hcells[c]
+                        event = _new_event(Event)
+                        event.etype = etype
+                        event.target = variable
+                        event.tid = tlist.tid
+                        event.thread = thread
+                        event.index = item.index
+                        event.loc = self._loc_name(item.loc)
+                        by_loc[event.location()] = (
+                            event, shared(item.clk), item.rank
+                        )
+                        c = item.next
+            variables[variable] = target
+
+        detector._nt = nt
+        detector._pt = pt
+        detector._ht = ht
+        detector._ct = [None] * size
+        detector._prev_release = prev
+        detector._open_sections = sections
+        detector._read_held = read_held
+        detector._thread_names = [
+            name_of(tid) for tid in ints(state.order, state.norder)
+        ]
+        detector._barriers = {}
+        detector._barrier_waiting = {}
+        detector._locks = locks
+        detector._history = history
+        detector._queue_total = state.queue_total
+        detector._max_queue_total = state.max_queue_total
+        detector._stream_reclaimed = state.stream_reclaimed

@@ -611,11 +611,6 @@ class LineProtocolSource(AsyncEventSource):
     """
 
     #: Longest accepted line (bytes, newline excluded).  Replaces the
-    #: StreamReader per-line limit the readline-based decoder relied on:
-    #: a peer spraying an endless unterminated line is cut off instead of
-    #: growing the pending buffer without bound.
-    MAX_LINE_BYTES = 1 << 20
-
     #: Bytes requested per socket read (the largest batch's span).
     READ_BYTES = 1 << 16
 
@@ -668,7 +663,9 @@ class LineProtocolSource(AsyncEventSource):
             events = decoder.decode(data, final=True)
             if events:
                 yield events
-        max_line = self.MAX_LINE_BYTES
+        # A peer spraying an endless unterminated line is cut off instead
+        # of growing the pending buffer without bound.
+        max_line = StdDecoder.MAX_LINE_BYTES
         read_bytes = self.READ_BYTES
         while True:
             chunk = await read(read_bytes)

@@ -299,6 +299,25 @@ def _complete(data: bytes) -> int:
     return max(data.rfind(b"\n", 0, limit), data.rfind(b"\r", 0, limit)) + 1
 
 
+def _long_line(data: bytes, end: int, limit: int) -> int:
+    """Offset of the first line of ``data[:end]`` longer than ``limit``
+    bytes (its line end not counted), or -1.
+
+    Each step jumps to the last line end within ``limit + 1`` bytes of
+    the current line's start, so the scan costs two C-level searches per
+    ``limit`` bytes.
+    """
+    pos = 0
+    while end - pos > limit:
+        window = pos + limit + 1
+        last = max(data.rfind(b"\n", pos, window),
+                   data.rfind(b"\r", pos, window))
+        if last < 0:
+            return pos
+        pos = last + 1
+    return -1
+
+
 def _utf8_lines(
     data: bytes, pos: int, end: int, line_number: int
 ) -> Tuple[str, int]:
@@ -355,7 +374,8 @@ class StdDecoder:
     :attr:`COMPILED_MIN_BYTES` bytes of whole lines, the text goes
     through :func:`parse_std_batch`.
     A line that is not UTF-8 raises when it is reached, naming its line
-    and bytes.
+    and bytes, and so does a line -- complete or still pending -- longer
+    than :attr:`MAX_LINE_BYTES`, after the lines before it.
     """
 
     __slots__ = (
@@ -370,6 +390,10 @@ class StdDecoder:
     #: in ~100 us in Python and ~180 us through the scanner, while at
     #: 25 KB the scanner is ahead.
     COMPILED_MIN_BYTES = 1 << 14
+
+    #: Longest line accepted, in bytes without its line end: memory stays
+    #: bounded however long a hostile line runs.
+    MAX_LINE_BYTES = 1 << 20
 
     def __init__(
         self,
@@ -399,6 +423,22 @@ class StdDecoder:
             data = self.pending + data
         cut = len(data) if final else _complete(data)
         self.pending = data[cut:]
+        limit = self.MAX_LINE_BYTES
+        long_line = _long_line(data, cut, limit)
+        # (A held-back final "\r" is a line end, not a byte of the line.)
+        pending = len(self.pending) - (self.pending[-1:] == b"\r")
+        if long_line < 0 and pending <= limit:
+            return self._decode(data, cut)
+        if long_line < 0:
+            long_line = cut
+        # The lines before the long one first: an error there wins.
+        self._decode(data, long_line)
+        raise TraceParseError(
+            "line %d: longer than the %d-byte line limit"
+            % (self.line_number, limit)
+        )
+
+    def _decode(self, data: bytes, cut: int) -> ColumnBlock:
         if self._kernels is None or cut < self.COMPILED_MIN_BYTES:
             return self._decode_text(data, cut)
         return self._decode_compiled(data, cut)

@@ -295,10 +295,14 @@ def _cell_comparisons_per_scan(monkeypatch, factory, trace):
         counts["scans"] += 1
         return racy
 
+    # The probes patch Python methods, so WCP runs its Python path (the
+    # compiled kernel's scan is the same loop; tests/test_wcp_kernel.py).
+    detector = factory()
+    detector._use_kernel = False
     with monkeypatch.context() as patch:
         patch.setattr(DenseClock, "__le__", counting_le)
         patch.setattr(VariableHistory, "_unordered_cells", counting_scan)
-        report = factory().run(trace)
+        report = detector.run(trace)
     assert counts["scans"] > 0 and report.raw_race_count > 0
     return counts["in_scans"] / counts["scans"]
 

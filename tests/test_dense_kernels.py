@@ -197,6 +197,8 @@ class TestBackendForcedParity:
     def test_describe_names_active_backend(self):
         text = kernels.describe()
         assert kernels.BACKEND in text
+        if kernels.BACKEND == "cffi":
+            assert "WCP" in text
 
 
 # --------------------------------------------------------------------- #

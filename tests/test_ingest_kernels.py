@@ -533,3 +533,56 @@ def test_lock_check_accepts_only_what_python_accepts(kinds):
         else:
             assert holds == (expected is None)
     assert verdicts == {True, False}
+
+
+# --------------------------------------------------------------------- #
+# The line limit: every bytes-level entry point refuses an overlong line
+# --------------------------------------------------------------------- #
+
+
+def _long_line_input(extra):
+    """Three lines; the second is ``MAX_LINE_BYTES + extra`` bytes long."""
+    head = b"t1|w(x)|"
+    loc = b"a" * (StdDecoder.MAX_LINE_BYTES - len(head) + extra)
+    return b"t0|r(x)|p\n" + head + loc + b"\r\nt2|w(x)|q\n"
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "over-limit"])
+def test_line_limit_on_every_entry_point(extra, tmp_path):
+    data = _long_line_input(extra)
+    path = tmp_path / "long.std"
+    path.write_bytes(data)
+    message = "line 2: longer than the %d-byte line limit" % (
+        StdDecoder.MAX_LINE_BYTES,
+    )
+    chunks = [data[k:k + (1 << 16)] for k in range(0, len(data), 1 << 16)]
+
+    def file_source():
+        return sum(len(block) for block in FileSource(str(path)).batches())
+
+    def socket():
+        return len(_protocol(chunks)[0])
+
+    for name, entry in (("load_trace", lambda: len(load_trace(path))),
+                        ("FileSource", file_source), ("socket", socket)):
+        if extra == 0:
+            assert entry() == 3, name
+            continue
+        with pytest.raises(ValueError) as caught:
+            entry()
+        if name != "socket":
+            assert isinstance(caught.value, parsers.TraceParseError), name
+            assert str(caught.value) == message, name
+        assert str(StdDecoder.MAX_LINE_BYTES) in str(caught.value), name
+
+
+def test_pending_line_over_the_limit_is_refused():
+    decoder = StdDecoder()
+    decoder.decode(b"t0|r(x)|p\n" + b"t1|w(x)|" + b"a" * (1 << 19))
+    with pytest.raises(parsers.TraceParseError, match="^line 2: longer"):
+        decoder.decode(b"a" * (1 << 19))
+    # A held-back "\r" ends the line: exactly at the limit is accepted.
+    decoder = StdDecoder()
+    line = b"t1|w(x)|" + b"a" * (StdDecoder.MAX_LINE_BYTES - 8)
+    assert not decoder.decode(line + b"\r")
+    assert len(decoder.decode(b"\n", final=True)) == 1

@@ -403,7 +403,10 @@ class TestRuleBWalkCost:
             events += section("t2")
 
         trace = Trace(events, validate=True)
+        # The probe patches the Python log, so WCP runs its Python path
+        # (the compiled kernel's walk also starts at the cursor).
         detector = WCPDetector()
+        detector._use_kernel = False
         detector.reset(NoCensus(trace))
         trace = list(trace)
         for event in trace[:head]:

@@ -1,0 +1,406 @@
+"""Differential suite: the compiled WCP kernel against the Python detector.
+
+With the cffi kernels, :class:`~repro.core.wcp.WCPDetector` runs each
+block in one C call (:mod:`repro.core.wcp_compiled`) whose state mirrors
+the Python detector's.  Every test here runs the same detector twice --
+kernel live, and kernel switched off through the private per-instance
+``_use_kernel`` switch -- and asserts that nothing observable differs:
+race pairs, witnesses, distances, raw counts, every statistic but the
+timings, ``timestamps()`` and the transcribed state itself at every
+block boundary.  The hand-over points (a rare kind, a row that would
+taint a lock, ``mark_foreign``) and a snapshot taken while compiled are
+covered explicitly, and the kernel is checked against the frozen legacy
+detector and the WCP closure too.
+"""
+
+import os
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+
+from conftest import NoCensus, private_shared_trace, random_trace
+from test_backend_parity import random_trace_with_forks
+from test_properties import traces
+
+from repro.bench.generators import mixed_vocabulary_trace
+from repro.core.closure import WCPClosure
+from repro.core.snapshot import unpack_for
+from repro.core.wcp import WCPDetector
+from repro.core.wcp_legacy import LegacyWCPDetector
+from repro.trace.event import Event, EventType
+from repro.trace.trace import Trace
+from repro.vectorclock import kernels
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "benchmarks")
+)
+from bench_hotpath import (  # noqa: E402
+    high_contention_trace, racy_mix_trace, thread_local_trace,
+)
+
+compiled = pytest.mark.skipif(
+    kernels.BACKEND != "cffi",
+    reason="the compiled kernels are inactive (%s)" % kernels.FALLBACK_REASON,
+)
+
+_TIMINGS = ("time_s", "events_per_s")
+
+
+def _pair(**config):
+    kernel = WCPDetector(**config)
+    # Start the kernel even where the first block hands over at once, so
+    # every hand-over offset is exercised.
+    kernel._KERNEL_MIN_ROWS = 0
+    python = WCPDetector(**config)
+    python._use_kernel = False
+    return kernel, python
+
+
+def _report_key(report):
+    pairs = [
+        (
+            pair.first_event.index, pair.second_event.index,
+            pair.first_event.thread, pair.second_event.thread,
+            pair.first_event.etype, pair.second_event.etype,
+            pair.first_event.location(), pair.second_event.location(),
+            pair.distance, report.distance_of(pair),
+        )
+        for pair in report.pairs()
+    ]
+    stats = {
+        name: value for name, value in report.stats.items()
+        if name not in _TIMINGS
+    }
+    return pairs, report.location_pairs(), report.raw_race_count, stats
+
+
+def _state(detector):
+    state = unpack_for(detector).unpack(detector.state_snapshot())
+    for name in _TIMINGS:
+        state["report"]["stats"].pop(name, None)
+    return state
+
+
+def _run_blocks(detector, trace, size):
+    detector.reset(trace)
+    events = getattr(trace, "events", None)
+    if events is None:
+        events = list(trace)
+    step = size or max(1, len(events))
+    for start in range(0, len(events), step):
+        detector.process_batch(events[start:start + step])
+    # (finish hands over: note whether the kernel ran to the end.)
+    detector.compiled_to_end = detector._kernel is not None
+    detector.finish()
+    return detector.report
+
+
+def _assert_same(trace, size=None, states=False, **config):
+    kernel, python = _pair(**config)
+    if states:
+        kernel.reset(trace)
+        python.reset(trace)
+        events = getattr(trace, "events", None) or list(trace)
+        step = size or max(1, len(events))
+        for start in range(0, len(events), step):
+            kernel.process_batch(events[start:start + step])
+            python.process_batch(events[start:start + step])
+            assert _state(kernel) == _state(python), (trace.name, start)
+        kernel.compiled_to_end = kernel._kernel is not None
+        kernel.finish()
+        python.finish()
+        expected, actual = python.report, kernel.report
+    else:
+        actual = _run_blocks(kernel, trace, size)
+        expected = _run_blocks(python, trace, size)
+    assert _report_key(actual) == _report_key(expected), (trace.name, size)
+    return kernel
+
+
+def _first_rare_row(trace):
+    rare = {EventType.READ, EventType.WRITE, EventType.ACQUIRE,
+            EventType.RELEASE, EventType.FORK, EventType.JOIN,
+            EventType.BEGIN, EventType.END}
+    for event in trace:
+        if event.etype not in rare:
+            return event.index
+    return None
+
+
+# --------------------------------------------------------------------- #
+# The kernel runs, and the switch turns it off
+# --------------------------------------------------------------------- #
+
+
+@compiled
+def test_kernel_is_live_and_the_switch_turns_it_off():
+    trace = random_trace(1, n_events=40)
+    kernel, python = _pair()
+    strict = WCPDetector(strict_pseudocode=True)
+    for detector in (kernel, python, strict):
+        detector.reset(trace)
+        detector.process_batch(trace.events[:10])
+    assert kernel._kernel is not None
+    assert python._kernel is None
+    assert strict._kernel is None
+
+
+@compiled
+def test_a_first_block_that_hands_over_at_once_stays_in_python():
+    trace = mixed_vocabulary_trace(3, threads=3, steps=120)
+    assert _first_rare_row(trace) < WCPDetector._KERNEL_MIN_ROWS
+    detector = WCPDetector()
+    detector.reset(trace)
+    detector.process_batch(trace.events)
+    assert detector._kernel is None and not detector._kernel_pending
+    assert "_nt" in vars(detector)
+    # So does a short first block, and the pass stays in Python.
+    contended = high_contention_trace(400)
+    detector.reset(contended)
+    detector.process_batch(contended.events[:10])
+    detector.process_batch(contended.events[10:])
+    assert detector._kernel is None
+
+
+@compiled
+def test_kernel_runs_whole_contention_trace():
+    trace = high_contention_trace(4000)
+    detector = WCPDetector()
+    detector.reset(trace)
+    detector.process_batch(trace.events)
+    assert detector._kernel is not None
+    # The Python loop built no row: nothing raced.
+    assert trace.events.materialised() == 0
+
+
+# --------------------------------------------------------------------- #
+# Generated inputs
+# --------------------------------------------------------------------- #
+
+
+@compiled
+@settings(max_examples=60, deadline=None)
+@given(traces())
+def test_hypothesis_lock_traces(trace):
+    _assert_same(trace, states=True, size=7)
+    _assert_same(trace)
+    _assert_same(NoCensus(trace), stream_reclaim=True)
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(25))
+def test_random_traces_with_forks(seed):
+    trace = random_trace_with_forks(seed, n_events=120)
+    _assert_same(trace, states=True, size=9)
+    _assert_same(NoCensus(trace))
+    assert WCPDetector().timestamps(trace) == (
+        LegacyWCPDetector().timestamps(trace)
+    )
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(12))
+def test_private_and_shared_locks(seed):
+    trace = private_shared_trace(seed, steps=200)
+    _assert_same(trace, states=True, size=13)
+    _assert_same(NoCensus(trace), stream_reclaim=True)
+
+
+@compiled
+@pytest.mark.parametrize("shape", ["contention", "racy", "local"])
+def test_hot_path_shapes(shape):
+    make = {
+        "contention": high_contention_trace,
+        "racy": racy_mix_trace,
+        "local": thread_local_trace,
+    }[shape]
+    trace = make(3000)
+    _assert_same(trace)
+    _assert_same(trace, size=257, states=True)
+    for reclaim in (False, True):
+        kernel = _assert_same(NoCensus(trace), size=500,
+                              stream_reclaim=reclaim)
+        assert kernel.compiled_to_end
+
+
+@compiled
+def test_stream_reclaim_evicts_and_recovers():
+    """A thread that stays away from the lock for a while lets the
+    quiescence heuristic evict; its return consumes the recovery
+    summary.  Kernel and Python evict the same entries."""
+    trace = high_contention_trace(2000, n_threads=4)
+    late = random_trace(7, n_events=300, n_threads=5, n_locks=1)
+    events = list(trace) + [
+        Event(len(trace) + k, e.thread, e.etype,
+                "l" if e.etype in (EventType.ACQUIRE, EventType.RELEASE)
+                else e.target, loc=e.loc)
+        for k, e in enumerate(late)
+    ]
+    merged = Trace(events, name="late-consumer")
+    kernel = _assert_same(NoCensus(merged), size=333, states=True,
+                          stream_reclaim=True)
+    assert kernel.report.stats["stream_log_reclaimed"] > 0
+
+
+def _handover_trace(seed):
+    """A lock/access prefix of varying length, then a mixed-vocabulary
+    trace: the kernel hands over at its first rwlock, barrier or
+    wait/notify row, at a different offset per seed."""
+    prefix = random_trace(seed, n_events=5 + 13 * seed, n_threads=3)
+    tail = mixed_vocabulary_trace(seed, threads=3, steps=120)
+    events = list(prefix) + [
+        Event(len(prefix) + e.index, e.thread, e.etype, e.target, loc=e.loc)
+        for e in tail
+    ]
+    return Trace(events, validate=True, name="handover-%d" % seed)
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(16))
+def test_mixed_vocabulary_hands_over(seed):
+    trace = _handover_trace(seed)
+    for size in (None, 5, 11):
+        _assert_same(trace, size=size, states=size == 5)
+    _assert_same(NoCensus(trace), stream_reclaim=True)
+    plain = mixed_vocabulary_trace(seed, threads=3, steps=120)
+    _assert_same(plain, size=4, states=True)
+
+
+def test_hand_over_offsets_vary():
+    offsets = {_first_rare_row(_handover_trace(seed)) for seed in range(16)}
+    assert len(offsets) > 8
+
+
+@compiled
+def test_every_split_point_of_small_traces():
+    for seed in range(6):
+        trace = random_trace_with_forks(seed, n_events=30)
+        for split in range(1, len(trace)):
+            kernel, python = _pair()
+            for detector in (kernel, python):
+                detector.reset(trace)
+                detector.process_batch(trace.events[:split])
+            assert _state(kernel) == _state(python), (seed, split)
+            for detector in (kernel, python):
+                detector.process_batch(trace.events[split:])
+                detector.finish()
+            assert _report_key(kernel.report) == _report_key(python.report)
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(10))
+def test_unvalidated_windows_taint_and_hand_over(seed):
+    trace = random_trace(seed, n_events=120, n_threads=4, n_locks=2)
+    for start in range(0, 100, 9):
+        window = trace.window(start, 40)
+        _assert_same(window, states=True, size=6)
+        _assert_same(NoCensus(window))
+
+
+@compiled
+def test_mark_foreign_hands_over():
+    trace = NoCensus(random_trace(3, n_events=80))
+    kernel, python = _pair()
+    for detector in (kernel, python):
+        detector.reset(trace)
+        detector.process_batch(list(trace)[:40])
+    assert kernel._kernel is not None
+    for detector in (kernel, python):
+        detector.mark_foreign("x0")
+    assert kernel._kernel is None
+    assert _state(kernel) == _state(python)
+    for detector in (kernel, python):
+        detector.process_batch(list(trace)[40:])
+        detector.finish()
+    assert _report_key(kernel.report) == _report_key(python.report)
+
+
+# --------------------------------------------------------------------- #
+# Snapshots, timestamps, oracles
+# --------------------------------------------------------------------- #
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(8))
+def test_snapshot_while_compiled_resumes_in_python(seed):
+    trace = random_trace_with_forks(seed, n_events=200)
+    reference = _run_blocks(WCPDetector(), trace, None)
+    for cut in (1, 50, 120):
+        detector = WCPDetector()
+        detector._KERNEL_MIN_ROWS = 0
+        detector.reset(trace)
+        detector.process_batch(trace.events[:cut])
+        assert detector._kernel is not None
+        blob = detector.state_snapshot()
+        resumed = WCPDetector()
+        resumed.restore_pending = True
+        resumed.reset(trace)
+        resumed.restore_state(blob)
+        assert resumed._kernel is None
+        resumed.process_batch(trace.events[cut:])
+        resumed.finish()
+        assert _report_key(resumed.report) == _report_key(reference)
+        # The compiled detector carries on after the snapshot.
+        detector.process_batch(trace.events[cut:])
+        detector.finish()
+        assert _report_key(detector.report) == _report_key(reference)
+
+
+@compiled
+@pytest.mark.parametrize("seed", range(10))
+def test_timestamps_match_python_and_closure(seed):
+    trace = random_trace(seed + 200, n_events=50, n_threads=3, n_locks=2)
+    kernel, python = _pair()
+    clocks = kernel.timestamps(trace)
+    assert clocks == python.timestamps(trace)
+    closure = WCPClosure(trace)
+    for second in range(len(trace)):
+        for first in range(second):
+            assert (clocks[first] <= clocks[second]) == (
+                closure.ordered(first, second)
+            )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_kernel_matches_legacy_detector(seed):
+    trace = random_trace_with_forks(seed + 40, n_events=150)
+    report = WCPDetector().run(trace)
+    legacy = LegacyWCPDetector().run(trace)
+    assert sorted(map(sorted, report.location_pairs())) == sorted(
+        map(sorted, legacy.location_pairs())
+    )
+    assert report.raw_race_count == legacy.raw_race_count
+    assert report.stats["max_queue_total"] == legacy.stats["max_queue_total"]
+
+
+@compiled
+@pytest.mark.parametrize("shape", ["contention", "racy"])
+def test_locations_as_spans_and_as_strings(shape, tmp_path):
+    """A file decoded into byte spans (with the strings the Python
+    decoder built for new heads) and the same events as a list of
+    strings give the Python report, batch and streamed."""
+    from repro.engine import FileSource, RaceEngine
+    from repro.trace.columns import LocSpans
+    from repro.trace.parsers import load_trace
+    from repro.trace.writers import dump_trace
+
+    make = {"contention": high_contention_trace, "racy": racy_mix_trace}
+    trace = make[shape](6000)
+    path = str(tmp_path / "t.std")
+    dump_trace(trace, path)
+    loaded = load_trace(path)
+    assert isinstance(loaded.events.locs, LocSpans)
+    assert loaded.events.locs.decoded
+    for source in (loaded, trace):
+        _assert_same(source)
+        _assert_same(NoCensus(source), size=999, states=True)
+    reports = []
+    for use in (True, False):
+        detector = WCPDetector(stream_reclaim=True)
+        detector._use_kernel = use
+        result = RaceEngine().run(FileSource(path), [detector])
+        reports.append(_report_key(result[detector.name])[:3])
+    assert reports[0] == reports[1]
