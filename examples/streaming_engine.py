@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Streaming analysis of an on-disk trace log in constant memory.
+"""Streaming analysis of an on-disk trace log without materialising it.
 
 Demonstrates the three pluggable event-source shapes of the engine:
 
-1. a **log file**, parsed lazily line by line (`FileSource`) -- the full
-   trace is never materialised, so the memory footprint is independent of
-   the log length;
+1. a **log file**, parsed lazily block by block (`FileSource`) -- the
+   full trace is never materialised: a decode-only first pass takes the
+   file's thread census, so memory is the detectors' live state plus the
+   census, and the reports equal the in-memory run's;
 2. a **live simulator run** (`SimulatorSource`) -- events flow from the
    interpreter straight into the detectors;
 3. a **counting wrapper** (`CountingSource`) proving the single-pass

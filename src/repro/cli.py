@@ -99,6 +99,18 @@ def _run_errors():
     return tuple(errors)
 
 
+_STREAM_HELP = (
+    "decode the file block by block instead of materialising an in-memory "
+    "trace.  A regular file is read twice: a decode-only first pass takes "
+    "its thread census (which threads touch each variable and lock), so "
+    "the verdict is exact, the report equals the batch run's (timings "
+    "aside), and memory is the live detector state plus the census.  A "
+    "FIFO or standard input is read once, and --shards workers take no "
+    "census: still exact, but WCP keeps its Rule (b) logs in full.  "
+    "Well-formedness is checked online unless --no-validate"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-race",
@@ -145,20 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "temporary directory",
     )
     analyze.add_argument(
-        "--stream", action="store_true",
-        help="parse the file lazily and analyse it without materialising "
-             "a full in-memory trace (constant memory; well-formedness is "
-             "checked online in O(1) per event unless --no-validate; "
-             "WCP additionally prunes its Rule (b) logs with the "
-             "thread-quiescence heuristic -- see --no-stream-reclaim)",
-    )
-    analyze.add_argument(
-        "--no-stream-reclaim", action="store_true",
-        help="under --stream, keep WCP's Rule (b) logs in full instead of "
-             "pruning them heuristically (the heuristic recovers evicted "
-             "entries through summaries, but on adversarial streams a "
-             "late lock adopter may still see extra races; this flag "
-             "restores exact verdicts at worst-case linear memory)",
+        "--stream", action="store_true", help=_STREAM_HELP,
     )
     analyze.add_argument(
         "--window", type=_positive_int, default=None,
@@ -193,14 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated detector names (default: wcp,hb)",
     )
     compare.add_argument(
-        "--stream", action="store_true",
-        help="parse the file lazily (constant memory; well-formedness is "
-             "checked online unless --no-validate)",
-    )
-    compare.add_argument(
-        "--no-stream-reclaim", action="store_true",
-        help="under --stream, keep WCP's Rule (b) logs in full instead of "
-             "pruning them heuristically",
+        "--stream", action="store_true", help=_STREAM_HELP,
     )
     compare.add_argument(
         "--no-validate", action="store_true",
@@ -236,11 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-validate", action="store_true",
         help="skip the online lock-semantics/well-nestedness validation "
              "of pushed streams",
-    )
-    serve.add_argument(
-        "--no-stream-reclaim", action="store_true",
-        help="keep WCP's Rule (b) logs in full instead of pruning them "
-             "with the thread-quiescence heuristic",
     )
     serve.add_argument(
         "--max-events", type=_positive_int, default=None, metavar="N",
@@ -324,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(accept/complete/shed/evict/restore/drain) at LEVEL on "
              "stderr",
     )
-    # serve is inherently streaming: detector construction follows the
-    # --stream conventions (WCP log reclamation unless opted out).
-    serve.set_defaults(stream=True)
 
     push = subparsers.add_parser(
         "push",
@@ -506,19 +490,6 @@ def _split_detector_names(spec: str) -> List[str]:
     return names
 
 
-def _make_detectors(names: List[str], args: argparse.Namespace) -> List:
-    """Instantiate detectors; under --stream WCP gets log reclamation
-    (unless --no-stream-reclaim restores exact worst-case-memory mode)."""
-    reclaim = args.stream and not getattr(args, "no_stream_reclaim", False)
-    detectors = []
-    for name in names:
-        if reclaim and name.lower() == "wcp":
-            detectors.append(make_detector(name, stream_reclaim=True))
-        else:
-            detectors.append(make_detector(name))
-    return detectors
-
-
 def _make_engine_config(args: argparse.Namespace) -> EngineConfig:
     """Build an engine configuration carrying the shard selection."""
     config = EngineConfig()
@@ -610,7 +581,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.detector is not None or args.resume is None:
             names = _split_detector_names(args.detector or "wcp")
-            detectors = _make_detectors(names, args)
+            detectors = [make_detector(name) for name in names]
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -683,7 +654,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     try:
         names = _split_detector_names(args.detectors)
-        detectors = _make_detectors(names, args)
+        detectors = [make_detector(name) for name in names]
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -876,7 +847,7 @@ def _make_serve_server(args: argparse.Namespace, on_session_end=None):
     def factory():
         # Fresh detector instances per connection: streams are
         # independent passes, state never leaks between clients.
-        return _make_detectors(names, args)
+        return [make_detector(name) for name in names]
 
     config = EngineConfig()
     if args.max_events is not None:
@@ -972,7 +943,8 @@ async def _serve_async(args: argparse.Namespace, ready=None) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         names = _split_detector_names(args.detector)
-        _make_detectors(names, args)  # fail fast on unknown detector names
+        for name in names:  # fail fast on unknown detector names
+            make_detector(name)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -24,7 +24,11 @@ into blocks (``tests/test_batch_parity.py``).
 ``reset`` accepts either a full :class:`~repro.trace.trace.Trace` or any
 *trace-like* object exposing ``name``, ``threads``, ``__len__`` and
 ``is_complete`` (the engine's stream context sets ``is_complete = False``
-to signal that the event sequence cannot be pre-scanned).
+to signal that the event sequence cannot be pre-scanned).  The one
+whole-trace fact the clock detectors read, the ``thread_census``, is an
+attribute of its own: a :class:`Trace` builds it from its columns, and
+the stream context of a regular file takes it in a decode-only first
+pass; sockets, push queues and shard workers have none.
 
 Timing contract
 ---------------
@@ -216,15 +220,14 @@ class Detector(abc.ABC):
     def _thread_census(self, trace: Trace) -> Optional[ThreadCensus]:
         """The whole-trace :class:`~repro.trace.trace.ThreadCensus`, or None.
 
-        Only a complete trace has one (a stream context has not seen its
-        events yet), and a pending restore brings the census-derived state
-        in its snapshot, so none is taken then.  A :class:`Trace` builds it
-        once and shares it with every detector of the pass.
+        A :class:`Trace` and a file's stream context have one (built once,
+        on first request, and shared with every detector of the pass);
+        other streams have none.  A pending restore brings the
+        census-derived state in its snapshot, so none is taken then.
         """
-        if self.restore_pending or not getattr(trace, "is_complete", True):
+        if self.restore_pending:
             return None
-        census = getattr(trace, "thread_census", None)
-        return census if census is not None else ThreadCensus(trace)
+        return getattr(trace, "thread_census", None)
 
     @property
     def report(self) -> RaceReport:

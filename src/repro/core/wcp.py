@@ -122,10 +122,16 @@ the trace has consumed them (a thread that never releases the lock never
 reads its cursor, so it cannot hold entries alive).  This changes the
 memory profile dramatically on traces with thread-local locks (which
 would otherwise accumulate entries forever).  The releaser census needs
-the whole trace at :meth:`reset`; when fed from a stream
-(``is_complete`` False) the log is kept in full, matching the
-pseudocode's worst-case linear space, unless ``stream_reclaim`` applies
-its heuristic instead.
+the whole trace at :meth:`reset`: a :class:`~repro.trace.trace.Trace`
+has it, and so does ``--stream`` over a regular file, whose census a
+decode-only first pass takes
+(:attr:`FileSource.thread_census
+<repro.engine.sources.FileSource.thread_census>`).  A stream with no
+census -- a socket, a push queue, a FIFO, a shard worker -- keeps the
+log in full: exact, at the pseudocode's worst-case linear space.  A
+pass stopped early stays exact under the whole file's census: next to
+its prefix's census, that has every releaser and no more thread-local
+locks or variables, so it keeps entries alive longer and elides less.
 
 The same census applies a second exact optimisation, *thread-local lock
 elision*: a lock that only mutex ``acq``/``rel`` events of a single
@@ -163,8 +169,8 @@ read/write set, no access history.  This is exact for the same reason:
    variable's race check are unchanged.
 
 Snapshots carry each lock's thread-local flag and the set of thread-local
-variables, so a resumed batch pass (which skips the census) keeps both
-elisions.
+variables, so a resumed pass, batch or ``--stream`` (which skips the
+census), keeps both elisions.
 
 ``report.stats["max_queue_total"]`` still reports the *pseudocode's*
 queue occupancy (each critical section contributes one acquire and one
@@ -269,7 +275,6 @@ class _LockState:
     __slots__ = (
         "log", "base", "cursor", "open_entry", "pl", "hl",
         "holder", "tainted", "releasers", "local", "lr", "lw",
-        "evicted_acq", "evicted_rel",
         "read_lr", "read_lw",
         "read_pl", "read_hl", "notify_p", "notify_h",
         "reclaim_blocker",
@@ -290,12 +295,6 @@ class _LockState:
         self.cursor: Dict[int, int] = {}
         #: tid -> absolute log index of the thread's open section.
         self.open_entry: Dict[int, int] = {}
-        #: Per-owner joins over entries dropped by the stream-mode
-        #: quiescence heuristic (acquire clocks / release HB-times), the
-        #: recovery summary for threads whose cursor lags the eviction
-        #: horizon.  None until the first eviction.
-        self.evicted_acq: Optional[Dict[int, object]] = None
-        self.evicted_rel: Optional[Dict[int, object]] = None
         #: P / H clocks of the last release (None = bottom).
         self.pl = None
         self.hl = None
@@ -349,22 +348,9 @@ class WCPDetector(Detector):
         include releases performed by the accessing thread itself (see the
         module docstring).  Default False (agree with Definition 3).
     stream_reclaim:
-        When True, reclaim Rule (b) log entries *in stream mode* (where the
-        releaser census is unavailable) with the epoch-accelerated
-        thread-quiescence heuristic: a closed front entry is dropped once
-        every other known thread has either walked past it, never entered a
-        critical section of the lock (locality assumption), or provably
-        gains nothing from consuming it (the acquire is already below the
-        thread's WCP time -- checked via an O(1) owner-epoch pre-filter
-        before the full comparison -- and the release time is already in
-        its ``P_t``).  Dropped entries leave behind per-owner acquire /
-        release joins through which a thread whose assumed quiescence was
-        wrong still consumes the whole evicted region exactly (see
-        :meth:`_reclaim_quiescent` / :meth:`_consume_evicted`); the only
-        loss is a late consumer entitled to a strict *prefix* of the
-        evicted region, whose missing merges can surface extra (never
-        fewer) race reports on adversarial streams -- why the heuristic
-        is opt-in (the CLI enables it under ``--stream``).  Default False.
+        Accepted and ignored.  It selected a stream-mode log-reclamation
+        heuristic that the census of a file's first pass replaced; the
+        keyword stays for callers that still pass it.
     """
 
     name = "WCP"
@@ -379,10 +365,7 @@ class WCPDetector(Detector):
     #: paper's central property), so a mid-run snapshot is compact and the
     #: checkpoint/resume protocol is supported in full.
     supports_snapshot = True
-    snapshot_version = 7
-
-    #: Stream-reclaim only bothers scanning once a lock's log is this long.
-    _QUIESCE_LOG_THRESHOLD = 64
+    snapshot_version = 8
 
     #: A first block with fewer rows than this before its end or its
     #: first row of a kind the kernel does not run keeps the pass on the
@@ -405,7 +388,6 @@ class WCPDetector(Detector):
     ) -> None:
         super().__init__()
         self._strict_pseudocode = strict_pseudocode
-        self._stream_reclaim = stream_reclaim
         self._trace: Optional[Trace] = None
 
     # ------------------------------------------------------------------ #
@@ -469,18 +451,13 @@ class WCPDetector(Detector):
         self._local_accesses = 0
 
         # The census (releasers, thread-local locks and variables, see
-        # _take_census) needs the whole trace up front; when fed from a
-        # stream (``is_complete`` False) fall back to keeping every queue
-        # and eliding nothing.  A pending restore makes the census pure
-        # waste (the snapshot carries the censused releaser sets,
-        # thread-local flags and modes), so skip it -- conservatively
-        # disabling pruning, which the restore overwrites.
+        # _take_census) needs the whole trace up front; a stream without
+        # one keeps every queue and elides nothing.  A pending restore
+        # makes the census pure waste (the snapshot carries the censused
+        # releaser sets, thread-local flags and mode), so skip it --
+        # conservatively disabling pruning, which the restore overwrites.
         census = self._thread_census(trace)
         self._effective_prune = census is not None
-        # Quiescence reclamation replaces the census exactly when the
-        # census is unavailable (stream).
-        self._quiesce_reclaim = self._stream_reclaim and census is None
-        self._stream_reclaimed = 0
         if census is not None:
             self._take_census(census)
 
@@ -829,21 +806,10 @@ class WCPDetector(Detector):
         # eager pseudocode).  Tainted locks take the eager path.
         log = state.log
         base = state.base
-        cursor = state.cursor.get(tid, 0)
-        walk_allowed = True
-        if cursor < base:
-            # The thread's cursor lags the log's first retained entry:
-            # either pruning established it can never read the gap (batch
-            # census; advance freely), or the stream-mode heuristic
-            # evicted entries it might still need, in which case it must
-            # first consume the whole evicted region via the recovery
-            # summary -- or not walk at all (FIFO order), retrying at its
-            # next release once its clocks have grown.
-            if self._consume_evicted(state, tid, pt):
-                cursor = base
-            else:
-                walk_allowed = False
-        if walk_allowed and cursor - base < len(log):
+        # A cursor behind the log's first retained entry skips the gap:
+        # pruning only drops entries this thread can never consume.
+        cursor = max(state.cursor.get(tid, 0), base)
+        if cursor - base < len(log):
             # Walk by index from the cursor: deque indexing hops 64-entry
             # blocks from the nearer end, where iterating from the front
             # would step over every entry before the cursor -- O(log
@@ -967,10 +933,6 @@ class WCPDetector(Detector):
 
         if self._effective_prune:
             self._reclaim(state)
-        elif self._quiesce_reclaim:
-            state.releasers.add(tid)
-            if len(state.log) >= self._QUIESCE_LOG_THRESHOLD:
-                self._reclaim_quiescent(state)
 
     def _reclaim(self, state: _LockState) -> None:
         """Drop closed log entries that every possible consumer has passed.
@@ -1026,114 +988,6 @@ class WCPDetector(Detector):
             log.popleft()
             base += 1
         state.base = base
-
-    def _reclaim_quiescent(self, state: _LockState) -> None:
-        """Stream-mode log reclamation by epoch-based thread quiescence.
-
-        Without the whole-trace releaser census, an entry's future
-        consumers are unknowable; the heuristic drops a closed front entry
-        (owner ``o``, acquire clock ``A``, release HB-time ``R``) once
-        every other currently-known thread ``t`` satisfies one of:
-
-        * ``t`` has already walked past the entry (its cursor is beyond);
-        * ``t`` has never released (nor currently holds) this lock --
-          thread-locality: it is assumed to keep away from it;
-        * consuming the entry would provably be a no-op forever:
-          ``A <= C_t`` already holds (the Rule (b) gate only opens wider as
-          ``C_t`` grows) and ``R <= P_t`` (the merge adds nothing, and
-          ``R`` is fixed while ``P_t`` only grows).  The O(T) comparisons
-          are pre-filtered by the O(1) owner-epoch check
-          ``A(o) <= P_t(o)``, which dismisses most blocked entries without
-          touching a full clock.
-
-        Evicted entries are not forgotten: their acquire clocks and
-        release times are folded into per-owner joins (the *recovery
-        summary*, ``evicted_acq`` / ``evicted_rel``), through which a
-        thread whose assumed quiescence turns out wrong -- it enters the
-        lock's critical sections after evictions -- still consumes the
-        evicted region (see :meth:`_consume_evicted`).  The remaining
-        inexactness is strictly narrower: a late consumer that could only
-        ever consume a *strict prefix* of the evicted region loses those
-        merges (clocks can only get smaller, so in adversarial traces
-        this may surface extra race reports, never hide any ordering that
-        batch mode would miss).
-        """
-        log = state.log
-        base = state.base
-        cursor = state.cursor
-        releasers = state.releasers
-        open_entry = state.open_entry
-        reclaimed = 0
-        while log:
-            entry = log[0]
-            release_time = entry[1]
-            if release_time is None:
-                break
-            acq_clock = entry[0]
-            owner = entry[2]
-            acq_owner_time = entry[3]
-            blocked = False
-            for tid, nt in enumerate(self._nt):
-                if nt == 0 or tid == owner:
-                    continue
-                if cursor.get(tid, 0) > base:
-                    continue
-                if tid not in releasers and tid not in open_entry:
-                    continue
-                pt = self._pt[tid]
-                if acq_owner_time > pt.get(owner):
-                    blocked = True
-                    break
-                if not (acq_clock <= self._clock_c(tid) and release_time <= pt):
-                    blocked = True
-                    break
-            if blocked:
-                break
-            # Fold the entry into the recovery summary before dropping it.
-            acq_joins = state.evicted_acq
-            if acq_joins is None:
-                acq_joins = state.evicted_acq = {}
-                state.evicted_rel = {}
-            existing = acq_joins.get(owner)
-            if existing is None:
-                acq_joins[owner] = acq_clock.copy()
-                state.evicted_rel[owner] = release_time.copy()
-            else:
-                existing.merge(acq_clock)
-                state.evicted_rel[owner].merge(release_time)
-            log.popleft()
-            base += 1
-            reclaimed += 1
-        if reclaimed:
-            state.base = base
-            self._stream_reclaimed += reclaimed
-
-    def _consume_evicted(self, state: _LockState, tid: int, pt) -> bool:
-        """Consume the evicted log region through the recovery summary.
-
-        Returns True when the thread may advance its cursor to the log
-        base: either nothing heuristic was evicted (batch pruning already
-        proved the gap unreadable), or every foreign evicted acquire is
-        below the thread's current WCP time -- in which case the original
-        walk would have consumed every evicted entry (gates only open
-        wider as ``C_t`` grows), so merging the per-owner release joins is
-        *exactly* the original effect.  Otherwise the caller must skip the
-        live-log walk (FIFO) and retry at the thread's next release.
-        """
-        acq_joins = state.evicted_acq
-        if acq_joins is None:
-            return True
-        ct = self._clock_c(tid)
-        for owner, acq_join in acq_joins.items():
-            if owner != tid and not acq_join <= ct:
-                return False
-        changed = False
-        for owner, rel_join in state.evicted_rel.items():
-            if owner != tid and pt.merge(rel_join):
-                changed = True
-        if changed:
-            self._ct[tid] = None
-        return True
 
     @staticmethod
     def _join_release_time(cell: _RuleACell, tid: int, frozen_time) -> None:
@@ -1507,10 +1361,6 @@ class WCPDetector(Detector):
         self.report.stats["max_queue_fraction"] = (
             self._max_queue_total / float(events)
         )
-        if self._quiesce_reclaim:
-            self.report.stats["stream_log_reclaimed"] = float(
-                self._stream_reclaimed
-            )
 
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still run
@@ -1544,10 +1394,7 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def snapshot_config(self) -> Dict[str, object]:
-        return {
-            "strict_pseudocode": self._strict_pseudocode,
-            "stream_reclaim": self._stream_reclaim,
-        }
+        return {"strict_pseudocode": self._strict_pseudocode}
 
     @staticmethod
     def _cell_state(cell: _RuleACell) -> Dict[str, object]:
@@ -1608,8 +1455,6 @@ class WCPDetector(Detector):
                     variable: self._cell_state(cell)
                     for variable, cell in state.read_lw.items()
                 },
-                "evicted_acq": state.evicted_acq,
-                "evicted_rel": state.evicted_rel,
                 "read_pl": state.read_pl,
                 "read_hl": state.read_hl,
                 "notify_p": state.notify_p,
@@ -1652,10 +1497,9 @@ class WCPDetector(Detector):
                 self._queue_total,
                 self._max_queue_total,
                 self._processed_events,
-                self._stream_reclaimed,
                 self._local_accesses,
             ),
-            "modes": (self._effective_prune, self._quiesce_reclaim),
+            "prune": self._effective_prune,
             "local_variables": self._local_variables,
         }
         return pack_state(
@@ -1713,8 +1557,6 @@ class WCPDetector(Detector):
                 variable: self._cell_from_state(cell)
                 for variable, cell in entry["read_lw"].items()
             }
-            lock_state.evicted_acq = entry["evicted_acq"]
-            lock_state.evicted_rel = entry["evicted_rel"]
             lock_state.read_pl = entry["read_pl"]
             lock_state.read_hl = entry["read_hl"]
             lock_state.notify_p = entry["notify_p"]
@@ -1753,10 +1595,9 @@ class WCPDetector(Detector):
             self._queue_total,
             self._max_queue_total,
             self._processed_events,
-            self._stream_reclaimed,
             self._local_accesses,
         ) = state["counters"]
-        self._effective_prune, self._quiesce_reclaim = state["modes"]
+        self._effective_prune = state["prune"]
         self._local_variables = frozenset(state["local_variables"])
         self.restore_pending = False
 

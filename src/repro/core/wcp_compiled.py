@@ -78,9 +78,7 @@ class WCPKernel:
         ffi, lib = kernels.ffi, kernels.lib
         self._ffi = ffi
         self._lib = lib
-        handle = lib.wcp_new(
-            int(detector._effective_prune), int(detector._quiesce_reclaim)
-        )
+        handle = lib.wcp_new(int(detector._effective_prune))
         if handle == ffi.NULL:
             raise MemoryError("wcp_new")
         self._handle = ffi.gc(handle, lib.wcp_free)
@@ -438,13 +436,6 @@ class WCPKernel:
             entry.holder = None if lock.holder < 0 else lock.holder
             entry.releasers = set(ids(lock.releasers))
             entry.local = bool(lock.local)
-            if lock.evicted_any:
-                entry.evicted_acq = {}
-                entry.evicted_rel = {}
-                for k in range(lock.nev):
-                    evicted = lock.ev[k]
-                    entry.evicted_acq[evicted.owner] = own(evicted.acq)
-                    entry.evicted_rel[evicted.owner] = own(evicted.rel)
             entry.reclaim_blocker = None if lock.blocker < 0 else lock.blocker
             locks[lock_names[lock_id]] = entry
             by_id[lock_id] = entry
@@ -553,4 +544,3 @@ class WCPKernel:
         detector._history = history
         detector._queue_total = state.queue_total
         detector._max_queue_total = state.max_queue_total
-        detector._stream_reclaimed = state.stream_reclaimed

@@ -100,6 +100,7 @@ class AsyncRaceEngine:
             trace=getattr(async_source, "trace", None),
             registry=getattr(async_source, "registry", None),
             checkpointer=checkpointer,
+            source=async_source,
         )
         pass_.start()
         return await self._drive(pass_, async_source)

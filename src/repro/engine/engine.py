@@ -8,10 +8,12 @@ the trace to be materialised; :class:`RaceEngine` pays exactly one pass
 and accepts lazily-produced streams.
 
 The engine hands each detector either the backing
-:class:`~repro.trace.trace.Trace` (when the source is complete, so
-trace-wide optimisations like WCP's queue pruning stay enabled) or a
+:class:`~repro.trace.trace.Trace` (when the source is complete) or a
 :class:`StreamContext` -- a lightweight trace stand-in whose
-``is_complete`` flag tells detectors not to pre-scan.
+``is_complete`` flag tells detectors not to pre-scan, and whose
+``thread_census`` is the source's (a regular file takes it in a
+decode-only first pass) -- so census-driven optimisations like WCP's
+queue pruning stay enabled wherever a census exists.
 
 Early-stop policies and snapshot cadence come from
 :class:`~repro.engine.config.EngineConfig`.
@@ -35,6 +37,7 @@ stepping semantics are implemented exactly once.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.detector import Detector
@@ -44,6 +47,7 @@ from repro.engine.sources import EventSource, as_source
 from repro.gcpause import gc_paused
 from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event
+from repro.trace.trace import ThreadCensus
 from repro.vectorclock.registry import ThreadRegistry
 
 
@@ -53,18 +57,25 @@ class StreamContext:
     Exposes the small protocol detectors consult at reset time -- ``name``,
     ``threads`` (empty; detectors discover threads lazily), ``__len__``
     (events seen so far, updated by the engine), ``is_complete = False``
-    so detectors skip whole-trace prescans, and ``registry`` (the pass's
+    so detectors skip whole-trace prescans, ``registry`` (the pass's
     thread-interning table -- the source's when it has one -- shared by
     every detector of the pass, so the blocks' thread ids are read as
-    they are).
+    they are) and ``thread_census``: the ``source``'s census, taken on
+    the first detector's request and shared by the rest (None without a
+    source, or when the source can take none).
     """
 
     is_complete = False
 
-    def __init__(self, name: str, registry=None) -> None:
+    def __init__(self, name: str, registry=None, source=None) -> None:
         self.name = name
         self.registry = registry
         self.events_seen = 0
+        self._source = source
+
+    @cached_property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        return getattr(self._source, "thread_census", None)
 
     @property
     def threads(self) -> List[str]:
@@ -224,6 +235,7 @@ class EnginePass:
         registry=None,
         start_events: int = 0,
         checkpointer=None,
+        source=None,
     ) -> None:
         self.config = config if config is not None else EngineConfig()
         self.detectors = list(detectors)
@@ -238,9 +250,10 @@ class EnginePass:
         self.source_name = source_name
         self.trace = trace
         # Complete sources hand detectors the real trace so reset-time
-        # prescans keep working; streams get a non-prescannable context.
-        # Every detector of the pass adopts the pass registry, and every
-        # block reaches them in it (step_batch).
+        # prescans keep working; streams get a non-prescannable context
+        # that reads ``source``'s census on request.  Every detector of
+        # the pass adopts the pass registry, and every block reaches them
+        # in it (step_batch).
         if trace is not None:
             registry = getattr(trace, "registry", None)
         if registry is None:
@@ -248,7 +261,7 @@ class EnginePass:
         self.context = (
             trace
             if trace is not None
-            else StreamContext(source_name, registry=registry)
+            else StreamContext(source_name, registry=registry, source=source)
         )
         self.registry = registry
         # A resumed pass continues the checkpointed numbering: ``events``
@@ -460,9 +473,10 @@ def prepare_resume_pass(
         registry=getattr(event_source, "registry", None),
         start_events=loaded.events,
         checkpointer=checkpointer,
+        source=event_source,
     )
     # Reset-time whole-trace precomputation would be overwritten by the
-    # restore below; let detectors skip it.
+    # restore below; let detectors skip it (a file's census pass too).
     for detector in resolved:
         detector.restore_pending = True
     pass_.start()
@@ -534,6 +548,7 @@ class RaceEngine:
                 trace=event_source.trace,
                 registry=getattr(event_source, "registry", None),
                 checkpointer=self._make_checkpointer(resolved, event_source),
+                source=event_source,
             )
             pass_.start()
             return _drive(pass_, event_source)

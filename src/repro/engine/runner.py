@@ -46,7 +46,7 @@ from repro.engine.checkpoint import (
     Checkpointer,
 )
 from repro.engine.sources import EventSource, as_source
-from repro.trace.trace import Trace
+from repro.trace.trace import ThreadCensus, Trace
 
 __all__ = ["CoordinatorFailure", "RunSupervisor"]
 
@@ -89,6 +89,10 @@ class _KillAt(EventSource):
     @property
     def trace(self) -> Optional[Trace]:
         return self._inner.trace
+
+    @property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        return self._inner.thread_census
 
     def length_hint(self) -> Optional[int]:
         return self._inner.length_hint()

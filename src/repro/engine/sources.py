@@ -9,7 +9,8 @@ An :class:`EventSource` is anything that can hand the
   pre-scan it, e.g. WCP's queue pruning);
 * :class:`FileSource` -- a log file parsed lazily, line by line, through
   the streaming entry points of :mod:`repro.trace.parsers`; the full trace
-  is never materialised;
+  is never materialised (a regular file is decoded once more, ahead of
+  the stream, for its :attr:`FileSource.thread_census`);
 * :class:`IterableSource` -- any iterable/generator of events (e.g. an
   instrumentation callback queue);
 * :class:`SimulatorSource` -- a simulator program run under a scheduler,
@@ -52,10 +53,14 @@ the source boundary -- no matter how many detectors run.
 from __future__ import annotations
 
 import itertools
+import os
 import queue as queue_module
+import stat
+from functools import cached_property
 from pathlib import Path
 from typing import (
-    AsyncIterator, Iterable, Iterator, List, Optional, Sequence, Union,
+    AsyncIterator, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.trace.columns import ColumnBlock
@@ -63,10 +68,11 @@ from repro.trace.event import Event
 from repro.trace.parsers import (
     BATCH_LINES,
     StdDecoder,
+    TraceParseError,
     group_events,
     iter_trace_blocks,
 )
-from repro.trace.trace import Trace
+from repro.trace.trace import ThreadCensus, Trace
 from repro.vectorclock.registry import ThreadRegistry
 
 
@@ -88,6 +94,11 @@ class EventSource:
     #: Interning table whose tids stamp the yielded events (None when the
     #: source does not stamp; detectors then intern per event themselves).
     registry: Optional[ThreadRegistry] = None
+    #: The whole stream's :class:`~repro.trace.trace.ThreadCensus` when
+    #: the source can take it ahead of the stream (a regular file), else
+    #: None.  The engine's stream context reads it only when a detector
+    #: asks, so a pass that resumes from a checkpoint never takes it.
+    thread_census: Optional[ThreadCensus] = None
 
     # A subclass implements ``__iter__`` or ``batches`` (or both); each
     # default is defined in terms of the other.
@@ -180,6 +191,9 @@ class FileSource(EventSource):
     the file extension exactly like
     :func:`repro.trace.parsers.load_trace`, unless ``format`` names one of
     :data:`repro.trace.parsers.FORMAT_NAMES` explicitly.
+
+    A regular file is also read once ahead of the pass, for its
+    :attr:`thread_census`, when a detector asks for it.
     """
 
     def __init__(
@@ -214,6 +228,41 @@ class FileSource(EventSource):
     def seek_events(self, events: int) -> None:
         """Resume iteration at event offset ``events`` (checkpoint/resume)."""
         self._skip = events
+
+    @cached_property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        """The census of the whole file, from a decode-only first pass.
+
+        The file is decoded through the source's own registry, so tids
+        come out in the file's first-appearance order -- the order the
+        stream pass, a batch load and a resumed pass assign -- and only
+        the distinct ``(tid, op)`` rows are kept, no block.  None when
+        the file cannot be read twice (a FIFO, or a pipe or terminal
+        behind ``/dev/stdin``: the census would drain it), when it does
+        not decode to its end (the stream pass then stops at the same
+        error, or a budget stops it first), and for the event adapters,
+        which decode to lists of events rather than column blocks.
+        """
+        try:
+            regular = stat.S_ISREG(os.stat(self.path).st_mode)
+        except OSError:
+            regular = False
+        if not regular:
+            return None
+        pairs: Dict[Tuple[int, int], None] = {}
+        block = None
+        try:
+            for block in iter_trace_blocks(
+                self.path, registry=self.registry, format=self.format
+            ):
+                if not isinstance(block, ColumnBlock):
+                    return None
+                pairs.update(dict.fromkeys(zip(*block.columns())))
+        except TraceParseError:
+            return None
+        # The blocks of one decode share its op table, so the last block
+        # reads every pair.
+        return None if block is None else ThreadCensus(block, pairs)
 
     def __repr__(self) -> str:
         return "FileSource(%r)" % (str(self.path),)
@@ -305,6 +354,10 @@ class CountingSource(EventSource):
     @property
     def trace(self) -> Optional[Trace]:
         return self._inner.trace
+
+    @property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        return self._inner.thread_census
 
     def __iter__(self) -> Iterator[Event]:
         self.passes += 1
@@ -785,9 +838,9 @@ class _CooperativeSource(AsyncEventSource):
     Yields the inner source's blocks in slices of at most
     ``yield_every`` events, surrendering the event loop after each, so a
     long pull-based pass (a big trace file) cannot starve the loop's
-    other tasks.  Completeness,
-    trace, registry and length hints are forwarded, so the async engine
-    treats an adapted complete trace exactly like the sync engine does.
+    other tasks.  Completeness, trace, census, registry and length hints
+    are forwarded, so the async engine treats an adapted trace or file
+    exactly like the sync engine does.
     """
 
     def __init__(self, inner: EventSource, yield_every: int = 256) -> None:
@@ -803,6 +856,10 @@ class _CooperativeSource(AsyncEventSource):
     @property
     def trace(self) -> Optional[Trace]:
         return self._inner.trace
+
+    @property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        return self._inner.thread_census
 
     def length_hint(self) -> Optional[int]:
         return self._inner.length_hint()

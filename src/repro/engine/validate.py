@@ -20,8 +20,8 @@ the stream.
 
 :class:`ValidatingSource` wraps any event source (sync or async) with
 an online validator, transparently forwarding ``is_complete`` /
-``trace`` / ``registry`` / ``length_hint`` so wrapped complete sources
-keep their pre-scan optimisations.  The CLI wires it in by default
+``trace`` / ``thread_census`` / ``registry`` / ``length_hint`` so wrapped
+traces and files keep their census.  The CLI wires it in by default
 under ``--stream`` (``--no-validate`` opts out), and the ``serve``
 subcommand applies it to every client connection.
 """
@@ -185,9 +185,9 @@ class ValidatingSource(EventSource):
     plus asynchronous sources (anything with ``__aiter__``, e.g.
     :class:`~repro.engine.sources.LineProtocolSource`); iterate it the
     same way the wrapped source would be iterated.  ``is_complete``,
-    ``trace``, ``registry`` and ``length_hint`` are forwarded, so
-    wrapping a complete trace source does not downgrade detectors to
-    stream mode.
+    ``trace``, ``thread_census``, ``registry`` and ``length_hint`` are
+    forwarded, so wrapping a trace or a file costs detectors nothing
+    they would have read.
 
     Each iteration pass runs a fresh :class:`OnlineValidator` (replayable
     sources like :class:`~repro.engine.sources.FileSource` restart from
@@ -217,6 +217,10 @@ class ValidatingSource(EventSource):
     @property
     def trace(self):
         return getattr(self._inner, "trace", None)
+
+    @property
+    def thread_census(self):
+        return getattr(self._inner, "thread_census", None)
 
     def length_hint(self) -> Optional[int]:
         hint = getattr(self._inner, "length_hint", None)

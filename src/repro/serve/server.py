@@ -26,7 +26,7 @@ connection" into a governed multi-stream service.  Two layers:
     * **quotas** -- the drive loop charges each event to the tenant's
       token bucket: small deficits throttle (sleep), large ones shed
       with an explicit ``error Overloaded: ...; retry after <n>s``;
-    * **idle eviction** -- a quiescent stream (queue empty, no event
+    * **idle eviction** -- an idle stream (queue empty, no event
       for ``idle_evict_after_s``) is checkpointed through the PR 5
       snapshot protocol and its detectors are *dropped*; the next event
       transparently restores them.  The driver-owned online validator
@@ -729,7 +729,7 @@ class SessionDriver:
         )
 
     def _maybe_evict(self, queue: asyncio.Queue) -> None:
-        """Idle tick: checkpoint and drop a quiescent session's detectors."""
+        """Idle tick: checkpoint and drop an idle session's detectors."""
         if (
             self._pass is None
             or self._checkpointer is None

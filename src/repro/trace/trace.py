@@ -42,12 +42,14 @@ is built in one pass the first time one of :meth:`Trace.match`,
 :meth:`Trace.critical_section`, :meth:`Trace.thread_events` or
 :meth:`Trace.thread_indices` is called.
 
-The batch clock detectors (WCP, HB, FastTrack) read one more whole-trace
+The clock detectors (WCP, HB, FastTrack) read one more whole-trace
 fact, :attr:`Trace.thread_census` (:class:`ThreadCensus`): which threads
 touch each variable and lock.  It is built on first use from the same
 distinct ``(thread, op)`` rows, so every detector of a multi-detector
-pass shares it and a run that never asks (``--stream``, shards, serve)
-never pays for it.
+pass shares it and a run that never asks never pays for it.  A
+``--stream`` pass over a regular file takes the same census from a
+decode-only first pass
+(:attr:`FileSource.thread_census <repro.engine.sources.FileSource.thread_census>`).
 """
 
 from __future__ import annotations
@@ -471,7 +473,9 @@ class ThreadCensus:
         in first-appearance order when the caller already has them: each
         rule below only depends on which thread names which operand and
         in what order that first happens, so the pairs stand for the
-        rows."""
+        rows.  They may be a whole decode's, with ``events`` its last
+        block: the blocks of one decode share the op table and registry
+        the pairs are read through."""
         block = (
             events if isinstance(events, ColumnBlock)
             else ColumnBlock.from_events(events)

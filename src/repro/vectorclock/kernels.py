@@ -385,9 +385,8 @@ typedef struct {
 typedef struct { long long *acq, *rel; long long epoch; int owner, pad; }
     wcp_entry;
 typedef struct { long long cur; int tid, pad; } wcp_cursor;
-typedef struct { long long *acq, *rel; int owner, pad; } wcp_evicted;
 typedef struct {
-    int created, local, holder, open_tid, blocker, evicted_any;
+    int created, local, holder, open_tid, blocker, pad;
     long long open_idx;
     wcp_entry *log;
     long long head, len, cap, base;
@@ -395,8 +394,6 @@ typedef struct {
     long long ncur, capcur;
     long long *pl, *hl;
     wcp_idset releasers;
-    wcp_evicted *ev;
-    long long nev, capev;
 } wcp_lock;
 typedef struct { long long *clk; int tid, pad; } wcp_bt;
 typedef struct { long long ver; int tid, pad; } wcp_seen;
@@ -422,7 +419,7 @@ typedef struct { long long index, loc, rank; long long *clk; int prev, next; }
 typedef struct { long long a, b; int v, used; } wcp_slot;
 typedef struct { wcp_slot *slots; long long mask, count; } wcp_map;
 typedef struct {
-    int prune, quiesce;
+    int prune, pad;
     wcp_thread *th;
     long long nth, capth;
     int *order;
@@ -445,13 +442,13 @@ typedef struct {
     void *locs;
     long long *loc_spans;
     long long nlocs, caplocs;
-    long long queue_total, max_queue_total, stream_reclaimed;
+    long long queue_total, max_queue_total;
     long long *races;
     long long nraces, capraces;
     int *scratch;
     long long capscratch;
 } wcp_state;
-void *wcp_new(int prune, int quiesce);
+void *wcp_new(int prune);
 void wcp_free(void *handle);
 int wcp_add_lock(void *handle, int local);
 int wcp_census_lock(void *handle, int lock, int tid);
@@ -558,10 +555,6 @@ static int mc_merge(wcp_mclk *m, const i64 *s, i64 n) {
     return changed;
 }
 
-static i64 mc_at(const wcp_mclk *m, i64 i) {
-    return i < m->n ? m->t[i] : 0;
-}
-
 static int mc_assign(wcp_mclk *m, i64 i, i64 v) {
     if (i >= m->n) {
         if (!v) return 0;
@@ -577,11 +570,7 @@ static i64 *mc_freeze(const wcp_mclk *m) {
     return c;
 }
 
-static int leq(const i64 *a, i64 na, const i64 *b, i64 nb) {
-    return dc_leq(a, na, b, nb);
-}
-
-#define FC_LEQ(a, b) leq(FC_T(a), FC_N(a), FC_T(b), FC_N(b))
+#define FC_LEQ(a, b) dc_leq(FC_T(a), FC_N(a), FC_T(b), FC_N(b))
 
 /* A map from a pair of ints to an int; open addressing. */
 typedef struct { i64 a, b; int v, used; } wcp_slot;
@@ -719,10 +708,8 @@ typedef struct {
 
 typedef struct { i64 *acq, *rel; i64 epoch; int owner, pad; } wcp_entry;
 typedef struct { i64 cur; int tid, pad; } wcp_cursor;
-typedef struct { i64 *acq, *rel; int owner, pad; } wcp_evicted;
-
 typedef struct {
-    int created, local, holder, open_tid, blocker, evicted_any;
+    int created, local, holder, open_tid, blocker, pad;
     i64 open_idx;
     wcp_entry *log;
     i64 head, len, cap, base;
@@ -730,8 +717,6 @@ typedef struct {
     i64 ncur, capcur;
     i64 *pl, *hl;
     wcp_idset releasers;
-    wcp_evicted *ev;
-    i64 nev, capev;
 } wcp_lock;
 
 typedef struct { i64 *clk; int tid, pad; } wcp_bt;
@@ -759,7 +744,7 @@ typedef struct { int var, kind, tid, head, tail, pad; i64 count; } wcp_tlist;
 typedef struct { i64 index, loc, rank; i64 *clk; int prev, next; } wcp_hcell;
 
 typedef struct {
-    int prune, quiesce;
+    int prune, pad;
     wcp_thread *th;
     i64 nth, capth;
     int *order;
@@ -782,18 +767,17 @@ typedef struct {
     void *locs;
     i64 *loc_spans;
     i64 nlocs, caplocs;
-    i64 queue_total, max_queue_total, stream_reclaimed;
+    i64 queue_total, max_queue_total;
     i64 *races;
     i64 nraces, capraces;
     int *scratch;
     i64 capscratch;
 } wcp_state;
 
-void *wcp_new(int prune, int quiesce) {
+void *wcp_new(int prune) {
     wcp_state *st = calloc(1, sizeof *st);
     if (st == NULL) return NULL;
     st->prune = prune;
-    st->quiesce = quiesce;
     st->locs = std_heads_new();
     if (st->locs == NULL) { free(st); return NULL; }
     return st;
@@ -827,11 +811,6 @@ void wcp_free(void *handle) {
         fc_drop(L->pl);
         fc_drop(L->hl);
         ids_free(&L->releasers);
-        for (i64 k = 0; k < L->nev; k++) {
-            fc_drop(L->ev[k].acq);
-            fc_drop(L->ev[k].rel);
-        }
-        free(L->ev);
     }
     free(st->locks);
     free(st->lock_order);
@@ -1065,20 +1044,6 @@ static int wcp_acquire(wcp_state *st, int lock, int tid) {
     return 0;
 }
 
-static int consume_evicted(wcp_state *st, wcp_lock *L, int tid) {
-    /* 1: the thread may advance its cursor to the log base; 0: it may
-     * not walk yet; -1: no memory. */
-    if (!L->evicted_any) return 1;
-    i64 *ct = ct_get(st, tid);
-    if (ct == NULL) return -1;
-    for (i64 k = 0; k < L->nev; k++)
-        if (L->ev[k].owner != tid && !FC_LEQ(L->ev[k].acq, ct)) return 0;
-    for (i64 k = 0; k < L->nev; k++)
-        if (L->ev[k].owner != tid && merge_p(st, tid, L->ev[k].rel) < 0)
-            return -1;
-    return 1;
-}
-
 static void log_pop(wcp_lock *L) {
     wcp_entry *e = LOG_AT(L, 0);
     fc_drop(e->acq);
@@ -1118,48 +1083,6 @@ static void reclaim(wcp_state *st, int lock) {
         }
         log_pop(L);
     }
-}
-
-static int reclaim_quiescent(wcp_state *st, int lock) {
-    wcp_lock *L = &st->locks[lock];
-    i64 reclaimed = 0;
-    while (L->len) {
-        wcp_entry *e = LOG_AT(L, 0);
-        if (e->rel == NULL) break;
-        int owner = e->owner, blocked = 0;
-        for (i64 t = 0; t < st->nth && !blocked; t++) {
-            wcp_thread *T = &st->th[t];
-            if (T->nt == 0 || t == owner) continue;
-            if (cursor_of(st, lock, (int)t) > L->base) continue;
-            if (!ids_has(&L->releasers, (int)t) && L->open_tid != t) continue;
-            if (e->epoch > mc_at(&T->p, owner)) { blocked = 1; break; }
-            i64 *ct = ct_get(st, (int)t);
-            if (ct == NULL) return -1;
-            if (!(FC_LEQ(e->acq, ct)
-                  && leq(FC_T(e->rel), FC_N(e->rel), T->p.t, T->p.n)))
-                blocked = 1;
-        }
-        if (blocked) break;
-        /* Fold the entry into the recovery summary before dropping it. */
-        i64 k = 0;
-        while (k < L->nev && L->ev[k].owner != owner) k++;
-        if (k == L->nev) {
-            if (GROW(L->ev, L->capev, L->nev + 1)) return -1;
-            L->ev[k].owner = owner;
-            L->ev[k].acq = fc_copy(e->acq);
-            L->ev[k].rel = fc_copy(e->rel);
-            if (L->ev[k].acq == NULL || L->ev[k].rel == NULL) return -1;
-            L->nev++;
-            L->evicted_any = 1;
-        } else if (fc_join(&L->ev[k].acq, FC_T(e->acq), FC_N(e->acq))
-                   || fc_join(&L->ev[k].rel, FC_T(e->rel), FC_N(e->rel))) {
-            return -1;
-        }
-        log_pop(L);
-        reclaimed++;
-    }
-    st->stream_reclaimed += reclaimed;
-    return 0;
 }
 
 static int cell_at(wcp_state *st, int lock, int var, int kind, int create) {
@@ -1216,16 +1139,11 @@ static int wcp_release(wcp_state *st, int lock, int tid) {
     if (L->local) return 0;
     wcp_thread *T = &st->th[tid];
     L->holder = -1;
-    /* Lines 4-6: Rule (b) from this thread's cursor into the log. */
+    /* Lines 4-6: Rule (b) from this thread's cursor into the log (a
+     * cursor behind the base skips entries pruning proved unreadable). */
     i64 cursor = cursor_of(st, lock, tid);
-    int walk_allowed = 1;
-    if (cursor < L->base) {
-        int ok = consume_evicted(st, L, tid);
-        if (ok < 0) return -1;
-        if (ok) cursor = L->base;
-        else walk_allowed = 0;
-    }
-    if (walk_allowed && cursor - L->base < L->len) {
+    if (cursor < L->base) cursor = L->base;
+    if (cursor - L->base < L->len) {
         i64 *ct = ct_get(st, tid);
         if (ct == NULL) return -1;
         i64 *pending = NULL, consumed = 0;
@@ -1284,12 +1202,7 @@ static int wcp_release(wcp_state *st, int lock, int tid) {
     fc_drop(snap);
     if (failed || L->pl == NULL) return -1;
     queue_bump(st, L, tid);
-    if (st->prune) {
-        reclaim(st, lock);
-    } else if (st->quiesce) {
-        if (ids_add(&L->releasers, tid)) return -1;
-        if (L->len >= 64 && reclaim_quiescent(st, lock)) return -1;
-    }
+    if (st->prune) reclaim(st, lock);
     return 0;
 }
 

@@ -103,6 +103,18 @@ class UncensusedWCP(WCPDetector):
         super().reset(NoCensus(trace))
 
 
+class FileStreamWCP(WCPDetector):
+    """WCP as a ``--stream`` pass over a regular file resets it: on a
+    non-complete context that names no thread up front but carries the
+    whole trace's census (the file's first pass)."""
+
+    def reset(self, trace):
+        context = NoCensus(trace)
+        context.threads = []
+        context.thread_census = trace.thread_census
+        super().reset(context)
+
+
 def private_shared_trace(seed, n_threads=3, steps=60):
     """Nested sections over per-thread private locks and shared locks.
 

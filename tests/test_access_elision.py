@@ -322,7 +322,7 @@ class TestResume:
             assert resumed[key].stats["local_accesses"] > 0
 
     @pytest.mark.parametrize("cls, old", [
-        (WCPDetector, 6), (FastTrackDetector, 4), (HBDetector, 3),
+        (WCPDetector, 7), (FastTrackDetector, 4), (HBDetector, 3),
     ])
     def test_previous_snapshot_version_is_refused(self, cls, old):
         assert cls.snapshot_version == old + 1

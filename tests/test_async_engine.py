@@ -271,9 +271,7 @@ class TestServe:
 
     def test_serve_race_count_matches_analyze(self, tmp_path):
         trace = random_trace(seed=4, n_events=60)
-        expected = detect_races(
-            IterableSource(iter(trace), name="x"), stream_reclaim=True
-        )
+        expected = detect_races(IterableSource(iter(trace), name="x"))
 
         args = self._serve_args("--port", "0", "--detector", "wcp")
         response, code = asyncio.run(

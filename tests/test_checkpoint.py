@@ -75,7 +75,7 @@ from repro.vectorclock.codec import (
     encode_clock,
 )
 
-from conftest import UncensusedWCP, random_trace
+from conftest import FileStreamWCP, UncensusedWCP, random_trace
 
 
 def _fingerprint(report):
@@ -135,7 +135,7 @@ def fork_join_trace(seed, workers=3, steps=80):
 DETECTOR_FACTORIES = [
     WCPDetector,
     lambda: WCPDetector(strict_pseudocode=True),
-    lambda: WCPDetector(stream_reclaim=True),
+    lambda: FileStreamWCP(),
     HBDetector,
     lambda: UncensusedWCP(),
     FastTrackDetector,
@@ -313,7 +313,7 @@ class TestDetectorSnapshots:
             detector.restore_state(b"blob")
 
     def test_stamp_reconstruction(self):
-        detector = WCPDetector(strict_pseudocode=True, stream_reclaim=True)
+        detector = WCPDetector(strict_pseudocode=True)
         clone = build_detector(detector_stamp(detector))
         assert isinstance(clone, WCPDetector)
         assert clone.snapshot_config() == detector.snapshot_config()
@@ -503,19 +503,23 @@ class TestEngineResume:
 
     def test_v6_wcp_stamp_is_refused_by_version(self):
         # Version 6 stamps carry the removed ``track_queue_stats`` and
-        # ``prune_queues`` arguments; the rebuild blames the version.
-        stamp = detector_stamp(WCPDetector())
-        stamp["snapshot_version"] = 6
-        stamp["config"] = dict(
-            stamp["config"], track_queue_stats=True, prune_queues=True
-        )
-        with pytest.raises(
-            CheckpointMismatchError,
-            match="checkpoint has 6, this build has 7",
+        # ``prune_queues`` arguments, version 7 stamps the removed
+        # stream-reclaim heuristic's ``stream_reclaim``; the rebuild
+        # blames the version.
+        for version, removed in (
+            (6, {"track_queue_stats": True, "prune_queues": True}),
+            (7, {"stream_reclaim": True}),
         ):
-            build_detector(stamp)
+            stamp = detector_stamp(WCPDetector())
+            stamp["snapshot_version"] = version
+            stamp["config"] = dict(stamp["config"], **removed)
+            with pytest.raises(
+                CheckpointMismatchError,
+                match="checkpoint has %d, this build has 8" % version,
+            ):
+                build_detector(stamp)
         assert build_detector(detector_stamp(WCPDetector())).snapshot_config() == {
-            "strict_pseudocode": False, "stream_reclaim": False,
+            "strict_pseudocode": False,
         }
 
     @pytest.mark.parametrize("detector_cls", [WCPDetector, FastTrackDetector])

@@ -478,6 +478,137 @@ class TestCliStreaming:
         assert code in (0, 1)
 
 
+def _analyze_output(capsys, *argv):
+    """``analyze``'s exit code and printed report, timing stats dropped."""
+    code = main(["analyze", *map(str, argv)])
+    lines = capsys.readouterr().out.splitlines()
+    timing = tuple("  stat %s = " % name for name in _TIMING_STATS)
+    return code, [line for line in lines if not line.startswith(timing)]
+
+
+class TestStreamEqualsBatch:
+    """``--stream`` over a regular file takes the file's census in a
+    first pass, so it prints batch's report: races, witnesses and the
+    census-driven stats (``max_queue_total``, ``local_accesses``)."""
+
+    @pytest.fixture(scope="class", params=["xalan", "mixed"])
+    def path(self, request, tmp_path_factory):
+        from repro.bench.generators import mixed_vocabulary_trace
+        from repro.bench.suite import get_benchmark
+
+        if request.param == "xalan":
+            trace = get_benchmark("xalan", scale=0.2, seed=1)
+        else:
+            trace = mixed_vocabulary_trace(5, threads=3, steps=400)
+        directory = tmp_path_factory.mktemp(request.param)
+        return dump_trace(trace, directory / ("%s.std" % request.param))
+
+    @pytest.mark.parametrize("budget", [
+        [], ["--max-events", "1500"], ["--first-race"],
+    ], ids=["whole", "max-events", "first-race"])
+    def test_stream_prints_the_batch_report(self, path, budget, capsys):
+        flags = ["--detector", "wcp,hb", *budget]
+        batch = _analyze_output(capsys, path, *flags)
+        stream = _analyze_output(capsys, path, "--stream", *flags)
+        assert stream == batch
+        stats = "\n".join(batch[1])
+        assert "stat max_queue_total" in stats
+        assert "stat local_accesses" in stats
+
+    def test_the_census_is_the_trace_census(self, path):
+        from repro.trace.parsers import load_trace
+        from repro.trace.trace import ThreadCensus
+
+        census = FileSource(path).thread_census
+        expected = load_trace(path).thread_census
+        for field in ThreadCensus.__slots__:
+            assert getattr(census, field) == getattr(expected, field), field
+
+    def test_a_fifo_is_read_once_with_no_census(self, tmp_path, capsys):
+        import os
+        import threading
+
+        trace = random_trace(seed=9, n_events=200, n_threads=4)
+        regular = dump_trace(trace, tmp_path / "t.std")
+        fifo = tmp_path / "fifo" / "t.std"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        assert FileSource(fifo).thread_census is None
+        data = regular.read_bytes()
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            code, lines = _analyze_output(
+                capsys, fifo, "--stream", "--detector", "wcp,hb"
+            )
+        finally:
+            writer.join(timeout=30)
+        batch_code, batch = _analyze_output(
+            capsys, regular, "--detector", "wcp,hb"
+        )
+        # Exact without the census: the same races and events; only the
+        # census-driven stats differ.
+        verdict = [line for line in batch if not line.startswith("  stat ")]
+        assert code == batch_code
+        assert [line for line in lines if not line.startswith("  stat ")] \
+            == verdict
+        assert "  stat events = %d" % len(trace) in lines
+        assert any(line.startswith("  - ") for line in verdict)
+
+    def test_stdin_is_read_once(self, tmp_path, capsys):
+        # A second read of a drained pipe would see an empty trace.
+        import subprocess
+        import sys
+
+        trace = random_trace(seed=9, n_events=200, n_threads=4)
+        regular = dump_trace(trace, tmp_path / "t.std")
+        piped = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", "/dev/stdin",
+             "--stream", "--detector", "wcp"],
+            input=regular.read_bytes(), capture_output=True,
+        )
+        assert piped.returncode in (0, 1), piped.stderr
+        lines = piped.stdout.decode("utf-8").splitlines()
+        assert "  stat events = %d" % len(trace) in lines
+        _, batch = _analyze_output(capsys, regular, "--detector", "wcp")
+        assert [line for line in lines if line.startswith("  - ")] == [
+            line for line in batch if line.startswith("  - ")
+        ]
+
+    def test_a_resumed_pass_takes_no_census(self, path, tmp_path):
+        class NoCensusPass(FileSource):
+            @property
+            def thread_census(self):
+                raise AssertionError("a resumed pass took the census")
+
+        from repro.trace.parsers import load_trace
+
+        events = len(load_trace(path))
+        directory = tmp_path / "ckpt"
+        config = (
+            EngineConfig().with_detectors("wcp", "hb")
+            .with_checkpoints(directory, every=events // 5)
+            .stop_after_events(events // 2)
+        )
+        RaceEngine(config).run(FileSource(path))
+        resumed = RaceEngine(EngineConfig()).resume(
+            NoCensusPass(path), directory
+        )
+        whole = RaceEngine(EngineConfig().with_detectors("wcp", "hb")).run(
+            FileSource(path)
+        )
+        for name, report in whole.items():
+            assert _report_fingerprint(resumed[name]) == \
+                _report_fingerprint(report)
+            for stat in ("max_queue_total", "local_accesses"):
+                assert resumed[name].stats.get(stat) == report.stats.get(stat)
+
+
 # --------------------------------------------------------------------- #
 # Chunk-boundary parity: EnginePass.step_batch cuts blocks only where a
 # snapshot, checkpoint or budget is due, so how a stream is split into

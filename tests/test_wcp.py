@@ -236,7 +236,8 @@ class TestRuleAVersionMemo:
 
 
 class TestStreamReclamation:
-    """The thread-quiescence heuristic prunes Rule (b) logs in stream mode."""
+    """``--stream`` over a file prunes Rule (b) logs with the census its
+    first pass takes; a stream with no census keeps them in full."""
 
     def _thread_local_events(self, sections):
         from repro.trace.event import Event, EventType
@@ -251,35 +252,55 @@ class TestStreamReclamation:
             events.append(Event(-1, thread, EventType.RELEASE, lock))
         return events
 
-    def _run_streaming(self, events, **kwargs):
-        from repro.engine import IterableSource, RaceEngine
+    def _run_streaming(self, events, path=None):
+        """Stream ``events`` from a file at ``path`` (census pruning), or
+        from an iterable (no census) when ``path`` is None."""
+        from repro.engine import FileSource, IterableSource, RaceEngine
+        from repro.trace.trace import Trace
+        from repro.trace.writers import dump_trace
 
-        detector = WCPDetector(**kwargs)
-        RaceEngine().run(IterableSource(iter(events)), detectors=[detector])
+        if path is None:
+            source = IterableSource(iter(events))
+        else:
+            source = FileSource(dump_trace(Trace(events), path))
+        detector = WCPDetector()
+        RaceEngine().run(source, detectors=[detector])
         return detector
 
-    def test_thread_local_logs_stay_bounded(self):
+    @staticmethod
+    def _verdict(detector):
+        report = detector.report
+        return (
+            sorted(map(sorted, report.location_pairs())),
+            report.raw_race_count,
+        )
+
+    def test_thread_local_logs_stay_bounded(self, tmp_path):
         events = self._thread_local_events(400)
-        pruned = self._run_streaming(events, stream_reclaim=True)
-        unpruned = self._run_streaming(events, stream_reclaim=False)
-        pruned_len = max(len(s.log) for s in pruned._locks.values())
+        pruned = self._run_streaming(events, tmp_path / "t.std")
+        unpruned = self._run_streaming(events)
         unpruned_len = max(len(s.log) for s in unpruned._locks.values())
-        assert unpruned_len == 100  # stream mode keeps everything...
-        assert pruned_len < unpruned_len  # ...the heuristic reclaims
-        assert pruned._stream_reclaimed > 0
-        assert pruned.report.stats["stream_log_reclaimed"] > 0
+        assert unpruned_len == 100  # no census: the stream keeps everything
+        # The file's census finds every lock thread-local: no log at all.
+        assert all(s.local and not s.log for s in pruned._locks.values())
+        assert pruned.report.stats["max_queue_total"] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_reclaim_preserves_verdicts_on_streams(self, seed):
+    def test_reclaim_preserves_verdicts_on_streams(self, seed, tmp_path):
         trace = random_trace(seed, n_events=400, n_threads=4, n_locks=2)
         events = list(trace)
-        baseline = self._run_streaming(events, stream_reclaim=False)
-        pruned = self._run_streaming(events, stream_reclaim=True)
-        assert sorted(map(sorted, baseline.report.location_pairs())) == \
-            sorted(map(sorted, pruned.report.location_pairs()))
-        assert baseline.report.raw_race_count == pruned.report.raw_race_count
+        baseline = self._run_streaming(events)
+        pruned = self._run_streaming(events, tmp_path / "t.std")
+        batch = WCPDetector()
+        batch.run(trace)
+        assert self._verdict(pruned) == self._verdict(baseline)
+        assert pruned.report.stats == {
+            **batch.report.stats,
+            "time_s": pruned.report.stats["time_s"],
+            "events_per_s": pruned.report.stats["events_per_s"],
+        }
 
-    def test_contended_lock_logs_reclaim_via_consumption(self):
+    def test_contended_lock_logs_reclaim_via_consumption(self, tmp_path):
         from repro.trace.event import Event, EventType
 
         events = []
@@ -288,75 +309,66 @@ class TestStreamReclamation:
             events.append(Event(-1, thread, EventType.ACQUIRE, "l"))
             events.append(Event(-1, thread, EventType.WRITE, "x"))
             events.append(Event(-1, thread, EventType.RELEASE, "l"))
-        pruned = self._run_streaming(events, stream_reclaim=True)
+        pruned = self._run_streaming(events, tmp_path / "t.std")
         assert len(pruned._locks["l"].log) < 300
 
     def test_batch_mode_keeps_census_pruning(self):
         trace = random_trace(1, n_events=100, n_threads=3)
+        # ``stream_reclaim`` is accepted and ignored.
         detector = WCPDetector(stream_reclaim=True)
         detector.run(trace)
-        # Complete trace: the exact census prune runs, not the heuristic.
-        assert detector._effective_prune and not detector._quiesce_reclaim
+        assert detector._effective_prune
+        assert detector.snapshot_config() == {"strict_pseudocode": False}
 
-    def test_late_lock_adoption_recovers_via_evicted_summary(self):
-        """A thread the heuristic assumed quiescent (never touched the
-        lock) that later adopts it must still receive the evicted
-        entries' Rule (b) knowledge through the recovery summary.  The
-        shape is adversarial: p's time reaches o only through HB (empty
-        nested critical sections), so a fork-child of o can order itself
-        after p's write *only* via Rule (b) on the evicted log."""
+    def test_late_lock_adopter_keeps_its_entries(self, tmp_path):
+        """A thread that adopts a lock late still receives the earlier
+        critical sections' Rule (b) knowledge: the census names it a
+        releaser of the lock, so pruning keeps the entries it has not
+        consumed.  The shape is adversarial: p's time reaches o only
+        through HB (empty nested critical sections), so a fork-child of
+        o can order itself after p's write *only* via Rule (b)."""
         from repro.trace.event import Event, EventType
 
-        def build():
-            events = []
-            ev = lambda t, et, x: events.append(
-                Event(-1, t, et, x, "%s:%s" % (t, x))
-            )
-            ev("p", EventType.ACQUIRE, "k")
-            ev("p", EventType.WRITE, "y")
-            ev("p", EventType.RELEASE, "k")
-            for _ in range(70):
-                ev("o", EventType.ACQUIRE, "l")
-                ev("o", EventType.ACQUIRE, "k")
-                ev("o", EventType.RELEASE, "k")
-                ev("o", EventType.RELEASE, "l")
-            ev("o", EventType.FORK, "t")
-            ev("t", EventType.ACQUIRE, "l")
-            ev("t", EventType.RELEASE, "l")
-            ev("t", EventType.WRITE, "y")
-            return events
+        events = []
 
-        baseline = self._run_streaming(build(), stream_reclaim=False)
-        pruned = WCPDetector(stream_reclaim=True)
-        pruned._QUIESCE_LOG_THRESHOLD = 1  # evict aggressively
-        from repro.engine import IterableSource, RaceEngine
-        RaceEngine().run(IterableSource(iter(build())), detectors=[pruned])
-        assert pruned._stream_reclaimed > 0
-        assert sorted(map(sorted, baseline.report.location_pairs())) == \
-            sorted(map(sorted, pruned.report.location_pairs()))
-        # The lock's recovery summary exists and t consumed through it.
+        def ev(thread, etype, target):
+            events.append(
+                Event(-1, thread, etype, target, "%s:%s" % (thread, target))
+            )
+
+        ev("p", EventType.ACQUIRE, "k")
+        ev("p", EventType.WRITE, "y")
+        ev("p", EventType.RELEASE, "k")
+        for _ in range(70):
+            ev("o", EventType.ACQUIRE, "l")
+            ev("o", EventType.ACQUIRE, "k")
+            ev("o", EventType.RELEASE, "k")
+            ev("o", EventType.RELEASE, "l")
+        ev("o", EventType.FORK, "t")
+        ev("t", EventType.ACQUIRE, "l")
+        ev("t", EventType.RELEASE, "l")
+        ev("t", EventType.WRITE, "y")
+        baseline = self._run_streaming(events)
+        pruned = self._run_streaming(events, tmp_path / "t.std")
+        assert self._verdict(pruned) == self._verdict(baseline)
         state = pruned._locks["l"]
-        assert state.evicted_rel is not None
         tid_t = pruned._registry.lookup("t")
+        assert tid_t in state.releasers
         assert state.cursor[tid_t] >= state.base
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_aggressive_reclaim_fuzz_parity(self, seed):
-        """Threshold-1 eviction over random traces: verdict parity with
-        the unpruned stream run (the strict-prefix corner must not fire
-        on these shapes)."""
-        from repro.engine import IterableSource, RaceEngine
-
+    def test_aggressive_reclaim_fuzz_parity(self, seed, tmp_path):
+        """Census pruning drops an entry as soon as its last consumer has
+        passed it, the earliest exact point: verdict parity with the
+        unpruned stream over random traces, on shorter logs."""
         trace = random_trace(seed, n_events=300, n_threads=4, n_locks=3,
                              n_vars=4)
         events = list(trace)
-        baseline = self._run_streaming(events, stream_reclaim=False)
-        pruned = WCPDetector(stream_reclaim=True)
-        pruned._QUIESCE_LOG_THRESHOLD = 1
-        RaceEngine().run(IterableSource(iter(events)), detectors=[pruned])
-        assert sorted(map(sorted, baseline.report.location_pairs())) == \
-            sorted(map(sorted, pruned.report.location_pairs()))
-        assert baseline.report.raw_race_count == pruned.report.raw_race_count
+        baseline = self._run_streaming(events)
+        pruned = self._run_streaming(events, tmp_path / "t.std")
+        assert self._verdict(pruned) == self._verdict(baseline)
+        for lock, state in pruned._locks.items():
+            assert len(state.log) <= len(baseline._locks[lock].log)
 
 
 class TestRuleBWalkCost:

@@ -187,7 +187,7 @@ def test_kernel_runs_whole_contention_trace():
 def test_hypothesis_lock_traces(trace):
     _assert_same(trace, states=True, size=7)
     _assert_same(trace)
-    _assert_same(NoCensus(trace), stream_reclaim=True)
+    _assert_same(NoCensus(trace))
 
 
 @compiled
@@ -206,7 +206,7 @@ def test_random_traces_with_forks(seed):
 def test_private_and_shared_locks(seed):
     trace = private_shared_trace(seed, steps=200)
     _assert_same(trace, states=True, size=13)
-    _assert_same(NoCensus(trace), stream_reclaim=True)
+    _assert_same(NoCensus(trace))
 
 
 @compiled
@@ -220,29 +220,8 @@ def test_hot_path_shapes(shape):
     trace = make(3000)
     _assert_same(trace)
     _assert_same(trace, size=257, states=True)
-    for reclaim in (False, True):
-        kernel = _assert_same(NoCensus(trace), size=500,
-                              stream_reclaim=reclaim)
-        assert kernel.compiled_to_end
-
-
-@compiled
-def test_stream_reclaim_evicts_and_recovers():
-    """A thread that stays away from the lock for a while lets the
-    quiescence heuristic evict; its return consumes the recovery
-    summary.  Kernel and Python evict the same entries."""
-    trace = high_contention_trace(2000, n_threads=4)
-    late = random_trace(7, n_events=300, n_threads=5, n_locks=1)
-    events = list(trace) + [
-        Event(len(trace) + k, e.thread, e.etype,
-                "l" if e.etype in (EventType.ACQUIRE, EventType.RELEASE)
-                else e.target, loc=e.loc)
-        for k, e in enumerate(late)
-    ]
-    merged = Trace(events, name="late-consumer")
-    kernel = _assert_same(NoCensus(merged), size=333, states=True,
-                          stream_reclaim=True)
-    assert kernel.report.stats["stream_log_reclaimed"] > 0
+    kernel = _assert_same(NoCensus(trace), size=500)
+    assert kernel.compiled_to_end
 
 
 def _handover_trace(seed):
@@ -264,7 +243,7 @@ def test_mixed_vocabulary_hands_over(seed):
     trace = _handover_trace(seed)
     for size in (None, 5, 11):
         _assert_same(trace, size=size, states=size == 5)
-    _assert_same(NoCensus(trace), stream_reclaim=True)
+    _assert_same(NoCensus(trace))
     plain = mixed_vocabulary_trace(seed, threads=3, steps=120)
     _assert_same(plain, size=4, states=True)
 
@@ -399,7 +378,7 @@ def test_locations_as_spans_and_as_strings(shape, tmp_path):
         _assert_same(NoCensus(source), size=999, states=True)
     reports = []
     for use in (True, False):
-        detector = WCPDetector(stream_reclaim=True)
+        detector = WCPDetector()
         detector._use_kernel = use
         result = RaceEngine().run(FileSource(path), [detector])
         reports.append(_report_key(result[detector.name])[:3])
