@@ -5,12 +5,11 @@ hardware, and each one is *governed* — you can see which variant is
 live, force either variant, and prove the choice never changes a race
 report:
 
-1. **Compiled clock kernels** — ``DenseClock``'s O(width) loops
-   (merge, compare, copy) run as cffi-compiled C over the clock's flat
-   ``array('q')`` buffer when a compiler is available, and as the
-   equivalent pure-Python loop otherwise.  ``REPRO_CLOCK_KERNEL``
-   selects ``auto``/``cffi``/``python``; ``kernels.describe()`` reports
-   what's live and why.
+1. **Compiled kernels** — STD decoding, batch lock validation and the
+   WCP detector's Algorithm 1 run as cffi-compiled C when a compiler
+   is available, and as the equivalent pure-Python code otherwise.
+   ``REPRO_CLOCK_KERNEL`` selects ``auto``/``cffi``/``python``;
+   ``kernels.describe()`` reports what's live and why.
 2. **Batch decoding** — the STD/CSV parsers decode many lines per call
    instead of one, so parse throughput tracks memory bandwidth rather
    than per-line interpreter overhead.
@@ -40,11 +39,11 @@ BAR = "=" * 66
 
 
 # ------------------------------------------------------------------ #
-# 1. Which clock-kernel backend is live?
+# 1. Which kernel backend is live?
 # ------------------------------------------------------------------ #
 
 print(BAR)
-print("1. Clock-kernel backend governance")
+print("1. Kernel backend governance")
 print(BAR)
 print("active backend :", kernels.BACKEND)
 print("fallback reason:", kernels.FALLBACK_REASON)
@@ -53,7 +52,7 @@ print("describe()     :", kernels.describe())
 # Backend choice is a per-process decision made on first import, so
 # forcing the *other* backend is demonstrated in a subprocess.  The
 # transcript comparison below is the point: same trace, same races,
-# whichever backend computes the clocks.
+# whichever backend runs the detector.
 FORCED = r"""
 import json, sys
 from repro.bench.generators import mixed_vocabulary_trace

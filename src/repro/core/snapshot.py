@@ -68,9 +68,9 @@ class SnapshotMismatchError(SnapshotError):
 
 def pack_state(kind: str, version: int, config: Dict[str, Any], state: Any) -> bytes:
     """Wrap detector ``state`` in the versioned snapshot envelope."""
-    # The codec loads the dense clock, and with it the clock kernels;
-    # importing it here keeps the Detector base class (which imports this
-    # module) free of both until a detector runs.
+    # The codec loads the dense clock; importing it here keeps the
+    # Detector base class (which imports this module) free of it until
+    # a detector runs.
     from repro.vectorclock.codec import encode
 
     return MAGIC + encode((CONTAINER_VERSION, kind, version, config, state))

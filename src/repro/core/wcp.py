@@ -76,7 +76,7 @@ Hot-path engineering (the constant factor behind Theorem 3's
   thread and op columns (:class:`~repro.trace.columns.ColumnBlock`) and
   builds an :class:`Event` only for a checked access, a rare kind or a
   race witness; a thread-local access or lock costs no event at all.
-* **Dense clocks** -- all internal clocks are array-backed
+* **Dense clocks** -- all internal clocks are list-backed
   :class:`~repro.vectorclock.dense.DenseClock`\\ s.
 * **Batch-native dispatch** -- :meth:`WCPDetector.process_batch` is the
   implementation (``process`` is a one-event batch): it binds the

@@ -45,8 +45,7 @@ from repro.engine.checkpoint import (
     CheckpointMismatchError,
     Checkpointer,
 )
-from repro.engine.sources import EventSource, as_source
-from repro.trace.trace import ThreadCensus, Trace
+from repro.engine.sources import EventSource, SourceWrapper, as_source
 
 __all__ = ["CoordinatorFailure", "RunSupervisor"]
 
@@ -64,7 +63,7 @@ class CoordinatorFailure(RuntimeError):
     """
 
 
-class _KillAt(EventSource):
+class _KillAt(SourceWrapper, EventSource):
     """Transparent source wrapper that hard-exits the process at an offset.
 
     The injection vehicle for
@@ -76,38 +75,13 @@ class _KillAt(EventSource):
     """
 
     def __init__(self, inner, at_event: int) -> None:
-        self._inner = as_source(inner)
-        self.name = self._inner.name
-        self.registry = self._inner.registry
+        super().__init__(as_source(inner))
         self._at = at_event
         self._offset = 0
 
-    @property
-    def is_complete(self) -> bool:
-        return self._inner.is_complete
-
-    @property
-    def trace(self) -> Optional[Trace]:
-        return self._inner.trace
-
-    @property
-    def thread_census(self) -> Optional[ThreadCensus]:
-        return self._inner.thread_census
-
-    def length_hint(self) -> Optional[int]:
-        return self._inner.length_hint()
-
     def seek_events(self, events: int) -> None:
-        self._inner.seek_events(events)
+        super().seek_events(events)
         self._offset = events
-
-    def __getattr__(self, name: str):
-        # Forward the optional source protocols (checkpoint_state,
-        # restore_checkpoint_state, ...) so wrapping stays transparent
-        # to the checkpoint/resume machinery.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
 
     def batches(self):
         # The events before the offset are handed out (and stepped)

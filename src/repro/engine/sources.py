@@ -153,6 +153,61 @@ class EventSource:
         return "%s(%r)" % (type(self).__name__, self.name)
 
 
+class SourceWrapper:
+    """Forward the source protocol to a wrapped source, ``_inner``.
+
+    A wrapper takes ``name`` (unless given one) and ``registry`` from the
+    source it wraps and forwards ``is_complete``, ``trace``,
+    ``thread_census``, ``length_hint``, ``seek_events`` and the
+    checkpoint-state pair, so wrapping a trace, a file or a validated
+    stream changes nothing that detectors, checkpoints or a resume read.
+    A subclass supplies the iteration and lists this class before its
+    source base class.
+    """
+
+    def __init__(self, inner, name: Optional[str] = None) -> None:
+        self._inner = inner
+        self.name = name or getattr(inner, "name", "stream")
+        self.registry = getattr(inner, "registry", None)
+
+    @property
+    def is_complete(self) -> bool:
+        return bool(getattr(self._inner, "is_complete", False))
+
+    @property
+    def trace(self) -> Optional[Trace]:
+        return getattr(self._inner, "trace", None)
+
+    @property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        return getattr(self._inner, "thread_census", None)
+
+    def length_hint(self) -> Optional[int]:
+        hint = getattr(self._inner, "length_hint", None)
+        return hint() if callable(hint) else None
+
+    def seek_events(self, events: int) -> None:
+        seek = getattr(self._inner, "seek_events", None)
+        if seek is None:
+            raise ValueError(
+                "wrapped source %r cannot seek to event %d"
+                % (self._inner, events)
+            )
+        seek(events)
+
+    def checkpoint_state(self, events: Optional[int] = None):
+        state = getattr(self._inner, "checkpoint_state", None)
+        return state(events) if callable(state) else None
+
+    def restore_checkpoint_state(self, state) -> None:
+        restore = getattr(self._inner, "restore_checkpoint_state", None)
+        if callable(restore):
+            restore(state)
+
+    def __repr__(self) -> str:
+        return "%s(%r)" % (type(self).__name__, self._inner)
+
+
 class TraceSource(EventSource):
     """Adapt an in-memory :class:`Trace` to the source interface."""
 
@@ -238,10 +293,9 @@ class FileSource(EventSource):
         stream pass, a batch load and a resumed pass assign -- and only
         the distinct ``(tid, op)`` rows are kept, no block.  None when
         the file cannot be read twice (a FIFO, or a pipe or terminal
-        behind ``/dev/stdin``: the census would drain it), when it does
+        behind ``/dev/stdin``: the census would drain it) or when it does
         not decode to its end (the stream pass then stops at the same
-        error, or a budget stops it first), and for the event adapters,
-        which decode to lists of events rather than column blocks.
+        error, or a budget stops it first).
         """
         try:
             regular = stat.S_ISREG(os.stat(self.path).st_mode)
@@ -255,8 +309,6 @@ class FileSource(EventSource):
             for block in iter_trace_blocks(
                 self.path, registry=self.registry, format=self.format
             ):
-                if not isinstance(block, ColumnBlock):
-                    return None
                 pairs.update(dict.fromkeys(zip(*block.columns())))
         except TraceParseError:
             return None
@@ -323,41 +375,28 @@ class SimulatorSource(EventSource):
         )
 
 
-class CountingSource(EventSource):
+class CountingSource(SourceWrapper, EventSource):
     """Transparent wrapper that counts passes and events.
 
     Used to demonstrate (in tests and benchmarks) that the engine drives
     ``k`` detectors with exactly **one** iteration of the underlying
     source, where the legacy one-detector-at-a-time path took ``k``.
 
-    Transparency includes the completeness protocol: ``is_complete`` and
-    ``trace`` are forwarded from the wrapped source, so wrapping a
-    complete :class:`TraceSource` does not silently downgrade detectors
-    to stream mode (WCP would otherwise lose its queue-pruning prescan
-    and report different stats than the unwrapped run).
+    Transparency includes the completeness protocol and checkpoints
+    (:class:`SourceWrapper`): wrapping a complete :class:`TraceSource`
+    does not silently downgrade detectors to stream mode (WCP would
+    otherwise lose its queue-pruning prescan and report different stats
+    than the unwrapped run), and a wrapped validated stream still
+    checkpoints and resumes with its validator state.
     """
 
     def __init__(self, inner: Union[EventSource, Trace, Iterable[Event]],
                  name: Optional[str] = None) -> None:
-        self._inner = as_source(inner)
-        self.name = name or self._inner.name
-        self.registry = self._inner.registry
+        super().__init__(as_source(inner), name)
         #: Number of times iteration was started.
         self.passes = 0
         #: Number of events handed out across all passes.
         self.events_emitted = 0
-
-    @property
-    def is_complete(self) -> bool:
-        return self._inner.is_complete
-
-    @property
-    def trace(self) -> Optional[Trace]:
-        return self._inner.trace
-
-    @property
-    def thread_census(self) -> Optional[ThreadCensus]:
-        return self._inner.thread_census
 
     def __iter__(self) -> Iterator[Event]:
         self.passes += 1
@@ -370,12 +409,6 @@ class CountingSource(EventSource):
         for block in self._inner.batches():
             self.events_emitted += len(block)
             yield block
-
-    def length_hint(self) -> Optional[int]:
-        return self._inner.length_hint()
-
-    def seek_events(self, events: int) -> None:
-        self._inner.seek_events(events)
 
 
 #: End-of-stream marker used by the push sources.
@@ -676,7 +709,8 @@ class LineProtocolSource(AsyncEventSource):
         self.registry = registry if registry is not None else ThreadRegistry()
         #: Raw lines (bytes) consumed before the reader -- a server that
         #: peeked at the stream head (the resume handshake) pushes the
-        #: peeked line back through here.
+        #: peeked line back through here; they are decoded with the
+        #: first read, as the bytes the stream starts with.
         self.initial_lines = list(initial_lines or [])
         #: Optional callback invoked with the byte count of every decoded
         #: block of complete lines -- comments and blanks included -- so
@@ -704,27 +738,24 @@ class LineProtocolSource(AsyncEventSource):
         read = self.reader.read
         on_bytes = self.on_bytes
         decoder = StdDecoder(self.registry)
-        if self.initial_lines:
-            # Each peeked line is whole (the peer may have ended it with
-            # EOF instead of a newline).
-            data = b"".join(
-                raw if isinstance(raw, bytes) else raw.encode("utf-8")
-                for raw in self.initial_lines
-            )
-            if on_bytes is not None:
-                on_bytes(len(data))
-            events = decoder.decode(data, final=True)
-            if events:
-                yield events
+        # The peeked lines are the stream's first bytes: they go in front
+        # of the first read, so the first block holds every line that
+        # read completes, not the peeked line alone.
+        head = b"".join(
+            raw if isinstance(raw, bytes) else raw.encode("utf-8")
+            for raw in self.initial_lines
+        )
         # A peer spraying an endless unterminated line is cut off instead
         # of growing the pending buffer without bound.
         max_line = StdDecoder.MAX_LINE_BYTES
         read_bytes = self.READ_BYTES
         while True:
             chunk = await read(read_bytes)
-            pending = decoder.pending
             final = not chunk
-            if final and pending[-1:] != b"\r":
+            if head:
+                chunk, head = head + chunk, b""
+            pending = decoder.pending
+            if not chunk and pending[-1:] != b"\r":
                 # (A final bare "\r" ends its line: decode it below.)
                 if pending:
                     # The peer vanished mid-line.  Surface it as the
@@ -832,49 +863,20 @@ def as_source(obj: Union[EventSource, Trace, str, Path, Iterable[Event]],
     )
 
 
-class _CooperativeSource(AsyncEventSource):
+class _CooperativeSource(SourceWrapper, AsyncEventSource):
     """Adapt a synchronous source for an ``async for`` loop.
 
     Yields the inner source's blocks in slices of at most
     ``yield_every`` events, surrendering the event loop after each, so a
     long pull-based pass (a big trace file) cannot starve the loop's
-    other tasks.  Completeness, trace, census, registry and length hints
-    are forwarded, so the async engine treats an adapted trace or file
-    exactly like the sync engine does.
+    other tasks.  The source protocol is forwarded
+    (:class:`SourceWrapper`), so the async engine treats an adapted
+    trace or file exactly like the sync engine does.
     """
 
     def __init__(self, inner: EventSource, yield_every: int = 256) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._yield_every = yield_every
-        self.name = inner.name
-        self.registry = inner.registry
-
-    @property
-    def is_complete(self) -> bool:
-        return self._inner.is_complete
-
-    @property
-    def trace(self) -> Optional[Trace]:
-        return self._inner.trace
-
-    @property
-    def thread_census(self) -> Optional[ThreadCensus]:
-        return self._inner.thread_census
-
-    def length_hint(self) -> Optional[int]:
-        return self._inner.length_hint()
-
-    def seek_events(self, events: int) -> None:
-        self._inner.seek_events(events)
-
-    def checkpoint_state(self, events: Optional[int] = None):
-        state = getattr(self._inner, "checkpoint_state", None)
-        return state(events) if callable(state) else None
-
-    def restore_checkpoint_state(self, state) -> None:
-        restore = getattr(self._inner, "restore_checkpoint_state", None)
-        if callable(restore):
-            restore(state)
 
     async def batches(self) -> AsyncIterator[List[Event]]:
         import asyncio

@@ -19,11 +19,15 @@ prefix, so callers cannot tell (and tests assert) which path rejected
 the stream.
 
 :class:`ValidatingSource` wraps any event source (sync or async) with
-an online validator, transparently forwarding ``is_complete`` /
-``trace`` / ``thread_census`` / ``registry`` / ``length_hint`` so wrapped
-traces and files keep their census.  The CLI wires it in by default
-under ``--stream`` (``--no-validate`` opts out), and the ``serve``
-subcommand applies it to every client connection.
+an online validator, transparently forwarding the source protocol
+(:class:`~repro.engine.sources.SourceWrapper`) so wrapped traces and
+files keep their census and checkpoints keep the validator state.  The
+CLI wires it in by default under ``--stream`` (``--no-validate`` opts
+out).  The ``serve`` subcommand does not wrap its connections: its pump
+reads ahead of the pass, so a source-side validator would run ahead of
+the events stepped.  Instead each session drives an
+:class:`OnlineValidator` from its drive loop, checking every block just
+before stepping it, in step order.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import AsyncIterator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.sources import (
     EventSource,
+    SourceWrapper,
     _aflatten,
     as_async_source,
     as_source,
@@ -178,16 +183,16 @@ class OnlineValidator:
         )
 
 
-class ValidatingSource(EventSource):
+class ValidatingSource(SourceWrapper, EventSource):
     """Wrap a source with online validation; otherwise fully transparent.
 
     Accepts anything :func:`~repro.engine.sources.as_source` accepts,
     plus asynchronous sources (anything with ``__aiter__``, e.g.
     :class:`~repro.engine.sources.LineProtocolSource`); iterate it the
-    same way the wrapped source would be iterated.  ``is_complete``,
-    ``trace``, ``thread_census``, ``registry`` and ``length_hint`` are
-    forwarded, so wrapping a trace or a file costs detectors nothing
-    they would have read.
+    same way the wrapped source would be iterated.  The source protocol
+    is forwarded (:class:`~repro.engine.sources.SourceWrapper`), so
+    wrapping a trace or a file costs detectors nothing they would have
+    read.
 
     Each iteration pass runs a fresh :class:`OnlineValidator` (replayable
     sources like :class:`~repro.engine.sources.FileSource` restart from
@@ -198,9 +203,7 @@ class ValidatingSource(EventSource):
     def __init__(self, inner, name: Optional[str] = None) -> None:
         if not hasattr(inner, "__aiter__"):
             inner = as_source(inner)
-        self._inner = inner
-        self.name = name or getattr(inner, "name", "stream")
-        self.registry = getattr(inner, "registry", None)
+        super().__init__(inner, name)
         #: The validator of the most recent (or current) iteration pass.
         self.validator = OnlineValidator()
         #: Restored validator to adopt on the next iteration pass (resume).
@@ -209,22 +212,6 @@ class ValidatingSource(EventSource):
         #: restored validator (a fresh one would spuriously reject valid
         #: suffixes whose critical sections opened in the prefix).
         self._needs_resume_validator = False
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(getattr(self._inner, "is_complete", False))
-
-    @property
-    def trace(self):
-        return getattr(self._inner, "trace", None)
-
-    @property
-    def thread_census(self):
-        return getattr(self._inner, "thread_census", None)
-
-    def length_hint(self) -> Optional[int]:
-        hint = getattr(self._inner, "length_hint", None)
-        return hint() if callable(hint) else None
 
     def seek_events(self, events: int) -> None:
         """Delegate positioning to the wrapped source (checkpoint/resume).
@@ -235,13 +222,7 @@ class ValidatingSource(EventSource):
         arms a check that :meth:`restore_checkpoint_state` supplies one
         before iteration starts.
         """
-        seek = getattr(self._inner, "seek_events", None)
-        if seek is None:
-            raise ValueError(
-                "wrapped source %r cannot seek to event %d"
-                % (self._inner, events)
-            )
-        seek(events)
+        super().seek_events(events)
         self._needs_resume_validator = events > 0
 
     def checkpoint_state(self, events: Optional[int] = None) -> dict:
@@ -301,6 +282,3 @@ class ValidatingSource(EventSource):
                 yield block
             if error is not None:
                 raise error
-
-    def __repr__(self) -> str:
-        return "ValidatingSource(%r)" % (self._inner,)

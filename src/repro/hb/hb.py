@@ -26,7 +26,7 @@ Hot-path engineering: :meth:`HBDetector.process_batch` is the
 implementation (``process`` is a one-event batch), with the prologue and
 the four hot kinds inline; per-thread state is a flat list indexed by
 interned tids (see :class:`~repro.vectorclock.registry.ThreadRegistry`),
-clocks are array-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s,
+clocks are list-backed :class:`~repro.vectorclock.dense.DenseClock`\\ s,
 and each thread keeps a *frozen snapshot* of its clock that is shared with the
 access history across consecutive accesses and invalidated only by
 synchronization events -- so a run of accesses between two sync operations

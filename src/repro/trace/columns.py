@@ -189,23 +189,27 @@ class ColumnBlock(Sequence):
         events: Iterable[Event],
         registry: Optional[ThreadRegistry] = None,
         start: Optional[int] = None,
+        table: Optional[OpTable] = None,
     ) -> "ColumnBlock":
         """The one adapter from events to columns.
 
         Threads are interned by name in ``registry`` (a fresh one when
-        None).  With ``start`` None every event is kept as its row, as
-        given.  With an int the rows are numbered ``start, start + 1,
-        ...``: an event whose index or tid stamp disagrees is left out
-        of the cache, so its row is rebuilt on demand (a copy; the
-        original keeps its fields), and an unstamped event is stamped in
-        place.
+        None), and operations in ``table`` (a fresh one when None; the
+        blocks of one decode pass the same table, so they share op ids
+        the way a native decoder's blocks do).  With ``start`` None
+        every event is kept as its row, as given.  With an int the rows
+        are numbered ``start, start + 1, ...``: an event whose index or
+        tid stamp disagrees is left out of the cache, so its row is
+        rebuilt on demand (a copy; the original keeps its fields), and
+        an unstamped event is stamped in place.
         """
         if registry is None:
             registry = ThreadRegistry()
         intern = registry.intern
         tid_memo: Dict[str, int] = {}
         tid_of = tid_memo.get
-        table = OpTable()
+        if table is None:
+            table = OpTable()
         op_ids = table.ids
         op_of = op_ids.get
         optable = table.ops

@@ -810,7 +810,8 @@ def block_iterator(
     """Resolve a format name to its ``(lines, registry=...)`` block iterator.
 
     STD and CSV decode natively in blocks; the adapters' event streams
-    are grouped by :func:`group_events`.
+    are grouped by :func:`group_events` and adapted to column blocks
+    that share one op table per decode, like a native decoder's.
     """
     if format in (None, "std"):
         return iter_std_blocks
@@ -819,7 +820,11 @@ def block_iterator(
     parse_events = event_iterator(format)
 
     def parse_blocks(lines, registry=None):
-        return group_events(parse_events(lines, registry=registry))
+        if registry is None:
+            registry = ThreadRegistry()
+        table = OpTable()
+        for events in group_events(parse_events(lines, registry=registry)):
+            yield ColumnBlock.from_events(events, registry, table=table)
 
     return parse_blocks
 

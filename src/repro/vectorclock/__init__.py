@@ -8,7 +8,7 @@ order based detector in the library:
   join (pointwise maximum), pointwise comparison and component assignment
   operations required by the paper's Algorithm 1.  This is the public,
   reporting-facing representation (keyed by the original thread names).
-* :class:`~repro.vectorclock.dense.DenseClock` -- the array-backed hot-path
+* :class:`~repro.vectorclock.dense.DenseClock` -- the list-backed hot-path
   representation keyed by interned integer tids; same operation set,
   strictly cheaper constants.  It is the only clock the detectors use
   internally.

@@ -285,8 +285,8 @@ def _decode_from(reader: _Reader) -> Any:
 
 def _decode_dense(reader: _Reader) -> DenseClock:
     count = reader.read_uvarint()
-    # _from_times builds the active backend's backing buffer (list or
-    # array('q')) without re-validating components the codec produced.
+    # _from_times wraps the components without re-validating what the
+    # codec produced.
     return DenseClock._from_times(
         reader.read_uvarint() for _ in range(count)
     )

@@ -1,35 +1,26 @@
-"""Array-backed vector clocks over interned thread ids.
+"""List-backed vector clocks over interned thread ids.
 
 :class:`DenseClock` is the hot-path representation of a vector time: a
-flat buffer of ints indexed by the dense integer tids handed out by a
+flat list of ints indexed by the dense integer tids handed out by a
 :class:`~repro.vectorclock.registry.ThreadRegistry`.  It implements the
 same operation set as the sparse, dict-based
 :class:`~repro.vectorclock.clock.VectorClock` (pointwise comparison, join,
 component assignment, bottom) with strictly cheaper constants:
 
 * component reads/writes are flat indexing instead of string hashing;
-* ``copy`` is a C-level buffer copy;
-* ``join`` / ``<=`` are tight loops over small int buffers -- compiled to
-  C when the clock kernels are available.
+* ``copy`` is a C-level list copy;
+* ``join`` / ``<=`` are tight loops over short lists (``<=`` maps
+  :func:`operator.le` over both lists, so the loop runs in C).
 
-The backing store is chosen once, at import, by
-:mod:`repro.vectorclock.kernels`:
+There is one store whatever ``REPRO_CLOCK_KERNEL`` says: at the clock
+widths traces reach (a few to a dozen or so threads) a call into
+compiled code costs more than the loop it would run.  The compiled WCP
+kernel keeps its own clocks in C (:mod:`repro.core.wcp_compiled`).
 
-* **cffi backend** -- components live in a preallocated ``array('q')``
-  (a contiguous int64 buffer); ``merge`` / ``<=`` / ``==`` call the
-  compiled kernels through cached ``from_buffer`` pointers, so the
-  steady-state cost per operation is one C call.  The pointer cache is
-  dropped before any operation that must grow or replace the buffer
-  (growing an exported buffer is illegal), and rebuilt lazily.
-* **python backend** -- components live in a plain ``list`` and the
-  methods are the tuned pure-Python loops.  This is bit-for-bit the
-  pre-kernel implementation, so machines without a C toolchain keep
-  their exact previous performance.
-
-Both backends expose identical semantics (asserted by the differential
-suite in ``tests/test_dense_kernels.py``): the buffer grows lazily -- a
-tid beyond the current length reads as 0 -- and trailing zeros are
-insignificant (``[1, 0]`` and ``[1]`` are equal clocks).
+The list grows lazily -- a tid beyond the current length reads as 0 --
+and trailing zeros are insignificant (``[1, 0]`` and ``[1]`` are equal
+clocks); ``tests/test_dense_kernels.py`` checks every operation against
+the ``VectorClock`` reference.
 
 Every detector keeps its internal clocks as DenseClocks keyed by tids;
 ``ThreadRegistry.to_public`` converts them to the name-keyed
@@ -42,29 +33,12 @@ it changed anything -- is what lets the WCP detector cache each thread's
 
 from __future__ import annotations
 
-from array import array
 from operator import le as _le
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
-from repro.vectorclock import kernels
-
-_CFFI = kernels.BACKEND == "cffi"
-if _CFFI:
-    _from_buffer = kernels.ffi.from_buffer
-    _dc_merge = kernels.lib.dc_merge
-    _dc_leq = kernels.lib.dc_leq
-    _dc_eq = kernels.lib.dc_eq
-
-
-def _new_times(values=()) -> Union[list, array]:
-    """Build a backing buffer for the active backend."""
-    if _CFFI:
-        return array("q", values)
-    return list(values)
-
 
 class DenseClock:
-    """A dense (array-backed) vector clock keyed by interned thread ids.
+    """A dense (list-backed) vector clock keyed by interned thread ids.
 
     The constructor takes nothing (bottom), a ``{tid: time}`` mapping, a
     sequence of components, or another DenseClock (copied).  A clock is
@@ -83,26 +57,21 @@ class DenseClock:
     False
     """
 
-    # ``_cd`` caches the cffi pointer into ``_times`` (None when invalid
-    # or on the python backend).  Any rebinding or growth of ``_times``
-    # must reset it first: growing an array whose buffer is exported
-    # raises BufferError, and a stale pointer would read freed memory.
-    __slots__ = ("_times", "_cd")
+    __slots__ = ("_times",)
 
     def __init__(
         self, times: Union[None, Mapping[int, int], Iterable[int]] = None
     ) -> None:
-        self._cd = None
         if times is None:
-            self._times = _new_times()
+            self._times = []
         elif isinstance(times, DenseClock):
             self._times = times._times[:]
         elif isinstance(times, Mapping):
-            self._times = _new_times()
+            self._times = []
             for tid, value in times.items():
                 self.assign(tid, value)
         else:
-            self._times = _new_times(int(value) for value in times)
+            self._times = [int(value) for value in times]
             for value in self._times:
                 if value < 0:
                     raise ValueError(
@@ -129,15 +98,13 @@ class DenseClock:
     def _from_times(cls, values: Iterable[int]) -> "DenseClock":
         """Wrap already-validated components (codec/internal fast path)."""
         clock = cls.__new__(cls)
-        clock._times = _new_times(values)
-        clock._cd = None
+        clock._times = list(values)
         return clock
 
     def copy(self) -> "DenseClock":
         """Return an independent copy of this clock."""
         clone = DenseClock.__new__(DenseClock)
         clone._times = self._times[:]
-        clone._cd = None
         return clone
 
     # ------------------------------------------------------------------ #
@@ -192,7 +159,6 @@ class DenseClock:
         mine = self._times
         theirs = other._times
         if len(mine) < len(theirs):
-            self._cd = None
             mine.extend([0] * (len(theirs) - len(mine)))
         changed = False
         for tid, value in enumerate(theirs):
@@ -216,7 +182,6 @@ class DenseClock:
         if tid >= len(times):
             if not value:
                 return self
-            self._cd = None
             times.extend([0] * (tid + 1 - len(times)))
         times[tid] = value
         return self
@@ -227,14 +192,12 @@ class DenseClock:
 
     def clear(self) -> "DenseClock":
         """Reset every component to zero; returns ``self``."""
-        self._times = _new_times()
-        self._cd = None
+        self._times = []
         return self
 
     def update_from(self, other: "DenseClock") -> "DenseClock":
         """Overwrite this clock with a copy of ``other``; returns ``self``."""
         self._times = other._times[:]
-        self._cd = None
         return self
 
     # ------------------------------------------------------------------ #
@@ -290,18 +253,11 @@ class DenseClock:
         return not (self <= other) and not (other <= self)
 
     # ------------------------------------------------------------------ #
-    # Pickling (the cached kernel pointer must never cross the boundary)
+    # Pickling
     # ------------------------------------------------------------------ #
 
-    def __getstate__(self) -> List[int]:
-        return list(self._times)
-
-    def __setstate__(self, state: List[int]) -> None:
-        self._times = _new_times(state)
-        self._cd = None
-
     def __reduce__(self):
-        return (DenseClock._from_times, (list(self._times),))
+        return (DenseClock._from_times, (self._times,))
 
     # ------------------------------------------------------------------ #
     # Serialization / tid remapping (shard-boundary protocol)
@@ -355,54 +311,3 @@ class DenseClock:
     def __len__(self) -> int:
         return self.width()
 
-
-if _CFFI:
-    # Kernel-backed hot methods, patched over the pure-Python definitions
-    # once at import.  Each binds the two buffers' cached C pointers (one
-    # ``from_buffer`` per buffer *generation*, not per call) and performs
-    # the whole loop in one compiled call.
-
-    def _merge_kernel(self: DenseClock, other: DenseClock) -> bool:
-        mine = self._times
-        theirs = other._times
-        n = len(theirs)
-        if len(mine) < n:
-            self._cd = None  # release the export before growing
-            mine.extend([0] * (n - len(mine)))
-            cd = self._cd = _from_buffer("long long *", mine)
-        else:
-            cd = self._cd
-            if cd is None:
-                cd = self._cd = _from_buffer("long long *", mine)
-        ocd = other._cd
-        if ocd is None:
-            ocd = other._cd = _from_buffer("long long *", theirs)
-        return _dc_merge(cd, ocd, n) != 0
-
-    def _leq_kernel(self: DenseClock, other: DenseClock) -> bool:
-        mine = self._times
-        theirs = other._times
-        cd = self._cd
-        if cd is None:
-            cd = self._cd = _from_buffer("long long *", mine)
-        ocd = other._cd
-        if ocd is None:
-            ocd = other._cd = _from_buffer("long long *", theirs)
-        return _dc_leq(cd, len(mine), ocd, len(theirs)) != 0
-
-    def _eq_kernel(self: DenseClock, other: object):
-        if not isinstance(other, DenseClock):
-            return NotImplemented
-        mine = self._times
-        theirs = other._times
-        cd = self._cd
-        if cd is None:
-            cd = self._cd = _from_buffer("long long *", mine)
-        ocd = other._cd
-        if ocd is None:
-            ocd = other._cd = _from_buffer("long long *", theirs)
-        return _dc_eq(cd, len(mine), ocd, len(theirs)) != 0
-
-    DenseClock.merge = _merge_kernel  # type: ignore[method-assign]
-    DenseClock.__le__ = _leq_kernel  # type: ignore[method-assign]
-    DenseClock.__eq__ = _eq_kernel  # type: ignore[method-assign]

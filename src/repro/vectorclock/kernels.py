@@ -2,14 +2,6 @@
 
 One C module holds every loop the library compiles:
 
-* **Dense clocks.**  The dense clock's three hot operations -- in-place
-  join (``merge``), pointwise comparison (``<=``) and equality -- are
-  tight loops over small int buffers.  Pure Python pays interpreter
-  dispatch per component; cffi's API mode has a per-call overhead low
-  enough to win even at the typical clock width of a dozen threads.
-  :class:`~repro.vectorclock.dense.DenseClock` switches its backing
-  store to a flat ``array('q')`` buffer and its hot methods to these
-  kernels when, and only when, the compiled module is available.
 * **STD decode.**  ``std_scan`` walks ``\\n``-terminated ASCII lines of
   a byte buffer whose ``thread|op(arg)`` head is already in a C hash
   table (``std_heads_*``) mirroring
@@ -19,7 +11,8 @@ One C module holds every loop the library compiles:
   to the Python decoder and resumes after it.
 * **WCP.**  ``wcp_run`` is Algorithm 1 over a block's tid/op columns:
   the deferred ``N_t`` bump, acquire/release with the Rule (b) log walk
-  and all three reclamation modes, Rule (a) cells, fork/join, census
+  and both reclamation modes (pruned by the releaser census, or none
+  without a census), Rule (a) cells, fork/join, census
   elision and the access history's race attribution, in state
   (``wcp_state``) that mirrors :class:`~repro.core.wcp.WCPDetector`'s
   field for field.  :mod:`repro.core.wcp_compiled` drives it and
@@ -32,8 +25,14 @@ One C module holds every loop the library compiles:
   :class:`~repro.trace.semantics.LockDiscipline` (which raises the
   error) on any other role or any violation.
 
-The Python implementations stay the specification: the dense clock's
-list loops, :func:`~repro.trace.parsers.parse_std_batch`,
+Vector clocks outside the WCP kernel are not compiled: at the clock
+widths traces reach (at most 14 threads in the paper's benchmark
+traces) one cffi call costs more than the loop it would run, so
+:class:`~repro.vectorclock.dense.DenseClock` keeps its list store under
+every backend.
+
+The Python implementations stay the specification:
+:func:`~repro.trace.parsers.parse_std_batch`,
 ``LockDiscipline`` and ``WCPDetector.process_batch``.  Backend
 selection is explicit, never accidental:
 
@@ -57,8 +56,7 @@ worker processes may import this module concurrently.
 
 The exported surface is deliberately tiny: :data:`BACKEND` (``"cffi"`` or
 ``"python"``), :data:`FALLBACK_REASON`, and -- in cffi mode -- the ``ffi``
-/ ``lib`` pair the dense clock, the STD decoder, ``Trace`` and the WCP
-detector bind to.
+/ ``lib`` pair the STD decoder, ``Trace`` and the WCP detector bind to.
 Everything else in the library is backend-agnostic.
 """
 
@@ -75,11 +73,6 @@ class KernelBuildError(RuntimeError):
 
 
 _CDEF = """
-long long dc_merge(long long *dst, const long long *src, long long n);
-int dc_leq(const long long *a, long long na,
-           const long long *b, long long nb);
-int dc_eq(const long long *a, long long na,
-          const long long *b, long long nb);
 void *std_heads_new(void);
 void std_heads_free(void *heads);
 int std_heads_put(void *heads, const char *key, long long n,
@@ -98,45 +91,6 @@ int lock_check(const int *tids, const int *ops, long long n,
 _C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
-
-/* Kernels for dense (array-backed) vector clocks.  Buffers are int64
- * components indexed by interned thread id; lengths are logical element
- * counts.  Trailing zeros are insignificant, mirroring the Python
- * semantics: [1, 0] and [1] are the same clock. */
-
-long long dc_merge(long long *dst, const long long *src, long long n) {
-    /* In-place pointwise maximum of src into dst (len(dst) >= n).
-     * Returns nonzero when any dst component grew. */
-    long long changed = 0;
-    for (long long i = 0; i < n; i++) {
-        if (src[i] > dst[i]) { dst[i] = src[i]; changed = 1; }
-    }
-    return changed;
-}
-
-int dc_leq(const long long *a, long long na,
-           const long long *b, long long nb) {
-    /* Pointwise a <= b with trailing-zero semantics. */
-    long long n = na < nb ? na : nb;
-    for (long long i = 0; i < n; i++)
-        if (a[i] > b[i]) return 0;
-    for (long long i = n; i < na; i++)
-        if (a[i]) return 0;
-    return 1;
-}
-
-int dc_eq(const long long *a, long long na,
-          const long long *b, long long nb) {
-    /* Equality with trailing-zero semantics. */
-    long long n = na < nb ? na : nb;
-    for (long long i = 0; i < n; i++)
-        if (a[i] != b[i]) return 0;
-    for (long long i = n; i < na; i++)
-        if (a[i]) return 0;
-    for (long long i = n; i < nb; i++)
-        if (b[i]) return 0;
-    return 1;
-}
 
 /* ------------------------------------------------------------------ */
 /* STD decode: a table of known line heads and the line scanner.       */
@@ -570,7 +524,15 @@ static i64 *mc_freeze(const wcp_mclk *m) {
     return c;
 }
 
-#define FC_LEQ(a, b) dc_leq(FC_T(a), FC_N(a), FC_T(b), FC_N(b))
+static int fc_leq(const i64 *a, const i64 *b) {
+    /* Pointwise a <= b; components past a clock's length read as 0. */
+    i64 na = FC_N(a), nb = FC_N(b), n = na < nb ? na : nb;
+    for (i64 i = 0; i < n; i++)
+        if (FC_T(a)[i] > FC_T(b)[i]) return 0;
+    for (i64 i = n; i < na; i++)
+        if (FC_T(a)[i]) return 0;
+    return 1;
+}
 
 /* A map from a pair of ints to an int; open addressing. */
 typedef struct { i64 a, b; int v, used; } wcp_slot;
@@ -1248,7 +1210,7 @@ static int unordered(wcp_state *st, const wcp_var *V, int kind, int tid,
         if (tl->tid == tid) continue;
         i64 n = 0;
         for (int c = tl->tail; c >= 0; c = st->hcells[c].prev) {
-            if (FC_LEQ(st->hcells[c].clk, clock)) break;
+            if (fc_leq(st->hcells[c].clk, clock)) break;
             if (GROW(st->scratch, st->capscratch, n + 1)) return -1;
             st->scratch[n++] = c;
         }
@@ -1346,9 +1308,9 @@ static int observe(wcp_state *st, int var, int kind, int tid, i64 index,
         V->created = 1;
     }
     int w_ord = V->w_fast ? V->w_time <= fc_at(C, V->w_tid)
-                          : V->wj == NULL || FC_LEQ(V->wj, C);
+                          : V->wj == NULL || fc_leq(V->wj, C);
     int r_ord = V->r_fast ? V->r_time <= fc_at(C, V->r_tid)
-                          : V->rj == NULL || FC_LEQ(V->rj, C);
+                          : V->rj == NULL || fc_leq(V->rj, C);
     i64 time = fc_at(C, tid);
     if (kind == 0) {
         if (!w_ord && unordered(st, V, 1, tid, C, row)) return -1;
@@ -1525,7 +1487,7 @@ BACKEND = "python"
 #: Why the python fallback was chosen (None while the kernels are active).
 FALLBACK_REASON: Optional[str] = None
 
-#: cffi handles, bound by the dense clock in cffi mode; None otherwise.
+#: cffi handles, bound by the compiled paths in cffi mode; None otherwise.
 ffi = None
 lib = None
 
@@ -1619,7 +1581,7 @@ def _activate() -> Optional[str]:
 def describe() -> str:
     """One-line human-readable backend description (for bench/CLI output)."""
     if BACKEND == "cffi":
-        return "cffi (compiled clock, STD decode, lock-check and WCP kernels)"
+        return "cffi (compiled STD decode, lock-check and WCP kernels)"
     return "python (fallback: %s)" % (FALLBACK_REASON or "forced")
 
 

@@ -6,6 +6,8 @@ line-number-and-token error contract shared by all four formats, the
 extension dispatch, and the CLI's ``--format`` override.
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -226,3 +228,28 @@ class TestCliFormatFlag:
         assert "event census:" in output
         assert "barrier" in output
         assert "racq_r" in output
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".mtrace", MTRACE_DEMO), (".tsan", TSAN_DEMO),
+    ], ids=["mtrace", "tsan"])
+    def test_stream_reports_batch_stats(self, tmp_path, capsys, suffix, text):
+        # The adapters decode to column blocks sharing one op table, so
+        # --stream takes the file's census and prints batch's report,
+        # stats included (WCP's max_queue_total among them).
+        path = tmp_path / ("run" + suffix)
+        path.write_text(text)
+        found = {}
+        for label, flags in (("batch", []), ("stream", ["--stream"])):
+            out = tmp_path / ("%s.json" % label)
+            main(["analyze", str(path), "--detector", "wcp,hb,fasttrack",
+                  "--json", str(out)] + flags)
+            capsys.readouterr()
+            found[label] = {}
+            for name in ("wcp", "hb", "fasttrack"):
+                report = json.loads(
+                    (tmp_path / ("%s.%s.json" % (label, name))).read_text()
+                )
+                for timing in ("time_s", "events_per_s"):
+                    report["stats"].pop(timing)
+                found[label][name] = report
+        assert found["stream"] == found["batch"]

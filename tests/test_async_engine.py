@@ -225,6 +225,34 @@ class TestLineProtocolSource:
         direct = detect_races(IterableSource(iter(trace), name="wire"))
         assert _fingerprint(wire) == _fingerprint(direct)
 
+    def _blocks(self, text, initial_lines):
+        counted = []
+
+        async def run():
+            source = LineProtocolSource(
+                self._feed_reader(text), initial_lines=initial_lines,
+                on_bytes=counted.append,
+            )
+            return [block async for block in source.batches()]
+
+        return asyncio.run(run()), counted
+
+    def test_peeked_line_joins_the_first_read(self):
+        # A handshake peeks at the first line; the first block must still
+        # hold every line of the first read, peeked line included.
+        lines = ["t%d|w(x%d)|a:%d\n" % (i % 3, i % 5, i) for i in range(100)]
+        blocks, counted = self._blocks("".join(lines[1:]), [lines[0].encode()])
+        assert [len(block) for block in blocks] == [100]
+        assert [event.index for event in blocks[0]] == list(range(100))
+        assert sum(counted) == len("".join(lines))
+
+    def test_peeked_line_ended_by_eof_still_decodes(self):
+        blocks, counted = self._blocks("", [b"t1|w(x)|a:1"])
+        assert [[(e.thread, e.target) for e in block] for block in blocks] == [
+            [("t1", "x")]
+        ]
+        assert counted == [len(b"t1|w(x)|a:1")]
+
     def test_malformed_wire_stream_raises_validation_error(self):
         async def run():
             reader = self._feed_reader("t1|acq(l)\nt2|acq(l)\n")

@@ -50,6 +50,7 @@ from repro.engine import (
     Checkpointer,
     CheckpointError,
     CheckpointMismatchError,
+    CountingSource,
     FileSource,
     IterableSource,
     TraceSource,
@@ -629,6 +630,36 @@ class TestEngineResume:
         )
         reference = run_engine(trace, detectors=["wcp"])
         assert _fingerprint(result["WCP"]) == _fingerprint(reference["WCP"])
+
+    def test_counting_wrapper_keeps_validator_state(self, tmp_path):
+        # CountingSource forwards the checkpoint-state pair, so a pass
+        # through CountingSource(ValidatingSource(...)) checkpoints the
+        # validator and resumes through the same wrapping.
+        trace = random_trace(31, n_events=240, n_threads=4)
+        path = tmp_path / "counted.std"
+        dump_trace(trace, path)
+
+        def wrapped():
+            return CountingSource(ValidatingSource(FileSource(path)))
+
+        detectors = ("wcp", "hb", "fasttrack")
+        reference = RaceEngine(
+            EngineConfig().with_detectors(*detectors)
+        ).run(wrapped())
+        directory = tmp_path / "ckpts"
+        RaceEngine(
+            EngineConfig().with_detectors(*detectors)
+            .with_checkpoints(directory, every=40).stop_after_events(130)
+        ).run(wrapped())
+        loaded = Checkpointer(directory).load()
+        assert loaded.source_state is not None
+
+        result = RaceEngine(EngineConfig()).resume(wrapped(), directory)
+        assert list(result) == list(reference)
+        for name in reference:
+            assert _fingerprint(result[name]) == _fingerprint(reference[name])
+            assert (_deterministic_stats(result[name])
+                    == _deterministic_stats(reference[name]))
 
     def test_unseekable_source_is_rejected(self):
         class Opaque:

@@ -6,6 +6,8 @@ as VectorClocks), and the registry conversions must be lossless.
 """
 
 import contextlib
+import copy
+import pickle
 import signal
 
 import pytest
@@ -101,6 +103,14 @@ class TestDenseClockBasics:
         clone = original.copy()
         clone.assign(0, 9)
         assert original.get(0) == 1
+
+    def test_pickle_and_copy_module_give_independent_clocks(self):
+        original = DenseClock([2, 0, 5])
+        for clone in (pickle.loads(pickle.dumps(original)),
+                      copy.copy(original), copy.deepcopy(original)):
+            assert clone == original and type(clone) is DenseClock
+            clone.assign(0, 9)
+            assert original.get(0) == 2
 
     def test_merge_reports_changes(self):
         clock = DenseClock([3, 1])

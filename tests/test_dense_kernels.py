@@ -1,13 +1,12 @@
-"""Differential tests for the compiled clock kernels and the binary codec.
+"""Differential tests for the dense clock, kernel governance and the codec.
 
-The cffi kernels (:mod:`repro.vectorclock.kernels`) must be observably
-identical to the pure-Python dense clock, which in turn must agree with
-the dict-backed :class:`VectorClock` reference.  The fuzz here drives
-random operation sequences through all of them at once and compares
-every observable after every step; the subprocess tests additionally run
-the same sequence under both ``REPRO_CLOCK_KERNEL`` values and compare
-the transcripts -- the strongest statement available that backend choice
-never changes results.
+The list-backed :class:`DenseClock` must agree with the dict-backed
+:class:`VectorClock` reference.  The fuzz here drives random operation
+sequences through both and compares every observable after every step;
+the subprocess tests additionally run the same sequence under both
+``REPRO_CLOCK_KERNEL`` values and compare the transcripts -- the
+backend choice (which governs the compiled decode, lock-check and WCP
+kernels of :mod:`repro.vectorclock.kernels`) never changes a clock.
 """
 
 import os
@@ -110,8 +109,7 @@ class TestKernelDifferentialFuzz:
         assert sorted(snapshot.items()) == frozen
 
     def test_trailing_zero_semantics(self):
-        # [1, 0] and [1] are the same clock for merge/leq/eq, whichever
-        # backend answers.
+        # [1, 0] and [1] are the same clock for merge/leq/eq.
         wide = _dense_from([1, 0, 0, 0])
         narrow = _dense_from([1])
         assert wide == narrow
@@ -198,7 +196,9 @@ class TestBackendForcedParity:
         text = kernels.describe()
         assert kernels.BACKEND in text
         if kernels.BACKEND == "cffi":
-            assert "WCP" in text
+            assert text == (
+                "cffi (compiled STD decode, lock-check and WCP kernels)"
+            )
 
 
 # --------------------------------------------------------------------- #

@@ -1063,6 +1063,17 @@ async def _push_once(settings, payload, config=None):
 
 
 class TestBatchGranularity:
+    def test_peeked_first_line_reports_like_analyze(self):
+        # Without a directive the handshake peeks at the first event
+        # line; it joins the first read's block, and the reply is still
+        # exactly what analyze reports.
+        trace = random_trace(seed=84, n_events=400, n_threads=4)
+        response, _, session = asyncio.run(_push_once(
+            ServeSettings(port=0), write_std(trace),
+        ))
+        assert response.strip().splitlines() == _expected_lines(trace)
+        assert session.events == len(trace)
+
     def test_max_events_stops_mid_batch(self):
         trace = random_trace(seed=81, n_events=120, n_threads=3)
         config = EngineConfig().stop_after_events(37)
@@ -1178,12 +1189,14 @@ class TestHandOffBounds:
             server = await _start_server(settings=_throttled_settings())
             try:
                 reader, writer = await _connect(server)
-                # The handshake line is the first event: the drive loop
-                # takes it and sleeps.
+                # The handshake line and the next read make the first
+                # block: the drive loop takes it and sleeps.
                 writer.write(b"t1|w(x)|a:1\n")
                 await writer.drain()
                 await _until(lambda: server.manager.live()
                              and server.manager.live()[0].state == "active")
+                writer.write(b"t1|w(x)|a:2\n" * 30)
+                await writer.drain()
                 await asyncio.sleep(0.05)
                 for count in (70, 90):
                     writer.write(b"t1|w(x)|a:2\n" * count)

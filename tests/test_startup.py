@@ -23,7 +23,7 @@ NOT_LOADED = (
     "repro.cp", "repro.reordering", "asyncio", "multiprocessing",
 )
 
-#: Detector modules (and the clock kernels they load).
+#: Detector modules (and the compiled kernels WCP loads).
 DETECTORS = (
     "repro.core.wcp", "repro.hb.hb", "repro.hb.fasttrack",
     "repro.lockset.eraser", "repro.vectorclock.kernels",
