@@ -5,15 +5,15 @@ Three escalating scenarios:
 
 1. **Callback producers** -- an instrumentation hook on another thread
    ``put``s events into a bounded :class:`~repro.QueueSource` while the
-   synchronous engine drains it.  The queue's bound is the backpressure
+   engine drains it.  The queue's bound is the backpressure
    contract: a producer outrunning the analysis blocks instead of
    buffering unboundedly.
 2. **Socket ingestion** -- a logger streams the STD line protocol
    (``thread|op(arg)[|loc]``, the same bytes it would write to a log
-   file) over a socket; the asyncio-native
-   :class:`~repro.AsyncRaceEngine` analyses it as it arrives through a
-   :class:`~repro.LineProtocolSource`.  This is what ``repro-race serve``
-   does per connection.
+   file) over a unix socket to an embedded race server
+   (:func:`~repro.start_race_server`, what ``repro-race serve`` runs),
+   which analyses the stream as it arrives and answers with the race
+   counts; the logger is a :class:`~repro.RaceClient` ``push``.
 3. **Online validation** -- the same socket path rejecting a malformed
    stream (two overlapping critical sections over one lock) with the
    exact error a batch ``Trace(validate=True)`` would raise, caught in
@@ -25,17 +25,19 @@ Run with::
 """
 
 import asyncio
+import os
+import tempfile
 import threading
 
 from repro import (
-    AsyncRaceEngine,
     EventType,
-    LineProtocolSource,
+    PushError,
     QueueSource,
-    ValidatingSource,
+    RaceClient,
+    ServeSettings,
     detect_races,
+    start_race_server,
 )
-from repro.trace.trace import TraceError
 
 
 def scenario_queue():
@@ -67,67 +69,53 @@ def scenario_queue():
         print("   %s" % (pair,))
 
 
+async def push_to_server(lines):
+    """Push ``lines`` to a fresh server on a unix socket; return the reply.
+
+    The server (WCP + HB, online validation on) runs on this event loop;
+    the client is blocking, so it pushes from a worker thread.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "serve.sock")
+        server = await start_race_server(
+            ["wcp", "hb"], settings=ServeSettings(socket_path=path)
+        )
+        try:
+            client = RaceClient(socket_path=path, retries=0)
+            return await asyncio.to_thread(client.push, lines)
+        finally:
+            await server.close()
+
+
 async def scenario_socket():
-    """A logger pushes STD lines over a socket; the async engine listens."""
-    done = asyncio.Event()
-
-    async def handle(reader, writer):
-        source = ValidatingSource(LineProtocolSource(reader, name="logger"))
-        result = await AsyncRaceEngine().run(source, detectors=["wcp", "hb"])
-        print("2. socket push: %d event(s), WCP %d race(s), HB %d race(s)" % (
-            result.events, result["WCP"].count(), result["HB"].count()
-        ))
-        writer.close()
-        done.set()
-
-    server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-    port = server.sockets[0].getsockname()[1]
-
-    # The "logger": any process that can open a socket; here a coroutine
-    # writing the same bytes it would append to a trace file.
-    _, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(
-        b"t1|w(y)|Worker.java:12\n"
-        b"t1|acq(lock)\n"
-        b"t1|w(x)|Worker.java:14\n"
-        b"t1|rel(lock)\n"
-        b"t2|acq(lock)\n"
-        b"t2|r(y)|Monitor.java:40\n"
-        b"t2|r(x)|Monitor.java:41\n"
-        b"t2|rel(lock)\n"
-    )
-    writer.write_eof()
-    await done.wait()
-    writer.close()
-    server.close()
-    await server.wait_closed()
+    """A logger pushes STD lines over a socket; the server analyses them."""
+    # The "logger": any process that can open a socket, sending the same
+    # lines it would append to a trace file.
+    outcome = await push_to_server([
+        "t1|w(y)|Worker.java:12",
+        "t1|acq(lock)",
+        "t1|w(x)|Worker.java:14",
+        "t1|rel(lock)",
+        "t2|acq(lock)",
+        "t2|r(y)|Monitor.java:40",
+        "t2|r(x)|Monitor.java:41",
+        "t2|rel(lock)",
+    ])
+    print("2. socket push: %d event(s), WCP %d race(s), HB %d race(s)" % (
+        outcome.events, outcome.races["WCP"][0], outcome.races["HB"][0]
+    ))
 
 
 async def scenario_validation():
     """The online validator rejects a malformed stream at the socket."""
-    done = asyncio.Event()
-
-    async def handle(reader, writer):
-        source = ValidatingSource(LineProtocolSource(reader, name="broken"))
-        try:
-            await AsyncRaceEngine().run(source)
-        except TraceError as error:
-            print("3. malformed stream rejected: %s: %s" % (
-                type(error).__name__, error
-            ))
-        writer.close()
-        done.set()
-
-    server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-    port = server.sockets[0].getsockname()[1]
-    _, writer = await asyncio.open_connection("127.0.0.1", port)
-    # Two threads inside the same critical section: not a trace.
-    writer.write(b"t1|acq(lock)\nt2|acq(lock)\n")
-    writer.write_eof()
-    await done.wait()
-    writer.close()
-    server.close()
-    await server.wait_closed()
+    try:
+        # Two threads inside the same critical section: not a trace.
+        await push_to_server(["t1|acq(lock)", "t2|acq(lock)"])
+    except PushError as error:
+        # The server answers "error <Type>: <message>" on the wire.
+        print("3. malformed stream rejected: %s" % (
+            str(error).partition(": error ")[2]
+        ))
 
 
 def main():

@@ -58,7 +58,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.lockset.eraser": ["EraserDetector"],
     "repro.mcm.predictor": ["MCMPredictor"],
     "repro.engine.engine": ["RaceEngine", "EngineResult"],
-    "repro.engine.async_engine": ["AsyncRaceEngine"],
     "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
     "repro.engine.checkpoint": [
         "Checkpoint", "Checkpointer", "CheckpointError",
@@ -69,15 +68,14 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
     "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
     "repro.engine.sources": [
-        "EventSource", "AsyncEventSource", "TraceSource", "FileSource",
-        "IterableSource", "SimulatorSource", "CountingSource", "QueueSource",
-        "LineProtocolSource", "as_source", "as_async_source",
+        "EventSource", "TraceSource", "FileSource", "IterableSource",
+        "SimulatorSource", "CountingSource", "QueueSource",
+        "LineProtocolSource", "as_source",
     ],
     "repro.engine.validate": ["OnlineValidator", "ValidatingSource"],
     "repro.api": [
-        "detect_races", "detect_races_async", "compare_detectors",
-        "available_detectors", "make_detector", "resume_engine",
-        "run_engine", "run_engine_async", "start_race_server",
+        "detect_races", "compare_detectors", "available_detectors",
+        "make_detector", "resume_engine", "run_engine", "start_race_server",
     ],
     "repro.client": [
         "PushError", "PushOutcome", "RaceClient", "RetriesExhausted",

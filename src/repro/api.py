@@ -18,12 +18,11 @@ Three calls cover most uses:
   :class:`~repro.engine.EngineResult` (per-detector reports plus run
   metadata, snapshots and the early-stop reason).
 
-Each has an asyncio-native twin (:func:`detect_races_async`,
-:func:`run_engine_async`) for *push* ingestion: live producers feed a
-:class:`~repro.engine.QueueSource` or a socket/pipe speaking the STD
-line protocol (:class:`~repro.engine.LineProtocolSource`), and the
-engine awaits events instead of pulling them -- same single-pass
-semantics, identical reports (both drive the shared block stepper).
+*Push* ingestion takes one of two routes.  In process, producer threads
+feed a :class:`~repro.engine.QueueSource` that any of the three calls
+drains.  Over a socket, :func:`start_race_server` (``repro-race serve``)
+decodes the STD line protocol per connection and steps the same
+single-pass stepper; :class:`~repro.client.RaceClient` pushes to it.
 
 Engine behaviour (early stop, snapshot cadence, checkpoints) is
 configured with the fluent :class:`~repro.engine.EngineConfig` builder::
@@ -205,51 +204,6 @@ def detect_races(
     if isinstance(detector, str):
         detector = make_detector(detector, **kwargs)
     result = _make_engine(None, shards).run(source, detectors=[detector])
-    return next(iter(result.values()))
-
-
-async def run_engine_async(
-    source,
-    detectors: Optional[Sequence[Union[str, Detector]]] = None,
-    config: Optional[EngineConfig] = None,
-) -> EngineResult:
-    """Asynchronous :func:`run_engine`: await events instead of pulling.
-
-    ``source`` may be an asynchronous source
-    (:class:`~repro.engine.QueueSource`,
-    :class:`~repro.engine.LineProtocolSource`, any ``__aiter__`` object)
-    or anything :func:`run_engine` accepts (adapted cooperatively).  The
-    pass is driven by :class:`~repro.engine.AsyncRaceEngine`, which
-    shares the block stepper with the synchronous engine -- reports
-    are identical for identical streams.
-    """
-    from repro.engine.async_engine import AsyncRaceEngine
-
-    return await AsyncRaceEngine(config).run(source, detectors=detectors)
-
-
-async def detect_races_async(
-    source,
-    detector: Union[str, Detector, None] = None,
-    **kwargs,
-) -> RaceReport:
-    """Asynchronous :func:`detect_races` over a push/async source.
-
-    Typical use: a live producer feeds a
-    :class:`~repro.engine.QueueSource` (or a socket speaking the STD
-    line protocol wrapped in a
-    :class:`~repro.engine.LineProtocolSource`) while this coroutine
-    analyses it online::
-
-        report = await detect_races_async(queue_source)
-    """
-    if detector is None:
-        detector = "wcp"
-    if isinstance(detector, str):
-        detector = make_detector(detector, **kwargs)
-    from repro.engine.async_engine import AsyncRaceEngine
-
-    result = await AsyncRaceEngine().run(source, detectors=[detector])
     return next(iter(result.values()))
 
 

@@ -199,7 +199,7 @@ def mixed_vocabulary_events(
     not re-entrant, releases close the innermost open section with the
     matching release kind, ``wait`` only fires on a free monitor), so the
     result always passes ``Trace(validate=True)`` -- the fuzz tests rely
-    on that to compare serial, sharded and async runs on arbitrary seeds.
+    on that to compare serial and sharded runs on arbitrary seeds.
 
     A deterministic preamble touches every event kind once (fork/join,
     begin, both rwlock modes, barrier, wait/notify), so even tiny ``steps``

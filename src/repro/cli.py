@@ -30,7 +30,7 @@ persists detector-state snapshots at a fixed event cadence and
 reports identical to an uninterrupted run (works sharded, too).  ``compare`` prints a
 side-by-side single-pass comparison table for one trace.  ``serve``
 listens on a TCP port or unix socket for *pushed* STD event streams and
-analyses each connection online with the asynchronous engine.  ``bench``
+analyses each connection online, every session on one asyncio loop.  ``bench``
 regenerates Table-1-style rows on the synthetic benchmark suite,
 ``generate`` writes a benchmark trace to disk for use with other tools,
 ``stats`` prints the trace's descriptive columns, and ``witness``
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="listen on a socket for pushed STD event streams and analyse "
-             "each connection online (asynchronous engine)",
+             "each connection online",
     )
     listen = serve.add_mutually_exclusive_group(required=True)
     listen.add_argument(

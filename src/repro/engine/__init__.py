@@ -16,7 +16,7 @@ The top-level helpers :func:`repro.api.detect_races` and
 
 Names are resolved lazily (see :mod:`repro._lazy`): importing the package
 loads none of its modules, so a batch or ``--stream`` pass never loads the
-sharded engine, the run supervisor or the asynchronous engine.
+sharded engine or the run supervisor.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "RaceEngine", "EnginePass", "EngineResult", "StreamContext",
         "STOP_EXHAUSTED", "STOP_RACE_BUDGET", "STOP_EVENT_BUDGET",
     ],
-    "repro.engine.async_engine": ["AsyncRaceEngine"],
     "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
     "repro.engine.checkpoint": [
         "Checkpoint", "Checkpointer", "CheckpointError",
@@ -38,9 +37,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
     "repro.core.races": ["ReportSnapshot"],
     "repro.engine.sources": [
-        "EventSource", "AsyncEventSource", "TraceSource", "FileSource",
-        "IterableSource", "SimulatorSource", "CountingSource", "QueueSource",
-        "LineProtocolSource", "as_source", "as_async_source",
+        "EventSource", "TraceSource", "FileSource", "IterableSource",
+        "SimulatorSource", "CountingSource", "QueueSource",
+        "LineProtocolSource", "as_source",
     ],
     "repro.engine.validate": ["OnlineValidator", "ValidatingSource"],
     "repro.engine.partition": [

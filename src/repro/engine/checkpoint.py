@@ -24,10 +24,9 @@ Layering
   mid-write can never leave a truncated "latest" checkpoint: resume reads
   the newest complete file.
 
-All three engines (:class:`~repro.engine.engine.RaceEngine`,
-:class:`~repro.engine.async_engine.AsyncRaceEngine`, and
-:class:`~repro.engine.sharding.ShardedEngine`'s workers) checkpoint
-through this one code path.
+Both engines (:class:`~repro.engine.engine.RaceEngine` and
+:class:`~repro.engine.sharding.ShardedEngine`'s workers) and the serve
+tier's sessions checkpoint through this one code path.
 
 Resume contract
 ---------------
@@ -417,8 +416,8 @@ class Checkpointer:
     :meth:`save_pass` at the configured cadence and set :attr:`source` so
     source-side state (e.g. the stream validator) rides along.
 
-    ``background=True`` (used by the asynchronous engine, whose stepper
-    runs on the event loop thread) moves the write+fsync onto a single
+    ``background=True`` (used by the serve tier, whose sessions step
+    their passes on the event loop thread) moves the write+fsync onto a single
     dedicated writer thread: the state snapshot itself is still taken
     synchronously between events -- only the immutable serialized bytes
     leave the loop.  Writes stay ordered (one worker), each file is still

@@ -28,9 +28,8 @@ consumes the whole chunk through :meth:`Detector.process_batch
 <repro.core.detector.Detector.process_batch>` before the next one starts
 (detectors share no state while processing; the source interned every
 tid at decode time).  Per-detector time is attributed once per chunk,
-never per event.  :class:`RaceEngine` drives the pass from a synchronous
-``for`` loop, :class:`~repro.engine.async_engine.AsyncRaceEngine` from an
-``async for`` loop and the serve tier from its socket reads -- the
+never per event.  :class:`RaceEngine` drives the pass from a ``for`` loop
+over a source's blocks and the serve tier from its socket reads -- the
 stepping semantics are implemented exactly once.
 """
 
@@ -201,12 +200,10 @@ class EnginePass:
     :class:`EngineResult`: context construction (real trace vs
     :class:`StreamContext`), reset, block stepping (renumbering,
     detector dispatch, snapshot cadence, checkpoints, early-stop
-    policies), per-detector cost attribution and finishing.  The drivers
-    differ only in how they obtain blocks of events:
+    policies), per-detector cost attribution and finishing.  The two
+    drivers differ only in how they obtain blocks of events:
 
     * :meth:`RaceEngine.run` pulls them from a source's ``batches()``;
-    * :meth:`~repro.engine.async_engine.AsyncRaceEngine.run` awaits them
-      from an asynchronous one;
     * the serve tier's session driver steps runs of each socket read.
 
     The sharded workers use only :meth:`start` and
@@ -217,7 +214,7 @@ class EnginePass:
 
         pass_ = EnginePass(config, resolved, source_name, trace=..., registry=...)
         pass_.start()
-        for block in source.batches():    # or: async for block in ...
+        for block in source.batches():
             if pass_.step_batch(block) is not None:
                 break
         result = pass_.result()
@@ -426,65 +423,6 @@ class EnginePass:
         )
 
 
-def prepare_resume_pass(
-    config: EngineConfig,
-    checkpoint,
-    detectors: Optional[Sequence[Detector]],
-    event_source,
-) -> EnginePass:
-    """The shared resume prologue of the sync and async engines.
-
-    Loads/validates the checkpoint, resolves the detector selection
-    (rebuilt from the stamps unless explicitly given, in which case it
-    must match them), positions the source, restores source-side state,
-    and returns a started :class:`EnginePass` whose detectors have been
-    restored -- ready for the caller's drive loop.  Implemented once so
-    the resume protocol cannot diverge between the two engines.
-    """
-    from repro.engine.checkpoint import (
-        CheckpointMismatchError,
-        open_for_resume,
-        restore_source_state,
-        seek_source,
-    )
-
-    loaded, checkpointer = open_for_resume(checkpoint, config)
-    if loaded.sharded is not None:
-        raise CheckpointMismatchError(
-            "checkpoint at offset %d was taken by a sharded run "
-            "(%d shard(s)); resume it with ShardedEngine.resume or "
-            "resume_engine()" % (loaded.events, loaded.sharded["shards"])
-        )
-
-    if detectors is None and config.detectors is None:
-        resolved = loaded.build_detectors()
-    else:
-        resolved = config.resolve_detectors(detectors)
-    loaded.match_detectors(resolved)
-
-    seek_source(event_source, loaded.events)
-    restore_source_state(event_source, loaded)
-    if checkpointer is not None:
-        checkpointer.source = event_source
-
-    pass_ = EnginePass(
-        config, resolved, getattr(event_source, "name", "stream"),
-        trace=getattr(event_source, "trace", None),
-        registry=getattr(event_source, "registry", None),
-        start_events=loaded.events,
-        checkpointer=checkpointer,
-        source=event_source,
-    )
-    # Reset-time whole-trace precomputation would be overwritten by the
-    # restore below; let detectors skip it (a file's census pass too).
-    for detector in resolved:
-        detector.restore_pending = True
-    pass_.start()
-    for detector, blob in zip(resolved, loaded.states):
-        detector.restore_state(blob)
-    return pass_
-
-
 def _drive(pass_: EnginePass, source: EventSource) -> EngineResult:
     """Step ``source``'s blocks through a started pass; finish it."""
     step_batch = pass_.step_batch
@@ -535,8 +473,7 @@ class RaceEngine:
         cyclic garbage that other threads make meanwhile (e.g. producers
         feeding a :class:`~repro.engine.sources.QueueSource`) is collected
         only after the pass.  Long-lived live streams belong on
-        :class:`~repro.engine.async_engine.AsyncRaceEngine`, which does
-        not pause the collector.
+        ``repro-race serve``, whose sessions do not pause the collector.
         """
         config = self.config
         resolved = config.resolve_detectors(detectors)
@@ -572,11 +509,50 @@ class RaceEngine:
         directory at the original cadence when one was given.  As in
         :meth:`run`, the cyclic collector is paused for the pass.
         """
+        from repro.engine.checkpoint import (
+            CheckpointMismatchError,
+            open_for_resume,
+            restore_source_state,
+            seek_source,
+        )
+
+        config = self.config
         event_source = as_source(source)
         with gc_paused():
-            pass_ = prepare_resume_pass(
-                self.config, checkpoint, detectors, event_source
+            loaded, checkpointer = open_for_resume(checkpoint, config)
+            if loaded.sharded is not None:
+                raise CheckpointMismatchError(
+                    "checkpoint at offset %d was taken by a sharded run "
+                    "(%d shard(s)); resume it with ShardedEngine.resume or "
+                    "resume_engine()"
+                    % (loaded.events, loaded.sharded["shards"])
+                )
+            if detectors is None and config.detectors is None:
+                resolved = loaded.build_detectors()
+            else:
+                resolved = config.resolve_detectors(detectors)
+            loaded.match_detectors(resolved)
+
+            seek_source(event_source, loaded.events)
+            restore_source_state(event_source, loaded)
+            if checkpointer is not None:
+                checkpointer.source = event_source
+            pass_ = EnginePass(
+                config, resolved, event_source.name,
+                trace=event_source.trace,
+                registry=getattr(event_source, "registry", None),
+                start_events=loaded.events,
+                checkpointer=checkpointer,
+                source=event_source,
             )
+            # Reset-time whole-trace precomputation would be overwritten
+            # by the restore below; let detectors skip it (a file's
+            # census pass too).
+            for detector in resolved:
+                detector.restore_pending = True
+            pass_.start()
+            for detector, blob in zip(resolved, loaded.states):
+                detector.restore_state(blob)
             return _drive(pass_, event_source)
 
     def _make_checkpointer(self, resolved, event_source):

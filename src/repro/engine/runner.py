@@ -2,8 +2,7 @@
 
 PR 7 made the sharded engine survive *worker* death, but the coordinator
 process itself -- the one iterating the source, whether it drives a
-:class:`~repro.engine.RaceEngine`, an
-:class:`~repro.engine.AsyncRaceEngine` or a
+:class:`~repro.engine.RaceEngine` or a
 :class:`~repro.engine.ShardedEngine` -- remained a single point of
 failure: a SIGKILL or OOM lost the whole run.  :class:`RunSupervisor`
 closes that gap with the PR 5 checkpoint directory:
@@ -105,7 +104,6 @@ def _child_main(
     checkpoint_dir,
     checkpoint_every,
     kill_at: Optional[int],
-    use_async: bool,
 ) -> None:
     """One supervised attempt (runs in the forked child).
 
@@ -123,14 +121,19 @@ def _child_main(
     except OSError:  # pragma: no cover - permitted to fail (e.g. setsid)
         pass
     try:
+        from repro.api import resume_engine, run_engine
+
         event_source = source() if callable(source) else source
         if kill_at is not None:
             event_source = _KillAt(event_source, kill_at)
         resume = bool(Checkpointer(checkpoint_dir).offsets())
         if resume:
             try:
-                result = _attempt_resume(
-                    event_source, config, checkpoint_dir, use_async
+                # The *directory* (not a loaded Checkpoint) keeps the
+                # resumed pass checkpointing into it at the original
+                # cadence, so a second crash resumes from a later offset.
+                result = resume_engine(
+                    event_source, checkpoint_dir, config=config
                 )
             except CheckpointMismatchError:
                 raise
@@ -140,9 +143,9 @@ def _child_main(
                 # directory (it keeps checkpointing into the same one).
                 resume = False
         if not resume:
-            result = _attempt_fresh(
-                event_source, detectors, config, checkpoint_dir,
-                checkpoint_every, use_async,
+            result = run_engine(
+                event_source, detectors, config=config,
+                checkpoint=checkpoint_dir, checkpoint_every=checkpoint_every,
             )
         payload = ("ok", result)
     except BaseException as error:  # deterministic: reported, not retried
@@ -163,51 +166,6 @@ def _child_main(
         )))
 
 
-def _attempt_fresh(
-    source, detectors, config, checkpoint_dir, checkpoint_every, use_async
-):
-    from repro.api import run_engine
-
-    if not use_async:
-        return run_engine(
-            source, detectors, config=config,
-            checkpoint=checkpoint_dir, checkpoint_every=checkpoint_every,
-        )
-    import asyncio
-    import copy
-
-    from repro.engine.async_engine import AsyncRaceEngine
-    from repro.engine.config import EngineConfig
-
-    effective = copy.copy(config) if config is not None else EngineConfig()
-    effective.with_checkpoints(
-        checkpoint_dir,
-        every=(
-            checkpoint_every if checkpoint_every is not None
-            else effective.checkpoint_every
-        ),
-        keep=effective.checkpoint_keep,
-    )
-    return asyncio.run(AsyncRaceEngine(effective).run(source, detectors))
-
-
-def _attempt_resume(source, config, checkpoint_dir, use_async):
-    from repro.api import resume_engine
-
-    if not use_async:
-        # The *directory* (not a loaded Checkpoint) keeps the resumed
-        # pass checkpointing into it at the original cadence, so a
-        # second crash resumes from an even later offset.
-        return resume_engine(source, checkpoint_dir, config=config)
-    import asyncio
-
-    from repro.engine.async_engine import AsyncRaceEngine
-
-    return asyncio.run(
-        AsyncRaceEngine(config).resume(source, checkpoint_dir)
-    )
-
-
 class RunSupervisor:
     """Execute an engine run in a supervised, auto-resuming child process.
 
@@ -218,7 +176,7 @@ class RunSupervisor:
         zero-argument callable returning one (called inside each child,
         so crashed attempts never share iterator state).
     detectors / config:
-        Forwarded to :func:`~repro.api.run_engine`; sharded and async
+        Forwarded to :func:`~repro.api.run_engine`; sharded
         configurations are supervised the same way.  Resumed attempts
         rebuild detectors from the checkpoint stamps.
     checkpoint_dir:
@@ -235,9 +193,6 @@ class RunSupervisor:
         :meth:`~repro.engine.faults.Fault.kill_coordinator` fault makes
         one successive child hard-exit at an exact event offset
         (defaults to ``config.fault_plan``).
-    use_async:
-        Drive each attempt with :class:`~repro.engine.AsyncRaceEngine`
-        instead of the synchronous engine.
 
     Usage::
 
@@ -258,7 +213,6 @@ class RunSupervisor:
         backoff_s: float = 0.05,
         backoff_max_s: float = 2.0,
         fault_plan=None,
-        use_async: bool = False,
     ) -> None:
         if retries < 0:
             raise ValueError("coordinator retries must be >= 0")
@@ -278,7 +232,6 @@ class RunSupervisor:
             fault_plan if fault_plan is not None
             else getattr(config, "fault_plan", None)
         )
-        self.use_async = use_async
         #: Coordinator restarts performed by the last :meth:`run`.
         self.restarts = 0
 
@@ -336,7 +289,6 @@ class RunSupervisor:
             args=(
                 sender, self.source, self.detectors, self.config,
                 self.checkpoint_dir, self.checkpoint_every, kill_at,
-                self.use_async,
             ),
             name="repro-supervised-run",
         )

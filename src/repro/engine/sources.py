@@ -21,26 +21,24 @@ An :class:`EventSource` is anything that can hand the
 * :class:`QueueSource` -- a thread-safe **push** source: callback
   producers (e.g. an instrumentation hook on another thread) ``put``
   events into a bounded queue -- blocking when the consumer falls behind,
-  which is the backpressure contract -- and the engine drains it, from a
-  plain ``for`` loop or an ``async for`` loop;
-* :class:`LineProtocolSource` -- an asyncio-native source decoding the
-  STD line protocol off an :class:`asyncio.StreamReader` (an accepted
-  socket connection, a pipe) through the bytes-level
-  :class:`repro.trace.parsers.StdDecoder` the file paths use; backpressure
+  which is the backpressure contract -- and the engine drains it from a
+  consumer thread;
+* :class:`LineProtocolSource` -- the serve tier's socket reader: it
+  decodes the STD line protocol off an :class:`asyncio.StreamReader` (an
+  accepted connection) through the bytes-level
+  :class:`repro.trace.parsers.StdDecoder` the file paths use, one column
+  block per read, for the session's drive loop to step; backpressure
   comes from the stream's own flow control (the transport pauses the
-  peer when the reader's buffer fills).
+  peer when the reader's buffer fills).  It is not an
+  :class:`EventSource`: :func:`as_source` refuses it.
 
 :func:`as_source` coerces plain traces, paths and iterables, so the
-public API accepts all of them interchangeably;
-:func:`as_async_source` additionally accepts asynchronous sources and
-adapts synchronous ones for cooperative ``async for`` consumption (see
-:class:`~repro.engine.async_engine.AsyncRaceEngine`).
+public API accepts all of them interchangeably.
 
-Every source hands the engine blocks of events through ``batches()``
-(asynchronous sources: an ``async`` generator; :func:`async_batches`
-picks the right one for ``async for``): a file's decoded parser blocks,
-slices of a trace, whatever a push queue or socket read holds right now.
-Iterating a source directly yields the same events one at a time.
+Every source hands the engine blocks of events through ``batches()``: a
+file's decoded parser blocks, slices of a trace, whatever a push queue
+holds right now.  Iterating a source directly yields the same events one
+at a time.
 
 Every source exposes a ``registry``
 (:class:`~repro.vectorclock.registry.ThreadRegistry`): the interning
@@ -429,16 +427,9 @@ class QueueSource(EventSource):
     in :meth:`put` until the engine catches up: backpressure instead of
     unbounded buffering, preserving the constant-memory contract.
 
-    The source is a genuine one-shot stream (``is_complete`` False).  It
-    supports both consumption styles:
-
-    * ``for event in source`` -- blocking iteration for
-      :class:`~repro.engine.engine.RaceEngine` running in a consumer
-      thread;
-    * ``async for event in source`` -- for
-      :class:`~repro.engine.async_engine.AsyncRaceEngine`; queue waits
-      are delegated to the event loop's default executor so the loop is
-      never blocked.
+    The source is a genuine one-shot stream (``is_complete`` False): a
+    :class:`~repro.engine.engine.RaceEngine` drains it with blocking
+    ``get`` calls, on a thread other than the producer's.
 
     Events are stamped with tids from the source's registry exactly like
     :class:`IterableSource`.
@@ -554,9 +545,6 @@ class QueueSource(EventSource):
         """Events currently buffered (approximate, like ``Queue.qsize``)."""
         return self._queue.qsize()
 
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return _aflatten(self.abatches())
-
     def batches(self) -> Iterator[List[Event]]:
         """Yield what is queued: one blocking ``get``, then only the events
         already waiting behind it -- a live producer is never held back
@@ -573,38 +561,6 @@ class QueueSource(EventSource):
                 if self._producer_died():
                     self._raise_broken()
                 continue
-            block, marker = self._take(item, get_nowait, intern)
-            if block:
-                yield block
-            if marker is _CLOSED:
-                return
-            if marker is _ABORTED:
-                self._raise_broken()
-
-    async def abatches(self) -> AsyncIterator[List[Event]]:
-        """The ``async`` counterpart of :meth:`batches`."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        intern = self.registry.intern
-        get_nowait = self._queue.get_nowait
-        get = self._queue.get
-        while True:
-            try:
-                item = get_nowait()
-            except queue_module.Empty:
-                # Park the wait on a worker thread so the event loop
-                # stays free for the producers -- but in *bounded* slices
-                # (Queue.get timeouts), never an indefinite block: a
-                # cancelled consumer must not wedge an executor thread
-                # in get() forever (loop.shutdown_default_executor()
-                # would then hang the whole program on exit).
-                try:
-                    item = await loop.run_in_executor(None, get, True, 0.25)
-                except queue_module.Empty:
-                    if self._producer_died():
-                        self._raise_broken()
-                    continue
             block, marker = self._take(item, get_nowait, intern)
             if block:
                 yield block
@@ -634,44 +590,7 @@ class QueueSource(EventSource):
                 return block, None
 
 
-class AsyncEventSource:
-    """Base class for asyncio-native event stream producers.
-
-    The asynchronous counterpart of :class:`EventSource`: the same
-    ``name`` / ``is_complete`` / ``registry`` / ``trace`` protocol, but
-    events are produced through ``__aiter__`` for an ``async for`` loop
-    (:class:`~repro.engine.async_engine.AsyncRaceEngine`).
-    """
-
-    name = "stream"
-    is_complete = False
-    registry: Optional[ThreadRegistry] = None
-    #: Asynchronous sources never have a materialised backing trace.
-    trace: Optional[Trace] = None
-
-    # A subclass implements ``__aiter__`` or ``batches`` (or both); each
-    # default is defined in terms of the other.
-
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return _aflatten(self.batches())
-
-    def batches(self) -> AsyncIterator[List[Event]]:
-        """Yield the stream as lists of events (asynchronously).
-
-        The default puts each event of ``async for`` in a list of its
-        own: waiting to fill a larger block could hold a live producer's
-        events back.
-        """
-        return _singletons(self)
-
-    def length_hint(self) -> Optional[int]:
-        return None
-
-    def __repr__(self) -> str:
-        return "%s(%r)" % (type(self).__name__, self.name)
-
-
-class LineProtocolSource(AsyncEventSource):
+class LineProtocolSource:
     """Decode the STD line protocol off an :class:`asyncio.StreamReader`.
 
     One ``thread|op(arg)[|loc]`` event per line -- the exact grammar of
@@ -692,11 +611,20 @@ class LineProtocolSource(AsyncEventSource):
     trickling producer still sees per-line latency (a read returns as
     soon as any bytes arrive).  :meth:`batches` yields those blocks --
     the serve tier hands one block per read from its pump to its drive
-    loop; ``async for event in source`` is the same decoder flattened
-    to single events.
+    loop, which steps them through an
+    :class:`~repro.engine.engine.EnginePass`.
+
+    The class carries the attributes a pass reads off a source (``name``,
+    ``registry``, ``is_complete``, ``trace``, ``length_hint``) but is no
+    :class:`EventSource`: its ``batches()`` must be awaited, so
+    :func:`as_source`, and with it :class:`~repro.engine.engine.RaceEngine`
+    and :class:`~repro.engine.validate.ValidatingSource`, refuse it with
+    a ``TypeError`` before reading a byte.
     """
 
-    #: Longest accepted line (bytes, newline excluded).  Replaces the
+    is_complete = False
+    #: A socket stream never has a materialised backing trace.
+    trace: Optional[Trace] = None
     #: Bytes requested per socket read (the largest batch's span).
     READ_BYTES = 1 << 16
 
@@ -724,6 +652,12 @@ class LineProtocolSource(AsyncEventSource):
     def seek_events(self, events: int) -> None:
         """Record the resume offset; the peer replays from it (handshake)."""
         self.resume_offset = events
+
+    def length_hint(self) -> Optional[int]:
+        return None
+
+    def __repr__(self) -> str:
+        return "LineProtocolSource(%r)" % (self.name,)
 
     async def batches(self) -> AsyncIterator[ColumnBlock]:
         """Yield the decoded rows of each socket read as one column block.
@@ -784,33 +718,6 @@ class LineProtocolSource(AsyncEventSource):
                 return
 
 
-async def _aflatten(blocks) -> AsyncIterator[Event]:
-    """Flatten an asynchronous block stream into single events."""
-    async for block in blocks:
-        for event in block:
-            yield event
-
-
-async def _singletons(events) -> AsyncIterator[List[Event]]:
-    """Wrap each event of an asynchronous stream in a list of its own."""
-    async for event in events:
-        yield [event]
-
-
-def async_batches(source) -> AsyncIterator[List[Event]]:
-    """The asynchronous block stream of anything :func:`as_async_source`
-    returns: ``abatches()`` of the sources that iterate both ways
-    (:class:`QueueSource`, :class:`~repro.engine.validate.ValidatingSource`),
-    ``batches()`` of :class:`AsyncEventSource` subclasses, else one-event
-    blocks of a foreign ``async for`` iterable."""
-    abatches = getattr(source, "abatches", None)
-    if abatches is not None:
-        return abatches()
-    if isinstance(source, AsyncEventSource):
-        return source.batches()
-    return _singletons(source)
-
-
 def _skip_prefix(events: Iterator[Event], skip: int) -> Iterator[Event]:
     """Drop the first ``skip`` events (checkpoint/resume positioning)."""
     if skip:
@@ -861,42 +768,3 @@ def as_source(obj: Union[EventSource, Trace, str, Path, Iterable[Event]],
         "cannot build an event source from %r (expected EventSource, Trace, "
         "path, or iterable of events)" % (type(obj).__name__,)
     )
-
-
-class _CooperativeSource(SourceWrapper, AsyncEventSource):
-    """Adapt a synchronous source for an ``async for`` loop.
-
-    Yields the inner source's blocks in slices of at most
-    ``yield_every`` events, surrendering the event loop after each, so a
-    long pull-based pass (a big trace file) cannot starve the loop's
-    other tasks.  The source protocol is forwarded
-    (:class:`SourceWrapper`), so the async engine treats an adapted
-    trace or file exactly like the sync engine does.
-    """
-
-    def __init__(self, inner: EventSource, yield_every: int = 256) -> None:
-        super().__init__(inner)
-        self._yield_every = yield_every
-
-    async def batches(self) -> AsyncIterator[List[Event]]:
-        import asyncio
-
-        size = self._yield_every
-        for block in self._inner.batches():
-            for start in range(0, len(block), size):
-                yield block[start:start + size]
-                await asyncio.sleep(0)
-
-
-def as_async_source(obj, name: Optional[str] = None):
-    """Coerce ``obj`` into something an ``async for`` loop can consume.
-
-    Asynchronous sources (anything with ``__aiter__``, e.g.
-    :class:`LineProtocolSource`, :class:`QueueSource`, a wrapped
-    :class:`~repro.engine.validate.ValidatingSource`) are returned
-    unchanged; everything :func:`as_source` accepts is adapted through a
-    cooperative wrapper that periodically yields the event loop.
-    """
-    if hasattr(obj, "__aiter__"):
-        return obj
-    return _CooperativeSource(as_source(obj, name=name))

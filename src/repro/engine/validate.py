@@ -18,8 +18,8 @@ message** that ``Trace(validate=True)`` raises on the materialised
 prefix, so callers cannot tell (and tests assert) which path rejected
 the stream.
 
-:class:`ValidatingSource` wraps any event source (sync or async) with
-an online validator, transparently forwarding the source protocol
+:class:`ValidatingSource` wraps any event source with an online
+validator, transparently forwarding the source protocol
 (:class:`~repro.engine.sources.SourceWrapper`) so wrapped traces and
 files keep their census and checkpoints keep the validator state.  The
 CLI wires it in by default under ``--stream`` (``--no-validate`` opts
@@ -32,22 +32,24 @@ before stepping it, in step order.
 
 from __future__ import annotations
 
-from typing import AsyncIterator, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.sources import (
-    EventSource,
-    SourceWrapper,
-    _aflatten,
-    as_async_source,
-    as_source,
-    async_batches,
-)
+from repro.engine.sources import EventSource, SourceWrapper, as_source
 from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event
 from repro.trace.semantics import LockDiscipline
 from repro.trace.trace import LockSemanticsError, WellNestednessError  # noqa: F401  (re-exported API)
 
 __all__ = ["OnlineValidator", "ValidatingSource"]
+
+#: Why a validated pass cannot resume from a checkpoint without validator
+#: state; raised by :class:`ValidatingSource` and by the serve tier's
+#: handshake resume alike.
+NEEDS_VALIDATOR_STATE = (
+    "resuming a validated stream mid-way requires the checkpoint to carry "
+    "validator state (checkpoints written by a non-streaming run do not); "
+    "resume without --stream, or disable validation with --no-validate"
+)
 
 
 class OnlineValidator:
@@ -187,9 +189,7 @@ class ValidatingSource(SourceWrapper, EventSource):
     """Wrap a source with online validation; otherwise fully transparent.
 
     Accepts anything :func:`~repro.engine.sources.as_source` accepts,
-    plus asynchronous sources (anything with ``__aiter__``, e.g.
-    :class:`~repro.engine.sources.LineProtocolSource`); iterate it the
-    same way the wrapped source would be iterated.  The source protocol
+    and refuses the rest with its ``TypeError``.  The source protocol
     is forwarded (:class:`~repro.engine.sources.SourceWrapper`), so
     wrapping a trace or a file costs detectors nothing they would have
     read.
@@ -201,9 +201,7 @@ class ValidatingSource(SourceWrapper, EventSource):
     """
 
     def __init__(self, inner, name: Optional[str] = None) -> None:
-        if not hasattr(inner, "__aiter__"):
-            inner = as_source(inner)
-        super().__init__(inner, name)
+        super().__init__(as_source(inner), name)
         #: The validator of the most recent (or current) iteration pass.
         self.validator = OnlineValidator()
         #: Restored validator to adopt on the next iteration pass (resume).
@@ -236,22 +234,6 @@ class ValidatingSource(SourceWrapper, EventSource):
         if validator is not None:
             self._resume_validator = OnlineValidator.from_state(validator)
 
-    def _next_validator(self) -> OnlineValidator:
-        if self._needs_resume_validator and self._resume_validator is None:
-            raise ValueError(
-                "resuming a validated stream mid-way requires the "
-                "checkpoint to carry validator state (checkpoints written "
-                "by a non-streaming run do not); resume without --stream, "
-                "or disable validation with --no-validate"
-            )
-        validator, self._resume_validator = (
-            self._resume_validator or OnlineValidator(), None
-        )
-        return validator
-
-    def __aiter__(self) -> AsyncIterator[Event]:
-        return _aflatten(self.abatches())
-
     def batches(self) -> Iterator[List[Event]]:
         """The wrapped source's blocks, each checked before it is yielded.
 
@@ -260,23 +242,13 @@ class ValidatingSource(SourceWrapper, EventSource):
         events (and checkpoints and snapshots) it would reach consuming
         the stream one event at a time.
         """
-        if not hasattr(self._inner, "__iter__"):
-            raise TypeError(
-                "wrapped source %r is asynchronous; iterate with 'async for'"
-                % (self._inner,)
-            )
-        self.validator = validator = self._next_validator()
+        if self._needs_resume_validator and self._resume_validator is None:
+            raise ValueError(NEEDS_VALIDATOR_STATE)
+        self.validator = validator = (
+            self._resume_validator or OnlineValidator()
+        )
+        self._resume_validator = None
         for block in self._inner.batches():
-            block, error = validator.check_batch(block)
-            if block:
-                yield block
-            if error is not None:
-                raise error
-
-    async def abatches(self) -> AsyncIterator[List[Event]]:
-        """The ``async`` counterpart of :meth:`batches`."""
-        self.validator = validator = self._next_validator()
-        async for block in async_batches(as_async_source(self._inner)):
             block, error = validator.check_batch(block)
             if block:
                 yield block

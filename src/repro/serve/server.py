@@ -6,9 +6,9 @@ connection" into a governed multi-stream service.  Two layers:
 :class:`SessionDriver`
     Owns one connection end to end: the handshake peek (``/stats``
     query, ``# stream-id:`` directive, tenant derivation), admission,
-    and the pump/drive pair that replaces the engine's plain ``async
-    for``.  The *pump* task decodes STD lines off the socket and puts
-    one column block per socket read (:meth:`LineProtocolSource.batches
+    and the pump/drive pair that steps the pass.  The *pump* task
+    decodes STD lines off the socket and puts one column block per
+    socket read (:meth:`LineProtocolSource.batches
     <repro.engine.sources.LineProtocolSource.batches>`) on a bounded
     :class:`asyncio.Queue`; the *drive* loop takes a batch off the queue,
     validates it and steps it through a shared
@@ -57,11 +57,11 @@ import asyncio
 import json
 import logging
 import os
+import re
 import signal
 import time
 from typing import List, Optional
 
-from repro.engine.async_engine import _safe_stream_id
 from repro.engine.checkpoint import (
     Checkpoint,
     Checkpointer,
@@ -71,7 +71,7 @@ from repro.engine.checkpoint import (
 from repro.engine.config import EngineConfig
 from repro.engine.engine import EnginePass, EngineResult
 from repro.engine.sources import LineProtocolSource
-from repro.engine.validate import OnlineValidator
+from repro.engine.validate import NEEDS_VALIDATOR_STATE, OnlineValidator
 from repro.serve.metrics import ServeMetrics
 from repro.serve.quotas import Overloaded, QuotaManager
 from repro.serve.sessions import SessionManager, StreamSession, tenant_of
@@ -96,14 +96,25 @@ _DRAIN_REFUSAL = (
     "instance\n"
 )
 
-#: Error message a resume without validator state must raise -- kept
-#: textually identical to :class:`~repro.engine.validate.ValidatingSource`
-#: so both serve generations reject such streams the same way.
-_NEEDS_VALIDATOR_STATE = (
-    "resuming a validated stream mid-way requires the checkpoint to carry "
-    "validator state (checkpoints written by a non-streaming run do not); "
-    "resume without --stream, or disable validation with --no-validate"
+#: First-line directive opting a pushed stream into crash recovery.  The
+#: id becomes a directory name under --checkpoint-dir, so the character
+#: class excludes separators and the path-special names "." / ".." are
+#: rejected after the match (a client must not be able to direct
+#: checkpoint writes -- or the clean-completion deletion -- outside its
+#: own subdirectory).
+_STREAM_ID_LINE = re.compile(
+    r"^#\s*stream-id\s*[:=]\s*([A-Za-z0-9._-]{1,64})\s*$"
 )
+
+
+def _safe_stream_id(line: bytes):
+    match = _STREAM_ID_LINE.match(line.decode("utf-8", "replace").strip())
+    if match is None:
+        return None
+    stream_id = match.group(1)
+    if stream_id in (".", ".."):
+        return None
+    return stream_id
 
 
 class _Draining(Exception):
@@ -488,7 +499,7 @@ class SessionDriver:
         if self.validate and loaded.events > 0:
             state = (loaded.source_state or {}).get("validator")
             if state is None:
-                raise ValueError(_NEEDS_VALIDATOR_STATE)
+                raise ValueError(NEEDS_VALIDATOR_STATE)
             self.validator = OnlineValidator.from_state(state)
         self._pass = self._restored_pass(loaded, resolved)
 

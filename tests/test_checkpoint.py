@@ -7,8 +7,8 @@ Covers the three layers of the snapshot protocol:
 * the versioned detector snapshot protocol (round-trip parity for WCP,
   HB and FastTrack at arbitrary event offsets; fail-fast mismatch
   handling);
-* the engine-level checkpoint/resume subsystem (sync, async/push, and
-  sharded engines; CLI surface; fresh-process resume).
+* the engine-level checkpoint/resume subsystem (pull and push sources,
+  the sharded engine, the CLI surface, fresh-process resume).
 
 The central property throughout: checkpointing at an arbitrary offset
 and resuming must yield reports identical to an uninterrupted run --
@@ -19,6 +19,8 @@ import asyncio
 import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -45,12 +47,12 @@ from repro.core.snapshot import (
 )
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import (
-    AsyncRaceEngine,
     Checkpoint,
     Checkpointer,
     CheckpointError,
     CheckpointMismatchError,
     CountingSource,
+    EnginePass,
     FileSource,
     IterableSource,
     TraceSource,
@@ -690,47 +692,47 @@ class TestIterableSeek:
 
 
 # --------------------------------------------------------------------- #
-# Async engine + push-source resume handshake
+# Push-source resume handshake
 # --------------------------------------------------------------------- #
 
-class TestAsyncResume:
+class TestPushResume:
     def test_queue_source_resume_handshake(self, tmp_path):
         trace = random_trace(8, n_events=160, n_threads=4)
         reference = run_engine(trace, detectors=["wcp"])
         directory = tmp_path / "ckpts"
 
-        async def interrupted():
-            source = QueueSource(name="push", maxsize=10_000)
-            for event in trace.events:
-                source.put(event)
-            source.close()
-            config = (
-                EngineConfig().with_detectors("wcp")
-                .with_checkpoints(directory, every=20).stop_after_events(80)
-            )
-            return await AsyncRaceEngine(config).run(source)
-
-        asyncio.run(interrupted())
+        source = QueueSource(name="push", maxsize=10_000)
+        for event in trace.events:
+            source.put(event)
+        source.close()
+        config = (
+            EngineConfig().with_detectors("wcp")
+            .with_checkpoints(directory, every=20).stop_after_events(80)
+        )
+        RaceEngine(config).run(source)
         offsets = Checkpointer(directory).offsets()
         assert offsets and max(offsets) <= 80
 
-        async def resumed():
-            source = QueueSource(name="push", maxsize=10_000)
-            engine = AsyncRaceEngine(EngineConfig())
-            task = asyncio.ensure_future(
-                engine.resume(source, directory)
-            )
-            await asyncio.sleep(0)
-            # The handshake: the source advertises the last durable
+        source = QueueSource(name="push", maxsize=10_000)
+        replayed = []
+
+        def producer():
+            # The handshake: the resumed pass advertises the last durable
             # offset; the producer replays from exactly there.
+            deadline = time.monotonic() + 10.0
+            while not source.resume_offset and time.monotonic() < deadline:
+                time.sleep(0.001)
             offset = source.resume_offset
-            assert offset == max(offsets)
+            replayed.append(offset)
             for event in trace.events[offset:]:
                 source.put(event)
             source.close()
-            return await task
 
-        result = asyncio.run(resumed())
+        thread = threading.Thread(target=producer, daemon=True)
+        source.attach_producer(thread)
+        thread.start()
+        result = resume_engine(source, directory)
+        assert replayed == [max(offsets)]
         assert _fingerprint(result["WCP"]) == _fingerprint(reference["WCP"])
         assert result.events == reference.events
 
@@ -976,18 +978,22 @@ class TestBackgroundCheckpointer:
         assert checkpointer.load().events == 20
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_async_run_drains_before_returning(self, tmp_path):
+    def test_background_pass_drains_before_returning(self, tmp_path):
+        # A serve session steps its pass on the event loop with a
+        # background writer; the pass's result must wait for the writes.
         trace = random_trace(2, n_events=120)
         directory = tmp_path / "ckpts"
-
-        async def scenario():
-            config = (
-                EngineConfig().with_detectors("wcp")
-                .with_checkpoints(directory, every=20).stop_after_events(60)
-            )
-            return await AsyncRaceEngine(config).run(TraceSource(trace))
-
-        asyncio.run(scenario())
+        config = EngineConfig().stop_after_events(60)
+        pass_ = EnginePass(
+            config, config.resolve_detectors(["wcp"]), trace.name,
+            trace=trace, registry=trace.registry,
+            checkpointer=Checkpointer(directory, every=20, background=True),
+        )
+        pass_.start()
+        for block in TraceSource(trace).batches():
+            if pass_.step_batch(block) is not None:
+                break
+        pass_.result()
         assert Checkpointer(directory).offsets()
         assert not list(directory.glob("*.tmp"))
 
@@ -1022,7 +1028,7 @@ class TestServeHandshakeErrors:
 
 class TestServeStreamIdSafety:
     def test_path_special_ids_are_rejected(self):
-        from repro.engine.async_engine import _safe_stream_id
+        from repro.serve.server import _safe_stream_id
 
         assert _safe_stream_id(b"# stream-id: job42\n") == "job42"
         assert _safe_stream_id(b"# stream-id= a.b-c_9\n") == "a.b-c_9"
@@ -1092,17 +1098,6 @@ class TestQueueSourceEdges:
         # And a second iteration terminates immediately instead of
         # blocking on the re-armed close marker.
         assert list(source) == []
-
-    def test_async_drain_of_closed_nonempty_queue(self):
-        source = QueueSource(maxsize=64)
-        for position in range(7):
-            source.push("t1", EventType.READ, "v%d" % position)
-        source.close()
-
-        async def drain():
-            return [event.target async for event in source]
-
-        assert asyncio.run(drain()) == ["v%d" % i for i in range(7)]
 
 
 # --------------------------------------------------------------------- #

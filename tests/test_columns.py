@@ -229,7 +229,7 @@ def test_empty_thread_on_the_line_protocol():
         reader = asyncio.StreamReader()
         reader.feed_data(b"t0|acq(l)|a\n|rel(l)|b\n")
         reader.feed_eof()
-        return [event async for event in LineProtocolSource(reader)]
+        return [block async for block in LineProtocolSource(reader).batches()]
 
     with pytest.raises(TraceParseError) as info:
         asyncio.run(run())

@@ -1,9 +1,12 @@
-"""Tests for push ingestion and the asynchronous engine.
+"""Tests for push ingestion.
 
-The acceptance property: :class:`AsyncRaceEngine` produces reports
-identical to :class:`RaceEngine` (races, witnesses, distances, stop
-reasons) on the same stream, because both drive the shared
-:class:`EnginePass` stepper.
+Producers push events two ways: in process, a producer thread feeds a
+:class:`QueueSource` that :class:`RaceEngine` drains; over a socket,
+``repro-race serve`` decodes the STD line protocol
+(:class:`LineProtocolSource`) and steps each read through the engine's
+block stepper.  Both must report what a pull pass over the same events
+reports.  :class:`LineProtocolSource` is not an event source: the
+engine and :class:`ValidatingSource` refuse it up front.
 """
 
 import asyncio
@@ -12,19 +15,14 @@ import threading
 import pytest
 
 from repro import (
-    AsyncRaceEngine,
-    EngineConfig,
     IterableSource,
     LineProtocolSource,
     QueueSource,
     RaceEngine,
     ValidatingSource,
     detect_races,
-    detect_races_async,
-    run_engine_async,
 )
 from repro.cli import _build_parser, _serve_async
-from repro.engine import STOP_EVENT_BUDGET, STOP_RACE_BUDGET, as_async_source
 from repro.trace.event import Event
 from repro.trace.trace import LockSemanticsError
 from repro.trace.writers import write_std
@@ -44,75 +42,6 @@ def _fingerprint(report):
         report.raw_race_count,
         report.count(),
     )
-
-
-def _result_fingerprint(result):
-    return (
-        result.events,
-        result.stop_reason,
-        {name: _fingerprint(report) for name, report in result.items()},
-    )
-
-
-class TestAsyncSyncParity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reports_identical_on_random_traces(self, seed):
-        trace = random_trace(seed=seed, n_events=60, n_threads=4, n_vars=3)
-        sync_result = RaceEngine().run(trace)
-        async_result = asyncio.run(AsyncRaceEngine().run(trace))
-        assert _result_fingerprint(async_result) == _result_fingerprint(
-            sync_result
-        )
-
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_stream_source_parity(self, seed):
-        """Same stream (no prescan) through both engines."""
-        trace = random_trace(seed=seed, n_events=50)
-        sync_result = RaceEngine().run(
-            IterableSource(iter(trace), name=trace.name)
-        )
-        async_result = asyncio.run(
-            AsyncRaceEngine().run(IterableSource(iter(trace), name=trace.name))
-        )
-        assert _result_fingerprint(async_result) == _result_fingerprint(
-            sync_result
-        )
-
-    def test_stop_reasons_match(self):
-        trace = random_trace(seed=3, n_events=60)
-        config = EngineConfig().with_detectors("wcp").stop_on_first_race()
-        sync_result = RaceEngine(config).run(trace)
-        config2 = EngineConfig().with_detectors("wcp").stop_on_first_race()
-        async_result = asyncio.run(AsyncRaceEngine(config2).run(trace))
-        assert sync_result.stop_reason == STOP_RACE_BUDGET
-        assert async_result.stop_reason == sync_result.stop_reason
-        assert async_result.events == sync_result.events
-
-    def test_event_budget(self, simple_race_trace):
-        config = EngineConfig().with_detectors("hb").stop_after_events(1)
-        result = asyncio.run(AsyncRaceEngine(config).run(simple_race_trace))
-        assert result.stop_reason == STOP_EVENT_BUDGET
-        assert result.events == 1
-
-    def test_snapshots_match(self):
-        trace = random_trace(seed=5, n_events=40)
-        def snap_config():
-            return EngineConfig().with_detectors("wcp", "hb").snapshot_every(10)
-        sync_result = RaceEngine(snap_config()).run(trace)
-        async_result = asyncio.run(AsyncRaceEngine(snap_config()).run(trace))
-        assert [
-            (s.detector_name, s.events, s.races) for s in async_result.snapshots
-        ] == [
-            (s.detector_name, s.events, s.races) for s in sync_result.snapshots
-        ]
-
-    def test_api_helpers(self, simple_race_trace):
-        report = asyncio.run(detect_races_async(simple_race_trace))
-        assert report.count() == detect_races(simple_race_trace).count()
-        result = asyncio.run(
-            run_engine_async(simple_race_trace, detectors=["wcp", "hb"])
-        )
-        assert set(result.keys()) == {"WCP", "HB"}
 
 
 class TestQueueSource:
@@ -137,19 +66,6 @@ class TestQueueSource:
             IterableSource(iter(trace), name=trace.name)
         ))
 
-    def test_async_consumption(self):
-        trace = random_trace(seed=9, n_events=50)
-        source = QueueSource(name=trace.name, maxsize=8)
-        producer = threading.Thread(
-            target=self._producer, args=(source, list(trace))
-        )
-        producer.start()
-        report = asyncio.run(detect_races_async(source))
-        producer.join()
-        assert _fingerprint(report) == _fingerprint(detect_races(
-            IterableSource(iter(trace), name=trace.name)
-        ))
-
     def test_push_convenience_and_close(self):
         from repro.trace.event import EventType
 
@@ -169,21 +85,6 @@ class TestQueueSource:
         assert list(source) == []
         assert list(source) == []
 
-    def test_cancelled_async_consumer_does_not_wedge_shutdown(self):
-        """Regression: the async drain parks queue waits on an executor
-        thread in bounded slices, so cancelling a consumer of an empty
-        (never-closed) queue leaves nothing blocked and asyncio.run's
-        executor shutdown returns promptly."""
-        async def run():
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    AsyncRaceEngine().run(QueueSource()), timeout=0.2
-                )
-
-        # The hang mode was asyncio.run never returning (stuck in
-        # loop.shutdown_default_executor); completing at all is the pass.
-        asyncio.run(run())
-
 
 class TestLineProtocolSource:
     def _feed_reader(self, text):
@@ -192,19 +93,30 @@ class TestLineProtocolSource:
         reader.feed_eof()
         return reader
 
-    def test_decodes_std_lines(self):
-        async def run():
-            reader = self._feed_reader(
-                "# comment\n"
-                "t1|acq(l)|a:1\n"
-                "\n"
-                "t1|w(x)|a:2\n"
-                "t1|rel(l)|a:3\n"
-            )
-            source = LineProtocolSource(reader, name="wire")
-            return [event async for event in source]
+    def _blocks(self, text, initial_lines=None):
+        counted = []
 
-        events = asyncio.run(run())
+        async def run():
+            source = LineProtocolSource(
+                self._feed_reader(text), name="wire",
+                initial_lines=initial_lines, on_bytes=counted.append,
+            )
+            return [block async for block in source.batches()]
+
+        return asyncio.run(run()), counted
+
+    def _events(self, text):
+        blocks, _ = self._blocks(text)
+        return [event for block in blocks for event in block]
+
+    def test_decodes_std_lines(self):
+        events = self._events(
+            "# comment\n"
+            "t1|acq(l)|a:1\n"
+            "\n"
+            "t1|w(x)|a:2\n"
+            "t1|rel(l)|a:3\n"
+        )
         assert [(e.index, e.thread, str(e.etype), e.target) for e in events] == [
             (0, "t1", "acq", "l"),
             (1, "t1", "w", "x"),
@@ -215,27 +127,12 @@ class TestLineProtocolSource:
     @pytest.mark.parametrize("seed", [1, 6])
     def test_wire_report_matches_file_report(self, seed, tmp_path):
         trace = random_trace(seed=seed, n_events=50)
-        text = write_std(trace)
-
-        async def run():
-            source = LineProtocolSource(self._feed_reader(text), name="wire")
-            return await detect_races_async(ValidatingSource(source))
-
-        wire = asyncio.run(run())
+        events = self._events(write_std(trace))
+        wire = detect_races(
+            ValidatingSource(IterableSource(events, name="wire"))
+        )
         direct = detect_races(IterableSource(iter(trace), name="wire"))
         assert _fingerprint(wire) == _fingerprint(direct)
-
-    def _blocks(self, text, initial_lines):
-        counted = []
-
-        async def run():
-            source = LineProtocolSource(
-                self._feed_reader(text), initial_lines=initial_lines,
-                on_bytes=counted.append,
-            )
-            return [block async for block in source.batches()]
-
-        return asyncio.run(run()), counted
 
     def test_peeked_line_joins_the_first_read(self):
         # A handshake peeks at the first line; the first block must still
@@ -254,25 +151,33 @@ class TestLineProtocolSource:
         assert counted == [len(b"t1|w(x)|a:1")]
 
     def test_malformed_wire_stream_raises_validation_error(self):
-        async def run():
-            reader = self._feed_reader("t1|acq(l)\nt2|acq(l)\n")
-            source = ValidatingSource(LineProtocolSource(reader))
-            return await detect_races_async(source)
-
+        events = self._events("t1|acq(l)\nt2|acq(l)\n")
         with pytest.raises(LockSemanticsError):
-            asyncio.run(run())
+            detect_races(ValidatingSource(IterableSource(events)))
 
+    def test_engine_and_validator_refuse_it_unread(self):
+        """The socket reader's ``batches()`` must be awaited, so the pull
+        engine and the validating wrapper refuse it at construction with
+        a one-line error naming it -- never a hang or a traceback from
+        inside the pass."""
 
-class TestCooperativeAdapter:
-    def test_adapter_forwards_protocol(self, protected_trace):
-        adapted = as_async_source(protected_trace)
-        assert adapted.is_complete
-        assert adapted.trace is protected_trace
-        assert adapted.length_hint() == len(protected_trace)
+        class Reader:
+            reads = 0
 
-    def test_async_source_returned_unchanged(self):
-        source = QueueSource()
-        assert as_async_source(source) is source
+            async def read(self, size):  # pragma: no cover - must not run
+                Reader.reads += 1
+                return b""
+
+        for build in (
+            lambda source: ValidatingSource(source),
+            lambda source: RaceEngine().run(source),
+        ):
+            with pytest.raises(TypeError) as excinfo:
+                build(LineProtocolSource(Reader()))
+            message = str(excinfo.value)
+            assert "LineProtocolSource" in message
+            assert "\n" not in message
+        assert Reader.reads == 0
 
 
 class TestServe:

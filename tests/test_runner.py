@@ -4,7 +4,7 @@ The contract under test is the strongest one the checkpoint subsystem can
 offer: a run whose *coordinator process* is hard-killed mid-stream and
 auto-resumed from the newest checkpoint produces a report identical --
 pairs, witnesses, distances -- to the uninterrupted run, for WCP, HB and
-FastTrack, sharded and unsharded, sync and async.  Every injected
+FastTrack, sharded and unsharded.  Every injected
 ``kill_coordinator`` fault is checked with ``FaultPlan.unfired()`` so a
 kill that silently stopped firing fails the suite rather than passing it.
 """
@@ -98,20 +98,6 @@ class TestKillAndResumeParity:
         _assert_parity(result, reference)
         assert plan.unfired() == []
         assert result.supervision["coordinator_restarts"] == 1
-
-    def test_async_mode_parity_through_kill(self, tmp_path):
-        trace = _trace(31)
-        reference = run_engine(trace, ["wcp"])
-        plan = FaultPlan([Fault.kill_coordinator(170)])
-        result = RunSupervisor(
-            trace, ["wcp"],
-            config=EngineConfig().with_detectors("wcp"),
-            checkpoint_dir=str(tmp_path / "ckpts"),
-            checkpoint_every=50, retries=2, backoff_s=0.0,
-            fault_plan=plan, use_async=True,
-        ).run()
-        _assert_parity(result, reference)
-        assert plan.unfired() == []
 
     def test_kill_before_first_checkpoint_reruns_fresh(self, tmp_path):
         trace = _trace(37)

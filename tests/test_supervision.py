@@ -9,7 +9,6 @@ disabled (``fail_fast``, retries exhausted, retries=0) the run dies with
 one actionable :class:`WorkerFailure`, never a raw ``EOFError``.
 """
 
-import asyncio
 import multiprocessing
 import os
 import threading
@@ -639,30 +638,6 @@ class TestQueueSourceGovernance:
         assert source.closed
         with pytest.raises(RuntimeError):
             self._push_one(source)
-
-    def test_async_drain_sees_abort(self):
-        async def run():
-            source = QueueSource(name="agone")
-            self._push_one(source)
-            source.abort()
-            with pytest.raises(RuntimeError, match="aborted"):
-                async for _ in source:
-                    pass
-
-        asyncio.run(run())
-
-    def test_async_drain_sees_dead_producer(self):
-        async def run():
-            source = QueueSource(name="adead")
-            producer = threading.Thread(target=lambda: None)
-            source.attach_producer(producer)
-            producer.start()
-            producer.join()
-            with pytest.raises(RuntimeError, match="died without closing"):
-                async for _ in source:
-                    pass
-
-        asyncio.run(run())
 
     def test_healthy_producer_unaffected(self):
         source = QueueSource(name="fine")
