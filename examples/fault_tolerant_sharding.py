@@ -13,8 +13,9 @@ fault-injection harness (:mod:`repro.engine.faults`):
 2. a **corrupted snapshot** (bit-flipped blob, caught by the CRC frame)
    makes failover fall back to an older snapshot -- or the stream start
    -- and the report is *still* identical;
-3. when recovery is impossible (retry budget exhausted, or
-   ``fail_fast``), the run fails with one actionable
+3. when recovery is impossible (retry budget exhausted) or switched
+   off (``retries=0``, which fails fast at the first death and keeps
+   no snapshots or replay buffer), the run fails with one actionable
    :class:`~repro.engine.WorkerFailure`, never a raw ``EOFError``.
 
 Run with::
@@ -111,7 +112,7 @@ def main():
           % (signature(corrupted["WCP"]) == signature(reference["WCP"])))
 
     # --- 3: unrecoverable failures are one actionable error. ----------- #
-    print("\n3. same kill with failover disabled (retries=0)...")
+    print("\n3. same kill, failing fast (retries=0)...")
     try:
         ShardedEngine(
             config(FaultPlan.kill(1, at_event=1400), retries=0)

@@ -126,8 +126,7 @@ async def scenario_eviction():
     print("\n— eviction: a quiet stream is checkpointed out, then restored")
     with tempfile.TemporaryDirectory() as directory:
         settings = ServeSettings(
-            port=0, checkpoint_dir=directory,
-            idle_poll_s=0.02, idle_evict_after_s=0.05,
+            port=0, checkpoint_dir=directory, idle_evict_after_s=0.05,
         )
         server = await RaceServer(["wcp", "hb"], settings=settings).start()
         try:
@@ -163,7 +162,7 @@ async def scenario_drain():
     print("\n— drain: SIGTERM-style handoff to a fresh instance")
     with tempfile.TemporaryDirectory() as directory:
         settings = lambda: ServeSettings(  # noqa: E731 - two instances
-            port=0, checkpoint_dir=directory, idle_poll_s=0.02,
+            port=0, checkpoint_dir=directory,
         )
         first = await RaceServer(["wcp", "hb"], settings=settings()).start()
         reader, writer = await asyncio.open_connection(

@@ -66,7 +66,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
     "repro.engine.config": ["EngineConfig"],
     "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
-    "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
+    "repro.engine.supervision": ["WorkerFailure"],
     "repro.engine.sources": [
         "EventSource", "TraceSource", "FileSource", "IterableSource",
         "SimulatorSource", "CountingSource", "QueueSource",

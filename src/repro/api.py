@@ -103,15 +103,16 @@ def run_engine(
     configuration's selection; the default is WCP + HB.  ``shards``
     (default: the configuration's ``shards``, normally 1) splits the pass
     across that many worker engines
-    (:class:`~repro.engine.sharding.ShardedEngine`); transport mode and
-    partition policy come from the configuration
+    (:class:`~repro.engine.sharding.ShardedEngine`); the transport mode
+    comes from the configuration
     (:meth:`~repro.engine.EngineConfig.with_shards`).  Sharded passes are
     supervised: a shard worker that dies mid-run is restarted from its
     last in-memory snapshot and the lost batches are replayed, so the
     merged report matches an uninterrupted run exactly -- tune the retry
     budget, heartbeat and snapshot cadence with
     :meth:`~repro.engine.EngineConfig.with_shard_supervision`, or raise
-    :class:`~repro.engine.WorkerFailure` immediately with ``fail_fast``.
+    :class:`~repro.engine.WorkerFailure` at the first death with
+    ``retries=0``.
 
     ``checkpoint`` names a directory to persist periodic detector-state
     checkpoints into (every ``checkpoint_every`` events, default 10,000);
@@ -151,8 +152,8 @@ def resume_engine(
     detector list, detector configuration or snapshot format version
     fails fast).
     Sharded checkpoints are resumed by a sharded engine with the
-    checkpoint's shard count and partition policy automatically; the
-    transport mode may differ (worker state is transport-agnostic).
+    checkpoint's shard count automatically; the transport mode may
+    differ (worker state is transport-agnostic).
     The resumed pass keeps checkpointing into the same directory at the
     original cadence and produces reports identical to an uninterrupted
     run.
@@ -171,11 +172,7 @@ def resume_engine(
     if loaded.sharded is not None:
         sharded = loaded.sharded
         if effective.shards != sharded["shards"]:
-            effective.with_shards(
-                sharded["shards"],
-                mode=effective.shard_mode,
-                policy=sharded.get("policy"),
-            )
+            effective.with_shards(sharded["shards"])
         from repro.engine.sharding import ShardedEngine
 
         engine = ShardedEngine(effective)

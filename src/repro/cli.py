@@ -37,6 +37,11 @@ regenerates Table-1-style rows on the synthetic benchmark suite,
 searches for a correct-reordering witness of the first detected race
 (turning a warning into a concrete alternative schedule).
 
+``analyze`` and ``compare`` exit 1 when a race was found, every command
+exits 2 on bad arguments, and a command whose reader closes standard
+output early (``| head``) ends without a traceback, with status 141
+(:data:`EXIT_STDOUT_CLOSED`).
+
 Each subcommand loads only the layers it runs.  Importing this module
 (and ``--help``) loads the argument parser, :mod:`repro.api`, the engine
 pass and the trace parsers, but no detector.  ``analyze``/``compare``
@@ -458,28 +463,19 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
              "reference, for debugging)",
     )
     subparser.add_argument(
-        "--shard-policy", default="hash", choices=("hash", "rr"),
-        help="variable partition policy: stable hashing (default) or "
-             "round-robin by first appearance",
-    )
-    subparser.add_argument(
         "--shard-retries", type=_nonnegative_int, default=2, metavar="N",
         help="worker restarts allowed per shard before the run fails; on "
              "a death the coordinator restores the shard from its newest "
              "periodic snapshot and replays the buffered batches, so the "
              "report is identical to an uninterrupted run (default 2; 0 "
-             "disables failover)",
+             "fails fast: the first death ends the run with one error, and "
+             "no snapshots or replay buffer are kept)",
     )
     subparser.add_argument(
         "--shard-heartbeat", type=float, default=30.0, metavar="SECONDS",
         help="liveness timeout: a shard worker with batches outstanding "
              "and no acknowledgement progress for this long is declared "
              "dead and failed over (default 30)",
-    )
-    subparser.add_argument(
-        "--fail-fast", action="store_true",
-        help="fail the run on the first shard worker death (one "
-             "actionable error) instead of restoring and replaying",
     )
 
 
@@ -495,13 +491,10 @@ def _make_engine_config(args: argparse.Namespace) -> EngineConfig:
     config = EngineConfig()
     shards = getattr(args, "shards", 1)
     if shards > 1:
-        config.with_shards(
-            shards, mode=args.shard_mode, policy=args.shard_policy
-        )
+        config.with_shards(shards, mode=args.shard_mode)
         config.with_shard_supervision(
             retries=getattr(args, "shard_retries", None),
             heartbeat_s=getattr(args, "shard_heartbeat", None),
-            fail_fast=getattr(args, "fail_fast", False) or None,
         )
     return config
 
@@ -1024,9 +1017,34 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Exit status when the reader of standard output closes it before the
+#: command has written everything (``repro-race analyze FILE | head -1``):
+#: 128 + SIGPIPE, what a shell reports for a writer SIGPIPE killed.
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point (also exposed as the ``repro-race`` console script)."""
+    """CLI entry point (also exposed as the ``repro-race`` console script).
+
+    A closed standard output ends the command quietly with
+    :data:`EXIT_STDOUT_CLOSED` (``push`` reports its own socket errors,
+    and ``serve`` handles them per connection).
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point the descriptor at /dev/null so the interpreter's own
+        # flush at exit has nowhere left to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+    return status
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "compare":

@@ -70,7 +70,7 @@ no-race path this eliminates every per-access clock allocation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.races import RaceReport
 from repro.trace.event import Event
@@ -79,6 +79,18 @@ from repro.vectorclock.dense import DenseClock
 # (event, clock, rank) of the latest access at one (thread, location);
 # ``rank`` is the order in which the thread first accessed the location.
 _Cell = Tuple[Event, DenseClock, int]
+
+
+def cell_key(event: Event) -> Union[str, int]:
+    """The key of ``event``'s cell: its location, or its row index.
+
+    An access without a location is its own location (``Event.location``
+    synthesises ``thread:op(target)@index`` for reports).  Keying it by
+    the int index keeps it apart from a real location that spells the
+    same string, as the compiled WCP kernel keys it.
+    """
+    loc = event.loc
+    return event.index if loc is None else loc
 
 
 def _rank(cell: _Cell) -> int:
@@ -108,9 +120,9 @@ class VariableHistory:
         # join aliases a caller's clock; copy-on-write flips it).
         self._rj_owned = False
         self._wj_owned = False
-        # thread -> location -> cell, least recently accessed first
-        self.reads: Dict[str, Dict[str, _Cell]] = {}
-        self.writes: Dict[str, Dict[str, _Cell]] = {}
+        # thread -> cell_key -> cell, least recently accessed first
+        self.reads: Dict[str, Dict[object, _Cell]] = {}
+        self.writes: Dict[str, Dict[object, _Cell]] = {}
         self.w_tid = None
         self.w_time = 0
         self.w_fast = False
@@ -119,7 +131,7 @@ class VariableHistory:
         self.r_fast = False
 
     def _unordered_cells(
-        self, cells: Dict[str, Dict[str, _Cell]], event: Event, clock
+        self, cells: Dict[str, Dict[object, _Cell]], event: Event, clock
     ) -> List[Event]:
         # Newest first, up to the first ordered cell (module docstring,
         # *Race attribution*); reported in first-access order.
@@ -196,7 +208,9 @@ class VariableHistory:
         if cells is None:
             cells = self.reads[event.thread] = {}
         # Re-insert to keep recency order; the rank survives the move.
-        loc = event.location()
+        loc = event.loc
+        if loc is None:
+            loc = event.index  # cell_key, inlined
         old = cells.pop(loc, None)
         cells[loc] = (event, clock, len(cells) if old is None else old[2])
         return racy
@@ -250,7 +264,9 @@ class VariableHistory:
         if cells is None:
             cells = self.writes[event.thread] = {}
         # Re-insert to keep recency order; the rank survives the move.
-        loc = event.location()
+        loc = event.loc
+        if loc is None:
+            loc = event.index  # cell_key, inlined
         old = cells.pop(loc, None)
         cells[loc] = (event, clock, len(cells) if old is None else old[2])
         return racy
@@ -266,7 +282,7 @@ class VariableHistory:
         owned (the aliasing of caller clocks they may have had is a memory
         optimisation, never observable in verdicts), which keeps
         copy-on-write behaviour correct without tracking identities.  Each
-        thread's cells are written as ``location -> (event, clock)`` in
+        thread's cells are written as ``cell_key -> (event, clock)`` in
         first-access order; the ranks and the recency order are derived.
         """
         return {
@@ -310,7 +326,7 @@ class _ForeignVariable:
 FOREIGN = _ForeignVariable()
 
 
-def _cells_state(cells: Dict[str, Dict[str, _Cell]]) -> Dict[str, dict]:
+def _cells_state(cells: Dict[str, Dict[object, _Cell]]) -> Dict[str, dict]:
     state = {}
     for thread, by_loc in cells.items():
         ranked = sorted(by_loc.items(), key=lambda item: item[1][2])
@@ -318,7 +334,9 @@ def _cells_state(cells: Dict[str, Dict[str, _Cell]]) -> Dict[str, dict]:
     return state
 
 
-def _cells_from_state(state: Dict[str, dict]) -> Dict[str, Dict[str, _Cell]]:
+def _cells_from_state(
+    state: Dict[str, dict],
+) -> Dict[str, Dict[object, _Cell]]:
     """Rank the cells by position, then restore their recency order.
 
     A thread's access clocks only grow, so one thread's cells form a chain
@@ -328,9 +346,11 @@ def _cells_from_state(state: Dict[str, dict]) -> Dict[str, Dict[str, _Cell]]:
     """
     cells = {}
     for thread, by_loc in state.items():
+        # Keys come from the events: a snapshot may spell a cell without
+        # a location by its synthesised string (see cell_key).
         ranked = [
-            (loc, (event, clock, rank))
-            for rank, (loc, (event, clock)) in enumerate(by_loc.items())
+            (cell_key(event), (event, clock, rank))
+            for rank, (event, clock) in enumerate(by_loc.values())
         ]
         ranked.sort(key=lambda item: sum(item[1][1]._times))
         cells[thread] = dict(ranked)

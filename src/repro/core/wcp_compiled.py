@@ -25,10 +25,8 @@ The kernel runs acquire/release/read/write/fork/join/begin/end rows of
 locks that stay chain-clean.  It returns before touching a row of any
 other kind or a row that would taint a lock, and the detector then
 hands over to Python for the rest of the pass.  A location of None is
-keyed by its row index, which stands for the location string
-(``thread:op(target)@index``) the Python history synthesises for it;
-the two keyings differ only if a real location of the same thread and
-variable spells out such a string.
+keyed by its row index, as the Python history keys it
+(:func:`~repro.core.history.cell_key`).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from itertools import compress, repeat
 from operator import is_not
 from typing import Dict, List, Optional
 
-from repro.core.history import AccessHistory, VariableHistory
+from repro.core.history import AccessHistory, VariableHistory, cell_key
 from repro.trace.columns import ColumnBlock, LocSpans
 from repro.trace.event import Event, EventType
 from repro.vectorclock import kernels
@@ -522,7 +520,7 @@ class WCPKernel:
                         event.thread = thread
                         event.index = item.index
                         event.loc = self._loc_name(item.loc)
-                        by_loc[event.location()] = (
+                        by_loc[cell_key(event)] = (
                             event, shared(item.clk), item.rank
                         )
                         c = item.next

@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
     "repro.engine.config": ["EngineConfig"],
     "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
-    "repro.engine.supervision": ["SupervisionSettings", "WorkerFailure"],
+    "repro.engine.supervision": ["WorkerFailure"],
     "repro.core.races": ["ReportSnapshot"],
     "repro.engine.sources": [
         "EventSource", "TraceSource", "FileSource", "IterableSource",
@@ -42,8 +42,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "LineProtocolSource", "as_source",
     ],
     "repro.engine.validate": ["OnlineValidator", "ValidatingSource"],
-    "repro.engine.partition": [
-        "PartitionPolicy", "HashPartition", "RoundRobinPartition",
-        "ExplicitPartition", "StreamPartitioner", "make_policy",
-    ],
+    "repro.engine.partition": ["StreamPartitioner"],
 })

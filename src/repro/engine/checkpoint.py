@@ -278,9 +278,10 @@ class Checkpoint:
         ``source.restore_checkpoint_state``.
     sharded:
         None for single-engine runs; for sharded runs a dict with
-        ``shards`` / ``mode`` / ``policy`` / ``partition`` (the
-        partitioner state) and ``shard_states`` (per shard: processed
-        events, registry-free detector snapshot blobs).
+        ``shards`` / ``mode`` / ``partition`` (the partitioner state)
+        and ``shard_states`` (per shard: processed events, registry-free
+        detector snapshot blobs).  Checkpoints written before the crc32
+        hash became the only partition also name a ``policy``.
     """
 
     def __init__(

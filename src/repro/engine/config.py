@@ -47,14 +47,11 @@ class EngineConfig:
         #: Shard transport: "process" (multi-core) or "serial" (inline,
         #: the deterministic reference).
         self.shard_mode: str = "process"
-        #: Variable partition policy name/instance
-        #: (:mod:`repro.engine.partition`).
-        self.shard_policy = "hash"
         #: Events per transport batch.
         self.shard_batch_size: int = 1024
         #: Worker restarts allowed per shard before the run fails with a
-        #: :class:`~repro.engine.supervision.WorkerFailure` (0 disables
-        #: failover entirely).
+        #: :class:`~repro.engine.supervision.WorkerFailure`; 0 fails on
+        #: the first death and keeps no snapshots or replay buffer.
         self.shard_retries: int = 2
         #: Liveness timeout: a shard with batches outstanding and no ack
         #: progress for this long, or silent this long on a snapshot or
@@ -65,11 +62,6 @@ class EngineConfig:
         self.shard_snapshot_every: int = 64
         #: Exponential restart backoff base (doubles per attempt).
         self.shard_backoff_s: float = 0.05
-        #: Per-stage worker shutdown patience before escalating
-        #: (join -> terminate -> kill).
-        self.shard_shutdown_timeout_s: float = 30.0
-        #: Fail the run on the first worker death instead of recovering.
-        self.fail_fast: bool = False
         #: Deterministic fault injection plan
         #: (:class:`~repro.engine.faults.FaultPlan`; None = no faults).
         self.fault_plan = None
@@ -157,14 +149,14 @@ class EngineConfig:
         self,
         shards: int,
         mode: Optional[str] = None,
-        policy=None,
         batch_size: Optional[int] = None,
     ) -> "EngineConfig":
         """Shard the pass across ``shards`` worker engines.
 
-        ``mode`` selects the transport ("process" or "serial"),
-        ``policy`` the variable partition policy and ``batch_size`` the
-        events per transport batch.
+        ``mode`` selects the transport ("process" or "serial") and
+        ``batch_size`` the events per transport batch.  Variables are
+        partitioned by the crc32 of their name
+        (:func:`~repro.engine.partition.owner_of`).
         ``shards=1`` keeps the unsharded engine (byte-identical output).
         """
         if shards < 1:
@@ -172,8 +164,6 @@ class EngineConfig:
         self.shards = shards
         if mode is not None:
             self.shard_mode = mode
-        if policy is not None:
-            self.shard_policy = policy
         if batch_size is not None:
             if batch_size < 1:
                 raise ValueError("shard batch size must be positive")
@@ -186,8 +176,6 @@ class EngineConfig:
         heartbeat_s: Optional[float] = None,
         snapshot_every: Optional[int] = None,
         backoff_s: Optional[float] = None,
-        shutdown_timeout_s: Optional[float] = None,
-        fail_fast: Optional[bool] = None,
     ) -> "EngineConfig":
         """Tune the sharded engine's supervision/failover layer.
 
@@ -197,8 +185,8 @@ class EngineConfig:
         every ``snapshot_every`` batches) and replays the buffered
         batches -- the merged report is byte-identical to the
         uninterrupted run.  ``heartbeat_s`` bounds how long a silent
-        worker with work outstanding is trusted; ``fail_fast`` turns the
-        first death into an immediate, actionable error instead.
+        worker with work outstanding is trusted.  ``retries=0`` turns
+        the first death into an immediate, actionable error instead.
         """
         if retries is not None:
             if retries < 0:
@@ -216,12 +204,6 @@ class EngineConfig:
             if backoff_s < 0:
                 raise ValueError("backoff must be >= 0")
             self.shard_backoff_s = backoff_s
-        if shutdown_timeout_s is not None:
-            if shutdown_timeout_s <= 0:
-                raise ValueError("shutdown timeout must be positive")
-            self.shard_shutdown_timeout_s = shutdown_timeout_s
-        if fail_fast is not None:
-            self.fail_fast = fail_fast
         return self
 
     def with_fault_plan(self, plan) -> "EngineConfig":
@@ -277,8 +259,6 @@ class EngineConfig:
             parts.append("shards=%d[%s]" % (self.shards, self.shard_mode))
             if self.shard_retries != 2:
                 parts.append("shard_retries=%d" % self.shard_retries)
-            if self.fail_fast:
-                parts.append("fail_fast")
         if self.fault_plan is not None:
             parts.append("fault_plan=%r" % (self.fault_plan,))
         if self.checkpoint_dir is not None:

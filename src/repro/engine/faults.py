@@ -38,7 +38,7 @@ class WorkerDied(RuntimeError):
     Raised by the transports when the worker side of the protocol is
     gone -- as opposed to a worker-*reported* exception, which is
     deterministic and therefore never retried.  Under supervision this
-    triggers failover; with ``fail_fast`` (or the retry budget spent) it
+    triggers failover; with ``shard_retries=0`` (or the budget spent) it
     surfaces wrapped in an actionable
     :class:`~repro.engine.supervision.WorkerFailure` instead of a raw
     ``EOFError`` traceback.

@@ -17,8 +17,8 @@ relies on:
 ``ROUTE`` -- plain accesses
     A read/write performed while its thread holds no lock affects only the
     per-variable access history, never the clocks.  It is delivered solely
-    to the shard that owns the variable (the partition policy's
-    ``owner_of``), which race-checks and records it exactly once.
+    to the shard that owns the variable (:func:`owner_of`), which
+    race-checks and records it exactly once.
 
 ``ROUTE_CLOCK`` -- clock-relevant accesses
     Three kinds of read/write events move detector clocks even though
@@ -48,15 +48,15 @@ the single engine's; because the clock-relevant event stream is replicated
 in full order, every shard's clocks agree (the shard-boundary protocol's
 cross-shard agreement check makes this observable).
 
-Partition *policies* decide variable ownership; they are deliberately
-stateless or append-only so the same policy instance can classify an
-unbounded stream.
+A variable's owner is the crc32 of its UTF-8 name modulo the shard count
+(:func:`owner_of`): a pure function of the name, the same in every
+process, run and machine, so routing needs no checkpoint state.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.trace.event import ACCESS_EVENTS, BARRIER_EVENTS, Event
 from repro.trace.semantics import REGISTRY
@@ -74,150 +74,9 @@ _BARRIER = frozenset(map(id, BARRIER_EVENTS))
 _SEMANTICS = {id(etype): semantics for etype, semantics in REGISTRY.items()}
 
 
-class PartitionPolicy:
-    """Maps variable names to owning shard ids (``0 .. shards-1``)."""
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ValueError("a partition needs at least one shard")
-        self.shards = shards
-
-    def owner_of(self, variable: str) -> int:
-        """Return the shard that owns ``variable``."""
-        raise NotImplementedError
-
-    def state_dict(self) -> Dict[str, object]:
-        """Return resumable policy state (checkpoint/resume protocol).
-
-        Stateless policies (hashing) return an empty dict -- their
-        ownership is a pure function of the variable name.  Stateful
-        policies (round-robin) must capture whatever makes ownership
-        depend on stream history.
-        """
-        return {}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`state_dict`."""
-
-    def __repr__(self) -> str:
-        return "%s(shards=%d)" % (type(self).__name__, self.shards)
-
-
-class HashPartition(PartitionPolicy):
-    """Stable hashing of the variable name (crc32, not PYTHONHASHSEED).
-
-    Any process computes the same owner for the same name, which keeps
-    routing reproducible across runs and machines.  Owners are memoized
-    per variable -- the coordinator consults the policy once per *access*
-    on the hot dispatch loop, so a dict hit must be the common case.
-    """
-
-    def __init__(self, shards: int) -> None:
-        super().__init__(shards)
-        self._owners: Dict[str, int] = {}
-
-    def owner_of(self, variable: str) -> int:
-        owner = self._owners.get(variable)
-        if owner is None:
-            owner = zlib.crc32(variable.encode("utf-8")) % self.shards
-            self._owners[variable] = owner
-        return owner
-
-
-class RoundRobinPartition(PartitionPolicy):
-    """Assign variables to shards cyclically in order of first appearance.
-
-    Perfectly balanced in *variable count* (not necessarily in access
-    count); stateful, so the instance that classified the stream must be
-    the one asked about ownership.
-    """
-
-    def __init__(self, shards: int) -> None:
-        super().__init__(shards)
-        self._owners: Dict[str, int] = {}
-
-    def owner_of(self, variable: str) -> int:
-        owner = self._owners.get(variable)
-        if owner is None:
-            owner = len(self._owners) % self.shards
-            self._owners[variable] = owner
-        return owner
-
-    def state_dict(self) -> Dict[str, object]:
-        # First-appearance assignments are stream history: a resumed pass
-        # must route every known variable exactly as the original did.
-        return {"owners": dict(self._owners)}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._owners = dict(state.get("owners", {}))
-
-
-class ExplicitPartition(PartitionPolicy):
-    """A fixed ``variable -> shard`` mapping with a fallback policy.
-
-    Lets callers pin hot variables (or co-locate variables they know are
-    accessed together) while everything else falls back to hashing.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        mapping: Dict[str, int],
-        fallback: Optional[PartitionPolicy] = None,
-    ) -> None:
-        super().__init__(shards)
-        for variable, owner in mapping.items():
-            if not 0 <= owner < shards:
-                raise ValueError(
-                    "variable %r pinned to shard %d, but only %d shard(s) "
-                    "exist" % (variable, owner, shards)
-                )
-        self._mapping = dict(mapping)
-        self._fallback = fallback or HashPartition(shards)
-
-    def owner_of(self, variable: str) -> int:
-        owner = self._mapping.get(variable)
-        if owner is None:
-            owner = self._fallback.owner_of(variable)
-        return owner
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"fallback": self._fallback.state_dict()}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._fallback.load_state(state.get("fallback", {}))
-
-
-#: Policy names accepted by :func:`make_policy` (and the CLI's
-#: ``--shard-policy``).
-POLICIES = {
-    "hash": HashPartition,
-    "rr": RoundRobinPartition,
-    "round-robin": RoundRobinPartition,
-}
-
-
-def make_policy(
-    policy: Union[str, PartitionPolicy, None], shards: int
-) -> PartitionPolicy:
-    """Coerce a policy name/instance into a policy for ``shards`` shards."""
-    if policy is None:
-        return HashPartition(shards)
-    if isinstance(policy, PartitionPolicy):
-        if policy.shards != shards:
-            raise ValueError(
-                "partition policy is sized for %d shard(s), engine has %d"
-                % (policy.shards, shards)
-            )
-        return policy
-    try:
-        factory = POLICIES[policy]
-    except KeyError:
-        raise ValueError(
-            "unknown partition policy %r; available: %s"
-            % (policy, ", ".join(sorted(POLICIES)))
-        ) from None
-    return factory(shards)
+def owner_of(variable: str, shards: int) -> int:
+    """The shard that owns ``variable``: stable crc32, not PYTHONHASHSEED."""
+    return zlib.crc32(variable.encode("utf-8")) % shards
 
 
 class StreamPartitioner:
@@ -229,8 +88,10 @@ class StreamPartitioner:
     bounds the achievable multi-core speedup.
     """
 
-    def __init__(self, policy: PartitionPolicy) -> None:
-        self.policy = policy
+    def __init__(self, shards: int) -> None:
+        if shards < 1:
+            raise ValueError("a partition needs at least one shard")
+        self.shards = shards
         self._depth: Dict[str, int] = {}
         #: Threads whose next event carries a deferred local-clock bump
         #: (the event right after a release-like event -- release, rrel,
@@ -251,12 +112,9 @@ class StreamPartitioner:
         #: Threads with at least one outstanding open-generation arrival
         #: (the per-thread index of ``_barrier_open``, as a multiset count).
         self._barrier_waiting: Dict[str, int] = {}
-        #: Routing memo: variable -> owning shard, filled on first sight.
-        #: Policies are stateless or append-only (ownership of a seen
-        #: variable never changes -- the checkpoint/resume protocol
-        #: already relies on this), so the coordinator's per-event
-        #: routing collapses to one int-valued table lookup instead of a
-        #: policy method call that re-hashes the name.
+        #: Routing memo: variable -> owning shard, filled on first sight,
+        #: so the coordinator's per-event routing is one table lookup
+        #: instead of re-hashing the name.
         self._owner_memo: Dict[str, int] = {}
         #: Taxonomy census: events per class.
         self.replicated = 0
@@ -281,7 +139,9 @@ class StreamPartitioner:
             memo = self._owner_memo
             owner = memo.get(event.target)
             if owner is None:
-                owner = memo[event.target] = self.policy.owner_of(event.target)
+                owner = memo[event.target] = owner_of(
+                    event.target, self.shards
+                )
             if self._depth.get(thread, 0) > 0:
                 pending.discard(thread)
                 self.routed_clock += 1
@@ -384,7 +244,6 @@ class StreamPartitioner:
                 if threads
             },
             "census": (self.replicated, self.routed, self.routed_clock),
-            "policy": self.policy.state_dict(),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -409,8 +268,3 @@ class StreamPartitioner:
                 waiting[thread] = waiting.get(thread, 0) + 1
         self._barrier_waiting = waiting
         self.replicated, self.routed, self.routed_clock = state["census"]
-        self.policy.load_state(state["policy"])
-        # The memo is derived state: drop it so a restored policy (which
-        # may answer differently than the pre-restore instance did) is
-        # re-consulted on first sight of each variable.
-        self._owner_memo = {}

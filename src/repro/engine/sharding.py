@@ -101,16 +101,9 @@ from repro.engine.engine import (
 from repro.engine.faults import InjectedDeath, WorkerDied
 from repro.engine.supervision import (
     SupervisedTransport,
-    SupervisionSettings,
     new_supervision_stats,
 )
-from repro.engine.partition import (
-    POLICIES,
-    REPLICATE,
-    ROUTE,
-    StreamPartitioner,
-    make_policy,
-)
+from repro.engine.partition import REPLICATE, ROUTE, StreamPartitioner
 from repro.engine.sources import as_source
 from repro.trace.columns import ColumnBlock, OpTable
 from repro.trace.event import Event, EventType
@@ -118,11 +111,6 @@ from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import decode_clock
 from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
-
-def _policy_key(name):
-    """Normalize a policy name for mismatch checks ("rr" == "round-robin")."""
-    return POLICIES.get(name, name)
-
 
 #: Wire value -> EventType (EventType(...) does a linear scan; this is a dict).
 _ETYPE_OF_VALUE = {etype.value: etype for etype in EventType}
@@ -580,17 +568,19 @@ def _process_worker_main(
 #: deterministic failures arrive as ``("error", ...)`` reports).
 _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 
+#: Per-stage worker shutdown patience, in seconds, before escalating
+#: (join -> terminate -> kill).
+SHUTDOWN_TIMEOUT_S = 30.0
+
 
 class _ProcessTransport:
     """One persistent worker process per shard over a duplex pipe."""
 
     def __init__(
         self, worker_args: tuple, shard_id: int, mp_context,
-        plan=None, shutdown_timeout_s: float = 30.0,
-        stall_timeout_s: Optional[float] = None,
+        plan=None, stall_timeout_s: Optional[float] = None,
     ) -> None:
         self.shard_id = shard_id
-        self.shutdown_timeout_s = shutdown_timeout_s
         #: Longest the coordinator waits on a silent worker for a
         #: snapshot or finish reply before declaring a hung-but-alive
         #: process dead; every message from the worker restarts the
@@ -612,6 +602,9 @@ class _ProcessTransport:
         self._state = None
 
     def _died(self, error: Exception) -> WorkerDied:
+        # The pipe can fail a moment before the dead worker is reapable;
+        # wait up to a second so the cause names its exit code.
+        self.process.join(timeout=1.0)
         code = self.process.exitcode
         cause = "%s: %s" % (type(error).__name__, error) if str(error) else (
             type(error).__name__
@@ -714,7 +707,7 @@ class _ProcessTransport:
         graceful path; each escalation is counted (a worker that needed
         SIGTERM or SIGKILL to go away is a bug signal worth surfacing).
         """
-        timeout = self.shutdown_timeout_s
+        timeout = SHUTDOWN_TIMEOUT_S
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - defensive
@@ -754,7 +747,7 @@ class _ProcessTransport:
             pass
         if self.process.is_alive():
             self.process.terminate()
-            self.process.join(timeout=self.shutdown_timeout_s)
+            self.process.join(timeout=SHUTDOWN_TIMEOUT_S)
             if self.process.is_alive():  # pragma: no cover - defensive
                 self.escalations += 1
                 self.process.kill()
@@ -777,16 +770,14 @@ class ShardedEngine:
     ----------
     config:
         An :class:`EngineConfig`; its ``shards`` / ``shard_mode`` /
-        ``shard_policy`` / ``shard_batch_size`` fields provide the
-        defaults for the keyword arguments below.
+        ``shard_batch_size`` fields provide the defaults for the keyword
+        arguments below.
     shards:
         Worker count.  ``1`` delegates to :class:`RaceEngine` -- output is
         byte-identical to the unsharded engine.
     mode:
         ``"process"`` (multi-core) or ``"serial"`` (inline, the
         deterministic reference).
-    policy:
-        Partition policy name or instance (:mod:`repro.engine.partition`).
     batch_size:
         Events per transport batch.
     """
@@ -796,13 +787,11 @@ class ShardedEngine:
         config: Optional[EngineConfig] = None,
         shards: Optional[int] = None,
         mode: Optional[str] = None,
-        policy=None,
         batch_size: Optional[int] = None,
     ) -> None:
         self.config = config or EngineConfig()
         self.shards = shards if shards is not None else self.config.shards
         self.mode = mode if mode is not None else self.config.shard_mode
-        self.policy = policy if policy is not None else self.config.shard_policy
         self.batch_size = (
             batch_size if batch_size is not None else self.config.shard_batch_size
         )
@@ -843,8 +832,8 @@ class ShardedEngine:
         ``checkpoint`` is a :class:`~repro.engine.checkpoint.Checkpoint`,
         a :class:`~repro.engine.checkpoint.Checkpointer` or a checkpoint
         directory.  The engine must be configured with the checkpoint's
-        shard count and partition policy (routing must not diverge);
-        the transport ``mode`` is free to differ -- worker state is
+        shard count (routing must not diverge); the transport ``mode``
+        is free to differ -- worker state is
         transport-agnostic.  Each worker is reconstructed from its
         configuration stamps, restored from its snapshot blobs, and the
         source suffix is replayed; the merged report equals an
@@ -864,32 +853,17 @@ class ShardedEngine:
                 "for %d; construct the engine with the checkpoint's shard "
                 "count" % (sharded["shards"], self.shards)
             )
-        # Routing must not diverge between the prefix and the suffix: a
-        # name-based checkpoint requires the same policy name, and a
-        # checkpoint taken with a custom policy *instance* (recorded as
-        # None) can only resume with an equivalent instance supplied by
-        # the caller -- silently falling back to hashing would split a
-        # variable's history across shards.
-        checkpoint_policy = sharded.get("policy")
-        engine_policy = self.policy if isinstance(self.policy, str) else None
-        if _policy_key(checkpoint_policy) != _policy_key(engine_policy):
-            if checkpoint_policy is None:
-                raise CheckpointMismatchError(
-                    "checkpoint was partitioned with a custom policy "
-                    "instance; resume by configuring the engine with an "
-                    "equivalent policy instance (its state is restored "
-                    "from the checkpoint)"
-                )
-            if engine_policy is None:
-                raise CheckpointMismatchError(
-                    "checkpoint was partitioned with policy %r but the "
-                    "engine is configured with a policy instance; variable "
-                    "routing would diverge" % (checkpoint_policy,)
-                )
+        # Older checkpoints name their partition policy; only the crc32
+        # hash remains, and hashing the suffix of a round-robin or custom
+        # partition would split a variable's history across shards.
+        policy = sharded.get("policy", "hash")
+        if policy != "hash":
             raise CheckpointMismatchError(
-                "checkpoint was partitioned with policy %r but the engine "
-                "is configured with %r; variable routing would diverge"
-                % (checkpoint_policy, engine_policy)
+                "checkpoint was partitioned with the removed %s policy; "
+                "only the crc32 hash partition resumes -- re-run the "
+                "analysis" % (
+                    "custom" if policy is None else repr(policy),
+                )
             )
         if detectors is None and self.config.detectors is None:
             resolved = loaded.build_detectors()
@@ -932,7 +906,7 @@ class ShardedEngine:
         event_source = as_source(source)
         source_name = event_source.name
         shards = self.shards
-        partitioner = StreamPartitioner(make_policy(self.policy, shards))
+        partitioner = StreamPartitioner(shards)
 
         # Workers build one private instance set per shard from the
         # detectors' configuration stamps; live detector objects are never
@@ -957,7 +931,6 @@ class ShardedEngine:
         if checkpointer is not None:
             check_snapshot_support(resolved)
             checkpointer.source = event_source
-        policy_spec = self.policy if isinstance(self.policy, str) else None
 
         # Failover needs snapshot-capable detectors; without them the
         # supervisor still normalizes errors but never buffers batches
@@ -1070,7 +1043,6 @@ class ShardedEngine:
                         sharded={
                             "shards": shards,
                             "mode": self.mode,
-                            "policy": policy_spec,
                             "partition": partitioner.state_dict(),
                             "shard_states": self._collect_snapshots(
                                 transports
@@ -1149,7 +1121,6 @@ class ShardedEngine:
         in the state it is restored from.
         """
         config = self.config
-        settings = SupervisionSettings.from_config(config)
         plan = config.fault_plan
         stats = stats if stats is not None else new_supervision_stats()
         mode = self.mode
@@ -1172,11 +1143,10 @@ class ShardedEngine:
                     return _ProcessTransport(
                         (shard, specs, source_name, state, kill_at),
                         shard, mp_context, plan=plan,
-                        shutdown_timeout_s=settings.shutdown_timeout_s,
                         # Proactive restart: a hung-but-alive worker is
                         # declared dead on heartbeat expiry even while
                         # the coordinator waits on a snapshot or finish.
-                        stall_timeout_s=settings.heartbeat_s,
+                        stall_timeout_s=config.shard_heartbeat_s,
                     )
                 worker = _ShardWorker(
                     shard, [build_detector(spec) for spec in specs],
@@ -1188,8 +1158,8 @@ class ShardedEngine:
 
         return [
             SupervisedTransport(
-                shard, make_factory(shard), settings, stats,
-                plan=plan, recoverable=recoverable,
+                shard, make_factory(shard), config, stats,
+                recoverable=recoverable,
             )
             for shard in range(self.shards)
         ]
@@ -1336,6 +1306,4 @@ class ShardedEngine:
             )
 
     def __repr__(self) -> str:
-        return "ShardedEngine(shards=%d, mode=%r, policy=%r)" % (
-            self.shards, self.mode, self.policy,
-        )
+        return "ShardedEngine(shards=%d, mode=%r)" % (self.shards, self.mode)

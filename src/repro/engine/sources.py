@@ -119,10 +119,6 @@ class EventSource:
         """
         return group_events(iter(self))
 
-    def length_hint(self) -> Optional[int]:
-        """Return the number of events when known up front, else None."""
-        return None
-
     def seek_events(self, events: int) -> None:
         """Position the source so iteration resumes at offset ``events``.
 
@@ -156,8 +152,8 @@ class SourceWrapper:
 
     A wrapper takes ``name`` (unless given one) and ``registry`` from the
     source it wraps and forwards ``is_complete``, ``trace``,
-    ``thread_census``, ``length_hint``, ``seek_events`` and the
-    checkpoint-state pair, so wrapping a trace, a file or a validated
+    ``thread_census``, ``seek_events`` and the checkpoint-state pair,
+    so wrapping a trace, a file or a validated
     stream changes nothing that detectors, checkpoints or a resume read.
     A subclass supplies the iteration and lists this class before its
     source base class.
@@ -179,10 +175,6 @@ class SourceWrapper:
     @property
     def thread_census(self) -> Optional[ThreadCensus]:
         return getattr(self._inner, "thread_census", None)
-
-    def length_hint(self) -> Optional[int]:
-        hint = getattr(self._inner, "length_hint", None)
-        return hint() if callable(hint) else None
 
     def seek_events(self, events: int) -> None:
         seek = getattr(self._inner, "seek_events", None)
@@ -227,9 +219,6 @@ class TraceSource(EventSource):
 
     def seek_events(self, events: int) -> None:
         self._skip = events
-
-    def length_hint(self) -> Optional[int]:
-        return len(self._trace)
 
     @property
     def trace(self) -> Optional[Trace]:
@@ -615,7 +604,7 @@ class LineProtocolSource:
     :class:`~repro.engine.engine.EnginePass`.
 
     The class carries the attributes a pass reads off a source (``name``,
-    ``registry``, ``is_complete``, ``trace``, ``length_hint``) but is no
+    ``registry``, ``is_complete``, ``trace``) but is no
     :class:`EventSource`: its ``batches()`` must be awaited, so
     :func:`as_source`, and with it :class:`~repro.engine.engine.RaceEngine`
     and :class:`~repro.engine.validate.ValidatingSource`, refuse it with
@@ -652,9 +641,6 @@ class LineProtocolSource:
     def seek_events(self, events: int) -> None:
         """Record the resume offset; the peer replays from it (handshake)."""
         self.resume_offset = events
-
-    def length_hint(self) -> Optional[int]:
-        return None
 
     def __repr__(self) -> str:
         return "LineProtocolSource(%r)" % (self.name,)

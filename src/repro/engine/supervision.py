@@ -9,12 +9,12 @@ recovery:
 * **Health tracking** -- every batch a worker processes is acknowledged
   on the existing batch-ack protocol; the supervisor counts outstanding
   batches per shard and treats a configurable silence
-  (``heartbeat_s``) with work outstanding, a worker that leaves a
+  (``shard_heartbeat_s``) with work outstanding, a worker that leaves a
   snapshot or finish request unanswered for as long, or a worker whose
   process is simply gone, as death.
 * **Periodic shard snapshots** -- the PR 5 ``("snapshot",)`` message is
-  driven on a cadence (``snapshot_every`` batches): the supervisor keeps
-  each shard's two newest snapshots in memory, CRC-framed
+  driven on a cadence (``shard_snapshot_every`` batches): the supervisor
+  keeps each shard's two newest snapshots in memory, CRC-framed
   (:func:`~repro.engine.checkpoint.frame_blob`), plus every batch sent
   since the *older* of the two, so a single corrupt blob never makes a
   shard unrecoverable.
@@ -23,8 +23,14 @@ recovery:
   snapshot and replays the buffered batches.  Workers are deterministic
   functions of their restored state and replayed substream, so the
   merged report is byte-identical to the uninterrupted run -- witnesses
-  and distances included.  ``fail_fast`` (or an exhausted retry budget)
-  raises one actionable :class:`WorkerFailure` instead.
+  and distances included.  ``shard_retries=0`` (or an exhausted retry
+  budget) raises one actionable :class:`WorkerFailure` instead.
+
+The knobs are :class:`~repro.engine.config.EngineConfig`'s
+``shard_retries``, ``shard_heartbeat_s``, ``shard_snapshot_every`` and
+``shard_backoff_s`` (the restart delay doubles per attempt, up to
+:data:`BACKOFF_MAX_S`), validated once by
+:meth:`~repro.engine.config.EngineConfig.with_shard_supervision`.
 
 Every failure mode is reproducible through the deterministic
 :class:`~repro.engine.faults.FaultPlan` harness; the parity suite in
@@ -47,7 +53,6 @@ from repro.vectorclock.codec import decode, encode
 
 __all__ = [
     "SupervisedTransport",
-    "SupervisionSettings",
     "WorkerFailure",
     "new_supervision_stats",
 ]
@@ -64,76 +69,8 @@ class WorkerFailure(RuntimeError):
     """
 
 
-class SupervisionSettings:
-    """The supervision knobs (usually read off an ``EngineConfig``).
-
-    ``retries``
-        Restarts allowed per shard before the run fails (0 disables
-        failover: any death raises :class:`WorkerFailure` immediately).
-    ``heartbeat_s``
-        Declare a worker dead after this long with batches outstanding
-        and no acknowledgement progress, or this long silent while a
-        snapshot or finish reply is awaited (liveness piggybacks on the
-        existing protocol; no extra messages).
-    ``snapshot_every``
-        Batches between periodic per-shard snapshots.  0 disables the
-        cadence -- the supervisor then buffers the shard's whole
-        substream (and still refreshes its cache from coordinator
-        checkpoints when those are enabled).
-    ``backoff_s`` / ``backoff_max_s``
-        Exponential restart backoff: ``backoff_s * 2**attempt`` capped
-        at ``backoff_max_s``.
-    ``shutdown_timeout_s``
-        Per-stage worker shutdown patience before escalating
-        (``join`` -> ``terminate`` -> ``kill``).
-    ``fail_fast``
-        Raise on the first worker death instead of recovering.
-    """
-
-    def __init__(
-        self,
-        retries: int = 2,
-        heartbeat_s: float = 30.0,
-        snapshot_every: int = 64,
-        backoff_s: float = 0.05,
-        backoff_max_s: float = 2.0,
-        shutdown_timeout_s: float = 30.0,
-        fail_fast: bool = False,
-    ) -> None:
-        if retries < 0:
-            raise ValueError("shard retries must be >= 0")
-        if heartbeat_s <= 0:
-            raise ValueError("heartbeat timeout must be positive")
-        if snapshot_every < 0:
-            raise ValueError("snapshot cadence must be >= 0")
-        self.retries = retries
-        self.heartbeat_s = heartbeat_s
-        self.snapshot_every = snapshot_every
-        self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
-        self.shutdown_timeout_s = shutdown_timeout_s
-        self.fail_fast = fail_fast
-
-    @classmethod
-    def from_config(cls, config) -> "SupervisionSettings":
-        """Read the ``shard_*`` supervision fields off an engine config."""
-        return cls(
-            retries=config.shard_retries,
-            heartbeat_s=config.shard_heartbeat_s,
-            snapshot_every=config.shard_snapshot_every,
-            backoff_s=config.shard_backoff_s,
-            shutdown_timeout_s=config.shard_shutdown_timeout_s,
-            fail_fast=config.fail_fast,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            "SupervisionSettings(retries=%d, heartbeat_s=%s, "
-            "snapshot_every=%d%s)" % (
-                self.retries, self.heartbeat_s, self.snapshot_every,
-                ", fail_fast" if self.fail_fast else "",
-            )
-        )
+#: Cap of the exponential restart backoff, in seconds.
+BACKOFF_MAX_S = 2.0
 
 
 def new_supervision_stats() -> dict:
@@ -155,7 +92,9 @@ class SupervisedTransport:
     / ``snapshot`` / ``finish`` / ``abort``), so the coordinator loop is
     oblivious to recovery.  ``factory(restore)`` rebuilds the underlying
     transport -- process or serial -- from a worker-state dict (or
-    fresh, on ``None``).
+    fresh, on ``None``).  ``config`` is the run's
+    :class:`~repro.engine.config.EngineConfig`: the ``shard_*``
+    supervision fields and the fault plan are read off it.
 
     ``recoverable=False`` (a detector without snapshot support) keeps
     the health tracking and error normalization but disables buffering
@@ -167,17 +106,16 @@ class SupervisedTransport:
         self,
         shard: int,
         factory: Callable[[Optional[dict]], object],
-        settings: SupervisionSettings,
+        config,
         stats: dict,
-        plan: Optional[FaultPlan] = None,
         recoverable: bool = True,
     ) -> None:
         self.shard = shard
         self.factory = factory
-        self.settings = settings
+        self.config = config
         self.stats = stats
-        self.plan = plan
-        self.recoverable = recoverable and settings.retries > 0
+        self.plan: Optional[FaultPlan] = config.fault_plan
+        self.recoverable = recoverable and config.shard_retries > 0
         self.transport = factory(None)
         self.restarts = 0
         #: Batches sent over the run (global sequence; replay-invariant).
@@ -210,11 +148,11 @@ class SupervisedTransport:
             self._raw_send(batch)
         except WorkerDied as death:
             self._handle_death(death)
-        settings = self.settings
+        every = self.config.shard_snapshot_every
         if (
             self.recoverable
-            and settings.snapshot_every
-            and self._sent - self._last_snapshot_seq >= settings.snapshot_every
+            and every
+            and self._sent - self._last_snapshot_seq >= every
         ):
             self._refresh_snapshot()
 
@@ -297,7 +235,7 @@ class SupervisedTransport:
             return
         if not self.transport.alive():
             self._failover("worker is no longer alive")
-        elif now - self._last_ack_change > self.settings.heartbeat_s:
+        elif now - self._last_ack_change > self.config.shard_heartbeat_s:
             self.stats["heartbeat_timeouts"] += 1
             self._failover(
                 "no batch ack for %.1fs with %d batch(es) outstanding"
@@ -376,15 +314,9 @@ class SupervisedTransport:
     # ------------------------------------------------------------------ #
 
     def _failover(self, cause: str) -> None:
-        settings = self.settings
-        if settings.fail_fast:
-            raise WorkerFailure(
-                "shard %d worker died (%s); failing fast as configured -- "
-                "drop --fail-fast (or set shard retries > 0) to enable "
-                "snapshot-based failover" % (self.shard, cause)
-            )
+        retries = self.config.shard_retries
         if not self.recoverable:
-            if settings.retries == 0:
+            if retries == 0:
                 raise WorkerFailure(
                     "shard %d worker died (%s); failover is disabled "
                     "(shard retries = 0) -- raise --shard-retries to "
@@ -395,7 +327,7 @@ class SupervisedTransport:
                 "failover needs snapshot-capable detectors"
                 % (self.shard, cause)
             )
-        if self.restarts >= settings.retries:
+        if self.restarts >= retries:
             raise WorkerFailure(
                 "shard %d worker died again (%s) after %d restart(s); "
                 "retry budget exhausted -- raise the shard retry budget "
@@ -405,7 +337,7 @@ class SupervisedTransport:
         self.transport.abort()
         self._harvest_escalations()
         delay = min(
-            settings.backoff_max_s, settings.backoff_s * (2 ** self.restarts)
+            BACKOFF_MAX_S, self.config.shard_backoff_s * (2 ** self.restarts)
         )
         if delay > 0:
             time.sleep(delay)
@@ -423,7 +355,7 @@ class SupervisedTransport:
         logger.warning(
             "shard %d worker died (%s); restart %d/%d from %s, replaying "
             "%d buffered batch(es)",
-            self.shard, cause, self.restarts, settings.retries,
+            self.shard, cause, self.restarts, retries,
             "snapshot at batch %d" % covered if state is not None
             else "stream start",
             sum(1 for seq, _ in self._buffer if seq > covered),

@@ -8,9 +8,11 @@ of O(T).
 
 The WCP paper cites epoch optimisations as future work for its own
 algorithm (Section 6); we provide the HB variant so the repository can
-quantify the time/memory trade-off (see ``benchmarks/bench_ablation_epochs``),
-and the shared access history (:mod:`repro.core.history`) now applies the
-same idea to the WCP detector's race checks.
+quantify the time/memory trade-off
+(``test_fasttrack_epochs_vs_vector_clocks`` in
+``benchmarks/bench_ablations.py``), and the shared access history
+(:mod:`repro.core.history`) now applies the same idea to the WCP
+detector's race checks.
 
 Synchronization is HB's: :class:`FastTrackDetector` subclasses
 :class:`repro.hb.hb.HBDetector`, whose clocks, deferred local bumps,

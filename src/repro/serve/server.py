@@ -130,6 +130,18 @@ class _HandshakeTimeout(Exception):
     """
 
 
+#: Bound of each connection's pump-to-drive queue, in batches (one
+#: socket read, <= 64 KiB, each): with the drive loop blocked, a
+#: connection buffers at most this many reads, plus the one the pump
+#: holds, before TCP pauses the peer.
+QUEUE_MAXSIZE = 4
+#: Every Nth event (by stream position, inside or across batches) is
+#: latency-timed when metrics are on: its step is clocked.
+SAMPLE_EVERY = 64
+#: Events between detector-memory estimates when a memory quota is set.
+MEM_CHECK_EVERY = 4096
+
+
 class ServeSettings:
     """Every serve-tier knob in one bag (the CLI maps flags onto this)."""
 
@@ -142,10 +154,6 @@ class ServeSettings:
         quotas: Optional[QuotaManager] = None,
         checkpoint_dir=None,
         idle_evict_after_s: Optional[float] = None,
-        idle_poll_s: float = 0.5,
-        queue_maxsize: int = 4,
-        sample_every: int = 64,
-        mem_check_every: int = 4096,
         metrics_port: Optional[int] = None,
         install_signal_handlers: bool = False,
         fault_plan=None,
@@ -158,18 +166,6 @@ class ServeSettings:
         self.quotas = quotas or QuotaManager()
         self.checkpoint_dir = checkpoint_dir
         self.idle_evict_after_s = idle_evict_after_s
-        #: Cadence of the drive loop's idle tick (drain/eviction checks).
-        self.idle_poll_s = idle_poll_s
-        #: Bound of each connection's pump-to-drive queue, in batches
-        #: (one socket read, <= 64 KiB, each): with the drive loop
-        #: blocked, a connection buffers at most this many reads, plus
-        #: the one the pump holds, before TCP pauses the peer.
-        self.queue_maxsize = queue_maxsize
-        #: Every Nth event (by stream position, inside or across
-        #: batches) is latency-timed: its step is clocked.
-        self.sample_every = sample_every
-        #: Events between detector-memory estimates when a memory quota is set.
-        self.mem_check_every = mem_check_every
         self.metrics_port = metrics_port
         self.install_signal_handlers = install_signal_handlers
         #: Deterministic fault injection
@@ -564,17 +560,20 @@ class SessionDriver:
 
     async def _drive(self) -> Optional[EngineResult]:
         source = self._make_source()
-        queue: asyncio.Queue = asyncio.Queue(self.settings.queue_maxsize)
+        queue: asyncio.Queue = asyncio.Queue(QUEUE_MAXSIZE)
         pump = asyncio.ensure_future(self._pump(source, queue))
         session = self.session
-        idle_poll_s = self.settings.idle_poll_s
+        # The idle tick (drain and eviction checks): a quarter of the
+        # eviction delay, so an idle stream goes within 1.25x of it.
+        evict_after = self.settings.idle_evict_after_s
+        tick = 0.5 if evict_after is None else min(0.5, evict_after / 4)
         try:
             while True:
                 if self._draining():
                     return await self._drain_session()
                 try:
                     kind, payload = await asyncio.wait_for(
-                        queue.get(), timeout=idle_poll_s
+                        queue.get(), timeout=tick
                     )
                 except asyncio.TimeoutError:
                     self._maybe_evict(queue)
@@ -618,8 +617,8 @@ class SessionDriver:
         settings = self.settings
         fault_plan = settings.fault_plan
         metrics = self.metrics
-        sample_every = settings.sample_every if metrics is not None else 0
-        mem_every = settings.mem_check_every if self._check_memory else 0
+        sample_every = SAMPLE_EVERY if metrics is not None else 0
+        mem_every = MEM_CHECK_EVERY if self._check_memory else 0
         quotas = self.manager.quotas if self.manager is not None else None
         throttled = (
             quotas is not None

@@ -742,12 +742,12 @@ class TestPushResume:
 # --------------------------------------------------------------------- #
 
 class TestShardedResume:
-    def _checkpointed_sharded_run(self, tmp_path, trace, mode, policy="hash",
-                                  shards=3, stop_at=None):
+    def _checkpointed_sharded_run(self, tmp_path, trace, mode, shards=3,
+                                  stop_at=None):
         directory = tmp_path / "ckpts"
         config = (
             EngineConfig().with_detectors("wcp", "hb")
-            .with_shards(shards, mode=mode, policy=policy, batch_size=16)
+            .with_shards(shards, mode=mode, batch_size=16)
             .with_checkpoints(directory, every=40)
             .stop_after_events(stop_at or len(trace) // 2)
         )
@@ -779,19 +779,6 @@ class TestShardedResume:
         for key in reference.keys():
             assert _fingerprint(resumed[key]) == _fingerprint(reference[key])
 
-    def test_round_robin_policy_state_is_restored(self, tmp_path):
-        trace = random_trace(7, n_events=220, n_threads=4, n_vars=6)
-        reference = run_engine(trace, detectors=["wcp", "hb"])
-        directory = self._checkpointed_sharded_run(
-            tmp_path, trace, "serial", policy="rr"
-        )
-        resumed = ShardedEngine(
-            EngineConfig().with_shards(3, mode="serial", policy="rr",
-                                       batch_size=16)
-        ).resume(TraceSource(trace), directory)
-        for key in reference.keys():
-            assert _fingerprint(resumed[key]) == _fingerprint(reference[key])
-
     def test_shard_count_mismatch_fails_fast(self, tmp_path):
         trace = random_trace(0, n_events=200)
         directory = self._checkpointed_sharded_run(tmp_path, trace, "serial")
@@ -801,12 +788,21 @@ class TestShardedResume:
             ).resume(TraceSource(trace), directory)
 
     def test_policy_mismatch_fails_fast(self, tmp_path):
+        """A round-robin checkpoint is refused in one line that names the
+        removed policy, under either of its names."""
         trace = random_trace(0, n_events=200)
-        directory = self._checkpointed_sharded_run(tmp_path, trace, "serial")
-        with pytest.raises(CheckpointMismatchError, match="policy"):
-            ShardedEngine(
-                EngineConfig().with_shards(3, mode="serial", policy="rr")
-            ).resume(TraceSource(trace), directory)
+        for name in ("rr", "round-robin"):
+            directory = self._checkpointed_sharded_run(
+                tmp_path / name, trace, "serial"
+            )
+            self._as_written_with_policy(directory, name, {"owners": {}})
+            with pytest.raises(CheckpointMismatchError) as exc:
+                ShardedEngine(
+                    EngineConfig().with_shards(3, mode="serial")
+                ).resume(TraceSource(trace), directory)
+            message = str(exc.value)
+            assert "removed %r policy" % name in message
+            assert "\n" not in message
 
     def test_sharded_engine_refuses_unsharded_checkpoint(self, tmp_path):
         trace = random_trace(0, n_events=120)
@@ -833,45 +829,45 @@ class TestShardedResume:
             assert _fingerprint(resumed[key]) == _fingerprint(reference[key])
 
 
-    def test_instance_policy_checkpoint_requires_instance_on_resume(
-        self, tmp_path
-    ):
-        from repro.engine.partition import RoundRobinPartition
+    def _as_written_with_policy(self, directory, policy, state=None):
+        """Rewrite the newest checkpoint as checkpoints were written while
+        partition policies existed: the policy's name (None for a custom
+        instance) beside the partitioner state, which held its state."""
+        checkpointer = Checkpointer(directory)
+        loaded = checkpointer.load()
+        loaded.sharded["policy"] = policy
+        loaded.sharded["partition"]["policy"] = state or {}
+        checkpointer.save(loaded)
 
+    def test_custom_policy_checkpoint_is_refused(self, tmp_path):
         trace = random_trace(3, n_events=220, n_threads=4, n_vars=6)
-        directory = tmp_path / "ckpts"
-        config = (
-            EngineConfig().with_detectors("wcp")
-            .with_shards(3, mode="serial", policy=RoundRobinPartition(3),
-                         batch_size=16)
-            .with_checkpoints(directory, every=40).stop_after_events(100)
-        )
-        ShardedEngine(config).run(TraceSource(trace))
-        # The default (hash) policy must be refused, not silently adopted:
-        # routing the suffix differently would split variable histories.
-        with pytest.raises(CheckpointMismatchError, match="instance"):
-            ShardedEngine(
+        directory = self._checkpointed_sharded_run(tmp_path, trace, "serial")
+        self._as_written_with_policy(directory, None, {"owners": {"x0": 2}})
+        # Hashing the suffix of a custom partition would split variable
+        # histories across shards: refused, through both entry points.
+        for resume in (
+            lambda: ShardedEngine(
                 EngineConfig().with_shards(3, mode="serial")
-            ).resume(TraceSource(trace), directory)
-        # An equivalent instance resumes exactly (its state is restored).
-        resumed = ShardedEngine(
-            EngineConfig().with_shards(3, mode="serial",
-                                       policy=RoundRobinPartition(3),
-                                       batch_size=16)
-        ).resume(TraceSource(trace), directory)
-        reference = run_engine(trace, detectors=["wcp"])
-        assert _fingerprint(resumed["WCP"]) == _fingerprint(reference["WCP"])
+            ).resume(TraceSource(trace), directory),
+            lambda: resume_engine(TraceSource(trace), directory),
+        ):
+            with pytest.raises(CheckpointMismatchError) as exc:
+                resume()
+            message = str(exc.value)
+            assert "removed custom policy" in message
+            assert "\n" not in message
 
-    def test_policy_alias_names_are_equivalent(self, tmp_path):
-        trace = random_trace(4, n_events=200, n_threads=4, n_vars=6)
-        directory = self._checkpointed_sharded_run(
-            tmp_path, trace, "serial", policy="rr"
-        )
-        resumed = ShardedEngine(
-            EngineConfig().with_shards(3, mode="serial",
-                                       policy="round-robin", batch_size=16)
-        ).resume(TraceSource(trace), directory)
+    def test_hash_policy_checkpoint_resumes(self, tmp_path):
+        """A checkpoint that names the hash policy (the default before it
+        became the only partition) resumes to the uninterrupted report."""
+        trace = random_trace(6, n_events=220, n_threads=4, n_vars=6)
         reference = run_engine(trace, detectors=["wcp", "hb"])
+        directory = self._checkpointed_sharded_run(tmp_path, trace, "serial")
+        self._as_written_with_policy(directory, "hash")
+        resumed = resume_engine(
+            TraceSource(trace), directory,
+            config=EngineConfig().with_shards(3, mode="serial"),
+        )
         for key in reference.keys():
             assert _fingerprint(resumed[key]) == _fingerprint(reference[key])
 

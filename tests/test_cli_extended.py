@@ -111,3 +111,35 @@ class TestNumericFlags:
         ])
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_reader_closing_after_the_first_line(self, tmp_path):
+        """``analyze FILE | head -1``: the report is larger than a pipe
+        holds, so the write after the reader left fails; the command
+        exits 141 with nothing on stderr."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.cli import EXIT_STDOUT_CLOSED
+
+        lines = []
+        for i in range(3000):
+            lines += ["t1|w(v%d)|a%d" % (i, i), "t2|w(v%d)|b%d" % (i, i)]
+        path = tmp_path / "many.std"
+        path.write_text("\n".join(lines) + "\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "analyze", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_STDOUT_CLOSED == 141
+        assert first.startswith(b"WCP on many: 3000 distinct")
+        assert stderr == b""

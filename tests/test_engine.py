@@ -57,7 +57,6 @@ class TestSources:
         source = TraceSource(simple_race_trace)
         assert source.is_complete
         assert source.trace is simple_race_trace
-        assert source.length_hint() == len(simple_race_trace)
 
     def test_file_source_replayable_but_lazy(self, tmp_path):
         trace = random_trace(seed=1, n_events=30)

@@ -220,7 +220,6 @@ class TestCoordinatorKillPlan:
         wrapped = _KillAt(trace, 10 ** 9)
         events = list(wrapped)
         assert len(events) == len(trace)
-        assert wrapped.length_hint() == len(trace)
         assert wrapped.is_complete
         assert _KILL_EXIT == 137
 

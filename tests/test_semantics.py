@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.wcp import WCPDetector
 from repro.engine.partition import (
-    HashPartition,
     REPLICATE,
     ROUTE,
     ROUTE_CLOCK,
@@ -374,7 +373,7 @@ class TestOrderingSemantics:
 
 class TestPartitionerTaxonomy:
     def _classify_all(self, rows, shards=3):
-        partitioner = StreamPartitioner(HashPartition(shards))
+        partitioner = StreamPartitioner(shards)
         return [partitioner.classify(event) for event in build(rows)], \
             partitioner
 
@@ -413,13 +412,13 @@ class TestPartitionerTaxonomy:
         ])
         state = partitioner.state_dict()
         assert state["read_held"] == {"t1": {"m"}}
-        fresh = StreamPartitioner(HashPartition(3))
+        fresh = StreamPartitioner(3)
         fresh.load_state(state)
         kind, _ = fresh.classify(ev(1, "t1", "r", "x"))
         assert kind == ROUTE_CLOCK
 
     def test_legacy_state_without_read_held_loads(self):
-        partitioner = StreamPartitioner(HashPartition(3))
+        partitioner = StreamPartitioner(3)
         partitioner.load_state({
             "depth": {}, "pending": set(), "census": (0, 0, 0),
             "policy": {},

@@ -34,6 +34,7 @@ from repro import (
     run_engine,
 )
 from repro.analysis.export import report_to_dict
+import repro.serve.server as server_module
 from repro.serve.quotas import TokenBucket
 from repro.serve.sessions import ANONYMOUS_TENANT, tenant_of
 from repro.trace.writers import write_std
@@ -468,7 +469,8 @@ class TestQuotaEnforcement:
         assert metrics.tenants["noisy"]["shed"] == 1
         assert metrics.tenants["calm"]["shed"] == 0
 
-    def test_memory_quota_sheds_growing_stream(self):
+    def test_memory_quota_sheds_growing_stream(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MEM_CHECK_EVERY", 16)
         trace = random_trace(seed=7, n_events=64, n_threads=4, n_vars=6)
         payload = "# stream-id: tiny.a\n" + write_std(trace)
 
@@ -476,7 +478,6 @@ class TestQuotaEnforcement:
             settings = ServeSettings(
                 port=0,
                 quotas=QuotaManager(TenantQuota(max_detector_bytes=1)),
-                mem_check_every=16,
             )
             server = await _start_server(settings=settings)
             try:
@@ -609,7 +610,6 @@ class TestEvictionAndDrain:
         return ServeSettings(
             port=0,
             checkpoint_dir=str(directory),
-            idle_poll_s=0.02,
             idle_evict_after_s=0.05,
         )
 
@@ -1101,12 +1101,12 @@ class TestBatchGranularity:
         assert session.events == 44
         assert not plan.unfired()
 
-    def test_memory_quota_sheds_at_the_same_offset(self):
+    def test_memory_quota_sheds_at_the_same_offset(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MEM_CHECK_EVERY", 7)
         trace = random_trace(seed=83, n_events=120, n_threads=4, n_vars=6)
         settings = ServeSettings(
             port=0,
             quotas=QuotaManager(TenantQuota(max_detector_bytes=1)),
-            mem_check_every=7,
         )
         response, counters, session = asyncio.run(
             _push_once(settings, _one_read_payload(write_std(trace)))
@@ -1182,7 +1182,7 @@ class TestHandOffBounds:
             return seen
 
         seen = asyncio.run(run())
-        assert 0 < seen <= (settings.queue_maxsize + 2) * 65536
+        assert 0 < seen <= (server_module.QUEUE_MAXSIZE + 2) * 65536
 
     def test_queue_depth_counts_events(self):
         async def run():

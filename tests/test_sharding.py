@@ -24,11 +24,8 @@ from repro.engine.partition import (
     REPLICATE,
     ROUTE,
     ROUTE_CLOCK,
-    ExplicitPartition,
-    HashPartition,
-    RoundRobinPartition,
     StreamPartitioner,
-    make_policy,
+    owner_of,
 )
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
@@ -80,40 +77,20 @@ def fork_join_trace(seed, workers=3, steps=90):
 
 class TestPartitionPolicies:
     def test_hash_partition_is_stable_and_in_range(self):
-        policy = HashPartition(4)
-        owners = {policy.owner_of("x%d" % i) for i in range(50)}
-        assert owners <= set(range(4))
-        assert policy.owner_of("x7") == HashPartition(4).owner_of("x7")
-
-    def test_round_robin_balances_variable_count(self):
-        policy = RoundRobinPartition(3)
-        owners = [policy.owner_of("v%d" % i) for i in range(9)]
-        assert owners == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-        # Repeat lookups are sticky.
-        assert policy.owner_of("v4") == 1
-
-    def test_explicit_partition_pins_and_falls_back(self):
-        policy = ExplicitPartition(4, {"hot": 3})
-        assert policy.owner_of("hot") == 3
-        assert 0 <= policy.owner_of("other") < 4
+        owners = {owner_of("x%d" % i, 4) for i in range(50)}
+        assert owners == set(range(4))
+        # crc32 of the UTF-8 name: the same in every process, run and
+        # release (sharded checkpoints depend on it).
+        assert owner_of("x7", 4) == 2
+        assert owner_of("x7", 4) == StreamPartitioner(4).classify(
+            Event(-1, "t1", EventType.WRITE, "x7"))[1]
         with pytest.raises(ValueError):
-            ExplicitPartition(2, {"hot": 5})
-
-    def test_make_policy(self):
-        assert isinstance(make_policy("hash", 2), HashPartition)
-        assert isinstance(make_policy("rr", 2), RoundRobinPartition)
-        assert isinstance(make_policy(None, 2), HashPartition)
-        existing = HashPartition(3)
-        assert make_policy(existing, 3) is existing
-        with pytest.raises(ValueError):
-            make_policy("nope", 2)
-        with pytest.raises(ValueError):
-            make_policy(existing, 4)  # shard-count mismatch
+            StreamPartitioner(0)
 
 
 class TestEventTaxonomy:
     def test_sync_events_replicate(self):
-        partitioner = StreamPartitioner(HashPartition(2))
+        partitioner = StreamPartitioner(2)
         for etype, target in [
             (EventType.ACQUIRE, "l"), (EventType.RELEASE, "l"),
             (EventType.FORK, "t2"), (EventType.JOIN, "t2"),
@@ -122,12 +99,12 @@ class TestEventTaxonomy:
             assert kind is REPLICATE and owner == -1
 
     def test_accesses_route_outside_critical_sections(self):
-        partitioner = StreamPartitioner(HashPartition(2))
+        partitioner = StreamPartitioner(2)
         kind, owner = partitioner.classify(Event(-1, "t1", EventType.READ, "x"))
         assert kind is ROUTE and owner in (0, 1)
 
     def test_in_cs_accesses_are_clock_relevant(self):
-        partitioner = StreamPartitioner(HashPartition(2))
+        partitioner = StreamPartitioner(2)
         partitioner.classify(Event(-1, "t1", EventType.ACQUIRE, "l"))
         kind, _ = partitioner.classify(Event(-1, "t1", EventType.WRITE, "x"))
         assert kind is ROUTE_CLOCK
@@ -142,17 +119,15 @@ class TestEventTaxonomy:
         kind, _ = partitioner.classify(Event(-1, "t2", EventType.WRITE, "x"))
         assert kind is ROUTE
 
-    @pytest.mark.parametrize("policy_name", ["hash", "rr"])
-    def test_routing_memo_matches_policy(self, policy_name):
+    def test_routing_memo_matches_crc32(self):
         """The coordinator's int-valued routing memo never diverges from
-        asking the policy directly (same stream, fresh policy)."""
+        hashing the name directly."""
         trace = random_trace(31, n_events=200, n_threads=4, n_vars=9)
-        partitioner = StreamPartitioner(make_policy(policy_name, 3))
-        reference = make_policy(policy_name, 3)
+        partitioner = StreamPartitioner(3)
         for event in trace:
             kind, owner = partitioner.classify(event)
             if kind is not REPLICATE:
-                assert owner == reference.owner_of(event.target)
+                assert owner == owner_of(event.target, 3)
         # Every access was memoized exactly once per variable.
         assert set(partitioner._owner_memo) == {
             event.target for event in trace
@@ -160,24 +135,24 @@ class TestEventTaxonomy:
         }
 
     def test_routing_memo_dropped_on_restore(self):
-        """load_state must re-consult the (restored) policy, not replay
-        pre-restore memo entries."""
-        partitioner = StreamPartitioner(RoundRobinPartition(2))
+        """The memo is no checkpoint state: a restored partitioner starts
+        without one and routes every variable as the original did."""
+        partitioner = StreamPartitioner(2)
         partitioner.classify(Event(-1, "t1", EventType.WRITE, "a"))
-        partitioner.classify(Event(-1, "t1", EventType.WRITE, "b"))
+        partitioner.classify(Event(-1, "t1", EventType.WRITE, "u"))
         state = partitioner.state_dict()
-        assert partitioner._owner_memo == {"a": 0, "b": 1}
-        restored = StreamPartitioner(RoundRobinPartition(2))
+        assert partitioner._owner_memo == {"a": 1, "u": 0}
+        assert "policy" not in state
+        restored = StreamPartitioner(2)
         restored.load_state(state)
         assert restored._owner_memo == {}
-        # Restored round-robin still owes "a" and "b" their original
-        # shards, and new variables continue the rotation.
-        _, owner_a = restored.classify(Event(-1, "t1", EventType.WRITE, "a"))
-        _, owner_c = restored.classify(Event(-1, "t1", EventType.WRITE, "c"))
-        assert owner_a == 0 and owner_c == 0  # c is the third variable
+        for variable in ("a", "u", "c"):
+            _, owner = restored.classify(
+                Event(-1, "t1", EventType.WRITE, variable))
+            assert owner == owner_of(variable, 2)
 
     def test_census(self):
-        partitioner = StreamPartitioner(HashPartition(2))
+        partitioner = StreamPartitioner(2)
         partitioner.classify(Event(-1, "t1", EventType.ACQUIRE, "l"))
         partitioner.classify(Event(-1, "t1", EventType.WRITE, "x"))
         partitioner.classify(Event(-1, "t1", EventType.RELEASE, "l"))
@@ -217,11 +192,10 @@ class TestShardParity:
         for name in single.keys():
             assert _fingerprint(single[name]) == _fingerprint(sharded[name])
 
-    @pytest.mark.parametrize("policy", ["hash", "rr"])
-    def test_policy_independence(self, policy):
+    def test_hash_partition_parity(self):
         trace = random_trace(11, n_events=150, n_threads=4, n_vars=8)
         single = RaceEngine().run(trace, detectors=["wcp"])
-        sharded = ShardedEngine(shards=3, mode="serial", policy=policy).run(
+        sharded = ShardedEngine(shards=3, mode="serial").run(
             trace, detectors=["wcp"]
         )
         assert _fingerprint(single["WCP"]) == _fingerprint(sharded["WCP"])
@@ -262,15 +236,15 @@ class TestShardParity:
         events = [
             Event(0, "t1", EventType.WRITE, "x", "a.py:1"),
             Event(1, "t2", EventType.WRITE, "x", "b.py:2"),  # detected here
-            Event(2, "t1", EventType.WRITE, "y", "a.py:1"),
-            Event(3, "t2", EventType.WRITE, "y", "b.py:2"),  # same pair, later
+            Event(2, "t1", EventType.WRITE, "u", "a.py:1"),
+            Event(3, "t2", EventType.WRITE, "u", "b.py:2"),  # same pair, later
         ]
         trace = Trace(events, validate=False, name="xvar")
         single = RaceEngine().run(trace, detectors=["hb"])
-        # Pin y to shard 0 and x to shard 1, so shard 0 (merged first)
+        # u hashes to shard 0 and x to shard 1, so shard 0 (merged first)
         # holds the *later* witness and the merge must prefer shard 1's.
-        policy = ExplicitPartition(2, {"y": 0, "x": 1})
-        sharded = ShardedEngine(shards=2, mode="serial", policy=policy).run(
+        assert (owner_of("u", 2), owner_of("x", 2)) == (0, 1)
+        sharded = ShardedEngine(shards=2, mode="serial").run(
             trace, detectors=["hb"]
         )
         (single_pair,) = single["HB"].pairs()

@@ -5,8 +5,9 @@ deterministic :class:`FaultPlan` in {worker kill at an arbitrary event,
 dropped ack, corrupted snapshot blob, severed pipe}, on every transport,
 the sharded run's merged report is byte-identical -- witnesses and
 distances included -- to the fault-free run; and when recovery is
-disabled (``fail_fast``, retries exhausted, retries=0) the run dies with
-one actionable :class:`WorkerFailure`, never a raw ``EOFError``.
+disabled (retries=0, which fails fast) or retries are exhausted, the run
+dies with one actionable :class:`WorkerFailure`, never a raw
+``EOFError``.
 """
 
 import multiprocessing
@@ -24,7 +25,6 @@ from repro import (
     QueueSource,
     RaceEngine,
     ShardedEngine,
-    SupervisionSettings,
     WorkerFailure,
 )
 from repro.bench.generators import mixed_vocabulary_trace
@@ -32,9 +32,7 @@ from repro.cli import main
 from repro.engine.checkpoint import detector_stamp
 from repro.engine.faults import corrupt_blob
 from repro.engine.faults import WorkerDied
-from repro.engine.partition import (
-    ROUTE_CLOCK, HashPartition, StreamPartitioner,
-)
+from repro.engine.partition import ROUTE_CLOCK, StreamPartitioner, owner_of
 from repro.engine.sharding import _ProcessTransport, _ShardWorker
 from repro.engine.supervision import SupervisedTransport, new_supervision_stats
 from repro.trace.event import EventType
@@ -226,11 +224,11 @@ class TestFaultParity:
         marks, it must come back race-checking none of them: the merged
         report keeps every witness and distance of the unsharded run."""
         trace = mixed_vocabulary_trace(5, threads=4, steps=160)
-        partitioner = StreamPartitioner(HashPartition(3))
+        partitioner = StreamPartitioner(3)
         foreign_to_1 = {
             event.target for event in trace
             if partitioner.classify(event)[0] == ROUTE_CLOCK
-            and partitioner.policy.owner_of(event.target) != 1
+            and owner_of(event.target, 3) != 1
         }
         assert foreign_to_1
         plan = FaultPlan.kill(1, at_event=at_event)
@@ -256,16 +254,27 @@ class TestFaultParity:
 
 class TestFailureModes:
     @pytest.mark.parametrize("mode", MODES)
-    def test_fail_fast_single_actionable_error(self, mode):
+    def test_fail_fast_single_actionable_error(self, mode, monkeypatch):
+        """retries=0 fails fast: the first death is one actionable error,
+        and no shard ever takes a supervision snapshot or buffers a
+        batch for replay."""
+        snapshots = []
+        refresh = SupervisedTransport._refresh_snapshot
+        monkeypatch.setattr(
+            SupervisedTransport, "_refresh_snapshot",
+            lambda self: snapshots.append(self.shard) or refresh(self),
+        )
         trace = random_trace(47, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan.kill(1, at_event=20)
         with pytest.raises(WorkerFailure) as exc:
-            _sharded(trace, plan, mode=mode, fail_fast=True)
+            _sharded(trace, plan, mode=mode, retries=0)
         message = str(exc.value)
         assert "shard 1" in message
-        assert "failing fast" in message
-        assert "--fail-fast" in message
+        assert "failover is disabled" in message
+        assert "--shard-retries" in message
+        assert "\n" not in message
         assert not isinstance(exc.value, EOFError)
+        assert snapshots == []
 
     def test_retries_zero_disables_failover(self):
         trace = random_trace(47, n_events=200, n_threads=4, n_vars=6)
@@ -286,7 +295,7 @@ class TestFailureModes:
         trace = random_trace(59, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan.kill(0, at_event=20)
         with pytest.raises(WorkerFailure) as exc:
-            _sharded(trace, plan, mode="process", fail_fast=True)
+            _sharded(trace, plan, mode="process", retries=0)
         assert "worker exit code 17" in str(exc.value)
 
 
@@ -349,7 +358,8 @@ class _StubTransport:
 def _supervised(plan=None, **settings_kwargs):
     settings_kwargs.setdefault("retries", 2)
     settings_kwargs.setdefault("backoff_s", 0.0)
-    settings = SupervisionSettings(**settings_kwargs)
+    config = EngineConfig().with_shard_supervision(**settings_kwargs)
+    config.with_fault_plan(plan)
     stats = new_supervision_stats()
     incarnations = []
 
@@ -358,7 +368,7 @@ def _supervised(plan=None, **settings_kwargs):
         incarnations.append(stub)
         return stub
 
-    transport = SupervisedTransport(0, factory, settings, stats, plan=plan)
+    transport = SupervisedTransport(0, factory, config, stats)
     return transport, incarnations, stats
 
 
@@ -457,27 +467,23 @@ class TestSupervisedTransportUnit:
 
 
 class TestSupervisionSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SupervisionSettings(retries=-1)
-        with pytest.raises(ValueError):
-            SupervisionSettings(heartbeat_s=0)
-        with pytest.raises(ValueError):
-            SupervisionSettings(snapshot_every=-1)
-
     def test_from_config_roundtrip(self):
-        config = EngineConfig().with_shard_supervision(
-            retries=5, heartbeat_s=7.0, snapshot_every=9, backoff_s=0.01,
-            shutdown_timeout_s=3.0, fail_fast=True,
+        """The transport runs on the config's fields: the snapshot
+        cadence and the retry budget set through
+        ``with_shard_supervision``."""
+        transport, incarnations, stats = _supervised(
+            retries=1, snapshot_every=3
         )
-        settings = SupervisionSettings.from_config(config)
-        assert settings.retries == 5
-        assert settings.heartbeat_s == 7.0
-        assert settings.snapshot_every == 9
-        assert settings.backoff_s == 0.01
-        assert settings.shutdown_timeout_s == 3.0
-        assert settings.fail_fast
-        assert "fail_fast" in repr(settings)
+        assert transport.config.shard_retries == 1
+        for index in range(6):
+            transport.send([(index,)])
+        assert [covered for covered, _ in transport._snapshots] == [3, 6]
+        incarnations[0].fail_next = True
+        transport.send([("tail",)])
+        assert stats["worker_restarts"] == 1
+        incarnations[1].fail_next = True
+        with pytest.raises(WorkerFailure, match="retry budget exhausted"):
+            transport.send([("again",)])
 
     def test_config_builder_validation(self):
         with pytest.raises(ValueError):
@@ -485,17 +491,16 @@ class TestSupervisionSettings:
         with pytest.raises(ValueError):
             EngineConfig().with_shard_supervision(heartbeat_s=0)
         with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(backoff_s=-0.1)
+            EngineConfig().with_shard_supervision(snapshot_every=-1)
         with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(shutdown_timeout_s=0)
+            EngineConfig().with_shard_supervision(backoff_s=-0.1)
 
     def test_config_repr_mentions_fault_state(self):
         config = EngineConfig().with_fault_plan(FaultPlan.kill(0, 1))
         config.with_shards(2, mode="serial")
-        config.with_shard_supervision(retries=5, fail_fast=True)
+        config.with_shard_supervision(retries=0)
         text = repr(config)
-        assert "shard_retries=5" in text
-        assert "fail_fast" in text
+        assert "shard_retries=0" in text
         assert "FaultPlan" in text
 
 
@@ -538,7 +543,6 @@ class _StubConn:
 def _shutdown_transport(process):
     transport = object.__new__(_ProcessTransport)
     transport.shard_id = 0
-    transport.shutdown_timeout_s = 0.01
     transport.escalations = 0
     transport.process = process
     transport.conn = _StubConn()
@@ -594,11 +598,22 @@ class TestSupervisionCli:
         path = self._trace_path(tmp_path)
         code = main([
             "analyze", path, "--detector", "wcp", "--shards", "2",
-            "--shard-mode", "serial", "--shard-retries", "3",
-            "--shard-heartbeat", "5", "--fail-fast",
+            "--shard-mode", "serial", "--shard-retries", "0",
+            "--shard-heartbeat", "5",
         ])
         assert code in (0, 1)
         assert "WCP" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--fail-fast"], ["--shard-policy", "rr"],
+    ])
+    def test_removed_flags_are_unrecognised(self, tmp_path, capsys, flag):
+        path = self._trace_path(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--shards", "2"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag[0] in (
+            capsys.readouterr().err)
 
     def test_negative_retries_rejected(self, tmp_path, capsys):
         path = self._trace_path(tmp_path)

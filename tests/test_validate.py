@@ -194,7 +194,6 @@ class TestTransparency:
         source = ValidatingSource(TraceSource(protected_trace))
         assert source.is_complete
         assert source.trace is protected_trace
-        assert source.length_hint() == len(protected_trace)
         assert source.registry is protected_trace.registry
 
     def test_stream_inner_stays_stream(self, protected_trace):

@@ -383,3 +383,53 @@ def test_locations_as_spans_and_as_strings(shape, tmp_path):
         result = RaceEngine().run(FileSource(path), [detector])
         reports.append(_report_key(result[detector.name])[:3])
     assert reports[0] == reports[1]
+
+
+def _spelled_location_trace():
+    """An access without a location, then one whose real location spells
+    the string ``Event.location`` synthesises for it, then a racing write.
+    The 100 thread-local rows before them let the kernel start."""
+    lines = ["f%d|w(v%d)|fill:%d" % (i % 4, i % 4, i) for i in range(100)]
+    lines += ["t1|w(x)", "t1|w(x)|t1:w(x)@100", "t2|w(x)|b"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_real_location_spelling_a_synthesised_one(tmp_path):
+    """Both t1 writes are distinct history cells, so t2's write races
+    with each (raw count 2, distance 2), for WCP and HB under either
+    backend, in-process and through ``analyze --json``."""
+    import json
+    import subprocess
+
+    from repro.hb.hb import HBDetector
+    from repro.trace.parsers import load_trace
+
+    path = tmp_path / "spelled.std"
+    path.write_text(_spelled_location_trace())
+    trace = load_trace(str(path))
+    kernel = _assert_same(trace, size=None, states=True)
+    assert kernel.report.raw_race_count == 2
+    assert kernel.report.max_distance() == 2
+    hb = HBDetector().run(trace)
+    assert (hb.raw_race_count, hb.max_distance()) == (2, 2)
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    reports = {}
+    for backend in ("python", kernels.BACKEND):
+        env = dict(os.environ, REPRO_CLOCK_KERNEL=backend, PYTHONPATH=src)
+        stem = str(tmp_path / backend)
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", str(path),
+             "--detector", "wcp,hb", "--json", stem + ".json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 1, run.stderr
+        for name in ("wcp", "hb"):
+            with open("%s.%s.json" % (stem, name)) as handle:
+                report = json.load(handle)
+            report.pop("stats")
+            assert (report["raw_race_count"], report["max_distance"]) == (2, 2)
+            reports[backend, name] = report
+    for name in ("wcp", "hb"):
+        assert reports["python", name] == reports[kernels.BACKEND, name]
