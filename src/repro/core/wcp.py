@@ -103,7 +103,10 @@ Hot-path engineering (the constant factor behind Theorem 3's
   first, ``finish`` hands over, and ``_clock_c`` reads ``C_t`` from C.
   Under ``REPRO_CLOCK_KERNEL=python``, with
   ``strict_pseudocode=True`` or on a restored detector the kernel never
-  starts.
+  starts.  The lifecycle is
+  :class:`~repro.core.wcp_compiled.CompiledPass`, which
+  :class:`~repro.hb.hb.HBDetector` shares: it runs the same kernel in
+  its HB mode (``H_t`` and ``H_l`` only).
 * **Epoch-accelerated race checks** -- accesses flow into the shared
   :class:`~repro.core.history.AccessHistory`, whose FastTrack-style O(1)
   epoch comparison is provably equivalent to the full join comparison
@@ -188,10 +191,10 @@ from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
+from repro.core.wcp_compiled import CompiledPass
 from repro.trace.columns import as_block
 from repro.trace.event import Event, EventType
 from repro.trace.trace import ThreadCensus, Trace
-from repro.vectorclock import kernels
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import encode_clock
 from repro.vectorclock.dense import DenseClock
@@ -334,7 +337,7 @@ class _LockState:
         self.reclaim_blocker: Optional[int] = None
 
 
-class WCPDetector(Detector):
+class WCPDetector(CompiledPass, Detector):
     """Streaming WCP race detector (Algorithm 1).
 
     The maximum total FIFO-queue length is always recorded in
@@ -367,20 +370,6 @@ class WCPDetector(Detector):
     supports_snapshot = True
     snapshot_version = 8
 
-    #: A first block with fewer rows than this before its end or its
-    #: first row of a kind the kernel does not run keeps the pass on the
-    #: Python path.
-    _KERNEL_MIN_ROWS = 64
-
-    #: Private per-instance switch: False keeps this detector on the
-    #: Python path even when the compiled kernels are active.
-    _use_kernel = True
-
-    #: The live compiled state (None: the Python fields are the state),
-    #: and whether the next block starts it.
-    _kernel = None
-    _kernel_pending = False
-
     def __init__(
         self,
         strict_pseudocode: bool = False,
@@ -395,8 +384,6 @@ class WCPDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def reset(self, trace: Trace) -> None:
-        self._kernel = None
-        self._synced = True
         self._trace = trace
         self._new_report(trace)
         registry = getattr(trace, "registry", None)
@@ -465,48 +452,7 @@ class WCPDetector(Detector):
         for thread in trace.threads:
             self._ensure_thread(intern(thread), thread)
 
-        # The kernel starts with the first block, from the state as it
-        # stands then.
-        self._kernel_pending = (
-            kernels.BACKEND == "cffi" and self._use_kernel
-            and not self._strict_pseudocode and not self.restore_pending
-        )
-
-    def _start_kernel(self, block):
-        """The kernel for this pass, or None when ``block`` -- the pass's
-        first -- runs fewer than :attr:`_KERNEL_MIN_ROWS` rows before its
-        end or its first row of a kind the kernel does not run: the
-        kernel could not win back its start and hand-over there (a serve
-        session's first block is its peeked lines)."""
-        from repro.core.wcp_compiled import WCPKernel, first_rare_row
-
-        self._kernel_pending = False
-        if first_rare_row(block) < self._KERNEL_MIN_ROWS:
-            return None
-        kernel = self._kernel = WCPKernel(self)
-        return kernel
-
-    def _sync(self) -> None:
-        """Bring the Python fields up to date with a live kernel."""
-        if not self._synced:
-            self._kernel.transcribe(self)
-            self._synced = True
-
-    def _hand_over(self) -> None:
-        """Transcribe the compiled state and continue in Python."""
-        self._kernel_pending = False
-        if self._kernel is not None:
-            self._sync()
-            self._kernel = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the Python state (a live kernel's transcribed); the copy
-        continues on the Python path."""
-        if self._kernel is not None:
-            self._sync()
-        state = dict(self.__dict__)
-        state["_kernel"] = None
-        return state
+        self._arm_kernel(not self._strict_pseudocode)
 
     def _take_census(self, census: ThreadCensus) -> None:
         """Apply the trace's census: releasers, thread-local locks and variables.
@@ -630,18 +576,10 @@ class WCPDetector(Detector):
         method in :attr:`_RARE`.
         """
         block = as_block(events, self._registry)
-        kernel = self._kernel
-        if kernel is None and self._kernel_pending:
-            kernel = self._start_kernel(block)
-        if kernel is not None:
-            self._synced = False
-            done = kernel.run(block, self.report.add, self)
-            self._processed_events += done
-            if done == len(block):
-                return
-            self._hand_over()
-            block = block[done:]
         self._processed_events += len(block)
+        block = self._run_kernel(block)
+        if block is None:
+            return
         tids, ops = block.columns()
         optable = block.table.ops
         row = block.row
@@ -1375,8 +1313,7 @@ class WCPDetector(Detector):
         shards which saw a thread's release but not (yet) its next routed
         access still report the same state.
         """
-        if self._kernel is not None:
-            self._sync()
+        self._sync()
         state: Dict[object, bytes] = {}
         name_of = self._registry.name_of
         for tid, nt in enumerate(self._nt):
@@ -1422,8 +1359,7 @@ class WCPDetector(Detector):
 
     def state_snapshot(self) -> bytes:
         report = self.report  # raises before reset()
-        if self._kernel is not None:
-            self._sync()
+        self._sync()
         locks: Dict[str, object] = {}
         for lock, state in self._locks.items():
             locks[lock] = {
@@ -1515,8 +1451,7 @@ class WCPDetector(Detector):
             )
         state = unpack_for(self).unpack(blob)
         adopt_registry_names(self._registry, state["names"])
-        self._kernel = None
-        self._kernel_pending = False
+        self._arm_kernel(False)  # a restored pass stays in Python
 
         self._nt = list(state["nt"])
         self._pt = list(state["pt"])

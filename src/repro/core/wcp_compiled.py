@@ -1,15 +1,27 @@
-"""The compiled WCP kernel: Algorithm 1 in one C call per column block.
+"""The compiled clock kernel: WCP or HB in one C call per column block.
 
-:class:`~repro.core.wcp.WCPDetector` hands each block to
-:class:`WCPKernel` while the kernel is live.  The C state
-(``wcp_state`` in :mod:`repro.vectorclock.kernels`) mirrors the
-detector's Python state field for field -- per-thread ``N_t``, ``P_t``,
-``H_t`` and open sections; per-lock Rule (b) logs, cursors, reclamation
-state and Rule (a) cells; per-variable access histories -- with the same
-orders wherever an order is observable (the history's threads and
-cells, each log, each cell's releasers).  So :meth:`WCPKernel.transcribe`
-can rebuild the Python state at any row boundary, and the Python
-``process_batch`` -- the specification -- carries on from there.
+Algorithm 1 keeps HB's clocks as well as WCP's: ``H_t`` is the
+happens-before clock of thread ``t``, with component ``t`` equal to
+``N_t``, and ``H_l`` that of the last release of ``l``.  So one C core
+(``wcp_state`` in :mod:`repro.vectorclock.kernels`) serves two
+detectors.  :class:`~repro.core.wcp.WCPDetector` runs it in full, and
+:class:`~repro.hb.hb.HBDetector` runs its HB mode, which keeps only
+``N_t``, ``H_t`` and ``H_l`` (no Rule (a), Rule (b), sections or logs)
+and checks each access against a cached frozen ``H_t`` -- HB's
+``_snap`` -- that goes only when ``H_t`` changes.  Both go through
+:class:`CompiledPass`, the one kernel lifecycle: start at the pass's
+first block, run each block in C while the kernel is live, and hand over
+for good.
+
+The C state mirrors the detector's Python state field for field --
+per-thread ``N_t``, ``P_t``, ``H_t`` and open sections; per-lock Rule (b)
+logs, cursors, reclamation state and Rule (a) cells; per-variable access
+histories -- with the same orders wherever an order is observable (the
+history's threads and cells, each log, each cell's releasers).  So
+:meth:`WCPKernel.transcribe` can rebuild either detector's Python state
+at any row boundary (one shared history transcription, then each
+detector's own fields), and the Python ``process_batch`` -- the
+specification -- carries on from there.
 
 Per block the kernel reads the tid and op columns plus one code and one
 dense id per op (:meth:`WCPKernel._translate`, memoised per op table).
@@ -22,9 +34,10 @@ thread, kind and location -- from which the two events are built and
 reported in the order the Python loop reports them.
 
 The kernel runs acquire/release/read/write/fork/join/begin/end rows of
-locks that stay chain-clean.  It returns before touching a row of any
-other kind or a row that would taint a lock, and the detector then
-hands over to Python for the rest of the pass.  A location of None is
+locks that stay chain-clean (any lock, in the HB mode).  It returns
+before touching a row of any other kind or a row that would taint a
+lock, and the detector then hands over to Python for the rest of the
+pass.  A location of None is
 keyed by its row index, as the Python history keys it
 (:func:`~repro.core.history.cell_key`).
 """
@@ -69,14 +82,100 @@ def first_rare_row(block: ColumnBlock) -> int:
         return lib.wcp_first_stop(rows, len(ops), kinds, len(codes))
 
 
+class CompiledPass:
+    """The kernel lifecycle a clock detector mixes in.
+
+    :meth:`_arm_kernel` (at the end of ``reset``) lets the pass's first
+    block start the kernel; :meth:`_run_kernel` (at the top of
+    ``process_batch``) runs each block in C while it is live and hands
+    over for good -- one transcription into the Python fields -- at the
+    first row it does not run.  While it is live the Python fields are
+    stale: ``state_snapshot``, ``sync_clock_state`` and pickling
+    :meth:`_sync` first, and ``finish`` and ``mark_foreign``
+    :meth:`_hand_over`.
+    """
+
+    #: A first block with fewer rows than this before its end or its
+    #: first row of a kind the kernel does not run keeps the pass on the
+    #: Python path: the kernel could not win back its start and
+    #: hand-over there (a serve session's first block is its peeked
+    #: lines).
+    _KERNEL_MIN_ROWS = 64
+
+    #: Private per-instance switch: False keeps this detector on the
+    #: Python path even when the compiled kernels are active.
+    _use_kernel = True
+
+    #: The kernel's mode: HB (``H_t`` and ``H_l`` only) or WCP.
+    _hb_kernel = False
+
+    #: The live compiled state (None: the Python fields are the state),
+    #: whether the next block starts it, and whether the Python fields
+    #: are current.
+    _kernel = None
+    _kernel_pending = False
+    _synced = True
+
+    def _arm_kernel(self, allowed: bool) -> None:
+        """Drop any compiled state, and let the next block start the
+        kernel from the Python state as it stands, unless ``allowed`` is
+        false, the compiled kernels are off or a restore is pending."""
+        self._kernel = None
+        self._synced = True
+        self._kernel_pending = (
+            allowed and kernels.BACKEND == "cffi" and self._use_kernel
+            and not self.restore_pending
+        )
+
+    def _run_kernel(self, block: ColumnBlock) -> Optional[ColumnBlock]:
+        """Run ``block`` in the kernel as far as it goes; return the rows
+        left for the Python loop (None: every row ran)."""
+        kernel = self._kernel
+        if kernel is None and self._kernel_pending:
+            self._kernel_pending = False
+            if first_rare_row(block) >= self._KERNEL_MIN_ROWS:
+                kernel = self._kernel = WCPKernel(self)
+        if kernel is None:
+            return block
+        self._synced = False
+        done = kernel.run(block, self.report.add, self)
+        if done == len(block):
+            return None
+        self._hand_over()
+        return block[done:]
+
+    def _sync(self) -> None:
+        """Bring the Python fields up to date with a live kernel."""
+        if not self._synced:
+            self._kernel.transcribe(self)
+            self._synced = True
+
+    def _hand_over(self) -> None:
+        """Transcribe the compiled state and continue in Python."""
+        self._kernel_pending = False
+        if self._kernel is not None:
+            self._sync()
+            self._kernel = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the Python state (a live kernel's transcribed); the copy
+        continues on the Python path."""
+        self._sync()
+        state = dict(self.__dict__)
+        state["_kernel"] = None
+        return state
+
+
 class WCPKernel:
-    """The compiled state of one WCP pass (see the module docstring)."""
+    """The compiled state of one WCP or HB pass (see the module docstring)."""
 
     def __init__(self, detector) -> None:
         ffi, lib = kernels.ffi, kernels.lib
         self._ffi = ffi
         self._lib = lib
-        handle = lib.wcp_new(int(detector._effective_prune))
+        hb = self._hb = detector._hb_kernel
+        handle = lib.wcp_new(int(not hb and detector._effective_prune),
+                             int(hb))
         if handle == ffi.NULL:
             raise MemoryError("wcp_new")
         self._handle = ffi.gc(handle, lib.wcp_free)
@@ -88,11 +187,13 @@ class WCPKernel:
         self._var_ids: Dict[str, int] = {}
         self._var_names: List[Optional[str]] = [None]
         self._local_variables = detector._local_variables
-        # The census' thread-local locks keep their Python state: nothing
-        # ever changes it.  In C, all of them share one lock id, and all
-        # thread-local variables one variable id.
+        # The census' locks (HB keeps a clock for every lock instead).
+        # Thread-local ones keep their Python state: nothing ever changes
+        # it.  In C, all of them share one lock id, and all thread-local
+        # variables one variable id.
+        census_locks = {} if hb else detector._locks
         self._local_locks = {
-            lock: state for lock, state in detector._locks.items()
+            lock: state for lock, state in census_locks.items()
             if state.local
         }
         self._shared_lock = self._check(lib.wcp_add_lock(handle, 1))
@@ -110,10 +211,16 @@ class WCPKernel:
         self._decoded = None
         self._decoded_ids = array("i")
         # The reset state: initialised threads and the census' locks.
-        lookup = self._registry.lookup
-        for name in detector._thread_names:
-            self._check(lib.wcp_thread_init(handle, lookup(name)))
-        for lock, state in detector._locks.items():
+        if hb:
+            tids = [
+                tid for tid, clock in enumerate(detector._clocks)
+                if clock is not None
+            ]
+        else:
+            tids = map(self._registry.lookup, detector._thread_names)
+        for tid in tids:
+            self._check(lib.wcp_thread_init(handle, tid))
+        for lock, state in census_locks.items():
             if state.local:
                 continue
             lock_id = self._lock_id(lock)
@@ -355,7 +462,7 @@ class WCPKernel:
             report_add(first, second)
 
     def clock_c(self, tid: int) -> DenseClock:
-        """``C_t`` of an initialised thread."""
+        """``C_t`` of an initialised thread (``H_t`` in the HB mode)."""
         clock = self._lib.wcp_ct(self._handle, tid)
         if clock == self._ffi.NULL:
             raise MemoryError("wcp_ct")
@@ -365,132 +472,56 @@ class WCPKernel:
     # Transcription
     # ------------------------------------------------------------------ #
 
+    def _ints(self, pointer, size) -> list:
+        return self._ffi.unpack(pointer, size) if size else []
+
+    def _mutable(self, clock) -> DenseClock:
+        return DenseClock._from_times(self._ints(clock.t, clock.n))
+
     def transcribe(self, detector) -> None:
         """Write the C state back into ``detector``'s Python fields."""
-        from repro.core.wcp import _LockState, _RuleACell
-
         ffi = self._ffi
-        state = self._state
-        unpack = ffi.unpack
+        ints = self._ints
         frozen: Dict[int, DenseClock] = {}
         null = ffi.NULL
 
         def shared(pointer) -> Optional[DenseClock]:
-            # Aliased clocks stay aliased (the Python detector shares its
-            # frozen clocks the same way).
+            # Aliased clocks stay aliased (the Python detectors share
+            # their frozen clocks the same way).
             if pointer == null:
                 return None
             key = int(ffi.cast("uintptr_t", pointer))
             clock = frozen.get(key)
             if clock is None:
-                clock = frozen[key] = own(pointer)
+                clock = frozen[key] = DenseClock._from_times(
+                    ints(pointer + 2, pointer[1])
+                )
             return clock
 
-        def own(pointer) -> DenseClock:
-            size = pointer[1]
-            return DenseClock._from_times(
-                unpack(pointer + 2, size) if size else ()
-            )
+        history = self._transcribe_history(shared)
+        if self._hb:
+            self._transcribe_hb(detector, shared, history)
+        else:
+            self._transcribe_wcp(detector, shared, history)
 
-        def mutable(clock) -> DenseClock:
-            return DenseClock._from_times(
-                unpack(clock.t, clock.n) if clock.n else ()
-            )
+    def _locks_in_order(self):
+        """(id, name, C lock) of every lock the pass created, in order
+        (census locks first, then by first use -- by first release
+        in the HB mode, the order of HB's ``_lock_clocks``)."""
+        state = self._state
+        for lock_id in self._ints(state.lock_order, state.nlock_order):
+            if lock_id != self._shared_lock:
+                yield lock_id, self._lock_names[lock_id], state.locks[lock_id]
 
-        def ints(pointer, size) -> list:
-            return unpack(pointer, size) if size else []
-
-        def ids(idset) -> list:
-            return ints(idset.items, idset.n)
-
+    def _transcribe_history(self, shared) -> AccessHistory:
+        """The access histories, in creation order."""
+        state = self._state
         name_of = self._registry.name_of
-        lock_names, var_names = self._lock_names, self._var_names
-
-        # Locks, in creation order, with their Rule (a) cells.
-        locks: Dict[str, _LockState] = dict(self._local_locks)
-        by_id: Dict[int, _LockState] = {}
-        for lock_id in ints(state.lock_order, state.nlock_order):
-            if lock_id == self._shared_lock:
-                continue
-            lock = state.locks[lock_id]
-            entry = _LockState()
-            mask = lock.cap - 1
-            log = []
-            for k in range(lock.len):
-                item = lock.log[(lock.head + k) & mask]
-                log.append([
-                    shared(item.acq), shared(item.rel), item.owner, item.epoch
-                ])
-            entry.log = deque(log)
-            entry.base = lock.base
-            entry.cursor = {
-                lock.cursors[k].tid: lock.cursors[k].cur
-                for k in range(lock.ncur)
-            }
-            if lock.open_tid >= 0:
-                entry.open_entry = {lock.open_tid: lock.open_idx}
-            entry.pl = shared(lock.pl)
-            entry.hl = shared(lock.hl)
-            entry.holder = None if lock.holder < 0 else lock.holder
-            entry.releasers = set(ids(lock.releasers))
-            entry.local = bool(lock.local)
-            entry.reclaim_blocker = None if lock.blocker < 0 else lock.blocker
-            locks[lock_names[lock_id]] = entry
-            by_id[lock_id] = entry
-        for k in range(state.ncells):
-            source = state.cells[k]
-            cell = _RuleACell()
-            cell.by_tid = {
-                source.bt[b].tid: shared(source.bt[b].clk)
-                for b in range(source.nbt)
-            }
-            cell.top_tid = source.top_tid
-            cell.second_tid = source.second_tid
-            cell.top = cell.by_tid.get(cell.top_tid)
-            cell.second = cell.by_tid.get(cell.second_tid)
-            cell.version = source.version
-            cell.seen = {
-                source.seen[s].tid: source.seen[s].ver
-                for s in range(source.nseen)
-            }
-            owner = by_id[source.lock]
-            table = owner.lw if source.kind else owner.lr
-            table[var_names[source.var]] = cell
-
-        # Threads.
-        size = max(state.nth, len(detector._nt))
-        nt = [0] * size
-        pt: List[object] = [None] * size
-        ht: List[object] = [None] * size
-        prev = [False] * size
-        sections: List[Optional[list]] = [None] * size
-        read_held: List[Optional[dict]] = [None] * size
-        for tid in range(state.nth):
-            thread = state.th[tid]
-            if thread.nt == 0:
-                continue
-            nt[tid] = thread.nt
-            pt[tid] = mutable(thread.p)
-            ht[tid] = mutable(thread.h)
-            prev[tid] = bool(thread.prev)
-            read_held[tid] = {}
-            stack = []
-            for k in range(thread.nsec):
-                section = thread.secs[k]
-                lock = lock_names[section.lock]
-                stack.append((
-                    lock,
-                    {var_names[v] for v in ids(section.reads)},
-                    {var_names[v] for v in ids(section.writes)},
-                    locks[lock],
-                ))
-            sections[tid] = stack
-
-        # Access histories, in creation order.
+        var_names = self._var_names
         history = AccessHistory()
         variables = history._variables
         read, write = EventType.READ, EventType.WRITE
-        for var_id in ints(state.var_order, state.nvar_order):
+        for var_id in self._ints(state.var_order, state.nvar_order):
             source = state.vars[var_id]
             variable = var_names[var_id]
             target = VariableHistory()
@@ -525,6 +556,126 @@ class WCPKernel:
                         )
                         c = item.next
             variables[variable] = target
+        return history
+
+    def _transcribe_hb(self, detector, shared, history) -> None:
+        """:class:`~repro.hb.hb.HBDetector`'s fields: ``_clocks`` from
+        ``H_t``, ``_pending`` from the deferred bumps, ``_snap`` from the
+        frozen ``H_t`` and ``_lock_clocks`` from ``H_l`` (in first-release
+        order).  The kernel runs no rwlock, barrier or wait/notify row, so
+        their fields stay as they are."""
+        state = self._state
+        size = max(state.nth, len(detector._clocks))
+        clocks: List[object] = [None] * size
+        pending = [False] * size
+        snaps: List[object] = [None] * size
+        read_held: List[Optional[set]] = [None] * size
+        for tid in range(state.nth):
+            thread = state.th[tid]
+            if thread.nt == 0:
+                continue
+            clocks[tid] = self._mutable(thread.h)
+            pending[tid] = bool(thread.prev)
+            snaps[tid] = shared(thread.ct)
+            read_held[tid] = set()
+        detector._clocks = clocks
+        detector._pending = pending
+        detector._snap = snaps
+        detector._read_held = read_held
+        detector._lock_clocks = {
+            name: shared(lock.hl) for _, name, lock in self._locks_in_order()
+        }
+        detector._history = history
+
+    def _transcribe_wcp(self, detector, shared, history) -> None:
+        """:class:`~repro.core.wcp.WCPDetector`'s fields."""
+        from repro.core.wcp import _LockState, _RuleACell
+
+        state = self._state
+        ints = self._ints
+
+        def ids(idset) -> list:
+            return ints(idset.items, idset.n)
+
+        name_of = self._registry.name_of
+        var_names = self._var_names
+
+        # Locks, in creation order, with their Rule (a) cells.
+        locks: Dict[str, _LockState] = dict(self._local_locks)
+        by_id: Dict[int, _LockState] = {}
+        for lock_id, name, lock in self._locks_in_order():
+            entry = _LockState()
+            mask = lock.cap - 1
+            log = []
+            for k in range(lock.len):
+                item = lock.log[(lock.head + k) & mask]
+                log.append([
+                    shared(item.acq), shared(item.rel), item.owner, item.epoch
+                ])
+            entry.log = deque(log)
+            entry.base = lock.base
+            entry.cursor = {
+                lock.cursors[k].tid: lock.cursors[k].cur
+                for k in range(lock.ncur)
+            }
+            if lock.open_tid >= 0:
+                entry.open_entry = {lock.open_tid: lock.open_idx}
+            entry.pl = shared(lock.pl)
+            entry.hl = shared(lock.hl)
+            entry.holder = None if lock.holder < 0 else lock.holder
+            entry.releasers = set(ids(lock.releasers))
+            entry.local = bool(lock.local)
+            entry.reclaim_blocker = None if lock.blocker < 0 else lock.blocker
+            locks[name] = entry
+            by_id[lock_id] = entry
+        for k in range(state.ncells):
+            source = state.cells[k]
+            cell = _RuleACell()
+            cell.by_tid = {
+                source.bt[b].tid: shared(source.bt[b].clk)
+                for b in range(source.nbt)
+            }
+            cell.top_tid = source.top_tid
+            cell.second_tid = source.second_tid
+            cell.top = cell.by_tid.get(cell.top_tid)
+            cell.second = cell.by_tid.get(cell.second_tid)
+            cell.version = source.version
+            cell.seen = {
+                source.seen[s].tid: source.seen[s].ver
+                for s in range(source.nseen)
+            }
+            owner = by_id[source.lock]
+            table = owner.lw if source.kind else owner.lr
+            table[var_names[source.var]] = cell
+
+        # Threads.
+        size = max(state.nth, len(detector._nt))
+        nt = [0] * size
+        pt: List[object] = [None] * size
+        ht: List[object] = [None] * size
+        prev = [False] * size
+        sections: List[Optional[list]] = [None] * size
+        read_held: List[Optional[dict]] = [None] * size
+        for tid in range(state.nth):
+            thread = state.th[tid]
+            if thread.nt == 0:
+                continue
+            nt[tid] = thread.nt
+            pt[tid] = self._mutable(thread.p)
+            ht[tid] = self._mutable(thread.h)
+            prev[tid] = bool(thread.prev)
+            read_held[tid] = {}
+            stack = []
+            for k in range(thread.nsec):
+                section = thread.secs[k]
+                lock = self._lock_names[section.lock]
+                stack.append((
+                    lock,
+                    {var_names[v] for v in ids(section.reads)},
+                    {var_names[v] for v in ids(section.writes)},
+                    locks[lock],
+                ))
+            sections[tid] = stack
 
         detector._nt = nt
         detector._pt = pt

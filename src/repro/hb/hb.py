@@ -34,6 +34,23 @@ costs one clock copy in total, and (because HB timestamps satisfy the
 history's exactness contract unconditionally) the per-access race check is
 an O(1) epoch comparison in the common case.
 
+Compiled kernel: Algorithm 1 keeps exactly these clocks (its ``H_t``,
+with component ``t`` equal to ``N_t``, and ``H_l``), so with the cffi
+kernels this detector runs each block in one C call of the WCP kernel's
+HB mode (:mod:`repro.core.wcp_compiled`): acquire, release, fork, join
+and the access history, with no Rule (a), Rule (b), sections or logs,
+and the frozen snapshot cached in C.  It shares WCP's lifecycle
+(:class:`~repro.core.wcp_compiled.CompiledPass`): the kernel starts at
+the pass's first block when that block runs at least
+``_KERNEL_MIN_ROWS`` rows before its first rwlock, barrier or
+wait/notify row, and before such a row, ``mark_foreign`` or ``finish``
+it hands over for good -- one transcription into ``_clocks``,
+``_pending``, ``_snap``, ``_lock_clocks`` and the history -- to
+:meth:`HBDetector.process_batch`, which stays the specification.  While
+it is live, ``state_snapshot``, ``sync_clock_state`` and pickling
+transcribe first.  FastTrack (an ``_access`` hook), a pending restore
+and ``REPRO_CLOCK_KERNEL=python`` never start it.
+
 Thread-local access elision: on a complete trace the detector reads the
 trace's :class:`~repro.trace.trace.ThreadCensus`, and an access to a
 variable that only one thread reads or writes runs the per-event
@@ -54,6 +71,7 @@ from repro.core.detector import Detector
 from repro.core.history import AccessHistory, VariableHistory
 from repro.core.races import RaceReport
 from repro.core.snapshot import adopt_registry_names, pack_state, unpack_for
+from repro.core.wcp_compiled import CompiledPass
 from repro.trace.columns import as_block
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
@@ -62,10 +80,13 @@ from repro.vectorclock.dense import DenseClock
 from repro.vectorclock.registry import ThreadRegistry
 
 
-class HBDetector(Detector):
+class HBDetector(CompiledPass, Detector):
     """Linear-time, un-windowed happens-before race detector."""
 
     name = "HB"
+
+    #: The compiled kernel runs in its HB mode (see the module docstring).
+    _hb_kernel = True
 
     #: HB clocks move only on synchronization events, so the sharded
     #: engine's replicate-sync / route-accesses split is exact for HB and
@@ -119,6 +140,8 @@ class HBDetector(Detector):
         intern = self._registry.intern
         for thread in trace.threads:
             self._ensure_thread(intern(thread))
+        # FastTrack's access rule has no compiled form.
+        self._arm_kernel(self._access is None)
 
     def _ensure_thread(self, tid: int):
         clocks = self._clocks
@@ -160,7 +183,9 @@ class HBDetector(Detector):
         here (an access to a thread-local variable stops after the
         prologue), every other kind by its method in :attr:`_RARE`.
         """
-        block = as_block(events, self._registry)
+        block = self._run_kernel(as_block(events, self._registry))
+        if block is None:
+            return
         tids, ops = block.columns()
         optable = block.table.ops
         row = block.row
@@ -228,6 +253,7 @@ class HBDetector(Detector):
         self._local_accesses += local_accesses
 
     def finish(self) -> None:
+        self._hand_over()
         self.report.stats["local_accesses"] = float(self._local_accesses)
 
     def _fork(self, event: Event, tid: int, clock) -> None:
@@ -369,6 +395,7 @@ class HBDetector(Detector):
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still apply a
         deferred bump, which must advance on every shard alike."""
+        self._hand_over()
         self._history.mark_foreign(variable)
 
     # ------------------------------------------------------------------ #
@@ -376,6 +403,7 @@ class HBDetector(Detector):
     # ------------------------------------------------------------------ #
 
     def state_snapshot(self) -> bytes:
+        self._sync()
         return pack_state(
             type(self).__name__, self.snapshot_version,
             self.snapshot_config(), self._state_dict(),
@@ -389,6 +417,7 @@ class HBDetector(Detector):
             )
         state = unpack_for(self).unpack(blob)
         adopt_registry_names(self._registry, state["names"])
+        self._arm_kernel(False)  # a restored pass stays in Python
         self._restore_dict(state)
         self.restore_pending = False
 
@@ -455,6 +484,7 @@ class HBDetector(Detector):
         to the exported copies so the state is a pure function of the
         synchronization skeleton, which every shard sees in full.
         """
+        self._sync()
         state = {}
         name_of = self._registry.name_of
         for tid, clock in enumerate(self._clocks):
@@ -481,6 +511,9 @@ class HBDetector(Detector):
         for event in trace:
             self.process(event)
             tid = intern(event.thread)
-            clocks.append(to_public(self._clocks[tid]))
+            kernel = self._kernel
+            clocks.append(to_public(
+                self._clocks[tid] if kernel is None else kernel.clock_c(tid)
+            ))
         self.finish()
         return clocks

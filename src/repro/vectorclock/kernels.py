@@ -17,7 +17,10 @@ One C module holds every loop the library compiles:
   (``wcp_state``) that mirrors :class:`~repro.core.wcp.WCPDetector`'s
   field for field.  :mod:`repro.core.wcp_compiled` drives it and
   transcribes the state back; it returns before any row the Python
-  detector must take (another kind, a lock it would taint).
+  detector must take (another kind, a lock it would taint).  Its HB
+  mode (``wcp_new(prune, 1)``) keeps only ``N_t``, ``H_t`` and ``H_l``
+  and checks accesses against a frozen ``H_t``: that is
+  :class:`~repro.hb.hb.HBDetector`, which runs on the same core.
 * **Lock discipline.**  ``lock_check`` is an accept-only pass over the
   tid/op columns for traces whose only lock roles are ``acquire`` and
   ``release``: a holder per lock and the innermost open acquire per
@@ -33,7 +36,8 @@ every backend.
 
 The Python implementations stay the specification:
 :func:`~repro.trace.parsers.parse_std_batch`,
-``LockDiscipline`` and ``WCPDetector.process_batch``.  Backend
+``LockDiscipline``, ``WCPDetector.process_batch`` and
+``HBDetector.process_batch``.  Backend
 selection is explicit, never accidental:
 
 * ``REPRO_CLOCK_KERNEL=auto`` (default) -- use the compiled kernels when
@@ -373,7 +377,7 @@ typedef struct { long long index, loc, rank; long long *clk; int prev, next; }
 typedef struct { long long a, b; int v, used; } wcp_slot;
 typedef struct { wcp_slot *slots; long long mask, count; } wcp_map;
 typedef struct {
-    int prune, pad;
+    int prune, hb;
     wcp_thread *th;
     long long nth, capth;
     int *order;
@@ -402,7 +406,7 @@ typedef struct {
     int *scratch;
     long long capscratch;
 } wcp_state;
-void *wcp_new(int prune);
+void *wcp_new(int prune, int hb);
 void wcp_free(void *handle);
 int wcp_add_lock(void *handle, int local);
 int wcp_census_lock(void *handle, int lock, int tid);
@@ -706,7 +710,7 @@ typedef struct { int var, kind, tid, head, tail, pad; i64 count; } wcp_tlist;
 typedef struct { i64 index, loc, rank; i64 *clk; int prev, next; } wcp_hcell;
 
 typedef struct {
-    int prune, pad;
+    int prune, hb;
     wcp_thread *th;
     i64 nth, capth;
     int *order;
@@ -736,10 +740,13 @@ typedef struct {
     i64 capscratch;
 } wcp_state;
 
-void *wcp_new(int prune) {
+void *wcp_new(int prune, int hb) {
+    /* hb: the HB mode -- H_t and H_l only (no Rule (a), Rule (b),
+     * sections or logs), and accesses checked against a frozen H_t. */
     wcp_state *st = calloc(1, sizeof *st);
     if (st == NULL) return NULL;
     st->prune = prune;
+    st->hb = hb;
     st->locs = std_heads_new();
     if (st->locs == NULL) { free(st); return NULL; }
     return st;
@@ -906,9 +913,11 @@ int wcp_thread_init(void *handle, int tid) {
 }
 
 static i64 *ct_get(wcp_state *st, int tid) {
-    /* The cached frozen C_t = P_t[t := N_t]. */
+    /* The cached frozen C_t = P_t[t := N_t]; in the HB mode, H_t. */
     wcp_thread *T = &st->th[tid];
-    if (T->ct == NULL) {
+    if (T->ct == NULL && st->hb) {
+        T->ct = mc_freeze(&T->h);
+    } else if (T->ct == NULL) {
         i64 n = T->p.n > tid ? T->p.n : (i64)tid + 1;
         i64 *c = fc_new(n);
         if (c == NULL) return NULL;
@@ -973,9 +982,16 @@ static void queue_bump(wcp_state *st, wcp_lock *L, int tid) {
 
 static int wcp_acquire(wcp_state *st, int lock, int tid) {
     wcp_lock *L = &st->locks[lock];
+    wcp_thread *T = &st->th[tid];
+    if (st->hb) {
+        /* H_t joins H_l; the lock is created by its first release. */
+        int grew = L->hl == NULL ? 0 : mc_merge(&T->h, FC_T(L->hl),
+                                                FC_N(L->hl));
+        if (grew > 0) ct_drop(T);
+        return grew < 0 ? -1 : 0;
+    }
     if (lock_create(st, L)) return -1;
     if (L->local) return 0;
-    wcp_thread *T = &st->th[tid];
     L->holder = tid;
     if (L->hl != NULL && mc_merge(&T->h, FC_T(L->hl), FC_N(L->hl)) < 0)
         return -1;
@@ -1100,6 +1116,11 @@ static int wcp_release(wcp_state *st, int lock, int tid) {
     if (lock_create(st, L)) return -1;
     if (L->local) return 0;
     wcp_thread *T = &st->th[tid];
+    if (st->hb) {
+        fc_drop(L->hl);
+        L->hl = mc_freeze(&T->h);
+        return L->hl == NULL ? -1 : 0;
+    }
     L->holder = -1;
     /* Lines 4-6: Rule (b) from this thread's cursor into the log (a
      * cursor behind the base skips entries pruning proved unreadable). */
@@ -1368,19 +1389,20 @@ static int wcp_access(wcp_state *st, int var, int kind, int tid, i64 index,
 static int fork_join(wcp_state *st, int tid, int child, int is_join) {
     if (thread_at(st, child) == NULL) return -1;
     wcp_thread *T = &st->th[tid], *K = &st->th[child];
-    if (!is_join) {
-        i64 *c = ct_get(st, tid);
-        if (c == NULL || merge_p(st, child, c) < 0) return -1;
-        if (mc_merge(&K->h, T->h.t, T->h.n) < 0) return -1;
-        if (mc_assign(&K->h, child, K->nt)) return -1;
-        T->prev = 1;
+    /* The receiver's P joins the sender's C (WCP), or its frozen H_t
+     * goes (HB). */
+    wcp_thread *from = is_join ? K : T, *to = is_join ? T : K;
+    int sender = is_join ? child : tid, receiver = is_join ? tid : child;
+    if (st->hb) {
+        ct_drop(to);
     } else {
-        i64 *c = ct_get(st, child);
-        if (c == NULL || merge_p(st, tid, c) < 0) return -1;
-        if (mc_merge(&T->h, K->h.t, K->h.n) < 0) return -1;
-        if (mc_assign(&T->h, tid, T->nt)) return -1;
-        K->prev = 1;
+        i64 *c = ct_get(st, sender);
+        if (c == NULL || merge_p(st, receiver, c) < 0) return -1;
     }
+    if (mc_merge(&to->h, from->h.t, from->h.n) < 0) return -1;
+    if (mc_assign(&to->h, receiver, to->nt)) return -1;
+    /* Fork ends the parent's interval, join the child's. */
+    from->prev = 1;
     return 0;
 }
 
@@ -1423,7 +1445,8 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
         if (kind == 2 || kind == 3) {
             if (target < 0 || target >= st->nlocks) { reason = -2; break; }
             const wcp_lock *L = &st->locks[target];
-            if (!L->local && (kind == 2 ? L->holder >= 0 : L->holder != tid)) {
+            if (!st->hb && !L->local
+                    && (kind == 2 ? L->holder >= 0 : L->holder != tid)) {
                 reason = 1;
                 break;
             }
@@ -1581,7 +1604,8 @@ def _activate() -> Optional[str]:
 def describe() -> str:
     """One-line human-readable backend description (for bench/CLI output)."""
     if BACKEND == "cffi":
-        return "cffi (compiled STD decode, lock-check and WCP kernels)"
+        return ("cffi (compiled STD decode, lock-check and WCP kernels; "
+                "HB runs in the WCP kernel's HB mode)")
     return "python (fallback: %s)" % (FALLBACK_REASON or "forced")
 
 

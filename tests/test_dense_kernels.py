@@ -197,7 +197,8 @@ class TestBackendForcedParity:
         assert kernels.BACKEND in text
         if kernels.BACKEND == "cffi":
             assert text == (
-                "cffi (compiled STD decode, lock-check and WCP kernels)"
+                "cffi (compiled STD decode, lock-check and WCP kernels; "
+                "HB runs in the WCP kernel's HB mode)"
             )
 
 

@@ -1,16 +1,18 @@
-"""Differential suite: the compiled WCP kernel against the Python detector.
+"""Differential suite: the compiled kernel against the Python detectors.
 
-With the cffi kernels, :class:`~repro.core.wcp.WCPDetector` runs each
-block in one C call (:mod:`repro.core.wcp_compiled`) whose state mirrors
-the Python detector's.  Every test here runs the same detector twice --
-kernel live, and kernel switched off through the private per-instance
-``_use_kernel`` switch -- and asserts that nothing observable differs:
-race pairs, witnesses, distances, raw counts, every statistic but the
-timings, ``timestamps()`` and the transcribed state itself at every
-block boundary.  The hand-over points (a rare kind, a row that would
-taint a lock, ``mark_foreign``) and a snapshot taken while compiled are
-covered explicitly, and the kernel is checked against the frozen legacy
-detector and the WCP closure too.
+With the cffi kernels, :class:`~repro.core.wcp.WCPDetector` and
+:class:`~repro.hb.hb.HBDetector` run each block in one C call
+(:mod:`repro.core.wcp_compiled`; HB in the kernel's HB mode) whose state
+mirrors the Python detector's.  Every test here runs the same detector
+twice -- kernel live, and kernel switched off through the private
+per-instance ``_use_kernel`` switch -- and asserts that nothing
+observable differs: race pairs, witnesses, distances, raw counts, every
+statistic but the timings, ``timestamps()`` and the transcribed state
+itself at every block boundary.  The hand-over points (a rare kind, a
+row that would taint a WCP lock, ``mark_foreign``) and a snapshot taken
+while compiled are covered explicitly, and the kernel is checked against
+the frozen legacy detector and the WCP and HB closures too.  FastTrack
+keeps the Python path.
 """
 
 import os
@@ -25,10 +27,11 @@ from test_backend_parity import random_trace_with_forks
 from test_properties import traces
 
 from repro.bench.generators import mixed_vocabulary_trace
-from repro.core.closure import WCPClosure
+from repro.core.closure import HBClosure, WCPClosure
 from repro.core.snapshot import unpack_for
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
+from repro.hb import FastTrackDetector, HBDetector
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock import kernels
@@ -49,12 +52,18 @@ compiled = pytest.mark.skipif(
 _TIMINGS = ("time_s", "events_per_s")
 
 
-def _pair(**config):
-    kernel = WCPDetector(**config)
+@pytest.fixture(scope="module")
+def cls():
+    """The detector under test: WCP here, HB in :class:`TestHBKernel`."""
+    return WCPDetector
+
+
+def _pair(cls=WCPDetector, **config):
+    kernel = cls(**config)
     # Start the kernel even where the first block hands over at once, so
     # every hand-over offset is exercised.
     kernel._KERNEL_MIN_ROWS = 0
-    python = WCPDetector(**config)
+    python = cls(**config)
     python._use_kernel = False
     return kernel, python
 
@@ -98,8 +107,8 @@ def _run_blocks(detector, trace, size):
     return detector.report
 
 
-def _assert_same(trace, size=None, states=False, **config):
-    kernel, python = _pair(**config)
+def _assert_same(trace, size=None, states=False, cls=WCPDetector, **config):
+    kernel, python = _pair(cls, **config)
     if states:
         kernel.reset(trace)
         python.reset(trace)
@@ -136,16 +145,30 @@ def _first_rare_row(trace):
 
 
 @compiled
-def test_kernel_is_live_and_the_switch_turns_it_off():
+def test_kernel_is_live_and_the_switch_turns_it_off(cls):
     trace = random_trace(1, n_events=40)
-    kernel, python = _pair()
-    strict = WCPDetector(strict_pseudocode=True)
-    for detector in (kernel, python, strict):
+    kernel, python = _pair(cls)
+    for detector in (kernel, python):
         detector.reset(trace)
         detector.process_batch(trace.events[:10])
     assert kernel._kernel is not None
+    assert kernel._kernel._hb == (cls is HBDetector)
     assert python._kernel is None
+    strict = WCPDetector(strict_pseudocode=True)
+    strict.reset(trace)
+    strict.process_batch(trace.events[:10])
     assert strict._kernel is None
+
+
+@compiled
+def test_fasttrack_never_starts_a_kernel():
+    trace = high_contention_trace(400)
+    detector = FastTrackDetector()
+    detector._KERNEL_MIN_ROWS = 0
+    detector.reset(trace)
+    assert not detector._kernel_pending
+    detector.process_batch(trace.events)
+    assert detector._kernel is None
 
 
 @compiled
@@ -166,9 +189,9 @@ def test_a_first_block_that_hands_over_at_once_stays_in_python():
 
 
 @compiled
-def test_kernel_runs_whole_contention_trace():
+def test_kernel_runs_whole_contention_trace(cls):
     trace = high_contention_trace(4000)
-    detector = WCPDetector()
+    detector = cls()
     detector.reset(trace)
     detector.process_batch(trace.events)
     assert detector._kernel is not None
@@ -183,44 +206,45 @@ def test_kernel_runs_whole_contention_trace():
 
 @compiled
 @settings(max_examples=60, deadline=None)
-@given(traces())
-def test_hypothesis_lock_traces(trace):
-    _assert_same(trace, states=True, size=7)
-    _assert_same(trace)
-    _assert_same(NoCensus(trace))
+@given(trace=traces())
+def test_hypothesis_lock_traces(cls, trace):
+    _assert_same(trace, states=True, size=7, cls=cls)
+    _assert_same(trace, cls=cls)
+    _assert_same(NoCensus(trace), cls=cls)
 
 
 @compiled
 @pytest.mark.parametrize("seed", range(25))
-def test_random_traces_with_forks(seed):
+def test_random_traces_with_forks(seed, cls):
     trace = random_trace_with_forks(seed, n_events=120)
-    _assert_same(trace, states=True, size=9)
-    _assert_same(NoCensus(trace))
-    assert WCPDetector().timestamps(trace) == (
-        LegacyWCPDetector().timestamps(trace)
-    )
+    _assert_same(trace, states=True, size=9, cls=cls)
+    _assert_same(NoCensus(trace), cls=cls)
+    if cls is WCPDetector:
+        assert WCPDetector().timestamps(trace) == (
+            LegacyWCPDetector().timestamps(trace)
+        )
 
 
 @compiled
 @pytest.mark.parametrize("seed", range(12))
-def test_private_and_shared_locks(seed):
+def test_private_and_shared_locks(seed, cls):
     trace = private_shared_trace(seed, steps=200)
-    _assert_same(trace, states=True, size=13)
-    _assert_same(NoCensus(trace))
+    _assert_same(trace, states=True, size=13, cls=cls)
+    _assert_same(NoCensus(trace), cls=cls)
 
 
 @compiled
 @pytest.mark.parametrize("shape", ["contention", "racy", "local"])
-def test_hot_path_shapes(shape):
+def test_hot_path_shapes(shape, cls):
     make = {
         "contention": high_contention_trace,
         "racy": racy_mix_trace,
         "local": thread_local_trace,
     }[shape]
     trace = make(3000)
-    _assert_same(trace)
-    _assert_same(trace, size=257, states=True)
-    kernel = _assert_same(NoCensus(trace), size=500)
+    _assert_same(trace, cls=cls)
+    _assert_same(trace, size=257, states=True, cls=cls)
+    kernel = _assert_same(NoCensus(trace), size=500, cls=cls)
     assert kernel.compiled_to_end
 
 
@@ -239,13 +263,17 @@ def _handover_trace(seed):
 
 @compiled
 @pytest.mark.parametrize("seed", range(16))
-def test_mixed_vocabulary_hands_over(seed):
+def test_mixed_vocabulary_hands_over(seed, cls):
+    _check_mixed_vocabulary(seed, cls)
+
+
+def _check_mixed_vocabulary(seed, cls):
     trace = _handover_trace(seed)
     for size in (None, 5, 11):
-        _assert_same(trace, size=size, states=size == 5)
-    _assert_same(NoCensus(trace))
+        _assert_same(trace, size=size, states=size == 5, cls=cls)
+    _assert_same(NoCensus(trace), cls=cls)
     plain = mixed_vocabulary_trace(seed, threads=3, steps=120)
-    _assert_same(plain, size=4, states=True)
+    _assert_same(plain, size=4, states=True, cls=cls)
 
 
 def test_hand_over_offsets_vary():
@@ -254,11 +282,11 @@ def test_hand_over_offsets_vary():
 
 
 @compiled
-def test_every_split_point_of_small_traces():
+def test_every_split_point_of_small_traces(cls):
     for seed in range(6):
         trace = random_trace_with_forks(seed, n_events=30)
         for split in range(1, len(trace)):
-            kernel, python = _pair()
+            kernel, python = _pair(cls)
             for detector in (kernel, python):
                 detector.reset(trace)
                 detector.process_batch(trace.events[:split])
@@ -280,9 +308,9 @@ def test_unvalidated_windows_taint_and_hand_over(seed):
 
 
 @compiled
-def test_mark_foreign_hands_over():
+def test_mark_foreign_hands_over(cls):
     trace = NoCensus(random_trace(3, n_events=80))
-    kernel, python = _pair()
+    kernel, python = _pair(cls)
     for detector in (kernel, python):
         detector.reset(trace)
         detector.process_batch(list(trace)[:40])
@@ -304,17 +332,17 @@ def test_mark_foreign_hands_over():
 
 @compiled
 @pytest.mark.parametrize("seed", range(8))
-def test_snapshot_while_compiled_resumes_in_python(seed):
+def test_snapshot_while_compiled_resumes_in_python(seed, cls):
     trace = random_trace_with_forks(seed, n_events=200)
-    reference = _run_blocks(WCPDetector(), trace, None)
+    reference = _run_blocks(cls(), trace, None)
     for cut in (1, 50, 120):
-        detector = WCPDetector()
+        detector = cls()
         detector._KERNEL_MIN_ROWS = 0
         detector.reset(trace)
         detector.process_batch(trace.events[:cut])
         assert detector._kernel is not None
         blob = detector.state_snapshot()
-        resumed = WCPDetector()
+        resumed = cls()
         resumed.restore_pending = True
         resumed.reset(trace)
         resumed.restore_state(blob)
@@ -330,12 +358,13 @@ def test_snapshot_while_compiled_resumes_in_python(seed):
 
 @compiled
 @pytest.mark.parametrize("seed", range(10))
-def test_timestamps_match_python_and_closure(seed):
+def test_timestamps_match_python_and_closure(seed, cls):
     trace = random_trace(seed + 200, n_events=50, n_threads=3, n_locks=2)
-    kernel, python = _pair()
+    kernel, python = _pair(cls)
     clocks = kernel.timestamps(trace)
+    assert kernel._kernel is None  # finish handed over
     assert clocks == python.timestamps(trace)
-    closure = WCPClosure(trace)
+    closure = (HBClosure if cls is HBDetector else WCPClosure)(trace)
     for second in range(len(trace)):
         for first in range(second):
             assert (clocks[first] <= clocks[second]) == (
@@ -357,7 +386,7 @@ def test_kernel_matches_legacy_detector(seed):
 
 @compiled
 @pytest.mark.parametrize("shape", ["contention", "racy"])
-def test_locations_as_spans_and_as_strings(shape, tmp_path):
+def test_locations_as_spans_and_as_strings(shape, cls, tmp_path):
     """A file decoded into byte spans (with the strings the Python
     decoder built for new heads) and the same events as a list of
     strings give the Python report, batch and streamed."""
@@ -374,11 +403,11 @@ def test_locations_as_spans_and_as_strings(shape, tmp_path):
     assert isinstance(loaded.events.locs, LocSpans)
     assert loaded.events.locs.decoded
     for source in (loaded, trace):
-        _assert_same(source)
-        _assert_same(NoCensus(source), size=999, states=True)
+        _assert_same(source, cls=cls)
+        _assert_same(NoCensus(source), size=999, states=True, cls=cls)
     reports = []
     for use in (True, False):
-        detector = WCPDetector()
+        detector = cls()
         detector._use_kernel = use
         result = RaceEngine().run(FileSource(path), [detector])
         reports.append(_report_key(result[detector.name])[:3])
@@ -401,17 +430,15 @@ def test_a_real_location_spelling_a_synthesised_one(tmp_path):
     import json
     import subprocess
 
-    from repro.hb.hb import HBDetector
     from repro.trace.parsers import load_trace
 
     path = tmp_path / "spelled.std"
     path.write_text(_spelled_location_trace())
     trace = load_trace(str(path))
-    kernel = _assert_same(trace, size=None, states=True)
-    assert kernel.report.raw_race_count == 2
-    assert kernel.report.max_distance() == 2
-    hb = HBDetector().run(trace)
-    assert (hb.raw_race_count, hb.max_distance()) == (2, 2)
+    for cls in (WCPDetector, HBDetector):
+        kernel = _assert_same(trace, size=None, states=True, cls=cls)
+        assert kernel.report.raw_race_count == 2
+        assert kernel.report.max_distance() == 2
 
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "src")
@@ -433,3 +460,47 @@ def test_a_real_location_spelling_a_synthesised_one(tmp_path):
             reports[backend, name] = report
     for name in ("wcp", "hb"):
         assert reports["python", name] == reports[kernels.BACKEND, name]
+
+
+class TestHBKernel:
+    """The differential tests above, for :class:`HBDetector` (the
+    kernel's HB mode)."""
+
+    @pytest.fixture(scope="class")
+    def cls(self):
+        return HBDetector
+
+    test_kernel_is_live_and_the_switch_turns_it_off = staticmethod(
+        test_kernel_is_live_and_the_switch_turns_it_off
+    )
+    test_kernel_runs_whole_contention_trace = staticmethod(
+        test_kernel_runs_whole_contention_trace
+    )
+    test_hypothesis_lock_traces = staticmethod(test_hypothesis_lock_traces)
+    test_random_traces_with_forks = staticmethod(
+        test_random_traces_with_forks
+    )
+    test_private_and_shared_locks = staticmethod(
+        test_private_and_shared_locks
+    )
+    test_hot_path_shapes = staticmethod(test_hot_path_shapes)
+    test_every_split_point_of_small_traces = staticmethod(
+        test_every_split_point_of_small_traces
+    )
+    test_mark_foreign_hands_over = staticmethod(test_mark_foreign_hands_over)
+    test_snapshot_while_compiled_resumes_in_python = staticmethod(
+        test_snapshot_while_compiled_resumes_in_python
+    )
+    test_timestamps_match_python_and_closure = staticmethod(
+        test_timestamps_match_python_and_closure
+    )
+    test_locations_as_spans_and_as_strings = staticmethod(
+        test_locations_as_spans_and_as_strings
+    )
+
+    @compiled
+    @pytest.mark.parametrize("seed", (0, 5, 10, 15))
+    def test_mixed_vocabulary_hands_over(self, seed, cls):
+        # The hand-over code is the one WCP's offsets exercise; a subset
+        # of the offsets keeps the suite's time down.
+        _check_mixed_vocabulary(seed, cls)
