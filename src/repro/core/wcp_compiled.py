@@ -46,8 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress, repeat
-from operator import is_not
+from itertools import compress
 from typing import Dict, List, Optional
 
 from repro.core.history import AccessHistory, VariableHistory, cell_key
@@ -325,21 +324,11 @@ class WCPKernel:
 
     @staticmethod
     def _indices(block: ColumnBlock, lo: int, hi: int) -> Optional[array]:
-        """Row indices when some row's is not ``start + j``, else None."""
-        if block._indices is not None:
-            return array("q", block._indices[lo:hi])
-        cache = block._cache
-        rows = cache if lo == 0 and hi == len(cache) else cache[lo:hi]
-        if not any(rows):
+        """The block's explicit row indices (None: row ``j`` is
+        ``start + j``)."""
+        if block._indices is None:
             return None
-        start = block.start
-        built = compress(range(hi - lo), map(is_not, rows, repeat(None)))
-        if all(rows[k].index == start + k for k in built):
-            return None
-        return array("q", [
-            start + k if event is None else event.index
-            for k, event in enumerate(rows)
-        ])
+        return array("q", block._indices[lo:hi])
 
     def run(self, block: ColumnBlock, report_add, detector) -> int:
         """Run ``block``'s rows; return how many ran (all, unless a row

@@ -17,8 +17,11 @@ consumes:
 * :mod:`~repro.trace.semantics` -- the declarative event-semantics
   registry: every event kind's wire tokens, operand arity, validator
   role, clock action and sharding class in one table, plus the
-  :class:`~repro.trace.semantics.LockDiscipline` state machine both the
-  batch and streaming validators drive.
+  :class:`~repro.trace.semantics.LockDiscipline` state machine, the
+  specification of lock validation.
+* :mod:`~repro.trace.lockcheck` -- ``OnlineValidator``, the one
+  lock-discipline check batch and streaming validation run: compiled,
+  with ``LockDiscipline`` raising every error.
 * :mod:`~repro.trace.parsers` / :mod:`~repro.trace.writers` -- the STD text
   format (one event per line, RAPID-compatible) and a CSV format.
 * :mod:`~repro.trace.adapters` -- ingest adapters for real-world trace

@@ -44,15 +44,13 @@ __all__ = ["ColumnBlock", "LocSpans", "OpTable", "as_block"]
 
 _new_event = Event.__new__
 
-#: ``id(kind)`` -> 1 when the kind has a lock-discipline role, else 0.
-_HAS_ROLE = {
-    id(etype): int(sem.role is not None) for etype, sem in REGISTRY.items()
-}
-
-#: ``id(kind)`` -> its code for the compiled lock-discipline pre-check:
-#: 0 no role, 1 ``acquire``, 2 ``release``, 3 any other role.
-_DISCIPLINE_CODE = {
-    id(etype): {None: 0, "acquire": 1, "release": 2}.get(sem.role, 3)
+#: ``id(kind)`` -> the code of the kind's lock-discipline role: its
+#: position here, the codes the compiled validator (``lv_run``) reads.
+_ROLE_CODE = {
+    id(etype): (
+        None, "acquire", "release", "read-acquire", "write-acquire",
+        "rw-release",
+    ).index(sem.role)
     for etype, sem in REGISTRY.items()
 }
 
@@ -68,43 +66,23 @@ class OpTable:
     its ``(tid, op id)`` in the stream's thread registry.
     """
 
-    __slots__ = ("ids", "ops", "heads", "_roles", "_codes", "_locks",
-                 "_lock_ids")
+    __slots__ = ("ids", "ops", "heads", "_roles")
 
     def __init__(self) -> None:
         self.ids: Dict[object, int] = {}
         self.ops: List[Tuple[EventType, Optional[str]]] = []
         self.heads: Dict[str, Tuple[int, int]] = {}
         self._roles = bytearray()
-        self._codes = bytearray()
-        self._locks = array("i")
-        self._lock_ids: Dict[str, int] = {}
 
     def roles(self) -> bytearray:
-        """Per op id, 1 when its kind has a lock-discipline role."""
+        """Per op id, the code of its kind's lock-discipline role (0
+        when it has none)."""
         roles = self._roles
         if len(roles) < len(self.ops):
             roles.extend(
-                _HAS_ROLE[id(etype)] for etype, _ in self.ops[len(roles):]
+                _ROLE_CODE[id(etype)] for etype, _ in self.ops[len(roles):]
             )
         return roles
-
-    def discipline(self) -> Tuple[bytearray, array, int]:
-        """``(codes, locks, lock count)`` for the compiled lock check.
-
-        Per op id, ``codes`` holds 0 (no lock role), 1 (``acquire``), 2
-        (``release``) or 3 (any other role), and ``locks`` the dense id
-        of an acquire's or release's lock (0 otherwise).
-        """
-        codes, locks, lock_ids = self._codes, self._locks, self._lock_ids
-        for etype, target in self.ops[len(codes):]:
-            code = _DISCIPLINE_CODE[id(etype)]
-            codes.append(code)
-            locks.append(
-                lock_ids.setdefault(target, len(lock_ids))
-                if code in (1, 2) else 0
-            )
-        return codes, locks, len(lock_ids)
 
 
 class LocSpans:
@@ -197,11 +175,13 @@ class ColumnBlock(Sequence):
         None), and operations in ``table`` (a fresh one when None; the
         blocks of one decode pass the same table, so they share op ids
         the way a native decoder's blocks do).  With ``start`` None
-        every event is kept as its row, as given.  With an int the rows
-        are numbered ``start, start + 1, ...``: an event whose index or
-        tid stamp disagrees is left out of the cache, so its row is
-        rebuilt on demand (a copy; the original keeps its fields), and
-        an unstamped event is stamped in place.
+        every event is kept as its row, as given, and the block records
+        an explicit index column when the events' indices do not run
+        ``first, first + 1, ...``.  With an int the rows are numbered
+        ``start, start + 1, ...``: an event whose index or tid stamp
+        disagrees is left out of the cache, so its row is rebuilt on
+        demand (a copy; the original keeps its fields), and an unstamped
+        event is stamped in place.
         """
         if registry is None:
             registry = ThreadRegistry()
@@ -241,9 +221,14 @@ class ColumnBlock(Sequence):
                     cache[position] = None
                 elif stamp is None:
                     event.tid = tid
+        indices = None
         if start is None:
             start = cache[0].index if cache else 0
-        return cls(tids, ops, table, locs, registry, start, cache)
+            if any(event.index != position for position, event in zip(
+                count(start), cache
+            )):
+                indices = [event.index for event in cache]
+        return cls(tids, ops, table, locs, registry, start, cache, indices)
 
     # ------------------------------------------------------------------ #
     # Columns

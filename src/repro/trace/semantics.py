@@ -58,9 +58,11 @@ The extended vocabulary (beyond the paper's acq/rel/r/w/fork/join):
   convention); ``wait`` re-acquires the monitor and additionally
   receives a hard edge from every prior ``notify(m)``.
 
-:class:`LockDiscipline` is the shared lock-semantics / well-nestedness
-state machine consumed by both ``Trace`` validation and the streaming
-``OnlineValidator`` -- the two paths raise identical exception classes
+:class:`LockDiscipline` is the lock-semantics / well-nestedness state
+machine: the specification of
+:class:`~repro.trace.lockcheck.OnlineValidator`, the one check both
+``Trace`` validation and the streaming paths run, and the code that
+raises its every error, so all paths raise identical exception classes
 and messages by construction.
 """
 
@@ -295,10 +297,11 @@ class LockDiscipline:
     """The shared lock-semantics / well-nestedness state machine.
 
     Both ``Trace`` construction (batch validation) and the streaming
-    ``OnlineValidator`` drive one of these, so the two paths raise the
-    identical exception class and message for the same violation --
-    deduplicating what used to be two hand-synchronised copies of the
-    checks.
+    paths check through :class:`~repro.trace.lockcheck.OnlineValidator`,
+    which runs one of these without the compiled kernels, and with them
+    hands it the compiled state at the first row the C pass declines, so
+    every path raises the identical exception class and message for the
+    same violation.
 
     State:
 

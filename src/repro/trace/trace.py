@@ -23,11 +23,12 @@ first-appearance order of threads (fork/join operands included), locks,
 variables and barriers (detectors iterate ``trace.threads``, so their
 reports depend on it) from the distinct ``(thread, op)`` rows, takes the
 per-kind census with one ``Counter`` over the op column, and validates
-the rows whose kind has a lock-discipline role: with the compiled
-kernels an accept-only C pass over the columns takes traces whose lock
-rows are all ``acquire``/``release`` and well formed, and
-:class:`~repro.trace.semantics.LockDiscipline`, the specification,
-runs (and raises) on every other trace.
+the rows whose kind has a lock-discipline role with a fresh
+:class:`~repro.trace.lockcheck.OnlineValidator`: the compiled validator
+over the columns, which hands the first row it declines to
+:class:`~repro.trace.semantics.LockDiscipline`, the specification, to
+raise the error (``LockDiscipline`` alone without the kernels).  The
+streaming paths run the same validator block by block.
 
 The detectors read nothing else.  The per-event lock structure the
 definitional oracles (:mod:`repro.core.closure`,
@@ -62,6 +63,7 @@ from typing import (
 
 from repro.trace.columns import ColumnBlock
 from repro.trace.event import ACCESS_EVENTS, LOCK_EVENTS, Event, EventType
+from repro.trace.lockcheck import OnlineValidator
 from repro.trace.semantics import (
     REGISTRY,
     LockDiscipline,
@@ -162,16 +164,12 @@ class Trace:
             token = semantics[op].token
             census[token] = census.get(token, 0) + number
 
-        if validate and not _discipline_holds(block, len(registry)):
-            # The shared lock-semantics / well-nestedness state machine,
-            # over the rows whose kind has a discipline role; the
-            # streaming OnlineValidator drives the identical machine, so
-            # both paths raise the same exception class and message.
-            step = LockDiscipline().step
-            names = registry.names()
-            for index in block.sync_rows():
-                etype, target = optable[ops[index]]
-                step(etype, names[tids[index]], target, index)
+        if validate:
+            # The streaming paths run the same validator block by block,
+            # so every path raises the same class and message.
+            error = OnlineValidator().check_batch(block)[1]
+            if error is not None:
+                raise error
 
         self._threads: List[str] = list(threads)
         self._locks: List[str] = list(locks)
@@ -392,40 +390,6 @@ class Trace:
         return "Trace(%r, events=%d, threads=%d, locks=%d)" % (
             self.name, len(self._block), len(self._threads), len(self._locks)
         )
-
-
-def _discipline_holds(block: ColumnBlock, threads: int) -> bool:
-    """True when the compiled pre-check accepts ``block``'s lock rows.
-
-    The check (``lock_check`` in :mod:`repro.vectorclock.kernels`) only
-    ever accepts: it handles the roles ``acquire`` and ``release`` with
-    a holder per lock and the innermost open acquire per thread, which
-    is exactly :class:`~repro.trace.semantics.LockDiscipline` on such
-    rows.  False -- another role, a violation, or no compiled kernels
-    -- means the caller runs ``LockDiscipline``, the specification,
-    which raises the error.
-    """
-    from repro.vectorclock import kernels
-
-    if kernels.BACKEND != "cffi":
-        return False
-    ffi, lib = kernels.ffi, kernels.lib
-    tids, ops = block.columns()
-    codes, locks, lock_count = block.table.discipline()
-    if not tids:
-        return True
-    views = [ffi.from_buffer("int[]", tids), ffi.from_buffer("int[]", ops),
-             ffi.from_buffer("unsigned char[]", codes),
-             ffi.from_buffer("int[]", locks)]
-    try:
-        verdict = lib.lock_check(
-            views[0], views[1], len(tids), views[2], views[3], len(codes),
-            lock_count, threads,
-        )
-    finally:
-        for view in views:
-            ffi.release(view)
-    return verdict == 1
 
 
 #: Census tokens of the access kinds (``Trace.stats()["accesses"]``).

@@ -21,12 +21,17 @@ One C module holds every loop the library compiles:
   mode (``wcp_new(prune, 1)``) keeps only ``N_t``, ``H_t`` and ``H_l``
   and checks accesses against a frozen ``H_t``: that is
   :class:`~repro.hb.hb.HBDetector`, which runs on the same core.
-* **Lock discipline.**  ``lock_check`` is an accept-only pass over the
-  tid/op columns for traces whose only lock roles are ``acquire`` and
-  ``release``: a holder per lock and the innermost open acquire per
-  thread.  ``Trace(validate=True)`` runs it first and falls back to
-  :class:`~repro.trace.semantics.LockDiscipline` (which raises the
-  error) on any other role or any violation.
+* **Lock discipline.**  ``lv_run`` checks a block's tid/op columns
+  against the state of one validated stream (``lv_state``): per thread
+  the stack of open sections, from which each lock's holder and
+  read-mode holder count are derived, for every lock role (``acq`` and
+  ``wait``, ``rel``, ``racq_r``, ``racq_w``, ``rrel``).  The state
+  carries across blocks.  It stops at the first row
+  :class:`~repro.trace.semantics.LockDiscipline` would refuse, and
+  :class:`~repro.trace.lockcheck.OnlineValidator` hands that row to
+  ``LockDiscipline``, which raises the error.  ``Trace(validate=True)``
+  runs it on a fresh state, the streaming paths on one state block by
+  block.
 
 Vector clocks outside the WCP kernel are not compiled: at the clock
 widths traces reach (at most 14 threads in the paper's benchmark
@@ -60,7 +65,8 @@ worker processes may import this module concurrently.
 
 The exported surface is deliberately tiny: :data:`BACKEND` (``"cffi"`` or
 ``"python"``), :data:`FALLBACK_REASON`, and -- in cffi mode -- the ``ffi``
-/ ``lib`` pair the STD decoder, ``Trace`` and the WCP detector bind to.
+/ ``lib`` pair the STD decoder, the lock check and the WCP detector bind
+to.
 Everything else in the library is backend-agnostic.
 """
 
@@ -87,9 +93,28 @@ long long std_scan(void *heads, const char *text, long long pos,
                    long long *state, long long cap);
 long long std_lines_end(const char *text, long long pos, long long end,
                         long long n);
-int lock_check(const int *tids, const int *ops, long long n,
-               const unsigned char *codes, const int *locks, long long n_ops,
-               long long n_locks, long long n_threads);
+typedef struct { long long index; int lock, mode; } lv_section;
+typedef struct { lv_section *secs; long long n, cap; } lv_stack;
+typedef struct { int holder, readers; } lv_lock;
+typedef struct { long long index; int tid, lock, mode; } lv_mark;
+typedef struct {
+    lv_stack *threads;
+    long long nthreads;
+    lv_lock *locks;
+    long long nlocks, open;
+    lv_mark *marks;
+    long long nmarks, capmarks;
+} lv_state;
+void *lv_new(void);
+void lv_free(void *handle);
+int lv_reserve(void *handle, long long threads, long long locks);
+int lv_open(void *handle, int tid, int lock, int mode, long long index);
+int lv_mark_now(void *handle);
+int lv_from_mark(void *handle, const void *source);
+long long lv_run(void *handle, const int *tids, const int *ops, long long n,
+                 const int *threads, long long n_tids,
+                 const unsigned char *roles, const int *locks,
+                 long long n_ops, long long start);
 """
 
 _C_SOURCE = r"""
@@ -274,56 +299,178 @@ long long std_lines_end(const char *text, long long pos, long long end,
 }
 
 /* ------------------------------------------------------------------ */
-/* Lock discipline: the accept-only batch pre-check.                   */
+/* Lock discipline: the validator state and its pass over a block.     */
 /* ------------------------------------------------------------------ */
 
-int lock_check(const int *tids, const int *ops, long long n,
-               const unsigned char *codes, const int *locks, long long n_ops,
-               long long n_locks, long long n_threads) {
-    /* codes[op]: 0 no lock role, 1 acquire, 2 release, 3 any other
-     * role; locks[op]: the dense lock id of an acquire or release.
-     * Returns 1 when every acquire finds its lock free and every
-     * release closes its thread's innermost open acquire, 0 on the
-     * first row where that fails, a code-3 row or an id out of range,
-     * -1 when out of memory.  Only 1 is a verdict: the caller
-     * re-checks the rest. */
-    int *holder = malloc(sizeof(int) * (size_t)(n_locks + 1));
-    int *below = malloc(sizeof(int) * (size_t)(n_locks + 1));
-    int *top = malloc(sizeof(int) * (size_t)(n_threads + 1));
-    int ok = 1;
-    if (holder == NULL || below == NULL || top == NULL) {
-        ok = -1;
-        goto done;
+/* The state of repro.trace.semantics.LockDiscipline: per thread the
+ * stack of open sections (lock, open index, mode), innermost last, with
+ * mode 0 exclusive (acq, wait), 1 read, 2 write.  The holder of each
+ * lock and its number of read-mode holders are derived from the stacks.
+ * Thread and lock ids are the caller's dense ids; lv_reserve sizes the
+ * tables.  marks is a copy of the open sections taken by lv_mark_now
+ * (at a block's start), from which lv_from_mark rebuilds that state. */
+typedef struct { long long index; int lock, mode; } lv_section;
+typedef struct { lv_section *secs; long long n, cap; } lv_stack;
+typedef struct { int holder, readers; } lv_lock;
+typedef struct { long long index; int tid, lock, mode; } lv_mark;
+typedef struct {
+    lv_stack *threads;
+    long long nthreads;
+    lv_lock *locks;
+    long long nlocks, open;
+    lv_mark *marks;
+    long long nmarks, capmarks;
+} lv_state;
+
+void *lv_new(void) {
+    return calloc(1, sizeof(lv_state));
+}
+
+void lv_free(void *handle) {
+    lv_state *st = handle;
+    if (st == NULL) return;
+    for (long long t = 0; t < st->nthreads; t++) free(st->threads[t].secs);
+    free(st->threads);
+    free(st->locks);
+    free(st->marks);
+    free(st);
+}
+
+int lv_reserve(void *handle, long long threads, long long locks) {
+    /* Grow the tables to at least threads and locks entries; returns 0,
+     * or -1 when out of memory. */
+    lv_state *st = handle;
+    if (threads > st->nthreads) {
+        lv_stack *grown = realloc(st->threads, sizeof(lv_stack) * (size_t)threads);
+        if (grown == NULL) return -1;
+        memset(grown + st->nthreads, 0,
+               sizeof(lv_stack) * (size_t)(threads - st->nthreads));
+        st->threads = grown;
+        st->nthreads = threads;
     }
-    for (long long i = 0; i < n_locks; i++) holder[i] = -1;
-    for (long long i = 0; i < n_threads; i++) top[i] = -1;
-    for (long long i = 0; i < n; i++) {
+    if (locks > st->nlocks) {
+        lv_lock *grown = realloc(st->locks, sizeof(lv_lock) * (size_t)locks);
+        if (grown == NULL) return -1;
+        for (long long l = st->nlocks; l < locks; l++) {
+            grown[l].holder = -1;
+            grown[l].readers = 0;
+        }
+        st->locks = grown;
+        st->nlocks = locks;
+    }
+    return 0;
+}
+
+int lv_open(void *handle, int tid, int lock, int mode, long long index) {
+    /* Push an open section on tid's stack; returns 0, -1 when out of
+     * memory, -2 for an id out of range. */
+    lv_state *st = handle;
+    if (tid < 0 || tid >= st->nthreads || lock < 0 || lock >= st->nlocks
+            || mode < 0 || mode > 2)
+        return -2;
+    lv_stack *s = &st->threads[tid];
+    if (s->n == s->cap) {
+        long long cap = s->cap ? s->cap * 2 : 4;
+        lv_section *grown = realloc(s->secs, sizeof(lv_section) * (size_t)cap);
+        if (grown == NULL) return -1;
+        s->secs = grown;
+        s->cap = cap;
+    }
+    s->secs[s->n].index = index;
+    s->secs[s->n].lock = lock;
+    s->secs[s->n].mode = mode;
+    s->n++;
+    st->open++;
+    if (mode == 1) st->locks[lock].readers++;
+    else st->locks[lock].holder = tid;
+    return 0;
+}
+
+int lv_mark_now(void *handle) {
+    /* Copy the open sections into marks; returns 0, or -1 when out of
+     * memory. */
+    lv_state *st = handle;
+    if (st->open > st->capmarks) {
+        long long cap = st->open * 2;
+        lv_mark *grown = realloc(st->marks, sizeof(lv_mark) * (size_t)cap);
+        if (grown == NULL) return -1;
+        st->marks = grown;
+        st->capmarks = cap;
+    }
+    long long m = 0;
+    for (long long t = 0; t < st->nthreads && m < st->open; t++) {
+        const lv_stack *s = &st->threads[t];
+        for (long long k = 0; k < s->n; k++, m++) {
+            st->marks[m].index = s->secs[k].index;
+            st->marks[m].tid = (int)t;
+            st->marks[m].lock = s->secs[k].lock;
+            st->marks[m].mode = s->secs[k].mode;
+        }
+    }
+    st->nmarks = m;
+    return 0;
+}
+
+int lv_from_mark(void *handle, const void *source) {
+    /* Open on a fresh handle the sections source marked; returns 0, or
+     * -1 when out of memory. */
+    const lv_state *from = source;
+    if (lv_reserve(handle, from->nthreads, from->nlocks) < 0) return -1;
+    for (long long m = 0; m < from->nmarks; m++) {
+        const lv_mark *e = &from->marks[m];
+        int failed = lv_open(handle, e->tid, e->lock, e->mode, e->index);
+        if (failed) return failed;
+    }
+    return 0;
+}
+
+long long lv_run(void *handle, const int *tids, const int *ops, long long n,
+                 const int *threads, long long n_tids,
+                 const unsigned char *roles, const int *locks,
+                 long long n_ops, long long start) {
+    /* roles[op]: 0 no lock role, 1 acquire, 2 release, 3 read-acquire,
+     * 4 write-acquire, 5 rw-release; locks[op]: the lock id of a row
+     * with a role; threads[tid]: the thread id of a row's tid.  Applies
+     * the rows in order, row i opening its section at index start + i.
+     * Returns the first row LockDiscipline would refuse, unapplied (n
+     * when there is none), -1 when out of memory, -2 for an id out of
+     * range. */
+    lv_state *st = handle;
+    long long i;
+    for (i = 0; i < n; i++) {
         int op = ops[i];
-        if (op < 0 || op >= n_ops) { ok = 0; break; }
-        unsigned char code = codes[op];
-        if (code == 0) continue;
-        if (code > 2) { ok = 0; break; }
-        int lock = locks[op], tid = tids[i];
-        if (lock < 0 || lock >= n_locks || tid < 0 || tid >= n_threads) {
-            ok = 0;
-            break;
-        }
-        if (code == 1) {
-            if (holder[lock] >= 0) { ok = 0; break; }
-            holder[lock] = tid;
-            below[lock] = top[tid];
-            top[tid] = lock;
+        if (op < 0 || op >= n_ops) return -2;
+        unsigned char role = roles[op];
+        if (role == 0) continue;
+        int tid = tids[i], lock = locks[op];
+        if (tid < 0 || tid >= n_tids || role > 5) return -2;
+        tid = threads[tid];
+        if (tid < 0 || tid >= st->nthreads || lock < 0 || lock >= st->nlocks)
+            return -2;
+        lv_lock *l = &st->locks[lock];
+        lv_stack *s = &st->threads[tid];
+        if (role == 1 || role == 4) {
+            if (l->holder >= 0 || l->readers > 0) break;
+            if (lv_open(st, tid, lock, role == 1 ? 0 : 2, start + i)) return -1;
+        } else if (role == 3) {
+            if (l->holder >= 0) break;
+            long long k = l->readers > 0 ? s->n : 0;
+            while (k > 0 && !(s->secs[k - 1].lock == lock
+                              && s->secs[k - 1].mode == 1))
+                k--;
+            if (k > 0) break;
+            if (lv_open(st, tid, lock, 1, start + i)) return -1;
         } else {
-            if (top[tid] != lock) { ok = 0; break; }
-            top[tid] = below[lock];
-            holder[lock] = -1;
+            if (s->n == 0) break;
+            const lv_section *top = &s->secs[s->n - 1];
+            if (top->lock != lock || (role == 2) != (top->mode == 0)) break;
+            if (top->mode == 1) l->readers--;
+            else l->holder = -1;
+            s->n--;
+            st->open--;
         }
     }
-done:
-    free(holder);
-    free(below);
-    free(top);
-    return ok;
+    return i;
 }
 """
 
@@ -1604,8 +1751,8 @@ def _activate() -> Optional[str]:
 def describe() -> str:
     """One-line human-readable backend description (for bench/CLI output)."""
     if BACKEND == "cffi":
-        return ("cffi (compiled STD decode, lock-check and WCP kernels; "
-                "HB runs in the WCP kernel's HB mode)")
+        return ("cffi (compiled STD decode, lock validator and WCP "
+                "kernels; HB runs in the WCP kernel's HB mode)")
     return "python (fallback: %s)" % (FALLBACK_REASON or "forced")
 
 

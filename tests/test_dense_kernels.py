@@ -5,7 +5,7 @@ The list-backed :class:`DenseClock` must agree with the dict-backed
 sequences through both and compares every observable after every step;
 the subprocess tests additionally run the same sequence under both
 ``REPRO_CLOCK_KERNEL`` values and compare the transcripts -- the
-backend choice (which governs the compiled decode, lock-check and WCP
+backend choice (which governs the compiled decode, lock validator and WCP
 kernels of :mod:`repro.vectorclock.kernels`) never changes a clock.
 """
 
@@ -197,8 +197,8 @@ class TestBackendForcedParity:
         assert kernels.BACKEND in text
         if kernels.BACKEND == "cffi":
             assert text == (
-                "cffi (compiled STD decode, lock-check and WCP kernels; "
-                "HB runs in the WCP kernel's HB mode)"
+                "cffi (compiled STD decode, lock validator and WCP "
+                "kernels; HB runs in the WCP kernel's HB mode)"
             )
 
 

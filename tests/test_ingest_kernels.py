@@ -1,15 +1,15 @@
-"""Compiled ingest: the STD decode and lock-check kernels equal Python.
+"""Compiled ingest: the STD decode and lock-validator kernels equal Python.
 
 :class:`~repro.trace.parsers.StdDecoder` decodes bytes with the C scanner
 when the compiled kernels are active and sends every other line through
 the Python decoder, :func:`~repro.trace.parsers.parse_std_batch`;
-``Trace(validate=True)`` runs an accept-only C lock check before
-:class:`~repro.trace.semantics.LockDiscipline`.  The Python code is the
-specification: these tests pin that the kernel path decodes the same
+``Trace(validate=True)`` runs the compiled lock validator, which hands
+the row it declines to :class:`~repro.trace.semantics.LockDiscipline`.
+The Python code is the specification: these tests pin that the kernel path decodes the same
 columns (tids, ops, locations, op-table and thread order, line numbers)
 and raises the same errors, that every chunking of a stream gives the
 one-shot result on the file and line-protocol paths, and that the lock
-check never accepts what ``LockDiscipline`` rejects.  Under
+validator declines exactly where ``LockDiscipline`` raises.  Under
 ``REPRO_CLOCK_KERNEL=python`` both sides are the Python decoder.
 """
 
@@ -33,7 +33,8 @@ from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event, EventType
 from repro.trace.parsers import StdDecoder, load_trace, parse_std_batch
 from repro.trace.semantics import LockDiscipline, TraceError
-from repro.trace.trace import Trace, _discipline_holds
+from repro.trace.lockcheck import OnlineValidator
+from repro.trace.trace import Trace
 from repro.trace.writers import write_std
 from repro.vectorclock import kernels
 
@@ -453,39 +454,52 @@ def test_write_std_round_trips_generated_traces(name, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Lock discipline: the compiled pre-check accepts only what Python does
+# Lock discipline: the compiled validator declines where Python raises
 # --------------------------------------------------------------------- #
+
+#: Opening kind -> the kind that closes its section.
+_CLOSER = {
+    EventType.ACQUIRE: EventType.RELEASE,
+    EventType.WAIT: EventType.RELEASE,
+    EventType.RACQ_R: EventType.RREL,
+    EventType.RACQ_W: EventType.RREL,
+}
+
 
 def _lock_program(rng, kinds):
     """Random acquires and releases over 3 threads and 4 locks, mostly
-    well formed, with re-entrant and contended acquires and crossed and
-    foreign releases mixed in."""
+    well formed, with re-entrant and contended acquires, crossed and
+    foreign releases and releases of the wrong kind mixed in."""
     locks = ["l0", "l1", "l2", "l3"]
     held = {thread: [] for thread in ("t0", "t1", "t2")}
     events = []
     for _ in range(rng.randint(1, 30)):
         thread = rng.choice(sorted(held))
         stack = held[thread]
-        taken = [lock for own in held.values() for lock in own]
+        taken = [lock for own in held.values() for lock, _ in own]
         roll = rng.random()
         if stack and (roll < 0.4 or len(taken) == len(locks)):
             pick = rng.random()
             if pick < 0.8:
-                lock = stack.pop()
+                lock, kind = stack.pop()
             elif pick < 0.93:
-                lock = rng.choice(stack)  # crossed when not innermost
-                stack.remove(lock)
+                lock, kind = rng.choice(stack)  # crossed when not innermost
+                stack.remove((lock, kind))
             else:
-                lock = rng.choice(locks)  # often foreign or unheld
-            events.append((thread, EventType.RELEASE, lock))
+                lock, kind = rng.choice(locks), rng.choice(kinds)
+            closer = _CLOSER[kind]
+            if rng.random() < 0.05:
+                closer = rng.choice([EventType.RELEASE, EventType.RREL])
+            events.append((thread, closer, lock))
         elif roll < 0.95:
             free = [lock for lock in locks if lock not in taken]
             if free and rng.random() < 0.97:
                 lock = rng.choice(free)
             else:
                 lock = rng.choice(locks)  # re-entrant or contended
-            events.append((thread, rng.choice(kinds), lock))
-            stack.append(lock)
+            kind = rng.choice(kinds)
+            events.append((thread, kind, lock))
+            stack.append((lock, kind))
         else:
             events.append((thread, EventType.READ, "x"))
     return [Event(i, thread, etype, target)
@@ -493,14 +507,16 @@ def _lock_program(rng, kinds):
 
 
 def _spec_verdict(events):
+    """``(row, error text)`` where ``LockDiscipline`` first raises, or
+    ``(len(events), None)``."""
     discipline = LockDiscipline()
-    try:
-        for event in events:
+    for row, event in enumerate(events):
+        try:
             discipline.step(event.etype, event.thread, event.target,
                             event.index)
-    except TraceError as error:
-        return "%s: %s" % (type(error).__name__, error)
-    return None
+        except TraceError as error:
+            return row, "%s: %s" % (type(error).__name__, error)
+    return len(events), None
 
 
 def _trace_verdict(events):
@@ -514,24 +530,25 @@ def _trace_verdict(events):
 @pytest.mark.parametrize("kinds", [
     (EventType.ACQUIRE,),
     (EventType.ACQUIRE, EventType.WAIT),
-    (EventType.ACQUIRE, EventType.RACQ_W),
+    (EventType.ACQUIRE, EventType.RACQ_W, EventType.RACQ_R),
 ], ids=["acq", "acq-wait", "acq-rwlock"])
 def test_lock_check_accepts_only_what_python_accepts(kinds):
+    # The compiled pass (OnlineValidator._run) declines exactly at the
+    # row where LockDiscipline raises and accepts every row before it,
+    # and Trace(validate=True) raises LockDiscipline's error.
     rng = random.Random(len(kinds))
     verdicts = set()
     for _ in range(400):
         events = _lock_program(rng, kinds)
-        expected = _spec_verdict(events)
+        row, expected = _spec_verdict(events)
         verdicts.add(expected is None)
         assert _trace_verdict(events) == expected
-        block = ColumnBlock.from_events(events)
-        holds = _discipline_holds(block, len(block.registry))
-        if not COMPILED or EventType.RACQ_W in kinds and any(
-            event.etype is EventType.RACQ_W for event in events
-        ):
-            assert not holds
-        else:
-            assert holds == (expected is None)
+        if COMPILED:
+            validator = OnlineValidator()
+            declined = validator._run(
+                validator._handle, ColumnBlock.from_events(events), 0
+            )
+            assert declined == row
     assert verdicts == {True, False}
 
 

@@ -30,8 +30,10 @@ from repro.bench.generators import mixed_vocabulary_trace
 from repro.core.closure import HBClosure, WCPClosure
 from repro.core.snapshot import unpack_for
 from repro.core.wcp import WCPDetector
+from repro.core.wcp_compiled import WCPKernel
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.hb import FastTrackDetector, HBDetector
+from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock import kernels
@@ -246,6 +248,43 @@ def test_hot_path_shapes(shape, cls):
     _assert_same(trace, size=257, states=True, cls=cls)
     kernel = _assert_same(NoCensus(trace), size=500, cls=cls)
     assert kernel.compiled_to_end
+
+
+@compiled
+def test_built_rows_leave_the_index_check_constant(cls):
+    # A legacy run builds every row of the trace's block.  The kernel
+    # still reads row j's index as start + j, without walking the built
+    # rows, and reports what the Python detector reports.
+    trace = thread_local_trace(3000)
+    LegacyWCPDetector().run(trace)
+    block = trace.events
+    assert block.materialised() == len(block)
+    assert WCPKernel._indices(block, 0, len(block)) is None
+    _assert_same(trace, cls=cls)
+    _assert_same(trace, size=257, cls=cls)
+
+
+@compiled
+def test_events_with_gaps_reach_the_kernel_as_an_index_column(cls):
+    # Events numbered with gaps (a substream's) keep their indices: the
+    # block ColumnBlock.from_events builds records them as a column, and
+    # the kernel's races quote them as the Python detector's do.
+    trace = random_trace(3, n_events=600, n_threads=4)
+    events = [Event(7 + 3 * e.index, e.thread, e.etype, e.target, loc=e.loc)
+              for e in trace]
+    block = ColumnBlock.from_events(events)
+    assert list(block._indices) == [event.index for event in events]
+    assert list(WCPKernel._indices(block, 5, 9)) == [22, 25, 28, 31]
+    kernel, python = _pair(cls)
+    for detector in (kernel, python):
+        detector.reset(NoCensus(trace))
+        detector.process_batch(block[:250])
+        detector.process_batch(block[250:])
+    assert kernel._kernel is not None
+    for detector in (kernel, python):
+        detector.finish()
+    assert _report_key(kernel.report) == _report_key(python.report)
+    assert kernel.report.raw_race_count
 
 
 def _handover_trace(seed):
@@ -496,6 +535,12 @@ class TestHBKernel:
     )
     test_locations_as_spans_and_as_strings = staticmethod(
         test_locations_as_spans_and_as_strings
+    )
+    test_built_rows_leave_the_index_check_constant = staticmethod(
+        test_built_rows_leave_the_index_check_constant
+    )
+    test_events_with_gaps_reach_the_kernel_as_an_index_column = staticmethod(
+        test_events_with_gaps_reach_the_kernel_as_an_index_column
     )
 
     @compiled
