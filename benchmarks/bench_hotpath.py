@@ -60,6 +60,12 @@ kernel's HB mode: on ``high_contention`` the in-run ratio
 core but stays on the Python path -- must stay above ``1 - TOLERANCE``
 of the baseline's.  A silent HB fallback puts it back near 1.3.
 
+A **row gate** checks which path ran rather than how fast: with the cffi
+kernels ``--check`` fails when ``wcp_dense`` or ``hb_dense`` ran fewer
+rows in the compiled kernel (``CompiledPass.kernel_rows``) than a
+workload's trace has.  Unlike the timing floors it is deterministic: a
+Python-path WCP fails it on any machine.
+
 Sharded mode
 ------------
 ``--sharded`` switches to the multi-core benchmark: WCP throughput on the
@@ -285,6 +291,10 @@ DETECTORS = {
     "fasttrack_dense": FastTrackDetector,
 }
 
+#: The detectors that run in the compiled kernel: with the cffi kernels
+#: ``--check`` fails unless each ran every row of every workload in C.
+KERNEL_DETECTORS = ("wcp_dense", "hb_dense")
+
 
 # --------------------------------------------------------------------- #
 # Measurement
@@ -302,14 +312,18 @@ def measure(trace: Trace, repeats: int) -> dict:
     """
     best = {name: 0.0 for name in DETECTORS}
     races = {}
+    kernel_rows = {}
     for _ in range(repeats):
         for name, factory in DETECTORS.items():
             spent = 0.0
             while spent < MIN_ROUND_S:
-                report = factory().run(trace)
+                detector = factory()
+                report = detector.run(trace)
                 best[name] = max(best[name], report.stats["events_per_s"])
                 spent += report.stats["time_s"]
             races[name] = (report.count(), frozenset(report.location_pairs()))
+            if name in KERNEL_DETECTORS:
+                kernel_rows[name] = detector.kernel_rows
     rates = {name: round(rate, 1) for name, rate in best.items()}
     # Differential smoke: both WCP implementations must agree exactly.
     reference = races["wcp_legacy"][1]
@@ -322,6 +336,7 @@ def measure(trace: Trace, repeats: int) -> dict:
     return {
         "events": len(trace),
         "races": races["wcp_dense"][0],
+        "kernel_rows": kernel_rows,
         "events_per_s": rates,
         "speedup_wcp_dense_vs_legacy": round(
             rates["wcp_dense"] / rates["wcp_legacy"], 3
@@ -405,6 +420,23 @@ def check_regression(result: dict, baseline_path: Path) -> int:
                 "%s: speedup x%.2f regressed >%.0f%% below baseline x%.2f"
                 % (name, measured_speedup, TOLERANCE * 100, baseline_speedup)
             )
+    # Row gate: a silent fallback to the Python path fails here on any
+    # machine, whatever the timings (the floors below pass a Python-path
+    # WCP on a fast enough run).
+    if result.get("kernel_backend") == "cffi":
+        for name, measured in result["workloads"].items():
+            for detector in KERNEL_DETECTORS:
+                rows = measured["kernel_rows"][detector]
+                print("%-16s %s ran %d of %d rows in the compiled kernel"
+                      % (name, detector, rows, measured["events"]))
+                if rows < measured["events"]:
+                    failures.append(
+                        "row gate: %s ran %d of %d rows of %s in the "
+                        "compiled kernel" % (detector, rows,
+                                             measured["events"], name)
+                    )
+    else:
+        print("row gate skipped: clock kernels inactive")
     # Kernel gate: wcp_dense must be >= KERNEL_GAIN_FLOOR times its
     # *pre-kernel* throughput on the targeted workload.  Measured via the
     # dense/legacy ratio (machine-independent, see PRE_KERNEL_SPEEDUPS);

@@ -181,6 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-validate", action="store_true",
         help="skip trace well-formedness validation",
     )
+    _add_profile_argument(analyze)
     analyze.add_argument(
         "--json", dest="json_out", default=None, metavar="PATH",
         help="additionally write the report as JSON (or CSV if PATH ends in "
@@ -203,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-validate", action="store_true",
         help="skip trace well-formedness validation",
     )
+    _add_profile_argument(compare)
     _add_shard_arguments(compare)
 
     serve = subparsers.add_parser(
@@ -448,6 +450,24 @@ def _add_format_argument(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_profile_argument(subparser: argparse.ArgumentParser) -> None:
+    subparser.add_argument(
+        "--profile", action="store_true",
+        help="also print, per detector, how many rows the compiled kernel "
+             "ran and why it stopped or never started",
+    )
+
+
+def _print_profile(result) -> None:
+    """The ``--profile`` lines: each in-process kernel's row count."""
+    if not result.kernel:
+        print("profile: no compiled kernel ran in this process")
+    for name, counts in result.kernel.items():
+        print("profile: %s ran %d of %d row(s) in the compiled kernel "
+              "(exit: %s)" % (name, counts["rows"], result.events,
+                              counts["exit"]))
+
+
 def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
@@ -623,6 +643,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if result.stopped_early():
         print("(pass stopped early after %d event(s): %s)"
               % (result.events, result.stop_reason))
+    if args.profile:
+        _print_profile(result)
     if args.json_out:
         from repro.analysis.export import save_report
 
@@ -682,6 +704,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                   "identical report"
                   % (supervision["worker_restarts"],
                      supervision.get("restarts_by_shard", {})))
+    if args.profile:
+        _print_profile(result)
     return 1 if result.has_race() else 0
 
 

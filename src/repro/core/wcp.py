@@ -93,14 +93,18 @@ Hot-path engineering (the constant factor behind Theorem 3's
 * **Compiled kernel and hand-over** -- with the cffi kernels
   (:mod:`repro.vectorclock.kernels`) each block runs in one C call
   (:class:`~repro.core.wcp_compiled.WCPKernel`) whose state mirrors the
-  fields below field for field.  The kernel returns before the first row
-  of a kind it does not run (rwlocks, barriers, wait/notify) or that
-  would taint a lock, and before a :meth:`WCPDetector.mark_foreign`; the
+  fields below field for field, for every kind: rwlock sections
+  (:meth:`WCPDetector._racq_r`, :meth:`WCPDetector._racq_w`,
+  :meth:`WCPDetector._rrel` and :meth:`WCPDetector._read_held_rule_a`),
+  barriers (with the :meth:`WCPDetector._join_open_barriers` prologue)
+  and wait/notify included.  The kernel returns before a row that would
+  taint a lock and before a :meth:`WCPDetector.mark_foreign`; the
   detector then transcribes the C state into its Python fields once and
   runs :meth:`WCPDetector.process_batch` -- the specification -- for the
   rest of the pass.  While the kernel is live the Python fields are
   stale: ``state_snapshot``, ``sync_clock_state`` and pickling transcribe
-  first, ``finish`` hands over, and ``_clock_c`` reads ``C_t`` from C.
+  first, ``finish`` drops the stale fields until ``_sync`` transcribes
+  them, and ``_clock_c`` reads ``C_t`` from C.
   Under ``REPRO_CLOCK_KERNEL=python``, with
   ``strict_pseudocode=True`` or on a restored detector the kernel never
   starts.  The lifecycle is
@@ -452,7 +456,7 @@ class WCPDetector(CompiledPass, Detector):
         for thread in trace.threads:
             self._ensure_thread(intern(thread), thread)
 
-        self._arm_kernel(not self._strict_pseudocode)
+        self._arm_kernel("strict" if self._strict_pseudocode else None)
 
     def _take_census(self, census: ThreadCensus) -> None:
         """Apply the trace's census: releasers, thread-local locks and variables.
@@ -517,8 +521,9 @@ class WCPDetector(CompiledPass, Detector):
         it with a fresh build, so the Rule (b) log and the access history
         can safely alias it.
         """
-        if self._kernel is not None:
-            return self._kernel.clock_c(tid)
+        kernel = self._kernel or self._retired
+        if kernel is not None:
+            return kernel.clock_c(tid)
         ct = self._ct[tid]
         if ct is None:
             ct = self._pt[tid].copy().assign(tid, self._nt[tid])
@@ -1292,7 +1297,7 @@ class WCPDetector(CompiledPass, Detector):
     # ------------------------------------------------------------------ #
 
     def finish(self) -> None:
-        self._hand_over()
+        self._hand_over("finish")
         self.report.stats["local_accesses"] = float(self._local_accesses)
         events = max(1, self._processed_events)
         self.report.stats["max_queue_total"] = float(self._max_queue_total)
@@ -1303,7 +1308,7 @@ class WCPDetector(CompiledPass, Detector):
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still run
         Rule (a), which every shard needs for the full run's clocks."""
-        self._hand_over()
+        self._hand_over("mark_foreign")
         self._history.mark_foreign(variable)
 
     def sync_clock_state(self) -> Dict[object, bytes]:
@@ -1343,6 +1348,16 @@ class WCPDetector(CompiledPass, Detector):
             "seen": dict(cell.seen),
         }
 
+    @classmethod
+    def _cells_state(cls, table: Dict[str, _RuleACell]) -> Dict[str, object]:
+        """A Rule (a) table in variable order: a release publishes its
+        section's variables in set order in Python and in first-access
+        order in the kernel, and equal states must give equal bytes."""
+        return {
+            variable: cls._cell_state(table[variable])
+            for variable in sorted(table)
+        }
+
     @staticmethod
     def _cell_from_state(state: Dict[str, object]) -> _RuleACell:
         cell = _RuleACell()
@@ -1375,22 +1390,10 @@ class WCPDetector(CompiledPass, Detector):
                 "tainted": state.tainted,
                 "releasers": state.releasers,
                 "local": state.local,
-                "lr": {
-                    variable: self._cell_state(cell)
-                    for variable, cell in state.lr.items()
-                },
-                "lw": {
-                    variable: self._cell_state(cell)
-                    for variable, cell in state.lw.items()
-                },
-                "read_lr": {
-                    variable: self._cell_state(cell)
-                    for variable, cell in state.read_lr.items()
-                },
-                "read_lw": {
-                    variable: self._cell_state(cell)
-                    for variable, cell in state.read_lw.items()
-                },
+                "lr": self._cells_state(state.lr),
+                "lw": self._cells_state(state.lw),
+                "read_lr": self._cells_state(state.read_lr),
+                "read_lw": self._cells_state(state.read_lw),
                 "read_pl": state.read_pl,
                 "read_hl": state.read_hl,
                 "notify_p": state.notify_p,
@@ -1451,7 +1454,7 @@ class WCPDetector(CompiledPass, Detector):
             )
         state = unpack_for(self).unpack(blob)
         adopt_registry_names(self._registry, state["names"])
-        self._arm_kernel(False)  # a restored pass stays in Python
+        self._arm_kernel("restore")  # a restored pass stays in Python
 
         self._nt = list(state["nt"])
         self._pt = list(state["pt"])

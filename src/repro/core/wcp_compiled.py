@@ -6,18 +6,23 @@ happens-before clock of thread ``t``, with component ``t`` equal to
 (``wcp_state`` in :mod:`repro.vectorclock.kernels`) serves two
 detectors.  :class:`~repro.core.wcp.WCPDetector` runs it in full, and
 :class:`~repro.hb.hb.HBDetector` runs its HB mode, which keeps only
-``N_t``, ``H_t`` and ``H_l`` (no Rule (a), Rule (b), sections or logs)
-and checks each access against a cached frozen ``H_t`` -- HB's
-``_snap`` -- that goes only when ``H_t`` changes.  Both go through
-:class:`CompiledPass`, the one kernel lifecycle: start at the pass's
-first block, run each block in C while the kernel is live, and hand over
-for good.
+HB's fields (``H_t``, ``H_l``, the read-release and notify clocks, the
+read-held locks and the barrier generations; no Rule (a), Rule (b),
+sections or logs) and checks each access against a cached frozen
+``H_t`` -- HB's ``_snap`` -- that goes only when ``H_t`` changes.  Both
+go through :class:`CompiledPass`, the one kernel lifecycle: start at the
+pass's first block, run each block in C while the kernel is live, and
+hand over for good.
 
 The C state mirrors the detector's Python state field for field --
-per-thread ``N_t``, ``P_t``, ``H_t`` and open sections; per-lock Rule (b)
-logs, cursors, reclamation state and Rule (a) cells; per-variable access
-histories -- with the same orders wherever an order is observable (the
-history's threads and cells, each log, each cell's releasers).  So
+per-thread ``N_t``, ``P_t``, ``H_t``, open sections, read-held rwlock
+sections and barrier waits; per-lock Rule (b) logs, cursors,
+reclamation state, Rule (a) cells (the read sections' too) and the
+read-release and notify accumulators; per-barrier open generations;
+per-variable access histories -- with the same orders wherever an order
+is observable (the history's threads and cells, each log, each cell's
+releasers, the lock, barrier and per-thread dicts a snapshot writes in
+insertion order).  So
 :meth:`WCPKernel.transcribe` can rebuild either detector's Python state
 at any row boundary (one shared history transcription, then each
 detector's own fields), and the Python ``process_batch`` -- the
@@ -33,11 +38,14 @@ comes back as a record -- the row, and the earlier access's index,
 thread, kind and location -- from which the two events are built and
 reported in the order the Python loop reports them.
 
-The kernel runs acquire/release/read/write/fork/join/begin/end rows of
-locks that stay chain-clean (any lock, in the HB mode).  It returns
-before touching a row of any other kind or a row that would taint a
-lock, and the detector then hands over to Python for the rest of the
-pass.  A location of None is
+The kernel runs every kind of the vocabulary: accesses, acquire and
+release, fork and join, begin and end, rwlock read- and write-acquires
+and releases, barriers, wait and notify.  In the WCP mode it returns
+before a row that would taint a lock (overlapping sections, possible
+only on an unvalidated trace) or that names a thread-local lock in an
+rwlock, wait or notify role (which a census never allows), and the
+detector then hands over to Python for the rest of the pass; the HB
+mode runs every row.  A location of None is
 keyed by its row index, as the Python history keys it
 (:func:`~repro.core.history.cell_key`).
 """
@@ -57,7 +65,7 @@ from repro.vectorclock.dense import DenseClock
 
 _new_event = Event.__new__
 
-#: ``id(kind)`` -> the kernel's code (everything else is 7: Python's).
+#: ``id(kind)`` -> the kernel's code, for every kind.
 _CODES = {
     id(EventType.READ): 0,
     id(EventType.WRITE): 1,
@@ -67,18 +75,13 @@ _CODES = {
     id(EventType.JOIN): 5,
     id(EventType.BEGIN): 6,
     id(EventType.END): 6,
+    id(EventType.RACQ_R): 7,
+    id(EventType.RACQ_W): 8,
+    id(EventType.RREL): 9,
+    id(EventType.BARRIER): 10,
+    id(EventType.WAIT): 11,
+    id(EventType.NOTIFY): 12,
 }
-
-
-def first_rare_row(block: ColumnBlock) -> int:
-    """The first row of ``block`` of a kind the kernel does not run
-    (``len(block)`` when there is none)."""
-    ffi, lib = kernels.ffi, kernels.lib
-    codes = bytes([_CODES.get(id(etype), 7) for etype, _ in block.table.ops])
-    ops = block.columns()[1]
-    with ffi.from_buffer("int[]", ops) as rows, \
-            ffi.from_buffer("unsigned char[]", codes) as kinds:
-        return lib.wcp_first_stop(rows, len(ops), kinds, len(codes))
 
 
 class CompiledPass:
@@ -88,17 +91,31 @@ class CompiledPass:
     block start the kernel; :meth:`_run_kernel` (at the top of
     ``process_batch``) runs each block in C while it is live and hands
     over for good -- one transcription into the Python fields -- at the
-    first row it does not run.  While it is live the Python fields are
-    stale: ``state_snapshot``, ``sync_clock_state`` and pickling
-    :meth:`_sync` first, and ``finish`` and ``mark_foreign``
-    :meth:`_hand_over`.
+    first row it does not run (a row that would taint a lock).  While it
+    is live the Python fields are stale: ``state_snapshot``,
+    ``sync_clock_state`` and pickling :meth:`_sync` first, and
+    ``mark_foreign`` :meth:`_hand_over`.  ``finish`` retires the kernel
+    instead: it drops the stale fields, and only a later :meth:`_sync`
+    (which ``state_snapshot``, ``sync_clock_state``, pickling and
+    ``mark_foreign`` run) transcribes them, so a pass nobody inspects
+    after ``finish`` -- every serve session -- never pays for the
+    transcription.  Code that reads a detector's fields directly after
+    ``finish`` calls :meth:`_sync` first; a dropped field raises
+    AttributeError rather than read stale.  (A ``__getattr__`` that
+    transcribed on demand would slow every attribute load of the Python
+    path.)
+
+    :attr:`kernel_rows` counts the rows the pass ran in C, and
+    :attr:`kernel_exit` says why the kernel never started (``"not armed:
+    <why>"``, ``"short first block"``) or where it handed over
+    (``"taint"``, ``"mark_foreign"``, ``"finish"``).  Both are
+    deterministic and stay out of the report.
     """
 
-    #: A first block with fewer rows than this before its end or its
-    #: first row of a kind the kernel does not run keeps the pass on the
+    #: A first block with fewer rows than this keeps the pass on the
     #: Python path: the kernel could not win back its start and
-    #: hand-over there (a serve session's first block is its peeked
-    #: lines).
+    #: transcription there.  A serve session's first block is one
+    #: latency-sample run of 64 rows, so its kernel starts.
     _KERNEL_MIN_ROWS = 64
 
     #: Private per-instance switch: False keeps this detector on the
@@ -115,16 +132,33 @@ class CompiledPass:
     _kernel_pending = False
     _synced = True
 
-    def _arm_kernel(self, allowed: bool) -> None:
+    #: The kernel ``finish`` retired while the Python fields lack its
+    #: state (None: they have it).
+    _retired = None
+
+    #: Rows of this pass the kernel ran, and why it never started or
+    #: handed over (None while it may still run).
+    kernel_rows = 0
+    kernel_exit: Optional[str] = None
+
+    def _arm_kernel(self, refused: Optional[str] = None) -> None:
         """Drop any compiled state, and let the next block start the
-        kernel from the Python state as it stands, unless ``allowed`` is
-        false, the compiled kernels are off or a restore is pending."""
+        kernel from the Python state as it stands -- unless ``refused``
+        names why this pass may not, or the compiled kernels are off, the
+        per-instance switch is off or a restore is pending."""
+        if refused is None:
+            if kernels.BACKEND != "cffi":
+                refused = "backend"
+            elif not self._use_kernel:
+                refused = "switch"
+            elif self.restore_pending:
+                refused = "restore"
         self._kernel = None
+        self._retired = None
         self._synced = True
-        self._kernel_pending = (
-            allowed and kernels.BACKEND == "cffi" and self._use_kernel
-            and not self.restore_pending
-        )
+        self._kernel_pending = refused is None
+        self.kernel_rows = 0
+        self.kernel_exit = None if refused is None else "not armed: " + refused
 
     def _run_kernel(self, block: ColumnBlock) -> Optional[ColumnBlock]:
         """Run ``block`` in the kernel as far as it goes; return the rows
@@ -132,29 +166,50 @@ class CompiledPass:
         kernel = self._kernel
         if kernel is None and self._kernel_pending:
             self._kernel_pending = False
-            if first_rare_row(block) >= self._KERNEL_MIN_ROWS:
+            if len(block) >= self._KERNEL_MIN_ROWS:
                 kernel = self._kernel = WCPKernel(self)
+            else:
+                self.kernel_exit = "short first block"
         if kernel is None:
             return block
         self._synced = False
         done = kernel.run(block, self.report.add, self)
+        self.kernel_rows += done
         if done == len(block):
             return None
-        self._hand_over()
+        self._hand_over("taint")
         return block[done:]
 
     def _sync(self) -> None:
-        """Bring the Python fields up to date with a live kernel."""
+        """Bring the Python fields up to date with a live or retired
+        kernel."""
         if not self._synced:
-            self._kernel.transcribe(self)
+            kernel = self._kernel or self._retired
+            self._retired = None
+            kernel.transcribe(self)
             self._synced = True
 
-    def _hand_over(self) -> None:
-        """Transcribe the compiled state and continue in Python."""
+    def _hand_over(self, reason: str) -> None:
+        """Stop the kernel for good and continue in Python; ``reason``
+        becomes :attr:`kernel_exit` if the kernel was live or could still
+        start.  At ``finish`` the kernel retires (see the class
+        docstring); anywhere else the fields are transcribed now."""
+        if self._kernel is not None or self._kernel_pending:
+            self.kernel_exit = reason
         self._kernel_pending = False
-        if self._kernel is not None:
-            self._sync()
-            self._kernel = None
+        kernel = self._kernel
+        self._kernel = None
+        if kernel is not None:
+            self._retired = kernel
+            if reason == "finish":
+                kernel.retire(self)
+                return
+        self._sync()
+
+    def kernel_counts(self) -> Dict[str, object]:
+        """``{"rows": rows run in C, "exit": why it stopped or never
+        started}`` for this pass (see the class docstring)."""
+        return {"rows": self.kernel_rows, "exit": self.kernel_exit}
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the Python state (a live kernel's transcribed); the copy
@@ -168,11 +223,27 @@ class CompiledPass:
 class WCPKernel:
     """The compiled state of one WCP or HB pass (see the module docstring)."""
 
+    #: The detector fields :meth:`transcribe` writes, per mode (WCP's
+    #: queue counters aside: :meth:`retire` copies them).
+    _HB_FIELDS = (
+        "_clocks", "_pending", "_snap", "_read_held", "_lock_clocks",
+        "_read_rel", "_notify_clocks", "_barriers", "_barrier_waiting",
+        "_history",
+    )
+    _WCP_FIELDS = (
+        "_nt", "_pt", "_ht", "_ct", "_prev_release", "_open_sections",
+        "_read_held", "_thread_names", "_barriers", "_barrier_waiting",
+        "_locks", "_history",
+    )
+
     def __init__(self, detector) -> None:
         ffi, lib = kernels.ffi, kernels.lib
         self._ffi = ffi
         self._lib = lib
         hb = self._hb = detector._hb_kernel
+        self.fields = self._HB_FIELDS if hb else self._WCP_FIELDS
+        # The length of the detector's per-thread lists when retired.
+        self._retired_threads = 0
         handle = lib.wcp_new(int(not hb and detector._effective_prune),
                              int(hb))
         if handle == ffi.NULL:
@@ -185,12 +256,16 @@ class WCPKernel:
         self._lock_names: List[Optional[str]] = [None]
         self._var_ids: Dict[str, int] = {}
         self._var_names: List[Optional[str]] = [None]
+        self._barrier_ids: Dict[str, int] = {}
+        self._barrier_names: List[str] = []
         self._local_variables = detector._local_variables
         # The census' locks (HB keeps a clock for every lock instead).
         # Thread-local ones keep their Python state: nothing ever changes
         # it.  In C, all of them share one lock id, and all thread-local
         # variables one variable id.
         census_locks = {} if hb else detector._locks
+        # Their order, which the transcribed ``_locks`` keeps.
+        self._census_locks = list(census_locks)
         self._local_locks = {
             lock: state for lock, state in census_locks.items()
             if state.local
@@ -259,6 +334,14 @@ class WCPKernel:
             self._var_names.append(variable)
         return var_id
 
+    def _barrier_id(self, barrier: str) -> int:
+        barrier_id = self._barrier_ids.get(barrier)
+        if barrier_id is None:
+            barrier_id = self._check(self._lib.wcp_add_barrier(self._handle))
+            self._barrier_ids[barrier] = barrier_id
+            self._barrier_names.append(barrier)
+        return barrier_id
+
     def _translate(self, table) -> None:
         """Extend the op codes and ids to every op of ``table``."""
         ffi = self._ffi
@@ -279,16 +362,18 @@ class WCPKernel:
         local_variables = self._local_variables
         for op in range(self._n_ops, len(ops)):
             etype, target = ops[op]
-            code = _CODES.get(id(etype), 7)
+            code = _CODES[id(etype)]
             if code < 2:
                 ident = self._var_id(target)
-            elif code < 4:
-                ident = self._lock_id(target)
-            elif code < 6:
+            elif code in (4, 5):
                 tid = lookup(target)
                 ident = -1 if tid is None else tid
-            else:
+            elif code == 6:
                 ident = 0
+            elif code == 10:
+                ident = self._barrier_id(target)
+            else:
+                ident = self._lock_id(target)
             kinds[op] = code
             targets[op] = ident
             checked.append(code < 2 and target not in local_variables)
@@ -332,7 +417,7 @@ class WCPKernel:
 
     def run(self, block: ColumnBlock, report_add, detector) -> int:
         """Run ``block``'s rows; return how many ran (all, unless a row
-        needs the Python detector)."""
+        would taint a lock)."""
         ffi, lib = self._ffi, self._lib
         table = block.table
         if table is not self._table or len(table.ops) != self._n_ops:
@@ -353,7 +438,6 @@ class WCPKernel:
             tids_p = view("int[]", tids)
             ops_p = view("int[]", ops)
             kinds, targets, n_ops = self._kinds, self._targets, self._n_ops
-            stop = lib.wcp_first_stop(ops_p, n, kinds, n_ops)
             data, n_data = ffi.NULL, 0
             starts = ends = loc_ids = decoded = indices_p = ffi.NULL
             n_decoded = 0
@@ -378,7 +462,7 @@ class WCPKernel:
                 ids = array("i", [-1]) * n
                 loc_id = self._loc_id
                 checked = self._checked.__getitem__
-                for k in compress(range(stop), map(checked, ops[:stop])):
+                for k in compress(range(n), map(checked, ops)):
                     loc = locs[lo + k]
                     if loc is not None:
                         ids[k] = loc_id(loc)
@@ -390,7 +474,7 @@ class WCPKernel:
             local = row = 0
             while True:
                 done = lib.wcp_run(
-                    self._handle, tids_p + row, ops_p + row, stop - row,
+                    self._handle, tids_p + row, ops_p + row, n - row,
                     kinds, targets, n_ops, len(self._registry),
                     data, n_data,
                     starts if starts == ffi.NULL else starts + row,
@@ -466,6 +550,78 @@ class WCPKernel:
 
     def _mutable(self, clock) -> DenseClock:
         return DenseClock._from_times(self._ints(clock.t, clock.n))
+
+    def _owned(self, pointer) -> Optional[DenseClock]:
+        """A fresh clock from an owned accumulator (None: NULL); the
+        Python detectors merge into these in place."""
+        if pointer == self._ffi.NULL:
+            return None
+        return DenseClock._from_times(self._ints(pointer + 2, pointer[1]))
+
+    def _accumulators(self, field: str, order: str) -> Dict[str, DenseClock]:
+        """HB's ``_read_rel`` (``rhl``) or ``_notify_clocks`` (``nhl``):
+        every lock's accumulator, in dict insertion order."""
+        state = self._state
+        null = self._ffi.NULL
+        found = []
+        for lock_id in range(1, state.nlocks):  # 0: the shared local lock
+            lock = state.locks[lock_id]
+            clock = getattr(lock, field)
+            if clock != null:
+                found.append((getattr(lock, order), lock_id, clock))
+        return {
+            self._lock_names[lock_id]: self._owned(clock)
+            for _, lock_id, clock in sorted(found, key=lambda item: item[0])
+        }
+
+    def _barriers(self) -> Dict[str, list]:
+        """The open barrier generations, in first-arrival order: WCP's
+        ``[acc_p, acc_h, participants, version]``, HB's ``[acc,
+        participants, version]``."""
+        state = self._state
+        barriers = {}
+        for bar in self._ints(state.barrier_order, state.nbarrier_order):
+            source = state.barriers[bar]
+            parts = set(self._ints(source.parts.items, source.parts.n))
+            acch = self._owned(source.acch)
+            barriers[self._barrier_names[bar]] = (
+                [acch, parts, source.version] if self._hb else
+                [self._owned(source.accp), acch, parts, source.version]
+            )
+        return barriers
+
+    def _barrier_waiting(self) -> Dict[int, Dict[str, int]]:
+        """``_barrier_waiting``: per thread that ever arrived, the open
+        generations it waits in and the version it merged."""
+        state = self._state
+        names = self._barrier_names
+        waiting = {}
+        for tid in self._ints(state.bw_order, state.nbw_order):
+            thread = state.th[tid]
+            waiting[tid] = {
+                names[thread.waits[k].barrier]: thread.waits[k].seen
+                for k in range(thread.nwait)
+            }
+        return waiting
+
+    def retire(self, detector) -> None:
+        """Drop the detector's stale fields (a later ``_sync``
+        transcribes them); WCP's queue counters, which ``finish``
+        reports, are copied now."""
+        fields = detector.__dict__
+        self._retired_threads = len(fields[self.fields[0]])
+        if not self._hb:
+            detector._queue_total = self._state.queue_total
+            detector._max_queue_total = self._state.max_queue_total
+        for name in self.fields:
+            del fields[name]
+
+    def _threads(self, detector) -> int:
+        """The length of the transcribed per-thread lists: every thread
+        the kernel or the detector initialised."""
+        field = detector.__dict__.get(self.fields[0])
+        size = self._retired_threads if field is None else len(field)
+        return max(self._state.nth, size)
 
     def transcribe(self, detector) -> None:
         """Write the C state back into ``detector``'s Python fields."""
@@ -550,11 +706,13 @@ class WCPKernel:
     def _transcribe_hb(self, detector, shared, history) -> None:
         """:class:`~repro.hb.hb.HBDetector`'s fields: ``_clocks`` from
         ``H_t``, ``_pending`` from the deferred bumps, ``_snap`` from the
-        frozen ``H_t`` and ``_lock_clocks`` from ``H_l`` (in first-release
-        order).  The kernel runs no rwlock, barrier or wait/notify row, so
-        their fields stay as they are."""
+        frozen ``H_t``, ``_read_held`` from the read-held locks,
+        ``_lock_clocks`` from ``H_l`` (in first-release order), and
+        ``_read_rel``, ``_notify_clocks``, ``_barriers`` and
+        ``_barrier_waiting`` from their C mirrors."""
         state = self._state
-        size = max(state.nth, len(detector._clocks))
+        lock_names = self._lock_names
+        size = self._threads(detector)
         clocks: List[object] = [None] * size
         pending = [False] * size
         snaps: List[object] = [None] * size
@@ -566,7 +724,9 @@ class WCPKernel:
             clocks[tid] = self._mutable(thread.h)
             pending[tid] = bool(thread.prev)
             snaps[tid] = shared(thread.ct)
-            read_held[tid] = set()
+            read_held[tid] = {
+                lock_names[thread.rsecs[k].lock] for k in range(thread.nrsec)
+            }
         detector._clocks = clocks
         detector._pending = pending
         detector._snap = snaps
@@ -574,6 +734,10 @@ class WCPKernel:
         detector._lock_clocks = {
             name: shared(lock.hl) for _, name, lock in self._locks_in_order()
         }
+        detector._read_rel = self._accumulators("rhl", "rseq")
+        detector._notify_clocks = self._accumulators("nhl", "nseq")
+        detector._barriers = self._barriers()
+        detector._barrier_waiting = self._barrier_waiting()
         detector._history = history
 
     def _transcribe_wcp(self, detector, shared, history) -> None:
@@ -589,8 +753,10 @@ class WCPKernel:
         name_of = self._registry.name_of
         var_names = self._var_names
 
-        # Locks, in creation order, with their Rule (a) cells.
-        locks: Dict[str, _LockState] = dict(self._local_locks)
+        # Locks, in creation order (the census' first, the thread-local
+        # ones among them), with their Rule (a) cells.
+        locks: Dict[str, _LockState] = dict.fromkeys(self._census_locks)
+        locks.update(self._local_locks)
         by_id: Dict[int, _LockState] = {}
         for lock_id, name, lock in self._locks_in_order():
             entry = _LockState()
@@ -615,6 +781,10 @@ class WCPKernel:
             entry.releasers = set(ids(lock.releasers))
             entry.local = bool(lock.local)
             entry.reclaim_blocker = None if lock.blocker < 0 else lock.blocker
+            entry.read_pl = self._owned(lock.rpl)
+            entry.read_hl = self._owned(lock.rhl)
+            entry.notify_p = self._owned(lock.npl)
+            entry.notify_h = self._owned(lock.nhl)
             locks[name] = entry
             by_id[lock_id] = entry
         for k in range(state.ncells):
@@ -634,11 +804,19 @@ class WCPKernel:
                 for s in range(source.nseen)
             }
             owner = by_id[source.lock]
-            table = owner.lw if source.kind else owner.lr
-            table[var_names[source.var]] = cell
+            table = (owner.lr, owner.lw, owner.read_lr, owner.read_lw)
+            table[source.kind][var_names[source.var]] = cell
+
+        def section_sets(section):
+            # (lock, variables read, variables written) of a section.
+            return (
+                self._lock_names[section.lock],
+                {var_names[v] for v in ids(section.reads)},
+                {var_names[v] for v in ids(section.writes)},
+            )
 
         # Threads.
-        size = max(state.nth, len(detector._nt))
+        size = self._threads(detector)
         nt = [0] * size
         pt: List[object] = [None] * size
         ht: List[object] = [None] * size
@@ -653,18 +831,14 @@ class WCPKernel:
             pt[tid] = self._mutable(thread.p)
             ht[tid] = self._mutable(thread.h)
             prev[tid] = bool(thread.prev)
-            read_held[tid] = {}
-            stack = []
+            held = read_held[tid] = {}
+            for k in range(thread.nrsec):
+                lock, reads, writes = section_sets(thread.rsecs[k])
+                held[lock] = [reads, writes]
+            stack = sections[tid] = []
             for k in range(thread.nsec):
-                section = thread.secs[k]
-                lock = self._lock_names[section.lock]
-                stack.append((
-                    lock,
-                    {var_names[v] for v in ids(section.reads)},
-                    {var_names[v] for v in ids(section.writes)},
-                    locks[lock],
-                ))
-            sections[tid] = stack
+                lock, reads, writes = section_sets(thread.secs[k])
+                stack.append((lock, reads, writes, locks[lock]))
 
         detector._nt = nt
         detector._pt = pt
@@ -676,8 +850,8 @@ class WCPKernel:
         detector._thread_names = [
             name_of(tid) for tid in ints(state.order, state.norder)
         ]
-        detector._barriers = {}
-        detector._barrier_waiting = {}
+        detector._barriers = self._barriers()
+        detector._barrier_waiting = self._barrier_waiting()
         detector._locks = locks
         detector._history = history
         detector._queue_total = state.queue_total

@@ -117,6 +117,7 @@ class EngineResult:
         stop_reason: str,
         snapshots: List[ReportSnapshot],
         supervision: Optional[Dict[str, int]] = None,
+        kernel: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> None:
         self.source_name = source_name
         self.reports = reports
@@ -128,6 +129,10 @@ class EngineResult:
         #: supervisor's ``coordinator_restarts``); None for a plain
         #: unsupervised pass.
         self.supervision = supervision
+        #: Per detector key, the compiled kernel's row count and exit
+        #: (:meth:`~repro.core.wcp_compiled.CompiledPass.kernel_counts`)
+        #: for the detectors that run it; never part of a report.
+        self.kernel = kernel or {}
 
     # Mapping-style access -------------------------------------------------
 
@@ -400,9 +405,14 @@ class EnginePass:
             self.checkpointer.drain()
         events = self.events
         reports: Dict[str, RaceReport] = {}
+        kernel: Dict[str, Dict[str, object]] = {}
         for detector in self.detectors:
             report = detector.finalize_stats(events, detector.cost_time_s)
-            reports[RaceEngine._unique_name(reports, detector.name)] = report
+            key = RaceEngine._unique_name(reports, detector.name)
+            reports[key] = report
+            counts = getattr(detector, "kernel_counts", None)
+            if counts is not None:
+                kernel[key] = counts()
 
         interval = self.config.snapshot_interval
         if interval is not None and (events == 0 or events % interval != 0):
@@ -415,6 +425,7 @@ class EnginePass:
             elapsed_s=self.elapsed_s,
             stop_reason=self.stop_reason,
             snapshots=self.snapshots,
+            kernel=kernel,
         )
 
     def __repr__(self) -> str:

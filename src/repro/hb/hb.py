@@ -37,17 +37,19 @@ an O(1) epoch comparison in the common case.
 Compiled kernel: Algorithm 1 keeps exactly these clocks (its ``H_t``,
 with component ``t`` equal to ``N_t``, and ``H_l``), so with the cffi
 kernels this detector runs each block in one C call of the WCP kernel's
-HB mode (:mod:`repro.core.wcp_compiled`): acquire, release, fork, join
-and the access history, with no Rule (a), Rule (b), sections or logs,
-and the frozen snapshot cached in C.  It shares WCP's lifecycle
-(:class:`~repro.core.wcp_compiled.CompiledPass`): the kernel starts at
-the pass's first block when that block runs at least
-``_KERNEL_MIN_ROWS`` rows before its first rwlock, barrier or
-wait/notify row, and before such a row, ``mark_foreign`` or ``finish``
-it hands over for good -- one transcription into ``_clocks``,
+HB mode (:mod:`repro.core.wcp_compiled`): every kind -- acquire,
+release, fork, join, the access history, rwlocks (``_read_held`` and
+``_read_rel``), barriers (``_barriers`` and ``_barrier_waiting``) and
+wait/notify (``_notify_clocks``) -- with no Rule (a), Rule (b),
+sections or logs, and the frozen snapshot cached in C.  It shares WCP's
+lifecycle (:class:`~repro.core.wcp_compiled.CompiledPass`): the kernel
+starts at the pass's first block when that block has at least
+``_KERNEL_MIN_ROWS`` rows and runs the whole pass; ``mark_foreign``
+hands over for good -- one transcription into those fields, ``_clocks``,
 ``_pending``, ``_snap``, ``_lock_clocks`` and the history -- to
-:meth:`HBDetector.process_batch`, which stays the specification.  While
-it is live, ``state_snapshot``, ``sync_clock_state`` and pickling
+:meth:`HBDetector.process_batch`, which stays the specification, and
+``finish`` drops the stale fields until ``_sync`` transcribes them.
+While it is live, ``state_snapshot``, ``sync_clock_state`` and pickling
 transcribe first.  FastTrack (an ``_access`` hook), a pending restore
 and ``REPRO_CLOCK_KERNEL=python`` never start it.
 
@@ -141,7 +143,7 @@ class HBDetector(CompiledPass, Detector):
         for thread in trace.threads:
             self._ensure_thread(intern(thread))
         # FastTrack's access rule has no compiled form.
-        self._arm_kernel(self._access is None)
+        self._arm_kernel(None if self._access is None else "access rule")
 
     def _ensure_thread(self, tid: int):
         clocks = self._clocks
@@ -253,7 +255,7 @@ class HBDetector(CompiledPass, Detector):
         self._local_accesses += local_accesses
 
     def finish(self) -> None:
-        self._hand_over()
+        self._hand_over("finish")
         self.report.stats["local_accesses"] = float(self._local_accesses)
 
     def _fork(self, event: Event, tid: int, clock) -> None:
@@ -395,7 +397,7 @@ class HBDetector(CompiledPass, Detector):
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still apply a
         deferred bump, which must advance on every shard alike."""
-        self._hand_over()
+        self._hand_over("mark_foreign")
         self._history.mark_foreign(variable)
 
     # ------------------------------------------------------------------ #
@@ -417,7 +419,7 @@ class HBDetector(CompiledPass, Detector):
             )
         state = unpack_for(self).unpack(blob)
         adopt_registry_names(self._registry, state["names"])
-        self._arm_kernel(False)  # a restored pass stays in Python
+        self._arm_kernel("restore")  # a restored pass stays in Python
         self._restore_dict(state)
         self.restore_pending = False
 
@@ -510,10 +512,12 @@ class HBDetector(CompiledPass, Detector):
         intern = self._registry.intern
         for event in trace:
             self.process(event)
-            tid = intern(event.thread)
-            kernel = self._kernel
-            clocks.append(to_public(
-                self._clocks[tid] if kernel is None else kernel.clock_c(tid)
-            ))
+            clocks.append(to_public(self._clock_h(intern(event.thread))))
         self.finish()
         return clocks
+
+    def _clock_h(self, tid: int):
+        """Thread ``tid``'s clock as it stands (read from C while the
+        kernel holds the state); the caller must not mutate it."""
+        kernel = self._kernel or self._retired
+        return self._clocks[tid] if kernel is None else kernel.clock_c(tid)

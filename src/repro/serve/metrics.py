@@ -11,8 +11,9 @@ operators of a multi-tenant race-prediction service ask first:
   (:meth:`~repro.core.races.RaceReport.stats`) folded across completed
   streams, so the constant-per-event claim is observable in production,
   per detector;
-* per-event latency -- a bounded reservoir of sampled
-  validate+step durations, rendered as p50/p99.
+* per-event latency -- a bounded reservoir of sampled step times per
+  event (each sample is the mean over one run of up to
+  ``SAMPLE_EVERY`` events, timed whole), rendered as p50/p99.
 
 The same data renders two ways: :meth:`to_dict` for the ``--metrics-port``
 JSON endpoint, and :meth:`render_lines` for the in-band ``/stats``
@@ -59,8 +60,9 @@ class ServeMetrics:
     All mutation happens on the server's event loop, so plain counters
     suffice -- no locks.  The latency reservoir is bounded
     (``latency_samples``) and fed with *sampled* observations (the driver
-    times every Nth event), keeping the measurement overhead off the
-    per-event hot path the paper's complexity argument protects.
+    times the run of events that starts at every Nth one and records its
+    mean per event), keeping the measurement overhead off the per-event
+    hot path the paper's complexity argument protects.
     """
 
     def __init__(self, latency_samples: int = 4096) -> None:

@@ -135,8 +135,10 @@ class _HandshakeTimeout(Exception):
 #: connection buffers at most this many reads, plus the one the pump
 #: holds, before TCP pauses the peer.
 QUEUE_MAXSIZE = 4
-#: Every Nth event (by stream position, inside or across batches) is
-#: latency-timed when metrics are on: its step is clocked.
+#: When metrics are on, runs end at every Nth event (by stream position,
+#: inside or across batches), and the run that starts there is clocked:
+#: its mean step time per event is one latency sample.  So the detectors
+#: see blocks of N rows, enough to start the compiled kernel.
 SAMPLE_EVERY = 64
 #: Events between detector-memory estimates when a memory quota is set.
 MEM_CHECK_EVERY = 4096
@@ -604,7 +606,9 @@ class SessionDriver:
         :meth:`EnginePass.step_batch` in runs that end at the next offset
         where the driver acts -- a latency sample, a memory check -- and
         a run is a single event under an events/s quota (the token
-        bucket is charged per event) or a fault plan.  Stops, faults,
+        bucket is charged per event) or a fault plan.  A run that starts
+        at a sample offset is timed whole, and its mean time per event
+        is the sample.  Stops, faults,
         sheds and errors therefore land on the same event as with a
         per-event hand-off.  Accounting runs once, for the events
         actually stepped.  A throttle sleep is the only await in here;
@@ -642,7 +646,7 @@ class SessionDriver:
                 events = pass_.events
                 sampled = sample_every and events % sample_every == 0
                 end = total
-                if sampled or single:
+                if single:
                     end = position + 1
                 else:
                     if sample_every:
@@ -664,7 +668,9 @@ class SessionDriver:
                         "injected disconnect at event %d" % pass_.events
                     )
                 if sampled:
-                    metrics.observe_latency(clock() - began)
+                    metrics.observe_latency(
+                        (clock() - began) / max(1, pass_.events - events)
+                    )
                 stepped += pass_.events - events
                 if mem_every and pass_.events % mem_every == 0:
                     estimate = sum(

@@ -12,15 +12,17 @@ One C module holds every loop the library compiles:
 * **WCP.**  ``wcp_run`` is Algorithm 1 over a block's tid/op columns:
   the deferred ``N_t`` bump, acquire/release with the Rule (b) log walk
   and both reclamation modes (pruned by the releaser census, or none
-  without a census), Rule (a) cells, fork/join, census
-  elision and the access history's race attribution, in state
-  (``wcp_state``) that mirrors :class:`~repro.core.wcp.WCPDetector`'s
-  field for field.  :mod:`repro.core.wcp_compiled` drives it and
-  transcribes the state back; it returns before any row the Python
-  detector must take (another kind, a lock it would taint).  Its HB
-  mode (``wcp_new(prune, 1)``) keeps only ``N_t``, ``H_t`` and ``H_l``
-  and checks accesses against a frozen ``H_t``: that is
-  :class:`~repro.hb.hb.HBDetector`, which runs on the same core.
+  without a census), Rule (a) cells, fork/join, rwlock read and write
+  sections, barrier generations, wait/notify, census elision and the
+  access history's race attribution, in state (``wcp_state``) that
+  mirrors :class:`~repro.core.wcp.WCPDetector`'s field for field.
+  :mod:`repro.core.wcp_compiled` drives it and transcribes the state
+  back; it returns before a row that would taint a lock, which the
+  Python detector takes.  Its HB mode (``wcp_new(prune, 1)``) keeps only
+  HB's clocks (``N_t``, ``H_t``, ``H_l``, the read-release and notify
+  clocks, the barrier generations) and checks accesses against a frozen
+  ``H_t``: that is :class:`~repro.hb.hb.HBDetector`, which runs on the
+  same core.
 * **Lock discipline.**  ``lv_run`` checks a block's tid/op columns
   against the state of one validated stream (``lv_state``): per thread
   the stack of open sections, from which each lock's holder and
@@ -479,13 +481,18 @@ typedef struct { long long n, cap; long long *t; } wcp_mclk;
 typedef struct { int *items; long long n, cap; int *slots; long long mask; }
     wcp_idset;
 typedef struct { int lock, pad; wcp_idset reads, writes; } wcp_section;
+typedef struct { long long seen; int barrier, pad; } wcp_wait;
 typedef struct {
     long long nt;
-    int prev, pad;
+    int prev, bw;
     wcp_mclk p, h;
     long long *ct;
     wcp_section *secs;
     long long nsec, capsec;
+    wcp_section *rsecs;
+    long long nrsec, caprsec;
+    wcp_wait *waits;
+    long long nwait, capwait;
 } wcp_thread;
 typedef struct { long long *acq, *rel; long long epoch; int owner, pad; }
     wcp_entry;
@@ -499,7 +506,15 @@ typedef struct {
     long long ncur, capcur;
     long long *pl, *hl;
     wcp_idset releasers;
+    long long *rpl, *rhl, *npl, *nhl;
+    long long rseq, nseq;
 } wcp_lock;
+typedef struct {
+    int created, pad;
+    long long *accp, *acch;
+    wcp_idset parts;
+    long long version;
+} wcp_barrier;
 typedef struct { long long *clk; int tid, pad; } wcp_bt;
 typedef struct { long long ver; int tid, pad; } wcp_seen;
 typedef struct {
@@ -552,18 +567,24 @@ typedef struct {
     long long nraces, capraces;
     int *scratch;
     long long capscratch;
+    wcp_barrier *barriers;
+    long long nbarriers, capbarriers;
+    int *barrier_order;
+    long long nbarrier_order, capbarrier_order;
+    int *bw_order;
+    long long nbw_order, capbw_order;
+    long long seq;
 } wcp_state;
 void *wcp_new(int prune, int hb);
 void wcp_free(void *handle);
 int wcp_add_lock(void *handle, int local);
 int wcp_census_lock(void *handle, int lock, int tid);
 int wcp_add_var(void *handle, int local);
+int wcp_add_barrier(void *handle);
 int wcp_loc_put(void *handle, const char *key, long long n);
 long long wcp_loc_get(void *handle, int id, const char **key);
 int wcp_thread_init(void *handle, int tid);
 long long *wcp_ct(void *handle, int tid);
-long long wcp_first_stop(const int *ops, long long n,
-                         const unsigned char *kinds, long long n_ops);
 long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
                   const unsigned char *kinds, const int *targets,
                   long long n_ops, long long n_threads,
@@ -585,7 +606,8 @@ _WCP_SOURCE = r"""
  * Rule (a) cells, per-lock clocks and access histories alias, exactly as
  * the Python detector aliases its frozen DenseClocks.  Kinds arrive as
  * codes per op id: 0 read, 1 write, 2 acquire, 3 release, 4 fork,
- * 5 join, 6 no clock work, 7 anything else (the Python path's). */
+ * 5 join, 6 no clock work (begin/end), 7 read-acquire, 8 write-acquire,
+ * 9 rwlock release, 10 barrier, 11 wait, 12 notify. */
 
 typedef long long i64;
 
@@ -809,14 +831,24 @@ static void ids_free(wcp_idset *s) {
 }
 
 typedef struct { int lock, pad; wcp_idset reads, writes; } wcp_section;
+typedef struct { i64 seen; int barrier, pad; } wcp_wait;
 
+/* secs: the open critical sections; rsecs: the rwlocks held in read
+ * mode (Python's _read_held, in insertion order); waits: the open
+ * barrier generations the thread arrived in, with the accumulator
+ * version it merged (_barrier_waiting[tid]); bw: the thread has an
+ * entry in _barrier_waiting. */
 typedef struct {
     i64 nt;
-    int prev, pad;
+    int prev, bw;
     wcp_mclk p, h;
     i64 *ct;
     wcp_section *secs;
     i64 nsec, capsec;
+    wcp_section *rsecs;
+    i64 nrsec, caprsec;
+    wcp_wait *waits;
+    i64 nwait, capwait;
 } wcp_thread;
 
 typedef struct { i64 *acq, *rel; i64 epoch; int owner, pad; } wcp_entry;
@@ -830,7 +862,21 @@ typedef struct {
     i64 ncur, capcur;
     i64 *pl, *hl;
     wcp_idset releasers;
+    /* Owned accumulators (NULL: None): read_pl/read_hl and
+     * notify_p/notify_h (HB: _read_rel and _notify_clocks in rhl and
+     * nhl, whose dict orders rseq and nseq keep). */
+    i64 *rpl, *rhl, *npl, *nhl;
+    i64 rseq, nseq;
 } wcp_lock;
+
+/* One barrier's open generation: accumulated C and H (HB: H in acch),
+ * its participants and the arrival count. */
+typedef struct {
+    int created, pad;
+    i64 *accp, *acch;
+    wcp_idset parts;
+    i64 version;
+} wcp_barrier;
 
 typedef struct { i64 *clk; int tid, pad; } wcp_bt;
 typedef struct { i64 ver; int tid, pad; } wcp_seen;
@@ -885,6 +931,13 @@ typedef struct {
     i64 nraces, capraces;
     int *scratch;
     i64 capscratch;
+    wcp_barrier *barriers;
+    i64 nbarriers, capbarriers;
+    int *barrier_order;
+    i64 nbarrier_order, capbarrier_order;
+    int *bw_order;
+    i64 nbw_order, capbw_order;
+    i64 seq;
 } wcp_state;
 
 void *wcp_new(int prune, int hb) {
@@ -912,6 +965,12 @@ void wcp_free(void *handle) {
             ids_free(&T->secs[k].writes);
         }
         free(T->secs);
+        for (i64 k = 0; k < T->caprsec; k++) {
+            ids_free(&T->rsecs[k].reads);
+            ids_free(&T->rsecs[k].writes);
+        }
+        free(T->rsecs);
+        free(T->waits);
     }
     free(st->th);
     free(st->order);
@@ -926,6 +985,10 @@ void wcp_free(void *handle) {
         free(L->cursors);
         fc_drop(L->pl);
         fc_drop(L->hl);
+        fc_drop(L->rpl);
+        fc_drop(L->rhl);
+        fc_drop(L->npl);
+        fc_drop(L->nhl);
         ids_free(&L->releasers);
     }
     free(st->locks);
@@ -957,6 +1020,14 @@ void wcp_free(void *handle) {
     free(st->loc_spans);
     free(st->races);
     free(st->scratch);
+    for (i64 b = 0; b < st->nbarriers; b++) {
+        fc_drop(st->barriers[b].accp);
+        fc_drop(st->barriers[b].acch);
+        ids_free(&st->barriers[b].parts);
+    }
+    free(st->barriers);
+    free(st->barrier_order);
+    free(st->bw_order);
     free(st);
 }
 
@@ -999,6 +1070,13 @@ int wcp_add_var(void *handle, int local) {
     V->r_tid = -1;
     V->w_tid = -1;
     return (int)st->nvars++;
+}
+
+int wcp_add_barrier(void *handle) {
+    /* A new barrier id (-1: no memory). */
+    wcp_state *st = handle;
+    if (GROW(st->barriers, st->capbarriers, st->nbarriers + 1)) return -1;
+    return (int)st->nbarriers++;
 }
 
 static int loc_add(wcp_state *st, const char *key, i64 n) {
@@ -1049,6 +1127,9 @@ static wcp_thread *thread_at(wcp_state *st, int tid) {
         fc_drop(T->ct);
         T->ct = NULL;
         T->nsec = 0;
+        T->nrsec = 0;
+        T->nwait = 0;
+        T->bw = 0;
         st->order[st->norder++] = tid;
     }
     return T;
@@ -1211,11 +1292,12 @@ static void reclaim(wcp_state *st, int lock) {
 }
 
 static int cell_at(wcp_state *st, int lock, int var, int kind, int create) {
-    int c = map_get(&st->cellmap, lock, 2 * (i64)var + kind);
+    /* kind: 0 lr, 1 lw, 2 read_lr, 3 read_lw (the read sections'). */
+    int c = map_get(&st->cellmap, lock, 4 * (i64)var + kind);
     if (c >= 0 || !create) return c;
     if (GROW(st->cells, st->capcells, st->ncells + 1)) return -2;
     c = (int)st->ncells;
-    if (map_put(&st->cellmap, lock, 2 * (i64)var + kind, c)) return -2;
+    if (map_put(&st->cellmap, lock, 4 * (i64)var + kind, c)) return -2;
     wcp_cell *C = &st->cells[c];
     C->lock = lock;
     C->var = var;
@@ -1337,17 +1419,25 @@ static int wcp_release(wcp_state *st, int lock, int tid) {
 }
 
 static int rule_a(wcp_state *st, int lock, int var, int kind, int tid) {
-    /* Join the relevant release time of one Rule (a) cell into P_t
-     * (the chain fast path; the kernel never runs a tainted lock). */
+    /* Join the relevant release times of one Rule (a) cell into P_t:
+     * the chain fast path on lr/lw (the kernel never runs a tainted
+     * lock), every other thread's entry on the read cells, whose
+     * releases are mutually unordered. */
     int c = cell_at(st, lock, var, kind, 0);
     if (c < 0) return 0;
     wcp_cell *C = &st->cells[c];
     i64 s = 0;
     while (s < C->nseen && C->seen[s].tid != tid) s++;
     if (s < C->nseen && C->seen[s].ver == C->version) return 0;
-    int other = C->top_tid != tid ? C->top_tid : C->second_tid;
-    i64 *relevant = other >= 0 ? bt_get(C, other) : NULL;
-    if (relevant != NULL && merge_p(st, tid, relevant) < 0) return -1;
+    if (kind >= 2) {
+        for (i64 b = 0; b < C->nbt; b++)
+            if (C->bt[b].tid != tid && merge_p(st, tid, C->bt[b].clk) < 0)
+                return -1;
+    } else {
+        int other = C->top_tid != tid ? C->top_tid : C->second_tid;
+        i64 *relevant = other >= 0 ? bt_get(C, other) : NULL;
+        if (relevant != NULL && merge_p(st, tid, relevant) < 0) return -1;
+    }
     if (s == C->nseen) {
         if (GROW(C->seen, C->capseen, C->nseen + 1)) return -1;
         C->seen[s].tid = tid;
@@ -1515,18 +1605,34 @@ static int wcp_access(wcp_state *st, int var, int kind, int tid, i64 index,
                   i64 loc, i64 row) {
     wcp_thread *T = &st->th[tid];
     /* Lines 11-12: Rule (a) under every open section, which also notes
-     * the access in each. */
+     * the access in each; a read section's releases conflict too. */
     for (i64 k = 0; k < T->nsec; k++) {
         wcp_section *S = &T->secs[k];
         if (kind == 0) {
-            if (rule_a(st, S->lock, var, 1, tid)) return -1;
+            if (rule_a(st, S->lock, var, 1, tid)
+                    || rule_a(st, S->lock, var, 3, tid))
+                return -1;
             if (ids_add(&S->reads, var)) return -1;
         } else {
             if (rule_a(st, S->lock, var, 0, tid)
-                    || rule_a(st, S->lock, var, 1, tid))
+                    || rule_a(st, S->lock, var, 1, tid)
+                    || rule_a(st, S->lock, var, 2, tid)
+                    || rule_a(st, S->lock, var, 3, tid))
                 return -1;
             if (ids_add(&S->writes, var)) return -1;
         }
+    }
+    /* _read_held_rule_a: a read section consumes the exclusive
+     * releases' cells and notes the access for its own release. */
+    for (i64 k = 0; k < T->nrsec; k++) {
+        wcp_section *R = &T->rsecs[k];
+        if (kind == 1) {
+            if (rule_a(st, R->lock, var, 0, tid)) return -1;
+            if (ids_add(&R->writes, var)) return -1;
+        } else if (ids_add(&R->reads, var)) {
+            return -1;
+        }
+        if (rule_a(st, R->lock, var, 1, tid)) return -1;
     }
     i64 *C = ct_get(st, tid);
     if (C == NULL) return -1;
@@ -1553,12 +1659,214 @@ static int fork_join(wcp_state *st, int tid, int child, int is_join) {
     return 0;
 }
 
-long long wcp_first_stop(const int *ops, long long n,
-                         const unsigned char *kinds, long long n_ops) {
-    /* The first row whose kind the kernel does not run (n: none). */
-    for (long long j = 0; j < n; j++)
-        if (ops[j] < 0 || ops[j] >= n_ops || kinds[ops[j]] >= 7) return j;
-    return n;
+static int merge_h(wcp_state *st, int tid, const i64 *c) {
+    /* H_t joins c; in the HB mode the frozen H_t goes when it grew. */
+    wcp_thread *T = &st->th[tid];
+    int changed = mc_merge(&T->h, FC_T(c), FC_N(c));
+    if (changed > 0 && st->hb) ct_drop(T);
+    return changed;
+}
+
+static int acc_join(i64 **acc, const i64 *t, i64 n) {
+    /* An owned accumulator joins t[0..n) (NULL: it starts as a copy). */
+    if (*acc == NULL) {
+        *acc = fc_new(n);
+        if (*acc == NULL) return -1;
+        if (n) memcpy(FC_T(*acc), t, sizeof(i64) * (size_t)n);
+        return 0;
+    }
+    return fc_join(acc, t, n);
+}
+
+static int acc_take(wcp_state *st, int tid, i64 **pacc, i64 **hacc) {
+    /* P_t and H_t join an accumulator pair, which goes (NULL: None). */
+    int failed = (*pacc != NULL && merge_p(st, tid, *pacc) < 0)
+                 || (*hacc != NULL && merge_h(st, tid, *hacc) < 0);
+    fc_drop(*pacc);
+    fc_drop(*hacc);
+    *pacc = *hacc = NULL;
+    return failed ? -1 : 0;
+}
+
+static i64 rsec_find(const wcp_thread *T, int lock) {
+    for (i64 k = 0; k < T->nrsec; k++)
+        if (T->rsecs[k].lock == lock) return k;
+    return -1;
+}
+
+static int wcp_racq_r(wcp_state *st, int lock, int tid) {
+    /* Ordered after the last exclusive release only; the lock joins
+     * the thread's read-held sections with empty sets (a repeat keeps
+     * its place, as a dict key does). */
+    wcp_lock *L = &st->locks[lock];
+    wcp_thread *T = &st->th[tid];
+    if (!st->hb && lock_create(st, L)) return -1;
+    if (L->hl != NULL && merge_h(st, tid, L->hl) < 0) return -1;
+    if (!st->hb && L->pl != NULL && merge_p(st, tid, L->pl) < 0) return -1;
+    i64 k = rsec_find(T, lock);
+    if (k < 0) {
+        if (GROW(T->rsecs, T->caprsec, T->nrsec + 1)) return -1;
+        k = T->nrsec++;
+        T->rsecs[k].lock = lock;
+    }
+    ids_clear(&T->rsecs[k].reads);
+    ids_clear(&T->rsecs[k].writes);
+    return 0;
+}
+
+static int wcp_racq_w(wcp_state *st, int lock, int tid) {
+    /* An acquire that also takes (and clears) the read accumulators. */
+    wcp_lock *L = &st->locks[lock];
+    if (st->hb) {
+        if (L->hl != NULL && merge_h(st, tid, L->hl) < 0) return -1;
+        return acc_take(st, tid, &L->rpl, &L->rhl);
+    }
+    if (lock_create(st, L) || acc_take(st, tid, &L->rpl, &L->rhl))
+        return -1;
+    return wcp_acquire(st, lock, tid);
+}
+
+static int wcp_rrel(wcp_state *st, int lock, int tid) {
+    /* Closing a read section publishes into the read cells and the read
+     * accumulators; closing a write section is a release. */
+    wcp_lock *L = &st->locks[lock];
+    wcp_thread *T = &st->th[tid];
+    i64 k = rsec_find(T, lock);
+    int failed = 0;
+    if (k < 0) {
+        failed = wcp_release(st, lock, tid);
+    } else {
+        wcp_section closed = T->rsecs[k];
+        memmove(&T->rsecs[k], &T->rsecs[k + 1],
+                sizeof(wcp_section) * (size_t)(T->nrsec - 1 - k));
+        T->rsecs[--T->nrsec] = closed;
+        if (st->hb) {
+            if (L->rhl == NULL) L->rseq = ++st->seq;
+            failed = acc_join(&L->rhl, T->h.t, T->h.n);
+        } else if (lock_create(st, L)) {
+            failed = 1;
+        } else {
+            if (closed.reads.n || closed.writes.n) {
+                i64 *snap = mc_freeze(&T->h);
+                if (snap == NULL) return -1;
+                failed = publish(st, lock, &closed.reads, 2, tid, snap)
+                         || publish(st, lock, &closed.writes, 3, tid, snap);
+                fc_drop(snap);
+            }
+            failed = failed || acc_join(&L->rhl, T->h.t, T->h.n)
+                     || acc_join(&L->rpl, T->p.t, T->p.n);
+        }
+        ids_clear(&T->rsecs[T->nrsec].reads);
+        ids_clear(&T->rsecs[T->nrsec].writes);
+    }
+    st->th[tid].prev = 1;
+    return failed ? -1 : 0;
+}
+
+static int wait_wake(wcp_state *st, int lock, int tid) {
+    /* The wake-side re-acquire plus the notify edge. */
+    wcp_lock *L = &st->locks[lock];
+    if (st->hb) {
+        if (L->hl != NULL && merge_h(st, tid, L->hl) < 0) return -1;
+        return L->nhl != NULL && merge_h(st, tid, L->nhl) < 0 ? -1 : 0;
+    }
+    if (lock_create(st, L)) return -1;
+    if (L->nhl != NULL && merge_h(st, tid, L->nhl) < 0) return -1;
+    if (L->npl != NULL && merge_p(st, tid, L->npl) < 0) return -1;
+    return wcp_acquire(st, lock, tid);
+}
+
+static int wcp_notify(wcp_state *st, int lock, int tid) {
+    /* C_t and H_t join the monitor's never-cleared notify accumulators. */
+    wcp_lock *L = &st->locks[lock];
+    wcp_thread *T = &st->th[tid];
+    if (st->hb) {
+        if (L->nhl == NULL) L->nseq = ++st->seq;
+    } else {
+        i64 *ct = ct_get(st, tid);
+        if (lock_create(st, L) || ct == NULL
+                || acc_join(&L->npl, FC_T(ct), FC_N(ct)))
+            return -1;
+    }
+    T->prev = 1;
+    return acc_join(&L->nhl, T->h.t, T->h.n);
+}
+
+static void wait_drop(wcp_thread *T, int barrier) {
+    for (i64 k = 0; k < T->nwait; k++) {
+        if (T->waits[k].barrier != barrier) continue;
+        memmove(&T->waits[k], &T->waits[k + 1],
+                sizeof(wcp_wait) * (size_t)(T->nwait - 1 - k));
+        T->nwait--;
+        return;
+    }
+}
+
+static int join_open_barriers(wcp_state *st, int tid) {
+    /* A blocked arriver re-joins each open generation that grew. */
+    wcp_thread *T = &st->th[tid];
+    for (i64 k = 0; k < T->nwait; k++) {
+        const wcp_barrier *B = &st->barriers[T->waits[k].barrier];
+        if (B->version == T->waits[k].seen) continue;
+        T->waits[k].seen = B->version;
+        if (B->accp != NULL && merge_p(st, tid, B->accp) < 0) return -1;
+        if (B->acch != NULL && merge_h(st, tid, B->acch) < 0) return -1;
+    }
+    return 0;
+}
+
+static int barrier_arrive(wcp_state *st, int bar, int tid) {
+    /* An arrival: a repeat arriver closes the generation (every
+     * participant joins its accumulators), then the arriver joins the
+     * open generation's and adds its own clocks. */
+    wcp_barrier *B = &st->barriers[bar];
+    if (!B->created) {
+        if (GROW(st->barrier_order, st->capbarrier_order,
+                 st->nbarrier_order + 1))
+            return -1;
+        st->barrier_order[st->nbarrier_order++] = bar;
+        B->created = 1;
+    }
+    if (ids_has(&B->parts, tid)) {
+        for (i64 k = 0; k < B->parts.n; k++) {
+            int member = B->parts.items[k];
+            if ((B->accp != NULL && merge_p(st, member, B->accp) < 0)
+                    || (B->acch != NULL
+                        && merge_h(st, member, B->acch) < 0))
+                return -1;
+            wait_drop(&st->th[member], bar);
+        }
+        fc_drop(B->accp);
+        fc_drop(B->acch);
+        B->accp = B->acch = NULL;
+        ids_clear(&B->parts);
+    }
+    wcp_thread *T = &st->th[tid];
+    if (B->acch != NULL && merge_h(st, tid, B->acch) < 0) return -1;
+    if (B->accp != NULL && merge_p(st, tid, B->accp) < 0) return -1;
+    if (!st->hb) {
+        i64 *ct = ct_get(st, tid);
+        if (ct == NULL || acc_join(&B->accp, FC_T(ct), FC_N(ct))) return -1;
+    }
+    if (acc_join(&B->acch, T->h.t, T->h.n) || ids_add(&B->parts, tid))
+        return -1;
+    B->version++;
+    /* _barrier_waiting.setdefault(tid, {})[barrier] = version */
+    if (!T->bw) {
+        if (GROW(st->bw_order, st->capbw_order, st->nbw_order + 1))
+            return -1;
+        st->bw_order[st->nbw_order++] = tid;
+        T->bw = 1;
+    }
+    i64 k = 0;
+    while (k < T->nwait && T->waits[k].barrier != bar) k++;
+    if (k == T->nwait) {
+        if (GROW(T->waits, T->capwait, T->nwait + 1)) return -1;
+        T->waits[T->nwait++].barrier = bar;
+    }
+    T->waits[k].seen = B->version;
+    T->prev = 1;
+    return 0;
 }
 
 long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
@@ -1571,13 +1879,14 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
                   const long long *indices, long long start,
                   long long *out) {
     /* Run rows [0, n).  Returns the number of rows done; out[0] says why
-     * it stopped: 0 all done, 1 the row needs the Python detector (a
-     * rare kind, or a lock it would taint), 2 a fork/join target is not
-     * interned yet, 3 the row's location is a string not interned yet,
-     * -1 no memory, -2 an id out of range.  out[1] counts thread-local
-     * accesses.  Each access row's location is span [starts, ends) of
-     * data, where a negative start names the string decoded[~start]
-     * (an id, -1 none, -2 not interned), else loc_ids[row] (-1: none). */
+     * it stopped: 0 all done, 1 the row needs the Python detector (it
+     * would taint a lock, or names a thread-local lock in an rwlock,
+     * wait or notify role), 2 a fork/join target is not interned yet,
+     * 3 the row's location is a string not interned yet, -1 no memory,
+     * -2 an id out of range.  out[1] counts thread-local accesses.
+     * Each access row's location is span [starts, ends) of data, where
+     * a negative start names the string decoded[~start] (an id, -1
+     * none, -2 not interned), else loc_ids[row] (-1: none). */
     wcp_state *st = handle;
     i64 j = 0, local = 0;
     int reason = 0;
@@ -1588,13 +1897,29 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
             break;
         }
         int kind = kinds[op], target = targets[op];
-        if (kind >= 7) { reason = 1; break; }
-        if (kind == 2 || kind == 3) {
+        if (kind > 12) { reason = -2; break; }
+        if (kind == 2 || kind == 3 || (kind >= 7 && kind != 10)) {
             if (target < 0 || target >= st->nlocks) { reason = -2; break; }
             const wcp_lock *L = &st->locks[target];
-            if (!st->hb && !L->local
-                    && (kind == 2 ? L->holder >= 0 : L->holder != tid)) {
-                reason = 1;
+            if (!st->hb) {
+                /* The acquire kinds taint a held lock, a release one the
+                 * thread does not hold (a read-held rwlock's rrel does
+                 * not); the census never makes such a lock local. */
+                int acquire = kind == 2 || kind == 8 || kind == 11;
+                int release = kind == 3
+                    || (kind == 9 && !(tid < st->nth && st->th[tid].nt
+                                       && rsec_find(&st->th[tid], target)
+                                          >= 0));
+                if (L->local ? kind >= 7
+                        : (acquire && L->holder >= 0)
+                          || (release && L->holder != tid)) {
+                    reason = 1;
+                    break;
+                }
+            }
+        } else if (kind == 10) {
+            if (target < 0 || target >= st->nbarriers) {
+                reason = -2;
                 break;
             }
         } else if (kind == 4 || kind == 5) {
@@ -1621,7 +1946,8 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
                 if (loc < 0) { reason = -1; break; }
             }
         }
-        /* The prologue: initialise, then the deferred N_t bump. */
+        /* The prologue: initialise, the deferred N_t bump, then the
+         * barrier re-join. */
         wcp_thread *T = thread_at(st, tid);
         if (T == NULL) { reason = -1; break; }
         if (T->prev) {
@@ -1630,18 +1956,27 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
             ct_drop(T);
             T->prev = 0;
         }
+        if (T->nwait && join_open_barriers(st, tid)) { reason = -1; break; }
         int failed = 0;
-        if (kind < 2) {
+        switch (kind) {
+        case 0: case 1:
             if (st->vars[target].local) { local++; continue; }
             failed = wcp_access(st, target, kind, tid, index, loc, j);
-        } else if (kind == 2) {
-            failed = wcp_acquire(st, target, tid);
-        } else if (kind == 3) {
+            break;
+        case 2: failed = wcp_acquire(st, target, tid); break;
+        case 3:
             failed = wcp_release(st, target, tid);
-            T = &st->th[tid];
-            T->prev = 1;
-        } else if (kind < 6) {
+            st->th[tid].prev = 1;
+            break;
+        case 4: case 5:
             failed = fork_join(st, tid, target, kind == 5);
+            break;
+        case 7: failed = wcp_racq_r(st, target, tid); break;
+        case 8: failed = wcp_racq_w(st, target, tid); break;
+        case 9: failed = wcp_rrel(st, target, tid); break;
+        case 10: failed = barrier_arrive(st, target, tid); break;
+        case 11: failed = wait_wake(st, target, tid); break;
+        case 12: failed = wcp_notify(st, target, tid); break;
         }
         if (failed) { reason = -1; break; }
     }

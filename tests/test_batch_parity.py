@@ -56,7 +56,7 @@ def _clock_now(detector, event):
     if isinstance(detector, WCPDetector):
         clock = detector._clock_c(tid)
     else:
-        clock = detector._clocks[tid]
+        clock = detector._clock_h(tid)
     return registry.to_public(clock)
 
 

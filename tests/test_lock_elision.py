@@ -59,6 +59,8 @@ def _stats(report):
 
 
 def _elided(detector):
+    # finish leaves a compiled pass's fields to _sync.
+    detector._sync()
     return sorted(lock for lock, state in detector._locks.items() if state.local)
 
 

@@ -1275,3 +1275,96 @@ class TestServeRetention:
                     pass
 
         assert asyncio.run(run()) == [True, True, True]
+
+
+def _mixed_payload(seed):
+    from repro.bench.generators import mixed_vocabulary_trace
+
+    trace = mixed_vocabulary_trace(seed, threads=3, steps=400)
+    return trace, _one_read_payload(write_std(trace))
+
+
+class TestCompiledSessions:
+    """A session's detectors run in the compiled kernel: latency samples
+    time whole 64-event runs, so the first block is 64 rows."""
+
+    def test_one_latency_sample_per_64_events(self):
+        trace, payload = _mixed_payload(5)
+
+        async def push():
+            server = await _start_server()
+            try:
+                response = await _roundtrip(server, payload)
+                await _until(lambda: server.metrics.counters["completed"])
+            finally:
+                await server.close()
+            return response, server.metrics.to_dict()["latency"]
+
+        response, latency = asyncio.run(push())
+        assert response.strip().endswith("done %d" % len(trace))
+        assert latency["samples"] == -(-len(trace) // 64)
+
+    def test_detectors_see_64_row_blocks(self, monkeypatch):
+        from repro.core.wcp import WCPDetector
+        from repro.hb import HBDetector
+
+        sizes = {WCPDetector: [], HBDetector: []}
+        for cls in sizes:
+            original = cls.process_batch
+
+            def spy(self, events, _cls=cls, _original=original):
+                sizes[_cls].append(len(events))
+                return _original(self, events)
+
+            monkeypatch.setattr(cls, "process_batch", spy)
+        trace, payload = _mixed_payload(6)
+        asyncio.run(_push_once(ServeSettings(port=0), payload))
+        full, rest = divmod(len(trace), 64)
+        for cls, seen in sizes.items():
+            assert seen == [64] * full + ([rest] if rest else []), cls
+
+    def test_cffi_and_python_servers_reply_alike(self, monkeypatch):
+        from repro.vectorclock import kernels
+
+        if kernels.BACKEND != "cffi":
+            pytest.skip("the compiled kernels are inactive")
+        payloads = [_mixed_payload(seed)[1] for seed in range(8)]
+
+        async def push_all():
+            server = await _start_server()
+            try:
+                return [await _roundtrip(server, payload)
+                        for payload in payloads]
+            finally:
+                await server.close()
+
+        compiled = asyncio.run(push_all())
+        monkeypatch.setattr(kernels, "BACKEND", "python")
+        assert asyncio.run(push_all()) == compiled
+        assert all(reply.startswith("WCP ") for reply in compiled)
+
+    def test_a_completed_session_holds_no_live_kernel(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.core.wcp_compiled import WCPKernel
+        from repro.vectorclock import kernels
+
+        if kernels.BACKEND != "cffi":
+            pytest.skip("the compiled kernels are inactive")
+        made = []
+        original = WCPKernel.__init__
+
+        def init(self, detector):
+            original(self, detector)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(WCPKernel, "__init__", init)
+        _, payload = _mixed_payload(7)
+        _, counters, _ = asyncio.run(
+            _push_once(ServeSettings(port=0), payload)
+        )
+        assert counters["completed"] == 1
+        assert len(made) == 2  # WCP's and HB's
+        gc.collect()
+        assert all(ref() is None for ref in made)

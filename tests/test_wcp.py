@@ -77,10 +77,12 @@ class TestWCPDetectorBasics:
         trace = builder.build()
         detector = WCPDetector()
         detector.run(trace)
+        detector._sync()  # finish leaves a compiled pass's fields to _sync
         assert len(detector._locks["l"].log) <= 1
         # Without the releaser census the log is kept in full.
         unpruned = WCPDetector()
         unpruned.run(NoCensus(trace))
+        unpruned._sync()
         assert len(unpruned._locks["l"].log) == 50
 
     def test_shared_lock_log_reclaimed_after_consumption(self):
@@ -91,6 +93,7 @@ class TestWCPDetectorBasics:
         trace = builder.build()
         detector = WCPDetector()
         detector.run(trace)
+        detector._sync()  # finish leaves a compiled pass's fields to _sync
         # Both threads consume each other's sections as they go; the log
         # must not retain all 40 sections.
         assert len(detector._locks["l"].log) < 10
@@ -202,6 +205,7 @@ class TestRuleAVersionMemo:
         trace = builder.build()
         detector = WCPDetector()
         detector.run(trace)
+        detector._sync()  # finish leaves a compiled pass's fields to _sync
         cell = detector._locks["l"].lw["x"]
         assert cell.version == 1
         tid2 = detector._registry.lookup("t2")
@@ -216,10 +220,12 @@ class TestRuleAVersionMemo:
         # lock keeps its Rule (a) cells.
         detector = WCPDetector()
         detector.run(NoCensus(trace))
+        detector._sync()  # finish leaves a compiled pass's fields to _sync
         assert detector._locks["l"].lw["x"].version == 3
         # Under the census the lock is thread-local: no cells, no log.
         censused = WCPDetector()
         censused.run(trace)
+        censused._sync()
         state = censused._locks["l"]
         assert state.local
         assert not state.lw and not state.lr and not state.log
@@ -265,6 +271,7 @@ class TestStreamReclamation:
             source = FileSource(dump_trace(Trace(events), path))
         detector = WCPDetector()
         RaceEngine().run(source, detectors=[detector])
+        detector._sync()  # finish leaves a compiled pass's fields to _sync
         return detector
 
     @staticmethod

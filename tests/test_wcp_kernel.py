@@ -8,11 +8,12 @@ twice -- kernel live, and kernel switched off through the private
 per-instance ``_use_kernel`` switch -- and asserts that nothing
 observable differs: race pairs, witnesses, distances, raw counts, every
 statistic but the timings, ``timestamps()`` and the transcribed state
-itself at every block boundary.  The hand-over points (a rare kind, a
-row that would taint a WCP lock, ``mark_foreign``) and a snapshot taken
-while compiled are covered explicitly, and the kernel is checked against
-the frozen legacy detector and the WCP and HB closures too.  FastTrack
-keeps the Python path.
+itself at every block boundary.  The kernel runs the whole vocabulary
+(rwlocks, barriers, wait/notify included); the hand-over points left (a
+row that would taint a WCP lock, ``mark_foreign``), the rows it ran in
+C and a snapshot taken while compiled are covered explicitly, and the
+kernel is checked against the frozen legacy detector and the WCP and HB
+closures too.  FastTrack keeps the Python path.
 """
 
 import os
@@ -131,16 +132,6 @@ def _assert_same(trace, size=None, states=False, cls=WCPDetector, **config):
     return kernel
 
 
-def _first_rare_row(trace):
-    rare = {EventType.READ, EventType.WRITE, EventType.ACQUIRE,
-            EventType.RELEASE, EventType.FORK, EventType.JOIN,
-            EventType.BEGIN, EventType.END}
-    for event in trace:
-        if event.etype not in rare:
-            return event.index
-    return None
-
-
 # --------------------------------------------------------------------- #
 # The kernel runs, and the switch turns it off
 # --------------------------------------------------------------------- #
@@ -175,19 +166,17 @@ def test_fasttrack_never_starts_a_kernel():
 
 @compiled
 def test_a_first_block_that_hands_over_at_once_stays_in_python():
-    trace = mixed_vocabulary_trace(3, threads=3, steps=120)
-    assert _first_rare_row(trace) < WCPDetector._KERNEL_MIN_ROWS
-    detector = WCPDetector()
-    detector.reset(trace)
-    detector.process_batch(trace.events)
-    assert detector._kernel is None and not detector._kernel_pending
-    assert "_nt" in vars(detector)
-    # So does a short first block, and the pass stays in Python.
+    # A first block shorter than _KERNEL_MIN_ROWS keeps the whole pass
+    # in Python, and the counts say why.
     contended = high_contention_trace(400)
+    detector = WCPDetector()
     detector.reset(contended)
     detector.process_batch(contended.events[:10])
     detector.process_batch(contended.events[10:])
-    assert detector._kernel is None
+    assert detector._kernel is None and not detector._kernel_pending
+    assert detector.kernel_counts() == {
+        "rows": 0, "exit": "short first block",
+    }
 
 
 @compiled
@@ -287,10 +276,10 @@ def test_events_with_gaps_reach_the_kernel_as_an_index_column(cls):
     assert kernel.report.raw_race_count
 
 
-def _handover_trace(seed):
+def _prefixed_mixed_trace(seed):
     """A lock/access prefix of varying length, then a mixed-vocabulary
-    trace: the kernel hands over at its first rwlock, barrier or
-    wait/notify row, at a different offset per seed."""
+    trace: the first rwlock, barrier or wait/notify row comes at a
+    different offset per seed."""
     prefix = random_trace(seed, n_events=5 + 13 * seed, n_threads=3)
     tail = mixed_vocabulary_trace(seed, threads=3, steps=120)
     events = list(prefix) + [
@@ -303,21 +292,130 @@ def _handover_trace(seed):
 @compiled
 @pytest.mark.parametrize("seed", range(16))
 def test_mixed_vocabulary_hands_over(seed, cls):
+    """Named for the hand-over it tested while the kernel stopped at the
+    first rwlock, barrier or wait/notify row.  The kernel now runs every
+    kind, so each of these passes runs every row in C and reaches
+    ``finish`` compiled."""
     _check_mixed_vocabulary(seed, cls)
 
 
 def _check_mixed_vocabulary(seed, cls):
-    trace = _handover_trace(seed)
-    for size in (None, 5, 11):
-        _assert_same(trace, size=size, states=size == 5, cls=cls)
-    _assert_same(NoCensus(trace), cls=cls)
+    trace = _prefixed_mixed_trace(seed)
     plain = mixed_vocabulary_trace(seed, threads=3, steps=120)
-    _assert_same(plain, size=4, states=True, cls=cls)
+    runs = [
+        (trace, size, size == 5) for size in (None, 5, 11)
+    ] + [(NoCensus(trace), None, False), (plain, 4, True)]
+    for source, size, states in runs:
+        kernel = _assert_same(source, size=size, states=states, cls=cls)
+        assert kernel.compiled_to_end, (seed, size)
+        assert kernel.kernel_counts() == {
+            "rows": len(source), "exit": "finish",
+        }
 
 
-def test_hand_over_offsets_vary():
-    offsets = {_first_rare_row(_handover_trace(seed)) for seed in range(16)}
-    assert len(offsets) > 8
+@compiled
+@pytest.mark.parametrize("seed", range(6))
+def test_mixed_vocabulary_states_at_every_block_boundary(seed, cls):
+    # Read-held sections, read and notify accumulators, read Rule (a)
+    # cells, open barrier generations and waits transcribe exactly at
+    # every block boundary, with and without the census.
+    trace = mixed_vocabulary_trace(seed + 40, threads=3, steps=160)
+    for source in (trace, NoCensus(trace)):
+        for size in (1, 4, 64, None):
+            kernel = _assert_same(source, size=size, states=True, cls=cls)
+            assert kernel.compiled_to_end, (seed, size)
+
+
+def _first_cut(trace, cls, case):
+    """The first offset at which the Python detector's state has an
+    open read section, an open barrier generation, or a notify."""
+    detector = cls()
+    detector._use_kernel = False
+    detector.reset(trace)
+    for cut, event in enumerate(trace, 1):
+        detector.process(event)
+        state = _state(detector)
+        if case == "read section":
+            found = any(state["read_held"])
+        elif case == "barrier generation":
+            found = any(entry[-2] for entry in state["barriers"].values())
+        elif cls is HBDetector:
+            found = bool(state["notify"])
+        else:
+            found = any(lock["notify_p"] is not None
+                        for lock in state["locks"].values())
+        if found and cut >= 20:
+            return cut
+    raise AssertionError("no %s in %s" % (case, trace.name))
+
+
+@compiled
+@pytest.mark.parametrize(
+    "case", ["read section", "barrier generation", "notifies"]
+)
+def test_snapshot_inside_the_vocabulary_resumes(case, cls):
+    trace = mixed_vocabulary_trace(2, threads=3, steps=200)
+    reference = _run_blocks(cls(), trace, None)
+    cut = _first_cut(trace, cls, case)
+    detector = cls()
+    detector._KERNEL_MIN_ROWS = 0
+    detector.reset(trace)
+    detector.process_batch(trace.events[:cut])
+    assert detector._kernel is not None
+    blob = detector.state_snapshot()
+    resumed = cls()
+    resumed.restore_pending = True
+    resumed.reset(trace)
+    resumed.restore_state(blob)
+    resumed.process_batch(trace.events[cut:])
+    resumed.finish()
+    assert _report_key(resumed.report) == _report_key(reference), cut
+    detector.process_batch(trace.events[cut:])
+    detector.finish()
+    assert detector.kernel_counts() == {"rows": len(trace), "exit": "finish"}
+    assert _report_key(detector.report) == _report_key(reference)
+
+
+def _rwlock_taint_trace(kind):
+    """Unvalidated: thread-local filler, then t1 holds rwlock ``rw`` in
+    write mode while t2 runs ``kind`` on it -- a write-acquire, a wait
+    or a write-mode release of a lock t2 does not hold, each a row that
+    would taint ``rw``."""
+    rows = [("f%d" % (i % 3), EventType.WRITE, "v%d" % (i % 3))
+            for i in range(70)]
+    rows += [("t2", EventType.RACQ_R, "rw"), ("t2", EventType.READ, "x"),
+             ("t2", EventType.RREL, "rw"), ("t1", EventType.NOTIFY, "rw"),
+             ("t1", EventType.RACQ_W, "rw"), ("t1", EventType.WRITE, "x"),
+             ("t2", kind, "rw"), ("t2", EventType.WRITE, "x"),
+             ("t1", EventType.RREL, "rw"), ("t2", EventType.READ, "x")]
+    events = [Event(index, thread, etype, target, loc="l:%d" % index)
+              for index, (thread, etype, target) in enumerate(rows)]
+    return Trace(events, validate=False, name="taint-%s" % kind.name)
+
+
+@compiled
+@pytest.mark.parametrize(
+    "kind", [EventType.RACQ_W, EventType.WAIT, EventType.RREL]
+)
+def test_a_taint_inside_an_rwlock_window_hands_over(kind):
+    trace = _rwlock_taint_trace(kind)
+    taint = 76
+    assert trace.events[taint].etype is kind
+    for size in (None, 3):
+        kernel = _assert_same(trace, size=size, states=True)
+        assert kernel.kernel_counts() == {"rows": taint, "exit": "taint"}
+    # HB has no taint: its kernel runs every row.
+    kernel = _assert_same(trace, states=True, cls=HBDetector)
+    assert kernel.kernel_counts() == {"rows": len(trace), "exit": "finish"}
+    # Windows of a mixed trace start inside sections: unvalidated, and
+    # each hands over at its first tainting row or runs to the end.
+    mixed = mixed_vocabulary_trace(4, threads=3, steps=120)
+    exits = set()
+    for start in range(0, 100, 9):
+        window = mixed.window(start, 40)
+        exits.add(_assert_same(window, states=True, size=6).kernel_exit)
+        _assert_same(NoCensus(window))
+    assert "taint" in exits
 
 
 @compiled
@@ -501,6 +599,104 @@ def test_a_real_location_spelling_a_synthesised_one(tmp_path):
         assert reports["python", name] == reports[kernels.BACKEND, name]
 
 
+def _serve_socket_session(tmp_path, trace, monkeypatch):
+    """Push ``trace`` through an in-process ``serve --socket --once``
+    session; return the session's :class:`EngineResult`."""
+    import asyncio
+
+    from repro.cli import _build_parser, _serve_async
+    from repro.serve.server import SessionDriver
+    from repro.trace.writers import write_std
+
+    results = []
+    original = SessionDriver._finish
+
+    async def finish(self):
+        result = await original(self)
+        results.append(result)
+        return result
+
+    path = str(tmp_path / "serve.sock")
+    args = _build_parser().parse_args(
+        ["serve", "--socket", path, "--once", "--detector", "wcp,hb"]
+    )
+
+    async def run():
+        listening = asyncio.Event()
+        task = asyncio.ensure_future(
+            _serve_async(args, ready=lambda listener: listening.set())
+        )
+        await listening.wait()
+        reader, writer = await asyncio.open_unix_connection(path)
+        writer.write(write_std(trace).encode("utf-8"))
+        writer.write_eof()
+        reply = (await reader.read()).decode("utf-8")
+        writer.close()
+        await task
+        return reply
+
+    monkeypatch.setattr(SessionDriver, "_finish", finish)
+    reply = asyncio.run(run())
+    assert reply.endswith("done %d\n" % len(trace)), reply
+    return results[0]
+
+
+@pytest.mark.parametrize("backend", ["cffi", "python"])
+def test_every_row_of_a_pushed_mixed_stream_runs_in_c(
+    backend, tmp_path, monkeypatch
+):
+    """A real ``serve --socket`` session: under cffi WCP and HB run every
+    row of a pushed mixed-vocabulary stream in C; under python none."""
+    if backend == "cffi" and kernels.BACKEND != "cffi":
+        pytest.skip("the compiled kernels are inactive")
+    monkeypatch.setattr(kernels, "BACKEND", backend)
+    trace = mixed_vocabulary_trace(11, threads=3, steps=400)
+    result = _serve_socket_session(tmp_path, trace, monkeypatch)
+    rows = len(trace) if backend == "cffi" else 0
+    exit = "finish" if backend == "cffi" else "not armed: backend"
+    assert result.kernel == {
+        "WCP": {"rows": rows, "exit": exit},
+        "HB": {"rows": rows, "exit": exit},
+    }
+
+
+@pytest.mark.parametrize("backend", ["cffi", "python"])
+def test_analyze_stream_runs_the_mixed_corpus_in_c(backend, tmp_path):
+    """``analyze --stream --profile`` on mixed-vocabulary logs: every row
+    in C for WCP and HB under cffi, none under python."""
+    import re
+    import subprocess
+
+    from repro.trace.writers import dump_trace
+
+    if backend == "cffi" and kernels.BACKEND != "cffi":
+        pytest.skip("the compiled kernels are inactive")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    env = dict(os.environ, REPRO_CLOCK_KERNEL=backend, PYTHONPATH=src)
+    for seed in range(3):
+        trace = mixed_vocabulary_trace(seed, threads=3, steps=400)
+        path = str(tmp_path / ("mixed%d.std" % seed))
+        dump_trace(trace, path)
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", path, "--stream",
+             "--detector", "wcp,hb", "--profile"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode in (0, 1), run.stderr
+        found = dict(
+            (name, (int(rows), int(total), exit)) for name, rows, total, exit
+            in re.findall(r"^profile: (\w+) ran (\d+) of (\d+) row\(s\) "
+                          r"in the compiled kernel \(exit: ([^)]*)\)$",
+                          run.stdout, re.M)
+        )
+        rows = len(trace) if backend == "cffi" else 0
+        exit = "finish" if backend == "cffi" else "not armed: backend"
+        assert found == {
+            "WCP": (rows, len(trace), exit), "HB": (rows, len(trace), exit),
+        }, run.stdout
+
+
 class TestHBKernel:
     """The differential tests above, for :class:`HBDetector` (the
     kernel's HB mode)."""
@@ -543,9 +739,16 @@ class TestHBKernel:
         test_events_with_gaps_reach_the_kernel_as_an_index_column
     )
 
+    test_mixed_vocabulary_states_at_every_block_boundary = staticmethod(
+        test_mixed_vocabulary_states_at_every_block_boundary
+    )
+    test_snapshot_inside_the_vocabulary_resumes = staticmethod(
+        test_snapshot_inside_the_vocabulary_resumes
+    )
+
     @compiled
     @pytest.mark.parametrize("seed", (0, 5, 10, 15))
     def test_mixed_vocabulary_hands_over(self, seed, cls):
-        # The hand-over code is the one WCP's offsets exercise; a subset
-        # of the offsets keeps the suite's time down.
+        # The HB mode runs the same row codes as WCP's; a subset of the
+        # prefix lengths keeps the suite's time down.
         _check_mixed_vocabulary(seed, cls)
