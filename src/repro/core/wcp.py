@@ -103,8 +103,8 @@ Hot-path engineering (the constant factor behind Theorem 3's
   runs :meth:`WCPDetector.process_batch` -- the specification -- for the
   rest of the pass.  While the kernel is live the Python fields are
   stale: ``state_snapshot``, ``sync_clock_state`` and pickling transcribe
-  first, ``finish`` drops the stale fields until ``_sync`` transcribes
-  them, and ``_clock_c`` reads ``C_t`` from C.
+  first, ``_clock_c`` reads ``C_t`` from C, and ``finish`` leaves the
+  state in C until one of them asks for it.
   Under ``REPRO_CLOCK_KERNEL=python``, with
   ``strict_pseudocode=True`` or on a restored detector the kernel never
   starts.  The lifecycle is
@@ -521,9 +521,8 @@ class WCPDetector(CompiledPass, Detector):
         it with a fresh build, so the Rule (b) log and the access history
         can safely alias it.
         """
-        kernel = self._kernel or self._retired
-        if kernel is not None:
-            return kernel.clock_c(tid)
+        if self._kernel is not None:
+            return self._kernel.clock_c(tid)
         ct = self._ct[tid]
         if ct is None:
             ct = self._pt[tid].copy().assign(tid, self._nt[tid])
@@ -1297,13 +1296,16 @@ class WCPDetector(CompiledPass, Detector):
     # ------------------------------------------------------------------ #
 
     def finish(self) -> None:
-        self._hand_over("finish")
+        self._end_pass()
+        kernel = self._kernel
+        peak = (
+            self._max_queue_total if kernel is None
+            else kernel.max_queue_total
+        )
         self.report.stats["local_accesses"] = float(self._local_accesses)
         events = max(1, self._processed_events)
-        self.report.stats["max_queue_total"] = float(self._max_queue_total)
-        self.report.stats["max_queue_fraction"] = (
-            self._max_queue_total / float(events)
-        )
+        self.report.stats["max_queue_total"] = float(peak)
+        self.report.stats["max_queue_fraction"] = peak / float(events)
 
     def mark_foreign(self, variable: str) -> None:
         """Drop ``variable``'s race checks; its accesses still run

@@ -94,16 +94,11 @@ class CompiledPass:
     first row it does not run (a row that would taint a lock).  While it
     is live the Python fields are stale: ``state_snapshot``,
     ``sync_clock_state`` and pickling :meth:`_sync` first, and
-    ``mark_foreign`` :meth:`_hand_over`.  ``finish`` retires the kernel
-    instead: it drops the stale fields, and only a later :meth:`_sync`
-    (which ``state_snapshot``, ``sync_clock_state``, pickling and
-    ``mark_foreign`` run) transcribes them, so a pass nobody inspects
-    after ``finish`` -- every serve session -- never pays for the
-    transcription.  Code that reads a detector's fields directly after
-    ``finish`` calls :meth:`_sync` first; a dropped field raises
-    AttributeError rather than read stale.  (A ``__getattr__`` that
-    transcribed on demand would slow every attribute load of the Python
-    path.)
+    ``mark_foreign`` :meth:`_hand_over`.  ``finish`` (:meth:`_end_pass`)
+    leaves a live kernel holding the pass's state, so a pass nobody
+    inspects after ``finish`` -- every serve session -- never pays for
+    the transcription; code that reads a detector's fields directly
+    after ``finish`` calls :meth:`_sync` first.
 
     :attr:`kernel_rows` counts the rows the pass ran in C, and
     :attr:`kernel_exit` says why the kernel never started (``"not armed:
@@ -132,10 +127,6 @@ class CompiledPass:
     _kernel_pending = False
     _synced = True
 
-    #: The kernel ``finish`` retired while the Python fields lack its
-    #: state (None: they have it).
-    _retired = None
-
     #: Rows of this pass the kernel ran, and why it never started or
     #: handed over (None while it may still run).
     kernel_rows = 0
@@ -154,7 +145,6 @@ class CompiledPass:
             elif self.restore_pending:
                 refused = "restore"
         self._kernel = None
-        self._retired = None
         self._synced = True
         self._kernel_pending = refused is None
         self.kernel_rows = 0
@@ -181,30 +171,29 @@ class CompiledPass:
         return block[done:]
 
     def _sync(self) -> None:
-        """Bring the Python fields up to date with a live or retired
-        kernel."""
+        """Bring the Python fields up to date with a live kernel."""
         if not self._synced:
-            kernel = self._kernel or self._retired
-            self._retired = None
-            kernel.transcribe(self)
+            self._kernel.transcribe(self)
             self._synced = True
 
     def _hand_over(self, reason: str) -> None:
-        """Stop the kernel for good and continue in Python; ``reason``
-        becomes :attr:`kernel_exit` if the kernel was live or could still
-        start.  At ``finish`` the kernel retires (see the class
-        docstring); anywhere else the fields are transcribed now."""
+        """Transcribe the compiled state and continue in Python for good;
+        ``reason`` becomes :attr:`kernel_exit` if the kernel was live or
+        could still start."""
         if self._kernel is not None or self._kernel_pending:
             self.kernel_exit = reason
         self._kernel_pending = False
-        kernel = self._kernel
-        self._kernel = None
-        if kernel is not None:
-            self._retired = kernel
-            if reason == "finish":
-                kernel.retire(self)
-                return
-        self._sync()
+        if self._kernel is not None:
+            self._sync()
+            self._kernel = None
+
+    def _end_pass(self) -> None:
+        """At ``finish``: record the exit if the kernel was live or could
+        still start; a live kernel keeps the state (see the class
+        docstring)."""
+        if self._kernel is not None or self._kernel_pending:
+            self.kernel_exit = "finish"
+        self._kernel_pending = False
 
     def kernel_counts(self) -> Dict[str, object]:
         """``{"rows": rows run in C, "exit": why it stopped or never
@@ -223,27 +212,11 @@ class CompiledPass:
 class WCPKernel:
     """The compiled state of one WCP or HB pass (see the module docstring)."""
 
-    #: The detector fields :meth:`transcribe` writes, per mode (WCP's
-    #: queue counters aside: :meth:`retire` copies them).
-    _HB_FIELDS = (
-        "_clocks", "_pending", "_snap", "_read_held", "_lock_clocks",
-        "_read_rel", "_notify_clocks", "_barriers", "_barrier_waiting",
-        "_history",
-    )
-    _WCP_FIELDS = (
-        "_nt", "_pt", "_ht", "_ct", "_prev_release", "_open_sections",
-        "_read_held", "_thread_names", "_barriers", "_barrier_waiting",
-        "_locks", "_history",
-    )
-
     def __init__(self, detector) -> None:
         ffi, lib = kernels.ffi, kernels.lib
         self._ffi = ffi
         self._lib = lib
         hb = self._hb = detector._hb_kernel
-        self.fields = self._HB_FIELDS if hb else self._WCP_FIELDS
-        # The length of the detector's per-thread lists when retired.
-        self._retired_threads = 0
         handle = lib.wcp_new(int(not hb and detector._effective_prune),
                              int(hb))
         if handle == ffi.NULL:
@@ -534,6 +507,11 @@ class WCPKernel:
                 first.loc = self._loc_name(loc)
             report_add(first, second)
 
+    @property
+    def max_queue_total(self) -> int:
+        """WCP's queue peak so far (its ``_max_queue_total``)."""
+        return self._state.max_queue_total
+
     def clock_c(self, tid: int) -> DenseClock:
         """``C_t`` of an initialised thread (``H_t`` in the HB mode)."""
         clock = self._lib.wcp_ct(self._handle, tid)
@@ -603,25 +581,6 @@ class WCPKernel:
                 for k in range(thread.nwait)
             }
         return waiting
-
-    def retire(self, detector) -> None:
-        """Drop the detector's stale fields (a later ``_sync``
-        transcribes them); WCP's queue counters, which ``finish``
-        reports, are copied now."""
-        fields = detector.__dict__
-        self._retired_threads = len(fields[self.fields[0]])
-        if not self._hb:
-            detector._queue_total = self._state.queue_total
-            detector._max_queue_total = self._state.max_queue_total
-        for name in self.fields:
-            del fields[name]
-
-    def _threads(self, detector) -> int:
-        """The length of the transcribed per-thread lists: every thread
-        the kernel or the detector initialised."""
-        field = detector.__dict__.get(self.fields[0])
-        size = self._retired_threads if field is None else len(field)
-        return max(self._state.nth, size)
 
     def transcribe(self, detector) -> None:
         """Write the C state back into ``detector``'s Python fields."""
@@ -712,7 +671,7 @@ class WCPKernel:
         ``_barrier_waiting`` from their C mirrors."""
         state = self._state
         lock_names = self._lock_names
-        size = self._threads(detector)
+        size = max(state.nth, len(detector._clocks))
         clocks: List[object] = [None] * size
         pending = [False] * size
         snaps: List[object] = [None] * size
@@ -816,7 +775,7 @@ class WCPKernel:
             )
 
         # Threads.
-        size = self._threads(detector)
+        size = max(state.nth, len(detector._nt))
         nt = [0] * size
         pt: List[object] = [None] * size
         ht: List[object] = [None] * size

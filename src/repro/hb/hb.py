@@ -47,11 +47,11 @@ starts at the pass's first block when that block has at least
 ``_KERNEL_MIN_ROWS`` rows and runs the whole pass; ``mark_foreign``
 hands over for good -- one transcription into those fields, ``_clocks``,
 ``_pending``, ``_snap``, ``_lock_clocks`` and the history -- to
-:meth:`HBDetector.process_batch`, which stays the specification, and
-``finish`` drops the stale fields until ``_sync`` transcribes them.
-While it is live, ``state_snapshot``, ``sync_clock_state`` and pickling
-transcribe first.  FastTrack (an ``_access`` hook), a pending restore
-and ``REPRO_CLOCK_KERNEL=python`` never start it.
+:meth:`HBDetector.process_batch`, which stays the specification.  While
+it is live, and after a ``finish`` that leaves the state in C,
+``state_snapshot``, ``sync_clock_state`` and pickling transcribe first.
+FastTrack (an ``_access`` hook), a pending restore and
+``REPRO_CLOCK_KERNEL=python`` never start it.
 
 Thread-local access elision: on a complete trace the detector reads the
 trace's :class:`~repro.trace.trace.ThreadCensus`, and an access to a
@@ -255,7 +255,7 @@ class HBDetector(CompiledPass, Detector):
         self._local_accesses += local_accesses
 
     def finish(self) -> None:
-        self._hand_over("finish")
+        self._end_pass()
         self.report.stats["local_accesses"] = float(self._local_accesses)
 
     def _fork(self, event: Event, tid: int, clock) -> None:
@@ -519,5 +519,5 @@ class HBDetector(CompiledPass, Detector):
     def _clock_h(self, tid: int):
         """Thread ``tid``'s clock as it stands (read from C while the
         kernel holds the state); the caller must not mutate it."""
-        kernel = self._kernel or self._retired
+        kernel = self._kernel
         return self._clocks[tid] if kernel is None else kernel.clock_c(tid)

@@ -1623,8 +1623,9 @@ static int wcp_access(wcp_state *st, int var, int kind, int tid, i64 index,
         }
     }
     /* _read_held_rule_a: a read section consumes the exclusive
-     * releases' cells and notes the access for its own release. */
-    for (i64 k = 0; k < T->nrsec; k++) {
+     * releases' cells and notes the access for its own release (HB
+     * keeps only the sections' locks). */
+    for (i64 k = 0; !st->hb && k < T->nrsec; k++) {
         wcp_section *R = &T->rsecs[k];
         if (kind == 1) {
             if (rule_a(st, R->lock, var, 0, tid)) return -1;

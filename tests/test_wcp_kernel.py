@@ -17,6 +17,7 @@ closures too.  FastTrack keeps the Python path.
 """
 
 import os
+import pickle
 import random
 import sys
 
@@ -104,7 +105,7 @@ def _run_blocks(detector, trace, size):
     step = size or max(1, len(events))
     for start in range(0, len(events), step):
         detector.process_batch(events[start:start + step])
-    # (finish hands over: note whether the kernel ran to the end.)
+    # (Note whether the kernel ran to the end.)
     detector.compiled_to_end = detector._kernel is not None
     detector.finish()
     return detector.report
@@ -462,6 +463,55 @@ def test_mark_foreign_hands_over(cls):
     assert _report_key(kernel.report) == _report_key(python.report)
 
 
+@compiled
+def test_a_snapshot_then_finish_leaves_the_state_readable(cls):
+    # A snapshot syncs the Python fields; the kernel keeps the state
+    # through finish, and every later snapshot, clock sync and pickle
+    # reads the whole pass's state.
+    trace = mixed_vocabulary_trace(5, threads=3, steps=200)
+    kernel, python = _pair(cls)
+    for detector in (kernel, python):
+        detector.reset(trace)
+        detector.process_batch(trace.events)
+    assert kernel.kernel_rows == len(trace) >= 64
+    assert _state(kernel) == _state(python)
+    for detector in (kernel, python):
+        detector.finish()
+    assert _report_key(kernel.report) == _report_key(python.report)
+    assert _state(kernel) == _state(python)
+    assert kernel.sync_clock_state() == python.sync_clock_state()
+    copy = pickle.loads(pickle.dumps(kernel))
+    assert copy._kernel is None
+    assert _state(copy) == _state(python)
+
+
+@compiled
+def test_a_snapshot_then_mark_foreign_continues_from_current_clocks(cls):
+    # After a snapshot the Python fields are current; mark_foreign then
+    # hands over, and the fork, join, barrier and notify rows that follow
+    # must merge the clocks the kernel reached, not stale ones.
+    trace = _prefixed_mixed_trace(5)
+    cut = 64
+    rest = trace.events[cut:]
+    assert {EventType.FORK, EventType.JOIN, EventType.BARRIER,
+            EventType.NOTIFY} <= {event.etype for event in rest}
+    kernel, python = _pair(cls)
+    for detector in (kernel, python):
+        detector.reset(trace)
+        detector.process_batch(trace.events[:cut])
+    assert kernel._kernel is not None
+    assert _state(kernel) == _state(python)
+    for detector in (kernel, python):
+        detector.mark_foreign("mix_x0")
+    assert kernel.kernel_counts() == {"rows": cut, "exit": "mark_foreign"}
+    for detector in (kernel, python):
+        detector.process_batch(rest)
+    assert _state(kernel) == _state(python)
+    for detector in (kernel, python):
+        detector.finish()
+    assert _report_key(kernel.report) == _report_key(python.report)
+
+
 # --------------------------------------------------------------------- #
 # Snapshots, timestamps, oracles
 # --------------------------------------------------------------------- #
@@ -499,7 +549,7 @@ def test_timestamps_match_python_and_closure(seed, cls):
     trace = random_trace(seed + 200, n_events=50, n_threads=3, n_locks=2)
     kernel, python = _pair(cls)
     clocks = kernel.timestamps(trace)
-    assert kernel._kernel is None  # finish handed over
+    assert kernel.kernel_counts() == {"rows": len(trace), "exit": "finish"}
     assert clocks == python.timestamps(trace)
     closure = (HBClosure if cls is HBDetector else WCPClosure)(trace)
     for second in range(len(trace)):
@@ -723,6 +773,14 @@ class TestHBKernel:
         test_every_split_point_of_small_traces
     )
     test_mark_foreign_hands_over = staticmethod(test_mark_foreign_hands_over)
+    test_a_snapshot_then_finish_leaves_the_state_readable = staticmethod(
+        test_a_snapshot_then_finish_leaves_the_state_readable
+    )
+    test_a_snapshot_then_mark_foreign_continues_from_current_clocks = (
+        staticmethod(
+            test_a_snapshot_then_mark_foreign_continues_from_current_clocks
+        )
+    )
     test_snapshot_while_compiled_resumes_in_python = staticmethod(
         test_snapshot_while_compiled_resumes_in_python
     )
