@@ -71,7 +71,7 @@ from repro.api import (
     run_engine,
 )
 from repro.engine.config import EngineConfig
-from repro.trace.parsers import FORMAT_NAMES, load_trace
+from repro.trace.parsers import FORMAT_NAMES, load_trace, std_line_counts
 
 
 class _BenchmarkNames:
@@ -454,18 +454,24 @@ def _add_profile_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--profile", action="store_true",
         help="also print, per detector, how many rows the compiled kernel "
-             "ran and why it stopped or never started",
+             "ran and why it stopped or never started, and how many STD "
+             "lines the compiled scanner and the Python decoder took",
     )
 
 
 def _print_profile(result) -> None:
-    """The ``--profile`` lines: each in-process kernel's row count."""
+    """The ``--profile`` lines: each in-process kernel's row count, and
+    the STD lines this process decoded in C and in Python."""
     if not result.kernel:
         print("profile: no compiled kernel ran in this process")
     for name, counts in result.kernel.items():
         print("profile: %s ran %d of %d row(s) in the compiled kernel "
               "(exit: %s)" % (name, counts["rows"], result.events,
                               counts["exit"]))
+    lines = std_line_counts()
+    if lines["compiled"] or lines["python"]:
+        print("profile: STD decode took %d line(s) in the compiled scanner "
+              "and %d in Python" % (lines["compiled"], lines["python"]))
 
 
 def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:

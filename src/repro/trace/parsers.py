@@ -36,10 +36,10 @@ Three layers of entry points:
   (:class:`~repro.trace.columns.OpTable`), so the regex / interning cost
   is paid once per distinct token instead of once per line.
   :class:`StdDecoder` is the one bytes-level STD entry point: with the
-  compiled kernels a C scanner takes every line whose head is already
-  memoised and keeps its location as a byte span, and every other line
-  goes through :func:`parse_std_batch`'s per-line logic, which stays
-  the specification;
+  compiled kernels a C scanner takes every ASCII three-field line whose
+  head it knows or can parse and keeps its location as a byte span, and
+  every other line goes through :func:`parse_std_batch`'s per-line
+  logic, which stays the specification;
 * the *streaming* layer (:func:`iter_std_blocks`, :func:`iter_csv_blocks`,
   :func:`iter_trace_blocks`) yields column blocks without materialising
   the input -- an STD file is read in binary chunks through one
@@ -338,12 +338,41 @@ def _utf8_lines(
         raise _utf8_error(line_number, line, error.start, error.end) from None
 
 
-#: Lines the scanner must take between two stops for the Python logic
-#: to go back to taking one line per stop.
-_WARM_RUN = 16
+#: Lines decoded by every :class:`StdDecoder` of this process, as
+#: ``[taken by the compiled scanner, taken by the Python logic]``.
+_LINE_TOTALS = [0, 0]
 
-#: Most lines the Python logic takes at one stop of the scanner.
-_MAX_BURST = 4096
+
+def std_line_counts() -> Dict[str, int]:
+    """STD lines decoded in this process so far: ``compiled`` (taken by
+    the C scanner) and ``python`` (by the per-line Python logic, which
+    takes every line without the compiled kernels).  ``analyze`` and
+    ``compare --profile`` print them; no report carries them."""
+    return {"compiled": _LINE_TOTALS[0], "python": _LINE_TOTALS[1]}
+
+
+#: Event kinds by the codes the scanner's token table gives them.
+_KINDS = list(EventType)
+
+#: The scanner's token table, made once per process (see _tokens).
+_TOKENS = None
+
+
+def _tokens(ffi, lib):
+    """The C table of every wire token: lower-case token -> (kind code,
+    whether the kind needs an operand)."""
+    global _TOKENS
+    if _TOKENS is None:
+        tokens = lib.std_heads_new()
+        if tokens == ffi.NULL:
+            raise MemoryError("std_heads_new")
+        for token, etype in TOKEN_TO_ETYPE.items():
+            if lib.std_heads_put(tokens, token.encode(), len(token),
+                                 _KINDS.index(etype),
+                                 REGISTRY[etype].operand is not None):
+                raise MemoryError("std_heads_put")
+        _TOKENS = tokens
+    return _TOKENS
 
 
 class StdDecoder:
@@ -358,21 +387,30 @@ class StdDecoder:
     at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text-mode file; numbering,
     interning and the op table carry across calls.
 
-    With the compiled kernels (:mod:`repro.vectorclock.kernels`) the C
-    scanner decodes every ``\\n``-terminated ASCII line whose raw
-    ``thread|op(arg)`` head is already in the op table's ``heads`` and
-    records its location as a byte span (:class:`~repro.trace.columns.
-    LocSpans`).  Any other line -- an unknown head, a comment, a blank,
-    two or four-plus fields, a non-ASCII byte, a stray ``\\r`` -- goes
-    through the per-line logic of :func:`parse_std_batch`, so thread
-    and op interning order, line numbers and every error message are
-    those of the Python decoder.  Where the scanner stops again soon
-    after resuming (a stretch of new heads), the Python logic takes
-    twice as many lines at the next stop, up to :data:`_MAX_BURST`;
-    the locations it decodes are kept as the strings it built.
-    Without the kernels, or for a call with fewer than
-    :attr:`COMPILED_MIN_BYTES` bytes of whole lines, the text goes
-    through :func:`parse_std_batch`.
+    With the compiled kernels (:mod:`repro.vectorclock.kernels`) every
+    call goes through the C scanner, which takes each
+    ``\\n``-terminated ASCII line whose raw ``thread|op(arg)`` head it has
+    seen, skips comments and blanks, and parses the head of any other
+    three-field line itself: a non-empty stripped thread, and an op
+    field in ``_OP_PATTERN``'s grammar whose lower-cased token is in
+    :data:`~repro.trace.semantics.TOKEN_TO_ETYPE`, with an operand
+    where the kind needs one.  It gives out tids and op ids in
+    first-appearance order from C mirrors of the registry and of the op
+    table's ``ids``, both keyed as :func:`parse_std_batch` keys them,
+    and this class appends what it interned to the registry and the op
+    table.  The mirrors catch up by length before each scan, since a
+    detector may intern a thread (a fork target) between two calls.
+    Locations stay byte spans (:class:`~repro.trace.columns.LocSpans`).
+    Every other line -- two or four-plus fields, an empty thread, an op
+    field ``_parse_operation`` would refuse, a non-ASCII byte, a stray
+    ``\\r`` -- goes through the per-line logic of :func:`parse_std_batch`,
+    a run of such lines at a time (which lines the scanner takes depends
+    on their bytes alone), so line numbers and every error message are
+    those of the Python decoder, and the locations it decodes are kept
+    as the strings it built.
+    Without the kernels the text goes through :func:`parse_std_batch`.
+    :attr:`compiled_lines` and :attr:`python_lines` count the lines each
+    side took (:func:`std_line_counts` sums them over the process).
     A line that is not UTF-8 raises when it is reached, naming its line
     and bytes, and so does a line -- complete or still pending -- longer
     than :attr:`MAX_LINE_BYTES`, after the lines before it.
@@ -380,16 +418,9 @@ class StdDecoder:
 
     __slots__ = (
         "registry", "op_table", "index", "line_number", "pending",
-        "_tid_cache", "_kernels", "_heads", "_synced",
+        "compiled_lines", "python_lines",
+        "_tid_cache", "_kernels", "_state", "_threads", "_keys",
     )
-
-    #: Fewest bytes of whole lines for which a decode call uses the
-    #: scanner.  A short input is mostly new
-    #: heads, and each one costs a scanner stop and a C table insert on
-    #: top of the Python logic: an 80-line mixed-vocabulary push decodes
-    #: in ~100 us in Python and ~180 us through the scanner, while at
-    #: 25 KB the scanner is ahead.
-    COMPILED_MIN_BYTES = 1 << 14
 
     #: Longest line accepted, in bytes without its line end: memory stays
     #: bounded however long a hostile line runs.
@@ -407,9 +438,14 @@ class StdDecoder:
         self.line_number = 1
         #: Bytes of an unfinished last line, kept for the next call.
         self.pending = b""
+        #: Lines taken by the C scanner and by the Python logic.
+        self.compiled_lines = 0
+        self.python_lines = 0
         self._tid_cache: Dict[str, int] = {}
-        self._heads = None
-        self._synced = 0
+        self._state = None
+        # Registry entries and op keys the scanner's mirrors hold.
+        self._threads = 0
+        self._keys = 0
         from repro.vectorclock import kernels
 
         self._kernels = kernels if kernels.BACKEND == "cffi" else None
@@ -439,9 +475,18 @@ class StdDecoder:
         )
 
     def _decode(self, data: bytes, cut: int) -> ColumnBlock:
-        if self._kernels is None or cut < self.COMPILED_MIN_BYTES:
-            return self._decode_text(data, cut)
-        return self._decode_compiled(data, cut)
+        if self._kernels is not None:
+            return self._decode_compiled(data, cut)
+        line_number = self.line_number
+        block = self._decode_text(data, cut)
+        self._count(0, self.line_number - line_number)
+        return block
+
+    def _count(self, compiled: int, python: int) -> None:
+        self.compiled_lines += compiled
+        self.python_lines += python
+        _LINE_TOTALS[0] += compiled
+        _LINE_TOTALS[1] += python
 
     def _decode_text(self, data: bytes, cut: int) -> ColumnBlock:
         """``data[:cut]`` through :func:`parse_std_batch`."""
@@ -458,102 +503,132 @@ class StdDecoder:
 
     def _decode_compiled(self, data: bytes, cut: int) -> ColumnBlock:
         """``data[:cut]`` through the C scanner; where it stops, the
-        Python logic takes the next lines and the scanner resumes."""
+        Python logic takes the lines up to the next one it would take
+        and the scanner resumes."""
         ffi, lib = self._kernels.ffi, self._kernels.lib
-        if self._heads is None:
-            self._heads = ffi.gc(lib.std_heads_new(), lib.std_heads_free)
-            if self._heads == ffi.NULL:
-                raise MemoryError("std_heads_new")
-        heads = self.op_table.heads
-        if len(heads) != self._synced:
-            self._sync_heads()
-        # At most one row per line; a line ends at "\n", "\r\n" or "\r".
-        capacity = 1 + data.count(b"\n", 0, cut) + data.count(
-            b"\r", 0, cut) - data.count(b"\r\n", 0, cut)
-        tids = array("i", bytes(4 * capacity))
-        ops = array("i", bytes(4 * capacity))
-        starts = array("q", bytes(8 * capacity))
-        ends = array("q", bytes(8 * capacity))
-        # Locations the Python logic decoded, as it built them.
-        decoded: List[str] = []
-        text = ffi.from_buffer(data)
-        views = [ffi.from_buffer("int[]", tids), ffi.from_buffer("int[]", ops),
-                 ffi.from_buffer("long long[]", starts),
-                 ffi.from_buffer("long long[]", ends)]
-        scan, lines_end = lib.std_scan, lib.std_lines_end
-        table = self._heads
-        # [next row, end of the line the scan stopped at (0: unknown)]
-        state = ffi.new("long long[2]")
+        state = self._state
+        if state is None:
+            state = lib.std_new(_tokens(ffi, lib))
+            if state == ffi.NULL:
+                raise MemoryError("std_new")
+            state = self._state = ffi.gc(state, lib.std_free)
+        self._sync()
         registry, op_table = self.registry, self.op_table
         tid_cache = self._tid_cache
         line_number = self.line_number
-        row = pos = 0
-        burst = 1
+        compiled = python = 0
+        # Locations the Python logic decoded, as it built them.
+        decoded: List[str] = []
         new_tids: List[int] = []
         new_ops: List[int] = []
         new_locs: List[Optional[str]] = []
+        text = ffi.from_buffer(data)
+        scan, push = lib.std_scan, lib.std_push
+        pos = 0
         try:
             while True:
-                pos = scan(table, text, pos, cut, *views, state, capacity)
-                taken = state[0] - row
-                line_number += taken
-                row = state[0]
+                before = state.lines
+                pos = scan(state, text, pos, cut)
+                if pos < 0:
+                    raise MemoryError("std_scan")
+                compiled += state.lines - before
+                line_number += state.lines - before
+                if state.nfresh:
+                    self._adopt(data)
                 if pos >= cut:
                     break
-                # The Python logic takes the next ``burst`` lines: one
-                # while the scanner runs on between stops, twice as many
-                # after each stop that came soon (a stretch of new heads).
-                burst = min(burst * 2, _MAX_BURST) if taken < _WARM_RUN else 1
-                end = (state[1] if burst == 1 and state[1]
-                       else lines_end(text, pos, cut, burst))
-                # A line that is not UTF-8 raises when it comes first.
-                lines, end = _utf8_lines(data, pos, end, line_number)
+                # The lines up to the next one the scanner takes; the
+                # first that is not UTF-8 raises when it comes first.
+                run, end = _utf8_lines(data, pos, state.stop_end,
+                                       line_number)
+                before = line_number
                 line_number = _std_lines(
-                    (lines,) if burst == 1 else io.StringIO(lines, newline=""),
-                    line_number, registry, op_table, tid_cache,
-                    new_tids, new_ops, new_locs,
+                    io.StringIO(run, newline=""), line_number, registry,
+                    op_table, tid_cache, new_tids, new_ops, new_locs,
                 )
+                python += line_number - before
                 for tid, op, loc in zip(new_tids, new_ops, new_locs):
-                    tids[row] = tid
-                    ops[row] = op
-                    if loc is None:
-                        starts[row] = ends[row] = 0
-                    else:
-                        starts[row] = ~len(decoded)
+                    start = 0
+                    if loc is not None:
+                        start = ~len(decoded)
                         decoded.append(loc)
-                    row += 1
-                state[0] = row
+                    if push(state, tid, op, start, 0):
+                        raise MemoryError("std_push")
                 new_tids.clear()
                 new_ops.clear()
                 new_locs.clear()
-                if len(heads) != self._synced:
-                    self._sync_heads()
+                self._sync()
                 pos = end
+            rows = state.rows
+            columns = []
+            for kind, pointer, size in (
+                ("i", state.tids, 4), ("i", state.ops, 4),
+                ("q", state.starts, 8), ("q", state.ends, 8),
+            ):
+                column = array(kind)
+                if rows:
+                    column.frombytes(ffi.buffer(pointer, size * rows))
+                columns.append(column)
         finally:
-            for view in views:
-                ffi.release(view)
+            lib.std_release(state)
             ffi.release(text)
+        self._count(compiled, python)
         self.line_number = line_number
-        for column in (tids, ops, starts, ends):
-            del column[row:]
+        tids, ops, starts, ends = columns
         block = ColumnBlock(
             tids, ops, op_table, LocSpans(data, starts, ends, decoded),
             registry, self.index,
         )
-        self.index += row
+        self.index += rows
         return block
 
-    def _sync_heads(self) -> None:
-        """Copy the heads the Python logic added into the C table."""
-        heads = self.op_table.heads
-        put = self._kernels.lib.std_heads_put
-        for head in islice(reversed(heads), len(heads) - self._synced):
-            if head.isascii():
-                tid, op = heads[head]
-                encoded = head.encode()
-                if put(self._heads, encoded, len(encoded), tid, op):
-                    raise MemoryError("std_heads_put")
-        self._synced = len(heads)
+    def _adopt(self, data: bytes) -> None:
+        """Append the threads, ops and op keys the scan interned to the
+        registry and the op table, in the order it gave them out."""
+        state = self._state
+        fresh = self._kernels.ffi.unpack(state.fresh, 4 * state.nfresh)
+        state.nfresh = 0
+        intern = self.registry.intern
+        ids = self.op_table.ids
+        add_op = self.op_table.ops.append
+        kinds = _KINDS
+        step = iter(fresh)
+        for tag, start, end, value in zip(step, step, step, step):
+            text = data[start:end].decode("ascii")
+            if tag == 0:
+                intern(text)
+            elif tag == 1:
+                add_op((kinds[value], text or None))
+            else:
+                ids[text] = value
+        self._threads = len(self.registry)
+        self._keys = len(ids)
+
+    def _sync(self) -> None:
+        """Copy the threads and op keys interned outside the scanner into
+        its mirrors, and the ids they give out next."""
+        state, lib = self._state, self._kernels.lib
+        registry = self.registry
+        threads = len(registry)
+        if threads != self._threads:
+            name_of = registry.name_of
+            for tid in range(self._threads, threads):
+                name = name_of(tid)
+                if isinstance(name, str) and name.isascii():
+                    encoded = name.encode()
+                    if lib.std_thread(state, encoded, len(encoded), tid):
+                        raise MemoryError("std_thread")
+            self._threads = threads
+        state.next_tid = threads
+        ids = self.op_table.ids
+        if len(ids) != self._keys:
+            for key in islice(reversed(ids), len(ids) - self._keys):
+                if isinstance(key, str) and key.isascii():
+                    encoded = key.encode()
+                    if lib.std_opkey(state, encoded, len(encoded), ids[key]):
+                        raise MemoryError("std_opkey")
+            self._keys = len(ids)
+        state.next_op = len(self.op_table.ops)
 
 
 def iter_std_blocks(
@@ -651,54 +726,61 @@ def parse_csv_batch(
     add_tid = tids.append
     add_op = ops.append
     add_loc = locs.append
-    for row in rows:
-        if not row:
-            continue
-        n_fields = len(row)
-        if (
-            thread_col is None or etype_col is None
-            or thread_col >= n_fields or etype_col >= n_fields
-        ):
-            raise TraceParseError(
-                "row %d: missing thread/etype column" % row_number
-            )
-        raw_etype = row[etype_col]
-        raw_target = (
-            row[target_col]
-            if target_col is not None and target_col < n_fields else None
-        )
-        key = (raw_etype, raw_target)
-        op = op_of(key)
-        if op is None:
-            etype_name = raw_etype.strip().lower()
-            etype = TOKEN_TO_ETYPE.get(etype_name)
-            if etype is None:
+    try:
+        for row in rows:
+            if not row:
+                continue
+            n_fields = len(row)
+            if (
+                thread_col is None or etype_col is None
+                or thread_col >= n_fields or etype_col >= n_fields
+            ):
                 raise TraceParseError(
-                    "row %d: unknown event type token %r"
-                    % (row_number, raw_etype)
+                    "row %d: missing thread/etype column" % row_number
                 )
-            target = (
-                raw_target.strip() or None if raw_target is not None else None
+            raw_etype = row[etype_col]
+            raw_target = (
+                row[target_col]
+                if target_col is not None and target_col < n_fields else None
             )
-            _check_operand(etype, target, etype_name, "row %d" % row_number)
-            op = op_ids[key] = len(optable)
-            optable.append((etype, target))
-        thread = row[thread_col].strip()
-        tid = tid_of(thread)
-        if tid is None:
-            if not thread:
-                raise TraceParseError(
-                    "row %d: empty thread field in %r"
-                    % (row_number, ",".join(row))
+            key = (raw_etype, raw_target)
+            op = op_of(key)
+            if op is None:
+                etype_name = raw_etype.strip().lower()
+                etype = TOKEN_TO_ETYPE.get(etype_name)
+                if etype is None:
+                    raise TraceParseError(
+                        "row %d: unknown event type token %r"
+                        % (row_number, raw_etype)
+                    )
+                target = (
+                    raw_target.strip() or None
+                    if raw_target is not None else None
                 )
-            tid = tid_cache[thread] = intern(thread)
-        add_tid(tid)
-        add_op(op)
-        add_loc(
-            row[loc_col].strip() or None
-            if loc_col is not None and loc_col < n_fields else None
-        )
-        row_number += 1
+                _check_operand(etype, target, etype_name,
+                               "row %d" % row_number)
+                op = op_ids[key] = len(optable)
+                optable.append((etype, target))
+            thread = row[thread_col].strip()
+            tid = tid_of(thread)
+            if tid is None:
+                if not thread:
+                    raise TraceParseError(
+                        "row %d: empty thread field in %r"
+                        % (row_number, ",".join(row))
+                    )
+                tid = tid_cache[thread] = intern(thread)
+            add_tid(tid)
+            add_op(op)
+            add_loc(
+                row[loc_col].strip() or None
+                if loc_col is not None and loc_col < n_fields else None
+            )
+            row_number += 1
+    except csv.Error as error:
+        # The reader refused the row it was reading (a field longer than
+        # csv.field_size_limit(), say).
+        raise TraceParseError("row %d: %s" % (row_number, error)) from None
     return (
         ColumnBlock(array("i", tids), array("i", ops), op_table, locs,
                     registry, index),
@@ -709,7 +791,10 @@ def parse_csv_batch(
 
 def _csv_columns(reader) -> Optional[Dict[str, int]]:
     """Consume the header row; its field positions (None: empty input)."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as error:
+        raise TraceParseError("row 1: %s" % error) from None
     if header is None:
         return None
     return {name.strip().lower(): pos for pos, name in enumerate(header)}
@@ -736,15 +821,17 @@ def iter_csv_blocks(
     row_number = 2
     op_table = OpTable()
     while True:
-        rows = list(islice(reader, BATCH_LINES))
-        if not rows:
-            return
+        # The rows are pulled lazily, so a row the reader refuses is
+        # numbered, after the errors of the rows before it.
+        consumed = reader.line_num
         block, index, row_number = parse_csv_batch(
-            rows, columns, index, row_number,
+            islice(reader, BATCH_LINES), columns, index, row_number,
             registry=registry, op_table=op_table,
         )
         if block:
             yield block
+        if reader.line_num == consumed:
+            return
 
 
 def iter_csv_events(
@@ -857,7 +944,7 @@ def iter_trace_blocks(
         return
     with path.open("r", newline="") as handle:
         try:
-            yield from parse_blocks(handle, registry=registry)
+            yield from parse_blocks(_capped_lines(handle), registry=registry)
         except UnicodeDecodeError as error:
             raise _invalid_utf8(path, error) from None
 
@@ -872,6 +959,29 @@ def iter_trace_file(
     return chain.from_iterable(
         iter_trace_blocks(path, registry=registry, format=format)
     )
+
+
+def _capped_lines(handle) -> Iterator[str]:
+    """The lines of a text-mode file (CSV, mtrace, tsan), each read with
+    at most :attr:`StdDecoder.MAX_LINE_BYTES` plus two characters, so
+    memory stays bounded: a longer line (its line end not counted)
+    raises STD's error when it is reached, after the lines before it."""
+    limit = StdDecoder.MAX_LINE_BYTES
+    readline = handle.readline
+    line_number = 0
+    while True:
+        line = readline(limit + 2)
+        if not line:
+            return
+        line_number += 1
+        # (A character is at most four bytes of UTF-8.)
+        if (len(line) > limit >> 2
+                and len(line.rstrip("\r\n").encode()) > limit):
+            raise TraceParseError(
+                "line %d: longer than the %d-byte line limit"
+                % (line_number, limit)
+            )
+        yield line
 
 
 def _invalid_utf8(path: Path, error: UnicodeDecodeError) -> TraceParseError:
@@ -968,7 +1078,7 @@ def load_trace(
     with path.open("r", newline="") as handle, gc_paused():
         try:
             return Trace(
-                _decode(handle, format, registry),
+                _decode(_capped_lines(handle), format, registry),
                 validate=validate, name=path.stem, registry=registry,
             )
         except UnicodeDecodeError as error:

@@ -3,12 +3,20 @@
 One C module holds every loop the library compiles:
 
 * **STD decode.**  ``std_scan`` walks ``\\n``-terminated ASCII lines of
-  a byte buffer whose ``thread|op(arg)`` head is already in a C hash
-  table (``std_heads_*``) mirroring
-  :attr:`OpTable.heads <repro.trace.columns.OpTable>`, and writes each
-  line's tid, op id and location span.  It stops at the first line it
-  cannot take; :class:`~repro.trace.parsers.StdDecoder` hands that line
-  to the Python decoder and resumes after it.
+  a byte buffer and writes each line's tid, op id and location span.  A
+  line whose ``thread|op(arg)`` head it has seen costs one hash lookup;
+  the head of any other three-field line it parses itself
+  (``std_new_head``: the op field by ``_OP_PATTERN``'s grammar, the
+  token in a table of every wire token), giving out tids and op ids
+  from mirrors of the thread registry and of
+  :attr:`OpTable.ids <repro.trace.columns.OpTable>` (``std_dec``) and
+  recording what it interned for the caller to append; it skips
+  comments and blanks.  It stops at the first line it cannot take (a
+  non-ASCII byte, two or four-plus fields, a head the Python decoder
+  would refuse) and says where the run of such lines ends (which lines
+  it takes depends on their bytes alone);
+  :class:`~repro.trace.parsers.StdDecoder` hands that run to the Python
+  decoder and resumes after it.
 * **WCP.**  ``wcp_run`` is Algorithm 1 over a block's tid/op columns:
   the deferred ``N_t`` bump, acquire/release with the Rule (b) log walk
   and both reclamation modes (pruned by the releaser census, or none
@@ -86,15 +94,25 @@ class KernelBuildError(RuntimeError):
 
 _CDEF = """
 void *std_heads_new(void);
-void std_heads_free(void *heads);
 int std_heads_put(void *heads, const char *key, long long n,
                   int tid, int op);
-long long std_scan(void *heads, const char *text, long long pos,
-                   long long end, int *tids, int *ops,
-                   long long *starts, long long *ends,
-                   long long *state, long long cap);
-long long std_lines_end(const char *text, long long pos, long long end,
-                        long long n);
+typedef struct {
+    int *tids, *ops;
+    long long *starts, *ends;
+    long long rows, cap, lines, stop_end;
+    long long *fresh;
+    long long nfresh, capfresh;
+    int next_tid, next_op;
+    ...;
+} std_dec;
+std_dec *std_new(void *tokens);
+void std_free(std_dec *dec);
+int std_thread(std_dec *dec, const char *name, long long n, int tid);
+int std_opkey(std_dec *dec, const char *key, long long n, int op);
+long long std_scan(std_dec *dec, const char *text, long long pos,
+                   long long end);
+int std_push(std_dec *dec, int tid, int op, long long start, long long end);
+void std_release(std_dec *dec);
 typedef struct { long long index; int lock, mode; } lv_section;
 typedef struct { lv_section *secs; long long n, cap; } lv_stack;
 typedef struct { int holder, readers; } lv_lock;
@@ -124,12 +142,13 @@ _C_SOURCE = r"""
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* STD decode: a table of known line heads and the line scanner.       */
+/* STD decode: the line scanner, its head parser and their tables.     */
 /* ------------------------------------------------------------------ */
 
-/* A known head is the raw "thread|op(arg)" prefix of a valid
- * three-field line; the table maps its bytes to (tid, op id).  Open
- * addressing with linear probing; keys live in one growing arena. */
+/* A byte-string hash table: each key maps to two ints (tid, op).  Open
+ * addressing with linear probing; keys live in one growing arena.  The
+ * decoder keeps four: known line heads, thread names, op keys and the
+ * event tokens; the WCP kernel interns locations in one. */
 typedef struct {
     unsigned long long hash;
     long long key, len;
@@ -165,13 +184,17 @@ static std_slot *std_find(const std_heads *t, const unsigned char *key,
     }
 }
 
-void *std_heads_new(void) {
+static std_heads *std_heads_sized(long long slots) {
     std_heads *t = calloc(1, sizeof *t);
     if (t == NULL) return NULL;
-    t->mask = 1023;
-    t->slots = calloc((size_t)t->mask + 1, sizeof(std_slot));
+    t->mask = slots - 1;
+    t->slots = calloc((size_t)slots, sizeof(std_slot));
     if (t->slots == NULL) { free(t); return NULL; }
     return t;
+}
+
+void *std_heads_new(void) {
+    return std_heads_sized(1024);
 }
 
 void std_heads_free(void *heads) {
@@ -182,11 +205,9 @@ void std_heads_free(void *heads) {
     free(t);
 }
 
-int std_heads_put(void *heads, const char *key, long long n,
-                  int tid, int op) {
+static int std_insert(std_heads *t, const unsigned char *k, long long n,
+                      unsigned long long h, int tid, int op) {
     /* Insert or update; returns 0, or -1 when out of memory. */
-    std_heads *t = heads;
-    const unsigned char *k = (const unsigned char *)key;
     if ((t->count + 1) * 2 > t->mask + 1) {
         long long mask = t->mask * 2 + 1;
         std_slot *old = t->slots;
@@ -204,7 +225,6 @@ int std_heads_put(void *heads, const char *key, long long n,
         t->mask = mask;
         free(old);
     }
-    unsigned long long h = std_hash(k, n);
     std_slot *s = std_find(t, k, n, h);
     if (!s->used) {
         if (t->arena_len + n > t->arena_cap) {
@@ -228,75 +248,353 @@ int std_heads_put(void *heads, const char *key, long long n,
     return 0;
 }
 
+int std_heads_put(void *heads, const char *key, long long n,
+                  int tid, int op) {
+    const unsigned char *k = (const unsigned char *)key;
+    return std_insert(heads, k, n, std_hash(k, n), tid, op);
+}
+
+/* One decoding stream.  The rows of the current call are tids, ops and
+ * the location spans (starts, ends), rows of cap; lines counts the lines
+ * the scan took, comments and blanks included.  threads mirrors the
+ * caller's thread registry (stripped name -> tid) and opkeys its op
+ * table's keys (raw and stripped "op(arg)" fields -> op id); next_tid
+ * and next_op are the ids they give out next.  fresh holds, for the
+ * caller to copy, what the scan interned, four values each in order:
+ * (0, name start, name end, tid), (1, operand start, operand end, kind)
+ * for a new op, (2, key start, key end, op id) for a new op key. */
+typedef struct {
+    int *tids, *ops;
+    long long *starts, *ends;
+    long long rows, cap, lines, stop_end;
+    long long *fresh;
+    long long nfresh, capfresh;
+    int next_tid, next_op;
+    std_heads *heads, *threads, *opkeys;
+    /* lower-case token -> (kind, 1 when the kind needs an operand); one
+     * table per process, shared by every decoder */
+    const std_heads *tokens;
+} std_dec;
+
+void std_release(std_dec *dec) {
+    /* Free the rows of the last call. */
+    free(dec->tids);
+    free(dec->ops);
+    free(dec->starts);
+    free(dec->ends);
+    dec->tids = dec->ops = NULL;
+    dec->starts = dec->ends = NULL;
+    dec->rows = dec->cap = 0;
+}
+
+void std_free(std_dec *dec) {
+    if (dec == NULL) return;
+    std_release(dec);
+    free(dec->fresh);
+    std_heads_free(dec->heads);
+    std_heads_free(dec->threads);
+    std_heads_free(dec->opkeys);
+    free(dec);
+}
+
+std_dec *std_new(void *tokens) {
+    std_dec *dec = calloc(1, sizeof *dec);
+    if (dec == NULL) return NULL;
+    dec->tokens = tokens;
+    dec->heads = std_heads_sized(256);
+    dec->threads = std_heads_sized(64);
+    dec->opkeys = std_heads_sized(256);
+    if (!dec->heads || !dec->threads || !dec->opkeys) {
+        std_free(dec);
+        return NULL;
+    }
+    return dec;
+}
+
+int std_thread(std_dec *dec, const char *name, long long n, int tid) {
+    return std_heads_put(dec->threads, name, n, tid, 0);
+}
+
+int std_opkey(std_dec *dec, const char *key, long long n, int op) {
+    return std_heads_put(dec->opkeys, key, n, op, 0);
+}
+
+static int std_row_room(std_dec *dec) {
+    if (dec->rows < dec->cap) return 0;
+    long long cap = dec->cap ? dec->cap * 2 : 1024;
+    int *tids = realloc(dec->tids, sizeof(int) * (size_t)cap);
+    if (tids == NULL) return -1;
+    dec->tids = tids;
+    int *ops = realloc(dec->ops, sizeof(int) * (size_t)cap);
+    if (ops == NULL) return -1;
+    dec->ops = ops;
+    long long *starts = realloc(dec->starts, sizeof(long long) * (size_t)cap);
+    if (starts == NULL) return -1;
+    dec->starts = starts;
+    long long *ends = realloc(dec->ends, sizeof(long long) * (size_t)cap);
+    if (ends == NULL) return -1;
+    dec->ends = ends;
+    dec->cap = cap;
+    return 0;
+}
+
+int std_push(std_dec *dec, int tid, int op, long long start, long long end) {
+    /* Append one row; returns 0, or -1 when out of memory. */
+    if (std_row_room(dec)) return -1;
+    long long r = dec->rows++;
+    dec->tids[r] = tid;
+    dec->ops[r] = op;
+    dec->starts[r] = start;
+    dec->ends[r] = end;
+    return 0;
+}
+
+static int std_record(std_dec *dec, long long tag, long long start,
+                      long long end, long long value) {
+    if (dec->nfresh == dec->capfresh) {
+        long long cap = dec->capfresh ? dec->capfresh * 2 : 64;
+        long long *fresh = realloc(dec->fresh,
+                                   sizeof(long long) * 4 * (size_t)cap);
+        if (fresh == NULL) return -1;
+        dec->fresh = fresh;
+        dec->capfresh = cap;
+    }
+    long long *f = dec->fresh + 4 * dec->nfresh++;
+    f[0] = tag;
+    f[1] = start;
+    f[2] = end;
+    f[3] = value;
+    return 0;
+}
+
 static int std_space(unsigned char c) {
-    /* The ASCII characters str.strip() removes. */
+    /* The ASCII characters str.strip() removes (and re's \s matches). */
     return c == ' ' || (c >= 9 && c <= 13) || (c >= 28 && c <= 31);
 }
 
-long long std_scan(void *heads, const char *text, long long pos,
-                   long long end, int *tids, int *ops,
-                   long long *starts, long long *ends,
-                   long long *state, long long cap) {
-    /* Decode lines from text[pos:end] while each is "\n"-terminated,
-     * all ASCII, has no "\r" except right before its "\n", and its
-     * bytes up to the last "|" are a known head.  Row state[0] gets the
-     * head's tid and op and the location span: the bytes after the
-     * last "|", stripped like str.strip().  Returns the offset of the
-     * first line not taken (end when all were) and advances state[0].
-     * state[1] is that line's end (after its "\n") when the line is
-     * "\n"-terminated ASCII with no stray "\r", else 0. */
-    const std_heads *t = heads;
-    const unsigned char *d = (const unsigned char *)text;
-    long long r = state[0];
-    state[1] = 0;
-    while (pos < end && r < cap) {
-        unsigned long long h = FNV_OFFSET, head_hash = 0;
-        long long pipe = -1, i = pos;
-        for (; i < end; i++) {
-            unsigned char c = d[i];
-            if (c == '\n') break;
-            if (c >= 0x80) goto out;
-            if (c == '\r' && (i + 1 >= end || d[i + 1] != '\n')) goto out;
-            if (c == '|') { pipe = i; head_hash = h; }
-            h ^= c;
-            h *= FNV_PRIME;
+static int std_word(unsigned char c) {
+    /* The ASCII characters re's \w matches. */
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+        || (c >= '0' && c <= '9') || c == '_';
+}
+
+static int std_op(const std_heads *tokens, const unsigned char *d,
+                  long long a, long long b, int *kind,
+                  long long *arg_a, long long *arg_b) {
+    /* Parse the stripped op field d[a:b] as _parse_operation does:
+     * "name(arg)" by _OP_PATTERN, else the whole field as the name.
+     * Sets the kind and the operand span (empty: none) and returns 1,
+     * or returns 0 where _parse_operation raises. */
+    long long i = a, name_end = b;
+    *arg_a = *arg_b = 0;
+    while (i < b && std_word(d[i])) i++;
+    if (i > a) {
+        long long j = i;
+        while (j < b && std_space(d[j])) j++;
+        if (j < b - 1 && d[j] == '(' && d[b - 1] == ')'
+                && memchr(d + j + 1, ')', (size_t)(b - 1 - (j + 1))) == NULL) {
+            long long p = j + 1, q = b - 1;
+            while (p < q && std_space(d[p])) p++;
+            while (q > p && std_space(d[q - 1])) q--;
+            if (q > p) { *arg_a = p; *arg_b = q; }
+            name_end = i;
         }
-        if (i >= end) break;
-        const std_slot *s = pipe < 0 ? NULL
-            : std_find(t, d + pos, pipe - pos, head_hash);
-        if (s == NULL || !s->used) {
-            state[1] = i + 1;
+    }
+    unsigned char name[32];
+    long long n = name_end - a;
+    if (n > (long long)sizeof name) return 0;
+    for (long long k = 0; k < n; k++) {
+        unsigned char c = d[a + k];
+        name[k] = (c >= 'A' && c <= 'Z') ? (unsigned char)(c + 32) : c;
+    }
+    const std_slot *s = std_find(tokens, name, n, std_hash(name, n));
+    if (!s->used || (s->op && *arg_b == 0)) return 0;
+    *kind = s->tid;
+    return 1;
+}
+
+static void std_strip(const unsigned char *d, long long *a, long long *b) {
+    while (*a < *b && std_space(d[*a])) (*a)++;
+    while (*b > *a && std_space(d[*b - 1])) (*b)--;
+}
+
+static int std_new_head(std_dec *dec, const unsigned char *d, long long pos,
+                        long long first, long long pipe,
+                        unsigned long long head_hash, int *tid, int *op) {
+    /* Intern the head d[pos:pipe] of a three-field line (first and pipe
+     * are its two "|"s; it is not a comment) as _std_lines does.
+     * Returns 1 with its tid and op id, 0 when the Python logic must
+     * take the line (an empty thread, an op field it would refuse), -1
+     * when out of memory.  Nothing is interned when it returns 0. */
+    long long ta = pos, tb = first;
+    std_strip(d, &ta, &tb);
+    if (ta == tb) return 0;
+    long long ra = first + 1, rb = pipe, oa = ra, ob = rb;
+    std_strip(d, &oa, &ob);
+    unsigned long long raw_hash = std_hash(d + ra, rb - ra), op_hash = 0;
+    const std_slot *s = std_find(dec->opkeys, d + ra, rb - ra, raw_hash);
+    int raw_known = s->used, known = s->used, kind = 0;
+    long long arg_a = 0, arg_b = 0;
+    if (known) {
+        *op = s->tid;
+    } else {
+        op_hash = std_hash(d + oa, ob - oa);
+        s = std_find(dec->opkeys, d + oa, ob - oa, op_hash);
+        known = s->used;
+        if (known) *op = s->tid;
+        else if (!std_op(dec->tokens, d, oa, ob, &kind, &arg_a, &arg_b))
+            return 0;
+    }
+    if (!known) {
+        *op = dec->next_op++;
+        if (std_record(dec, 1, arg_a, arg_b, kind)
+                || std_insert(dec->opkeys, d + oa, ob - oa, op_hash, *op, 0)
+                || std_record(dec, 2, oa, ob, *op))
+            return -1;
+    }
+    if (!raw_known && rb - ra != ob - oa) {
+        if (std_insert(dec->opkeys, d + ra, rb - ra, raw_hash, *op, 0)
+                || std_record(dec, 2, ra, rb, *op))
+            return -1;
+    }
+    unsigned long long thread_hash = std_hash(d + ta, tb - ta);
+    s = std_find(dec->threads, d + ta, tb - ta, thread_hash);
+    if (s->used) {
+        *tid = s->tid;
+    } else {
+        *tid = dec->next_tid++;
+        if (std_insert(dec->threads, d + ta, tb - ta, thread_hash, *tid, 0)
+                || std_record(dec, 0, ta, tb, *tid))
+            return -1;
+    }
+    if (std_insert(dec->heads, d + pos, pipe - pos, head_hash, *tid, *op))
+        return -1;
+    return 1;
+}
+
+static long long std_next_line(const unsigned char *d, long long pos,
+                               long long end) {
+    /* Offset after the line at d[pos:end] (end when unterminated);
+     * lines end at "\n", "\r\n" or a bare "\r". */
+    while (pos < end) {
+        unsigned char c = d[pos++];
+        if (c == '\n') break;
+        if (c == '\r') {
+            if (pos < end && d[pos] == '\n') pos++;
             break;
         }
-        long long a = pipe + 1, b = i;
-        while (a < b && std_space(d[a])) a++;
-        while (b > a && std_space(d[b - 1])) b--;
-        tids[r] = s->tid;
-        ops[r] = s->op;
-        starts[r] = a;
-        ends[r] = b;
-        r++;
-        pos = i + 1;
     }
-out:
-    state[0] = r;
     return pos;
 }
 
-long long std_lines_end(const char *text, long long pos, long long end,
-                        long long n) {
-    /* Offset after the next n lines of text[pos:end] (fewer at end);
-     * lines end at "\n", "\r\n" or a bare "\r". */
-    const unsigned char *d = (const unsigned char *)text;
-    while (n > 0 && pos < end) {
-        unsigned char c = d[pos++];
+/* The "|"s of one line: the first and the last, their count, the hash
+ * of the bytes before the last one, and the line's "\n". */
+typedef struct {
+    long long first, pipe, pipes, newline;
+    unsigned long long head_hash;
+} std_line;
+
+static int std_split(const unsigned char *d, long long pos, long long end,
+                     std_line *ln) {
+    /* Split the line at d[pos:end]; returns 0 when it is not
+     * "\n"-terminated ASCII with no "\r" except right before its "\n". */
+    unsigned long long h = FNV_OFFSET;
+    ln->first = ln->pipe = -1;
+    ln->pipes = 0;
+    ln->head_hash = 0;
+    for (long long i = pos; i < end; i++) {
+        unsigned char c = d[i];
         if (c == '\n') {
-            n--;
-        } else if (c == '\r') {
-            if (pos < end && d[pos] == '\n') pos++;
-            n--;
+            ln->newline = i;
+            return 1;
         }
+        if (c >= 0x80 || (c == '\r' && (i + 1 >= end || d[i + 1] != '\n')))
+            return 0;
+        if (c == '|') {
+            if (ln->first < 0) ln->first = i;
+            ln->pipe = i;
+            ln->pipes++;
+            ln->head_hash = h;
+        }
+        h ^= c;
+        h *= FNV_PRIME;
     }
+    return 0;
+}
+
+static int std_comment(const unsigned char *d, long long pos,
+                       const std_line *ln) {
+    /* Whether the line at pos is one _std_lines skips: its first field
+     * strips to a name starting with "#", or it has no "|" and strips to
+     * nothing. */
+    long long a = pos, b = ln->first < 0 ? ln->newline : ln->first;
+    std_strip(d, &a, &b);
+    return a < b ? d[a] == '#' : ln->first < 0;
+}
+
+static int std_takeable(const std_heads *tokens, const unsigned char *d,
+                        long long pos, long long end) {
+    /* Whether std_scan takes the line at d[pos:end], which depends on
+     * its bytes alone: std_split accepts it, and it is a comment, a
+     * blank or three fields with a thread that strips to a name and an
+     * op field std_op parses.  (A known head came from such a line.) */
+    std_line ln;
+    if (!std_split(d, pos, end, &ln)) return 0;
+    if (std_comment(d, pos, &ln)) return 1;
+    long long ta = pos, tb = ln.first, oa = ln.first + 1, ob = ln.pipe;
+    long long arg_a, arg_b;
+    int kind;
+    std_strip(d, &ta, &tb);
+    std_strip(d, &oa, &ob);
+    return ln.pipes == 2 && ta < tb
+        && std_op(tokens, d, oa, ob, &kind, &arg_a, &arg_b);
+}
+
+long long std_scan(std_dec *dec, const char *text, long long pos,
+                   long long end) {
+    /* Decode lines from text[pos:end] while std_split accepts each and
+     * either its bytes up to the last "|" are a known head, or it has
+     * three fields whose head std_new_head interns, or it is a comment
+     * or a blank, which it skips.  Each other line appends a row: the
+     * head's tid and op and the location span, the bytes after the last
+     * "|" stripped like str.strip().  Returns the offset of the first
+     * line not taken (end when all were), or -1 when out of memory;
+     * stop_end is then the end of the run of lines from there that the
+     * scan does not take. */
+    const unsigned char *d = (const unsigned char *)text;
+    std_line ln;
+    while (pos < end) {
+        if (!std_split(d, pos, end, &ln)) goto refused;
+        int tid, op;
+        const std_slot *s = ln.pipe < 0 ? NULL
+            : std_find(dec->heads, d + pos, ln.pipe - pos, ln.head_hash);
+        if (s != NULL && s->used) {
+            tid = s->tid;
+            op = s->op;
+        } else if (std_comment(d, pos, &ln)) {
+            dec->lines++;
+            pos = ln.newline + 1;
+            continue;
+        } else {
+            int taken = ln.pipes == 2
+                ? std_new_head(dec, d, pos, ln.first, ln.pipe, ln.head_hash,
+                               &tid, &op)
+                : 0;
+            if (taken < 0) return -1;
+            if (taken == 0) goto refused;
+        }
+        long long a = ln.pipe + 1, b = ln.newline;
+        std_strip(d, &a, &b);
+        if (std_push(dec, tid, op, a, b)) return -1;
+        dec->lines++;
+        pos = ln.newline + 1;
+    }
+    return pos;
+refused:
+    dec->stop_end = std_next_line(d, pos, end);
+    while (dec->stop_end < end
+           && !std_takeable(dec->tokens, d, dec->stop_end, end))
+        dec->stop_end = std_next_line(d, dec->stop_end, end);
     return pos;
 }
 

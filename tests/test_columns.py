@@ -214,6 +214,43 @@ def test_csv_errors(row, message, tmp_path):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("before", ["t0,w,y,", "t0,bogus,y,"],
+                         ids=["valid", "bad-token"])
+def test_csv_field_over_the_reader_limit_names_its_row(before, tmp_path):
+    # A field longer than csv.field_size_limit() is a one-line parse
+    # error naming its row, batch and streamed (exit 2 from the CLI),
+    # after the errors of the rows before it.
+    import csv
+    import subprocess
+    import sys
+
+    from repro.engine import FileSource
+
+    text = "thread,etype,target,loc\n%s\nt1,w,x,%s\n" % (
+        before, "a" * (csv.field_size_limit() + 1),
+    )
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    message = ("row 3: field larger than field limit (%d)"
+               % csv.field_size_limit() if before == "t0,w,y,"
+               else "row 2: unknown event type token 'bogus'")
+    with pytest.raises(TraceParseError) as info:
+        load_trace(path)
+    assert str(info.value) == message
+    with pytest.raises(TraceParseError) as info:
+        list(FileSource(str(path)))
+    assert str(info.value) == message
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for extra in ([], ["--stream"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", str(path)] + extra,
+            capture_output=True, text=True, env=env,
+        )
+        assert (run.returncode, run.stderr) == (2, message + "\n"), extra
+
+
 def test_invalid_utf8_names_its_line(tmp_path):
     path = tmp_path / "bad.std"
     path.write_bytes(b"t0|w(y)|a\nt1|w(\xff\xfex)|b\n")

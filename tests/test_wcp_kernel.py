@@ -575,7 +575,7 @@ def test_kernel_matches_legacy_detector(seed):
 @pytest.mark.parametrize("shape", ["contention", "racy"])
 def test_locations_as_spans_and_as_strings(shape, cls, tmp_path):
     """A file decoded into byte spans (with the strings the Python
-    decoder built for new heads) and the same events as a list of
+    decoder built for non-ASCII lines) and the same events as a list of
     strings give the Python report, batch and streamed."""
     from repro.engine import FileSource, RaceEngine
     from repro.trace.columns import LocSpans
@@ -583,7 +583,13 @@ def test_locations_as_spans_and_as_strings(shape, cls, tmp_path):
     from repro.trace.writers import dump_trace
 
     make = {"contention": high_contention_trace, "racy": racy_mix_trace}
-    trace = make[shape](6000)
+    # Every seventh location is non-ASCII: the Python logic takes those
+    # lines, so the block holds decoded strings among its spans.
+    trace = Trace([
+        Event(e.index, e.thread, e.etype, e.target,
+              e.loc + "\u00e9" if e.index % 7 == 0 else e.loc)
+        for e in make[shape](6000)
+    ])
     path = str(tmp_path / "t.std")
     dump_trace(trace, path)
     loaded = load_trace(path)
