@@ -4,7 +4,6 @@
   closure is the correctness oracle but is super-quadratic; the streaming
   detector is linear.  We measure both on growing prefixes of a benchmark
   trace and assert the gap widens.
-* FastTrack epochs vs. plain vector clocks for HB (design choice 3).
 * windowed CP vs. whole-trace WCP (the practical deployment gap that
   motivates the paper).
 """
@@ -17,7 +16,6 @@ from repro.bench import BENCHMARKS
 from repro.core.closure import WCPClosureDetector
 from repro.core.wcp import WCPDetector
 from repro.cp import CPDetector
-from repro.hb import FastTrackDetector, HBDetector
 from repro.trace.trace import Trace
 
 from _bench_utils import record_result, scaled
@@ -51,29 +49,6 @@ def test_streaming_vs_closure(benchmark, size):
         "streaming_time_s": round(streaming_time, 4),
         "closure_time_s": round(closure_time, 4),
         "slowdown": round(closure_time / max(streaming_time, 1e-9), 1),
-    })
-
-
-@pytest.mark.parametrize("name", ["bufwriter", "lusearch"])
-def test_fasttrack_epochs_vs_vector_clocks(benchmark, name):
-    spec = BENCHMARKS[name]
-    trace = spec.generate(scale=scaled(spec.category), seed=0)
-
-    fasttrack_report, fasttrack_time = benchmark.pedantic(
-        lambda: _timed(FastTrackDetector(), trace), iterations=1, rounds=3,
-    )
-    hb_report, hb_time = _timed(HBDetector(), trace)
-
-    # Epochs never invent races and agree on whether the trace is racy.
-    assert set(fasttrack_report.variables()) <= set(hb_report.variables())
-    assert fasttrack_report.has_race() == hb_report.has_race()
-    record_result("ablation_epochs", name, {
-        "events": len(trace),
-        "fasttrack_time_s": round(fasttrack_time, 4),
-        "hb_time_s": round(hb_time, 4),
-        "fast_path_ratio": round(
-            fasttrack_report.stats.get("fast_path_ratio", 0.0), 3
-        ),
     })
 
 

@@ -22,8 +22,8 @@ traces) so the access history stays bounded.
 
 Detectors measured: the optimised WCP (``wcp_dense``), the frozen
 pre-overhaul implementation (``wcp_legacy``, see
-:mod:`repro.core.wcp_legacy`), plus ``hb_dense`` and ``fasttrack_dense``
-for context.  The two WCP implementations are also differentially checked
+:mod:`repro.core.wcp_legacy`), plus ``hb_dense`` and ``hb_python`` (the
+same HB detector with its compiled kernel switched off) for context.  The two WCP implementations are also differentially checked
 for identical race reports while we're at it.
 
 Usage::
@@ -56,9 +56,9 @@ fail on an *accidental* fallback.
 
 An **HB kernel gate** does the same for HB, which runs in the WCP
 kernel's HB mode: on ``high_contention`` the in-run ratio
-``hb_dense / fasttrack_dense`` -- FastTrack shares HB's synchronization
-core but stays on the Python path -- must stay above ``1 - TOLERANCE``
-of the baseline's.  A silent HB fallback puts it back near 1.3.
+``hb_dense / hb_python`` -- the same detector, on its Python path --
+must stay above ``1 - TOLERANCE`` of the baseline's.  A silent HB
+fallback puts it back near 1.
 
 A **row gate** checks which path ran rather than how fast: with the cffi
 kernels ``--check`` fails when ``wcp_dense`` or ``hb_dense`` ran fewer
@@ -103,7 +103,7 @@ from pathlib import Path
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import EngineConfig, RaceEngine, ShardedEngine
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock import kernels
@@ -284,11 +284,19 @@ WORKLOADS = {
     "thread_local": thread_local_trace,
 }
 
+def hb_python() -> HBDetector:
+    """HB with its compiled kernel switched off: the HB kernel gate's
+    in-run reference."""
+    detector = HBDetector()
+    detector._use_kernel = False
+    return detector
+
+
 DETECTORS = {
     "wcp_dense": WCPDetector,
     "wcp_legacy": LegacyWCPDetector,
     "hb_dense": HBDetector,
-    "fasttrack_dense": FastTrackDetector,
+    "hb_python": hb_python,
 }
 
 #: The detectors that run in the compiled kernel: with the cffi kernels
@@ -341,8 +349,8 @@ def measure(trace: Trace, repeats: int) -> dict:
         "speedup_wcp_dense_vs_legacy": round(
             rates["wcp_dense"] / rates["wcp_legacy"], 3
         ),
-        "speedup_hb_dense_vs_fasttrack": round(
-            rates["hb_dense"] / rates["fasttrack_dense"], 3
+        "speedup_hb_dense_vs_python": round(
+            rates["hb_dense"] / rates["hb_python"], 3
         ),
     }
 
@@ -358,9 +366,9 @@ def run_benchmark(quick: bool) -> dict:
         print("%-16s %8d events | " % (name, workloads[name]["events"]), end="")
         print("  ".join("%s=%d" % (d, r) for d, r in rates.items()))
         print("%16s wcp_dense vs wcp_legacy: x%.2f, hb_dense vs "
-              "fasttrack_dense: x%.2f"
+              "hb_python: x%.2f"
               % ("", workloads[name]["speedup_wcp_dense_vs_legacy"],
-                 workloads[name]["speedup_hb_dense_vs_fasttrack"]))
+                 workloads[name]["speedup_hb_dense_vs_python"]))
     return {
         "benchmark": "hotpath",
         "python": platform.python_version(),
@@ -383,8 +391,8 @@ def median_result(results: list) -> dict:
             key=lambda workload: workload["speedup_wcp_dense_vs_legacy"],
         )
         middle = dict(runs[len(runs) // 2])
-        middle["speedup_hb_dense_vs_fasttrack"] = statistics.median(
-            workload["speedup_hb_dense_vs_fasttrack"] for workload in runs
+        middle["speedup_hb_dense_vs_python"] = statistics.median(
+            workload["speedup_hb_dense_vs_python"] for workload in runs
         )
         result["workloads"][name] = middle
     result["record_runs"] = len(results)
@@ -468,27 +476,27 @@ def check_regression(result: dict, baseline_path: Path) -> int:
                 % (result.get("kernel_fallback_reason") or "unknown reason",
                    gain)
             )
-    # HB kernel gate: HB runs in the WCP kernel's HB mode, FastTrack on
-    # the Python path over the same synchronization core, so their in-run
-    # ratio falls back to about 1.3 when HB silently stays in Python.
+    # HB kernel gate: HB runs in the WCP kernel's HB mode, hb_python is
+    # the same detector on its Python path, so their in-run ratio falls
+    # back to about 1 when HB silently stays in Python.
     base = baseline.get("workloads", {}).get(KERNEL_GATE_WORKLOAD, {})
-    if gate_workload is not None and "speedup_hb_dense_vs_fasttrack" in base:
-        measured = gate_workload["speedup_hb_dense_vs_fasttrack"]
-        floor = base["speedup_hb_dense_vs_fasttrack"] * (1.0 - TOLERANCE)
+    if gate_workload is not None and "speedup_hb_dense_vs_python" in base:
+        measured = gate_workload["speedup_hb_dense_vs_python"]
+        floor = base["speedup_hb_dense_vs_python"] * (1.0 - TOLERANCE)
         if result.get("kernel_backend") == "cffi":
-            print("HB kernel gate [%s]: hb_dense/fasttrack_dense x%.2f "
+            print("HB kernel gate [%s]: hb_dense/hb_python x%.2f "
                   "(baseline x%.2f, floor x%.2f)"
                   % (KERNEL_GATE_WORKLOAD, measured,
-                     base["speedup_hb_dense_vs_fasttrack"], floor))
+                     base["speedup_hb_dense_vs_python"], floor))
             if measured < floor:
                 failures.append(
-                    "HB kernel gate: hb_dense/fasttrack_dense x%.2f is "
+                    "HB kernel gate: hb_dense/hb_python x%.2f is "
                     "below the x%.2f floor on %s"
                     % (measured, floor, KERNEL_GATE_WORKLOAD)
                 )
         else:
             print("HB kernel gate skipped: clock kernels inactive; "
-                  "hb_dense/fasttrack_dense x%.2f for reference" % measured)
+                  "hb_dense/hb_python x%.2f for reference" % measured)
     if failures:
         print("\nPERF REGRESSION:")
         for failure in failures:

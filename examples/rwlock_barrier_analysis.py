@@ -4,8 +4,8 @@
 Walks the declarative event-semantics layer end to end:
 
 1. Reader/writer locks -- two read-mode critical sections overlap (their
-   conflicting accesses race), while write-mode sections serialize; WCP,
-   HB and FastTrack all agree on both verdicts.
+   conflicting accesses race), while write-mode sections serialize; WCP
+   and HB agree on both verdicts.
 2. Barriers -- a two-phase computation where every cross-phase pair is
    ordered by the all-to-all barrier join, including the blocked-arriver
    edge that orders a waiter after arrivals recorded later in the stream.
@@ -26,7 +26,7 @@ from repro.analysis import event_census
 from repro.bench.generators import mixed_vocabulary_trace
 from repro.trace import Trace, TraceBuilder, iter_mtrace_events
 
-DETECTORS = ["wcp", "hb", "fasttrack"]
+DETECTORS = ["wcp", "hb"]
 
 
 def banner(title: str) -> None:

@@ -53,7 +53,7 @@ def build_workload(n_threads=6, bursts=120, run_length=24, seed=7):
 
 def main():
     trace = build_workload()
-    detectors = ["wcp", "hb", "fasttrack"]
+    detectors = ["wcp", "hb"]
 
     # --- 1 + 2: single engine vs sharded engine, identical verdicts. --- #
     single = RaceEngine().run(trace, detectors=detectors)

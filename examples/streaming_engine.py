@@ -10,7 +10,7 @@ Demonstrates the three pluggable event-source shapes of the engine:
 2. a **live simulator run** (`SimulatorSource`) -- events flow from the
    interpreter straight into the detectors;
 3. a **counting wrapper** (`CountingSource`) proving the single-pass
-   property: four detectors, one iteration.
+   property: three detectors, one iteration.
 
 Also shows incremental monitoring via snapshots.
 
@@ -70,8 +70,8 @@ def main():
 
     # --- 3. Prove the single-pass property. ---------------------------- #
     counter = CountingSource(trace)
-    run_engine(counter, detectors=["wcp", "hb", "fasttrack", "eraser"])
-    print("\n4 detectors drove the source with %d iteration(s) "
+    run_engine(counter, detectors=["wcp", "hb", "eraser"])
+    print("\n3 detectors drove the source with %d iteration(s) "
           "(%d events emitted)" % (counter.passes, counter.events_emitted))
 
 

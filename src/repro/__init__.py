@@ -2,8 +2,8 @@
 
 The package implements the Weak-Causally-Precedes (WCP) partial order and
 its linear-time vector-clock detection algorithm, together with every
-baseline and substrate the paper's evaluation relies on: happens-before
-(plain and FastTrack), Causally-Precedes, an Eraser lockset detector, an
+baseline and substrate the paper's evaluation relies on: happens-before,
+Causally-Precedes, an Eraser lockset detector, an
 RVPredict-like windowed maximal-causal-model predictor, a
 correct-reordering witness engine, a concurrent-program simulator and the
 synthetic benchmark suite used to regenerate Table 1 and Figure 7.
@@ -52,7 +52,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.wcp": ["WCPDetector"],
     "repro.core.closure": ["WCPClosure"],
     "repro.hb.hb": ["HBDetector"],
-    "repro.hb.fasttrack": ["FastTrackDetector"],
     "repro.cp.detector": ["CPDetector"],
     "repro.cp.closure": ["CPClosure"],
     "repro.lockset.eraser": ["EraserDetector"],

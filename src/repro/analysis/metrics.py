@@ -84,7 +84,7 @@ def thread_locality(trace: Trace) -> Dict[str, int]:
     ``local_variables`` / ``local_locks`` count the variables and locks
     with a sole thread (:class:`~repro.trace.trace.ThreadCensus`), and
     ``local_accesses`` the reads and writes of those variables -- the
-    accesses the batch WCP, HB and FastTrack detectors skip.
+    accesses the batch WCP and HB detectors skip.
     """
     census = trace.thread_census
     local = census.local_variables

@@ -40,7 +40,7 @@ import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro._lazy import import_module
-from repro.core.detector import Detector
+from repro.core.detector import REMOVED_DETECTORS, Detector
 from repro.core.races import RaceReport
 from repro.engine.config import EngineConfig
 from repro.engine.engine import EngineResult, RaceEngine
@@ -51,7 +51,6 @@ from repro.engine.engine import EngineResult, RaceEngine
 _DETECTOR_FACTORIES = {
     "wcp": "repro.core.wcp:WCPDetector",
     "hb": "repro.hb.hb:HBDetector",
-    "fasttrack": "repro.hb.fasttrack:FastTrackDetector",
     "cp": "repro.cp.detector:CPDetector",
     "eraser": "repro.lockset.eraser:EraserDetector",
     "mcm": "repro.mcm.predictor:MCMPredictor",
@@ -64,8 +63,11 @@ def available_detectors() -> List[str]:
 
 
 def make_detector(name: str, **kwargs) -> Detector:
-    """Instantiate a detector by name (``wcp``, ``hb``, ``fasttrack``, ``cp``,
-    ``eraser``, ``mcm``), forwarding keyword arguments to its constructor."""
+    """Instantiate a detector by name (``wcp``, ``hb``, ``cp``, ``eraser``,
+    ``mcm``), forwarding keyword arguments to its constructor."""
+    removed = REMOVED_DETECTORS.get(name.lower())
+    if removed is not None:
+        raise ValueError(removed[1])
     try:
         module, factory = _DETECTOR_FACTORIES[name.lower()].split(":")
     except KeyError:

@@ -92,11 +92,14 @@ class _BenchmarkNames:
 def _run_errors():
     """The run failures reported as a one-line error (exit 2).
 
-    Evaluated by an ``except`` clause only once something was raised: the
-    sharding and supervision layers' failure types are included exactly
-    when those layers were loaded, so a plain pass never imports them.
+    An ``OSError`` is one too: a missing, unreadable or directory input
+    path ends in the line naming it, never in a traceback and the
+    races-found status.  Evaluated by an ``except`` clause only once
+    something was raised: the sharding and supervision layers' failure
+    types are included exactly when those layers were loaded, so a plain
+    pass never imports them.
     """
-    errors = [ValueError]
+    errors = [ValueError, OSError]
     for module, name in (("repro.engine.supervision", "WorkerFailure"),
                          ("repro.engine.runner", "CoordinatorFailure")):
         if module in sys.modules:
@@ -138,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="periodically snapshot detector state into DIR (atomic, "
              "offset-keyed files); a crashed run continues from the newest "
              "checkpoint with --resume DIR.  All selected detectors must "
-             "support snapshots (wcp, hb, fasttrack)",
+             "support snapshots (wcp, hb)",
     )
     persistence.add_argument(
         "--resume", default=None, metavar="DIR",

@@ -11,7 +11,7 @@ whole blocks of events through :meth:`Detector.process_batch`.
 
 Two shapes of detector implement it:
 
-* the clock detectors (WCP, HB, FastTrack) implement
+* the clock detectors (WCP and HB) implement
   :meth:`Detector.process_batch` itself -- per-batch state bound once, the
   hot kinds handled inline -- and their :meth:`Detector.process` is a
   one-event batch;
@@ -55,6 +55,16 @@ from repro.core.snapshot import SnapshotUnsupportedError
 from repro.trace.event import Event
 from repro.trace.trace import ThreadCensus, Trace
 
+#: Detectors this package no longer has, by name: the class path their
+#: checkpoints carry, and the one-line error a request for them raises.
+REMOVED_DETECTORS = {
+    "fasttrack": (
+        "repro.hb.fasttrack:FastTrackDetector",
+        "the FastTrack detector was removed: use hb, whose access history "
+        "keeps FastTrack's epochs and reports every race FastTrack did",
+    ),
+}
+
 
 class Detector(abc.ABC):
     """Abstract base class for race detectors.
@@ -81,7 +91,7 @@ class Detector(abc.ABC):
     #: True when accesses performed *inside critical sections* mutate the
     #: detector's clock state (WCP's Rule (a)), so the sharded engine must
     #: also send them to non-owner shards, marked foreign.  Detectors whose
-    #: clocks only move on sync events (HB, FastTrack) leave this False;
+    #: clocks only move on sync events (HB) leave this False;
     #: alone, they are never sent foreign accesses.
     needs_foreign_accesses = False
 

@@ -161,8 +161,8 @@ other threads:
    changes by zero, so ``max_queue_total`` is unchanged.
 
 The census (:attr:`Trace.thread_census
-<repro.trace.trace.Trace.thread_census>`, shared with the HB and
-FastTrack detectors of the pass) also drives *thread-local access
+<repro.trace.trace.Trace.thread_census>`, shared with the HB detector
+of the pass) also drives *thread-local access
 elision*: an access to a variable that only one thread reads or writes
 runs the per-event prologue (intern, the deferred ``N_t`` bump, the
 barrier re-join) and then stops -- no Rule (a) join, no open-section

@@ -37,8 +37,8 @@ with ``seek_events``; push sources advertise the offset back to their
 producer (:attr:`~repro.engine.sources.QueueSource.resume_offset`, the
 ``resume <offset>`` line of the serve protocol) and expect the producer
 to replay from it.  Restored detectors then produce reports identical to
-an uninterrupted pass -- the parity property suite asserts this for WCP,
-HB and FastTrack, sharded and unsharded.
+an uninterrupted pass -- the parity property suite asserts this for WCP
+and HB, sharded and unsharded.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.core.detector import Detector
+from repro.core.detector import REMOVED_DETECTORS, Detector
 from repro.vectorclock.codec import CodecError, decode, encode
 
 __all__ = [
@@ -158,6 +158,9 @@ def build_detector(stamp: Dict[str, Any]) -> Detector:
     module_name, _, qualname = class_path.partition(":")
     if not module_name or not qualname:
         raise CheckpointError("malformed detector class path %r" % (class_path,))
+    for removed_path, reason in REMOVED_DETECTORS.values():
+        if class_path == removed_path:
+            raise CheckpointError("cannot resume this checkpoint: " + reason)
     try:
         obj: Any = importlib.import_module(module_name)
         for part in qualname.split("."):
@@ -202,7 +205,7 @@ def check_snapshot_support(detectors: Sequence[Detector]) -> None:
         raise CheckpointError(
             "detector(s) %s do not support state snapshots; drop the "
             "checkpoint option or select snapshot-capable detectors "
-            "(wcp, hb, fasttrack)" % ", ".join(unsupported)
+            "(wcp, hb)" % ", ".join(unsupported)
         )
 
 

@@ -10,7 +10,7 @@ relies on:
 ``REPLICATE`` -- the synchronization skeleton
     Acquire, release, fork, join, begin and end events are delivered to
     *every* shard and processed fully.  All detector clock state (HB
-    clocks, WCP's ``P_t`` / ``H_t`` / per-lock state, FastTrack epochs)
+    clocks, WCP's ``P_t`` / ``H_t`` / per-lock state)
     flows through these events, so replicating them keeps each worker's
     ordering knowledge identical to the single-engine run.
 
@@ -39,7 +39,7 @@ relies on:
     variable with :meth:`~repro.core.detector.Detector.mark_foreign`:
     same clock rules, no race check.  When no selected detector has
     ``needs_foreign_accesses``, foreign copies are not transported at all
-    (HB and FastTrack verdicts never need them; the clock lag is then
+    (HB verdicts never need them; the clock lag is then
     confined to components other shards cannot observe).
 
 Because all accesses of one variable land on one shard, that shard's

@@ -25,7 +25,7 @@ closes that gap with the PR 5 checkpoint directory:
 Because resume replays the identical suffix into detectors restored
 from the identical snapshot, the final report -- witnesses and
 distances included -- equals the uninterrupted run's byte for byte
-(asserted by ``tests/test_runner.py`` for WCP/HB/FastTrack, sharded and
+(asserted by ``tests/test_runner.py`` for WCP and HB, sharded and
 unsharded).  The number of coordinator restarts is folded into
 ``EngineResult.supervision`` next to the PR 7 worker counters.
 """

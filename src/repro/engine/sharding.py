@@ -1293,13 +1293,6 @@ class ShardedEngine:
                 merged.stats[key] = max(values)
             else:
                 merged.stats[key] = sum(values)
-        total = merged.stats.get("fast_path_hits", 0.0) + merged.stats.get(
-            "slow_path_hits", 0.0
-        )
-        if total:
-            merged.stats["fast_path_ratio"] = (
-                merged.stats["fast_path_hits"] / total
-            )
         if "max_queue_total" in merged.stats and merged.stats.get("events"):
             merged.stats["max_queue_fraction"] = (
                 merged.stats["max_queue_total"] / merged.stats["events"]

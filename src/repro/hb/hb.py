@@ -18,9 +18,6 @@ deferred to just before the bumped thread's next event, so that distinct
 synchronization intervals get distinct local times; this matches the
 standard Djit+ formulation and keeps the clock comparison exact -- the
 timestamp observed right after processing an event is that event's HB time.
-This synchronization core is shared:
-:class:`~repro.hb.fasttrack.FastTrackDetector` subclasses this detector
-and replaces only the per-access race check.
 
 Hot-path engineering: :meth:`HBDetector.process_batch` is the
 implementation (``process`` is a one-event batch), with the prologue and
@@ -50,14 +47,13 @@ hands over for good -- one transcription into those fields, ``_clocks``,
 :meth:`HBDetector.process_batch`, which stays the specification.  While
 it is live, and after a ``finish`` that leaves the state in C,
 ``state_snapshot``, ``sync_clock_state`` and pickling transcribe first.
-FastTrack (an ``_access`` hook), a pending restore and
-``REPRO_CLOCK_KERNEL=python`` never start it.
+A pending restore and ``REPRO_CLOCK_KERNEL=python`` never start it.
 
 Thread-local access elision: on a complete trace the detector reads the
 trace's :class:`~repro.trace.trace.ThreadCensus`, and an access to a
 variable that only one thread reads or writes runs the per-event
 prologue (intern, the deferred bump, the barrier re-join) and then stops
--- no snapshot copy, no access history (no race check for FastTrack).
+-- no snapshot copy, no access history.
 Such a variable has no conflicting pair and accesses move no HB clock, so
 races, clocks and ``timestamps()`` are unchanged.  ``local_accesses``
 counts the skipped accesses; stream contexts, shards, serve and a pending
@@ -142,8 +138,7 @@ class HBDetector(CompiledPass, Detector):
         intern = self._registry.intern
         for thread in trace.threads:
             self._ensure_thread(intern(thread))
-        # FastTrack's access rule has no compiled form.
-        self._arm_kernel(None if self._access is None else "access rule")
+        self._arm_kernel()
 
     def _ensure_thread(self, tid: int):
         clocks = self._clocks
@@ -162,10 +157,6 @@ class HBDetector(CompiledPass, Detector):
     # ------------------------------------------------------------------ #
     # Event handling
     # ------------------------------------------------------------------ #
-
-    #: The access rule, ``(event, tid, clock)``; None runs HB's own rule
-    #: inline.  :class:`~repro.hb.fasttrack.FastTrackDetector` sets it.
-    _access = None
 
     def process(self, event: Event) -> None:
         """Process one event: a one-event :meth:`process_batch`."""
@@ -201,7 +192,6 @@ class HBDetector(CompiledPass, Detector):
         variables = self._history._variables
         report_add = self.report.add
         ensure = self._ensure_thread
-        access = self._access
         rare = self._RARE
         read = EventType.READ
         write = EventType.WRITE
@@ -225,9 +215,6 @@ class HBDetector(CompiledPass, Detector):
                     local_accesses += 1
                     continue
                 event = row(j)
-                if access is not None:
-                    access(event, tid, clock)
-                    continue
                 snap = snaps[tid]
                 if snap is None:
                     snap = snaps[tid] = clock.copy()

@@ -20,7 +20,7 @@ caches it, so ``block[j] is block[j]``.  A slice is an O(1) view over
 the same columns and the same cache.
 
 The STD/CSV decoders emit column blocks, :class:`~repro.trace.trace.Trace`
-holds one, and the WCP, HB and FastTrack batch loops read the columns
+holds one, and the WCP and HB batch loops read the columns
 directly, building an event only for the rows they keep (a checked
 access, a rare kind, a race witness).  Every other producer of events
 -- lists from push queues, the simulator, the ingest adapters, a

@@ -38,7 +38,7 @@ has exactly one :class:`EventSemantics` entry declaring:
 ``bumps``
     Which local clock the event's epilogue bumps (``"self"`` for
     release-like events and fork, ``"target"`` for join, None
-    otherwise).  Every vector-clock detector (WCP, HB, FastTrack) obeys
+    otherwise).  Every vector-clock detector (WCP and HB) obeys
     it: the bump is deferred to the bumped thread's next event, so a
     thread's clock only escapes at the end of a local interval, which is
     what keeps the access history's epoch checks exact.  It is also

@@ -43,7 +43,7 @@ is built in one pass the first time one of :meth:`Trace.match`,
 :meth:`Trace.critical_section`, :meth:`Trace.thread_events` or
 :meth:`Trace.thread_indices` is called.
 
-The clock detectors (WCP, HB, FastTrack) read one more whole-trace
+The clock detectors (WCP and HB) read one more whole-trace
 fact, :attr:`Trace.thread_census` (:class:`ThreadCensus`): which threads
 touch each variable and lock.  It is built on first use from the same
 distinct ``(thread, op)`` rows, so every detector of a multi-detector

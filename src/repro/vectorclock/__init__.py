@@ -1,4 +1,4 @@
-"""Vector clocks, epochs and thread-id interning.
+"""Vector clocks and thread-id interning.
 
 This subpackage provides the logical-time machinery used by every partial
 order based detector in the library:
@@ -15,10 +15,6 @@ order based detector in the library:
 * :class:`~repro.vectorclock.registry.ThreadRegistry` -- the interning
   table that maps thread names to dense tids at the trace/engine boundary
   and converts clocks losslessly between both representations.
-* :class:`~repro.vectorclock.epoch.Epoch` -- the FastTrack-style compressed
-  representation ``c@t`` of a vector clock that is known to have a single
-  relevant component.  Used by the epoch-optimised HB detector and (via
-  the access history's epoch fast path) by WCP.
 """
 
 from repro._lazy import lazy_exports
@@ -26,6 +22,5 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.vectorclock.clock": ["VectorClock"],
     "repro.vectorclock.dense": ["DenseClock"],
-    "repro.vectorclock.epoch": ["Epoch"],
     "repro.vectorclock.registry": ["ThreadRegistry"],
 }, submodules=["codec"])

@@ -15,8 +15,7 @@ small, self-describing, *safe* structural format:
   bytes;
 * containers -- lists, tuples, dicts, sets (sets are serialized in a
   canonical sorted order so equal states produce equal bytes);
-* domain values -- :class:`~repro.vectorclock.dense.DenseClock`,
-  :class:`~repro.vectorclock.epoch.Epoch` and
+* domain values -- :class:`~repro.vectorclock.dense.DenseClock` and
   :class:`~repro.trace.event.Event` -- the vocabulary every detector's
   state is built from.
 
@@ -38,7 +37,6 @@ from typing import Any, List, Tuple
 
 from repro.trace.event import Event, EventType
 from repro.vectorclock.dense import DenseClock
-from repro.vectorclock.epoch import Epoch
 
 __all__ = [
     "CodecError",
@@ -54,8 +52,9 @@ class CodecError(ValueError):
 
 
 # One-byte value tags.  Kept stable across versions: new types get new
-# tags, existing tags never change meaning (0x0C, the retired name-keyed
-# clock tag, is never reused).
+# tags, existing tags never change meaning, and retired tags are never
+# reused: 0x0C (the name-keyed clock) and 0x0D (the epoch of the removed
+# FastTrack detector) decode as unknown.
 _T_NONE = 0x00
 _T_FALSE = 0x01
 _T_TRUE = 0x02
@@ -68,7 +67,6 @@ _T_TUPLE = 0x08
 _T_DICT = 0x09
 _T_SET = 0x0A
 _T_DENSE_CLOCK = 0x0B
-_T_EPOCH = 0x0D
 _T_EVENT = 0x0E
 
 _ETYPE_OF_VALUE = {etype.value: etype for etype in EventType}
@@ -191,10 +189,6 @@ def _encode_into(out: bytearray, value: Any) -> None:
     elif isinstance(value, DenseClock):
         out.append(_T_DENSE_CLOCK)
         _encode_dense(out, value)
-    elif isinstance(value, Epoch):
-        out.append(_T_EPOCH)
-        _encode_into(out, value.thread)
-        _write_uvarint(out, value.time)
     elif isinstance(value, Event):
         out.append(_T_EVENT)
         _write_varint(out, value.index)
@@ -206,7 +200,7 @@ def _encode_into(out: bytearray, value: Any) -> None:
     else:
         raise CodecError(
             "cannot encode %r (type %s) -- detector snapshots are built "
-            "from codec primitives, clocks, epochs and events only"
+            "from codec primitives, clocks and events only"
             % (value, type(value).__name__)
         )
 
@@ -222,7 +216,7 @@ def _encode_dense(out: bytearray, clock: DenseClock) -> None:
 
 
 def encode(value: Any) -> bytes:
-    """Encode ``value`` (codec primitives / clocks / epochs / events)."""
+    """Encode ``value`` (codec primitives / clocks / events)."""
     out = bytearray()
     _encode_into(out, value)
     return bytes(out)
@@ -265,9 +259,6 @@ def _decode_from(reader: _Reader) -> Any:
         return {_decode_from(reader) for _ in range(reader.read_uvarint())}
     if tag == _T_DENSE_CLOCK:
         return _decode_dense(reader)
-    if tag == _T_EPOCH:
-        thread = _decode_from(reader)
-        return Epoch(thread, reader.read_uvarint())
     if tag == _T_EVENT:
         index = reader.read_varint()
         thread = _decode_from(reader)

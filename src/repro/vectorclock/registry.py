@@ -18,7 +18,7 @@ trace / engine boundary:
   ``registry`` so that one interning table is shared by the source and by
   every detector of a single-pass run.
 
-Everything behind the boundary -- the WCP / HB / FastTrack per-thread
+Everything behind the boundary -- the WCP and HB per-thread
 state, :class:`~repro.vectorclock.dense.DenseClock` components and the
 access history's epochs -- speaks integer tids.  The dict-based
 :class:`~repro.vectorclock.clock.VectorClock` (keyed by the original

@@ -1,6 +1,6 @@
 """Thread-local access elision in the batch clock detectors is exact.
 
-On a complete trace WCP, HB and FastTrack read the trace's thread census
+On a complete trace WCP and HB read the trace's thread census
 and stop an access to a variable only one thread touches right after the
 per-event prologue.  Every test here compares that run with the same
 detector reset on a non-complete context (which takes no census and so
@@ -17,7 +17,6 @@ from repro.core.closure import WCPClosureDetector
 from repro.core.snapshot import SnapshotMismatchError, pack_state
 from repro.core.wcp import WCPDetector
 from repro.engine import Checkpointer, IterableSource, TraceSource
-from repro.hb.fasttrack import FastTrackDetector
 from repro.hb.hb import HBDetector
 from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
@@ -40,11 +39,10 @@ def _keeping_accesses(cls):
 DETECTORS = {
     "wcp": WCPDetector,
     "hb": HBDetector,
-    "fasttrack": FastTrackDetector,
 }
 
 #: Stats whose value the elision changes (by design).
-_ELISION_STATS = ("local_accesses", "fast_path_hits", "fast_path_ratio")
+_ELISION_STATS = ("local_accesses",)
 
 
 def _fingerprint(report):
@@ -84,12 +82,6 @@ def _assert_exact(cls, trace, label=""):
     assert _stats(report, _ELISION_STATS) == _stats(kept, _ELISION_STATS), label
     local = report.stats["local_accesses"]
     assert kept.stats["local_accesses"] == 0.0, label
-    if cls is FastTrackDetector:
-        # Every local access was one fast-path hit; none was slow.
-        assert (
-            kept.stats["fast_path_hits"] - report.stats["fast_path_hits"]
-            == local
-        ), label
     assert cls().timestamps(trace) == cls().timestamps(NoCensus(trace)), label
     return int(local)
 
@@ -295,7 +287,7 @@ class TestWindowedCensus:
 class TestResume:
     def test_resume_keeps_the_elision(self, tmp_path):
         trace = private_shared_trace(11, n_threads=3, steps=400)
-        names = ("wcp", "hb", "fasttrack")
+        names = ("wcp", "hb")
         references = [DETECTORS[name]() for name in names]
         expected = RaceEngine(EngineConfig()).run(
             TraceSource(trace), detectors=references
@@ -322,7 +314,7 @@ class TestResume:
             assert resumed[key].stats["local_accesses"] > 0
 
     @pytest.mark.parametrize("cls, old", [
-        (WCPDetector, 7), (FastTrackDetector, 4), (HBDetector, 3),
+        (WCPDetector, 7), (HBDetector, 3),
     ])
     def test_previous_snapshot_version_is_refused(self, cls, old):
         assert cls.snapshot_version == old + 1

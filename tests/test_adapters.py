@@ -241,11 +241,11 @@ class TestCliFormatFlag:
         found = {}
         for label, flags in (("batch", []), ("stream", ["--stream"])):
             out = tmp_path / ("%s.json" % label)
-            main(["analyze", str(path), "--detector", "wcp,hb,fasttrack",
+            main(["analyze", str(path), "--detector", "wcp,hb",
                   "--json", str(out)] + flags)
             capsys.readouterr()
             found[label] = {}
-            for name in ("wcp", "hb", "fasttrack"):
+            for name in ("wcp", "hb"):
                 report = json.loads(
                     (tmp_path / ("%s.%s.json" % (label, name))).read_text()
                 )

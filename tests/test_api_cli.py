@@ -21,7 +21,7 @@ from conftest import random_trace
 class TestApi:
     def test_available_detectors(self):
         names = available_detectors()
-        assert {"wcp", "hb", "fasttrack", "cp", "eraser", "mcm"} == set(names)
+        assert {"wcp", "hb", "cp", "eraser", "mcm"} == set(names)
 
     def test_make_detector_by_name(self):
         assert isinstance(make_detector("wcp"), WCPDetector)
@@ -32,6 +32,15 @@ class TestApi:
     def test_make_detector_unknown(self):
         with pytest.raises(ValueError):
             make_detector("quantum")
+
+    @pytest.mark.parametrize("name", ["fasttrack", "FastTrack"])
+    def test_make_detector_names_the_fasttrack_removal(self, name):
+        with pytest.raises(ValueError) as caught:
+            make_detector(name)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "FastTrack detector was removed" in message
+        assert "use hb" in message
 
     def test_detect_races_default_is_wcp(self, simple_race_trace):
         report = detect_races(simple_race_trace)
@@ -96,3 +105,36 @@ class TestCli:
         code = main(["analyze", str(target), "--detector", "wcp"])
         assert code == 1  # races found
         assert "distinct race pair" in capsys.readouterr().out
+
+
+class TestCliErrors:
+    """Bad input paths and removed detectors end in one stderr line and
+    exit 2 -- never a traceback, never the races-found status."""
+
+    @staticmethod
+    def _one_line(capsys):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        return err
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("stream", [[], ["--stream"]],
+                             ids=["batch", "stream"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_path(self, tmp_path, capsys, kind, command,
+                                   stream):
+        path = tmp_path / "nope.std" if kind == "missing" else tmp_path
+        assert main([command, str(path)] + stream) == 2
+        assert str(path) in self._one_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--detector", "fasttrack"],
+        ["analyze", "--detector", "wcp,fasttrack", "--stream"],
+        ["compare", "--detectors", "wcp,fasttrack"],
+    ], ids=["analyze", "analyze-stream", "compare"])
+    def test_fasttrack_is_refused(self, tmp_path, capsys, argv):
+        path = dump_trace(random_trace(seed=3, n_events=30),
+                          tmp_path / "trace.std")
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        err = self._one_line(capsys)
+        assert "FastTrack detector was removed" in err and "use hb" in err

@@ -1,4 +1,4 @@
-"""Oracle parity for the optimised WCP, HB and FastTrack detectors.
+"""Oracle parity for the optimised WCP and HB detectors.
 
 The hot-path overhaul (interned tids, dense clocks, cached ``C_t``,
 epoch-accelerated history, chain-collapsed Rule (a)/(b) joins) must be
@@ -8,9 +8,7 @@ epoch-accelerated history, chain-collapsed Rule (a)/(b) joins) must be
   frozen pre-overhaul :class:`~repro.core.wcp_legacy.LegacyWCPDetector`;
 * HB must agree with :class:`~repro.core.closure.HBClosure`
   (Definition 1): same race pairs, and timestamps that characterise the
-  order exactly;
-* FastTrack, which keeps only the last accesses' epochs, must report a
-  race exactly when the closure finds one, on a subset of its variables.
+  order exactly.
 
 Two generators are used: the hypothesis strategy from
 ``tests/test_properties.py`` (locks + accesses) and a seeded fork/join
@@ -39,7 +37,7 @@ from repro.core.closure import HBClosure, WCPClosure, WCPClosureDetector
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
 from repro.engine import IterableSource, RaceEngine
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event, EventType
 from repro.trace.semantics import REGISTRY
@@ -142,16 +140,6 @@ def _assert_hb_matches_closure(trace):
             ), (first, second)
 
 
-def _assert_fasttrack_matches_closure(trace):
-    # FastTrack keeps only the last accesses' epochs: every pair it
-    # reports is an HB race (so its variables are a subset of the
-    # closure's), and it finds a race whenever one exists.
-    expected = _closure_pairs(HBClosure(trace))
-    report = FastTrackDetector().run(trace)
-    assert set(report.location_pairs()) <= expected
-    assert (report.count() > 0) == bool(expected)
-
-
 class TestWCPBackendParity:
     @given(traces())
     @settings(**PARITY_SETTINGS)
@@ -196,22 +184,15 @@ class TestWCPBackendParity:
             )
 
 
-class TestHBAndFastTrackClosureParity:
+class TestHBClosureParity:
     @given(traces())
     @settings(**PARITY_SETTINGS)
     def test_hb_matches_closure(self, trace):
         _assert_hb_matches_closure(trace)
 
-    @given(traces())
-    @settings(**PARITY_SETTINGS)
-    def test_fasttrack_matches_closure(self, trace):
-        _assert_fasttrack_matches_closure(trace)
-
     def test_fork_join_traces(self):
         for seed in range(40):
-            trace = random_trace_with_forks(seed + 200)
-            _assert_hb_matches_closure(trace)
-            _assert_fasttrack_matches_closure(trace)
+            _assert_hb_matches_closure(random_trace_with_forks(seed + 200))
 
 
 class TestTidStampTrust:
@@ -252,7 +233,7 @@ class TestTidStampTrust:
         assert WCPDetector().run(trace).count() == 1
 
 
-CLOCK_DETECTORS = (WCPDetector, HBDetector, FastTrackDetector)
+CLOCK_DETECTORS = (WCPDetector, HBDetector)
 
 # One race each, between accesses that fork or join leaves unordered: the
 # forking parent's next access, and a joined child's access after the join.

@@ -1,6 +1,6 @@
 """Batch-split invariance of the clock detectors, and linear attribution.
 
-WCP, HB and FastTrack implement :meth:`Detector.process_batch` directly:
+WCP and HB implement :meth:`Detector.process_batch` directly:
 per-batch state is bound once and the hot kinds run inline.  Nothing a
 detector reports may depend on how the stream was cut into blocks, so
 each trace is fed in blocks of 1, 3 and 64 events and as one block, and
@@ -26,7 +26,7 @@ from test_backend_parity import random_trace_with_forks
 from repro.bench.generators import mixed_vocabulary_trace
 from repro.core.history import VariableHistory
 from repro.core.wcp import WCPDetector
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.vectorclock.dense import DenseClock
@@ -38,7 +38,6 @@ DETECTORS = {
     "wcp": WCPDetector,
     "wcp-strict": lambda: WCPDetector(strict_pseudocode=True),
     "hb": HBDetector,
-    "fasttrack": FastTrackDetector,
 }
 
 GENERATORS = {
@@ -164,7 +163,7 @@ def _marking(cls, marked):
     return Marked
 
 
-@pytest.mark.parametrize("detector", ["wcp", "hb", "fasttrack"])
+@pytest.mark.parametrize("detector", ["wcp", "hb"])
 def test_foreign_marks_drop_only_race_checks(detector):
     """A variable marked foreign (another shard owns it) keeps every clock
     effect of its accesses and loses only their race check: the clocks

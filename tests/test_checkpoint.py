@@ -3,10 +3,9 @@
 Covers the three layers of the snapshot protocol:
 
 * the shared binary codec (:mod:`repro.vectorclock.codec`) that
-  registries, epochs, clocks and whole detector states serialize through;
-* the versioned detector snapshot protocol (round-trip parity for WCP,
-  HB and FastTrack at arbitrary event offsets; fail-fast mismatch
-  handling);
+  registries, clocks and whole detector states serialize through;
+* the versioned detector snapshot protocol (round-trip parity for WCP
+  and HB at arbitrary event offsets; fail-fast mismatch handling);
 * the engine-level checkpoint/resume subsystem (pull and push sources,
   the sharded engine, the CLI surface, fresh-process resume).
 
@@ -27,7 +26,6 @@ import pytest
 from repro import (
     CPDetector,
     EngineConfig,
-    FastTrackDetector,
     HBDetector,
     QueueSource,
     RaceEngine,
@@ -69,7 +67,7 @@ from repro.engine.checkpoint import (
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 from repro.trace.writers import dump_trace
-from repro.vectorclock import DenseClock, Epoch, ThreadRegistry, VectorClock
+from repro.vectorclock import DenseClock, ThreadRegistry, VectorClock
 from repro.vectorclock.codec import (
     CodecError,
     decode,
@@ -141,7 +139,6 @@ DETECTOR_FACTORIES = [
     lambda: FileStreamWCP(),
     HBDetector,
     lambda: UncensusedWCP(),
-    FastTrackDetector,
 ]
 
 
@@ -167,13 +164,10 @@ class TestCodec:
 
     def test_domain_values_round_trip_to_their_types(self):
         dense = DenseClock([3, 0, 5])
-        epoch = Epoch(2, 7)
         event = Event(11, "t1", EventType.READ, "x", "a.py:3", tid=0)
-        back = decode(encode([dense, epoch, event, Epoch.bottom()]))
+        back = decode(encode([dense, event]))
         assert isinstance(back[0], DenseClock) and back[0] == dense
-        assert back[1] == epoch
-        assert back[2] == event and back[2].loc == "a.py:3" and back[2].tid == 0
-        assert back[3].is_bottom()
+        assert back[1] == event and back[1].loc == "a.py:3" and back[1].tid == 0
 
     def test_trailing_zero_clocks_encode_identically(self):
         assert encode(DenseClock([1, 0, 0])) == encode(DenseClock([1]))
@@ -188,17 +182,25 @@ class TestCodec:
         with pytest.raises(CodecError):
             encode(object())
 
+    @pytest.mark.parametrize("tag", [0x0C, 0x0D])
+    def test_retired_tags_are_never_reused(self, tag):
+        # 0x0C was the name-keyed clock, 0x0D the removed FastTrack
+        # detector's epoch: both decode as unknown, and the tags after
+        # them keep their bytes (an event still encodes under 0x0E).
+        with pytest.raises(CodecError, match="unknown codec tag 0x%02x" % tag):
+            decode(bytes([tag, 0x00, 0x00]))
+        assert encode(Event(0, "t1", EventType.READ, "x"))[0] == 0x0E
+
     def test_clock_wire_helpers_round_trip(self):
         assert decode_clock(encode_clock(DenseClock([0, 4]))) == DenseClock([0, 4])
         with pytest.raises(CodecError):
             encode_clock(VectorClock({"t1": 4}))
 
-    def test_registry_and_epoch_share_the_codec(self):
+    def test_registry_and_clock_share_the_codec(self):
         registry = ThreadRegistry(["main", "t1"])
         assert ThreadRegistry.from_bytes(registry.to_bytes()).names() == [
             "main", "t1",
         ]
-        assert Epoch.from_bytes(Epoch(0, 3).to_bytes()) == Epoch(0, 3)
         assert DenseClock.from_bytes(DenseClock([7]).to_bytes()) == DenseClock([7])
 
 
@@ -302,7 +304,6 @@ class TestDetectorSnapshots:
     def test_capability_flags(self):
         assert WCPDetector.supports_snapshot
         assert HBDetector.supports_snapshot
-        assert FastTrackDetector.supports_snapshot
         assert not LegacyWCPDetector.supports_snapshot
         assert not CPDetector.supports_snapshot
         assert not WindowedDetector.supports_snapshot
@@ -461,10 +462,10 @@ class TestEngineResume:
 
     def test_fork_join_parity(self, tmp_path):
         trace = fork_join_trace(4)
-        reference = run_engine(trace, detectors=["wcp", "hb", "fasttrack"])
+        reference = run_engine(trace, detectors=["wcp", "hb"])
         resumed = _partial_then_resume(
             tmp_path, trace, TraceSource, stop_at=len(trace) // 3,
-            detectors=("wcp", "hb", "fasttrack"),
+            detectors=("wcp", "hb"),
         )
         for key in reference.keys():
             assert _fingerprint(resumed[key]) == _fingerprint(reference[key])
@@ -525,12 +526,12 @@ class TestEngineResume:
             "strict_pseudocode": False,
         }
 
-    @pytest.mark.parametrize("detector_cls", [WCPDetector, FastTrackDetector])
+    @pytest.mark.parametrize("detector_cls", [WCPDetector, HBDetector])
     def test_resume_of_v3_checkpoint_reports_the_version(
         self, tmp_path, detector_cls
     ):
-        # Version 3 states predate the shared fork/join bump rule (WCP's
-        # leak list, FastTrack's own synchronization layout): both the
+        # Version 3 states are older layouts (WCP's predates the shared
+        # fork/join bump rule and carries a leak list): both the
         # checkpoint stamp and the state envelope must be refused by
         # version, never half-restored into a KeyError.
         trace = random_trace(1, n_events=120)
@@ -554,6 +555,31 @@ class TestEngineResume:
         detector.reset(trace)
         with pytest.raises(SnapshotMismatchError, match="version 3"):
             detector.restore_state(state)
+
+    def test_resume_of_removed_fasttrack_checkpoint_points_to_hb(
+        self, tmp_path
+    ):
+        trace = random_trace(1, n_events=120)
+        stamp = {
+            "name": "FastTrack",
+            "class": "repro.hb.fasttrack:FastTrackDetector",
+            "snapshot_version": 5,
+            "config": {},
+        }
+        state = pack_state("FastTrackDetector", 5, {}, {"names": []})
+        directory = tmp_path / "ckpts"
+        Checkpointer(directory, every=20).save(Checkpoint(
+            events=60, source_name=trace.name, stamps=[stamp],
+            states=[state], every=20,
+        ))
+        with pytest.raises(CheckpointError) as caught:
+            RaceEngine(EngineConfig()).resume(TraceSource(trace), directory)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "FastTrack detector was removed" in message
+        assert "use hb" in message
+        with pytest.raises(CheckpointError, match="use hb"):
+            build_detector(stamp)
 
     def test_resume_continues_checkpointing_at_original_cadence(self, tmp_path):
         trace = random_trace(6, n_events=200)
@@ -644,7 +670,7 @@ class TestEngineResume:
         def wrapped():
             return CountingSource(ValidatingSource(FileSource(path)))
 
-        detectors = ("wcp", "hb", "fasttrack")
+        detectors = ("wcp", "hb")
         reference = RaceEngine(
             EngineConfig().with_detectors(*detectors)
         ).run(wrapped())
@@ -1360,10 +1386,10 @@ class TestMixedVocabularyCheckpoints:
         from repro.bench.generators import mixed_vocabulary_trace
 
         trace = mixed_vocabulary_trace(seed, steps=160)
-        reference = run_engine(trace, detectors=["wcp", "hb", "fasttrack"])
+        reference = run_engine(trace, detectors=["wcp", "hb"])
         resumed = _partial_then_resume(
             tmp_path, trace, TraceSource, stop_at=len(trace) // 3,
-            detectors=("wcp", "hb", "fasttrack"),
+            detectors=("wcp", "hb"),
         )
         for name in reference.keys():
             assert _fingerprint(resumed[name]) == _fingerprint(

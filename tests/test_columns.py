@@ -277,7 +277,7 @@ def test_empty_thread_on_the_line_protocol():
 # The gain: batch clock detectors build only the rows they need
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("detector", ["wcp", "hb", "fasttrack"])
+@pytest.mark.parametrize("detector", ["wcp", "hb"])
 def test_batch_detectors_build_only_needed_rows(detector, tmp_path):
     path = tmp_path / "xalan.std"
     dump_trace(get_benchmark("xalan", scale=0.2, seed=1), path)

@@ -21,7 +21,6 @@ from repro.vectorclock import kernels
 from repro.vectorclock.clock import VectorClock
 from repro.vectorclock.codec import CodecError, decode, decode_clock, encode
 from repro.vectorclock.dense import DenseClock
-from repro.vectorclock.epoch import Epoch
 from repro.vectorclock.registry import ThreadRegistry
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -247,15 +246,12 @@ class TestCodecRoundTrips:
         with pytest.raises(CodecError):
             decode_clock(encode({0: 4, 3: 9}))
 
-    def test_event_and_epoch_round_trip(self):
+    def test_event_round_trip(self):
         event = Event(7, "t1", EventType.WRITE, "x", "file.c:9", tid=2)
         back = decode(encode(event))
         assert (back.index, back.thread, back.etype, back.target,
                 back.loc, back.tid) == (7, "t1", EventType.WRITE, "x",
                                         "file.c:9", 2)
-        epoch = Epoch("t1", 12)
-        back = decode(encode(epoch))
-        assert (back.thread, back.time) == ("t1", 12)
 
     def test_wire_batch_round_trip(self):
         # The shard wire-batch shape: a list of 6-tuples.

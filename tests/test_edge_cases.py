@@ -7,7 +7,7 @@ from repro.analysis import WindowedDetector
 from repro.core.closure import WCPClosure
 from repro.core.wcp import WCPDetector
 from repro.cp import CPDetector
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.lockset import EraserDetector
 from repro.mcm import MCMPredictor
 from repro.trace.builder import TraceBuilder
@@ -15,7 +15,7 @@ from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
 
 ALL_DETECTORS = [
-    WCPDetector, HBDetector, FastTrackDetector, EraserDetector,
+    WCPDetector, HBDetector, EraserDetector,
     lambda: CPDetector(window_size=50), lambda: MCMPredictor(window_size=50),
 ]
 

@@ -8,7 +8,6 @@ from repro import (
     CountingSource,
     EngineConfig,
     EraserDetector,
-    FastTrackDetector,
     FileSource,
     HBDetector,
     IterableSource,
@@ -126,11 +125,11 @@ class TestSinglePass:
         trace = random_trace(seed=7, n_events=60)
         source = CountingSource(IterableSource(iter(trace), name=trace.name))
         reports = compare_detectors(
-            source, [WCPDetector(), HBDetector(), FastTrackDetector(), EraserDetector()]
+            source, [WCPDetector(), HBDetector(), EraserDetector()]
         )
         assert source.passes == 1
         assert source.events_emitted == len(trace)
-        assert set(reports) == {"WCP", "HB", "FastTrack", "Eraser"}
+        assert set(reports) == {"WCP", "HB", "Eraser"}
 
     def test_engine_run_over_trace(self, simple_race_trace):
         result = RaceEngine().run(simple_race_trace)
@@ -163,7 +162,6 @@ class TestStreamingBatchParity:
     DETECTOR_FACTORIES = [
         lambda: WCPDetector(),
         lambda: HBDetector(),
-        lambda: FastTrackDetector(),
         lambda: EraserDetector(),
     ]
 
@@ -628,7 +626,7 @@ def _step_pass(trace, blocks, config, directory, every):
         if every is not None else None
     )
     pass_ = EnginePass(
-        config, [WCPDetector(), HBDetector(), FastTrackDetector()],
+        config, [WCPDetector(), HBDetector()],
         trace.name, registry=trace.registry, checkpointer=checkpointer,
     )
     pass_.start()

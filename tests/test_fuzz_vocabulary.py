@@ -2,8 +2,8 @@
 
 Random mixed-vocabulary traces (mutexes, rwlocks, barriers, wait/notify,
 fork/join) are run through both execution modes -- single engine and
-sharded engine -- and through an STD round trip, asserting that WCP,
-HB and FastTrack produce identical reports everywhere.  This is the
+sharded engine -- and through an STD round trip, asserting that WCP
+and HB produce identical reports everywhere.  This is the
 differential harness CI runs as its fuzzer smoke: the generator only emits
 discipline-legal traces (it validates its own output), so any divergence
 is a detector or engine bug, not a bad input.
@@ -22,7 +22,7 @@ from repro.trace.writers import dump_trace
 
 from test_sharding import _fingerprint
 
-DETECTORS = ["wcp", "hb", "fasttrack"]
+DETECTORS = ["wcp", "hb"]
 SEEDS = range(6)
 
 

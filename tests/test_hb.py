@@ -1,9 +1,9 @@
-"""Tests for the HB and FastTrack detectors."""
+"""Tests for the HB detector."""
 
 import pytest
 
 from repro.core.closure import HBClosure
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.builder import TraceBuilder
 
 from conftest import random_trace
@@ -76,6 +76,20 @@ class TestHBDetectorBasics:
         assert report.stats["time_s"] >= 0.0
         assert report.stats["events"] == 2
 
+    def test_read_shared_write_race(self):
+        # Two concurrent readers then an unsynchronised writer: the access
+        # history leaves its single read epoch for a per-thread read set
+        # and still catches both read-write races.
+        trace = (
+            TraceBuilder()
+            .write("t1", "x")
+            .fork("t1", "t2").fork("t1", "t3")
+            .read("t2", "x").read("t3", "x")
+            .write("t1", "x")
+            .build()
+        )
+        assert HBDetector().run(trace).count() == 2
+
     def test_figure_1b_is_not_an_hb_race(self):
         from repro.bench.paper_figures import figure_1b
         assert HBDetector().run(figure_1b()).count() == 0
@@ -106,43 +120,3 @@ class TestHBMatchesClosure:
                 assert observed == expected, (
                     "HB mismatch at (%d, %d) for seed %d" % (first, second, seed)
                 )
-
-
-class TestFastTrack:
-    def test_simple_race(self, simple_race_trace):
-        assert FastTrackDetector().run(simple_race_trace).count() == 1
-
-    def test_no_race_when_protected(self, protected_trace):
-        assert FastTrackDetector().run(protected_trace).count() == 0
-
-    def test_read_shared_write_race(self):
-        # Two concurrent readers then an unsynchronised writer: FastTrack
-        # must enter read-shared mode and still catch both read-write races.
-        trace = (
-            TraceBuilder()
-            .write("t1", "x")
-            .fork("t1", "t2").fork("t1", "t3")
-            .read("t2", "x").read("t3", "x")
-            .write("t1", "x")
-            .build()
-        )
-        report = FastTrackDetector().run(trace)
-        assert report.count() == 2
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_agrees_with_plain_hb_on_race_presence(self, seed):
-        # FastTrack keeps only the last access per kind, so it may report
-        # fewer pairs than the exhaustive HB history -- but it never reports
-        # a spurious variable, and it must agree on whether the trace is
-        # racy at all (the first race check in a trace is always exact).
-        trace = random_trace(seed=seed, n_events=80, n_threads=3, n_vars=4)
-        hb_report = HBDetector().run(trace)
-        ft_report = FastTrackDetector().run(trace)
-        assert set(ft_report.variables()) <= set(hb_report.variables())
-        assert ft_report.has_race() == hb_report.has_race()
-
-    def test_fast_path_statistics_populated(self):
-        trace = random_trace(seed=5, n_events=100)
-        report = FastTrackDetector().run(trace)
-        assert report.stats["fast_path_hits"] > 0
-        assert 0.0 <= report.stats.get("fast_path_ratio", 0.0) <= 1.0

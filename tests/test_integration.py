@@ -64,7 +64,7 @@ class TestSimulatorToDetectorsPipeline:
 
     def test_protected_program_clean_for_every_sound_detector(self):
         trace = run_program(self._producer_consumer(True), RandomScheduler(3))
-        reports = compare_detectors(trace, ["wcp", "hb", "fasttrack", "cp"])
+        reports = compare_detectors(trace, ["wcp", "hb", "cp"])
         assert all(report.count() == 0 for report in reports.values())
 
     def test_audit_agrees_with_detectors(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.closure import HBClosure, WCPClosure
 from repro.core.wcp import WCPDetector
 from repro.cp import CPClosure
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.event import Event, EventType
 from repro.trace.parsers import parse_csv, parse_std
 from repro.trace.trace import Trace
@@ -136,13 +136,6 @@ class TestReportProperties:
     def test_distinct_count_never_exceeds_raw_count(self, trace):
         report = WCPDetector().run(trace)
         assert report.count() <= max(report.raw_race_count, 0) or report.count() == 0
-
-    @given(traces())
-    @settings(**COMMON_SETTINGS)
-    def test_fasttrack_never_reports_more_variables_than_hb(self, trace):
-        hb_vars = set(HBDetector().run(trace).variables())
-        ft_vars = set(FastTrackDetector().run(trace).variables())
-        assert ft_vars <= hb_vars
 
     @given(traces())
     @settings(**COMMON_SETTINGS)

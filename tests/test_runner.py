@@ -3,8 +3,8 @@
 The contract under test is the strongest one the checkpoint subsystem can
 offer: a run whose *coordinator process* is hard-killed mid-stream and
 auto-resumed from the newest checkpoint produces a report identical --
-pairs, witnesses, distances -- to the uninterrupted run, for WCP, HB and
-FastTrack, sharded and unsharded.  Every injected
+pairs, witnesses, distances -- to the uninterrupted run, for WCP and HB,
+sharded and unsharded.  Every injected
 ``kill_coordinator`` fault is checked with ``FaultPlan.unfired()`` so a
 kill that silently stopped firing fails the suite rather than passing it.
 """
@@ -27,7 +27,7 @@ from repro.trace.writers import dump_trace
 from conftest import random_trace
 from test_sharding import _fingerprint, fork_join_trace
 
-DETECTORS = ["wcp", "hb", "fasttrack"]
+DETECTORS = ["wcp", "hb"]
 
 
 def _trace(seed=7):

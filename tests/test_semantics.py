@@ -10,8 +10,8 @@ Covers the tentpole contract of the registry layer:
   validation raise the *identical* exception class and message for every
   discipline violation, including the rwlock-specific ones;
 * the detectors implement the agreed ordering semantics for rwlocks,
-  barriers and wait/notify -- identically across WCP, HB and FastTrack
-  where the models coincide;
+  barriers and wait/notify -- identically across WCP and HB where the
+  models coincide;
 * the partitioner classifies the new kinds off the registry.
 """
 
@@ -25,7 +25,6 @@ from repro.engine.partition import (
     StreamPartitioner,
 )
 from repro.engine.validate import OnlineValidator
-from repro.hb.fasttrack import FastTrackDetector
 from repro.hb.hb import HBDetector
 from repro.trace.builder import TraceBuilder
 from repro.trace.event import (
@@ -43,7 +42,7 @@ from repro.trace.semantics import (
 )
 from repro.trace.trace import Trace
 
-DETECTORS = [WCPDetector, HBDetector, FastTrackDetector]
+DETECTORS = [WCPDetector, HBDetector]
 
 
 def ev(index, thread, token, target):
@@ -273,7 +272,7 @@ class TestOrderingSemantics:
 
     @pytest.mark.parametrize(
         "detector_cls,expected",
-        [(WCPDetector, 1), (HBDetector, 0), (FastTrackDetector, 0)],
+        [(WCPDetector, 1), (HBDetector, 0)],
     )
     def test_figure_2b_shape_on_write_sections(self, detector_cls, expected):
         # The paper's Figure 2b with the mutex replaced by write-mode

@@ -8,7 +8,6 @@ import pytest
 from repro import (
     EngineConfig,
     EraserDetector,
-    FastTrackDetector,
     HBDetector,
     RaceEngine,
     ShardedEngine,
@@ -162,7 +161,7 @@ class TestEventTaxonomy:
         }
 
 
-DETECTOR_SETS = [["wcp"], ["hb"], ["fasttrack"], ["wcp", "hb", "fasttrack"]]
+DETECTOR_SETS = [["wcp"], ["hb"], ["wcp", "hb"]]
 
 
 class TestShardParity:
@@ -174,9 +173,9 @@ class TestShardParity:
         trace = random_trace(
             seed, n_events=120, n_threads=4, n_locks=3, n_vars=6
         )
-        single = RaceEngine().run(trace, detectors=["wcp", "hb", "fasttrack"])
+        single = RaceEngine().run(trace, detectors=["wcp", "hb"])
         sharded = ShardedEngine(shards=shards, mode="serial", batch_size=17).run(
-            trace, detectors=["wcp", "hb", "fasttrack"]
+            trace, detectors=["wcp", "hb"]
         )
         for name in single.keys():
             assert _fingerprint(single[name]) == _fingerprint(sharded[name])
@@ -278,9 +277,9 @@ class TestShardBoundaryProtocol:
         for seed in range(4):
             trace = fork_join_trace(seed)
             result = ShardedEngine(shards=4, mode="serial", batch_size=16).run(
-                trace, detectors=["wcp", "hb", "fasttrack"]
+                trace, detectors=["wcp", "hb"]
             )
-            for position in range(3):
+            for position in range(2):
                 views = result.shard_clock_views(position)
                 assert views, "no clock views returned"
                 common = set.intersection(*(set(view) for view in views))
@@ -438,7 +437,6 @@ class TestDetectorPickleSafety:
         WCPDetector,
         lambda: WCPDetector(strict_pseudocode=True),
         HBDetector,
-        FastTrackDetector,
     ]
 
     @pytest.mark.parametrize("factory", FACTORIES)

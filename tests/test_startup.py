@@ -25,8 +25,8 @@ NOT_LOADED = (
 
 #: Detector modules (and the compiled kernels WCP loads).
 DETECTORS = (
-    "repro.core.wcp", "repro.hb.hb", "repro.hb.fasttrack",
-    "repro.lockset.eraser", "repro.vectorclock.kernels",
+    "repro.core.wcp", "repro.hb.hb", "repro.lockset.eraser",
+    "repro.vectorclock.kernels",
 )
 
 LAZY_PACKAGES = (

@@ -41,7 +41,7 @@ from repro.trace.writers import dump_trace
 from conftest import random_trace
 from test_sharding import _fingerprint, fork_join_trace
 
-DETECTORS = ["wcp", "hb", "fasttrack"]
+DETECTORS = ["wcp", "hb"]
 MODES = ["serial", "process"]
 
 
@@ -218,7 +218,7 @@ class TestFaultParity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("at_event", [40, 150])
     def test_kill_of_a_shard_holding_foreign_variables(self, mode, at_event):
-        """WCP, HB and FastTrack beside each other send clock-relevant
+        """WCP and HB beside each other send clock-relevant
         accesses of variables shard 1 does not own to shard 1, which marks
         them foreign.  Killed before or after its snapshots carry those
         marks, it must come back race-checking none of them: the merged

@@ -1,10 +1,10 @@
-"""Unit and property tests for vector clocks and epochs."""
+"""Unit and property tests for vector clocks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vectorclock import Epoch, VectorClock
+from repro.vectorclock import VectorClock
 
 
 # --------------------------------------------------------------------------- #
@@ -162,40 +162,3 @@ class TestVectorClockProperties:
         joined = a | b
         upper = joined | VectorClock({"t1": 100})
         assert joined <= upper
-
-
-# --------------------------------------------------------------------------- #
-# Epochs
-# --------------------------------------------------------------------------- #
-
-class TestEpoch:
-    def test_bottom_epoch(self):
-        epoch = Epoch.bottom()
-        assert epoch.is_bottom()
-        assert epoch.happens_before(VectorClock.bottom())
-        assert epoch.to_clock().is_bottom()
-
-    def test_happens_before_clock(self):
-        epoch = Epoch("t1", 3)
-        assert epoch.happens_before(VectorClock({"t1": 3}))
-        assert epoch.happens_before(VectorClock({"t1": 5}))
-        assert not epoch.happens_before(VectorClock({"t1": 2}))
-        assert not epoch.happens_before(VectorClock({"t2": 10}))
-
-    def test_same_thread(self):
-        assert Epoch("t1", 3).same_thread("t1")
-        assert not Epoch("t1", 3).same_thread("t2")
-
-    def test_to_clock(self):
-        assert Epoch("t1", 3).to_clock() == VectorClock({"t1": 3})
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            Epoch("t1", -1)
-
-    def test_equality_and_repr(self):
-        assert Epoch("t1", 3) == Epoch("t1", 3)
-        assert Epoch("t1", 3) != Epoch("t2", 3)
-        assert hash(Epoch("t1", 3)) == hash(Epoch("t1", 3))
-        assert "3" in repr(Epoch("t1", 3))
-        assert "bottom" in repr(Epoch.bottom())

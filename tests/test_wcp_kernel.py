@@ -13,7 +13,7 @@ itself at every block boundary.  The kernel runs the whole vocabulary
 row that would taint a WCP lock, ``mark_foreign``), the rows it ran in
 C and a snapshot taken while compiled are covered explicitly, and the
 kernel is checked against the frozen legacy detector and the WCP and HB
-closures too.  FastTrack keeps the Python path.
+closures too.
 """
 
 import os
@@ -34,7 +34,7 @@ from repro.core.snapshot import unpack_for
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_compiled import WCPKernel
 from repro.core.wcp_legacy import LegacyWCPDetector
-from repro.hb import FastTrackDetector, HBDetector
+from repro.hb import HBDetector
 from repro.trace.columns import ColumnBlock
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
@@ -152,17 +152,6 @@ def test_kernel_is_live_and_the_switch_turns_it_off(cls):
     strict.reset(trace)
     strict.process_batch(trace.events[:10])
     assert strict._kernel is None
-
-
-@compiled
-def test_fasttrack_never_starts_a_kernel():
-    trace = high_contention_trace(400)
-    detector = FastTrackDetector()
-    detector._KERNEL_MIN_ROWS = 0
-    detector.reset(trace)
-    assert not detector._kernel_pending
-    detector.process_batch(trace.events)
-    assert detector._kernel is None
 
 
 @compiled
