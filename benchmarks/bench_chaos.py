@@ -1,24 +1,25 @@
 #!/usr/bin/env python
 """Chaos benchmark: report parity and recovery cost under injected faults.
 
-Runs the sharded engine over the partitionable hot-path workload while
-the deterministic fault harness (:mod:`repro.engine.faults`) kills
-workers, severs pipes and corrupts snapshot blobs mid-run -- plus two
-whole-process scenarios: ``coordinator_kill`` (SIGKILL the supervised
-engine process itself, auto-resume from checkpoints) and
-``flaky_network_client`` (RaceClient pushing through refused connects,
-mid-line resets and stalled reads) -- and checks the tentpole property
-end to end at benchmark scale:
+Runs the sharded engine over the partitionable hot-path workload through
+three recovery scenarios of the deterministic fault harness
+(:mod:`repro.engine.faults`): ``worker_kill`` (a shard worker killed
+mid-run ends the sharded pass; the run supervisor behind ``analyze
+--auto-resume`` resumes it from its newest checkpoint),
+``coordinator_kill`` (SIGKILL the supervised engine process itself,
+auto-resume from checkpoints) and ``flaky_network_client`` (RaceClient
+pushing through refused connects, mid-line resets and stalled reads).
+It checks the recovery contract end to end at benchmark scale:
 
-* **parity** -- every faulted run's merged WCP report must be identical
+* **parity** -- every faulted run's WCP report must be identical
   (location pairs, raw race count, max distance) to the fault-free
-  reference; a single dropped or double-counted event after failover
+  reference; a single dropped or double-counted event after a resume
   shows up here;
-* **coverage** -- every planned fault must actually fire (a fault plan
-  that never triggers tests nothing);
+* **coverage** -- every planned fault must actually fire and be
+  recovered from (a fault plan that never triggers tests nothing);
 * **recovery cost** -- wall-clock overhead of each faulted run versus
-  the fault-free sharded baseline, reported per scenario (informational:
-  restart + replay time is machine-dependent, so only parity and
+  the fault-free sharded run, reported per scenario (informational:
+  restart and resume time is machine-dependent, so only parity and
   coverage gate).
 
 Usage::
@@ -33,7 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,27 +52,8 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_chaos.json"
 FULL_EVENTS = 40000
 QUICK_EVENTS = 12000
 SHARDS = 4
-
-
-def _scenarios():
-    """Name -> fault-plan factory (fresh plan per run: faults are one-shot)."""
-    return {
-        "fault_free": lambda: None,
-        "kill_one_worker": lambda: FaultPlan.kill(1, at_event=500),
-        "kill_two_workers": lambda: FaultPlan([
-            Fault.kill_worker(0, 400),
-            Fault.kill_worker(2, 900),
-        ]),
-        "pipe_eof": lambda: FaultPlan([Fault.pipe_eof(3, 2)]),
-        "corrupt_snapshot_then_kill": lambda: FaultPlan([
-            Fault.corrupt_snapshot(1, 0),
-            # Past the first snapshot (8 batches x 128 events) but
-            # before the second: the corrupted blob is the only
-            # snapshot when the worker dies, so failover must fall
-            # back past it and replay from the stream start.
-            Fault.kill_worker(1, 1400),
-        ]),
-    }
+#: Events between the supervised runs' checkpoints.
+CHECKPOINT_EVERY = 1000
 
 
 def _signature(report):
@@ -81,6 +65,10 @@ def _signature(report):
     )
 
 
+def _config(mode: str) -> EngineConfig:
+    return EngineConfig().with_shards(SHARDS, mode=mode, batch_size=128)
+
+
 def run_chaos(quick: bool, mode: str) -> dict:
     n_events = QUICK_EVENTS if quick else FULL_EVENTS
     trace = partitionable_trace(n_events)
@@ -89,41 +77,26 @@ def run_chaos(quick: bool, mode: str) -> dict:
     )
     scenarios = {}
     failures = []
-    baseline_s = None
-    for name, make_plan in _scenarios().items():
-        plan = make_plan()
-        # Small batches so every shard sees enough of them for the
-        # snapshot cadence to land well before the injected kills.
-        config = EngineConfig().with_shards(SHARDS, mode=mode, batch_size=128)
-        config.with_shard_supervision(
-            retries=2, snapshot_every=8, backoff_s=0.0
-        )
-        if plan is not None:
-            config.with_fault_plan(plan)
-        began = time.perf_counter()
-        result = ShardedEngine(config).run(trace, detectors=[WCPDetector()])
-        elapsed = time.perf_counter() - began
-        if baseline_s is None:
-            baseline_s = elapsed
-        if _signature(result["WCP"]) != reference:
-            failures.append("%s: merged report differs from the "
-                            "fault-free run" % name)
-        if plan is not None and plan.unfired():
-            failures.append("%s: %d planned fault(s) never fired: %r"
-                            % (name, len(plan.unfired()), plan.unfired()))
-        supervision = result.supervision
-        scenarios[name] = {
-            "elapsed_s": round(elapsed, 4),
-            "overhead_vs_fault_free": round(elapsed / baseline_s, 3),
-            "worker_restarts": supervision["worker_restarts"],
-            "snapshot_fallbacks": supervision["snapshot_fallbacks"],
-        }
-        print("%-26s %7.3fs  x%-5.2f  restarts=%d fallbacks=%d"
-              % (name, elapsed, elapsed / baseline_s,
-                 supervision["worker_restarts"],
-                 supervision["snapshot_fallbacks"]))
-    _coordinator_kill_scenario(
-        trace, reference, mode, scenarios, failures, baseline_s
+    began = time.perf_counter()
+    result = ShardedEngine(_config(mode)).run(trace, detectors=[WCPDetector()])
+    baseline_s = time.perf_counter() - began
+    if _signature(result["WCP"]) != reference:
+        failures.append("fault_free: sharded report differs from the "
+                        "unsharded run")
+    scenarios["fault_free"] = {
+        "elapsed_s": round(baseline_s, 4),
+        "overhead_vs_fault_free": 1.0,
+    }
+    print("%-26s %7.3fs  x%-5.2f" % ("fault_free", baseline_s, 1.0))
+    # Past the first checkpoints of the run, so the resume starts from
+    # one rather than from the stream start.
+    _supervised_scenario(
+        "worker_kill", FaultPlan.kill(1, at_event=n_events // 8), trace,
+        reference, mode, scenarios, failures, baseline_s,
+    )
+    _supervised_scenario(
+        "coordinator_kill", FaultPlan([Fault.kill_coordinator(n_events // 2)]),
+        trace, reference, mode, scenarios, failures, baseline_s,
     )
     _flaky_client_scenario(trace, scenarios, failures, baseline_s)
     return {
@@ -138,21 +111,15 @@ def run_chaos(quick: bool, mode: str) -> dict:
     }
 
 
-def _coordinator_kill_scenario(trace, reference, mode, scenarios, failures,
-                               baseline_s):
-    """SIGKILL the whole sharded coordinator mid-run; auto-resume must
-    reproduce the fault-free report from the newest checkpoint."""
-    import shutil
-    import tempfile
-
-    name = "coordinator_kill"
-    plan = FaultPlan([Fault.kill_coordinator(len(trace) // 2)])
-    config = EngineConfig().with_shards(SHARDS, mode=mode, batch_size=128)
-    config.with_shard_supervision(retries=2, snapshot_every=8, backoff_s=0.0)
-    directory = tempfile.mkdtemp(prefix="chaos-coordinator-")
+def _supervised_scenario(name, plan, trace, reference, mode, scenarios,
+                         failures, baseline_s):
+    """Run the sharded pass under the run supervisor with ``plan``; the
+    resumed report must equal the fault-free one."""
+    directory = tempfile.mkdtemp(prefix="chaos-%s-" % name)
     supervisor = RunSupervisor(
-        trace, [WCPDetector()], config=config, checkpoint_dir=directory,
-        checkpoint_every=1000, retries=2, backoff_s=0.0, fault_plan=plan,
+        trace, [WCPDetector()], config=_config(mode),
+        checkpoint_dir=directory, checkpoint_every=CHECKPOINT_EVERY,
+        retries=2, backoff_s=0.0, fault_plan=plan,
     )
     began = time.perf_counter()
     try:
@@ -164,19 +131,17 @@ def _coordinator_kill_scenario(trace, reference, mode, scenarios, failures,
         failures.append("%s: resumed report differs from the fault-free run"
                         % name)
     if plan.unfired():
-        failures.append("%s: the coordinator kill never fired" % name)
-    supervision = result.supervision
-    if supervision.get("coordinator_restarts", 0) < 1:
-        failures.append("%s: no coordinator restart was recorded" % name)
+        failures.append("%s: %d planned fault(s) never fired: %r"
+                        % (name, len(plan.unfired()), plan.unfired()))
+    if supervisor.restarts < 1:
+        failures.append("%s: no restart was recorded" % name)
     scenarios[name] = {
         "elapsed_s": round(elapsed, 4),
         "overhead_vs_fault_free": round(elapsed / baseline_s, 3),
-        "worker_restarts": supervision.get("worker_restarts", 0),
-        "coordinator_restarts": supervision.get("coordinator_restarts", 0),
+        "restarts": supervisor.restarts,
     }
-    print("%-26s %7.3fs  x%-5.2f  coordinator_restarts=%d"
-          % (name, elapsed, elapsed / baseline_s,
-             supervision.get("coordinator_restarts", 0)))
+    print("%-26s %7.3fs  x%-5.2f  restarts=%d"
+          % (name, elapsed, elapsed / baseline_s, supervisor.restarts))
 
 
 def _flaky_client_scenario(trace, scenarios, failures, baseline_s):
@@ -184,7 +149,6 @@ def _flaky_client_scenario(trace, scenarios, failures, baseline_s):
     connect, mid-line reset, stalled read); the response must be
     byte-identical to an undisturbed push."""
     import asyncio
-    import tempfile
     import threading
 
     from repro.client import RaceClient
@@ -234,7 +198,6 @@ def _flaky_client_scenario(trace, scenarios, failures, baseline_s):
     finally:
         box["stop"]()
         thread.join(10.0)
-        import shutil
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
     if outcome.lines != clean_lines:
         failures.append("%s: flaky push's response differs from the "

@@ -82,11 +82,7 @@ on two criteria:
 * **wall-clock**: 4-shard events/sec must be >= 1.5x single-shard,
   enforced only when the machine exposes >= 4 usable cores (on smaller
   runners real parallel speedup is physically impossible and the check
-  is skipped with a notice);
-* **supervision overhead**: a 4-shard run with failover disabled
-  (``retries=0``) may be at most 5% faster than the default supervised
-  run -- the health tracking and replay buffering must stay off the hot
-  path when no faults fire.
+  is skipped with a notice).
 """
 
 from __future__ import annotations
@@ -102,7 +98,7 @@ from pathlib import Path
 
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_legacy import LegacyWCPDetector
-from repro.engine import EngineConfig, RaceEngine, ShardedEngine
+from repro.engine import RaceEngine, ShardedEngine
 from repro.hb import HBDetector
 from repro.trace.event import Event, EventType
 from repro.trace.trace import Trace
@@ -115,10 +111,6 @@ DEFAULT_SHARD_BASELINE = REPO_ROOT / "BENCH_shard.json"
 #: Required 4-shard speedup (work-bound always; wall-clock with >=4 cores).
 SHARD_SPEEDUP_FLOOR = 1.5
 SHARD_COUNTS = (1, 2, 4)
-
-#: Max allowed fault-free supervision cost: unsupervised throughput may
-#: be at most 5% above the supervised run's (both measured best-of-N).
-SUPERVISION_OVERHEAD_CEILING = 1.05
 
 #: Allowed relative drop of the dense-vs-legacy speedup before CI fails.
 TOLERANCE = 0.30
@@ -577,19 +569,6 @@ def run_shard_benchmark(quick: bool) -> dict:
         # Recorded explicitly so a sub-1x wall number measured on a
         # small CI box is never mistaken for a regression (or a pass).
         wall_gate = "skipped (%d cores)" % cores
-    # Supervision overhead: the same 4-shard run with failover disabled
-    # (no replay buffering, no liveness bookkeeping payoff).  When no
-    # faults fire, the supervised run must stay within 5% of this.
-    bare = EngineConfig().with_shards(4, mode="process", batch_size=2048)
-    bare.with_shard_supervision(retries=0, snapshot_every=0)
-    bare_best = 0.0
-    for _ in range(repeats):
-        result = ShardedEngine(bare).run(trace, detectors=[WCPDetector()])
-        bare_best = max(bare_best, result.events / result.elapsed_s)
-    four = rates["4"]
-    overhead = round(bare_best / four, 3) if four else 0.0
-    print("%16s supervision overhead at 4 shards: x%.3f "
-          "(unsupervised %.0f events/s)" % ("", overhead, bare_best))
     return {
         "benchmark": "sharded",
         "python": platform.python_version(),
@@ -604,8 +583,6 @@ def run_shard_benchmark(quick: bool) -> dict:
         "wall_gate": wall_gate,
         "work_speedup_bound": work_bounds,
         "floor": SHARD_SPEEDUP_FLOOR,
-        "supervision_overhead": overhead,
-        "supervision_ceiling": SUPERVISION_OVERHEAD_CEILING,
     }
 
 
@@ -638,15 +615,6 @@ def check_shard_gate(result: dict) -> int:
               "speedup is physically impossible here (measured x%.2f) -- "
               "recorded wall_gate: %r"
               % (cores, wall, wall_gate))
-    overhead = result.get("supervision_overhead", 0.0)
-    print("supervision overhead: x%.3f (ceiling x%.2f)"
-          % (overhead, SUPERVISION_OVERHEAD_CEILING))
-    if overhead > SUPERVISION_OVERHEAD_CEILING:
-        failures.append(
-            "fault-free supervision overhead x%.3f above the x%.2f "
-            "ceiling (health tracking/replay buffering got expensive)"
-            % (overhead, SUPERVISION_OVERHEAD_CEILING)
-        )
     if failures:
         print("\nSHARD PERF REGRESSION:")
         for failure in failures:

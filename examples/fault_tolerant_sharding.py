@@ -1,35 +1,37 @@
 #!/usr/bin/env python
-"""Fault-tolerant sharded analysis: kill workers mid-run, lose nothing.
+"""Fault-tolerant sharded analysis: a worker dies mid-run, nothing is lost.
 
-Walks through the sharded engine's supervision layer
-(:mod:`repro.engine.supervision`) using the deterministic
-fault-injection harness (:mod:`repro.engine.faults`):
+A sharded pass (:class:`~repro.engine.ShardedEngine`) restarts nothing
+itself: a shard worker that dies ends the pass at once with one
+actionable :class:`~repro.engine.WorkerFailure` naming the shard.  The
+one recovery mechanism is the run supervisor
+(:class:`~repro.engine.RunSupervisor`, the machinery behind ``analyze
+--auto-resume``), which treats that failure as a crash and resumes the
+run from its newest checkpoint.  Using the deterministic fault-injection
+harness (:mod:`repro.engine.faults`), this demo shows:
 
 1. a **worker killed mid-run** (a real ``os._exit`` in process mode --
-   the coordinator sees the pipe break, exactly like a SIGKILL) is
-   restarted, its state restored, the lost batches replayed from the
-   coordinator's replay buffer, and the merged report is **identical**
-   to the fault-free run;
-2. a **corrupted snapshot** (bit-flipped blob, caught by the CRC frame)
-   makes failover fall back to an older snapshot -- or the stream start
-   -- and the report is *still* identical;
-3. when recovery is impossible (retry budget exhausted) or switched
-   off (``retries=0``, which fails fast at the first death and keeps
-   no snapshots or replay buffer), the run fails with one actionable
-   :class:`~repro.engine.WorkerFailure`, never a raw ``EOFError``.
+   the coordinator sees the pipe break, exactly like a SIGKILL) without
+   a supervisor: one ``WorkerFailure``, never a raw ``EOFError``;
+2. the **same kill under the run supervisor**: the attempt dies, the
+   next one resumes from the newest checkpoint, and the report is
+   **identical** to the fault-free run;
+3. **two workers killed** in successive attempts: two restarts, the same
+   report.
 
 Run with::
 
     python examples/fault_tolerant_sharding.py
 """
 
-import logging
 import random
+import tempfile
 
 from repro import (
     EngineConfig,
     Event,
     EventType,
+    RunSupervisor,
     ShardedEngine,
     Trace,
     WorkerFailure,
@@ -63,12 +65,9 @@ def build_workload(n_threads=6, bursts=400, run_length=24, seed=11):
     return Trace(events, validate=False, name="fault_demo")
 
 
-def config(plan=None, retries=2, mode="process"):
-    """A supervised sharded configuration; small batches so the
-    snapshot cadence lands well before the injected faults."""
-    built = EngineConfig().with_shards(SHARDS, mode=mode, batch_size=128)
-    built.with_shard_supervision(retries=retries, snapshot_every=8,
-                                 backoff_s=0.0)
+def config(plan=None):
+    """A sharded configuration in the process transport."""
+    built = EngineConfig().with_shards(SHARDS, mode="process", batch_size=128)
     if plan is not None:
         built.with_fault_plan(plan)
     return built
@@ -79,48 +78,52 @@ def signature(report):
             report.raw_race_count)
 
 
+def supervised(trace, plan):
+    """Run the sharded pass under the run supervisor, checkpointing
+    every 2,000 events into a scratch directory."""
+    with tempfile.TemporaryDirectory(prefix="fault-demo-") as directory:
+        supervisor = RunSupervisor(
+            trace, ["wcp"], config=config(), checkpoint_dir=directory,
+            checkpoint_every=2000, retries=2, backoff_s=0.0,
+            fault_plan=plan,
+        )
+        return supervisor, supervisor.run()
+
+
 def main():
-    # The supervisor narrates restarts at WARNING level.
-    logging.basicConfig(format="  [supervisor] %(message)s")
     trace = build_workload()
     reference = ShardedEngine(config()).run(trace, detectors=["wcp"])
     print("fault-free %d-shard run: %d event(s), %d distinct WCP race(s)"
           % (SHARDS, reference.events, reference["WCP"].count()))
 
-    # --- 1: kill a live worker; the report must not change. ------------ #
+    # --- 1: without a supervisor, a dead worker ends the pass. --------- #
     print("\n1. killing shard 1's worker after its 1,400th event...")
-    killed = ShardedEngine(
-        config(FaultPlan.kill(1, at_event=1400))
-    ).run(trace, detectors=["wcp"])
-    sup = killed.supervision
-    print("  restarts=%d (by shard: %r), heartbeat timeouts=%d"
-          % (sup["worker_restarts"], sup["restarts_by_shard"],
-             sup["heartbeat_timeouts"]))
-    print("  report identical to fault-free run: %s"
-          % (signature(killed["WCP"]) == signature(reference["WCP"])))
-
-    # --- 2: corrupt the snapshot failover would use. ------------------- #
-    print("\n2. bit-flipping shard 1's first snapshot, then killing it...")
-    corrupted = ShardedEngine(
-        config(FaultPlan([Fault.corrupt_snapshot(1, 0),
-                          Fault.kill_worker(1, 1400)]))
-    ).run(trace, detectors=["wcp"])
-    sup = corrupted.supervision
-    print("  restarts=%d, snapshot fallbacks=%d (CRC caught the corrupt "
-          "blob)" % (sup["worker_restarts"], sup["snapshot_fallbacks"]))
-    print("  report identical to fault-free run: %s"
-          % (signature(corrupted["WCP"]) == signature(reference["WCP"])))
-
-    # --- 3: unrecoverable failures are one actionable error. ----------- #
-    print("\n3. same kill, failing fast (retries=0)...")
     try:
         ShardedEngine(
-            config(FaultPlan.kill(1, at_event=1400), retries=0)
+            config(FaultPlan.kill(1, at_event=1400))
         ).run(trace, detectors=["wcp"])
     except WorkerFailure as exc:
         print("  WorkerFailure: %s" % exc)
 
-    print("\nsummary of run 2:\n%s" % corrupted.summary())
+    # --- 2: the same kill under the run supervisor. -------------------- #
+    print("\n2. the same kill under the run supervisor (--auto-resume)...")
+    plan = FaultPlan.kill(1, at_event=1400)
+    supervisor, killed = supervised(trace, plan)
+    print("  restarts=%d, every planned fault fired: %s"
+          % (supervisor.restarts, not plan.unfired()))
+    print("  report identical to fault-free run: %s"
+          % (signature(killed["WCP"]) == signature(reference["WCP"])))
+
+    # --- 3: one worker per attempt, twice. ----------------------------- #
+    print("\n3. killing shard 0's worker, then shard 2's in the resumed "
+          "attempt...")
+    plan = FaultPlan([Fault.kill_worker(0, 1000), Fault.kill_worker(2, 3000)])
+    supervisor, twice = supervised(trace, plan)
+    print("  restarts=%d, report identical to fault-free run: %s"
+          % (supervisor.restarts,
+             signature(twice["WCP"]) == signature(reference["WCP"])))
+
+    print("\nsummary of run 3:\n%s" % twice.summary())
 
 
 if __name__ == "__main__":

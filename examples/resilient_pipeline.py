@@ -99,8 +99,7 @@ def demo_supervised_run(trace):
     )
     survived = supervisor.run()
     print("  coordinator restarts: %d (every kill fired: %s)"
-          % (survived.supervision["coordinator_restarts"],
-             plan.unfired() == []))
+          % (supervisor.restarts, plan.unfired() == []))
     print("  report identical to uninterrupted run: %s"
           % (signature(survived) == signature(reference)))
 

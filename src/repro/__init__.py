@@ -57,15 +57,16 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.lockset.eraser": ["EraserDetector"],
     "repro.mcm.predictor": ["MCMPredictor"],
     "repro.engine.engine": ["RaceEngine", "EngineResult"],
-    "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
+    "repro.engine.sharding": [
+        "ShardedEngine", "ShardedResult", "WorkerFailure",
+    ],
     "repro.engine.checkpoint": [
         "Checkpoint", "Checkpointer", "CheckpointError",
         "CheckpointMismatchError",
     ],
     "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
     "repro.engine.config": ["EngineConfig"],
-    "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
-    "repro.engine.supervision": ["WorkerFailure"],
+    "repro.engine.faults": ["Fault", "FaultPlan"],
     "repro.engine.sources": [
         "EventSource", "TraceSource", "FileSource", "IterableSource",
         "SimulatorSource", "CountingSource", "QueueSource",

@@ -107,14 +107,11 @@ def run_engine(
     across that many worker engines
     (:class:`~repro.engine.sharding.ShardedEngine`); the transport mode
     comes from the configuration
-    (:meth:`~repro.engine.EngineConfig.with_shards`).  Sharded passes are
-    supervised: a shard worker that dies mid-run is restarted from its
-    last in-memory snapshot and the lost batches are replayed, so the
-    merged report matches an uninterrupted run exactly -- tune the retry
-    budget, heartbeat and snapshot cadence with
-    :meth:`~repro.engine.EngineConfig.with_shard_supervision`, or raise
-    :class:`~repro.engine.WorkerFailure` at the first death with
-    ``retries=0``.
+    (:meth:`~repro.engine.EngineConfig.with_shards`).  A shard worker
+    that dies mid-run ends the sharded pass with one
+    :class:`~repro.engine.WorkerFailure`; run the pass under
+    :class:`~repro.engine.RunSupervisor` (``analyze --auto-resume``) to
+    resume it from the newest checkpoint instead.
 
     ``checkpoint`` names a directory to persist periodic detector-state
     checkpoints into (every ``checkpoint_every`` events, default 10,000);

@@ -17,9 +17,10 @@ Eight subcommands::
     repro-race witness TRACE_FILE [--detector wcp] [--max-states N]
 
 ``analyze --auto-resume N`` executes the run in a supervised child
-process that survives up to N coordinator crashes by resuming from the
-newest checkpoint; ``push`` streams a trace file to a ``serve`` instance
-with automatic retry, backoff and mid-stream reconnect.
+process that survives up to N crashes -- of the engine process or of a
+``--shards`` worker -- by resuming from the newest checkpoint; ``push``
+streams a trace file to a ``serve`` instance with automatic retry,
+backoff and mid-stream reconnect.
 ``analyze`` runs one or more detectors (comma-separated) on a logged trace
 file (STD or CSV format) in a single engine pass; with ``--stream`` the
 file is parsed lazily and analysed without ever materialising a full
@@ -95,12 +96,12 @@ def _run_errors():
     An ``OSError`` is one too: a missing, unreadable or directory input
     path ends in the line naming it, never in a traceback and the
     races-found status.  Evaluated by an ``except`` clause only once
-    something was raised: the sharding and supervision layers' failure
-    types are included exactly when those layers were loaded, so a plain
-    pass never imports them.
+    something was raised: the sharded engine's and the run supervisor's
+    failure types are included exactly when those layers were loaded, so
+    a plain pass never imports them.
     """
     errors = [ValueError, OSError]
-    for module, name in (("repro.engine.supervision", "WorkerFailure"),
+    for module, name in (("repro.engine.sharding", "WorkerFailure"),
                          ("repro.engine.runner", "CoordinatorFailure")):
         if module in sys.modules:
             errors.append(getattr(sys.modules[module], name))
@@ -158,11 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--auto-resume", type=_nonnegative_int, default=None, metavar="N",
         help="run the analysis in a supervised child process that "
-             "survives up to N coordinator crashes (SIGKILL, OOM): each "
-             "crash resumes from the newest checkpoint with reports "
-             "identical to an uninterrupted run.  Checkpoints go to "
-             "--checkpoint/--resume DIR when given, else to a private "
-             "temporary directory",
+             "survives up to N crashes (SIGKILL, OOM) of the engine "
+             "process or of a --shards worker: each crash resumes from "
+             "the newest checkpoint with reports identical to an "
+             "uninterrupted run.  Checkpoints go to --checkpoint/--resume "
+             "DIR when given, else to a private temporary directory",
     )
     analyze.add_argument(
         "--stream", action="store_true", help=_STREAM_HELP,
@@ -414,8 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     witness.add_argument("trace", help="path to a .std/.txt/.csv trace file")
     witness.add_argument(
-        "--detector", default="wcp", choices=available_detectors(),
-        help="detector used to pick the race to witness (default: wcp)",
+        "--detector", default="wcp",
+        help="detector used to pick the race to witness (default: wcp; "
+             "available: %s)" % ", ".join(available_detectors()),
     )
     witness.add_argument(
         "--max-states", type=int, default=200_000,
@@ -482,7 +484,10 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
         "--shards", type=_positive_int, default=1, metavar="N",
         help="split the pass across N worker engines (variables are "
              "partitioned, the synchronization skeleton is replicated); "
-             "1 keeps the unsharded engine with byte-identical output",
+             "1 keeps the unsharded engine with byte-identical output.  "
+             "A worker that dies ends the pass with one error naming its "
+             "shard; analyze --auto-resume resumes such a run from its "
+             "newest checkpoint",
     )
     subparser.add_argument(
         "--shard-mode", default="process",
@@ -490,21 +495,6 @@ def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:
         help="shard transport: separate worker processes (multi-core, "
              "default) or inline serial workers (the deterministic "
              "reference, for debugging)",
-    )
-    subparser.add_argument(
-        "--shard-retries", type=_nonnegative_int, default=2, metavar="N",
-        help="worker restarts allowed per shard before the run fails; on "
-             "a death the coordinator restores the shard from its newest "
-             "periodic snapshot and replays the buffered batches, so the "
-             "report is identical to an uninterrupted run (default 2; 0 "
-             "fails fast: the first death ends the run with one error, and "
-             "no snapshots or replay buffer are kept)",
-    )
-    subparser.add_argument(
-        "--shard-heartbeat", type=float, default=30.0, metavar="SECONDS",
-        help="liveness timeout: a shard worker with batches outstanding "
-             "and no acknowledgement progress for this long is declared "
-             "dead and failed over (default 30)",
     )
 
 
@@ -521,10 +511,6 @@ def _make_engine_config(args: argparse.Namespace) -> EngineConfig:
     shards = getattr(args, "shards", 1)
     if shards > 1:
         config.with_shards(shards, mode=args.shard_mode)
-        config.with_shard_supervision(
-            retries=getattr(args, "shard_retries", None),
-            heartbeat_s=getattr(args, "shard_heartbeat", None),
-        )
     return config
 
 
@@ -707,12 +693,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("%d shard(s) [%s]: events per shard %s, replication x%.2f"
               % (result.shards, result.mode, result.shard_events,
                  result.replication_factor()))
-        supervision = getattr(result, "supervision", None) or {}
-        if supervision.get("worker_restarts"):
-            print("supervision: %d worker restart(s) %r recovered with an "
-                  "identical report"
-                  % (supervision["worker_restarts"],
-                     supervision.get("restarts_by_shard", {})))
     if args.profile:
         _print_profile(result)
     return 1 if result.has_race() else 0
@@ -823,8 +803,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     from repro.reordering.witness import find_race_witness
 
+    try:
+        detector = make_detector(args.detector)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     trace = load_trace(args.trace)
-    report = make_detector(args.detector).run(trace)
+    report = detector.run(trace)
     if not report.has_race():
         print("no %s race found; nothing to witness" % args.detector)
         return 0

@@ -26,15 +26,16 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "RaceEngine", "EnginePass", "EngineResult", "StreamContext",
         "STOP_EXHAUSTED", "STOP_RACE_BUDGET", "STOP_EVENT_BUDGET",
     ],
-    "repro.engine.sharding": ["ShardedEngine", "ShardedResult"],
+    "repro.engine.sharding": [
+        "ShardedEngine", "ShardedResult", "WorkerFailure",
+    ],
     "repro.engine.checkpoint": [
         "Checkpoint", "Checkpointer", "CheckpointError",
         "CheckpointMismatchError",
     ],
     "repro.engine.runner": ["CoordinatorFailure", "RunSupervisor"],
     "repro.engine.config": ["EngineConfig"],
-    "repro.engine.faults": ["Fault", "FaultPlan", "WorkerDied"],
-    "repro.engine.supervision": ["WorkerFailure"],
+    "repro.engine.faults": ["Fault", "FaultPlan"],
     "repro.core.races": ["ReportSnapshot"],
     "repro.engine.sources": [
         "EventSource", "TraceSource", "FileSource", "IterableSource",

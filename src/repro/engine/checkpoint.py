@@ -81,9 +81,8 @@ _FRAME_HEADER = struct.Struct(">II")
 def frame_blob(data: bytes) -> bytes:
     """Wrap ``data`` in the length + CRC32 integrity frame.
 
-    The same frame guards checkpoint files and the supervision layer's
-    in-memory shard snapshots: 4-byte big-endian payload length, 4-byte
-    CRC32 of the payload, then the payload itself.
+    The frame of every checkpoint file: 4-byte big-endian payload
+    length, 4-byte CRC32 of the payload, then the payload itself.
     """
     return _FRAME_HEADER.pack(len(data), zlib.crc32(data)) + data
 
@@ -147,6 +146,13 @@ def detector_stamp(detector: Detector) -> Dict[str, Any]:
     }
 
 
+def _refuse_removed(class_path: str) -> None:
+    """Raise the removal line for a detector this package no longer has."""
+    for removed_path, reason in REMOVED_DETECTORS.values():
+        if class_path == removed_path:
+            raise CheckpointError("cannot resume this checkpoint: " + reason)
+
+
 def build_detector(stamp: Dict[str, Any]) -> Detector:
     """Construct a fresh detector from its :func:`detector_stamp`.
 
@@ -158,9 +164,7 @@ def build_detector(stamp: Dict[str, Any]) -> Detector:
     module_name, _, qualname = class_path.partition(":")
     if not module_name or not qualname:
         raise CheckpointError("malformed detector class path %r" % (class_path,))
-    for removed_path, reason in REMOVED_DETECTORS.values():
-        if class_path == removed_path:
-            raise CheckpointError("cannot resume this checkpoint: " + reason)
+    _refuse_removed(class_path)
     try:
         obj: Any = importlib.import_module(module_name)
         for part in qualname.split("."):
@@ -367,8 +371,12 @@ class Checkpoint:
 
         Raises :class:`CheckpointMismatchError` naming the first
         disagreement (count, class, snapshot format version, or
-        configuration -- e.g. a different ``strict_pseudocode`` setting).
+        configuration -- e.g. a different ``strict_pseudocode`` setting),
+        and the removal line for a checkpointed detector this package no
+        longer has.
         """
+        for stamp in self.stamps:
+            _refuse_removed(stamp.get("class", ""))
         if len(detectors) != len(self.stamps):
             raise CheckpointMismatchError(
                 "checkpoint was taken with %d detector(s) (%s) but the "

@@ -49,19 +49,6 @@ class EngineConfig:
         self.shard_mode: str = "process"
         #: Events per transport batch.
         self.shard_batch_size: int = 1024
-        #: Worker restarts allowed per shard before the run fails with a
-        #: :class:`~repro.engine.supervision.WorkerFailure`; 0 fails on
-        #: the first death and keeps no snapshots or replay buffer.
-        self.shard_retries: int = 2
-        #: Liveness timeout: a shard with batches outstanding and no ack
-        #: progress for this long, or silent this long on a snapshot or
-        #: finish request, is declared dead and failed over.
-        self.shard_heartbeat_s: float = 30.0
-        #: Batches between periodic per-shard supervision snapshots (the
-        #: failover restore points; 0 buffers the whole substream).
-        self.shard_snapshot_every: int = 64
-        #: Exponential restart backoff base (doubles per attempt).
-        self.shard_backoff_s: float = 0.05
         #: Deterministic fault injection plan
         #: (:class:`~repro.engine.faults.FaultPlan`; None = no faults).
         self.fault_plan = None
@@ -170,48 +157,13 @@ class EngineConfig:
             self.shard_batch_size = batch_size
         return self
 
-    def with_shard_supervision(
-        self,
-        retries: Optional[int] = None,
-        heartbeat_s: Optional[float] = None,
-        snapshot_every: Optional[int] = None,
-        backoff_s: Optional[float] = None,
-    ) -> "EngineConfig":
-        """Tune the sharded engine's supervision/failover layer.
-
-        On worker death the coordinator restarts the worker (up to
-        ``retries`` times, exponential backoff from ``backoff_s``),
-        restores it from the shard's newest periodic snapshot (taken
-        every ``snapshot_every`` batches) and replays the buffered
-        batches -- the merged report is byte-identical to the
-        uninterrupted run.  ``heartbeat_s`` bounds how long a silent
-        worker with work outstanding is trusted.  ``retries=0`` turns
-        the first death into an immediate, actionable error instead.
-        """
-        if retries is not None:
-            if retries < 0:
-                raise ValueError("shard retries must be >= 0")
-            self.shard_retries = retries
-        if heartbeat_s is not None:
-            if heartbeat_s <= 0:
-                raise ValueError("heartbeat timeout must be positive")
-            self.shard_heartbeat_s = heartbeat_s
-        if snapshot_every is not None:
-            if snapshot_every < 0:
-                raise ValueError("snapshot cadence must be >= 0")
-            self.shard_snapshot_every = snapshot_every
-        if backoff_s is not None:
-            if backoff_s < 0:
-                raise ValueError("backoff must be >= 0")
-            self.shard_backoff_s = backoff_s
-        return self
-
     def with_fault_plan(self, plan) -> "EngineConfig":
         """Attach a deterministic fault-injection plan to the run.
 
         ``plan`` is a :class:`~repro.engine.faults.FaultPlan`; the
-        sharded engine's injection points consult it at fixed positions,
-        so the same plan reproduces the same failure every run.
+        sharded engine's worker kills and the run supervisor's
+        coordinator kills fire at fixed positions, so the same plan
+        reproduces the same failure every run.
         """
         self.fault_plan = plan
         return self
@@ -257,8 +209,6 @@ class EngineConfig:
             parts.append("snapshot_every=%d" % self.snapshot_interval)
         if self.shards != 1:
             parts.append("shards=%d[%s]" % (self.shards, self.shard_mode))
-            if self.shard_retries != 2:
-                parts.append("shard_retries=%d" % self.shard_retries)
         if self.fault_plan is not None:
             parts.append("fault_plan=%r" % (self.fault_plan,))
         if self.checkpoint_dir is not None:

@@ -116,7 +116,6 @@ class EngineResult:
         elapsed_s: float,
         stop_reason: str,
         snapshots: List[ReportSnapshot],
-        supervision: Optional[Dict[str, int]] = None,
         kernel: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> None:
         self.source_name = source_name
@@ -125,10 +124,6 @@ class EngineResult:
         self.elapsed_s = elapsed_s
         self.stop_reason = stop_reason
         self.snapshots = snapshots
-        #: Recovery counters (sharded worker supervision and/or the run
-        #: supervisor's ``coordinator_restarts``); None for a plain
-        #: unsupervised pass.
-        self.supervision = supervision
         #: Per detector key, the compiled kernel's row count and exit
         #: (:meth:`~repro.core.wcp_compiled.CompiledPass.kernel_counts`)
         #: for the detectors that run it; never part of a report.

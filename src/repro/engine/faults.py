@@ -1,23 +1,26 @@
-"""Deterministic fault injection for the sharded engine and serve tier.
+"""Deterministic fault injection for the engine, the serve tier and the client.
 
 Fault tolerance that is only ever exercised by real crashes is fault
-tolerance that regresses silently.  This module makes every failure mode
-the supervision layer (:mod:`repro.engine.supervision`) handles
-*constructible*: a :class:`FaultPlan` is a list of one-shot
-:class:`Fault` triggers -- kill shard worker ``k`` once it reaches event
-``n``, drop or duplicate the ``m``-th batch ack, corrupt the ``j``-th
-collected snapshot blob, close a worker pipe after batch ``b``,
-disconnect a serve client at event ``n`` -- that the engine's injection
-points consult at deterministic positions in the run.  The same plan
-therefore produces the same failure on every execution, which is what
-lets the parity suite assert byte-identical reports *through* a failure
-instead of merely observing recovery in CI chaos runs.
+tolerance that regresses silently.  This module makes every failure the
+recovery paths handle *constructible*: a :class:`FaultPlan` is a list of
+one-shot :class:`Fault` triggers -- kill shard worker ``k`` once it
+reaches event ``n``, kill the supervised engine process at event ``n``,
+disconnect a serve client at event ``n``, refuse, reset or stall a
+client connection -- that the injection points consult at deterministic
+positions in the run.  The same plan therefore produces the same failure
+on every execution, which is what lets the parity suites assert
+byte-identical reports *through* a failure instead of merely observing
+recovery in CI chaos runs.
 
-Plans are coordinator-side objects; the only thing that crosses into a
-worker is the plain kill threshold (an int), so nothing here needs to be
-picklable.  All triggers are one-shot: a restarted worker does not
-re-inherit the fault that killed it (bounded-retry exhaustion is tested
-by lowering the retry budget, not by a recurring fault).
+A killed shard worker ends its sharded pass with one
+:class:`~repro.engine.sharding.WorkerFailure`; the run supervisor
+(:class:`~repro.engine.runner.RunSupervisor`, ``analyze
+--auto-resume``) recovers it by resuming from the newest checkpoint.
+The supervisor takes the engine-side faults out of the plan in its own
+process, at most one coordinator kill and one worker kill per attempt,
+so a resumed attempt does not die again at a fault that already fired.
+The only thing that crosses into a worker is the plain kill threshold
+(an int), so nothing here needs to be picklable.
 """
 
 from __future__ import annotations
@@ -27,48 +30,11 @@ from typing import List, Optional
 __all__ = [
     "Fault",
     "FaultPlan",
-    "InjectedDeath",
-    "WorkerDied",
 ]
-
-
-class WorkerDied(RuntimeError):
-    """A shard worker vanished mid-run (process death, pipe EOF, hang).
-
-    Raised by the transports when the worker side of the protocol is
-    gone -- as opposed to a worker-*reported* exception, which is
-    deterministic and therefore never retried.  Under supervision this
-    triggers failover; with ``shard_retries=0`` (or the budget spent) it
-    surfaces wrapped in an actionable
-    :class:`~repro.engine.supervision.WorkerFailure` instead of a raw
-    ``EOFError`` traceback.
-    """
-
-    def __init__(self, shard: int, cause: str) -> None:
-        super().__init__(
-            "shard %d worker died unexpectedly (%s)" % (shard, cause)
-        )
-        self.shard = shard
-        self.cause = cause
-
-
-class InjectedDeath(BaseException):
-    """Simulated abrupt worker death (the serial transport).
-
-    A ``BaseException`` so the worker loops' ordinary ``except
-    Exception`` error reporting -- which is reserved for deterministic
-    detector failures -- cannot mistake an injected crash for one.
-    Process workers do not raise it: they ``os._exit`` so the
-    coordinator observes a genuine pipe EOF.
-    """
 
 
 #: Fault kinds understood by the injection points.
 KILL_WORKER = "kill_worker"
-DROP_ACK = "drop_ack"
-DUPLICATE_ACK = "duplicate_ack"
-CORRUPT_SNAPSHOT = "corrupt_snapshot"
-PIPE_EOF = "pipe_eof"
 DISCONNECT = "disconnect"
 KILL_COORDINATOR = "kill_coordinator"
 CONNECT_REFUSE = "connect_refuse"
@@ -76,9 +42,8 @@ CONNECTION_RESET = "connection_reset"
 CONNECTION_STALL = "connection_stall"
 
 _KINDS = (
-    KILL_WORKER, DROP_ACK, DUPLICATE_ACK, CORRUPT_SNAPSHOT, PIPE_EOF,
-    DISCONNECT, KILL_COORDINATOR, CONNECT_REFUSE, CONNECTION_RESET,
-    CONNECTION_STALL,
+    KILL_WORKER, DISCONNECT, KILL_COORDINATOR, CONNECT_REFUSE,
+    CONNECTION_RESET, CONNECTION_STALL,
 )
 
 
@@ -86,10 +51,10 @@ class Fault:
     """One deterministic one-shot failure trigger.
 
     Use the classmethod constructors; ``at`` is the trigger position in
-    the unit natural to the kind (absolute event offset for
-    ``kill_worker``/``disconnect``, 0-based ack ordinal for the ack
-    faults, 0-based collected-snapshot ordinal for
-    ``corrupt_snapshot``, 0-based sent-batch ordinal for ``pipe_eof``).
+    the unit natural to the kind (the worker's own event count for
+    ``kill_worker``, an absolute event offset for ``kill_coordinator``,
+    ``disconnect`` and ``reset_connection``, a 0-based attempt or read
+    ordinal for ``refuse_connect`` and ``stall_connection``).
     """
 
     def __init__(self, kind: str, shard: Optional[int], at: int) -> None:
@@ -112,31 +77,14 @@ class Fault:
         """Kill shard ``shard``'s worker once it reaches event ``at_event``.
 
         ``at_event`` counts the worker's *own* processed events (its
-        substream position).  Process workers hard-exit (the coordinator
-        sees pipe EOF); serial workers die with
-        :class:`InjectedDeath`.
+        substream position, restored on a resumed run).  Process workers
+        hard-exit (the coordinator sees pipe EOF); serial workers raise
+        :class:`~repro.engine.sharding.WorkerFailure`.  Either way the
+        sharded pass ends with that error; under
+        :class:`~repro.engine.runner.RunSupervisor` the run resumes from
+        its newest checkpoint.
         """
         return cls(KILL_WORKER, shard, at_event)
-
-    @classmethod
-    def drop_ack(cls, shard: int, ack: int) -> "Fault":
-        """Swallow shard ``shard``'s ``ack``-th batch acknowledgement."""
-        return cls(DROP_ACK, shard, ack)
-
-    @classmethod
-    def duplicate_ack(cls, shard: int, ack: int) -> "Fault":
-        """Deliver shard ``shard``'s ``ack``-th acknowledgement twice."""
-        return cls(DUPLICATE_ACK, shard, ack)
-
-    @classmethod
-    def corrupt_snapshot(cls, shard: int, snapshot: int = 0) -> "Fault":
-        """Bit-flip shard ``shard``'s ``snapshot``-th collected blob."""
-        return cls(CORRUPT_SNAPSHOT, shard, snapshot)
-
-    @classmethod
-    def pipe_eof(cls, shard: int, at_batch: int) -> "Fault":
-        """Close shard ``shard``'s transport after sending batch ``at_batch``."""
-        return cls(PIPE_EOF, shard, at_batch)
 
     @classmethod
     def disconnect(cls, at_event: int) -> "Fault":
@@ -205,14 +153,9 @@ class FaultPlan:
 
     # -- queries (the engine's injection points) ------------------------- #
 
-    def _fire(self, kind: str, shard: Optional[int], position: int) -> bool:
+    def _fire(self, kind: str, position: int) -> bool:
         for fault in self.faults:
-            if (
-                not fault.fired
-                and fault.kind == kind
-                and fault.shard == shard
-                and fault.at == position
-            ):
+            if not fault.fired and fault.kind == kind and fault.at == position:
                 fault.fired = True
                 return True
         return False
@@ -229,45 +172,37 @@ class FaultPlan:
                 return fault.at
         return None
 
-    def drop_ack(self, shard: int, ack: int) -> bool:
-        """True when shard ``shard``'s ``ack``-th ack must be swallowed."""
-        return self._fire(DROP_ACK, shard, ack)
-
-    def duplicate_ack(self, shard: int, ack: int) -> bool:
-        """True when shard ``shard``'s ``ack``-th ack arrives twice."""
-        return self._fire(DUPLICATE_ACK, shard, ack)
-
-    def corrupt_snapshot(self, shard: int, snapshot: int) -> bool:
-        """True when this collected snapshot blob must be bit-flipped."""
-        return self._fire(CORRUPT_SNAPSHOT, shard, snapshot)
-
-    def break_pipe(self, shard: int, batch: int) -> bool:
-        """True when the transport must lose its pipe after this batch."""
-        return self._fire(PIPE_EOF, shard, batch)
-
     def disconnect_at(self, events: int) -> bool:
         """Serve tier: True when the client connection drops at ``events``."""
-        return self._fire(DISCONNECT, None, events)
+        return self._fire(DISCONNECT, events)
 
     def take_coordinator_kill(self) -> Optional[int]:
         """Consume and return the coordinator-kill event threshold."""
+        fault = self._take(KILL_COORDINATOR)
+        return fault.at if fault is not None else None
+
+    def take_worker_kill(self) -> Optional[Fault]:
+        """Consume and return the next worker-kill fault, any shard."""
+        return self._take(KILL_WORKER)
+
+    def _take(self, kind: str) -> Optional[Fault]:
         for fault in self.faults:
-            if not fault.fired and fault.kind == KILL_COORDINATOR:
+            if not fault.fired and fault.kind == kind:
                 fault.fired = True
-                return fault.at
+                return fault
         return None
 
     def refuse_connect(self, attempt: int) -> bool:
         """Client: True when connection attempt ``attempt`` must be refused."""
-        return self._fire(CONNECT_REFUSE, None, attempt)
+        return self._fire(CONNECT_REFUSE, attempt)
 
     def reset_connection_at(self, events: int) -> bool:
         """Client: True when the connection resets at sent event ``events``."""
-        return self._fire(CONNECTION_RESET, None, events)
+        return self._fire(CONNECTION_RESET, events)
 
     def stall_read_at(self, read: int) -> bool:
         """Client: True when response read ``read`` must time out."""
-        return self._fire(CONNECTION_STALL, None, read)
+        return self._fire(CONNECTION_STALL, read)
 
     # -- bookkeeping ----------------------------------------------------- #
 
@@ -286,7 +221,7 @@ class FaultPlan:
 
 
 def corrupt_blob(blob: bytes, position: Optional[int] = None) -> bytes:
-    """Return ``blob`` with one byte bit-flipped (test/injection helper).
+    """Return ``blob`` with one byte bit-flipped (a test helper).
 
     ``position`` defaults to the middle of the blob, which lands inside
     the payload rather than the framing header -- the corruption the CRC

@@ -1,40 +1,51 @@
-"""The run supervisor: coordinator crashes become bounded resumes.
+"""The run supervisor: crashes become bounded resumes from checkpoints.
 
-PR 7 made the sharded engine survive *worker* death, but the coordinator
-process itself -- the one iterating the source, whether it drives a
+:class:`RunSupervisor` is the one crash-recovery mechanism of the
+engine.  It recovers a run whose engine process dies -- the coordinator
+iterating the source, whether it drives a
 :class:`~repro.engine.RaceEngine` or a
-:class:`~repro.engine.ShardedEngine` -- remained a single point of
-failure: a SIGKILL or OOM lost the whole run.  :class:`RunSupervisor`
-closes that gap with the PR 5 checkpoint directory:
+:class:`~repro.engine.ShardedEngine` -- and a sharded run one of whose
+shard workers dies, from its checkpoint directory:
 
 * every attempt executes the engine pass in a supervised **child
   process** (fork), checkpointing detector state into the directory at a
   fixed event cadence;
 * when the child vanishes without reporting a result (killed, OOMed, or
   an injected :meth:`~repro.engine.faults.Fault.kill_coordinator`
-  fault), the supervisor waits out an exponential backoff and spawns a
-  fresh child that **resumes** from the newest intact checkpoint
+  fault), or reports a :class:`~repro.engine.sharding.WorkerFailure`
+  (a shard worker died, was killed or stalled, and the sharded pass
+  stopped), the supervisor kills what is left of the child's process
+  group, waits out an exponential backoff and spawns a fresh child that
+  **resumes** from the newest intact checkpoint
   (:func:`~repro.api.resume_engine`) -- or from the stream start when no
   checkpoint landed yet;
-* deterministic child errors (validation failures, checkpoint
-  mismatches, :class:`~repro.engine.supervision.WorkerFailure`) are
-  *not* retried: they are re-raised in the caller, exactly once;
+* every other child error (validation failures, checkpoint mismatches)
+  is deterministic and *not* retried: it is re-raised in the caller,
+  exactly once;
 * when the retry budget is spent, one actionable
   :class:`CoordinatorFailure` names the crash count and the remedy.
+
+Each attempt forks the parent's fault plan, so the supervisor takes the
+engine-side faults out of it in the parent: at most one
+:meth:`~repro.engine.faults.Fault.kill_coordinator` and one
+:meth:`~repro.engine.faults.Fault.kill_worker` per attempt.  A resumed
+attempt therefore never dies again at a fault that already fired.
 
 Because resume replays the identical suffix into detectors restored
 from the identical snapshot, the final report -- witnesses and
 distances included -- equals the uninterrupted run's byte for byte
-(asserted by ``tests/test_runner.py`` for WCP and HB, sharded and
-unsharded).  The number of coordinator restarts is folded into
-``EngineResult.supervision`` next to the PR 7 worker counters.
+(asserted by ``tests/test_runner.py`` and ``tests/test_supervision.py``
+for WCP and HB, sharded and unsharded).  :attr:`RunSupervisor.restarts`
+counts the restarts.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import signal
+import sys
 import tempfile
 import time
 from typing import Optional
@@ -44,6 +55,7 @@ from repro.engine.checkpoint import (
     CheckpointMismatchError,
     Checkpointer,
 )
+from repro.engine.faults import FaultPlan
 from repro.engine.sources import EventSource, SourceWrapper, as_source
 
 __all__ = ["CoordinatorFailure", "RunSupervisor"]
@@ -104,6 +116,7 @@ def _child_main(
     checkpoint_dir,
     checkpoint_every,
     kill_at: Optional[int],
+    worker_kill,
 ) -> None:
     """One supervised attempt (runs in the forked child).
 
@@ -111,6 +124,9 @@ def _child_main(
     exists, else runs fresh with checkpointing enabled; reports
     ``("ok", result)`` or ``("error", exception)`` over the pipe.  A
     crash reports nothing -- the parent sees the process sentinel fire.
+    The engine sees only this attempt's worker kill (``worker_kill``, a
+    ``(shard, at_event)`` pair or None), never the rest of the parent's
+    plan.
     """
     try:
         # Lead a fresh process group: process-mode shard workers forked
@@ -123,6 +139,14 @@ def _child_main(
     try:
         from repro.api import resume_engine, run_engine
 
+        if worker_kill is not None or getattr(config, "fault_plan", None):
+            from repro.engine.config import EngineConfig
+
+            config = copy.copy(config) if config is not None else EngineConfig()
+            config.fault_plan = (
+                FaultPlan.kill(*worker_kill) if worker_kill is not None
+                else None
+            )
         event_source = source() if callable(source) else source
         if kill_at is not None:
             event_source = _KillAt(event_source, kill_at)
@@ -184,22 +208,24 @@ class RunSupervisor:
         ``checkpoint_every`` events).  None creates a private temporary
         directory, removed after a successful run.
     retries:
-        Coordinator restarts allowed before :class:`CoordinatorFailure`
-        (each restart resumes from the newest intact checkpoint).
+        Restarts allowed before :class:`CoordinatorFailure` (each
+        restart resumes from the newest intact checkpoint).
     backoff_s / backoff_max_s:
-        Exponential restart backoff, matching the worker supervisor's.
+        Exponential restart backoff.
     fault_plan:
         Deterministic harness hook: each
         :meth:`~repro.engine.faults.Fault.kill_coordinator` fault makes
-        one successive child hard-exit at an exact event offset
-        (defaults to ``config.fault_plan``).
+        one successive child hard-exit at an exact event offset, and
+        each :meth:`~repro.engine.faults.Fault.kill_worker` fault kills
+        one shard worker of one successive child (defaults to
+        ``config.fault_plan``).
 
     Usage::
 
         supervisor = RunSupervisor("trace.std", detectors=["wcp"],
                                    checkpoint_dir="ckpts", retries=3)
         result = supervisor.run()   # survives SIGKILL/OOM of the engine
-        result.supervision["coordinator_restarts"]
+        supervisor.restarts
     """
 
     def __init__(
@@ -232,37 +258,39 @@ class RunSupervisor:
             fault_plan if fault_plan is not None
             else getattr(config, "fault_plan", None)
         )
-        #: Coordinator restarts performed by the last :meth:`run`.
+        #: Restarts performed by the last :meth:`run`.
         self.restarts = 0
 
     def run(self):
         """Run to completion (or exhaustion), resuming across crashes."""
         plan = self.fault_plan
         self.restarts = 0
-        last_exit: Optional[int] = None
         while True:
-            # Each attempt arms at most one (one-shot) coordinator-kill
-            # fault, so a plan with N kills crashes N successive children.
-            kill_at = (
-                plan.take_coordinator_kill() if plan is not None else None
-            )
-            outcome = self._attempt(kill_at)
+            # Each attempt arms at most one (one-shot) fault of each
+            # engine-side kind, so a plan with N kills crashes N
+            # successive children.
+            kill_at = worker_kill = None
+            if plan is not None:
+                kill_at = plan.take_coordinator_kill()
+                fault = plan.take_worker_kill()
+                if fault is not None:
+                    worker_kill = (fault.shard, fault.at)
+            outcome = self._attempt(kill_at, worker_kill)
             if outcome is not None:
                 kind, payload = outcome
                 if kind == "ok":
-                    self._fold_supervision(payload)
                     self._cleanup()
                     return payload
                 raise payload  # deterministic child error, never retried
-            last_exit = self._last_exitcode
             if self.restarts >= self.retries:
                 raise CoordinatorFailure(
-                    "engine process died %d time(s) (last exit status %s) "
-                    "and the retry budget is exhausted; checkpoints up to "
-                    "the last crash remain in %s -- resume manually with "
+                    "engine process died %d time(s) (last: %s) and the "
+                    "retry budget is exhausted; checkpoints up to the last "
+                    "crash remain in %s -- resume manually with "
                     "resume_engine()/--resume, or raise the retry budget "
                     "(--auto-resume)"
-                    % (self.restarts + 1, last_exit, self.checkpoint_dir)
+                    % (self.restarts + 1, self._last_crash,
+                       self.checkpoint_dir)
                 )
             delay = min(
                 self.backoff_max_s, self.backoff_s * (2 ** self.restarts)
@@ -275,8 +303,8 @@ class RunSupervisor:
     # One attempt
     # ------------------------------------------------------------------ #
 
-    def _attempt(self, kill_at: Optional[int]):
-        """Fork one supervised child; None means it crashed silently."""
+    def _attempt(self, kill_at: Optional[int], worker_kill):
+        """Fork one supervised child; None means it crashed."""
         import multiprocessing
 
         try:
@@ -289,6 +317,7 @@ class RunSupervisor:
             args=(
                 sender, self.source, self.detectors, self.config,
                 self.checkpoint_dir, self.checkpoint_every, kill_at,
+                worker_kill,
             ),
             name="repro-supervised-run",
         )
@@ -299,7 +328,17 @@ class RunSupervisor:
         finally:
             receiver.close()
             child.join()
-        self._last_exitcode = child.exitcode
+        self._last_crash = "exit status %s" % child.exitcode
+        # Unpickling a WorkerFailure loaded the sharded engine; a plain
+        # run never loads it.
+        sharding = sys.modules.get("repro.engine.sharding")
+        if (
+            message is not None and message[0] == "error"
+            and sharding is not None
+            and isinstance(message[1], sharding.WorkerFailure)
+        ):
+            self._last_crash = str(message[1])
+            message = None
         if message is None:
             self._sweep_orphans(child)
         return message
@@ -342,16 +381,7 @@ class RunSupervisor:
         except OSError:  # pragma: no cover - platform quirks
             pass
 
-    _last_exitcode: Optional[int] = None
-
-    def _fold_supervision(self, result) -> None:
-        supervision = getattr(result, "supervision", None)
-        if supervision is None:
-            supervision = {}
-            result.supervision = supervision
-        supervision["coordinator_restarts"] = (
-            supervision.get("coordinator_restarts", 0) + self.restarts
-        )
+    _last_crash: Optional[str] = None
 
     def _cleanup(self) -> None:
         if self._owns_dir:

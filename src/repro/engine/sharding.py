@@ -65,6 +65,18 @@ persists one sharded :class:`~repro.engine.checkpoint.Checkpoint`
 uses.  :meth:`ShardedEngine.resume` restores each worker from its blob
 and replays the source suffix -- the merged report equals the
 uninterrupted run's exactly.
+
+Worker death
+------------
+A worker that dies (its process exits or is killed, its pipe breaks, or
+it stays silent past :data:`STALL_TIMEOUT_S` on a snapshot or finish
+request) ends the pass at once: the coordinator tears every worker down
+and raises one :class:`WorkerFailure` that names the shard and the
+cause.  The sharded engine restarts nothing itself.  Recovery is the run
+supervisor's job (:class:`~repro.engine.runner.RunSupervisor`, ``analyze
+--auto-resume``): it treats the failure as a crash of the run and
+resumes it from the newest checkpoint, whose report equals the
+uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -98,11 +110,6 @@ from repro.engine.engine import (
     EngineResult,
     RaceEngine,
 )
-from repro.engine.faults import InjectedDeath, WorkerDied
-from repro.engine.supervision import (
-    SupervisedTransport,
-    new_supervision_stats,
-)
 from repro.engine.partition import REPLICATE, ROUTE, StreamPartitioner
 from repro.engine.sources import as_source
 from repro.trace.columns import ColumnBlock, OpTable
@@ -118,6 +125,32 @@ _ETYPE_OF_VALUE = {etype.value: etype for etype in EventType}
 #: descriptor call and an EventType key hashes through Enum's Python-level
 #: ``__hash__``; the coordinator reads it once per event).
 _VALUE_OF_ETYPE = {id(etype): etype.value for etype in EventType}
+
+
+class WorkerFailure(RuntimeError):
+    """A shard worker died, and with it the sharded pass.
+
+    The one error the sharded engine raises for a dead, killed or
+    stalled worker, never a raw ``EOFError`` out of a pipe.  Its message
+    is one line that names the shard and the cause and points to
+    ``--auto-resume``, under which
+    :class:`~repro.engine.runner.RunSupervisor` resumes the run from its
+    newest checkpoint.
+    """
+
+    def __init__(self, shard: int, cause: str) -> None:
+        # Both fields in ``args``: the run supervisor's child process
+        # pickles the error back to its parent.
+        super().__init__(shard, cause)
+        self.shard = shard
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return (
+            "shard %d worker died (%s); the sharded pass stopped -- run it "
+            "under --auto-resume to resume from the newest checkpoint"
+            % (self.shard, self.cause)
+        )
 
 
 class ShardedResult(EngineResult):
@@ -160,14 +193,9 @@ class ShardedResult(EngineResult):
         clock_state: Dict[str, Dict[object, VectorClock]],
         shard_clock_states: List[List[Optional[Dict[object, bytes]]]],
         shard_names: List[List[object]],
-        supervision: Optional[dict] = None,
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
-        #: Run-level supervision counters (worker_restarts,
-        #: heartbeat_timeouts, snapshot_fallbacks, shutdown_escalations,
-        #: restarts_by_shard) -- all zero on a fault-free run.
-        self.supervision = supervision or new_supervision_stats()
         self.shards = shards
         self.mode = mode
         self.shard_events = shard_events
@@ -228,17 +256,6 @@ class ShardedResult(EngineResult):
                 self.replication_factor(), self.work_speedup_bound(),
             )
         )
-        restarts = self.supervision.get("worker_restarts", 0)
-        if restarts:
-            lines.append(
-                "  supervision: %d worker restart(s) %r, %d heartbeat "
-                "timeout(s), %d snapshot fallback(s)" % (
-                    restarts,
-                    self.supervision.get("restarts_by_shard", {}),
-                    self.supervision.get("heartbeat_timeouts", 0),
-                    self.supervision.get("snapshot_fallbacks", 0),
-                )
-            )
         return "\n".join(lines)
 
 
@@ -270,7 +287,7 @@ class _ShardWorker:
         self.source_name = source_name
         #: Fault injection: die once the worker has processed this many
         #: events (process workers hard-exit so the coordinator sees a
-        #: genuine pipe EOF; serial workers raise InjectedDeath).
+        #: genuine pipe EOF; serial workers raise WorkerFailure).
         self.kill_at = kill_at
         self.hard_exit = hard_exit
         self.registry = ThreadRegistry()
@@ -286,7 +303,7 @@ class _ShardWorker:
         self.events = 0
         self.busy_s = 0.0
         #: Variables marked foreign in every detector (empty again after a
-        #: restart; marking is idempotent).
+        #: restore; marking is idempotent).
         self.foreign: set = set()
 
     def start(self) -> None:
@@ -318,17 +335,16 @@ class _ShardWorker:
         if self.kill_at is not None and self.events + len(batch) >= self.kill_at:
             # Injected abrupt death: process the prefix up to the
             # threshold (the realistic mid-batch crash), then die without
-            # acking -- the supervisor's snapshot + replay must absorb
-            # the partial work.
+            # acking; resuming from a checkpoint must absorb the partial
+            # work.
             prefix = self.kill_at - self.events
             self.kill_at = None
             if prefix > 0:
                 self.process_batch(batch[:prefix])
             if self.hard_exit:
                 os._exit(17)
-            raise InjectedDeath(
-                "injected kill of shard %d at event %d"
-                % (self.shard_id, self.events)
+            raise WorkerFailure(
+                self.shard_id, "injected kill at event %d" % self.events
             )
         started = time.perf_counter()
         if batch:
@@ -424,94 +440,34 @@ class _ShardWorker:
 # Transports
 # --------------------------------------------------------------------- #
 
-class _AckCounter:
-    """Batch-ack bookkeeping shared by the transports.
-
-    Tracks the acknowledgements the coordinator *observed* (the
-    supervisor's liveness signal), applying the fault plan's drop /
-    duplicate triggers at the deterministic ack ordinal.
-    """
-
-    def __init__(self, shard_id: int, plan=None) -> None:
-        self.shard_id = shard_id
-        self.plan = plan
-        self.seen = 0
-        self.observed = 0
-
-    def record(self) -> bool:
-        """Count one worker ack; False when the plan swallowed it."""
-        index = self.seen
-        self.seen += 1
-        plan = self.plan
-        if plan is not None and plan.drop_ack(self.shard_id, index):
-            return False
-        self.observed += 1
-        if plan is not None and plan.duplicate_ack(self.shard_id, index):
-            self.observed += 1
-        return True
-
-
 class _SerialTransport:
     """Run the worker inline; the deterministic reference transport."""
 
     def __init__(
-        self,
-        worker: _ShardWorker,
-        restore: Optional[dict] = None,
-        plan=None,
+        self, worker: _ShardWorker, restore: Optional[dict] = None,
     ) -> None:
         self.worker = worker
-        self.dead: Optional[str] = None
-        self.acks = _AckCounter(worker.shard_id, plan)
         worker.start()
         if restore is not None:
             worker.restore(restore)
 
-    def _check_dead(self) -> None:
-        if self.dead is not None:
-            raise WorkerDied(self.worker.shard_id, self.dead)
-
     def send(self, batch: List[tuple]) -> None:
-        self._check_dead()
-        try:
-            self.worker.process_batch(batch)
-        except InjectedDeath as death:
-            self.dead = str(death)
-            raise WorkerDied(self.worker.shard_id, self.dead)
-        self.acks.record()
+        self.worker.process_batch(batch)
 
     def poll_progress(self):
-        self._check_dead()
         return self.worker.progress()
 
     def snapshot_begin(self):
-        return self.snapshot()
+        return self.worker.snapshot_state()
 
     def snapshot_end(self, token) -> dict:
         return token
 
-    def snapshot(self) -> dict:
-        self._check_dead()
-        return self.worker.snapshot_state()
-
     def finish(self) -> dict:
-        self._check_dead()
         return self.worker.finish()
 
-    def acked(self) -> int:
-        return self.acks.observed
-
-    def alive(self) -> bool:
-        return self.dead is None
-
-    def break_pipe(self) -> None:
-        self.dead = "injected pipe EOF"
-
     def abort(self) -> None:
-        self.dead = self.dead or "aborted by coordinator"
-
-    def take_escalations(self) -> int:
-        return 0
+        pass
 
 
 def _process_worker_main(
@@ -572,22 +528,21 @@ _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 #: (join -> terminate -> kill).
 SHUTDOWN_TIMEOUT_S = 30.0
 
+#: Longest the coordinator waits on a silent worker for a snapshot or
+#: finish reply before declaring a hung-but-alive process dead; every
+#: message from the worker restarts the clock.
+STALL_TIMEOUT_S = 30.0
+
 
 class _ProcessTransport:
-    """One persistent worker process per shard over a duplex pipe."""
+    """One persistent worker process per shard over a duplex pipe.
 
-    def __init__(
-        self, worker_args: tuple, shard_id: int, mp_context,
-        plan=None, stall_timeout_s: Optional[float] = None,
-    ) -> None:
+    Every pipe failure and every stall raises :class:`WorkerFailure`;
+    the coordinator then calls :meth:`abort` on every transport.
+    """
+
+    def __init__(self, worker_args: tuple, shard_id: int, mp_context) -> None:
         self.shard_id = shard_id
-        #: Longest the coordinator waits on a silent worker for a
-        #: snapshot or finish reply before declaring a hung-but-alive
-        #: process dead; every message from the worker restarts the
-        #: clock.  None waits forever.
-        self.stall_timeout_s = stall_timeout_s
-        self.escalations = 0
-        self.acks = _AckCounter(shard_id, plan)
         self.conn, child_conn = mp_context.Pipe(duplex=True)
         self.process = mp_context.Process(
             target=_process_worker_main,
@@ -601,7 +556,7 @@ class _ProcessTransport:
         self._result = None
         self._state = None
 
-    def _died(self, error: Exception) -> WorkerDied:
+    def _died(self, error: Exception) -> WorkerFailure:
         # The pipe can fail a moment before the dead worker is reapable;
         # wait up to a second so the cause names its exit code.
         self.process.join(timeout=1.0)
@@ -611,43 +566,32 @@ class _ProcessTransport:
         )
         if code is not None:
             cause += " [worker exit code %s]" % code
-        return WorkerDied(self.shard_id, cause)
-
-    def _stalled(self, awaiting: str) -> WorkerDied:
-        """Condemn a worker that stayed silent past the stall timeout.
-
-        The death is tagged ``stalled`` so supervision counts it as a
-        heartbeat timeout, not a crash; the supervisor's :meth:`abort`
-        then terminates the process.
-        """
-        death = WorkerDied(
-            self.shard_id,
-            "no %s for %.1fs; worker process is alive but stalled, "
-            "declaring it dead" % (awaiting, self.stall_timeout_s),
-        )
-        death.stalled = True
-        return death
+        return WorkerFailure(self.shard_id, cause)
 
     def _drain(self, awaiting: Optional[str] = None) -> None:
         """Absorb pending worker messages (progress / state / errors).
 
         With ``awaiting`` (a description of the reply), keep reading
         until a ``state`` or ``result`` message arrives, allowing the
-        worker at most ``stall_timeout_s`` of silence between messages.
+        worker at most :data:`STALL_TIMEOUT_S` of silence between
+        messages.
         """
         conn = self.conn
-        timeout = self.stall_timeout_s if awaiting else 0
+        timeout = STALL_TIMEOUT_S if awaiting else 0
         try:
             while self._result is None:
                 if not conn.poll(timeout):
                     if awaiting is None:
                         return
-                    raise self._stalled(awaiting)
+                    raise WorkerFailure(
+                        self.shard_id,
+                        "no %s for %.1fs; the worker process is alive but "
+                        "stalled" % (awaiting, timeout),
+                    )
                 message = conn.recv()
                 kind = message[0]
                 if kind == "progress":
-                    if self.acks.record():
-                        self._progress = message[3]
+                    self._progress = message[3]
                 elif kind == "state":
                     self._state = message[2]
                     return
@@ -685,14 +629,11 @@ class _ProcessTransport:
         state, self._state = self._state, None
         return state
 
-    def snapshot(self) -> dict:
-        return self.snapshot_end(self.snapshot_begin())
-
     def finish(self) -> dict:
         """Collect the result payload, then shut the worker down.
 
-        A dead or stalled worker raises :class:`WorkerDied` without the
-        graceful shutdown; whoever handles the death calls :meth:`abort`.
+        A dead or stalled worker raises :class:`WorkerFailure` without
+        the graceful shutdown; the coordinator then calls :meth:`abort`.
         """
         self._post(("finish",))
         while self._result is None:
@@ -704,8 +645,8 @@ class _ProcessTransport:
         """Escalating worker shutdown: close -> join -> terminate -> kill.
 
         A healthy worker exits on pipe EOF, so the first join is the
-        graceful path; each escalation is counted (a worker that needed
-        SIGTERM or SIGKILL to go away is a bug signal worth surfacing).
+        graceful path; SIGTERM and then SIGKILL follow only for a worker
+        that outlives each stage's patience.
         """
         timeout = SHUTDOWN_TIMEOUT_S
         try:
@@ -714,32 +655,18 @@ class _ProcessTransport:
             pass
         self.process.join(timeout=timeout)
         if self.process.is_alive():
-            self.escalations += 1
             self.process.terminate()
             self.process.join(timeout=timeout)
             if self.process.is_alive():
-                self.escalations += 1
                 self.process.kill()
                 self.process.join(timeout=5)
-
-    def acked(self) -> int:
-        return self.acks.observed
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def break_pipe(self) -> None:
-        # Sever the coordinator end; every later pipe operation raises,
-        # which the supervisor normalizes into failover.
-        self.conn.close()
 
     def abort(self) -> None:
         """Hard teardown of a dead or discarded worker (no finish drain).
 
         Unlike :meth:`_shutdown` there is no reason to wait the full
         graceful timeout first: the worker is already presumed gone, so
-        escalate to SIGTERM immediately and only count an escalation if
-        it survives that.
+        escalate to SIGTERM at once, and to SIGKILL if it survives that.
         """
         try:
             self.conn.close()
@@ -749,15 +676,10 @@ class _ProcessTransport:
             self.process.terminate()
             self.process.join(timeout=SHUTDOWN_TIMEOUT_S)
             if self.process.is_alive():  # pragma: no cover - defensive
-                self.escalations += 1
                 self.process.kill()
                 self.process.join(timeout=5)
         else:
             self.process.join(timeout=5)
-
-    def take_escalations(self) -> int:
-        taken, self.escalations = self.escalations, 0
-        return taken
 
 
 _TRANSPORT_MODES = ("process", "serial")
@@ -932,19 +854,7 @@ class ShardedEngine:
             check_snapshot_support(resolved)
             checkpointer.source = event_source
 
-        # Failover needs snapshot-capable detectors; without them the
-        # supervisor still normalizes errors but never buffers batches
-        # (an unbounded replay buffer with nothing to trim it against).
-        try:
-            check_snapshot_support(resolved)
-            recoverable = True
-        except ValueError:
-            recoverable = False
-        supervision_stats = new_supervision_stats()
-        transports = self._start_transports(
-            specs, source_name, restore_states,
-            stats=supervision_stats, recoverable=recoverable,
-        )
+        transports = self._start_transports(specs, source_name, restore_states)
 
         batch_size = self.batch_size
         race_budget = config.race_budget
@@ -1083,7 +993,7 @@ class ShardedEngine:
         elapsed = time.perf_counter() - started
         result = self._merge(
             resolved, payloads, source_name, events, elapsed, stop_reason,
-            snapshots, partitioner, supervision_stats,
+            snapshots, partitioner,
         )
         if interval is not None and (events == 0 or events % interval != 0):
             # Final snapshot from the exact merged reports.
@@ -1109,60 +1019,31 @@ class ShardedEngine:
         specs: List[dict],
         source_name: str,
         restore_states: Optional[List[dict]] = None,
-        stats: Optional[dict] = None,
-        recoverable: bool = True,
     ):
-        """One :class:`SupervisedTransport` per shard.
-
-        Each wrapper owns a factory closure that (re)builds the raw
-        transport for its shard -- used once at startup and again on
-        every failover restart, so a restarted worker is constructed
-        exactly like a fresh one (stamps, restore blobs) and differs only
-        in the state it is restored from.
-        """
-        config = self.config
-        plan = config.fault_plan
-        stats = stats if stats is not None else new_supervision_stats()
-        mode = self.mode
+        """One transport per shard, each worker built from the stamps
+        (and restored from its checkpointed state on a resumed run)."""
+        plan = self.config.fault_plan
         mp_context = None
-        if mode == "process":
+        if self.mode == "process":
             import multiprocessing
 
             mp_context = multiprocessing.get_context()
-
-        def make_factory(shard: int):
-            initial = restore_states[shard] if restore_states else None
-
-            def factory(restore: Optional[dict]):
-                state = restore if restore is not None else initial
-                # One-shot: only the incarnation that arms the kill dies.
-                kill_at = (
-                    plan.take_kill_event(shard) if plan is not None else None
-                )
-                if mode == "process":
-                    return _ProcessTransport(
-                        (shard, specs, source_name, state, kill_at),
-                        shard, mp_context, plan=plan,
-                        # Proactive restart: a hung-but-alive worker is
-                        # declared dead on heartbeat expiry even while
-                        # the coordinator waits on a snapshot or finish.
-                        stall_timeout_s=config.shard_heartbeat_s,
-                    )
+        transports = []
+        for shard in range(self.shards):
+            state = restore_states[shard] if restore_states else None
+            kill_at = plan.take_kill_event(shard) if plan is not None else None
+            if mp_context is not None:
+                transports.append(_ProcessTransport(
+                    (shard, specs, source_name, state, kill_at),
+                    shard, mp_context,
+                ))
+            else:
                 worker = _ShardWorker(
                     shard, [build_detector(spec) for spec in specs],
                     source_name, kill_at=kill_at,
                 )
-                return _SerialTransport(worker, state, plan=plan)
-
-            return factory
-
-        return [
-            SupervisedTransport(
-                shard, make_factory(shard), config, stats,
-                recoverable=recoverable,
-            )
-            for shard in range(self.shards)
-        ]
+                transports.append(_SerialTransport(worker, state))
+        return transports
 
     @staticmethod
     def _collect_snapshots(transports) -> List[dict]:
@@ -1202,7 +1083,6 @@ class ShardedEngine:
         stop_reason: str,
         snapshots: List[ReportSnapshot],
         partitioner: StreamPartitioner,
-        supervision: Optional[dict] = None,
     ) -> ShardedResult:
         payloads = sorted(payloads, key=lambda payload: payload["shard"])
         registry = ThreadRegistry()
@@ -1266,7 +1146,6 @@ class ShardedEngine:
             clock_state=clock_state,
             shard_clock_states=[payload["clocks"] for payload in payloads],
             shard_names=[payload["names"] for payload in payloads],
-            supervision=supervision,
         )
 
     @staticmethod

@@ -43,16 +43,6 @@ _COUNTERS = (
     "handshake_timeout",
 )
 
-#: Sharded-engine supervision counters folded off completed results, in
-#: rendering order (see :mod:`repro.engine.supervision`).
-_SUPERVISION_COUNTERS = (
-    "worker_restarts",
-    "heartbeat_timeouts",
-    "snapshot_fallbacks",
-    "shutdown_escalations",
-    "coordinator_restarts",
-)
-
 
 class ServeMetrics:
     """Aggregated serve-tier observability state.
@@ -72,11 +62,6 @@ class ServeMetrics:
         self.tenants: Dict[str, Dict[str, float]] = {}
         #: detector name -> {"events", "time_s", "races", "raw", "streams"}
         self.detectors: Dict[str, Dict[str, float]] = {}
-        #: Sharded-engine fault-tolerance counters, folded from every
-        #: completed result that carries a ``supervision`` dict.
-        self.supervision: Dict[str, int] = {
-            name: 0 for name in _SUPERVISION_COUNTERS
-        }
         self._latency = deque(maxlen=latency_samples)
 
     # -- lifecycle ------------------------------------------------------- #
@@ -129,10 +114,6 @@ class ServeMetrics:
             bucket["races"] += report.count()
             bucket["raw"] += report.raw_race_count
             bucket["streams"] += 1
-        supervision = getattr(result, "supervision", None)
-        if supervision:
-            for name in _SUPERVISION_COUNTERS:
-                self.supervision[name] += int(supervision.get(name, 0))
 
     # -- latency --------------------------------------------------------- #
 
@@ -185,7 +166,6 @@ class ServeMetrics:
                 }
                 for name, bucket in sorted(self.detectors.items())
             },
-            "supervision": dict(self.supervision),
             "latency": {
                 "samples": len(self._latency),
                 "p50_us": round(p50 * 1e6, 1) if p50 is not None else None,
@@ -209,8 +189,6 @@ class ServeMetrics:
         lines = ["uptime_s %.3f" % (time.monotonic() - self.started)]
         for name in _COUNTERS:
             lines.append("%s %d" % (name, self.counters[name]))
-        for name in _SUPERVISION_COUNTERS:
-            lines.append("%s %d" % (name, self.supervision[name]))
         if manager is not None:
             lines.append("active_sessions %d" % manager.active_count())
             lines.append("queue_depth %d" % manager.queue_depth())

@@ -138,3 +138,38 @@ class TestCliErrors:
         assert main(argv[:1] + [str(path)] + argv[1:]) == 2
         err = self._one_line(capsys)
         assert "FastTrack detector was removed" in err and "use hb" in err
+
+    def test_witness_refuses_fasttrack(self, tmp_path, capsys):
+        path = dump_trace(random_trace(seed=3, n_events=30),
+                          tmp_path / "trace.std")
+        assert main(["witness", str(path), "--detector", "fasttrack"]) == 2
+        err = self._one_line(capsys)
+        assert "FastTrack detector was removed" in err and "use hb" in err
+
+    def test_resume_of_a_fasttrack_checkpoint_with_hb(self, tmp_path, capsys):
+        """Naming a live detector does not get round the removal: the
+        checkpoint's own FastTrack stamp is refused in the same line."""
+        from repro.core.snapshot import pack_state
+        from repro.engine.checkpoint import Checkpoint, Checkpointer
+
+        trace = random_trace(seed=3, n_events=120)
+        path = dump_trace(trace, tmp_path / "trace.std")
+        stamp = {
+            "name": "FastTrack",
+            "class": "repro.hb.fasttrack:FastTrackDetector",
+            "snapshot_version": 5,
+            "config": {},
+        }
+        directory = tmp_path / "ckpts"
+        Checkpointer(directory, every=20).save(Checkpoint(
+            events=60, source_name=trace.name, stamps=[stamp],
+            states=[pack_state("FastTrackDetector", 5, {}, {"names": []})],
+            every=20,
+        ))
+        assert main(["analyze", str(path), "--resume", str(directory),
+                     "--detector", "hb"]) == 2
+        # The resume provenance line, then the one error line.
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("resuming from ")
+        assert "FastTrack detector was removed" in lines[1]
+        assert "use hb" in lines[1] and "mismatch" not in lines[1]

@@ -887,7 +887,7 @@ class TestServeCli:
 
 
 # --------------------------------------------------------------------- #
-# Fault injection: client disconnects and supervision observability
+# Fault injection: client disconnects
 # --------------------------------------------------------------------- #
 
 
@@ -944,51 +944,6 @@ class TestServeFaultInjection:
         assert counters["disconnected"] == 1
         assert counters["completed"] == 0
         assert counters["errored"] == 0
-
-    def test_stats_surface_supervision_counters(self):
-        trace = random_trace(seed=73, n_events=30)
-
-        async def run():
-            server = await _start_server()
-            try:
-                await _roundtrip(server, write_std(trace))
-                stats = await _roundtrip(server, "/stats\n")
-                data = server.metrics.to_dict(server.manager)
-            finally:
-                await server.close()
-            return stats, data
-
-        stats, data = asyncio.run(run())
-        assert "worker_restarts 0" in stats.splitlines()
-        assert "shutdown_escalations 0" in stats.splitlines()
-        assert data["supervision"] == {
-            "worker_restarts": 0, "heartbeat_timeouts": 0,
-            "snapshot_fallbacks": 0, "shutdown_escalations": 0,
-            "coordinator_restarts": 0,
-        }
-
-    def test_metrics_fold_supervision_off_results(self):
-        metrics = ServeMetrics()
-
-        class _Result:
-            events = 10
-            supervision = {
-                "worker_restarts": 2, "heartbeat_timeouts": 1,
-                "snapshot_fallbacks": 0, "shutdown_escalations": 3,
-                "restarts_by_shard": {0: 2},
-            }
-
-            def items(self):
-                return []
-
-        metrics.record_result(_Result())
-        metrics.record_result(_Result())
-        assert metrics.supervision["worker_restarts"] == 4
-        assert metrics.supervision["heartbeat_timeouts"] == 2
-        assert metrics.supervision["shutdown_escalations"] == 6
-        lines = metrics.render_lines()
-        assert "worker_restarts 4" in lines
-        assert metrics.to_dict()["supervision"]["worker_restarts"] == 4
 
 
 # --------------------------------------------------------------------- #

@@ -1,40 +1,43 @@
-"""Tests for worker supervision, shard failover and fault injection.
+"""Tests for shard worker death, its recovery and the fault-injection harness.
 
-The acceptance criterion from the fault-tolerance work: for every
-deterministic :class:`FaultPlan` in {worker kill at an arbitrary event,
-dropped ack, corrupted snapshot blob, severed pipe}, on every transport,
-the sharded run's merged report is byte-identical -- witnesses and
-distances included -- to the fault-free run; and when recovery is
-disabled (retries=0, which fails fast) or retries are exhausted, the run
-dies with one actionable :class:`WorkerFailure`, never a raw
-``EOFError``.
+A shard worker that dies -- killed, crashed or stalled -- ends the sharded
+pass at once with one actionable :class:`WorkerFailure` that names the
+shard, never a raw ``EOFError`` and never a hang.  The run supervisor
+(:class:`RunSupervisor`, ``analyze --auto-resume``) is the one recovery
+mechanism: it treats that failure as a crash and resumes the run from its
+newest checkpoint.  For every deterministic worker kill, on every
+transport, the recovered report is byte-identical -- witnesses and
+distances included -- to the fault-free run.
 """
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro import (
+    CoordinatorFailure,
     EngineConfig,
     Fault,
     FaultPlan,
     HBDetector,
     QueueSource,
     RaceEngine,
+    RunSupervisor,
     ShardedEngine,
     WorkerFailure,
 )
 from repro.bench.generators import mixed_vocabulary_trace
+import repro.engine.sharding as sharding
 from repro.cli import main
 from repro.engine.checkpoint import detector_stamp
 from repro.engine.faults import corrupt_blob
-from repro.engine.faults import WorkerDied
 from repro.engine.partition import ROUTE_CLOCK, StreamPartitioner, owner_of
 from repro.engine.sharding import _ProcessTransport, _ShardWorker
-from repro.engine.supervision import SupervisedTransport, new_supervision_stats
+from repro.engine.sources import TraceSource
 from repro.trace.event import EventType
 from repro.trace.writers import dump_trace
 
@@ -45,16 +48,30 @@ DETECTORS = ["wcp", "hb"]
 MODES = ["serial", "process"]
 
 
-def _sharded(trace, plan=None, mode="serial", shards=3, batch_size=16,
-             detectors=DETECTORS, **supervision):
+def _config(mode="serial", shards=3, batch_size=16, plan=None):
     config = EngineConfig().with_shards(shards, mode=mode,
                                         batch_size=batch_size)
-    supervision.setdefault("backoff_s", 0.0)
-    supervision.setdefault("snapshot_every", 4)
-    config.with_shard_supervision(**supervision)
     if plan is not None:
         config.with_fault_plan(plan)
-    return ShardedEngine(config).run(trace, detectors=detectors)
+    return config
+
+
+def _sharded(trace, plan=None, mode="serial", detectors=DETECTORS):
+    return ShardedEngine(_config(mode, plan=plan)).run(
+        trace, detectors=detectors
+    )
+
+
+def _supervised(trace, plan, tmp_path, mode="serial", retries=2,
+                checkpoint_every=50, source=None):
+    """Run ``trace`` sharded under a RunSupervisor that owns ``plan``."""
+    supervisor = RunSupervisor(
+        source if source is not None else trace, DETECTORS,
+        config=_config(mode), checkpoint_dir=str(tmp_path / "ckpts"),
+        checkpoint_every=checkpoint_every, retries=retries, backoff_s=0.0,
+        fault_plan=plan,
+    )
+    return supervisor, supervisor.run()
 
 
 def _witnesses(report):
@@ -71,6 +88,7 @@ def _assert_parity(trace, result, detectors=DETECTORS):
     single = RaceEngine().run(trace, detectors=detectors)
     for name in single.keys():
         assert _fingerprint(single[name]) == _fingerprint(result[name])
+        assert _witnesses(single[name]) == _witnesses(result[name]), name
 
 
 # --------------------------------------------------------------------- #
@@ -80,30 +98,51 @@ def _assert_parity(trace, result, detectors=DETECTORS):
 
 class TestFaultPlan:
     def test_faults_fire_exactly_once(self):
-        plan = FaultPlan([Fault.drop_ack(0, 3)])
-        assert not plan.drop_ack(0, 2)
-        assert plan.drop_ack(0, 3)
-        assert not plan.drop_ack(0, 3)
+        plan = FaultPlan([Fault.disconnect(3)])
+        assert not plan.disconnect_at(2)
+        assert plan.disconnect_at(3)
+        assert not plan.disconnect_at(3)
         assert plan.fired() and not plan.unfired()
 
     def test_shard_and_position_must_match(self):
-        plan = FaultPlan([Fault.duplicate_ack(1, 5)])
-        assert not plan.duplicate_ack(0, 5)
-        assert not plan.duplicate_ack(1, 4)
-        assert plan.duplicate_ack(1, 5)
+        plan = FaultPlan([Fault.kill_worker(1, 5), Fault.reset_connection(5)])
+        assert plan.take_kill_event(0) is None
+        assert plan.take_kill_event(1) == 5
+        assert not plan.reset_connection_at(4)
+        assert plan.reset_connection_at(5)
 
     def test_take_kill_event_consumes(self):
         plan = FaultPlan([Fault.kill_worker(2, 40)])
         assert plan.take_kill_event(0) is None
         assert plan.take_kill_event(2) == 40
-        # One-shot: a restarted worker does not re-inherit the fault.
+        # One-shot: a resumed attempt does not re-inherit the fault.
         assert plan.take_kill_event(2) is None
+
+    def test_take_worker_kill_takes_one_per_call(self):
+        plan = FaultPlan([
+            Fault.kill_coordinator(7),
+            Fault.kill_worker(2, 40),
+            Fault.kill_worker(0, 10),
+        ])
+        first = plan.take_worker_kill()
+        assert (first.shard, first.at) == (2, 40)
+        second = plan.take_worker_kill()
+        assert (second.shard, second.at) == (0, 10)
+        assert plan.take_worker_kill() is None
+        assert plan.unfired() == [plan.faults[0]]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             Fault("meteor-strike", 0, 1)
         with pytest.raises(ValueError, match=">= 0"):
             Fault.kill_worker(0, -1)
+
+    @pytest.mark.parametrize("kind", [
+        "drop_ack", "duplicate_ack", "corrupt_snapshot", "pipe_eof",
+    ])
+    def test_removed_kinds_are_unknown(self, kind):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            Fault(kind, 0, 1)
 
     def test_repr_tracks_firing(self):
         plan = FaultPlan.kill(1, at_event=10)
@@ -121,107 +160,78 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Parity through injected failures (the tentpole acceptance suite)
+# Recovery under the run supervisor: parity through worker kills
 # --------------------------------------------------------------------- #
 
 
 class TestFaultParity:
-    """Killed, throttled or corrupted -- the merged report must equal the
-    uninterrupted run exactly, on every transport."""
+    """A killed worker ends the attempt; the supervisor resumes from the
+    newest checkpoint and the report equals the fault-free run exactly,
+    on every transport."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kind", ["random", "forkjoin"])
-    def test_worker_kill_parity(self, mode, kind):
+    def test_worker_kill_parity(self, mode, kind, tmp_path):
         trace = (
             random_trace(17, n_events=240, n_threads=4, n_locks=2, n_vars=6)
             if kind == "random" else fork_join_trace(2)
         )
         plan = FaultPlan.kill(1, at_event=30)
-        result = _sharded(trace, plan, mode=mode)
+        supervisor, result = _supervised(trace, plan, tmp_path, mode=mode)
         _assert_parity(trace, result)
         assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 1
-        assert result.supervision["restarts_by_shard"] == {1: 1}
+        assert supervisor.restarts == 1
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_dropped_ack_parity(self, mode):
-        trace = random_trace(23, n_events=200, n_threads=4, n_vars=6)
-        plan = FaultPlan([Fault.drop_ack(0, 1)])
-        result = _sharded(trace, plan, mode=mode)
-        _assert_parity(trace, result)
-        assert plan.unfired() == []
-        # A swallowed ack alone is benign: later acks keep flowing, so
-        # the worker is never declared dead.
-        assert result.supervision["worker_restarts"] == 0
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_duplicate_ack_parity(self, mode):
-        trace = random_trace(23, n_events=200, n_threads=4, n_vars=6)
-        plan = FaultPlan([Fault.duplicate_ack(1, 0)])
-        result = _sharded(trace, plan, mode=mode)
-        _assert_parity(trace, result)
-        assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 0
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_corrupt_snapshot_falls_back_parity(self, mode):
-        """The newest retained snapshot is bit-flipped; failover must
-        fall back (counted) and still reproduce the exact report."""
-        trace = random_trace(29, n_events=240, n_threads=4, n_locks=2,
-                             n_vars=6)
-        plan = FaultPlan([
-            Fault.corrupt_snapshot(1, 0),
-            Fault.kill_worker(1, 80),
-        ])
-        result = _sharded(trace, plan, mode=mode)
-        _assert_parity(trace, result)
-        assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 1
-        assert result.supervision["snapshot_fallbacks"] >= 1
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_pipe_eof_parity(self, mode):
-        trace = random_trace(31, n_events=200, n_threads=4, n_vars=6)
-        plan = FaultPlan([Fault.pipe_eof(2, 3)])
-        result = _sharded(trace, plan, mode=mode)
-        _assert_parity(trace, result)
-        assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 1
-        assert result.supervision["restarts_by_shard"] == {2: 1}
-
-    def test_two_shards_lost_in_one_run(self):
+    def test_two_shards_lost_in_one_run(self, tmp_path):
         trace = random_trace(37, n_events=240, n_threads=4, n_vars=6)
         plan = FaultPlan([
             Fault.kill_worker(0, 20),
             Fault.kill_worker(2, 35),
         ])
-        result = _sharded(trace, plan, mode="process")
+        supervisor, result = _supervised(
+            trace, plan, tmp_path, mode="process"
+        )
         _assert_parity(trace, result)
         assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 2
-        assert result.supervision["restarts_by_shard"] == {0: 1, 2: 1}
+        assert supervisor.restarts == 2
 
-    def test_kill_after_snapshot_restores_from_snapshot(self):
-        """A late kill restores from a periodic snapshot (not the stream
-        start): the replay buffer no longer reaches batch 1."""
+    def test_kill_after_snapshot_restores_from_snapshot(self, tmp_path):
+        """A late kill resumes from a checkpoint, not the stream start:
+        the resumed attempt seeks its source past offset 0."""
         trace = random_trace(41, n_events=240, n_threads=4, n_vars=6)
+        seeks = tmp_path / "seeks"
+
+        def source():
+            made = TraceSource(trace)
+            seek = made.seek_events
+
+            def logged(events):
+                with open(seeks, "a") as handle:
+                    handle.write("%d\n" % events)
+                seek(events)
+
+            made.seek_events = logged
+            return made
+
         plan = FaultPlan.kill(1, at_event=80)
-        config = EngineConfig().with_shards(3, mode="serial", batch_size=16)
-        config.with_shard_supervision(snapshot_every=4, backoff_s=0.0)
-        config.with_fault_plan(plan)
-        engine = ShardedEngine(config)
-        result = engine.run(trace, detectors=DETECTORS)
+        supervisor, result = _supervised(
+            trace, plan, tmp_path, checkpoint_every=30, source=source,
+        )
         _assert_parity(trace, result)
-        assert result.supervision["worker_restarts"] == 1
-        assert result.supervision["snapshot_fallbacks"] == 0
+        assert supervisor.restarts == 1
+        offsets = [int(line) for line in seeks.read_text().split()]
+        assert len(offsets) == 1 and offsets[0] > 0
+        assert offsets[0] % 30 == 0
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("at_event", [40, 150])
-    def test_kill_of_a_shard_holding_foreign_variables(self, mode, at_event):
-        """WCP and HB beside each other send clock-relevant
-        accesses of variables shard 1 does not own to shard 1, which marks
-        them foreign.  Killed before or after its snapshots carry those
-        marks, it must come back race-checking none of them: the merged
+    def test_kill_of_a_shard_holding_foreign_variables(
+        self, mode, at_event, tmp_path
+    ):
+        """WCP and HB beside each other send clock-relevant accesses of
+        variables shard 1 does not own to shard 1, which marks them
+        foreign.  Killed before or after its checkpoints carry those
+        marks, the resumed shard must race-check none of them: the
         report keeps every witness and distance of the unsharded run."""
         trace = mixed_vocabulary_trace(5, threads=4, steps=160)
         partitioner = StreamPartitioner(3)
@@ -232,280 +242,78 @@ class TestFaultParity:
         }
         assert foreign_to_1
         plan = FaultPlan.kill(1, at_event=at_event)
-        result = _sharded(trace, plan, mode=mode)
+        supervisor, result = _supervised(trace, plan, tmp_path, mode=mode)
         assert plan.unfired() == []
-        assert result.supervision["worker_restarts"] == 1
-        single = RaceEngine().run(trace, detectors=DETECTORS)
-        for name in single.keys():
-            assert _witnesses(result[name]) == _witnesses(single[name]), name
-
-    def test_recovery_is_visible_in_summary(self):
-        trace = random_trace(43, n_events=200, n_threads=4, n_vars=6)
-        result = _sharded(trace, FaultPlan.kill(0, 25), mode="serial")
-        assert "restart" in result.summary()
-        clean = _sharded(trace, None, mode="serial")
-        assert "restart" not in clean.summary()
+        assert supervisor.restarts == 1
+        _assert_parity(trace, result)
 
 
 # --------------------------------------------------------------------- #
-# Non-recovery paths: one actionable error, never a raw EOFError
+# Without recovery: one actionable error, never a raw EOFError
 # --------------------------------------------------------------------- #
 
 
 class TestFailureModes:
     @pytest.mark.parametrize("mode", MODES)
-    def test_fail_fast_single_actionable_error(self, mode, monkeypatch):
-        """retries=0 fails fast: the first death is one actionable error,
-        and no shard ever takes a supervision snapshot or buffers a
-        batch for replay."""
-        snapshots = []
-        refresh = SupervisedTransport._refresh_snapshot
-        monkeypatch.setattr(
-            SupervisedTransport, "_refresh_snapshot",
-            lambda self: snapshots.append(self.shard) or refresh(self),
-        )
+    def test_fail_fast_single_actionable_error(self, mode):
+        """A worker death ends the pass with one line naming the shard
+        and pointing to --auto-resume, and leaves no worker running."""
         trace = random_trace(47, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan.kill(1, at_event=20)
         with pytest.raises(WorkerFailure) as exc:
-            _sharded(trace, plan, mode=mode, retries=0)
+            _sharded(trace, plan, mode=mode)
         message = str(exc.value)
-        assert "shard 1" in message
-        assert "failover is disabled" in message
-        assert "--shard-retries" in message
+        assert message.startswith("shard 1 worker died")
+        assert exc.value.shard == 1
+        assert "--auto-resume" in message
         assert "\n" not in message
         assert not isinstance(exc.value, EOFError)
-        assert snapshots == []
+        assert plan.unfired() == []
+        assert multiprocessing.active_children() == []
 
-    def test_retries_zero_disables_failover(self):
+    def test_retries_zero_disables_failover(self, tmp_path):
+        """The supervisor's retry budget is the only one: with none
+        left, a worker death ends the run with CoordinatorFailure, which
+        names the dead shard."""
         trace = random_trace(47, n_events=200, n_threads=4, n_vars=6)
-        with pytest.raises(WorkerFailure, match="failover is disabled"):
-            _sharded(trace, FaultPlan.kill(1, at_event=20), retries=0)
+        with pytest.raises(CoordinatorFailure) as exc:
+            _supervised(trace, FaultPlan.kill(1, at_event=20), tmp_path,
+                        retries=0)
+        message = str(exc.value)
+        assert "died 1 time(s)" in message
+        assert "shard 1 worker died" in message
 
-    def test_retry_budget_exhausted_is_actionable(self):
+    def test_retry_budget_exhausted_is_actionable(self, tmp_path):
         trace = random_trace(53, n_events=240, n_threads=4, n_vars=6)
-        # Two kills for the same shard: the restarted worker dies too.
+        # Two kills for the same shard: the resumed attempt dies too.
         plan = FaultPlan([
             Fault.kill_worker(1, 20),
             Fault.kill_worker(1, 10),
         ])
-        with pytest.raises(WorkerFailure, match="retry budget exhausted"):
-            _sharded(trace, plan, retries=1)
+        with pytest.raises(CoordinatorFailure,
+                           match="retry budget is exhausted"):
+            _supervised(trace, plan, tmp_path, retries=1)
+        assert plan.unfired() == []
 
     def test_process_cause_names_the_exit_code(self):
         trace = random_trace(59, n_events=200, n_threads=4, n_vars=6)
         plan = FaultPlan.kill(0, at_event=20)
         with pytest.raises(WorkerFailure) as exc:
-            _sharded(trace, plan, mode="process", retries=0)
+            _sharded(trace, plan, mode="process")
         assert "worker exit code 17" in str(exc.value)
 
 
-# --------------------------------------------------------------------- #
-# SupervisedTransport unit layer (stub transports, no engine)
-# --------------------------------------------------------------------- #
-
-
-class _StubTransport:
-    """Scriptable transport: acks on demand, dies on demand."""
-
-    def __init__(self, restore=None, auto_ack=True):
-        self.restore = restore
-        self.auto_ack = auto_ack
-        self.sent = []
-        self.fail_next = False
-        self._alive = True
-        self._acked = 0
-        self._state = {"stub": 1}
-
-    def send(self, batch):
-        if self.fail_next:
-            from repro.engine.faults import WorkerDied
-            raise WorkerDied(0, "stub death")
-        self.sent.append(list(batch))
-        if self.auto_ack:
-            self._acked += 1
-
-    def poll_progress(self):
-        return None
-
-    def snapshot_begin(self):
-        return None
-
-    def snapshot_end(self, token):
-        return self._state
-
-    def snapshot(self):
-        return self._state
-
-    def finish(self):
-        return {"finished": True}
-
-    def abort(self):
-        self._alive = False
-
-    def acked(self):
-        return self._acked
-
-    def alive(self):
-        return self._alive
-
-    def break_pipe(self):
-        pass
-
-    def take_escalations(self):
-        return 0
-
-
-def _supervised(plan=None, **settings_kwargs):
-    settings_kwargs.setdefault("retries", 2)
-    settings_kwargs.setdefault("backoff_s", 0.0)
-    config = EngineConfig().with_shard_supervision(**settings_kwargs)
-    config.with_fault_plan(plan)
-    stats = new_supervision_stats()
-    incarnations = []
-
-    def factory(restore):
-        stub = _StubTransport(restore=restore)
-        incarnations.append(stub)
-        return stub
-
-    transport = SupervisedTransport(0, factory, config, stats)
-    return transport, incarnations, stats
-
-
-class TestSupervisedTransportUnit:
-    def test_heartbeat_timeout_restarts_and_replays(self):
-        transport, incarnations, stats = _supervised(
-            heartbeat_s=0.05, snapshot_every=0
-        )
-        incarnations[0].auto_ack = False  # the worker goes silent
-        transport.send([("a",)])
-        time.sleep(0.08)
-        transport.send([("b",)])
-        assert stats["heartbeat_timeouts"] == 1
-        assert stats["worker_restarts"] == 1
-        assert len(incarnations) == 2
-        # The replacement saw the buffered batch, then the current one.
-        assert incarnations[1].sent == [[("a",)], [("b",)]]
-        assert incarnations[1].restore is None  # no snapshot existed yet
-
-    def test_flowing_acks_never_time_out(self):
-        transport, incarnations, stats = _supervised(
-            heartbeat_s=0.05, snapshot_every=0
-        )
-        for index in range(3):
-            transport.send([(index,)])
-            time.sleep(0.06)  # silence, but nothing outstanding
-        assert stats["worker_restarts"] == 0
-        assert len(incarnations) == 1
-
-    def test_dead_worker_detected_before_timeout(self):
-        transport, incarnations, stats = _supervised(
-            heartbeat_s=60.0, snapshot_every=0
-        )
-        incarnations[0].auto_ack = False
-        transport.send([("a",)])
-        incarnations[0]._alive = False
-        transport.send([("b",)])
-        assert stats["worker_restarts"] == 1
-        assert stats["heartbeat_timeouts"] == 0
-        assert incarnations[1].sent == [[("a",)], [("b",)]]
-
-    def test_snapshot_retention_and_buffer_trim(self):
-        transport, incarnations, _ = _supervised(snapshot_every=2)
-        for index in range(8):
-            transport.send([(index,)])
-        # Snapshots at sent 2/4/6/8; only the two newest are retained,
-        # and the buffer reaches back to the *older* one.
-        assert [covered for covered, _ in transport._snapshots] == [6, 8]
-        assert [seq for seq, _ in transport._buffer] == [7, 8]
-
-    def test_failover_restores_newest_snapshot(self):
-        transport, incarnations, stats = _supervised(snapshot_every=2)
-        for index in range(8):
-            transport.send([(index,)])
-        incarnations[0].fail_next = True
-        transport.send([("tail",)])
-        assert stats["worker_restarts"] == 1
-        assert incarnations[1].restore == {"stub": 1}
-        assert incarnations[1].sent == [[("tail",)]]
-
-    def test_corrupt_newest_snapshot_falls_back(self):
-        plan = FaultPlan([Fault.corrupt_snapshot(0, 1)])
-        transport, incarnations, stats = _supervised(
-            plan=plan, snapshot_every=2
-        )
-        for index in range(4):
-            transport.send([(index,)])
-        incarnations[0].fail_next = True
-        transport.send([("tail",)])
-        assert stats["snapshot_fallbacks"] == 1
-        assert stats["worker_restarts"] == 1
-        # Restored from the older snapshot (covering sent=2): batches
-        # 3, 4 and the current one replayed.
-        assert incarnations[1].sent == [[(2,)], [(3,)], [("tail",)]]
-
-    def test_every_snapshot_corrupt_is_actionable(self):
-        plan = FaultPlan([
-            Fault.corrupt_snapshot(0, index) for index in range(4)
-        ])
-        transport, incarnations, stats = _supervised(
-            plan=plan, snapshot_every=2
-        )
-        for index in range(6):
-            transport.send([(index,)])
-        incarnations[0].fail_next = True
-        with pytest.raises(WorkerFailure, match="no intact snapshot"):
-            transport.send([("tail",)])
-        assert stats["snapshot_fallbacks"] == 2
-
-    def test_finish_clears_the_replay_buffer(self):
-        transport, _, _ = _supervised(snapshot_every=0)
-        transport.send([("a",)])
-        assert transport._buffer
-        assert transport.finish() == {"finished": True}
-        assert transport._buffer == []
-
-
 class TestSupervisionSettings:
-    def test_from_config_roundtrip(self):
-        """The transport runs on the config's fields: the snapshot
-        cadence and the retry budget set through
-        ``with_shard_supervision``."""
-        transport, incarnations, stats = _supervised(
-            retries=1, snapshot_every=3
-        )
-        assert transport.config.shard_retries == 1
-        for index in range(6):
-            transport.send([(index,)])
-        assert [covered for covered, _ in transport._snapshots] == [3, 6]
-        incarnations[0].fail_next = True
-        transport.send([("tail",)])
-        assert stats["worker_restarts"] == 1
-        incarnations[1].fail_next = True
-        with pytest.raises(WorkerFailure, match="retry budget exhausted"):
-            transport.send([("again",)])
-
-    def test_config_builder_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(retries=-1)
-        with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(heartbeat_s=0)
-        with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(snapshot_every=-1)
-        with pytest.raises(ValueError):
-            EngineConfig().with_shard_supervision(backoff_s=-0.1)
-
     def test_config_repr_mentions_fault_state(self):
         config = EngineConfig().with_fault_plan(FaultPlan.kill(0, 1))
         config.with_shards(2, mode="serial")
-        config.with_shard_supervision(retries=0)
         text = repr(config)
-        assert "shard_retries=0" in text
+        assert "shards=2[serial]" in text
         assert "FaultPlan" in text
 
 
 # --------------------------------------------------------------------- #
-# Shutdown escalation ladder (satellite: terminate -> kill)
+# Shutdown escalation ladder (terminate -> kill)
 # --------------------------------------------------------------------- #
 
 
@@ -543,7 +351,6 @@ class _StubConn:
 def _shutdown_transport(process):
     transport = object.__new__(_ProcessTransport)
     transport.shard_id = 0
-    transport.escalations = 0
     transport.process = process
     transport.conn = _StubConn()
     return transport
@@ -552,36 +359,29 @@ def _shutdown_transport(process):
 class TestShutdownEscalation:
     def test_graceful_exit_never_escalates(self):
         process = _StubProcess(survive_join=False)
-        transport = _shutdown_transport(process)
-        transport._shutdown()
-        assert transport.escalations == 0
+        _shutdown_transport(process)._shutdown()
         assert "terminate" not in process.calls
         assert "kill" not in process.calls
 
     def test_stuck_worker_is_terminated(self):
         process = _StubProcess(survive_join=True, survive_terminate=False)
-        transport = _shutdown_transport(process)
-        transport._shutdown()
-        assert transport.escalations == 1
+        _shutdown_transport(process)._shutdown()
         assert "terminate" in process.calls
         assert "kill" not in process.calls
+        assert not process.is_alive()
 
     def test_sigterm_immune_worker_is_killed(self):
         process = _StubProcess(survive_join=True, survive_terminate=True)
-        transport = _shutdown_transport(process)
-        transport._shutdown()
-        assert transport.escalations == 2
-        assert "kill" in process.calls
+        _shutdown_transport(process)._shutdown()
+        assert process.calls.index("terminate") < process.calls.index("kill")
         assert not process.is_alive()
-        assert transport.take_escalations() == 2
-        assert transport.take_escalations() == 0
 
     def test_abort_escalates_only_past_sigterm(self):
         process = _StubProcess(survive_join=True, survive_terminate=True)
-        transport = _shutdown_transport(process)
-        transport.abort()
+        _shutdown_transport(process).abort()
+        assert process.calls[0] == "terminate"
         assert "kill" in process.calls
-        assert transport.escalations == 1
+        assert not process.is_alive()
 
 
 # --------------------------------------------------------------------- #
@@ -589,23 +389,25 @@ class TestShutdownEscalation:
 # --------------------------------------------------------------------- #
 
 
-class TestSupervisionCli:
-    def _trace_path(self, tmp_path):
-        trace = random_trace(61, n_events=80, n_threads=3)
-        return str(dump_trace(trace, tmp_path / "t.std"))
+def _kill_in_cli(monkeypatch, plan):
+    """Attach ``plan`` to the engine configuration the CLI builds."""
+    import repro.cli as cli
 
-    def test_supervision_flags_accepted(self, tmp_path, capsys):
-        path = self._trace_path(tmp_path)
-        code = main([
-            "analyze", path, "--detector", "wcp", "--shards", "2",
-            "--shard-mode", "serial", "--shard-retries", "0",
-            "--shard-heartbeat", "5",
-        ])
-        assert code in (0, 1)
-        assert "WCP" in capsys.readouterr().out
+    build = cli._make_engine_config
+    monkeypatch.setattr(
+        cli, "_make_engine_config",
+        lambda args: build(args).with_fault_plan(plan),
+    )
+
+
+class TestSupervisionCli:
+    def _trace_path(self, tmp_path, n_events=80):
+        trace = random_trace(61, n_events=n_events, n_threads=3)
+        return str(dump_trace(trace, tmp_path / "t.std"))
 
     @pytest.mark.parametrize("flag", [
         ["--fail-fast"], ["--shard-policy", "rr"],
+        ["--shard-retries", "0"], ["--shard-heartbeat", "5"],
     ])
     def test_removed_flags_are_unrecognised(self, tmp_path, capsys, flag):
         path = self._trace_path(tmp_path)
@@ -615,16 +417,96 @@ class TestSupervisionCli:
         assert "unrecognized arguments: %s" % flag[0] in (
             capsys.readouterr().err)
 
-    def test_negative_retries_rejected(self, tmp_path, capsys):
-        path = self._trace_path(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["analyze", path, "--shards", "2",
-                  "--shard-retries", "-1"])
-        assert "shard-retries" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worker_death_is_one_stderr_line(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        path = self._trace_path(tmp_path, n_events=200)
+        plan = FaultPlan.kill(1, at_event=20)
+        _kill_in_cli(monkeypatch, plan)
+        code = main(["analyze", path, "--detector", "wcp,hb",
+                     "--shards", "2", "--shard-mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("shard 1 worker died")
+        assert "--auto-resume" in captured.err
+        assert "Traceback" not in captured.err
+        assert plan.unfired() == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_auto_resume_recovers_a_killed_worker(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        path = self._trace_path(tmp_path, n_events=400)
+        assert main(["analyze", path, "--detector", "wcp,hb",
+                     "--json", str(tmp_path / "full.json")]) in (0, 1)
+        capsys.readouterr()
+        plan = FaultPlan.kill(1, at_event=150)
+        _kill_in_cli(monkeypatch, plan)
+        code = main([
+            "analyze", path, "--detector", "wcp,hb", "--shards", "2",
+            "--shard-mode", mode, "--checkpoint", str(tmp_path / "ck"),
+            "--checkpoint-every", "50", "--auto-resume", "2",
+            "--json", str(tmp_path / "sharded.json"),
+        ])
+        assert code in (0, 1)
+        assert "restarted 1 time(s)" in capsys.readouterr().err
+        assert plan.unfired() == []
+        _assert_same_json(tmp_path, "full", "sharded")
+
+    def test_auto_resume_recovers_a_sigkilled_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A real SIGKILL, delivered to one process worker of the first
+        attempt (the marker file makes it once across the forks)."""
+        _require_fork()
+        path = self._trace_path(tmp_path, n_events=400)
+        assert main(["analyze", path, "--detector", "wcp,hb",
+                     "--json", str(tmp_path / "full.json")]) in (0, 1)
+        capsys.readouterr()
+        marker = tmp_path / "killed"
+        original = _ShardWorker.process_batch
+
+        def sigkill_once(self, batch):
+            if self.shard_id == 1 and self.events >= 100:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, batch)
+
+        monkeypatch.setattr(_ShardWorker, "process_batch", sigkill_once)
+        code = main([
+            "analyze", path, "--detector", "wcp,hb", "--shards", "2",
+            "--checkpoint", str(tmp_path / "ck"), "--checkpoint-every", "50",
+            "--auto-resume", "2", "--json", str(tmp_path / "sharded.json"),
+        ])
+        assert code in (0, 1)
+        assert marker.exists()
+        err = capsys.readouterr().err
+        assert "restarted 1 time(s)" in err
+        _assert_same_json(tmp_path, "full", "sharded")
+
+
+def _assert_same_json(tmp_path, expected, actual):
+    import json
+
+    for label in ("wcp", "hb"):
+        want = json.loads((tmp_path / ("%s.%s.json" % (expected, label)))
+                          .read_text())
+        got = json.loads((tmp_path / ("%s.%s.json" % (actual, label)))
+                         .read_text())
+        want.pop("stats")
+        got.pop("stats")
+        assert got == want, label
 
 
 # --------------------------------------------------------------------- #
-# QueueSource governance (satellite: abrupt producer death)
+# QueueSource governance (abrupt producer death)
 # --------------------------------------------------------------------- #
 
 
@@ -669,7 +551,7 @@ class TestQueueSourceGovernance:
 
 
 # --------------------------------------------------------------------- #
-# Hung-but-alive process workers (heartbeat-expiry stall detection)
+# Hung-but-alive process workers (stall detection)
 # --------------------------------------------------------------------- #
 
 
@@ -679,45 +561,43 @@ def _hang_forever(self, batch):
 
 def _require_fork():
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("hangs are injected by patching forked workers")
+        pytest.skip("faults are injected by patching forked workers")
 
 
 def _hung_process_transport(monkeypatch):
     """A process transport whose worker hangs on its first batch."""
     _require_fork()
     monkeypatch.setattr(_ShardWorker, "process_batch", _hang_forever)
+    monkeypatch.setattr(sharding, "STALL_TIMEOUT_S", 0.2)
     return _ProcessTransport(
         (0, [detector_stamp(HBDetector())], "hung", None, None),
-        0, multiprocessing.get_context(), stall_timeout_s=0.2,
+        0, multiprocessing.get_context(),
     )
 
 
 class TestStallDetection:
-    """A hung-but-alive worker process must be *declared* dead once the
-    heartbeat expires -- tagged as a stall so supervision counts it as a
-    heartbeat timeout, not a crash."""
+    """A hung-but-alive worker process is *declared* dead once it stays
+    silent past ``STALL_TIMEOUT_S`` on a request that needs a reply."""
 
     def test_unanswered_snapshot_is_declared_dead(self, monkeypatch):
         transport = _hung_process_transport(monkeypatch)
         try:
             transport.send([("event",)])
             token = transport.snapshot_begin()
-            with pytest.raises(WorkerDied) as excinfo:
+            with pytest.raises(WorkerFailure) as excinfo:
                 transport.snapshot_end(token)
-            assert getattr(excinfo.value, "stalled", False)
             assert "alive but stalled" in str(excinfo.value)
-            assert transport.alive()
+            assert transport.process.is_alive()
         finally:
             transport.abort()
-        assert not transport.alive()
+        assert not transport.process.is_alive()
 
     def test_hung_finish_is_declared_dead(self, monkeypatch):
         transport = _hung_process_transport(monkeypatch)
         try:
             transport.send([("event",)])
-            with pytest.raises(WorkerDied) as excinfo:
+            with pytest.raises(WorkerFailure, match="no finish reply"):
                 transport.finish()
-            assert getattr(excinfo.value, "stalled", False)
         finally:
             transport.abort()
 
@@ -725,8 +605,8 @@ class TestStallDetection:
         self, monkeypatch, tmp_path
     ):
         """End to end: one shard's worker process hangs mid-run; the
-        heartbeat declares it dead, the supervisor restarts the shard
-        from snapshot+replay, and the merged report keeps parity."""
+        stall timeout declares it dead, the supervisor resumes the run
+        and the report keeps parity."""
         _require_fork()
         marker = tmp_path / "hung"
         original = _ShardWorker.process_batch
@@ -741,39 +621,43 @@ class TestStallDetection:
             _hang_forever(self, batch)
 
         monkeypatch.setattr(_ShardWorker, "process_batch", hang_once)
-        trace = fork_join_trace(5, workers=3, steps=120)
-        started = time.monotonic()
         # Generous enough that a healthy worker on a loaded machine is
         # never mistaken for a hung one.
-        result = _sharded(trace, None, "process", heartbeat_s=1.0)
+        monkeypatch.setattr(sharding, "STALL_TIMEOUT_S", 1.0)
+        trace = fork_join_trace(5, workers=3, steps=120)
+        started = time.monotonic()
+        supervisor, result = _supervised(
+            trace, None, tmp_path, mode="process"
+        )
         assert time.monotonic() - started < 30
         assert marker.exists()
         _assert_parity(trace, result)
-        assert result.supervision["heartbeat_timeouts"] >= 1
-        assert result.supervision["worker_restarts"] >= 1
+        assert supervisor.restarts == 1
 
 
 class TestMixedVocabularyFaults:
-    """Fault-injection parity when the trace uses the full vocabulary.
+    """Recovery parity when the trace uses the full vocabulary.
 
     Replicated rwlock/barrier/wait/notify events land in every worker's
-    snapshot, so a worker killed mid-read-section or mid-barrier
-    generation must restore and replay to a byte-identical report.
+    checkpointed state, so a worker killed mid-read-section or
+    mid-barrier generation must resume to a byte-identical report.
     """
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_worker_kill_parity(self, mode):
-        from repro.bench.generators import mixed_vocabulary_trace
-
+    def test_worker_kill_parity(self, mode, tmp_path):
         trace = mixed_vocabulary_trace(1, steps=160)
-        result = _sharded(trace, FaultPlan.kill(0, at_event=40), mode=mode)
+        plan = FaultPlan.kill(0, at_event=40)
+        supervisor, result = _supervised(trace, plan, tmp_path, mode=mode)
         _assert_parity(trace, result)
+        assert plan.unfired() == []
+        assert supervisor.restarts == 1
 
-    def test_kill_at_late_offset_parity(self):
-        from repro.bench.generators import mixed_vocabulary_trace
-
+    def test_kill_at_late_offset_parity(self, tmp_path):
         trace = mixed_vocabulary_trace(4, steps=160)
-        result = _sharded(
-            trace, FaultPlan.kill(1, at_event=len(trace) - 30), mode="serial"
-        )
+        shard_1_events = ShardedEngine(_config()).run(
+            trace, detectors=DETECTORS
+        ).shard_events[1]
+        plan = FaultPlan.kill(1, at_event=shard_1_events - 30)
+        supervisor, result = _supervised(trace, plan, tmp_path)
         _assert_parity(trace, result)
+        assert supervisor.restarts == 1
