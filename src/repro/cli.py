@@ -459,20 +459,26 @@ def _add_profile_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--profile", action="store_true",
         help="also print, per detector, how many rows the compiled kernel "
-             "ran and why it stopped or never started, and how many STD "
-             "lines the compiled scanner and the Python decoder took",
+             "ran and why it stopped or never started, the races it found "
+             "(raw, distinct, pairs built during the pass), and how many "
+             "STD lines the compiled scanner and the Python decoder took",
     )
 
 
 def _print_profile(result) -> None:
-    """The ``--profile`` lines: each in-process kernel's row count, and
-    the STD lines this process decoded in C and in Python."""
+    """The ``--profile`` lines: each in-process kernel's row count and
+    race figures, and the STD lines this process decoded in C and in
+    Python."""
     if not result.kernel:
         print("profile: no compiled kernel ran in this process")
     for name, counts in result.kernel.items():
         print("profile: %s ran %d of %d row(s) in the compiled kernel "
               "(exit: %s)" % (name, counts["rows"], result.events,
                               counts["exit"]))
+        print("profile: %s kernel races: %d raw, %d distinct, %d pair(s) "
+              "built during the pass" % (
+                  name, counts["races_raw"], counts["races_distinct"],
+                  counts["pairs_built"]))
     lines = std_line_counts()
     if lines["compiled"] or lines["python"]:
         print("profile: STD decode took %d line(s) in the compiled scanner "

@@ -118,6 +118,17 @@ class RaceReport:
 
     Race pairs are de-duplicated by location pair: the report keeps the
     earliest witness and the maximum observed distance for each pair.
+
+    A compiled pass (:mod:`repro.core.wcp_compiled`) de-duplicates in C
+    and keeps each new pair's first witness as plain integers in a race
+    slot.  While it runs, the report holds those slots (``_slots``, a
+    :class:`~repro.core.wcp_compiled.RaceSlots`): :meth:`count` and
+    :attr:`raw_race_count` read the kernel's counters, and the
+    :class:`RacePair` of a slot is built only when something reads the
+    pairs (:meth:`pairs`, :meth:`location_pairs`, ``in``,
+    :meth:`state_dict`, :meth:`merge`, :meth:`summary`, pickling) or the
+    detector hands over to Python.  Either way the report is the one
+    :meth:`add` would have built.
     """
 
     def __init__(self, detector_name: str, trace_name: str = "trace") -> None:
@@ -127,25 +138,45 @@ class RaceReport:
         self._max_distance: Dict[frozenset, int] = {}
         #: Detector-specific statistics (queue sizes, timings, windows, ...).
         self.stats: Dict[str, float] = {}
-        #: Number of raw (non-deduplicated) racy event pairs observed.
-        self.raw_race_count = 0
+        self._raw = 0
+        self._slots = None
+
+    @property
+    def raw_race_count(self) -> int:
+        """Number of raw (non-deduplicated) racy event pairs observed."""
+        slots = self._slots
+        return self._raw if slots is None else self._raw + slots.raw
+
+    @raw_race_count.setter
+    def raw_race_count(self, value: int) -> None:
+        slots = self._slots
+        self._raw = value if slots is None else value - slots.raw
+
+    def _build(self) -> None:
+        """Build the pairs of the compiled pass's slots not built yet."""
+        if self._slots is not None:
+            self._slots.build()
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
 
     def add(self, first_event: Event, second_event: Event) -> RacePair:
-        """Record a racy event pair; returns the (possibly existing) RacePair."""
-        pair = RacePair(first_event, second_event)
-        self.raw_race_count += 1
-        key = pair.key()
+        """Record a racy event pair; returns the (possibly existing) RacePair.
+
+        Only a new location pair builds a :class:`RacePair`; a known one
+        counts the raw race and keeps the larger distance.
+        """
+        key = frozenset((first_event.location(), second_event.location()))
+        self._raw += 1
         existing = self._pairs.get(key)
         if existing is None:
-            self._pairs[key] = pair
+            pair = self._pairs[key] = RacePair(first_event, second_event)
             self._max_distance[key] = pair.distance
             return pair
-        if pair.distance > self._max_distance[key]:
-            self._max_distance[key] = pair.distance
+        distance = abs(second_event.index - first_event.index)
+        if distance > self._max_distance[key]:
+            self._max_distance[key] = distance
         return existing
 
     def merge(self, other: "RaceReport") -> "RaceReport":
@@ -159,6 +190,7 @@ class RaceReport:
         the order reports are merged in, so a sharded run reproduces the
         single engine's witnesses exactly.
         """
+        self._build()
         for pair in other.pairs():
             key = pair.key()
             existing = self._pairs.get(key)
@@ -189,6 +221,7 @@ class RaceReport:
         choice, which :meth:`add`'s first-wins rule pinned at detection
         time.
         """
+        self._build()
         return {
             "detector": self.detector_name,
             "trace": self.trace_name,
@@ -210,8 +243,16 @@ class RaceReport:
             report._pairs[key] = pair
             report._max_distance[key] = max_distance
         report.stats.update(state["stats"])
-        report.raw_race_count = state["raw"]
+        report._raw = state["raw"]
         return report
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the built pairs (the copy holds no compiled slots)."""
+        self._build()
+        state = dict(self.__dict__)
+        state["_raw"] = self.raw_race_count
+        state["_slots"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -219,32 +260,47 @@ class RaceReport:
 
     def pairs(self) -> List[RacePair]:
         """Return the distinct race pairs, sorted by first witness position."""
+        self._build()
         return sorted(self._pairs.values(), key=lambda p: p.first_event.index)
 
     def location_pairs(self) -> List[frozenset]:
         """Return the distinct location pairs (the Table 1 count unit)."""
+        self._build()
         return list(self._pairs.keys())
 
     def count(self) -> int:
-        """Return the number of distinct race pairs."""
-        return len(self._pairs)
+        """Return the number of distinct race pairs.
+
+        Compiled slots keyed by location ids are distinct pairs, so they
+        are counted unbuilt; a slot with a location-less side is keyed by
+        a spelling only Python builds, so it is built first.
+        """
+        slots = self._slots
+        if slots is None:
+            return len(self._pairs)
+        if slots.unkeyed:
+            slots.build()
+        return len(self._pairs) + slots.unbuilt
 
     def max_distance(self) -> int:
         """Return the maximum race distance over all pairs (0 when race-free)."""
+        self._build()
         if not self._max_distance:
             return 0
         return max(self._max_distance.values())
 
     def distance_of(self, pair: RacePair) -> int:
         """Return the maximum observed distance for ``pair``."""
+        self._build()
         return self._max_distance.get(pair.key(), pair.distance)
 
     def has_race(self) -> bool:
         """Return True when at least one race pair was found."""
-        return bool(self._pairs)
+        return self.count() > 0
 
     def variables(self) -> List[str]:
         """Return the distinct variables involved in races."""
+        self._build()
         seen = {}
         for pair in self._pairs.values():
             if pair.variable is not None:
@@ -252,17 +308,18 @@ class RaceReport:
         return list(seen)
 
     def __contains__(self, locations: Iterable[str]) -> bool:
+        self._build()
         return frozenset(locations) in self._pairs
 
     def __iter__(self) -> Iterator[RacePair]:
         return iter(self.pairs())
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self.count()
 
     def __repr__(self) -> str:
         return "RaceReport(%s on %s: %d distinct races)" % (
-            self.detector_name, self.trace_name, len(self._pairs)
+            self.detector_name, self.trace_name, self.count()
         )
 
     def summary(self) -> str:

@@ -33,10 +33,21 @@ dense id per op (:meth:`WCPKernel._translate`, memoised per op table).
 A location reaches the kernel as a byte span of the decoded buffer
 (:class:`~repro.trace.columns.LocSpans`), which it hashes into its one
 UTF-8-keyed location table; Python interns only the locations it holds
-as strings, and only for the access rows that reach the history.  A race
-comes back as a record -- the row, and the earlier access's index,
-thread, kind and location -- from which the two events are built and
-reported in the order the Python loop reports them.
+as strings, and only for the access rows that reach the history.
+
+Races never come back per row.  The kernel de-duplicates them as
+:meth:`RaceReport.add <repro.core.races.RaceReport.add>` does, keyed by
+the pair of location ids: a new pair takes a slot holding its first
+witness as integers (both indices, threads, kinds and locations, and
+the variable) and a known pair only its largest distance; a raw count
+covers both.  A pair with a location-less side always takes a slot of
+its own, because its key is the string ``Event.location`` synthesises,
+which a real location may spell.  :class:`RaceSlots` hands the slots to
+the detector's report, which counts them from the C counters and builds
+a slot's two events and :class:`~repro.core.races.RacePair` only when
+something reads the pairs -- in slot order, through the report's string
+keys, so the report is the one the Python loop builds.  A serve session
+reads only the counts and builds none.
 
 The kernel runs every kind of the vocabulary: accesses, acquire and
 release, fork and join, begin and end, rwlock read- and write-acquires
@@ -57,7 +68,10 @@ from collections import deque
 from itertools import compress
 from typing import Dict, List, Optional
 
+import weakref
+
 from repro.core.history import AccessHistory, VariableHistory, cell_key
+from repro.core.races import RacePair, RaceReport
 from repro.trace.columns import ColumnBlock, LocSpans
 from repro.trace.event import Event, EventType
 from repro.vectorclock import kernels
@@ -83,6 +97,22 @@ _CODES = {
     id(EventType.NOTIFY): 12,
 }
 
+#: Words per race slot (``RACE_WORDS`` in the C source).
+_RACE_WORDS = 10
+
+
+def _access(kind: int, variable: str, tid: int, thread: str, index: int,
+            loc: Optional[str]) -> Event:
+    """An access event of kernel kind 0 (read) or 1 (write)."""
+    event = _new_event(Event)
+    event.etype = EventType.WRITE if kind else EventType.READ
+    event.target = variable
+    event.tid = tid
+    event.thread = thread
+    event.index = index
+    event.loc = loc
+    return event
+
 
 class CompiledPass:
     """The kernel lifecycle a clock detector mixes in.
@@ -104,7 +134,9 @@ class CompiledPass:
     :attr:`kernel_exit` says why the kernel never started (``"not armed:
     <why>"``, ``"short first block"``) or where it handed over
     (``"taint"``, ``"mark_foreign"``, ``"finish"``).  Both are
-    deterministic and stay out of the report.
+    deterministic and stay out of the report.  The kernel's races reach
+    the report as :class:`RaceSlots`, which a hand-over (and a fresh
+    ``reset``) builds into the report first.
     """
 
     #: A first block with fewer rows than this keeps the pass on the
@@ -127,6 +159,9 @@ class CompiledPass:
     _kernel_pending = False
     _synced = True
 
+    #: The race slots of the pass's kernel (None: it never started).
+    _race_slots = None
+
     #: Rows of this pass the kernel ran, and why it never started or
     #: handed over (None while it may still run).
     kernel_rows = 0
@@ -144,6 +179,9 @@ class CompiledPass:
                 refused = "switch"
             elif self.restore_pending:
                 refused = "restore"
+        if self._race_slots is not None:
+            self._race_slots.release()
+            self._race_slots = None
         self._kernel = None
         self._synced = True
         self._kernel_pending = refused is None
@@ -158,12 +196,13 @@ class CompiledPass:
             self._kernel_pending = False
             if len(block) >= self._KERNEL_MIN_ROWS:
                 kernel = self._kernel = WCPKernel(self)
+                self._race_slots = RaceSlots(kernel, self.report)
             else:
                 self.kernel_exit = "short first block"
         if kernel is None:
             return block
         self._synced = False
-        done = kernel.run(block, self.report.add, self)
+        done = kernel.run(block, self)
         self.kernel_rows += done
         if done == len(block):
             return None
@@ -174,6 +213,7 @@ class CompiledPass:
         """Bring the Python fields up to date with a live kernel."""
         if not self._synced:
             self._kernel.transcribe(self)
+            self._race_slots.build()
             self._synced = True
 
     def _hand_over(self, reason: str) -> None:
@@ -185,6 +225,7 @@ class CompiledPass:
         self._kernel_pending = False
         if self._kernel is not None:
             self._sync()
+            self._race_slots.release()
             self._kernel = None
 
     def _end_pass(self) -> None:
@@ -196,9 +237,18 @@ class CompiledPass:
         self._kernel_pending = False
 
     def kernel_counts(self) -> Dict[str, object]:
-        """``{"rows": rows run in C, "exit": why it stopped or never
-        started}`` for this pass (see the class docstring)."""
-        return {"rows": self.kernel_rows, "exit": self.kernel_exit}
+        """This pass's kernel figures: ``rows`` run in C, ``exit`` (why
+        it stopped or never started; see the class docstring), and the
+        races it found -- ``races_raw``, ``races_distinct`` (its slots)
+        and ``pairs_built`` (the :class:`RacePair` s built from them so
+        far; a report read after the pass builds the rest)."""
+        slots = self._race_slots
+        return {
+            "rows": self.kernel_rows, "exit": self.kernel_exit,
+            "races_raw": 0 if slots is None else slots.raw,
+            "races_distinct": 0 if slots is None else slots.distinct,
+            "pairs_built": 0 if slots is None else slots.built,
+        }
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the Python state (a live kernel's transcribed); the copy
@@ -207,6 +257,146 @@ class CompiledPass:
         state = dict(self.__dict__)
         state["_kernel"] = None
         return state
+
+
+class _Found:
+    """What a pass found, apart from its state (``wcp_found``): the
+    location table and the race slots.  Reference-counted in C, so a
+    report can keep them once the compiled state is gone."""
+
+    def __init__(self, ffi, lib, handle) -> None:
+        self._ffi = ffi
+        self._lib = lib
+        self.c = ffi.gc(lib.wcp_found_ref(handle), lib.wcp_found_drop)
+        #: Location id -> string, for the ones Python interned or read.
+        self.names: Dict[int, str] = {}
+
+    def loc_name(self, loc_id: int) -> Optional[str]:
+        if loc_id < 0:
+            return None
+        name = self.names.get(loc_id)
+        if name is None:
+            key = self._ffi.new("char **")
+            size = self._lib.wcp_loc_get(self.c, loc_id, key)
+            name = self._ffi.unpack(key[0], size).decode(
+                "utf-8", "surrogatepass"
+            )
+            self.names[loc_id] = name
+        return name
+
+
+class RaceSlots:
+    """The races of one compiled pass, as the kernel de-duplicated them.
+
+    The pass's report holds this as its ``_slots`` (see
+    :class:`~repro.core.races.RaceReport`): :attr:`raw` and
+    :attr:`unbuilt` answer its counts from the C counters, and
+    :meth:`build` turns the slots it has not built yet into report
+    entries.  :meth:`release` builds them all and detaches the report,
+    whose own :meth:`~repro.core.races.RaceReport.add` carries on from
+    there.  It holds the pass's :class:`_Found` and name tables, not the
+    kernel, and only a weak reference to the report: a finished report
+    keeps no compiled state alive.
+    """
+
+    def __init__(self, kernel: "WCPKernel", report: RaceReport) -> None:
+        self._found = kernel._found
+        self._var_names = kernel._var_names
+        self._name_of = kernel._registry.name_of
+        self._report = weakref.ref(report)
+        #: Per built slot, the report key it went to.
+        self._keys: List[frozenset] = []
+        #: RacePairs built from the slots.
+        self.built = 0
+        self._built_raw = 0
+        # The C counters, kept at release.
+        self._counts = (0, 0)
+        report._slots = self
+
+    @property
+    def raw(self) -> int:
+        """Raw races the kernel found."""
+        found = self._found
+        return self._counts[0] if found is None else found.c.races_raw
+
+    @property
+    def distinct(self) -> int:
+        """Slots the kernel took: one per location pair, and one per race
+        with a location-less side."""
+        found = self._found
+        return self._counts[1] if found is None else found.c.nraces
+
+    @property
+    def unbuilt(self) -> int:
+        """Slots not built into the report yet."""
+        return self.distinct - len(self._keys)
+
+    @property
+    def unkeyed(self) -> bool:
+        """Whether some slot has a location-less side."""
+        found = self._found
+        return found is not None and found.c.races_unkeyed > 0
+
+    def build(self) -> None:
+        """Bring the report up to date: the largest distances of the
+        slots built before, then each new slot in order, the way
+        :meth:`~repro.core.races.RaceReport.add` records its first
+        witness."""
+        found = self._found
+        report = None if found is None else self._report()
+        # A raw count unchanged since the last build: nothing new.
+        if report is None or found.c.races_raw == self._built_raw:
+            return
+        self._built_raw = found.c.races_raw
+        keys = self._keys
+        n = found.c.nraces
+        words = found._ffi.unpack(found.c.races, _RACE_WORDS * n)
+        pairs, max_distance = report._pairs, report._max_distance
+        for k, key in enumerate(keys):
+            distance = words[_RACE_WORDS * k + 9]
+            if distance > max_distance[key]:
+                max_distance[key] = distance
+        name_of, var_names, loc_name = (
+            self._name_of, self._var_names, found.loc_name
+        )
+        for k in range(len(keys), n):
+            (i1, i2, t1, t2, k1, k2, var, l1, l2,
+             distance) = words[_RACE_WORDS * k:_RACE_WORDS * (k + 1)]
+            variable = var_names[var]
+            first = _access(k1, variable, t1, name_of(t1), i1, loc_name(l1))
+            second = _access(k2, variable, t2, name_of(t2), i2, loc_name(l2))
+            key = frozenset((first.location(), second.location()))
+            if key not in pairs:
+                pairs[key] = RacePair(first, second)
+                max_distance[key] = distance
+                self.built += 1
+            elif distance > max_distance[key]:
+                max_distance[key] = distance
+            keys.append(key)
+
+    def release(self) -> None:
+        """Build every slot, then detach the report from the kernel."""
+        found = self._found
+        if found is None:
+            return
+        self.build()
+        report = self._report()
+        self._counts = (found.c.races_raw, found.c.nraces)
+        if report is not None:
+            report._raw += self._counts[0]
+            report._slots = None
+        self._found = self._var_names = self._name_of = None
+        self._keys = []
+
+    def __getstate__(self) -> tuple:
+        """A copy keeps the counts and holds no compiled slots."""
+        return self.raw, self.distinct, self.built
+
+    def __setstate__(self, state: tuple) -> None:
+        raw, distinct, self.built = state
+        self._counts = (raw, distinct)
+        self._found = self._var_names = self._name_of = self._report = None
+        self._keys = []
 
 
 class WCPKernel:
@@ -247,7 +437,8 @@ class WCPKernel:
         self._check(lib.wcp_census_lock(handle, self._shared_lock, -1))
         self._shared_var = self._check(lib.wcp_add_var(handle, 1))
         self._loc_ids: Dict[str, int] = {}
-        self._loc_names: Dict[int, str] = {}
+        self._found = _Found(ffi, lib, handle)
+        self._loc_name = self._found.loc_name
         # Op translation of the last op table seen: a code and an id per
         # op in C arrays, and per op whether its rows reach the history.
         self._table = None
@@ -360,21 +551,8 @@ class WCPKernel:
                 self._lib.wcp_loc_put(self._handle, key, len(key))
             )
             self._loc_ids[loc] = loc_id
-            self._loc_names[loc_id] = loc
+            self._found.names[loc_id] = loc
         return loc_id
-
-    def _loc_name(self, loc_id: int) -> Optional[str]:
-        if loc_id < 0:
-            return None
-        name = self._loc_names.get(loc_id)
-        if name is None:
-            key = self._ffi.new("char **")
-            size = self._lib.wcp_loc_get(self._handle, loc_id, key)
-            name = self._ffi.unpack(key[0], size).decode(
-                "utf-8", "surrogatepass"
-            )
-            self._loc_names[loc_id] = name
-        return name
 
     # ------------------------------------------------------------------ #
     # Running a block
@@ -388,7 +566,7 @@ class WCPKernel:
             return None
         return array("q", block._indices[lo:hi])
 
-    def run(self, block: ColumnBlock, report_add, detector) -> int:
+    def run(self, block: ColumnBlock, detector) -> int:
         """Run ``block``'s rows; return how many ran (all, unless a row
         would taint a lock)."""
         ffi, lib = self._ffi, self._lib
@@ -443,7 +621,6 @@ class WCPKernel:
             if indices is not None:
                 indices_p = view("long long[]", indices)
             out = self._out
-            state = self._state
             local = row = 0
             while True:
                 done = lib.wcp_run(
@@ -458,8 +635,6 @@ class WCPKernel:
                     block.start + row, out,
                 )
                 local += out[1]
-                if state.nraces:
-                    self._report(block, ops, row, indices, report_add)
                 row += done
                 reason = out[0]
                 if reason == 2:
@@ -481,31 +656,6 @@ class WCPKernel:
                 ffi.release(pointer)
         detector._local_accesses += local
         return row
-
-    def _report(self, block, ops, base, indices, report_add) -> None:
-        """Report the races the last call recorded, in its order."""
-        state = self._state
-        records = self._ffi.unpack(state.races, 5 * state.nraces)
-        state.nraces = 0
-        optable = block.table.ops
-        name_of = self._registry.name_of
-        row_of = block.row
-        start, size = block.start, len(block)
-        for k in range(0, len(records), 5):
-            row, index, tid, kind, loc = records[k:k + 5]
-            row += base
-            second = row_of(row)
-            if indices is None and start <= index < start + size:
-                first = row_of(index - start)
-            else:
-                first = _new_event(Event)
-                first.etype = EventType.READ if kind == 0 else EventType.WRITE
-                first.target = optable[ops[row]][1]
-                first.tid = tid
-                first.thread = name_of(tid)
-                first.index = index
-                first.loc = self._loc_name(loc)
-            report_add(first, second)
 
     @property
     def max_queue_total(self) -> int:
@@ -624,7 +774,6 @@ class WCPKernel:
         var_names = self._var_names
         history = AccessHistory()
         variables = history._variables
-        read, write = EventType.READ, EventType.WRITE
         for var_id in self._ints(state.var_order, state.nvar_order):
             source = state.vars[var_id]
             variable = var_names[var_id]
@@ -640,7 +789,6 @@ class WCPKernel:
             target.w_time = source.w_time
             target.w_fast = bool(source.w_fast)
             for kind, cells in ((0, target.reads), (1, target.writes)):
-                etype = write if kind else read
                 for l in range(source.nlists[kind]):
                     tlist = state.tlists[source.lists[kind][l]]
                     thread = name_of(tlist.tid)
@@ -648,13 +796,10 @@ class WCPKernel:
                     c = tlist.head
                     while c >= 0:
                         item = state.hcells[c]
-                        event = _new_event(Event)
-                        event.etype = etype
-                        event.target = variable
-                        event.tid = tlist.tid
-                        event.thread = thread
-                        event.index = item.index
-                        event.loc = self._loc_name(item.loc)
+                        event = _access(
+                            kind, variable, tlist.tid, thread, item.index,
+                            self._loc_name(item.loc),
+                        )
                         by_loc[cell_key(event)] = (
                             event, shared(item.clk), item.rank
                         )

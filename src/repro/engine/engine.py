@@ -124,7 +124,8 @@ class EngineResult:
         self.elapsed_s = elapsed_s
         self.stop_reason = stop_reason
         self.snapshots = snapshots
-        #: Per detector key, the compiled kernel's row count and exit
+        #: Per detector key, the compiled kernel's row count, exit and
+        #: race figures at the end of the pass
         #: (:meth:`~repro.core.wcp_compiled.CompiledPass.kernel_counts`)
         #: for the detectors that run it; never part of a report.
         self.kernel = kernel or {}

@@ -69,8 +69,10 @@ uninterrupted run's exactly.
 Worker death
 ------------
 A worker that dies (its process exits or is killed, its pipe breaks, or
-it stays silent past :data:`STALL_TIMEOUT_S` on a snapshot or finish
-request) ends the pass at once: the coordinator tears every worker down
+it stays silent past :data:`STALL_TIMEOUT_S` while the coordinator
+waits on it: for a snapshot or finish reply, or for a batch
+acknowledgement once its unread batches fill half the pipe's send
+buffer) ends the pass at once: the coordinator tears every worker down
 and raises one :class:`WorkerFailure` that names the shard and the
 cause.  The sharded engine restarts nothing itself.  Recovery is the run
 supervisor's job (:class:`~repro.engine.runner.RunSupervisor`, ``analyze
@@ -82,9 +84,12 @@ uninterrupted run's.
 from __future__ import annotations
 
 import os
+import socket
 import time
 import traceback
 from array import array
+from collections import deque
+from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.detector import Detector
@@ -528,10 +533,26 @@ _PIPE_FAILURES = (EOFError, ConnectionResetError, BrokenPipeError, OSError)
 #: (join -> terminate -> kill).
 SHUTDOWN_TIMEOUT_S = 30.0
 
-#: Longest the coordinator waits on a silent worker for a snapshot or
-#: finish reply before declaring a hung-but-alive process dead; every
-#: message from the worker restarts the clock.
+#: Longest the coordinator waits on a silent worker for a batch
+#: acknowledgement, a snapshot or a finish reply before declaring a
+#: hung-but-alive process dead; every message from the worker restarts
+#: the clock.
 STALL_TIMEOUT_S = 30.0
+
+def _send_budget(conn) -> int:
+    """Bytes of batches the coordinator may leave unacknowledged on
+    ``conn``: half the pipe's send buffer.  A batch is sent only while
+    the unacknowledged ones and it fit (or when none is unacknowledged,
+    so the worker is back reading), each wait bounded by
+    :data:`STALL_TIMEOUT_S`: no send can fill the pipe and block for good
+    on a hung worker, however large the batch, and a hung worker ends
+    the pass instead.  Zero (one batch at a time) where the pipe is not
+    a socket."""
+    try:
+        with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+            return sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) // 2
+    except OSError:
+        return 0
 
 
 class _ProcessTransport:
@@ -555,6 +576,10 @@ class _ProcessTransport:
         self._progress = None
         self._result = None
         self._state = None
+        self._budget = _send_budget(self.conn)
+        #: Byte sizes of the batches sent and not acknowledged, oldest first.
+        self._unacked: deque = deque()
+        self._unacked_bytes = 0
 
     def _died(self, error: Exception) -> WorkerFailure:
         # The pipe can fail a moment before the dead worker is reapable;
@@ -571,10 +596,9 @@ class _ProcessTransport:
     def _drain(self, awaiting: Optional[str] = None) -> None:
         """Absorb pending worker messages (progress / state / errors).
 
-        With ``awaiting`` (a description of the reply), keep reading
-        until a ``state`` or ``result`` message arrives, allowing the
-        worker at most :data:`STALL_TIMEOUT_S` of silence between
-        messages.
+        With ``awaiting`` (a description of the reply), wait at most
+        :data:`STALL_TIMEOUT_S` for the next message and return after
+        it; callers loop until the reply they need has arrived.
         """
         conn = self.conn
         timeout = STALL_TIMEOUT_S if awaiting else 0
@@ -592,17 +616,18 @@ class _ProcessTransport:
                 kind = message[0]
                 if kind == "progress":
                     self._progress = message[3]
+                    self._unacked_bytes -= self._unacked.popleft()
                 elif kind == "state":
                     self._state = message[2]
-                    return
                 elif kind == "result":
                     self._result = message[2]
-                    return
                 elif kind == "error":
                     raise RuntimeError(
                         "shard %d worker failed:\n%s"
                         % (self.shard_id, message[2])
                     )
+                if awaiting is not None or kind == "state":
+                    return
         except _PIPE_FAILURES as error:
             raise self._died(error) from error
 
@@ -613,7 +638,17 @@ class _ProcessTransport:
             raise self._died(error) from error
 
     def send(self, batch: List[tuple]) -> None:
-        self._post(("batch", batch))
+        # Pickled here, as Connection.send would, to know its size.
+        message = ForkingPickler.dumps(("batch", batch))
+        size = len(message)
+        while self._unacked and self._unacked_bytes + size > self._budget:
+            self._drain(awaiting="batch acknowledgement")
+        try:
+            self.conn.send_bytes(message)
+        except _PIPE_FAILURES as error:
+            raise self._died(error) from error
+        self._unacked.append(size)
+        self._unacked_bytes += size
         self._drain()
 
     def poll_progress(self):

@@ -23,7 +23,10 @@ One C module holds every loop the library compiles:
   without a census), Rule (a) cells, fork/join, rwlock read and write
   sections, barrier generations, wait/notify, census elision and the
   access history's race attribution, in state (``wcp_state``) that
-  mirrors :class:`~repro.core.wcp.WCPDetector`'s field for field.
+  mirrors :class:`~repro.core.wcp.WCPDetector`'s field for field.  It
+  de-duplicates races by location-id pair as it finds them: one slot
+  per new pair with its first witness and largest distance, plus a raw
+  count.
   :mod:`repro.core.wcp_compiled` drives it and transcribes the state
   back; it returns before a row that would taint a lock, which the
   Python detector takes.  Its HB mode (``wcp_new(prune, 1)``) keeps only
@@ -837,6 +840,15 @@ typedef struct { long long index, loc, rank; long long *clk; int prev, next; }
 typedef struct { long long a, b; int v, used; } wcp_slot;
 typedef struct { wcp_slot *slots; long long mask, count; } wcp_map;
 typedef struct {
+    long long refs;
+    void *locs;
+    long long *loc_spans;
+    long long nlocs, caplocs;
+    wcp_map racemap;
+    long long *races;
+    long long nraces, capraces, races_raw, races_unkeyed;
+} wcp_found;
+typedef struct {
     int prune, hb;
     wcp_thread *th;
     long long nth, capth;
@@ -857,12 +869,8 @@ typedef struct {
     wcp_hcell *hcells;
     long long nhc, caphc;
     wcp_map cellmap, tlmap, hcmap, curmap;
-    void *locs;
-    long long *loc_spans;
-    long long nlocs, caplocs;
+    wcp_found *found;
     long long queue_total, max_queue_total;
-    long long *races;
-    long long nraces, capraces;
     int *scratch;
     long long capscratch;
     wcp_barrier *barriers;
@@ -880,7 +888,9 @@ int wcp_census_lock(void *handle, int lock, int tid);
 int wcp_add_var(void *handle, int local);
 int wcp_add_barrier(void *handle);
 int wcp_loc_put(void *handle, const char *key, long long n);
-long long wcp_loc_get(void *handle, int id, const char **key);
+long long wcp_loc_get(wcp_found *found, int id, const char **key);
+wcp_found *wcp_found_ref(void *handle);
+void wcp_found_drop(wcp_found *found);
 int wcp_thread_init(void *handle, int tid);
 long long *wcp_ct(void *handle, int tid);
 long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
@@ -1200,6 +1210,21 @@ typedef struct { int var, kind, tid, head, tail, pad; i64 count; } wcp_tlist;
 
 typedef struct { i64 index, loc, rank; i64 *clk; int prev, next; } wcp_hcell;
 
+/* What a pass found, apart from its state: the location table, and the
+ * race slots (RACE_WORDS words each, in first-detection order) with
+ * their map from location-id pair to slot, the raw race count and the
+ * count of slots with a location-less side.  Reference-counted, so a
+ * report can keep it after the state is freed. */
+typedef struct {
+    i64 refs;
+    void *locs;
+    i64 *loc_spans;
+    i64 nlocs, caplocs;
+    wcp_map racemap;
+    i64 *races;
+    i64 nraces, capraces, races_raw, races_unkeyed;
+} wcp_found;
+
 typedef struct {
     int prune, hb;
     wcp_thread *th;
@@ -1221,12 +1246,8 @@ typedef struct {
     wcp_hcell *hcells;
     i64 nhc, caphc;
     wcp_map cellmap, tlmap, hcmap, curmap;
-    void *locs;
-    i64 *loc_spans;
-    i64 nlocs, caplocs;
+    wcp_found *found;
     i64 queue_total, max_queue_total;
-    i64 *races;
-    i64 nraces, capraces;
     int *scratch;
     i64 capscratch;
     wcp_barrier *barriers;
@@ -1238,6 +1259,21 @@ typedef struct {
     i64 seq;
 } wcp_state;
 
+wcp_found *wcp_found_ref(void *handle) {
+    wcp_found *f = ((wcp_state *)handle)->found;
+    f->refs++;
+    return f;
+}
+
+void wcp_found_drop(wcp_found *f) {
+    if (f == NULL || --f->refs) return;
+    std_heads_free(f->locs);
+    free(f->loc_spans);
+    free(f->racemap.slots);
+    free(f->races);
+    free(f);
+}
+
 void *wcp_new(int prune, int hb) {
     /* hb: the HB mode -- H_t and H_l only (no Rule (a), Rule (b),
      * sections or logs), and accesses checked against a frozen H_t. */
@@ -1245,8 +1281,15 @@ void *wcp_new(int prune, int hb) {
     if (st == NULL) return NULL;
     st->prune = prune;
     st->hb = hb;
-    st->locs = std_heads_new();
-    if (st->locs == NULL) { free(st); return NULL; }
+    st->found = calloc(1, sizeof *st->found);
+    if (st->found == NULL) { free(st); return NULL; }
+    st->found->refs = 1;
+    st->found->locs = std_heads_new();
+    if (st->found->locs == NULL) {
+        free(st->found);
+        free(st);
+        return NULL;
+    }
     return st;
 }
 
@@ -1314,9 +1357,7 @@ void wcp_free(void *handle) {
     free(st->tlmap.slots);
     free(st->hcmap.slots);
     free(st->curmap.slots);
-    std_heads_free(st->locs);
-    free(st->loc_spans);
-    free(st->races);
+    wcp_found_drop(st->found);
     free(st->scratch);
     for (i64 b = 0; b < st->nbarriers; b++) {
         fc_drop(st->barriers[b].accp);
@@ -1377,24 +1418,24 @@ int wcp_add_barrier(void *handle) {
     return (int)st->nbarriers++;
 }
 
-static int loc_add(wcp_state *st, const char *key, i64 n) {
-    std_heads *t = st->locs;
-    int id = (int)st->nlocs;
-    if (GROW(st->loc_spans, st->caplocs, 2 * (st->nlocs + 1))) return -1;
+static int loc_add(wcp_found *f, const char *key, i64 n) {
+    std_heads *t = f->locs;
+    int id = (int)f->nlocs;
+    if (GROW(f->loc_spans, f->caplocs, 2 * (f->nlocs + 1))) return -1;
     if (std_heads_put(t, key, n, id, 0)) return -1;
     const std_slot *s = std_find(t, (const unsigned char *)key, n,
                                  std_hash((const unsigned char *)key, n));
-    st->loc_spans[2 * id] = s->key;
-    st->loc_spans[2 * id + 1] = n;
-    st->nlocs++;
+    f->loc_spans[2 * id] = s->key;
+    f->loc_spans[2 * id + 1] = n;
+    f->nlocs++;
     return id;
 }
 
 static int loc_intern(wcp_state *st, const char *key, i64 n) {
     const unsigned char *k = (const unsigned char *)key;
-    const std_slot *s = std_find(st->locs, k, n, std_hash(k, n));
+    const std_slot *s = std_find(st->found->locs, k, n, std_hash(k, n));
     if (s->used) return s->tid;
-    return loc_add(st, key, n);
+    return loc_add(st->found, key, n);
 }
 
 int wcp_loc_put(void *handle, const char *key, long long n) {
@@ -1402,11 +1443,10 @@ int wcp_loc_put(void *handle, const char *key, long long n) {
     return loc_intern(handle, key, n);
 }
 
-long long wcp_loc_get(void *handle, int id, const char **key) {
-    wcp_state *st = handle;
-    if (id < 0 || id >= st->nlocs) return -1;
-    *key = ((std_heads *)st->locs)->arena + st->loc_spans[2 * id];
-    return st->loc_spans[2 * id + 1];
+long long wcp_loc_get(wcp_found *f, int id, const char **key) {
+    if (id < 0 || id >= f->nlocs) return -1;
+    *key = ((std_heads *)f->locs)->arena + f->loc_spans[2 * id];
+    return f->loc_spans[2 * id + 1];
 }
 
 static wcp_thread *thread_at(wcp_state *st, int tid) {
@@ -1745,34 +1785,71 @@ static int rule_a(wcp_state *st, int lock, int var, int kind, int tid) {
     return 0;
 }
 
-static int race_out(wcp_state *st, i64 row, const wcp_hcell *h, int tid,
-                    int kind) {
-    if (GROW(st->races, st->capraces, 5 * (st->nraces + 1))) return -1;
-    i64 *r = &st->races[5 * st->nraces++];
-    r[0] = row;
-    r[1] = h->index;
+/* The access being checked: the second side of each race it finds. */
+typedef struct { i64 index, loc; int var, tid, kind; } wcp_acc;
+
+/* A race slot: first index, second index, first tid, second tid, first
+ * kind, second kind, variable, first location, second location, the
+ * largest distance seen (locations as the history keys them: an id, or
+ * -(index + 1) for none). */
+#define RACE_WORDS 10
+
+static int race_out(wcp_state *st, const wcp_hcell *h, int tid, int kind,
+                    const wcp_acc *a) {
+    /* RaceReport.add: a new location pair takes a slot holding its
+     * first witness, a known one only its largest distance.  A pair
+     * with a location-less side always takes one: its key is a string
+     * (Event.location) that only Python spells. */
+    wcp_found *f = st->found;
+    i64 distance = a->index - h->index;
+    if (distance < 0) distance = -distance;
+    f->races_raw++;
+    int keyed = h->loc >= 0 && a->loc >= 0;
+    i64 lo = h->loc < a->loc ? h->loc : a->loc;
+    i64 hi = h->loc < a->loc ? a->loc : h->loc;
+    if (keyed) {
+        int s = map_get(&f->racemap, lo, hi);
+        if (s >= 0) {
+            i64 *r = &f->races[RACE_WORDS * (i64)s];
+            if (distance > r[9]) r[9] = distance;
+            return 0;
+        }
+        if (map_put(&f->racemap, lo, hi, (int)f->nraces)) return -1;
+    } else {
+        f->races_unkeyed++;
+    }
+    if (GROW(f->races, f->capraces, RACE_WORDS * (f->nraces + 1)))
+        return -1;
+    i64 *r = &f->races[RACE_WORDS * f->nraces++];
+    r[0] = h->index;
+    r[1] = a->index;
     r[2] = tid;
-    r[3] = kind;
-    r[4] = h->loc;
+    r[3] = a->tid;
+    r[4] = kind;
+    r[5] = a->kind;
+    r[6] = a->var;
+    r[7] = h->loc;
+    r[8] = a->loc;
+    r[9] = distance;
     return 0;
 }
 
-static int unordered(wcp_state *st, const wcp_var *V, int kind, int tid,
-                     const i64 *clock, i64 row) {
+static int unordered(wcp_state *st, const wcp_var *V, int kind,
+                     const i64 *clock, const wcp_acc *a) {
     /* Race attribution: per thread, newest first, up to the first
      * ordered cell; reported in first-access (rank) order. */
     for (i64 l = 0; l < V->nlists[kind]; l++) {
         const wcp_tlist *tl = &st->tlists[V->lists[kind][l]];
-        if (tl->tid == tid) continue;
+        if (tl->tid == a->tid) continue;
         i64 n = 0;
         for (int c = tl->tail; c >= 0; c = st->hcells[c].prev) {
             if (fc_leq(st->hcells[c].clk, clock)) break;
             if (GROW(st->scratch, st->capscratch, n + 1)) return -1;
             st->scratch[n++] = c;
         }
-        for (i64 a = 1; a < n; a++) {
-            int c = st->scratch[a];
-            i64 b = a - 1;
+        for (i64 i = 1; i < n; i++) {
+            int c = st->scratch[i];
+            i64 b = i - 1;
             while (b >= 0 && st->hcells[st->scratch[b]].rank
                              > st->hcells[c].rank) {
                 st->scratch[b + 1] = st->scratch[b];
@@ -1780,8 +1857,8 @@ static int unordered(wcp_state *st, const wcp_var *V, int kind, int tid,
             }
             st->scratch[b + 1] = c;
         }
-        for (i64 a = 0; a < n; a++)
-            if (race_out(st, row, &st->hcells[st->scratch[a]], tl->tid, kind))
+        for (i64 k = 0; k < n; k++)
+            if (race_out(st, &st->hcells[st->scratch[k]], tl->tid, kind, a))
                 return -1;
     }
     return 0;
@@ -1854,9 +1931,10 @@ static int join_into(i64 **join, int *owned, const i64 *clock) {
 }
 
 static int observe(wcp_state *st, int var, int kind, int tid, i64 index,
-                   i64 loc, i64 *C, i64 row) {
+                   i64 loc, i64 *C) {
     /* AccessHistory.observe_read / observe_write, fused. */
     wcp_var *V = &st->vars[var];
+    wcp_acc a = { index, loc, var, tid, kind };
     if (!V->created) {
         if (GROW(st->var_order, st->capvar_order, st->nvar_order + 1))
             return -1;
@@ -1869,7 +1947,7 @@ static int observe(wcp_state *st, int var, int kind, int tid, i64 index,
                           : V->rj == NULL || fc_leq(V->rj, C);
     i64 time = fc_at(C, tid);
     if (kind == 0) {
-        if (!w_ord && unordered(st, V, 1, tid, C, row)) return -1;
+        if (!w_ord && unordered(st, V, 1, C, &a)) return -1;
         if (r_ord) {
             fc_drop(V->rj);
             V->rj = fc_ref(C);
@@ -1882,8 +1960,8 @@ static int observe(wcp_state *st, int var, int kind, int tid, i64 index,
             V->r_fast = 0;
         }
     } else {
-        if (!w_ord && unordered(st, V, 1, tid, C, row)) return -1;
-        if (!r_ord && unordered(st, V, 0, tid, C, row)) return -1;
+        if (!w_ord && unordered(st, V, 1, C, &a)) return -1;
+        if (!r_ord && unordered(st, V, 0, C, &a)) return -1;
         if (w_ord) {
             fc_drop(V->wj);
             V->wj = fc_ref(C);
@@ -1900,7 +1978,7 @@ static int observe(wcp_state *st, int var, int kind, int tid, i64 index,
 }
 
 static int wcp_access(wcp_state *st, int var, int kind, int tid, i64 index,
-                  i64 loc, i64 row) {
+                  i64 loc) {
     wcp_thread *T = &st->th[tid];
     /* Lines 11-12: Rule (a) under every open section, which also notes
      * the access in each; a read section's releases conflict too. */
@@ -1935,7 +2013,7 @@ static int wcp_access(wcp_state *st, int var, int kind, int tid, i64 index,
     }
     i64 *C = ct_get(st, tid);
     if (C == NULL) return -1;
-    return observe(st, var, kind, tid, index, loc, C, row);
+    return observe(st, var, kind, tid, index, loc, C);
 }
 
 static int fork_join(wcp_state *st, int tid, int child, int is_join) {
@@ -2260,7 +2338,7 @@ long long wcp_run(void *handle, const int *tids, const int *ops, long long n,
         switch (kind) {
         case 0: case 1:
             if (st->vars[target].local) { local++; continue; }
-            failed = wcp_access(st, target, kind, tid, index, loc, j);
+            failed = wcp_access(st, target, kind, tid, index, loc);
             break;
         case 2: failed = wcp_acquire(st, target, tid); break;
         case 3:

@@ -55,6 +55,20 @@ class TestRaceReport:
         # Maximum distance over all witnesses of the pair is retained.
         assert report.max_distance() == 20
 
+    def test_a_duplicate_builds_no_pair(self, monkeypatch):
+        # A known location pair only counts the raw race and raises the
+        # distance (from a reversed witness too); its witness stays.
+        report = RaceReport("demo")
+        first = report.add(_write(0, "t1", loc="p"), _write(1, "t2", loc="q"))
+        built = []
+        monkeypatch.setattr(RacePair, "__init__",
+                            lambda self, *events: built.append(events))
+        again = report.add(_write(40, "t2", loc="q"), _write(3, "t1", loc="p"))
+        assert again is first and not built
+        assert report.raw_race_count == 2
+        assert report.max_distance() == 37
+        assert report.pairs()[0].first_event.index == 0
+
     def test_distinct_pairs_sorted_by_first_witness(self):
         report = RaceReport("demo")
         report.add(_write(5, "t1", loc="c"), _write(6, "t2", loc="d"))

@@ -38,7 +38,8 @@ from repro.engine.faults import corrupt_blob
 from repro.engine.partition import ROUTE_CLOCK, StreamPartitioner, owner_of
 from repro.engine.sharding import _ProcessTransport, _ShardWorker
 from repro.engine.sources import TraceSource
-from repro.trace.event import EventType
+from repro.trace.event import Event, EventType
+from repro.trace.trace import Trace
 from repro.trace.writers import dump_trace
 
 from conftest import random_trace
@@ -600,6 +601,34 @@ class TestStallDetection:
                 transport.finish()
         finally:
             transport.abort()
+
+    def test_a_worker_that_stops_reading_ends_the_pass(self, monkeypatch):
+        """Shard 1's worker sleeps in its first batch while the
+        coordinator streams 40k events at it: the unacknowledged batches
+        are bounded, so the pass ends with one WorkerFailure instead of
+        blocking for good in a send to a full pipe."""
+        _require_fork()
+        original = _ShardWorker.process_batch
+
+        def sleep_on_shard_1(self, batch):
+            if self.shard_id == 1:
+                _hang_forever(self, batch)
+            return original(self, batch)
+
+        monkeypatch.setattr(_ShardWorker, "process_batch", sleep_on_shard_1)
+        monkeypatch.setattr(sharding, "STALL_TIMEOUT_S", 0.5)
+        events = [
+            Event(i, "t%d" % (i % 8), EventType.WRITE,
+                  "v%d_%d" % (i % 8, i % 5), loc="l%d" % (i % 97))
+            for i in range(40000)
+        ]
+        engine = ShardedEngine(_config("process", shards=2, batch_size=1024))
+        started = time.monotonic()
+        with pytest.raises(WorkerFailure) as excinfo:
+            engine.run(Trace(events, name="stops-reading"), detectors=["hb"])
+        assert time.monotonic() - started < 30
+        assert excinfo.value.shard == 1
+        assert "no batch acknowledgement" in str(excinfo.value)
 
     def test_hung_process_worker_is_proactively_restarted(
         self, monkeypatch, tmp_path

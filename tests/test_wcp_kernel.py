@@ -8,7 +8,10 @@ twice -- kernel live, and kernel switched off through the private
 per-instance ``_use_kernel`` switch -- and asserts that nothing
 observable differs: race pairs, witnesses, distances, raw counts, every
 statistic but the timings, ``timestamps()`` and the transcribed state
-itself at every block boundary.  The kernel runs the whole vocabulary
+itself at every block boundary.  The kernel de-duplicates races in C
+and a report builds their pairs only when read, so reports are also
+compared at every block boundary read in full and read for their counts
+alone.  The kernel runs the whole vocabulary
 (rwlocks, barriers, wait/notify included); the hand-over points left (a
 row that would taint a WCP lock, ``mark_foreign``), the rows it ran in
 C and a snapshot taken while compiled are covered explicitly, and the
@@ -30,6 +33,7 @@ from test_properties import traces
 
 from repro.bench.generators import mixed_vocabulary_trace
 from repro.core.closure import HBClosure, WCPClosure
+from repro.core.races import RacePair
 from repro.core.snapshot import unpack_for
 from repro.core.wcp import WCPDetector
 from repro.core.wcp_compiled import WCPKernel
@@ -70,6 +74,12 @@ def _pair(cls=WCPDetector, **config):
     python = cls(**config)
     python._use_kernel = False
     return kernel, python
+
+
+def _lifecycle(detector):
+    """The kernel's rows and exit (its race figures are pinned below)."""
+    counts = detector.kernel_counts()
+    return {"rows": counts["rows"], "exit": counts["exit"]}
 
 
 def _report_key(report):
@@ -164,7 +174,7 @@ def test_a_first_block_that_hands_over_at_once_stays_in_python():
     detector.process_batch(contended.events[:10])
     detector.process_batch(contended.events[10:])
     assert detector._kernel is None and not detector._kernel_pending
-    assert detector.kernel_counts() == {
+    assert _lifecycle(detector) == {
         "rows": 0, "exit": "short first block",
     }
 
@@ -298,7 +308,7 @@ def _check_mixed_vocabulary(seed, cls):
     for source, size, states in runs:
         kernel = _assert_same(source, size=size, states=states, cls=cls)
         assert kernel.compiled_to_end, (seed, size)
-        assert kernel.kernel_counts() == {
+        assert _lifecycle(kernel) == {
             "rows": len(source), "exit": "finish",
         }
 
@@ -362,7 +372,7 @@ def test_snapshot_inside_the_vocabulary_resumes(case, cls):
     assert _report_key(resumed.report) == _report_key(reference), cut
     detector.process_batch(trace.events[cut:])
     detector.finish()
-    assert detector.kernel_counts() == {"rows": len(trace), "exit": "finish"}
+    assert _lifecycle(detector) == {"rows": len(trace), "exit": "finish"}
     assert _report_key(detector.report) == _report_key(reference)
 
 
@@ -393,10 +403,10 @@ def test_a_taint_inside_an_rwlock_window_hands_over(kind):
     assert trace.events[taint].etype is kind
     for size in (None, 3):
         kernel = _assert_same(trace, size=size, states=True)
-        assert kernel.kernel_counts() == {"rows": taint, "exit": "taint"}
+        assert _lifecycle(kernel) == {"rows": taint, "exit": "taint"}
     # HB has no taint: its kernel runs every row.
     kernel = _assert_same(trace, states=True, cls=HBDetector)
-    assert kernel.kernel_counts() == {"rows": len(trace), "exit": "finish"}
+    assert _lifecycle(kernel) == {"rows": len(trace), "exit": "finish"}
     # Windows of a mixed trace start inside sections: unvalidated, and
     # each hands over at its first tainting row or runs to the end.
     mixed = mixed_vocabulary_trace(4, threads=3, steps=120)
@@ -492,7 +502,7 @@ def test_a_snapshot_then_mark_foreign_continues_from_current_clocks(cls):
     assert _state(kernel) == _state(python)
     for detector in (kernel, python):
         detector.mark_foreign("mix_x0")
-    assert kernel.kernel_counts() == {"rows": cut, "exit": "mark_foreign"}
+    assert _lifecycle(kernel) == {"rows": cut, "exit": "mark_foreign"}
     for detector in (kernel, python):
         detector.process_batch(rest)
     assert _state(kernel) == _state(python)
@@ -538,7 +548,7 @@ def test_timestamps_match_python_and_closure(seed, cls):
     trace = random_trace(seed + 200, n_events=50, n_threads=3, n_locks=2)
     kernel, python = _pair(cls)
     clocks = kernel.timestamps(trace)
-    assert kernel.kernel_counts() == {"rows": len(trace), "exit": "finish"}
+    assert _lifecycle(kernel) == {"rows": len(trace), "exit": "finish"}
     assert clocks == python.timestamps(trace)
     closure = (HBClosure if cls is HBDetector else WCPClosure)(trace)
     for second in range(len(trace)):
@@ -691,18 +701,36 @@ def test_every_row_of_a_pushed_mixed_stream_runs_in_c(
     backend, tmp_path, monkeypatch
 ):
     """A real ``serve --socket`` session: under cffi WCP and HB run every
-    row of a pushed mixed-vocabulary stream in C; under python none."""
+    row of a pushed mixed-vocabulary stream in C, and the session, which
+    reads only the report's counts, builds no RacePair; under python no
+    row runs in C."""
     if backend == "cffi" and kernels.BACKEND != "cffi":
         pytest.skip("the compiled kernels are inactive")
     monkeypatch.setattr(kernels, "BACKEND", backend)
+    built = []
+    build = RacePair.__init__
+
+    def counting(self, first, second):
+        built.append(first.index)
+        build(self, first, second)
+
+    monkeypatch.setattr(RacePair, "__init__", counting)
     trace = mixed_vocabulary_trace(11, threads=3, steps=400)
     result = _serve_socket_session(tmp_path, trace, monkeypatch)
     rows = len(trace) if backend == "cffi" else 0
     exit = "finish" if backend == "cffi" else "not armed: backend"
-    assert result.kernel == {
-        "WCP": {"rows": rows, "exit": exit},
-        "HB": {"rows": rows, "exit": exit},
-    }
+    expected = {}
+    for name in ("WCP", "HB"):
+        report = result.reports[name]
+        assert report.count() > 0
+        expected[name] = {
+            "rows": rows, "exit": exit,
+            "races_raw": report.raw_race_count if rows else 0,
+            "races_distinct": report.count() if rows else 0,
+            "pairs_built": 0,
+        }
+    assert result.kernel == expected
+    assert bool(built) == (backend == "python")
 
 
 @pytest.mark.parametrize("backend", ["cffi", "python"])
@@ -740,6 +768,203 @@ def test_analyze_stream_runs_the_mixed_corpus_in_c(backend, tmp_path):
         assert found == {
             "WCP": (rows, len(trace), exit), "HB": (rows, len(trace), exit),
         }, run.stdout
+        races = dict(
+            (name, tuple(map(int, figures))) for name, *figures
+            in re.findall(r"^profile: (\w+) kernel races: (\d+) raw, "
+                          r"(\d+) distinct, (\d+) pair\(s\) built during "
+                          r"the pass$", run.stdout, re.M)
+        )
+        expected = {}
+        for cls in (WCPDetector, HBDetector):
+            report = cls().run(trace)
+            expected[report.detector_name] = (
+                (report.raw_race_count, report.count(), 0) if rows
+                else (0, 0, 0)
+            )
+        assert races == expected, run.stdout
+
+
+# --------------------------------------------------------------------- #
+# Races de-duplicated in the kernel, built when read
+# --------------------------------------------------------------------- #
+
+
+def _counts(report):
+    return report.count(), report.raw_race_count
+
+
+def _check_reports_at_boundaries(trace, size, cls):
+    """Run ``trace`` in blocks of ``size`` on the Python path, on a kernel
+    whose report is read in full at every block boundary, and on one
+    whose report only has its counts read; all three reports agree at
+    every boundary and at the end.  Returns the counts-only detector."""
+    python = cls()
+    python._use_kernel = False
+    read, counted = cls(), cls()
+    read._KERNEL_MIN_ROWS = counted._KERNEL_MIN_ROWS = 0
+    detectors = (python, read, counted)
+    events = list(trace)
+    for detector in detectors:
+        detector.reset(trace)
+    for start in range(0, len(events), size):
+        for detector in detectors:
+            detector.process_batch(events[start:start + size])
+        assert _counts(counted.report) == _counts(python.report), start
+        assert _report_key(read.report) == _report_key(python.report), start
+    for detector in detectors:
+        detector.finish()
+    assert _counts(counted.report) == _counts(python.report)
+    for detector in (read, counted):
+        assert _report_key(detector.report) == _report_key(python.report)
+        assert _state(detector) == _state(python)
+    return counted
+
+
+def _python(cls):
+    detector = cls()
+    detector._use_kernel = False
+    return detector
+
+
+def _duplicate_race_trace():
+    """Two threads write ``x`` from the same two locations, unordered,
+    with ever more thread-local filler in between: every raw race after
+    the first is a duplicate, at a larger distance than the one before."""
+    rows = []
+    for step in range(12):
+        rows += [("t1", "x", "w1"), ("t2", "x", "w2")]
+        rows += [("f%d" % (i % 2), "v%d" % (i % 2), "fill")
+                 for i in range(3 * step)]
+        rows += [("t2", "y", "r:%d" % (step % 3))]
+    events = [
+        Event(index, thread, EventType.WRITE, target, loc=loc)
+        for index, (thread, target, loc) in enumerate(rows)
+    ]
+    return Trace(events, name="duplicates")
+
+
+@compiled
+@pytest.mark.parametrize("cls", [WCPDetector, HBDetector])
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_races_match_at_every_block_boundary(seed, cls):
+    """Every race of a mixed-vocabulary trace is a new location pair."""
+    trace = mixed_vocabulary_trace(seed, threads=3, steps=200)
+    for size in (7, 64):
+        counted = _check_reports_at_boundaries(trace, size, cls)
+        report = counted.report
+        assert report.count() == report.raw_race_count > 0
+
+
+@compiled
+@pytest.mark.parametrize("cls", [WCPDetector, HBDetector])
+def test_duplicate_races_keep_the_largest_distance(cls):
+    trace = _duplicate_race_trace()
+    python = _run_blocks(_python(cls), trace, None)
+    assert python.raw_race_count > 3 * python.count()
+    pair = python.pairs()[0]
+    assert python.distance_of(pair) > pair.distance
+    for size in (1, 5, 16, len(trace)):
+        _check_reports_at_boundaries(trace, size, cls)
+
+
+@compiled
+@pytest.mark.parametrize("cls", [WCPDetector, HBDetector])
+def test_location_less_races_are_built_to_count(cls, tmp_path):
+    """A race with a location-less side is keyed by the spelling
+    ``Event.location`` synthesises, which a real location may share: the
+    count builds such slots, and the report dedups them as add does."""
+    from repro.trace.parsers import load_trace
+
+    path = tmp_path / "spelled.std"
+    path.write_text(_spelled_location_trace())
+    spelled = load_trace(str(path))
+    counted = _check_reports_at_boundaries(spelled, 1, cls)
+    assert _counts(counted.report) == (1, 2)
+    assert counted.kernel_counts()["races_distinct"] == 2
+    unlocated = random_trace(7, n_events=120, n_threads=3, n_locks=1)
+    for size in (3, 40):
+        _check_reports_at_boundaries(unlocated, size, cls)
+
+
+@compiled
+@pytest.mark.parametrize("cls", [WCPDetector, HBDetector])
+def test_a_snapshot_mid_pass_resumes_with_the_same_races(cls):
+    """A snapshot builds the slots so far; the compiled pass carries on
+    raising their distances, and a resumed Python pass matches both."""
+    trace = _duplicate_race_trace()
+    reference = _run_blocks(_python(cls), trace, None)
+    cut = len(trace) // 2
+    detector = cls()
+    detector.reset(trace)
+    detector.process_batch(trace.events[:cut])
+    assert detector._kernel is not None
+    blob = detector.state_snapshot()
+    built = detector.kernel_counts()["pairs_built"]
+    assert built == detector.kernel_counts()["races_distinct"] > 0
+    resumed = cls()
+    resumed.restore_pending = True
+    resumed.reset(trace)
+    resumed.restore_state(blob)
+    resumed.process_batch(trace.events[cut:])
+    resumed.finish()
+    detector.process_batch(trace.events[cut:])
+    detector.finish()
+    for report in (resumed.report, detector.report):
+        assert _report_key(report) == _report_key(reference)
+        assert report.state_dict() == reference.state_dict()
+
+
+def _racy_taint_trace():
+    """:func:`_rwlock_taint_trace` between two runs of unordered writes
+    to ``z`` from the same four locations."""
+    taint = list(_rwlock_taint_trace(EventType.RACQ_W))
+    rows = [("r%d" % (i % 2), EventType.WRITE, "z", "z:%d" % (i % 4))
+            for i in range(40)]
+    rows += [(e.thread, e.etype, e.target, e.loc) for e in taint]
+    rows += rows[:40]
+    events = [Event(index, thread, etype, target, loc=loc)
+              for index, (thread, etype, target, loc) in enumerate(rows)]
+    return Trace(events, validate=False, name="racy-taint")
+
+
+@compiled
+def test_a_taint_hands_the_races_over_mid_pass():
+    """An unvalidated taint hands over to Python mid-pass: the slots are
+    built into the report first and ``add`` de-duplicates from there."""
+    trace = _racy_taint_trace()
+    for size in (None, 3):
+        counted = _check_reports_at_boundaries(trace, size or len(trace),
+                                               WCPDetector)
+        counts = counted.kernel_counts()
+        assert counts["exit"] == "taint"
+        assert counts["races_raw"] > 0
+        assert counts["pairs_built"] == counts["races_distinct"]
+        assert counted.report.raw_race_count > counts["races_raw"]
+
+
+@compiled
+@pytest.mark.parametrize("cls", [WCPDetector, HBDetector])
+def test_kernel_counts_pin_the_races(cls):
+    """``kernel_counts`` and ``EngineResult.kernel``: the raw and distinct
+    races found in C, and no pair built until the report is read."""
+    from repro.engine import RaceEngine
+
+    trace = mixed_vocabulary_trace(3, threads=3, steps=300)
+    result = RaceEngine().run(trace, [cls()])
+    (name, report), = result.reports.items()
+    expected = {
+        "rows": len(trace), "exit": "finish",
+        "races_raw": report.raw_race_count,
+        "races_distinct": report.count(), "pairs_built": 0,
+    }
+    assert result.kernel[name] == expected
+    detector = cls()
+    detector.reset(trace)
+    detector.process_batch(trace.events)
+    detector.finish()
+    assert detector.kernel_counts() == expected
+    assert len(detector.report.pairs()) == report.count()
+    assert detector.kernel_counts()["pairs_built"] == report.count()
 
 
 class TestHBKernel:
