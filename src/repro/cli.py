@@ -22,10 +22,13 @@ process that survives up to N crashes -- of the engine process or of a
 streams a trace file to a ``serve`` instance with automatic retry,
 backoff and mid-stream reconnect.
 ``analyze`` runs one or more detectors (comma-separated) on a logged trace
-file (STD or CSV format) in a single engine pass; with ``--stream`` the
-file is parsed lazily and analysed without ever materialising a full
-in-memory trace (trace well-formedness is still checked, by the O(1)
-online validator -- ``--no-validate`` opts out).  ``--checkpoint DIR``
+file (STD or CSV format) in a single engine pass.  The file is never
+materialised as an in-memory trace: a regular file is read twice, a
+census pass that takes its thread census and validates every row, then
+the stream pass, decoded block by block and validated online
+(``--no-validate`` opts out of both checks); a pipe or FIFO is read once,
+with no census.  ``--stream`` is accepted and changes nothing.
+``compare`` reads its file the same way.  ``--checkpoint DIR``
 persists detector-state snapshots at a fixed event cadence and
 ``--resume DIR`` continues a crashed pass from the newest one with
 reports identical to an uninterrupted run (works sharded, too).  ``compare`` prints a
@@ -109,14 +112,13 @@ def _run_errors():
 
 
 _STREAM_HELP = (
-    "decode the file block by block instead of materialising an in-memory "
-    "trace.  A regular file is read twice: a decode-only first pass takes "
-    "its thread census (which threads touch each variable and lock), so "
-    "the verdict is exact, the report equals the batch run's (timings "
-    "aside), and memory is the live detector state plus the census.  A "
-    "FIFO or standard input is read once, and --shards workers take no "
-    "census: still exact, but WCP keeps its Rule (b) logs in full.  "
-    "Well-formedness is checked online unless --no-validate"
+    "accepted for compatibility; changes nothing.  Every run decodes the "
+    "file block by block: a regular file is read twice, a census pass "
+    "(which threads touch each variable and lock; every row validated "
+    "unless --no-validate) and then the stream pass, so memory is the "
+    "live detector state plus the census.  A FIFO or standard input is "
+    "read once, and --shards workers and --resume take no census: still "
+    "exact, but WCP keeps its Rule (b) logs in full"
 )
 
 
@@ -460,15 +462,18 @@ def _add_profile_argument(subparser: argparse.ArgumentParser) -> None:
         "--profile", action="store_true",
         help="also print, per detector, how many rows the compiled kernel "
              "ran and why it stopped or never started, the races it found "
-             "(raw, distinct, pairs built during the pass), and how many "
-             "STD lines the compiled scanner and the Python decoder took",
+             "(raw, distinct, pairs built during the pass); the census "
+             "pass's rows and distinct (thread, op) pairs, whether C or "
+             "Python took them and whether it validated, or why no census "
+             "was taken; and how many STD lines the compiled scanner and "
+             "the Python decoder took",
     )
 
 
 def _print_profile(result) -> None:
     """The ``--profile`` lines: each in-process kernel's row count and
-    race figures, and the STD lines this process decoded in C and in
-    Python."""
+    race figures, the census pass (or why none was taken), and the STD
+    lines this process decoded in C and in Python."""
     if not result.kernel:
         print("profile: no compiled kernel ran in this process")
     for name, counts in result.kernel.items():
@@ -479,6 +484,8 @@ def _print_profile(result) -> None:
               "built during the pass" % (
                   name, counts["races_raw"], counts["races_distinct"],
                   counts["pairs_built"]))
+    if result.census is not None:
+        print("profile: census: %s" % result.census)
     lines = std_line_counts()
     if lines["compiled"] or lines["python"]:
         print("profile: STD decode took %d line(s) in the compiled scanner "
@@ -523,20 +530,16 @@ def _make_engine_config(args: argparse.Namespace) -> EngineConfig:
 def _make_source(args: argparse.Namespace):
     """Build the analyze/compare event source from the CLI arguments.
 
-    Both paths validate by default: batch loading through
-    ``Trace(validate=True)``, streaming through the O(1)-per-event
-    :class:`~repro.engine.ValidatingSource` (identical error classes and
-    messages).  ``--no-validate`` disables either.
+    One path for every input: a :class:`~repro.engine.sources.FileSource`,
+    wrapped in a :class:`~repro.engine.validate.ValidatingSource` unless
+    ``--no-validate``.  A fresh unsharded pass over a regular file first
+    takes the file's census, validating every row, then streams it.
     """
-    validate = not getattr(args, "no_validate", False)
-    format = getattr(args, "format", None)
-    if args.stream:
-        from repro.engine.sources import FileSource
-        from repro.engine.validate import ValidatingSource
+    from repro.engine.sources import FileSource
+    from repro.engine.validate import ValidatingSource
 
-        source = FileSource(args.trace, format=format)
-        return ValidatingSource(source) if validate else source
-    return load_trace(args.trace, validate=validate, format=format)
+    source = FileSource(args.trace, format=getattr(args, "format", None))
+    return source if args.no_validate else ValidatingSource(source)
 
 
 def _print_resume_provenance(directory: str) -> None:
@@ -720,7 +723,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             validate=not args.no_validate,
             format=getattr(args, "format", None),
         )
-    except ValueError as error:
+    except _run_errors() as error:
         print(str(error), file=sys.stderr)
         return 2
     parse_s = time.perf_counter() - parse_started
@@ -814,7 +817,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except _run_errors() as error:
+        print(str(error), file=sys.stderr)
+        return 2
     report = detector.run(trace)
     if not report.has_race():
         print("no %s race found; nothing to witness" % args.detector)

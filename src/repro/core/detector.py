@@ -27,8 +27,9 @@ into blocks (``tests/test_batch_parity.py``).
 to signal that the event sequence cannot be pre-scanned).  The one
 whole-trace fact the clock detectors read, the ``thread_census``, is an
 attribute of its own: a :class:`Trace` builds it from its columns, and
-the stream context of a regular file takes it in a decode-only first
-pass; sockets, push queues and shard workers have none.
+the stream context of a regular file takes it in a first pass over the
+file (which validates it too, when validation is on); sockets, push
+queues and shard workers have none.
 
 Timing contract
 ---------------

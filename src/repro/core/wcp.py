@@ -130,8 +130,8 @@ reads its cursor, so it cannot hold entries alive).  This changes the
 memory profile dramatically on traces with thread-local locks (which
 would otherwise accumulate entries forever).  The releaser census needs
 the whole trace at :meth:`reset`: a :class:`~repro.trace.trace.Trace`
-has it, and so does ``--stream`` over a regular file, whose census a
-decode-only first pass takes
+has it, and so does a stream pass over a regular file, whose census a
+first pass over the file takes
 (:attr:`FileSource.thread_census
 <repro.engine.sources.FileSource.thread_census>`).  A stream with no
 census -- a socket, a push queue, a FIFO, a shard worker -- keeps the
@@ -176,8 +176,8 @@ read/write set, no access history.  This is exact for the same reason:
    variable's race check are unchanged.
 
 Snapshots carry each lock's thread-local flag and the set of thread-local
-variables, so a resumed pass, batch or ``--stream`` (which skips the
-census), keeps both elisions.
+variables, so a resumed pass (which skips the census) keeps both
+elisions.
 
 ``report.stats["max_queue_total"]`` still reports the *pseudocode's*
 queue occupancy (each critical section contributes one acquire and one

@@ -15,8 +15,8 @@ The top-level helpers :func:`repro.api.detect_races` and
 :func:`repro.api.compare_detectors` are thin wrappers over this engine.
 
 Names are resolved lazily (see :mod:`repro._lazy`): importing the package
-loads none of its modules, so a batch or ``--stream`` pass never loads the
-sharded engine or the run supervisor.
+loads none of its modules, so an unsharded pass never loads the sharded
+engine or the run supervisor.
 """
 
 from repro._lazy import lazy_exports

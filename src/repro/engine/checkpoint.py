@@ -17,7 +17,7 @@ Layering
 * A :class:`Checkpoint` bundles the per-detector snapshots with the run
   coordinates: the processed-event offset, detector stamps, the
   checkpoint cadence, optional source-side state (e.g. the online
-  validator of a ``--stream`` pass) and -- for sharded runs -- the
+  validator of a validated file pass) and -- for sharded runs -- the
   per-shard worker snapshots plus the partitioner state.
 * A :class:`Checkpointer` persists checkpoints into a directory, keyed by
   processed-event offset, with atomic write-then-rename so a crash

@@ -11,9 +11,10 @@ The engine hands each detector either the backing
 :class:`~repro.trace.trace.Trace` (when the source is complete) or a
 :class:`StreamContext` -- a lightweight trace stand-in whose
 ``is_complete`` flag tells detectors not to pre-scan, and whose
-``thread_census`` is the source's (a regular file takes it in a
-decode-only first pass) -- so census-driven optimisations like WCP's
-queue pruning stay enabled wherever a census exists.
+``thread_census`` is the source's (a regular file takes it in a first
+pass, before any detector steps, whichever detectors run) -- so
+census-driven optimisations like WCP's queue pruning stay enabled
+wherever a census exists.
 
 Early-stop policies and snapshot cadence come from
 :class:`~repro.engine.config.EngineConfig`.
@@ -59,9 +60,9 @@ class StreamContext:
     so detectors skip whole-trace prescans, ``registry`` (the pass's
     thread-interning table -- the source's when it has one -- shared by
     every detector of the pass, so the blocks' thread ids are read as
-    they are) and ``thread_census``: the ``source``'s census, taken on
-    the first detector's request and shared by the rest (None without a
-    source, or when the source can take none).
+    they are) and ``thread_census``: the ``source``'s census, taken
+    once and shared by every detector (None without a source, or when
+    the source can take none).
     """
 
     is_complete = False
@@ -104,8 +105,8 @@ class EngineResult:
     :class:`~repro.core.races.RaceReport` (duplicate detector names are
     disambiguated with ``#2``, ``#3``, ...), plus run-level metadata:
     ``events`` processed, wall-clock ``elapsed_s``, the ``stop_reason``
-    (one of ``"exhausted"``, ``"race_budget"``, ``"event_budget"``) and
-    the accumulated ``snapshots``.
+    (one of ``"exhausted"``, ``"race_budget"``, ``"event_budget"``), the
+    accumulated ``snapshots`` and the ``census`` account.
     """
 
     def __init__(
@@ -117,6 +118,7 @@ class EngineResult:
         stop_reason: str,
         snapshots: List[ReportSnapshot],
         kernel: Optional[Dict[str, Dict[str, object]]] = None,
+        census: Optional[str] = None,
     ) -> None:
         self.source_name = source_name
         self.reports = reports
@@ -129,6 +131,10 @@ class EngineResult:
         #: (:meth:`~repro.core.wcp_compiled.CompiledPass.kernel_counts`)
         #: for the detectors that run it; never part of a report.
         self.kernel = kernel or {}
+        #: One line on the source's census pass (rows, distinct pairs,
+        #: C or Python, validated or not), or why none was taken; None
+        #: when the source keeps no such account.
+        self.census = census
 
     # Mapping-style access -------------------------------------------------
 
@@ -494,8 +500,16 @@ class RaceEngine:
                 checkpointer=self._make_checkpointer(resolved, event_source),
                 source=event_source,
             )
+            if pass_.context is not pass_.trace:
+                # A fresh pass takes its source's census before any
+                # detector steps, whichever detectors run: a validating
+                # file source refuses a malformed file there, as a batch
+                # load would.
+                pass_.context.thread_census  # noqa: B018
             pass_.start()
-            return _drive(pass_, event_source)
+            result = _drive(pass_, event_source)
+        result.census = getattr(event_source, "census_note", None)
+        return result
 
     def resume(
         self,
@@ -560,7 +574,9 @@ class RaceEngine:
             pass_.start()
             for detector, blob in zip(resolved, loaded.states):
                 detector.restore_state(blob)
-            return _drive(pass_, event_source)
+            result = _drive(pass_, event_source)
+        result.census = "none taken (resumed)"
+        return result
 
     def _make_checkpointer(self, resolved, event_source):
         """Build the run's checkpointer from the configuration (or None)."""

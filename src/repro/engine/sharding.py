@@ -200,7 +200,7 @@ class ShardedResult(EngineResult):
         shard_names: List[List[object]],
         **kwargs,
     ) -> None:
-        super().__init__(**kwargs)
+        super().__init__(census="none taken (sharded)", **kwargs)
         self.shards = shards
         self.mode = mode
         self.shard_events = shard_events

@@ -10,7 +10,8 @@ An :class:`EventSource` is anything that can hand the
 * :class:`FileSource` -- a log file parsed lazily, line by line, through
   the streaming entry points of :mod:`repro.trace.parsers`; the full trace
   is never materialised (a regular file is decoded once more, ahead of
-  the stream, for its :attr:`FileSource.thread_census`);
+  the stream, for its :attr:`FileSource.thread_census`, which a
+  validating wrapper also validates);
 * :class:`IterableSource` -- any iterable/generator of events (e.g. an
   instrumentation callback queue);
 * :class:`SimulatorSource` -- a simulator program run under a scheduler,
@@ -57,7 +58,7 @@ import stat
 from functools import cached_property
 from pathlib import Path
 from typing import (
-    AsyncIterator, Dict, Iterable, Iterator, List, Optional, Sequence,
+    AsyncIterator, Iterable, Iterator, List, Optional, Sequence,
     Tuple, Union,
 )
 
@@ -66,7 +67,6 @@ from repro.trace.event import Event
 from repro.trace.parsers import (
     BATCH_LINES,
     StdDecoder,
-    TraceParseError,
     group_events,
     iter_trace_blocks,
 )
@@ -152,8 +152,8 @@ class SourceWrapper:
 
     A wrapper takes ``name`` (unless given one) and ``registry`` from the
     source it wraps and forwards ``is_complete``, ``trace``,
-    ``thread_census``, ``seek_events`` and the checkpoint-state pair,
-    so wrapping a trace, a file or a validated
+    ``thread_census`` (with its ``census_note``), ``seek_events`` and the
+    checkpoint-state pair, so wrapping a trace, a file or a validated
     stream changes nothing that detectors, checkpoints or a resume read.
     A subclass supplies the iteration and lists this class before its
     source base class.
@@ -175,6 +175,10 @@ class SourceWrapper:
     @property
     def thread_census(self) -> Optional[ThreadCensus]:
         return getattr(self._inner, "thread_census", None)
+
+    @property
+    def census_note(self) -> Optional[str]:
+        return getattr(self._inner, "census_note", None)
 
     def seek_events(self, events: int) -> None:
         seek = getattr(self._inner, "seek_events", None)
@@ -234,8 +238,8 @@ class FileSource(EventSource):
     :func:`repro.trace.parsers.load_trace`, unless ``format`` names one of
     :data:`repro.trace.parsers.FORMAT_NAMES` explicitly.
 
-    A regular file is also read once ahead of the pass, for its
-    :attr:`thread_census`, when a detector asks for it.
+    A regular file is also read once ahead of a fresh pass, for its
+    :attr:`thread_census` (:meth:`take_census`).
     """
 
     def __init__(
@@ -271,34 +275,58 @@ class FileSource(EventSource):
         """Resume iteration at event offset ``events`` (checkpoint/resume)."""
         self._skip = events
 
+    #: One line on the census pass once it ran: its rows, distinct
+    #: ``(thread, op)`` pairs, whether C or Python took them and whether
+    #: it validated; or why none was taken.
+    census_note: Optional[str] = None
+
     @cached_property
     def thread_census(self) -> Optional[ThreadCensus]:
-        """The census of the whole file, from a decode-only first pass.
+        """The census of the whole file, from an unvalidated first pass."""
+        return self.take_census()
+
+    def take_census(self, validator=None) -> Optional[ThreadCensus]:
+        """Decode the whole file once and take its census.
 
         The file is decoded through the source's own registry, so tids
         come out in the file's first-appearance order -- the order the
         stream pass, a batch load and a resumed pass assign -- and only
-        the distinct ``(tid, op)`` rows are kept, no block.  None when
-        the file cannot be read twice (a FIFO, or a pipe or terminal
-        behind ``/dev/stdin``: the census would drain it) or when it does
-        not decode to its end (the stream pass then stops at the same
-        error, or a budget stops it first).
+        the distinct ``(tid, op)`` rows are kept
+        (:class:`~repro.vectorclock.kernels.DistinctPairs`), no block.
+        With ``validator`` (a fresh
+        :class:`~repro.trace.lockcheck.OnlineValidator`) every row is
+        checked too.  A file that does not decode raises the parse
+        error, and then one that does not validate the first lock error
+        -- what loading it as a :class:`Trace` raises.  None when the
+        file cannot be read twice (a FIFO, or a pipe or terminal behind
+        ``/dev/stdin``: the census would drain it) or is empty.
         """
+        from repro.vectorclock.kernels import DistinctPairs
+
         try:
             regular = stat.S_ISREG(os.stat(self.path).st_mode)
         except OSError:
             regular = False
         if not regular:
+            self.census_note = "none taken (not a regular file)"
             return None
-        pairs: Dict[Tuple[int, int], None] = {}
-        block = None
-        try:
-            for block in iter_trace_blocks(
-                self.path, registry=self.registry, format=self.format
-            ):
-                pairs.update(dict.fromkeys(zip(*block.columns())))
-        except TraceParseError:
-            return None
+        distinct = DistinctPairs()
+        pairs: List[Tuple[int, int]] = []
+        rows = 0
+        block = error = None
+        for block in iter_trace_blocks(
+            self.path, registry=self.registry, format=self.format
+        ):
+            pairs += distinct.add(*block.columns())
+            rows += len(block)
+            if validator is not None and error is None:
+                error = validator.check_batch(block)[1]
+        if error is not None:
+            raise error
+        self.census_note = (
+            "%d row(s), %d distinct (thread, op) pair(s) taken in %s, %s"
+            % (rows, len(pairs), "C" if distinct.compiled else "Python",
+               "validated" if validator is not None else "not validated"))
         # The blocks of one decode share its op table, so the last block
         # reads every pair.
         return None if block is None else ThreadCensus(block, pairs)

@@ -2,9 +2,10 @@
 
 :class:`~repro.trace.trace.Trace` validates lock semantics and well
 nestedness at construction time -- which requires materialising the
-trace.  The streaming paths (CLI ``--stream``, push sources, the serve
-subcommand) never build a :class:`Trace`; they validate online instead,
-so a malformed stream is rejected rather than corrupting detector state.
+trace.  The streaming paths (CLI ``analyze``/``compare``, push sources,
+the serve subcommand) never build a :class:`Trace`; they validate online
+instead, so a malformed stream is rejected rather than corrupting
+detector state.
 
 :class:`~repro.trace.lockcheck.OnlineValidator` (defined next to the
 ``Trace`` that runs it too, and importable from here) carries one state
@@ -24,9 +25,11 @@ backend.
 :class:`ValidatingSource` wraps any event source with an online
 validator, transparently forwarding the source protocol
 (:class:`~repro.engine.sources.SourceWrapper`) so wrapped traces and
-files keep their census and checkpoints keep the validator state.  The
-CLI wires it in by default under ``--stream`` (``--no-validate`` opts
-out).  The ``serve`` subcommand does not wrap its connections: its pump
+files keep their census and checkpoints keep the validator state.  A
+file's census pass runs a validator of its own over every row, so a
+malformed file is refused before any detector steps.  The CLI wires it
+into ``analyze`` and ``compare`` (``--no-validate`` opts out).  The
+``serve`` subcommand does not wrap its connections: its pump
 reads ahead of the pass, so a source-side validator would run ahead of
 the events stepped.  Instead each session drives an
 :class:`OnlineValidator` from its drive loop, checking every block just
@@ -35,11 +38,13 @@ before stepping it, in step order.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, List, Optional
 
 from repro.engine.sources import EventSource, SourceWrapper, as_source
 from repro.trace.event import Event
 from repro.trace.lockcheck import OnlineValidator
+from repro.trace.trace import ThreadCensus
 from repro.trace.trace import LockSemanticsError, WellNestednessError  # noqa: F401  (re-exported API)
 
 __all__ = ["OnlineValidator", "ValidatingSource"]
@@ -49,8 +54,9 @@ __all__ = ["OnlineValidator", "ValidatingSource"]
 #: handshake resume alike.
 NEEDS_VALIDATOR_STATE = (
     "resuming a validated stream mid-way requires the checkpoint to carry "
-    "validator state (checkpoints written by a non-streaming run do not); "
-    "resume without --stream, or disable validation with --no-validate"
+    "validator state, and this checkpoint carries none (it was written "
+    "without validation, or by an in-memory trace pass); resume with "
+    "--no-validate"
 )
 
 
@@ -79,6 +85,17 @@ class ValidatingSource(SourceWrapper, EventSource):
         #: restored validator (a fresh one would spuriously reject valid
         #: suffixes whose critical sections opened in the prefix).
         self._needs_resume_validator = False
+
+    @cached_property
+    def thread_census(self) -> Optional[ThreadCensus]:
+        """The wrapped source's census.  A file's census pass validates
+        every row too (:meth:`FileSource.take_census
+        <repro.engine.sources.FileSource.take_census>`), so a malformed
+        file is refused before any detector steps."""
+        take_census = getattr(self._inner, "take_census", None)
+        if take_census is None:
+            return super().thread_census
+        return take_census(OnlineValidator())
 
     def seek_events(self, events: int) -> None:
         """Delegate positioning to the wrapped source (checkpoint/resume).

@@ -2,10 +2,10 @@
 
 :class:`OnlineValidator` is the one validating entry:
 ``Trace(validate=True)`` runs it on a fresh state over the whole trace,
-and the streaming paths (``--stream`` through
-:class:`~repro.engine.validate.ValidatingSource`, the sharded
-coordinator's source, serve's drive loop) run one validator block by
-block.
+and the streaming paths (``analyze``/``compare`` through
+:class:`~repro.engine.validate.ValidatingSource` -- once in the file's
+census pass, once in the stream pass -- the sharded coordinator's
+source, serve's drive loop) run one validator block by block.
 
 With the compiled kernels the state is C (``lv_state`` in
 :mod:`repro.vectorclock.kernels`): per thread the stack of open sections

@@ -21,7 +21,8 @@ so there is one index, census and validation path.  Construction does
 only what every caller needs, all from the columns: it records the
 first-appearance order of threads (fork/join operands included), locks,
 variables and barriers (detectors iterate ``trace.threads``, so their
-reports depend on it) from the distinct ``(thread, op)`` rows, takes the
+reports depend on it) from the distinct ``(thread, op)`` rows (one
+:class:`~repro.vectorclock.kernels.DistinctPairs` call), takes the
 per-kind census with one ``Counter`` over the op column, and validates
 the rows whose kind has a lock-discipline role with a fresh
 :class:`~repro.trace.lockcheck.OnlineValidator`: the compiled validator
@@ -47,10 +48,10 @@ The clock detectors (WCP and HB) read one more whole-trace
 fact, :attr:`Trace.thread_census` (:class:`ThreadCensus`): which threads
 touch each variable and lock.  It is built on first use from the same
 distinct ``(thread, op)`` rows, so every detector of a multi-detector
-pass shares it and a run that never asks never pays for it.  A
-``--stream`` pass over a regular file takes the same census from a
-decode-only first pass
-(:attr:`FileSource.thread_census <repro.engine.sources.FileSource.thread_census>`).
+pass shares it and a run that never asks never pays for it.  A stream
+pass over a regular file (``analyze FILE``) takes the same census from
+a first pass that decodes the file and keeps only those rows
+(:meth:`FileSource.take_census <repro.engine.sources.FileSource.take_census>`).
 """
 
 from __future__ import annotations
@@ -137,13 +138,13 @@ class Trace:
         tids, ops = block.columns()
         optable = block.table.ops
         name_of = registry.name_of
+        from repro.vectorclock.kernels import DistinctPairs
+
         # Every distinct (thread, op) row in order of first appearance:
         # a thread, lock, variable or barrier first appears in the first
         # pair naming it, so the orders below (and the thread census)
         # come from the pairs, never from the rows.
-        self._pairs: Dict[Tuple[int, int], None] = dict.fromkeys(
-            zip(tids, ops)
-        )
+        self._pairs = DistinctPairs().add(tids, ops)
         threads: Dict[str, None] = {}
         locks: Dict[str, None] = {}
         variables: Dict[str, None] = {}
@@ -445,7 +446,9 @@ class ThreadCensus:
             else ColumnBlock.from_events(events)
         )
         if pairs is None:
-            pairs = dict.fromkeys(zip(*block.columns()))
+            from repro.vectorclock.kernels import DistinctPairs
+
+            pairs = DistinctPairs().add(*block.columns())
         optable = block.table.ops
         name_of = block.registry.name_of
         read = EventType.READ

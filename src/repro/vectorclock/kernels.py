@@ -45,6 +45,11 @@ One C module holds every loop the library compiles:
   ``LockDiscipline``, which raises the error.  ``Trace(validate=True)``
   runs it on a fresh state, the streaming paths on one state block by
   block.
+* **Census.**  ``pc_add`` appends a block's ``(tid, op)`` rows that no
+  earlier block had to a stream's list of distinct pairs, kept in order
+  of first appearance next to a hash set of them (``pc_state``):
+  :class:`DistinctPairs`, from which ``Trace``, ``ThreadCensus`` and a
+  file's census pass take their pairs.
 
 Vector clocks outside the WCP kernel are not compiled: at the clock
 widths traces reach (at most 14 threads in the paper's benchmark
@@ -54,8 +59,8 @@ every backend.
 
 The Python implementations stay the specification:
 :func:`~repro.trace.parsers.parse_std_batch`,
-``LockDiscipline``, ``WCPDetector.process_batch`` and
-``HBDetector.process_batch``.  Backend
+``LockDiscipline``, ``WCPDetector.process_batch``,
+``HBDetector.process_batch`` and :class:`DistinctPairs`'s dedupe.  Backend
 selection is explicit, never accidental:
 
 * ``REPRO_CLOCK_KERNEL=auto`` (default) -- use the compiled kernels when
@@ -77,9 +82,9 @@ Builds are atomic (private build dir, then ``os.replace``) because shard
 worker processes may import this module concurrently.
 
 The exported surface is deliberately tiny: :data:`BACKEND` (``"cffi"`` or
-``"python"``), :data:`FALLBACK_REASON`, and -- in cffi mode -- the ``ffi``
-/ ``lib`` pair the STD decoder, the lock check and the WCP detector bind
-to.
+``"python"``), :data:`FALLBACK_REASON`, :class:`DistinctPairs`, and -- in
+cffi mode -- the ``ffi`` / ``lib`` pair the STD decoder, the lock check
+and the WCP detector bind to.
 Everything else in the library is backend-agnostic.
 """
 
@@ -88,7 +93,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 
 class KernelBuildError(RuntimeError):
@@ -138,6 +143,14 @@ long long lv_run(void *handle, const int *tids, const int *ops, long long n,
                  const int *threads, long long n_tids,
                  const unsigned char *roles, const int *locks,
                  long long n_ops, long long start);
+typedef struct {
+    int *tids, *ops;
+    long long n;
+    ...;
+} pc_state;
+pc_state *pc_new(void);
+void pc_free(pc_state *st);
+int pc_add(pc_state *st, const int *tids, const int *ops, long long n);
 """
 
 _C_SOURCE = r"""
@@ -599,6 +612,86 @@ refused:
            && !std_takeable(dec->tokens, d, dec->stop_end, end))
         dec->stop_end = std_next_line(d, dec->stop_end, end);
     return pos;
+}
+
+/* ------------------------------------------------------------------ */
+/* Census: the distinct (tid, op) rows of a stream.                    */
+/* ------------------------------------------------------------------ */
+
+/* Every distinct (tid, op) row seen so far, in order of first
+ * appearance (tids[k], ops[k] for k < n), and an open-addressing set of
+ * them, never more than half full: keys holds PC_KEY of a pair per slot,
+ * 0 for an empty one.  The lists have room for half the slots. */
+typedef struct {
+    int *tids, *ops;
+    long long n, mask;
+    unsigned long long *keys;
+} pc_state;
+
+#define PC_KEY(tid, op) \
+    (((unsigned long long)(tid) + 1) << 32 | (unsigned)(op))
+
+static long long pc_slot(const unsigned long long *keys, long long mask,
+                         unsigned long long key) {
+    long long i = (long long)((key * 0x9E3779B97F4A7C15ULL) >> 20) & mask;
+    while (keys[i] != 0 && keys[i] != key) i = (i + 1) & mask;
+    return i;
+}
+
+static int pc_resize(pc_state *st, long long slots) {
+    /* Rehash the pairs into slots slots; 0, or -1 when out of memory. */
+    unsigned long long *keys = calloc((size_t)slots, sizeof *keys);
+    int *tids = realloc(st->tids, sizeof(int) * (size_t)(slots / 2));
+    if (tids != NULL) st->tids = tids;
+    int *ops = realloc(st->ops, sizeof(int) * (size_t)(slots / 2));
+    if (ops != NULL) st->ops = ops;
+    if (keys == NULL || tids == NULL || ops == NULL) {
+        free(keys);
+        return -1;
+    }
+    for (long long k = 0; k < st->n; k++) {
+        unsigned long long key = PC_KEY(tids[k], ops[k]);
+        keys[pc_slot(keys, slots - 1, key)] = key;
+    }
+    free(st->keys);
+    st->keys = keys;
+    st->mask = slots - 1;
+    return 0;
+}
+
+void pc_free(pc_state *st) {
+    if (st == NULL) return;
+    free(st->tids);
+    free(st->ops);
+    free(st->keys);
+    free(st);
+}
+
+pc_state *pc_new(void) {
+    pc_state *st = calloc(1, sizeof *st);
+    if (st != NULL && pc_resize(st, 256) == 0) return st;
+    pc_free(st);
+    return NULL;
+}
+
+int pc_add(pc_state *st, const int *tids, const int *ops, long long n) {
+    /* Append the rows' (tid, op) pairs not seen before, in row order;
+     * 0, -1 when out of memory, -2 for a negative id. */
+    for (long long i = 0; i < n; i++) {
+        if (tids[i] < 0 || ops[i] < 0) return -2;
+        unsigned long long key = PC_KEY(tids[i], ops[i]);
+        long long slot = pc_slot(st->keys, st->mask, key);
+        if (st->keys[slot] == key) continue;
+        if (2 * st->n == st->mask + 1) {
+            if (pc_resize(st, 2 * (st->mask + 1))) return -1;
+            slot = pc_slot(st->keys, st->mask, key);
+        }
+        st->keys[slot] = key;
+        st->tids[st->n] = tids[i];
+        st->ops[st->n] = ops[i];
+        st->n++;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2458,6 +2551,50 @@ def _activate() -> Optional[str]:
     lib = module.lib
     BACKEND = "cffi"
     return None
+
+
+class DistinctPairs:
+    """The distinct ``(tid, op)`` rows of a stream of column blocks.
+
+    :meth:`add` takes one block's columns and returns its pairs that no
+    earlier block had, in order of first appearance: the rows a thread
+    census reads (:class:`~repro.trace.trace.ThreadCensus`).  With the
+    compiled kernels one ``pc_add`` call takes a block; under
+    ``REPRO_CLOCK_KERNEL=python`` the dedupe below is the whole path and
+    the specification.  The backend is read when the object is made.
+    """
+
+    def __init__(self) -> None:
+        #: True when ``pc_add`` takes the blocks.
+        self.compiled = BACKEND == "cffi"
+        self._seen: set = set()  # the Python path's pairs
+        if self.compiled:
+            state = lib.pc_new()
+            if state == ffi.NULL:
+                raise MemoryError("census")
+            self._state = ffi.gc(state, lib.pc_free)
+
+    def add(self, tids: Sequence[int],
+            ops: Sequence[int]) -> List[Tuple[int, int]]:
+        """The new distinct pairs of the rows ``zip(tids, ops)``."""
+        if not self.compiled:
+            seen = self._seen
+            fresh = [pair for pair in dict.fromkeys(zip(tids, ops))
+                     if pair not in seen]
+            seen.update(fresh)
+            return fresh
+        state = self._state
+        before = state.n
+        with ffi.from_buffer("int[]", tids) as tids_p, \
+                ffi.from_buffer("int[]", ops) as ops_p:
+            code = lib.pc_add(state, tids_p, ops_p, len(tids))
+        if code == -1:
+            raise MemoryError("census")
+        if code < 0:
+            raise ValueError("census: negative tid or op id")
+        count = state.n - before
+        return list(zip(ffi.unpack(state.tids + before, count),
+                        ffi.unpack(state.ops + before, count)))
 
 
 def describe() -> str:

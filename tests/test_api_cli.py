@@ -127,6 +127,22 @@ class TestCliErrors:
         assert main([command, str(path)] + stream) == 2
         assert str(path) in self._one_line(capsys)
 
+    @pytest.mark.parametrize("command", ["stats", "witness"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_path_of_stats_and_witness(
+            self, tmp_path, capsys, kind, command):
+        path = tmp_path / "nope.std" if kind == "missing" else tmp_path
+        assert main([command, str(path)]) == 2
+        assert str(path) in self._one_line(capsys)
+
+    @pytest.mark.parametrize("command", ["stats", "witness"])
+    def test_malformed_trace_of_stats_and_witness(self, tmp_path, capsys,
+                                                  command):
+        path = tmp_path / "double-acquire.std"
+        path.write_text("t1|acq(l)|a:1\nt2|acq(l)|a:2\n")
+        assert main([command, str(path)]) == 2
+        assert "lock 'l' acquired at event 1" in self._one_line(capsys)
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--detector", "fasttrack"],
         ["analyze", "--detector", "wcp,fasttrack", "--stream"],

@@ -483,10 +483,23 @@ def _analyze_output(capsys, *argv):
     return code, [line for line in lines if not line.startswith(timing)]
 
 
+def _batch_output(capsys, monkeypatch, *argv):
+    """:func:`_analyze_output` with the CLI fed the file's in-memory
+    :class:`~repro.trace.trace.Trace` (``load_trace``): the batch
+    reference."""
+    import repro.cli as cli
+    from repro.trace.parsers import load_trace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_make_source", lambda args: load_trace(args.trace))
+        return _analyze_output(capsys, *argv)
+
+
 class TestStreamEqualsBatch:
-    """``--stream`` over a regular file takes the file's census in a
-    first pass, so it prints batch's report: races, witnesses and the
-    census-driven stats (``max_queue_total``, ``local_accesses``)."""
+    """``analyze`` over a regular file takes the file's census in a first
+    pass, so it prints the report of a pass over the in-memory trace:
+    races, witnesses and the census-driven stats (``max_queue_total``,
+    ``local_accesses``).  ``--stream`` changes nothing."""
 
     @pytest.fixture(scope="class", params=["xalan", "mixed"])
     def path(self, request, tmp_path_factory):
@@ -503,9 +516,11 @@ class TestStreamEqualsBatch:
     @pytest.mark.parametrize("budget", [
         [], ["--max-events", "1500"], ["--first-race"],
     ], ids=["whole", "max-events", "first-race"])
-    def test_stream_prints_the_batch_report(self, path, budget, capsys):
+    def test_stream_prints_the_batch_report(self, path, budget, capsys,
+                                            monkeypatch):
         flags = ["--detector", "wcp,hb", *budget]
-        batch = _analyze_output(capsys, path, *flags)
+        batch = _batch_output(capsys, monkeypatch, path, *flags)
+        assert _analyze_output(capsys, path, *flags) == batch
         stream = _analyze_output(capsys, path, "--stream", *flags)
         assert stream == batch
         stats = "\n".join(batch[1])
@@ -521,7 +536,8 @@ class TestStreamEqualsBatch:
         for field in ThreadCensus.__slots__:
             assert getattr(census, field) == getattr(expected, field), field
 
-    def test_a_fifo_is_read_once_with_no_census(self, tmp_path, capsys):
+    def test_a_fifo_is_read_once_with_no_census(self, tmp_path, capsys,
+                                                monkeypatch):
         import os
         import threading
 
@@ -533,20 +549,24 @@ class TestStreamEqualsBatch:
         assert FileSource(fifo).thread_census is None
         data = regular.read_bytes()
 
-        def feed():
-            with open(fifo, "wb") as handle:
-                handle.write(data)
+        def fed(*flags):
+            def feed():
+                with open(fifo, "wb") as handle:
+                    handle.write(data)
 
-        writer = threading.Thread(target=feed)
-        writer.start()
-        try:
-            code, lines = _analyze_output(
-                capsys, fifo, "--stream", "--detector", "wcp,hb"
-            )
-        finally:
-            writer.join(timeout=30)
-        batch_code, batch = _analyze_output(
-            capsys, regular, "--detector", "wcp,hb"
+            writer = threading.Thread(target=feed)
+            writer.start()
+            try:
+                return _analyze_output(
+                    capsys, fifo, *flags, "--detector", "wcp,hb"
+                )
+            finally:
+                writer.join(timeout=30)
+
+        code, lines = fed("--stream")
+        assert fed() == (code, lines)
+        batch_code, batch = _batch_output(
+            capsys, monkeypatch, regular, "--detector", "wcp,hb"
         )
         # Exact without the census: the same races and events; only the
         # census-driven stats differ.
@@ -557,25 +577,70 @@ class TestStreamEqualsBatch:
         assert "  stat events = %d" % len(trace) in lines
         assert any(line.startswith("  - ") for line in verdict)
 
-    def test_stdin_is_read_once(self, tmp_path, capsys):
+    def test_stdin_is_read_once(self, tmp_path, capsys, monkeypatch):
         # A second read of a drained pipe would see an empty trace.
         import subprocess
         import sys
 
         trace = random_trace(seed=9, n_events=200, n_threads=4)
         regular = dump_trace(trace, tmp_path / "t.std")
-        piped = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "analyze", "/dev/stdin",
-             "--stream", "--detector", "wcp"],
-            input=regular.read_bytes(), capture_output=True,
-        )
-        assert piped.returncode in (0, 1), piped.stderr
-        lines = piped.stdout.decode("utf-8").splitlines()
+        timing = tuple("  stat %s = " % name for name in _TIMING_STATS)
+
+        def piped(*flags):
+            run = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "analyze", "/dev/stdin",
+                 *flags, "--detector", "wcp"],
+                input=regular.read_bytes(), capture_output=True,
+            )
+            assert run.returncode in (0, 1), run.stderr
+            return run.returncode, [
+                line for line in run.stdout.decode("utf-8").splitlines()
+                if not line.startswith(timing)
+            ]
+
+        code, lines = piped("--stream")
+        assert piped() == (code, lines)
         assert "  stat events = %d" % len(trace) in lines
-        _, batch = _analyze_output(capsys, regular, "--detector", "wcp")
+        _, batch = _batch_output(capsys, monkeypatch, regular,
+                                 "--detector", "wcp")
         assert [line for line in lines if line.startswith("  - ")] == [
             line for line in batch if line.startswith("  - ")
         ]
+
+    def test_profile_names_the_census(self, path, tmp_path, capsys):
+        import subprocess
+        import sys
+
+        from repro.trace.parsers import load_trace
+        from repro.vectorclock import kernels
+
+        def census(*argv):
+            main([*map(str, argv), "--profile"])
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("profile: census: ")]
+
+        trace = load_trace(path)
+        taken = "profile: census: %d row(s), %d distinct (thread, op) " \
+            "pair(s) taken in %s, " % (
+                len(trace), len(trace._pairs),
+                "C" if kernels.BACKEND == "cffi" else "Python")
+        assert census("analyze", path) == [taken + "validated"]
+        assert census("compare", path, "--stream", "--no-validate") == [
+            taken + "not validated"]
+        assert census("compare", path, "--shards", "2", "--shard-mode",
+                      "serial") == ["profile: census: none taken (sharded)"]
+        directory = tmp_path / "ckpt"
+        census("analyze", path, "--checkpoint", directory,
+               "--checkpoint-every", len(trace) // 4,
+               "--max-events", len(trace) // 2)
+        assert census("analyze", path, "--resume", directory) == [
+            "profile: census: none taken (resumed)"]
+        piped = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", "/dev/stdin",
+             "--profile"], input=path.read_bytes(), capture_output=True,
+        )
+        assert b"profile: census: none taken (not a regular file)\n" \
+            in piped.stdout, piped.stderr
 
     def test_a_resumed_pass_takes_no_census(self, path, tmp_path):
         class NoCensusPass(FileSource):
@@ -715,11 +780,17 @@ class TestStepBatchChunkParity:
     def test_validation_error_mid_block_leaves_the_same_checkpoint(
         self, tmp_path
     ):
-        """A bad event inside a decoded block: the valid prefix is stepped
-        (checkpoints included) before the error, and the newest
-        checkpoint's validator state is at its own offset."""
+        """A bad event inside a decoded block of a pass that takes no
+        census (a FIFO's, say): the valid prefix is stepped (checkpoints
+        included) before the error, and the newest checkpoint's validator
+        state is at its own offset.  A fresh pass over the regular file
+        refuses it in the census pass, before any checkpoint."""
         from repro.engine import Checkpointer, OnlineValidator, ValidatingSource
         from repro.trace.writers import write_std
+
+        class Uncensused(FileSource):
+            def take_census(self, validator=None):
+                return None
 
         trace = random_trace(seed=21, n_events=90, n_threads=3)
         lines = write_std(trace).splitlines()
@@ -731,6 +802,11 @@ class TestStepBatchChunkParity:
         with pytest.raises(ValueError, match="event 70"):
             RaceEngine(config).run(
                 ValidatingSource(FileSource(path)), detectors=["wcp", "hb"]
+            )
+        assert not Checkpointer(tmp_path / "ckpt").offsets()
+        with pytest.raises(ValueError, match="event 70"):
+            RaceEngine(config).run(
+                ValidatingSource(Uncensused(path)), detectors=["wcp", "hb"]
             )
         latest = Checkpointer(tmp_path / "ckpt").load()
         assert latest.events == 64

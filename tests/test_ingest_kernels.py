@@ -9,7 +9,9 @@ The Python code is the specification: these tests pin that the kernel path decod
 columns (tids, ops, locations, op-table and thread order, line numbers)
 and raises the same errors, that every chunking of a stream gives the
 one-shot result on the file and line-protocol paths, and that the lock
-validator declines exactly where ``LockDiscipline`` raises.  Under
+validator declines exactly where ``LockDiscipline`` raises, and that
+the census's compiled dedupe (:class:`~repro.vectorclock.kernels.DistinctPairs`)
+gives the Python dedupe's pairs and so the same thread census.  Under
 ``REPRO_CLOCK_KERNEL=python`` both sides are the Python decoder.
 """
 
@@ -20,6 +22,7 @@ import glob
 import io
 import os
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -33,9 +36,10 @@ from repro.trace.event import Event, EventType
 from repro.trace.parsers import StdDecoder, load_trace, parse_std_batch
 from repro.trace.semantics import LockDiscipline, TraceError
 from repro.trace.lockcheck import OnlineValidator
-from repro.trace.trace import Trace
-from repro.trace.writers import write_std
+from repro.trace.trace import ThreadCensus, Trace
+from repro.trace.writers import dump_trace, write_std
 from repro.vectorclock import kernels
+from repro.vectorclock.registry import ThreadRegistry
 
 COMPILED = kernels.BACKEND == "cffi"
 
@@ -810,3 +814,80 @@ def test_pending_line_over_the_limit_is_refused():
     line = b"t1|w(x)|" + b"a" * (StdDecoder.MAX_LINE_BYTES - 8)
     assert not decoder.decode(line + b"\r")
     assert len(decoder.decode(b"\n", final=True)) == 1
+
+
+# --------------------------------------------------------------------- #
+# The census: DistinctPairs in C equals its Python dedupe
+# --------------------------------------------------------------------- #
+
+
+def _census_files(directory):
+    """``(name, path)`` of every census input: the fuzz and
+    mixed-vocabulary seeds, a log that decodes into many blocks, and the
+    CSV, mtrace and tsan formats."""
+    from test_adapters import MTRACE_DEMO, TSAN_DEMO
+
+    traces = {"fuzz-%d" % seed: mixed_vocabulary_trace(
+        seed=seed, threads=3, steps=150) for seed in range(6)}
+    for seed in range(20):
+        traces["mixed-%d" % seed] = mixed_vocabulary_trace(
+            seed=seed, threads=2 + seed % 4, steps=60)
+    traces["many-blocks"] = get_benchmark("xalan", scale=0.5, seed=1)
+    for name, trace in traces.items():
+        yield name, dump_trace(trace, directory / ("%s.std" % name))
+    yield "csv", dump_trace(traces["many-blocks"], directory / "xalan.csv")
+    for name, text in (("mtrace", MTRACE_DEMO), ("tsan", TSAN_DEMO)):
+        path = directory / ("demo.%s" % name)
+        path.write_text(text)
+        yield name, path
+
+
+@pytest.fixture(scope="module")
+def census_files(tmp_path_factory):
+    return dict(_census_files(tmp_path_factory.mktemp("census")))
+
+
+@contextmanager
+def _forced(name):
+    """``kernels.BACKEND`` set to ``name`` until the context ends."""
+    saved = kernels.BACKEND
+    kernels.BACKEND = name
+    try:
+        yield
+    finally:
+        kernels.BACKEND = saved
+
+
+CENSUS_BACKENDS = ["cffi", "python"] if COMPILED else ["python"]
+
+
+@pytest.mark.parametrize("name", [
+    "fuzz-%d" % seed for seed in range(6)
+] + ["mixed-%d" % seed for seed in range(20)] + [
+    "many-blocks", "csv", "mtrace", "tsan",
+])
+def test_census_pairs_equal_the_python_dedupe(name, census_files):
+    path = census_files[name]
+    blocks = list(parsers.iter_trace_blocks(path, registry=ThreadRegistry()))
+    if name in ("many-blocks", "csv"):
+        assert len(blocks) > 5
+    spec = list(dict.fromkeys(
+        pair for block in blocks for pair in zip(*block.columns())
+    ))
+    expected = load_trace(path).thread_census
+    for which in CENSUS_BACKENDS:
+        with _forced(which):
+            distinct = kernels.DistinctPairs()
+            assert distinct.compiled == (which == "cffi")
+            pairs = []
+            for block in blocks:
+                pairs += distinct.add(*block.columns())
+            assert pairs == spec, which
+            trace = load_trace(path)
+            censuses = [FileSource(path).thread_census, trace.thread_census,
+                        ThreadCensus(list(trace)),
+                        ThreadCensus(blocks[-1], pairs)]
+            for census in censuses:
+                for field in ThreadCensus.__slots__:
+                    assert getattr(census, field) == getattr(
+                        expected, field), (which, field)
