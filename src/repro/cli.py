@@ -26,8 +26,10 @@ file (STD or CSV format) in a single engine pass.  The file is never
 materialised as an in-memory trace: a regular file is read twice, a
 census pass that takes its thread census and validates every row, then
 the stream pass, decoded block by block and validated online
-(``--no-validate`` opts out of both checks); a pipe or FIFO is read once,
-with no census.  ``--stream`` is accepted and changes nothing.
+(``--no-validate`` opts out of both checks); both passes share one
+decode state, so the stream pass interns nothing again, and it refuses
+a file that changed after the census pass (exit 2).  A pipe or FIFO is
+read once, with no census.  ``--stream`` is accepted and changes nothing.
 ``compare`` reads its file the same way.  ``--checkpoint DIR``
 persists detector-state snapshots at a fixed event cadence and
 ``--resume DIR`` continues a crashed pass from the newest one with
@@ -466,14 +468,16 @@ def _add_profile_argument(subparser: argparse.ArgumentParser) -> None:
              "pass's rows and distinct (thread, op) pairs, whether C or "
              "Python took them and whether it validated, or why no census "
              "was taken; and how many STD lines the compiled scanner and "
-             "the Python decoder took",
+             "the Python decoder took, and per pass over the file its "
+             "lines and the ops and threads it interned",
     )
 
 
 def _print_profile(result) -> None:
     """The ``--profile`` lines: each in-process kernel's row count and
     race figures, the census pass (or why none was taken), and the STD
-    lines this process decoded in C and in Python."""
+    lines this process decoded in C and in Python, with each pass's
+    lines and interned ops and threads."""
     if not result.kernel:
         print("profile: no compiled kernel ran in this process")
     for name, counts in result.kernel.items():
@@ -489,7 +493,9 @@ def _print_profile(result) -> None:
     lines = std_line_counts()
     if lines["compiled"] or lines["python"]:
         print("profile: STD decode took %d line(s) in the compiled scanner "
-              "and %d in Python" % (lines["compiled"], lines["python"]))
+              "and %d in Python%s" % (
+                  lines["compiled"], lines["python"],
+                  "; %s" % result.decode if result.decode else ""))
 
 
 def _add_shard_arguments(subparser: argparse.ArgumentParser) -> None:

@@ -135,6 +135,9 @@ class EngineResult:
         #: C or Python, validated or not), or why none was taken; None
         #: when the source keeps no such account.
         self.census = census
+        #: One line on the source's passes over an STD file (per pass,
+        #: lines decoded and ops and threads interned), or None.
+        self.decode: Optional[str] = None
 
     # Mapping-style access -------------------------------------------------
 
@@ -509,6 +512,7 @@ class RaceEngine:
             pass_.start()
             result = _drive(pass_, event_source)
         result.census = getattr(event_source, "census_note", None)
+        result.decode = getattr(event_source, "decode_note", None)
         return result
 
     def resume(
@@ -576,6 +580,7 @@ class RaceEngine:
                 detector.restore_state(blob)
             result = _drive(pass_, event_source)
         result.census = "none taken (resumed)"
+        result.decode = getattr(event_source, "decode_note", None)
         return result
 
     def _make_checkpointer(self, resolved, event_source):

@@ -11,7 +11,8 @@ An :class:`EventSource` is anything that can hand the
   the streaming entry points of :mod:`repro.trace.parsers`; the full trace
   is never materialised (a regular file is decoded once more, ahead of
   the stream, for its :attr:`FileSource.thread_census`, which a
-  validating wrapper also validates);
+  validating wrapper also validates; both passes decode through the
+  source's one decoder);
 * :class:`IterableSource` -- any iterable/generator of events (e.g. an
   instrumentation callback queue);
 * :class:`SimulatorSource` -- a simulator program run under a scheduler,
@@ -152,9 +153,10 @@ class SourceWrapper:
 
     A wrapper takes ``name`` (unless given one) and ``registry`` from the
     source it wraps and forwards ``is_complete``, ``trace``,
-    ``thread_census`` (with its ``census_note``), ``seek_events`` and the
-    checkpoint-state pair, so wrapping a trace, a file or a validated
-    stream changes nothing that detectors, checkpoints or a resume read.
+    ``thread_census`` (with its ``census_note``), ``decode_note``,
+    ``seek_events`` and the checkpoint-state pair, so wrapping a trace,
+    a file or a validated stream changes nothing that detectors,
+    checkpoints or a resume read.
     A subclass supplies the iteration and lists this class before its
     source base class.
     """
@@ -179,6 +181,10 @@ class SourceWrapper:
     @property
     def census_note(self) -> Optional[str]:
         return getattr(self._inner, "census_note", None)
+
+    @property
+    def decode_note(self) -> Optional[str]:
+        return getattr(self._inner, "decode_note", None)
 
     def seek_events(self, events: int) -> None:
         seek = getattr(self._inner, "seek_events", None)
@@ -239,7 +245,11 @@ class FileSource(EventSource):
     :data:`repro.trace.parsers.FORMAT_NAMES` explicitly.
 
     A regular file is also read once ahead of a fresh pass, for its
-    :attr:`thread_census` (:meth:`take_census`).
+    :attr:`thread_census` (:meth:`take_census`).  Every pass decodes
+    through the source's one :attr:`decoder`, rewound between passes, so
+    the stream pass interns no thread, op or op key the census pass
+    interned and its blocks share the census pass's op table.  The
+    stream pass refuses a file that changed since its census was taken.
     """
 
     def __init__(
@@ -251,18 +261,31 @@ class FileSource(EventSource):
         self.path = Path(path)
         self.name = name or self.path.stem
         self.registry = ThreadRegistry()
+        #: The decode state of every pass over the file: its registry,
+        #: op table and the compiled scanner's mirrors of both.
+        self.decoder = StdDecoder(self.registry)
         self.format = format
         self._skip = 0
+        #: ``(st_dev, st_ino, st_size, st_mtime_ns)`` of the file when its
+        #: census was taken (None: no census).
+        self._stamp: Optional[Tuple[int, int, int, int]] = None
+        #: Per pass, its name and the decoder's lines decoded and ops and
+        #: threads interned.
+        self._passes: List[Tuple[str, int, int, int]] = []
 
     def batches(self) -> Iterator[List[Event]]:
         """Yield the file's decoded blocks (``parse_*_batch`` output)."""
+        stamp = self._stamp
+        if stamp is not None and _file_stamp(os.stat(self.path)) != stamp:
+            raise ValueError(
+                "%s: the file changed after its census pass; analyze it "
+                "again" % self.path
+            )
         # A skipped prefix is parsed (cheap relative to analysis) but not
         # yielded; skipped events still intern their threads, in the
         # same first-appearance order a restored snapshot expects.
         skip = self._skip
-        for block in iter_trace_blocks(
-            self.path, registry=self.registry, format=self.format
-        ):
+        for block in self._decode("stream pass"):
             if skip:
                 if len(block) <= skip:
                     skip -= len(block)
@@ -270,6 +293,37 @@ class FileSource(EventSource):
                 block = block[skip:]
                 skip = 0
             yield block
+
+    def _decode(self, name: str) -> Iterator[Sequence[Event]]:
+        """One pass over the file through :attr:`decoder`, accounted in
+        :attr:`decode_note` when it ends."""
+        decoder = self.decoder
+
+        def figures():
+            return (decoder.compiled_lines + decoder.python_lines,
+                    decoder.interned_ops, decoder.interned_threads)
+
+        before = figures()
+        try:
+            yield from iter_trace_blocks(
+                self.path, format=self.format, decoder=decoder
+            )
+        finally:
+            self._passes.append((name, *(
+                after - start for after, start in zip(figures(), before)
+            )))
+
+    @property
+    def decode_note(self) -> Optional[str]:
+        """One line on the passes over an STD file: per pass, the lines
+        it decoded and the ops and threads it interned; None when no
+        pass decoded a line."""
+        if not any(lines for _, lines, _, _ in self._passes):
+            return None
+        return "; ".join(
+            "%s: %d line(s), %d op(s) and %d thread(s) interned" % row
+            for row in self._passes
+        )
 
     def seek_events(self, events: int) -> None:
         """Resume iteration at event offset ``events`` (checkpoint/resume)."""
@@ -288,7 +342,7 @@ class FileSource(EventSource):
     def take_census(self, validator=None) -> Optional[ThreadCensus]:
         """Decode the whole file once and take its census.
 
-        The file is decoded through the source's own registry, so tids
+        The file is decoded through the source's :attr:`decoder`, so tids
         come out in the file's first-appearance order -- the order the
         stream pass, a batch load and a resumed pass assign -- and only
         the distinct ``(tid, op)`` rows are kept
@@ -299,24 +353,25 @@ class FileSource(EventSource):
         error, and then one that does not validate the first lock error
         -- what loading it as a :class:`Trace` raises.  None when the
         file cannot be read twice (a FIFO, or a pipe or terminal behind
-        ``/dev/stdin``: the census would drain it) or is empty.
+        ``/dev/stdin``: the census would drain it) or is empty.  The
+        file's status is recorded as the pass opens it, and the stream
+        pass refuses the file if it differs then.
         """
         from repro.vectorclock.kernels import DistinctPairs
 
         try:
-            regular = stat.S_ISREG(os.stat(self.path).st_mode)
+            status = os.stat(self.path)
         except OSError:
-            regular = False
-        if not regular:
+            status = None
+        if status is None or not stat.S_ISREG(status.st_mode):
             self.census_note = "none taken (not a regular file)"
             return None
+        self._stamp = _file_stamp(status)
         distinct = DistinctPairs()
         pairs: List[Tuple[int, int]] = []
         rows = 0
         block = error = None
-        for block in iter_trace_blocks(
-            self.path, registry=self.registry, format=self.format
-        ):
+        for block in self._decode("census pass"):
             pairs += distinct.add(*block.columns())
             rows += len(block)
             if validator is not None and error is None:
@@ -327,12 +382,18 @@ class FileSource(EventSource):
             "%d row(s), %d distinct (thread, op) pair(s) taken in %s, %s"
             % (rows, len(pairs), "C" if distinct.compiled else "Python",
                "validated" if validator is not None else "not validated"))
-        # The blocks of one decode share its op table, so the last block
+        # Every block reads the decoder's one op table, so the last block
         # reads every pair.
         return None if block is None else ThreadCensus(block, pairs)
 
     def __repr__(self) -> str:
         return "FileSource(%r)" % (str(self.path),)
+
+
+def _file_stamp(status: os.stat_result) -> Tuple[int, int, int, int]:
+    """What a file's census depends on: its identity, size and mtime."""
+    return (status.st_dev, status.st_ino, status.st_size,
+            status.st_mtime_ns)
 
 
 class IterableSource(EventSource):

@@ -26,9 +26,12 @@ backend.
 validator, transparently forwarding the source protocol
 (:class:`~repro.engine.sources.SourceWrapper`) so wrapped traces and
 files keep their census and checkpoints keep the validator state.  A
-file's census pass runs a validator of its own over every row, so a
-malformed file is refused before any detector steps.  The CLI wires it
-into ``analyze`` and ``compare`` (``--no-validate`` opts out).  The
+file's census pass runs the wrapper's validator over every row, so a
+malformed file is refused before any detector steps, and the stream
+pass restarts that validator on a clean state: both passes decode
+through the file's one op table, so no lock is translated twice.  The
+CLI wires it into ``analyze`` and ``compare`` (``--no-validate`` opts
+out).  The
 ``serve`` subcommand does not wrap its connections: its pump
 reads ahead of the pass, so a source-side validator would run ahead of
 the events stepped.  Instead each session drives an
@@ -69,15 +72,18 @@ class ValidatingSource(SourceWrapper, EventSource):
     wrapping a trace or a file costs detectors nothing they would have
     read.
 
-    Each iteration pass runs a fresh :class:`OnlineValidator` (replayable
-    sources like :class:`~repro.engine.sources.FileSource` restart from
-    scratch); the most recent pass's validator is kept on
-    :attr:`validator` for inspection.
+    One :class:`OnlineValidator` checks every pass: a file's census
+    pass, then each iteration pass, which restarts it from a clean state
+    (:meth:`OnlineValidator.restart`; replayable sources like
+    :class:`~repro.engine.sources.FileSource` restart from scratch) and
+    so reuses its translation of the file's op table and registry.  The
+    validator of the most recent pass is kept on :attr:`validator` for
+    inspection.
     """
 
     def __init__(self, inner, name: Optional[str] = None) -> None:
         super().__init__(as_source(inner), name)
-        #: The validator of the most recent (or current) iteration pass.
+        #: The validator of the most recent (or current) pass.
         self.validator = OnlineValidator()
         #: Restored validator to adopt on the next iteration pass (resume).
         self._resume_validator: Optional[OnlineValidator] = None
@@ -95,7 +101,8 @@ class ValidatingSource(SourceWrapper, EventSource):
         take_census = getattr(self._inner, "take_census", None)
         if take_census is None:
             return super().thread_census
-        return take_census(OnlineValidator())
+        self.validator.restart()
+        return take_census(self.validator)
 
     def seek_events(self, events: int) -> None:
         """Delegate positioning to the wrapped source (checkpoint/resume).
@@ -130,10 +137,12 @@ class ValidatingSource(SourceWrapper, EventSource):
         """
         if self._needs_resume_validator and self._resume_validator is None:
             raise ValueError(NEEDS_VALIDATOR_STATE)
-        self.validator = validator = (
-            self._resume_validator or OnlineValidator()
-        )
-        self._resume_validator = None
+        if self._resume_validator is not None:
+            self.validator = self._resume_validator
+            self._resume_validator = None
+        else:
+            self.validator.restart()
+        validator = self.validator
         for block in self._inner.batches():
             block, error = validator.check_batch(block)
             if block:

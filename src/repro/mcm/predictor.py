@@ -34,9 +34,13 @@ class MCMPredictor(Detector):
         Number of events per window (RVPredict's ``--window``), default 1000.
     solver_timeout_s:
         Wall-clock budget per window (RVPredict's solver timeout), default
-        ``None`` (unbounded -- maximal prediction per window).
+        5 s, the budget of the Table 1 harness; ``None`` is unbounded
+        (maximal prediction per window), which a hard window can keep
+        busy for hours.  A window that hits the budget is counted in the
+        ``windows_timed_out`` stat.
     max_states_per_query:
-        Cap on interleavings explored per candidate pair.
+        Cap on interleavings explored per candidate pair, default 20,000
+        (the Table 1 harness's).
     per_location_limit:
         Representative event pairs kept per candidate location pair.
     """
@@ -46,8 +50,8 @@ class MCMPredictor(Detector):
     def __init__(
         self,
         window_size: int = 1000,
-        solver_timeout_s: Optional[float] = None,
-        max_states_per_query: int = 50_000,
+        solver_timeout_s: Optional[float] = 5.0,
+        max_states_per_query: int = 20_000,
         per_location_limit: int = 3,
     ) -> None:
         super().__init__()

@@ -14,7 +14,11 @@ read-mode holder count are derived.  Thread ids are the blocks' tids
 translated per registry, and lock ids come from the validator's own map,
 translated per op table, so blocks of fresh tables and registries (the
 :meth:`~repro.trace.columns.ColumnBlock.from_events` adapter) share the
-state.  One C call checks a block; it stops at the first row
+state.  :meth:`OnlineValidator.restart` clears the state and keeps the
+translation: a file's stream pass restarts its census pass's validator,
+and since both passes decode through one op table and one registry, the
+stream pass translates no lock or thread again.  One C call checks a
+block; it stops at the first row
 :class:`~repro.trace.semantics.LockDiscipline` would refuse, and the
 state there is exported into a ``LockDiscipline``, which steps the row
 and raises the exact error.  A row the C pass declines and
@@ -102,6 +106,19 @@ class OnlineValidator:
         self._locks = array("i")
         self._registry = None
         self._tids = array("i")
+
+    def restart(self) -> None:
+        """Start over from a clean state at event 0, keeping the
+        translation of the op tables and registries seen so far: a second
+        pass over a file, whose blocks share the first pass's op table
+        and registry, translates no lock or thread again."""
+        self.events_checked = 0
+        self._block = None
+        self._marked = None
+        if self._discipline is not None:
+            self._discipline = LockDiscipline()
+        else:
+            self._handle = self._new()
 
     def check(self, event: Event) -> None:
         """Validate one event; raises on the first violation.

@@ -255,8 +255,12 @@ def _std_lines(
             op_field = parts[1].strip()
             op = op_of(op_field)
             if op is None:
+                # Parsed before it is memoised: a field that raises
+                # leaves no key behind, so a decoder rewound past the
+                # error raises it again.
+                parsed = _parse_operation(op_field, line_number)
                 op = op_ids[op_field] = len(optable)
-                optable.append(_parse_operation(op_field, line_number))
+                optable.append(parsed)
             op_ids[parts[1]] = op
         if tid is None:
             if not thread:
@@ -414,11 +418,21 @@ class StdDecoder:
     A line that is not UTF-8 raises when it is reached, naming its line
     and bytes, and so does a line -- complete or still pending -- longer
     than :attr:`MAX_LINE_BYTES`, after the lines before it.
+
+    A decoder is the decode state of one input: the registry, the op
+    table and the scanner's mirrors of both.  :meth:`rewind` starts the
+    same input over while keeping all of it, so a second pass over a
+    file (:class:`~repro.engine.FileSource`'s stream pass after its
+    census pass) interns nothing the first one interned and its blocks
+    share the first pass's op table.  The CSV and adapter block
+    iterators take a decoder too, and decode through its registry and
+    op table.  :attr:`interned_ops` and :attr:`interned_threads` count
+    what :meth:`decode` added to them.
     """
 
     __slots__ = (
         "registry", "op_table", "index", "line_number", "pending",
-        "compiled_lines", "python_lines",
+        "compiled_lines", "python_lines", "interned_ops", "interned_threads",
         "_tid_cache", "_kernels", "_state", "_threads", "_keys",
     )
 
@@ -441,6 +455,10 @@ class StdDecoder:
         #: Lines taken by the C scanner and by the Python logic.
         self.compiled_lines = 0
         self.python_lines = 0
+        #: Ops and threads the decode calls added to the op table and the
+        #: registry.
+        self.interned_ops = 0
+        self.interned_threads = 0
         self._tid_cache: Dict[str, int] = {}
         self._state = None
         # Registry entries and op keys the scanner's mirrors hold.
@@ -463,16 +481,29 @@ class StdDecoder:
         long_line = _long_line(data, cut, limit)
         # (A held-back final "\r" is a line end, not a byte of the line.)
         pending = len(self.pending) - (self.pending[-1:] == b"\r")
-        if long_line < 0 and pending <= limit:
-            return self._decode(data, cut)
-        if long_line < 0:
-            long_line = cut
-        # The lines before the long one first: an error there wins.
-        self._decode(data, long_line)
-        raise TraceParseError(
-            "line %d: longer than the %d-byte line limit"
-            % (self.line_number, limit)
-        )
+        ops, threads = len(self.op_table.ops), len(self.registry)
+        try:
+            if long_line < 0 and pending <= limit:
+                return self._decode(data, cut)
+            if long_line < 0:
+                long_line = cut
+            # The lines before the long one first: an error there wins.
+            self._decode(data, long_line)
+            raise TraceParseError(
+                "line %d: longer than the %d-byte line limit"
+                % (self.line_number, limit)
+            )
+        finally:
+            self.interned_ops += len(self.op_table.ops) - ops
+            self.interned_threads += len(self.registry) - threads
+
+    def rewind(self) -> None:
+        """Start the input over at its first byte: row 0, line 1, nothing
+        pending.  The registry, the op table and the scanner's mirrors
+        are kept, so the lines decoded again intern nothing."""
+        self.index = 0
+        self.line_number = 1
+        self.pending = b""
 
     def _decode(self, data: bytes, cut: int) -> ColumnBlock:
         if self._kernels is not None:
@@ -634,24 +665,28 @@ class StdDecoder:
 def iter_std_blocks(
     lines: Union[Iterable[str], BinaryIO],
     registry: Optional[ThreadRegistry] = None,
+    decoder: Optional[StdDecoder] = None,
 ) -> Iterator[ColumnBlock]:
     """Lazily parse STD input into column blocks.
 
     ``lines`` is a binary file object or an iterable of str lines.  A
-    binary file is read :data:`READ_BYTES` at a time through one
-    :class:`StdDecoder`, which yields the whole lines of each read as a
-    block.  Str lines are pulled :data:`BATCH_LINES` at a time through
-    :func:`parse_std_batch` (sharing one op table).  Either way memory
-    stays constant while the per-line overhead is amortised, and each
-    non-empty block is yielded as it stands: it is the unit the
-    streaming engine steps.  Rows are numbered in order of appearance;
-    thread ids are interned in ``registry`` (a fresh one when None), so
+    binary file is read :data:`READ_BYTES` at a time through
+    ``decoder``, rewound first, which yields the whole lines of each
+    read as a block.  Str lines are pulled :data:`BATCH_LINES` at a time
+    through :func:`parse_std_batch`, with the decoder's registry and op
+    table.  Either way memory stays constant while the per-line overhead
+    is amortised, and each non-empty block is yielded as it stands: it
+    is the unit the streaming engine steps.  Rows are numbered in order
+    of appearance; thread ids are interned in the registry, so
     downstream detectors sharing it never hash a thread name again.
+    ``decoder`` is a fresh :class:`StdDecoder` over ``registry`` (a
+    fresh one when None) unless given; a decoder that decoded the same
+    input before interns nothing again.
     """
-    if registry is None:
-        registry = ThreadRegistry()
-    if isinstance(lines, (io.RawIOBase, io.BufferedIOBase)):
+    if decoder is None:
         decoder = StdDecoder(registry)
+    if isinstance(lines, (io.RawIOBase, io.BufferedIOBase)):
+        decoder.rewind()
         while True:
             chunk = lines.read(READ_BYTES)
             block = decoder.decode(chunk, final=not chunk)
@@ -662,14 +697,13 @@ def iter_std_blocks(
     iterator = iter(lines)
     index = 0
     line_number = 1
-    op_table = OpTable()
     while True:
         lines_block = list(islice(iterator, BATCH_LINES))
         if not lines_block:
             return
         block, index, line_number = parse_std_batch(
             lines_block, index, line_number,
-            registry=registry, op_table=op_table,
+            registry=decoder.registry, op_table=decoder.op_table,
         )
         if block:
             yield block
@@ -801,32 +835,33 @@ def _csv_columns(reader) -> Optional[Dict[str, int]]:
 
 
 def iter_csv_blocks(
-    lines: Iterable[str], registry: Optional[ThreadRegistry] = None
+    lines: Iterable[str],
+    registry: Optional[ThreadRegistry] = None,
+    decoder: Optional[StdDecoder] = None,
 ) -> Iterator[ColumnBlock]:
     """Lazily parse CSV-format lines (header row required) into blocks.
 
     The header's column positions are resolved once, then the rows are
     decoded in blocks of :data:`BATCH_LINES` through
-    :func:`parse_csv_batch` (one shared op table), replacing the
-    per-row dict building of ``csv.DictReader``.  ``registry`` interns
-    thread ids exactly like :func:`iter_std_blocks`.
+    :func:`parse_csv_batch` (with the op table of ``decoder``),
+    replacing the per-row dict building of ``csv.DictReader``.
+    ``registry`` and ``decoder`` are those of :func:`iter_std_blocks`.
     """
-    if registry is None:
-        registry = ThreadRegistry()
+    if decoder is None:
+        decoder = StdDecoder(registry)
     reader = csv.reader(lines)
     columns = _csv_columns(reader)
     if columns is None:
         return
     index = 0
     row_number = 2
-    op_table = OpTable()
     while True:
         # The rows are pulled lazily, so a row the reader refuses is
         # numbered, after the errors of the rows before it.
         consumed = reader.line_num
         block, index, row_number = parse_csv_batch(
             islice(reader, BATCH_LINES), columns, index, row_number,
-            registry=registry, op_table=op_table,
+            registry=decoder.registry, op_table=decoder.op_table,
         )
         if block:
             yield block
@@ -894,11 +929,12 @@ def event_iterator(
 def block_iterator(
     format: Optional[str],
 ) -> Callable[..., Iterator[Sequence[Event]]]:
-    """Resolve a format name to its ``(lines, registry=...)`` block iterator.
+    """Resolve a format name to its ``(lines, registry=..., decoder=...)``
+    block iterator.
 
     STD and CSV decode natively in blocks; the adapters' event streams
     are grouped by :func:`group_events` and adapted to column blocks
-    that share one op table per decode, like a native decoder's.
+    that share the decoder's op table, like a native decoder's.
     """
     if format in (None, "std"):
         return iter_std_blocks
@@ -906,10 +942,10 @@ def block_iterator(
         return iter_csv_blocks
     parse_events = event_iterator(format)
 
-    def parse_blocks(lines, registry=None):
-        if registry is None:
-            registry = ThreadRegistry()
-        table = OpTable()
+    def parse_blocks(lines, registry=None, decoder=None):
+        if decoder is None:
+            decoder = StdDecoder(registry)
+        registry, table = decoder.registry, decoder.op_table
         for events in group_events(parse_events(lines, registry=registry)):
             yield ColumnBlock.from_events(events, registry, table=table)
 
@@ -925,6 +961,7 @@ def iter_trace_blocks(
     path: Union[str, Path],
     registry: Optional[ThreadRegistry] = None,
     format: Optional[str] = None,
+    decoder: Optional[StdDecoder] = None,
 ) -> Iterator[Sequence[Event]]:
     """Lazily stream the events of a trace file, one decoded block at a time.
 
@@ -932,19 +969,23 @@ def iter_trace_blocks(
     is exhausted; at no point is the whole file (or a ``Trace``) held in
     memory.  Dispatches on the file extension like :func:`load_trace`
     unless ``format`` names one of :data:`FORMAT_NAMES`; ``registry``
-    stamps interned thread tids at parse time.  Bytes that are not UTF-8
-    raise a :class:`TraceParseError` naming their line.
+    stamps interned thread tids at parse time.  ``decoder`` is the
+    file's decode state (:class:`StdDecoder`; a fresh one over
+    ``registry`` when None): passing the decoder of an earlier pass
+    over the file makes this pass intern nothing and share that pass's
+    op table.  Bytes that are not UTF-8 raise a
+    :class:`TraceParseError` naming their line.
     """
     path = Path(path)
     format = format or detect_format(path)
     parse_blocks = block_iterator(format)
     if format == "std":
         with path.open("rb") as handle:
-            yield from parse_blocks(handle, registry=registry)
+            yield from parse_blocks(handle, registry, decoder)
         return
     with path.open("r", newline="") as handle:
         try:
-            yield from parse_blocks(_capped_lines(handle), registry=registry)
+            yield from parse_blocks(_capped_lines(handle), registry, decoder)
         except UnicodeDecodeError as error:
             raise _invalid_utf8(path, error) from None
 

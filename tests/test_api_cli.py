@@ -106,6 +106,16 @@ class TestCli:
         assert code == 1  # races found
         assert "distinct race pair" in capsys.readouterr().out
 
+    def test_mcm_finishes_within_its_default_budget(self, tmp_path, capsys):
+        """A window the solver cannot finish ends at the default budget,
+        and the stats name it."""
+        trace = random_trace(seed=0, n_events=400, n_threads=4)
+        path = dump_trace(trace, tmp_path / "hard.std")
+        assert main(["analyze", str(path), "--detector", "mcm"]) in (0, 1)
+        stats = capsys.readouterr().out
+        assert "stat windows = 1.0" in stats
+        assert "stat windows_timed_out = 1.0" in stats
+
 
 class TestCliErrors:
     """Bad input paths and removed detectors end in one stderr line and
@@ -142,6 +152,37 @@ class TestCliErrors:
         path.write_text("t1|acq(l)|a:1\nt2|acq(l)|a:2\n")
         assert main([command, str(path)]) == 2
         assert "lock 'l' acquired at event 1" in self._one_line(capsys)
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_a_file_changed_after_its_census_is_refused(
+            self, tmp_path, capsys, monkeypatch, command):
+        """The census of a file that grows before its stream pass would
+        not match what the pass reads: the pass refuses it."""
+        from repro.engine import FileSource
+
+        path = tmp_path / "grown.std"
+        path.write_text("".join("t1|w(x)|a.py:%d\n" % i for i in range(100)))
+        take_census = FileSource.take_census
+
+        def take_census_then_append(self, validator=None):
+            census = take_census(self, validator)
+            with open(path, "a") as handle:
+                handle.write("t2|w(x)|b.py:1\n")
+            return census
+
+        monkeypatch.setattr(FileSource, "take_census",
+                            take_census_then_append)
+        assert main([command, str(path)]) == 2
+        refused = capsys.readouterr()
+        assert refused.out == ""
+        assert refused.err == (
+            "%s: the file changed after its census pass; analyze it "
+            "again\n" % path)
+        # A fresh census: t2's write races with each of t1's 100.
+        monkeypatch.undo()
+        assert main(["analyze", str(path), "--detector", "wcp,hb"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("100 distinct race pair(s)") == 2, out
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--detector", "fasttrack"],

@@ -642,6 +642,35 @@ class TestStreamEqualsBatch:
         assert b"profile: census: none taken (not a regular file)\n" \
             in piped.stdout, piped.stderr
 
+    def test_profile_names_each_decode_pass(self, path, capsys):
+        """The stream pass decodes through the census pass's decoder, so
+        it interns no op and no thread; a pass with no census interns
+        them all."""
+        import subprocess
+        import sys
+
+        from repro.trace.parsers import StdDecoder
+
+        data = path.read_bytes()
+        decoder = StdDecoder()
+        decoder.decode(data, final=True)
+        lines = data.count(b"\n")
+        interned = "%d line(s), %d op(s) and %d thread(s) interned" % (
+            lines, len(decoder.op_table.ops), len(decoder.registry))
+        main(["analyze", str(path), "--profile"])
+        decode = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("profile: STD decode")]
+        assert len(decode) == 1
+        assert decode[0].endswith(
+            "; census pass: %s; stream pass: %d line(s), 0 op(s) and 0 "
+            "thread(s) interned" % (interned, lines)), decode
+        piped = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", "/dev/stdin",
+             "--profile"], input=data, capture_output=True,
+        )
+        assert piped.stdout.decode().rstrip("\n").endswith(
+            "; stream pass: %s" % interned), piped.stderr
+
     def test_a_resumed_pass_takes_no_census(self, path, tmp_path):
         class NoCensusPass(FileSource):
             @property

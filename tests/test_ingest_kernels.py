@@ -891,3 +891,129 @@ def test_census_pairs_equal_the_python_dedupe(name, census_files):
                 for field in ThreadCensus.__slots__:
                     assert getattr(census, field) == getattr(
                         expected, field), (which, field)
+
+
+# --------------------------------------------------------------------- #
+# One decode state per file: the stream pass re-interns nothing
+# --------------------------------------------------------------------- #
+
+
+class _FreshStreamDecoder(FileSource):
+    """A file source whose stream pass decodes through a decoder of its
+    own, sharing only the registry with the census pass."""
+
+    def batches(self):
+        self.decoder = StdDecoder(self.registry)
+        return super().batches()
+
+
+def _decode_state(source):
+    decoder = source.decoder
+    table = decoder.op_table
+    return (len(table.ops), len(table.ids), len(table.heads),
+            len(source.registry), decoder._threads, decoder._keys,
+            decoder.interned_ops, decoder.interned_threads)
+
+
+@pytest.fixture(scope="module")
+def decode_files(census_files, tmp_path_factory):
+    """The many-block xalan log, its CSV copy, a CRLF copy and a copy
+    whose thread ``t5`` is spelled ``t5é`` (its lines are decoded by the
+    Python logic under either backend)."""
+    directory = tmp_path_factory.mktemp("decode")
+    data = census_files["many-blocks"].read_bytes()
+    files = {"many-blocks": census_files["many-blocks"],
+             "csv": census_files["csv"]}
+    for name, copy in (
+        ("crlf", data.replace(b"\n", b"\r\n")),
+        ("non-ascii", data.replace(b"\nt5|", "\nt5é|".encode())),
+    ):
+        files[name] = directory / ("%s.std" % name)
+        files[name].write_bytes(copy)
+    return files
+
+
+@pytest.mark.parametrize("which", CENSUS_BACKENDS)
+@pytest.mark.parametrize("name", ["many-blocks", "csv", "crlf", "non-ascii"])
+def test_the_stream_pass_reuses_the_census_decode_state(
+        name, which, decode_files):
+    path = decode_files[name]
+    with _forced(which):
+        source = FileSource(path)
+        assert source.thread_census is not None
+        table = source.decoder.op_table
+        state = _decode_state(source)
+        assert state[0] > 1000 and state[3] == 6
+        blocks = list(source.batches())
+        assert len(blocks) > 5
+        assert all(block.table is table for block in blocks)
+        assert _decode_state(source) == state
+    if name == "non-ascii":
+        assert source.decoder.python_lines > 0
+
+
+@pytest.mark.parametrize("which", CENSUS_BACKENDS)
+@pytest.mark.parametrize("name", ["many-blocks", "csv", "crlf", "non-ascii"])
+def test_shared_decode_state_reports_equal_a_fresh_decoder(
+        name, which, decode_files):
+    from repro.analysis.export import report_to_dict
+    from repro.engine import ValidatingSource
+
+    def reports(source):
+        result = run_engine(ValidatingSource(source), detectors=[
+            make_detector("wcp"), make_detector("hb")])
+        found = {}
+        for key, report in result.items():
+            found[key] = report_to_dict(report)
+            for timing in ("time_s", "events_per_s"):
+                found[key]["stats"].pop(timing)
+        return found
+
+    path = decode_files[name]
+    with _forced(which):
+        shared = reports(FileSource(path))
+        assert shared == reports(_FreshStreamDecoder(path))
+    assert shared["WCP"]["raw_race_count"] > 0
+
+
+@pytest.mark.parametrize("which", CENSUS_BACKENDS)
+def test_a_late_parse_error_names_the_same_line(which, census_files,
+                                                tmp_path):
+    lines = census_files["many-blocks"].read_bytes().splitlines(True)
+    late = len(lines) - 7
+    path = tmp_path / "late.std"
+    path.write_bytes(b"".join(lines[:late] + [b"t1|bogus(x)|z\n"]
+                             + lines[late:]))
+    with _forced(which):
+        with pytest.raises(parsers.TraceParseError) as batch:
+            load_trace(path)
+        assert str(batch.value).startswith("line %d: " % (late + 1))
+        source = FileSource(path)
+        with pytest.raises(parsers.TraceParseError) as census:
+            source.take_census()
+        # The stream pass rewinds the decoder the census pass left at the
+        # error, and numbers the line alike.
+        with pytest.raises(parsers.TraceParseError) as stream:
+            list(source.batches())
+    assert str(census.value) == str(stream.value) == str(batch.value)
+
+
+@pytest.mark.parametrize("which", CENSUS_BACKENDS)
+def test_the_stream_pass_validates_from_a_clean_state(which, tmp_path):
+    """The census pass ends with ``l`` held; the stream pass restarts
+    its validator on a clean state but keeps its lock translation."""
+    from repro.engine import ValidatingSource
+
+    path = tmp_path / "held.std"
+    path.write_text("t1|acq(l)|a\nt1|w(x)|b\nt1|rel(l)|c\nt1|acq(l)|d\n")
+    with _forced(which):
+        source = ValidatingSource(FileSource(path))
+        assert source.thread_census is not None
+        validator = source.validator
+        assert validator.state_size() == 2
+        census_state = validator.state_dict()
+        translation = getattr(validator, "_locks", None)
+        assert len(list(source.batches())) == 1
+        assert source.validator is validator
+        assert validator.state_dict() == census_state
+        assert getattr(validator, "_locks", None) is translation
